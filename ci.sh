@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repository CI: formatting, lints, the tier-1 test suite, and a traced
-# ping-pong smoke test proving the observability path works end to end.
+# Repository CI: formatting, lints, the tier-1 test suite, a traced
+# ping-pong smoke test proving the observability path works end to end,
+# the figure/telemetry/overload smokes and the repo-benchmark smoke.
 #
 #   ./ci.sh          # everything
 #   ./ci.sh --fast   # skip the release build
@@ -184,5 +185,14 @@ cargo run -q --release -p emp-bench --bin figures -- --quick \
 cargo run -q --release -p emp-bench --bin regress -- \
     --baseline BENCH_5.json --fresh target/figures/fresh.json \
     || { echo "FAIL: bench regression gate"; exit 1; }
+
+step "benchmark smoke"
+# The repo benchmark at 1/20 size: every workload on both builds, payloads
+# byte-verified, drains checked, metric names validated against
+# BENCHMARK.json. It builds its own package (benchmark/Cargo.lock) into
+# benchmark/target, so it also proves that package still compiles against
+# the workspace crates.
+benchmark/run.sh --smoke \
+    || { echo "FAIL: benchmark smoke"; exit 1; }
 
 printf '\nci.sh: all checks passed\n'

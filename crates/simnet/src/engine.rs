@@ -1,12 +1,21 @@
 //! The discrete-event engine.
 //!
-//! A [`Sim`] owns a priority queue of events ordered by `(time, sequence)`.
-//! Events are boxed closures executed on the thread that calls [`Sim::run`];
+//! A [`Sim`] owns a priority queue of events ordered by `(time, sequence)`;
 //! ties in time are broken by scheduling order, which makes every run
 //! deterministic. Simulated *processes* (threads with blocking semantics)
-//! are layered on top in [`crate::process`]; exactly one entity — the event
-//! loop or a single resumed process — executes at any instant, so component
-//! state guarded by [`parking_lot::Mutex`] is never contended.
+//! are layered on top in [`crate::process`].
+//!
+//! **One turn, many threads.** Exactly one thread — the caller of
+//! [`Sim::run`] or a single process thread — holds *the turn* at any
+//! instant, and whoever holds it runs the event loop (`Sim::drive`): it
+//! pops the next event and executes it, so event closures run on whichever
+//! thread has the turn. A parking process keeps driving; when the event it
+//! pops is its own wake-up it simply returns into process code (no thread
+//! switch), and when it is another process's it hands the turn straight to
+//! that thread. The `run*` caller sleeps until the turn comes back (loop
+//! ended, a process exited, or an event panicked on a process thread).
+//! Because only the turn holder executes, component state guarded by
+//! [`parking_lot::Mutex`] is never contended.
 //!
 //! Ownership discipline (important, see `DESIGN.md` §6): components must
 //! **not** store `Sim` handles. Every component method takes a
@@ -15,22 +24,31 @@
 //! terminates all parked process threads.
 
 use std::collections::BinaryHeap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::error::SimResult;
-use crate::process::{ProcId, ProcTable, ProcessCtx, StepOutcome};
+use crate::process::{Baton, LoopMsg, ProcId, ProcTable, ProcessCtx, Resume, HANDOFF_WATCHDOG};
 use crate::sync::Completion;
 use crate::time::{SimDuration, SimTime};
 
-/// A scheduled event: a one-shot closure run on the event-loop thread.
+/// A scheduled event: a one-shot closure run on the thread holding the turn.
 pub type EventFn = Box<dyn FnOnce(&Sim) + Send>;
+
+/// What a queued event does when its time comes.
+enum Action {
+    Call(EventFn),
+    /// Resume a parked process: its thread takes the turn.
+    Wake(ProcId),
+}
 
 struct Event {
     time: SimTime,
     seq: u64,
-    f: EventFn,
+    action: Action,
 }
 
 impl PartialEq for Event {
@@ -56,14 +74,24 @@ pub(crate) struct SimCore {
     next_seq: u64,
     queue: BinaryHeap<Event>,
     executed: u64,
+    /// Stop conditions of the current `run*` call.
+    deadline: SimTime,
+    done: Option<Completion>,
+    /// Set by `Sim::drop`: no thread may run another event.
+    terminated: bool,
+    /// The process whose wake-up was popped last (named by the watchdog).
+    turn: ProcId,
 }
 
-/// Engine state shared between the event loop and process threads.
+/// Engine state shared between the `run*` caller and process threads.
 ///
 /// This type has no public API of its own; use it through [`SimAccess`].
 pub struct SimShared {
     pub(crate) core: Mutex<SimCore>,
     pub(crate) procs: Mutex<ProcTable>,
+    /// Where the `run*` caller sleeps while a process thread has the turn.
+    main: Baton<LoopMsg>,
+    handoffs: AtomicU64,
     pub(crate) tracer: emp_trace::Tracer,
     pub(crate) telemetry: Arc<emp_trace::telemetry::Registry>,
 }
@@ -73,21 +101,51 @@ impl SimShared {
         self.core.lock().now
     }
 
-    pub(crate) fn schedule_boxed(&self, at: SimTime, f: EventFn) {
+    fn schedule(&self, at: SimTime, action: Action) {
         let mut core = self.core.lock();
         // Never schedule into the past; clamp to "now" (runs after events
         // already queued for the current instant, preserving causality).
         let time = at.max(core.now);
         let seq = core.next_seq;
         core.next_seq += 1;
-        core.queue.push(Event { time, seq, f });
+        core.queue.push(Event { time, seq, action });
+    }
+
+    pub(crate) fn schedule_boxed(&self, at: SimTime, f: EventFn) {
+        self.schedule(at, Action::Call(f));
     }
 
     /// Schedule the wake-up of a parked process. Crate-private: the 1:1
     /// park/wake discipline is maintained by the blocking primitives in
     /// [`crate::process`] and [`crate::sync`].
     pub(crate) fn schedule_wake(&self, pid: ProcId, at: SimTime) {
-        self.schedule_boxed(at, Box::new(move |sim| sim.step_process(pid)));
+        self.schedule(at, Action::Wake(pid));
+    }
+
+    /// Pop the next event and advance the clock to it, or `None` once the
+    /// current `run*` call must return: `done` fired, the queue drained, the
+    /// next event lies past the deadline, or the simulation is being dropped.
+    fn next_event(&self) -> Option<Event> {
+        let mut core = self.core.lock();
+        if core.terminated || core.done.as_ref().is_some_and(Completion::is_done) {
+            return None;
+        }
+        if core.queue.peek()?.time > core.deadline {
+            return None;
+        }
+        let ev = core.queue.pop().expect("peeked event exists");
+        core.now = ev.time;
+        core.executed += 1;
+        if let Action::Wake(pid) = ev.action {
+            core.turn = pid;
+        }
+        Some(ev)
+    }
+
+    /// Give the turn back to the `run*` caller.
+    pub(crate) fn post(&self, msg: LoopMsg) {
+        self.handoffs.fetch_add(1, Ordering::Relaxed);
+        self.main.pass(msg);
     }
 }
 
@@ -173,6 +231,9 @@ impl<T: SimAccess + ?Sized> SimAccessExt for T {}
 /// ```
 pub struct Sim {
     shared: Arc<SimShared>,
+    /// False for the handle a process thread runs events with
+    /// ([`Sim::view`]); dropping that one terminates nothing.
+    owner: bool,
 }
 
 impl Default for Sim {
@@ -184,26 +245,45 @@ impl Default for Sim {
 impl Sim {
     /// Create an empty simulation at t = 0.
     pub fn new() -> Sim {
-        Sim {
-            shared: Arc::new(SimShared {
-                core: Mutex::new(SimCore {
-                    now: SimTime::ZERO,
-                    next_seq: 0,
-                    queue: BinaryHeap::new(),
-                    executed: 0,
-                }),
-                procs: Mutex::new(ProcTable::new()),
-                tracer: emp_trace::Tracer::new(),
-                telemetry: emp_trace::telemetry::Registry::new(),
+        let shared = Arc::new(SimShared {
+            core: Mutex::new(SimCore {
+                now: SimTime::ZERO,
+                next_seq: 0,
+                queue: BinaryHeap::new(),
+                executed: 0,
+                deadline: SimTime::MAX,
+                done: None,
+                terminated: false,
+                turn: 0,
             }),
+            procs: Mutex::new(ProcTable::new()),
+            main: Baton::new(),
+            handoffs: AtomicU64::new(0),
+            tracer: emp_trace::Tracer::new(),
+            telemetry: emp_trace::telemetry::Registry::new(),
+        });
+        Sim {
+            shared,
+            owner: true,
+        }
+    }
+
+    /// The handle a process thread passes to the events it runs while it
+    /// holds the turn.
+    pub(crate) fn view(shared: Arc<SimShared>) -> Sim {
+        Sim {
+            shared,
+            owner: false,
         }
     }
 
     /// Spawn a simulated process that starts at the current simulated time.
     ///
-    /// The closure runs on a dedicated OS thread but in strict alternation
-    /// with the event loop: it executes only between [`ProcessCtx`] blocking
-    /// calls, so it may freely manipulate shared component state.
+    /// The closure runs on a dedicated OS thread, and only while that thread
+    /// holds the turn: between two [`ProcessCtx`] blocking calls nothing else
+    /// in the simulation executes, so it may freely manipulate shared
+    /// component state. While the process is blocked its thread either runs
+    /// the event loop itself or sleeps until its wake-up event is popped.
     pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> ProcId
     where
         F: FnOnce(&mut ProcessCtx) -> SimResult<()> + Send + 'static,
@@ -222,23 +302,7 @@ impl Sim {
     /// executed events, so a drained queue leaves it at the last event that
     /// ran. Returns the current simulated time.
     pub fn run_until(&self, deadline: SimTime) -> SimTime {
-        loop {
-            let ev = {
-                let mut core = self.shared.core.lock();
-                match core.queue.peek() {
-                    Some(top) if top.time <= deadline => {
-                        let ev = core.queue.pop().expect("peeked event exists");
-                        core.now = ev.time;
-                        core.executed += 1;
-                        ev
-                    }
-                    _ => break,
-                }
-            };
-            let t = ev.time;
-            (ev.f)(self);
-            self.shared.telemetry.maybe_sample(t.nanos());
-        }
+        self.run_loop(deadline, None);
         self.shared.now()
     }
 
@@ -246,26 +310,8 @@ impl Sim {
     /// `deadline` as a backstop against runaway protocol timers. Returns
     /// `true` if the completion fired.
     pub fn run_until_complete(&self, done: &Completion, deadline: SimTime) -> bool {
-        loop {
-            if done.is_done() {
-                return true;
-            }
-            let ev = {
-                let mut core = self.shared.core.lock();
-                match core.queue.peek() {
-                    Some(top) if top.time <= deadline => {
-                        let ev = core.queue.pop().expect("peeked event exists");
-                        core.now = ev.time;
-                        core.executed += 1;
-                        ev
-                    }
-                    _ => return done.is_done(),
-                }
-            };
-            let t = ev.time;
-            (ev.f)(self);
-            self.shared.telemetry.maybe_sample(t.nanos());
-        }
+        self.run_loop(deadline, Some(done.clone()));
+        done.is_done()
     }
 
     /// Total number of events executed so far.
@@ -278,23 +324,95 @@ impl Sim {
         self.shared.core.lock().queue.len()
     }
 
-    /// Resume a parked process and block until it parks again or finishes.
-    /// Only called from wake events scheduled via `schedule_wake`.
-    pub(crate) fn step_process(&self, pid: ProcId) {
-        let step = {
-            let table = self.shared.procs.lock();
-            table.begin_step(pid)
-        };
-        let Some(step) = step else { return };
-        match step.run() {
-            StepOutcome::Parked => {}
-            StepOutcome::Finished => {
-                self.shared.procs.lock().mark_finished(pid);
+    /// How many times the turn has moved from one OS thread to another
+    /// (to a process thread whose wake-up was popped, or back to the
+    /// `run*` caller). A process woken by the thread it parked on costs none.
+    pub fn thread_handoffs(&self) -> u64 {
+        self.shared.handoffs.load(Ordering::Relaxed)
+    }
+
+    /// Drive the loop from the `run*` caller's thread, sleeping whenever a
+    /// process thread has the turn, until a stop condition is met.
+    fn run_loop(&self, deadline: SimTime, done: Option<Completion>) {
+        {
+            let mut core = self.shared.core.lock();
+            core.deadline = deadline;
+            core.done = done;
+        }
+        while !self.drive(None) {
+            match self.await_turn() {
+                LoopMsg::LoopEnded => break,
+                LoopMsg::Exited(pid, result) => {
+                    self.shared.procs.lock().reap(pid);
+                    if let Err(msg) = result {
+                        panic!("simulated process failed: {msg}");
+                    }
+                }
+                LoopMsg::EventPanic(payload) => resume_unwind(payload),
             }
-            StepOutcome::Failed(msg) => {
-                self.shared.procs.lock().mark_finished(pid);
-                panic!("simulated process failed: {msg}");
+        }
+    }
+
+    /// Pop and run events on the calling thread until the turn leaves it or
+    /// the loop ends. `me` is the calling process, `None` for the `run*`
+    /// caller. Returns `true` if the caller still holds the turn: its own
+    /// wake-up was popped (process), or the loop ended (`run*` caller).
+    pub(crate) fn drive(&self, me: Option<ProcId>) -> bool {
+        let shared = &self.shared;
+        loop {
+            let Some(ev) = shared.next_event() else {
+                if me.is_some() {
+                    shared.post(LoopMsg::LoopEnded);
+                }
+                return me.is_none();
+            };
+            match ev.action {
+                Action::Call(f) if me.is_none() => f(self),
+                // On a process thread a panicking event must not unwind into
+                // the parked process: it belongs to the `run*` caller.
+                Action::Call(f) => {
+                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(self))) {
+                        shared.post(LoopMsg::EventPanic(payload));
+                        return false;
+                    }
+                }
+                // The caller's own wake-up; the sample this event is owed is
+                // taken when the process next parks or exits.
+                Action::Wake(pid) if me == Some(pid) => return true,
+                Action::Wake(pid) => {
+                    let baton = shared.procs.lock().baton(pid);
+                    if let Some(baton) = baton {
+                        shared.handoffs.fetch_add(1, Ordering::Relaxed);
+                        baton.pass(Resume::Run);
+                        return false;
+                    }
+                    // Stale wake-up of a process that already exited.
+                }
             }
+            shared.telemetry.maybe_sample(ev.time.nanos());
+        }
+    }
+
+    /// Sleep until a process thread gives the turn back. Every
+    /// [`HANDOFF_WATCHDOG`] check that the loop still makes progress: a
+    /// process blocked outside the engine's primitives would otherwise
+    /// freeze the simulation silently.
+    fn await_turn(&self) -> LoopMsg {
+        let mut seen = self.events_executed();
+        loop {
+            if let Some(msg) = self.shared.main.take_timeout(HANDOFF_WATCHDOG) {
+                return msg;
+            }
+            let executed = self.events_executed();
+            if executed == seen {
+                let turn = self.shared.core.lock().turn;
+                panic!(
+                    "engine stuck: no event ran for {HANDOFF_WATCHDOG:?} while process '{}' \
+                     held the turn; it is blocked outside the simulation's blocking primitives",
+                    self.shared.procs.lock().name(turn)
+                );
+            }
+            seen = executed;
         }
     }
 }
@@ -307,7 +425,10 @@ impl SimAccess for Sim {
 
 impl Drop for Sim {
     fn drop(&mut self) {
-        self.shared.procs.lock().terminate_all();
+        if self.owner {
+            self.shared.core.lock().terminated = true;
+            self.shared.procs.lock().terminate_all();
+        }
     }
 }
 

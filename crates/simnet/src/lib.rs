@@ -4,9 +4,10 @@
 //!
 //! * a **discrete-event engine** ([`Sim`]) with nanosecond time, strict
 //!   `(time, sequence)` event ordering and bit-for-bit reproducible runs;
-//! * **simulated processes** ([`ProcessCtx`]) — OS threads in strict
-//!   alternation with the event loop, so protocol and application code is
-//!   written in natural blocking style;
+//! * **simulated processes** ([`ProcessCtx`]) — OS threads of which exactly
+//!   one runs at a time (and runs the event loop while its process is
+//!   blocked), so protocol and application code is written in natural
+//!   blocking style;
 //! * **synchronization primitives** ([`Completion`], [`SimCondvar`],
 //!   [`SimQueue`], [`SimSemaphore`]) that preserve the engine's park/wake
 //!   discipline;

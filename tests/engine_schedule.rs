@@ -1,0 +1,149 @@
+//! Golden schedules: "same events, same order, same samples" as a test.
+//!
+//! Each scenario's triple — events executed, final simulated time, and a
+//! hash of every counter, gauge, histogram bucket and sampled series point
+//! in the telemetry registry — was recorded at commit 244eb3e, before the
+//! event loop moved onto the process threads. An engine change that
+//! reorders events, shifts a telemetry sample to another instant, or runs
+//! one event more or fewer changes a triple. A change to a *model* (NIC
+//! timing, protocol, substrate) legitimately moves them: re-record then,
+//! and say why in the commit.
+
+use std::sync::Arc;
+
+use sockets_over_emp::emp_apps::{kvstore, pingpong, Testbed};
+use sockets_over_emp::emp_proto::{self, EmpConfig};
+use sockets_over_emp::prelude::*;
+use sockets_over_emp::simnet::{FaultPlan, LinkConfig};
+
+/// (`events_executed`, final `now()` in ns, FNV-1a of `deterministic_text`).
+type Schedule = (u64, u64, u64);
+
+fn schedule_of(sim: &Sim) -> Schedule {
+    let reg = sim.telemetry();
+    reg.sample_now(sim.now().nanos());
+    let text = reg.snapshot().deterministic_text();
+    let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    (sim.events_executed(), sim.now().nanos(), hash)
+}
+
+#[test]
+fn pingpong_4b_x200() {
+    let sim = Sim::new();
+    let tb = Testbed::emp_default(2);
+    pingpong::one_way_latency_us(&sim, &tb, 4, 200);
+    // Two thread switches per round trip (each reply lands while the other
+    // side's thread drives the loop) plus connection set-up and teardown;
+    // the host-overhead delays in between cost none.
+    assert!(sim.thread_handoffs() <= 450, "{}", sim.thread_handoffs());
+    assert_eq!(
+        schedule_of(&sim),
+        (10_401, 15_389_847, 411_742_094_079_843_418)
+    );
+}
+
+#[test]
+fn kvstore_8_connections() {
+    // 8 persistent connections from 3 client nodes into the event-loop
+    // server; 40 ops each, 3 in 4 a GET, 64 B - 1 KiB values.
+    let sim = Sim::new();
+    let tb = Testbed::emp_default(4);
+    kvstore::spawn_server_event_loop(&sim, &tb, 0, 8);
+    for c in 0..8u32 {
+        let api = Arc::clone(&tb.nodes[1 + c as usize % 3].api);
+        let host = tb.nodes[0].api.local_host();
+        sim.spawn(format!("kv-client-{c}"), move |ctx| {
+            let conn = api.connect(ctx, host, kvstore::KV_PORT)?.expect("connect");
+            let mut x = 0x9e37_79b9u32.wrapping_mul(c + 1);
+            for op in 0..40u32 {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let key = (x >> 8) % 16;
+                let put = op < 4 || x & 3 == 0;
+                let value = vec![c as u8; 64 << ((x >> 16) % 5)];
+                // Request: op, key, value length, value.
+                let mut req = vec![if put { 2 } else { 1 }];
+                req.extend_from_slice(&key.to_le_bytes());
+                let body: &[u8] = if put { &value } else { &[] };
+                req.extend_from_slice(&(body.len() as u32).to_le_bytes());
+                req.extend_from_slice(body);
+                conn.write(ctx, &req)?.expect("request");
+                // Reply: status, value length, value.
+                let hdr = conn.read_exact(ctx, 5)?.expect("reply").expect("header");
+                let len = u32::from_le_bytes(hdr[1..5].try_into().expect("4 bytes"));
+                if len > 0 {
+                    conn.read_exact(ctx, len as usize)?
+                        .expect("reply")
+                        .expect("body");
+                }
+            }
+            conn.close(ctx)
+        });
+    }
+    sim.run_until(SimTime::from_secs(60));
+    assert_eq!(
+        schedule_of(&sim),
+        (17_488, 7_574_236, 11_838_257_667_359_042_823)
+    );
+}
+
+#[test]
+fn lossy_stream_1mib() {
+    // 1 MiB one way in 16 KiB writes over links that drop 1 % and reorder
+    // 2 % of frames (seeded): retransmission timers, reorder buffering and
+    // acks all take part in the schedule.
+    const TOTAL: usize = 1 << 20;
+    let faults = FaultPlan::seeded(20_020_923)
+        .with_drop_prob(0.01)
+        .with_reorder(0.02, SimDuration::from_micros(80));
+    let sw = SwitchConfig {
+        link: LinkConfig {
+            faults,
+            ..LinkConfig::default()
+        },
+        ..SwitchConfig::default()
+    };
+    let sim = Sim::new();
+    let cluster = emp_proto::build_cluster(2, EmpConfig::default(), sw);
+    let server = EmpSockets::new(cluster.nodes[1].endpoint(), SubstrateConfig::ds_da_uq());
+    let client = EmpSockets::new(cluster.nodes[0].endpoint(), SubstrateConfig::ds_da_uq());
+    let addr = SockAddr::new(cluster.nodes[1].addr(), 80);
+    let byte = |i: usize| (i * 31 % 251) as u8;
+
+    sim.spawn("reader", move |ctx| {
+        let listener = server.listen(ctx, 80, 4)?.expect("port free");
+        let conn = listener.accept(ctx)?.expect("connection");
+        let mut got = 0;
+        while got < TOTAL {
+            let chunk = conn.read(ctx, 8192)?.expect("data");
+            assert!(!chunk.is_empty(), "premature EOF at byte {got}");
+            for (i, b) in chunk.iter().enumerate() {
+                assert_eq!(*b, byte(got + i), "byte {} wrong", got + i);
+            }
+            got += chunk.len();
+        }
+        assert!(conn.read(ctx, 8192)?.expect("eof").is_empty());
+        conn.close(ctx)
+    });
+    sim.spawn("writer", move |ctx| {
+        let conn = client.connect(ctx, addr)?.expect("connect");
+        let data: Vec<u8> = (0..TOTAL).map(byte).collect();
+        for chunk in data.chunks(16 << 10) {
+            conn.write(ctx, chunk)?.expect("send");
+        }
+        conn.close(ctx)
+    });
+    sim.run();
+    let lost: u64 = cluster
+        .switch
+        .port_stats()
+        .iter()
+        .map(|p| p.frames_lost())
+        .sum();
+    assert!(lost > 0, "the fault plan must have bitten");
+    assert_eq!(
+        schedule_of(&sim),
+        (7_820, 14_601_676, 14_996_015_358_430_804_309)
+    );
+}
