@@ -79,11 +79,12 @@ events=$(echo "$out" | sed -n 's/^(\([0-9]\+\) events.*/\1/p')
 echo "$out" | grep -q "fault counters: wire_drops=" \
     || { echo "FAIL: no fault-counter report in traced run"; exit 1; }
 
-step "data-path fast-path perf smoke"
-# Perf stage: the two fast-path figures must show coalescing collapsing
-# the 64-byte substrate message count (and with it a bandwidth win) and
-# direct delivery actually skipping temp-buffer copies — in the default
-# build and, because trace hooks ride the same code paths, the traced one.
+step "data-path default-vs-preset perf smoke"
+# Perf stage: the two fast-path figures run SubstrateConfig::ds_da_uq()
+# against SubstrateConfig::default(). The default must collapse the
+# 64-byte substrate message count (and with it win bandwidth) and must
+# skip every temp-buffer copy for posted readers — in the default build
+# and, because trace hooks ride the same code paths, the traced one.
 perf_smoke() {
     local features=() label="$1"
     [[ "$label" == trace ]] && features=(--features emp-bench/trace)
@@ -95,11 +96,11 @@ perf_smoke() {
         /^small-message-throughput: 64B/ {
             split($0, f); smt = 1
             for (i in f) {
-                if (f[i] ~ /^coalesce_off=/) { sub(/.*=/, "", f[i]); off = f[i] + 0 }
-                if (f[i] ~ /^coalesce_on=/)  { sub(/.*=/, "", f[i]); on  = f[i] + 0 }
+                if (f[i] ~ /^ds_da_uq=/) { sub(/.*=/, "", f[i]); preset = f[i] + 0 }
+                if (f[i] ~ /^default=/)  { sub(/.*=/, "", f[i]); dflt   = f[i] + 0 }
             }
-            if (!(on > 0 && on < off)) {
-                printf "FAIL(%s): coalescing did not cut 64B msgs_sent (off=%d on=%d)\n", label, off, on
+            if (!(dflt > 0 && dflt < preset)) {
+                printf "FAIL(%s): default() did not cut 64B msgs_sent (ds_da_uq=%d default=%d)\n", label, preset, dflt
                 bad = 1
             }
         }
@@ -114,9 +115,9 @@ perf_smoke() {
         END {
             if (!smt) { printf "FAIL(%s): no 64B small-message summary line\n", label; bad = 1 }
             if (!ca)  { printf "FAIL(%s): no copy-avoidance summary lines\n", label; bad = 1 }
-            if (ca && !(avoided > 0)) { printf "FAIL(%s): copies_avoided == 0\n", label; bad = 1 }
+            if (ca && !(avoided > 0)) { printf "FAIL(%s): copies_avoided == 0 under default()\n", label; bad = 1 }
             if (ca && direct != recvd) {
-                printf "FAIL(%s): posted-reader sweep still copied %d bytes\n", label, recvd - direct
+                printf "FAIL(%s): posted-reader sweep still copied %d bytes under default()\n", label, recvd - direct
                 bad = 1
             }
             exit bad
@@ -128,7 +129,11 @@ perf_smoke trace
 step "telemetry smoke (empstat)"
 # Observability stage: the always-on stats registry must fill with real
 # data — non-zero latency histograms and sampled time series — in the
-# default build and the traced one, and the JSON export must parse.
+# default build and the traced one, and the JSON export must parse. The
+# self-check also gates that the default data path is the one taken
+# (sock.coalesce_flushes, sock.piggybacked_credits, sock.copies_avoided
+# all > 0) and that no connection closed with staged bytes or an unpaid
+# timer flush (sock.stranded_bytes, sock.unpaid_flush_debt_ns == 0).
 mkdir -p target/figures
 telemetry_smoke() {
     local features=() label="$1"
@@ -177,8 +182,8 @@ overload_smoke trace
 step "bench regression gate"
 # Regenerate the committed baseline figures with the same quick profile
 # and compare goodput point-by-point (35% tolerance), plus hard
-# invariants: coalescing still collapses 64B message counts and direct
-# delivery still avoids every copy.
+# invariants: the default still collapses 64B message counts and still
+# avoids every copy for posted readers.
 cargo run -q --release -p emp-bench --bin figures -- --quick \
     --json target/figures/fresh.json \
     fig11 fig13b small-message-throughput copy-avoidance >/dev/null

@@ -20,7 +20,7 @@ fn net_error_displays() {
 #[test]
 fn adapters_report_their_labels_and_hosts() {
     let tb = Testbed::emp_default(2);
-    assert_eq!(tb.nodes[0].api.label(), "emp-ds-da-uq");
+    assert_eq!(tb.nodes[0].api.label(), "emp-default");
     assert_eq!(tb.nodes[1].api.local_host(), simnet::MacAddr(1));
     let tb = Testbed::kernel_default(3);
     assert_eq!(tb.nodes[2].api.label(), "tcp-16k");

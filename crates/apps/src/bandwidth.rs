@@ -185,14 +185,16 @@ mod tests {
         );
     }
 
+    /// The paper's small-message penalty, so on the paper's preset: the
+    /// default stages 1 KiB writes precisely to remove it.
     #[test]
     fn small_messages_cost_bandwidth() {
-        let sim = Sim::new();
-        let tb = Testbed::emp_default(2);
-        let big = throughput_mbps(&sim, &tb, 64 * 1024, 2 << 20);
-        let sim = Sim::new();
-        let tb = Testbed::emp_default(2);
-        let small = throughput_mbps(&sim, &tb, 1024, 2 << 20);
+        let paper = || {
+            let cfg = sockets_emp::SubstrateConfig::ds_da_uq();
+            Testbed::emp(2, emp_proto::EmpConfig::default(), cfg, "ds-da-uq")
+        };
+        let big = throughput_mbps(&Sim::new(), &paper(), 64 * 1024, 2 << 20);
+        let small = throughput_mbps(&Sim::new(), &paper(), 1024, 2 << 20);
         assert!(
             big > small,
             "64K writes ({big:.0}) vs 1K writes ({small:.0})"

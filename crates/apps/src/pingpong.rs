@@ -17,9 +17,9 @@ pub fn one_way_latency_us(sim: &Sim, tb: &Testbed, msg_size: usize, iters: u32) 
 /// [`one_way_latency_us`], also returning both connections' substrate
 /// counters summed (sampled just before close; all zeros on kernel TCP).
 /// The ping-pong is the posted-reader case: each side is parked in
-/// `read()` when its message arrives, so with
-/// `SubstrateConfig::with_direct_delivery` every delivery should bypass
-/// the temp-buffer copy (`copies_avoided`/`bytes_direct` account it).
+/// `read()` when its message arrives, so under
+/// `CopyPolicy::ADAPTIVE` every delivery should bypass the temp-buffer
+/// copy (`copies_avoided`/`bytes_direct` account it).
 pub fn pingpong_with_stats(
     sim: &Sim,
     tb: &Testbed,

@@ -80,13 +80,16 @@ impl Testbed {
         }
     }
 
-    /// Default EMP testbed with the paper's best substrate configuration.
+    /// What a user gets without choosing: [`SubstrateConfig::default`] —
+    /// the paper's best configuration (`DS_DA_UQ`) plus piggy-backed acks
+    /// and the adaptive copy policy. The paper's own numbers are measured
+    /// on the named presets through [`Testbed::emp`].
     pub fn emp_default(n: usize) -> Testbed {
         Testbed::emp(
             n,
             EmpConfig::default(),
-            SubstrateConfig::ds_da_uq(),
-            "emp-ds-da-uq",
+            SubstrateConfig::default(),
+            "emp-default",
         )
     }
 

@@ -442,3 +442,61 @@ fn interest_change_between_poll_and_wake_is_safe_on_the_substrate() {
 fn interest_change_between_poll_and_wake_is_safe_on_kernel_tcp() {
     interest_switch_run(&Testbed::kernel_default(2));
 }
+
+// ---- staged writes nobody flushes ---------------------------------------
+
+/// Two `write_all`s to one stream without `flush` — the second is staged
+/// behind the first — then await a read on another whose peer answers
+/// only after the first stream's peer saw all the bytes. The awaited
+/// readiness is socket A's alone, so nothing the task does ever touches B
+/// again: the substrate's staging deadline has to send the staged half
+/// (the async case of `crates/core/tests/fastpath.rs`'s
+/// `a_write_nobody_follows_up_still_leaves_on_every_front_end`).
+#[test]
+fn write_all_without_flush_still_leaves_on_the_substrate() {
+    const PORT: u16 = 1400;
+    let tb = Testbed::emp_default(3);
+    let sim = Sim::new();
+    let b_saw_it = simnet::Completion::new();
+    for (node, is_b) in [(1, false), (2, true)] {
+        let api = Arc::clone(&tb.nodes[node].api);
+        let b_saw_it = b_saw_it.clone();
+        sim.spawn(format!("peer-{node}"), move |ctx| {
+            let l = api.listen(ctx, PORT, 4)?.expect("port free");
+            let conn = l.accept(ctx)?.expect("client");
+            if is_b {
+                let m = conn.read_exact(ctx, 19)?.expect("read");
+                assert_eq!(&m.expect("the unflushed bytes")[..], b"nobody flushes this");
+                b_saw_it.complete(ctx);
+            } else {
+                b_saw_it.wait(ctx)?;
+                conn.write(ctx, b"go on")?.expect("answer");
+                conn.flush(ctx)?.expect("flush");
+            }
+            assert!(conn.read(ctx, 64)?.expect("eof").is_empty());
+            conn.close(ctx)?;
+            l.close(ctx)
+        });
+    }
+    let api = Arc::clone(&tb.nodes[0].api);
+    let (host_a, host_b) = (tb.nodes[1].api.local_host(), tb.nodes[2].api.local_host());
+    let finished = Arc::new(Mutex::new(false));
+    let finished2 = Arc::clone(&finished);
+    sim.spawn("async-client", move |ctx| {
+        let a = AsyncStream::new(api.connect(ctx, host_a, PORT)?.expect("connect a"));
+        let b = AsyncStream::new(api.connect(ctx, host_b, PORT)?.expect("connect b"));
+        emp_async::block_on(ctx, async move {
+            b.write_all(b"nobody ").await?.expect("write");
+            b.write_all(b"flushes this").await?.expect("write");
+            let answer = a.read(64).await?.expect("a's answer");
+            assert_eq!(&answer[..], b"go on");
+            b.close().await?;
+            a.close().await?;
+            *finished2.lock() = true;
+            SimResult::Ok(())
+        })??;
+        Ok(())
+    });
+    sim.run();
+    assert!(*finished.lock(), "the write to B never left");
+}

@@ -28,12 +28,11 @@ fn bench(c: &mut Criterion) {
     g.bench_function("piggyback_on", |b| {
         b.iter(|| {
             let sim = Sim::new();
-            let tb = Testbed::emp(
-                2,
-                EmpConfig::default(),
-                SubstrateConfig::ds_da().with_credits(4).with_piggyback(),
-                "pb",
-            );
+            let cfg = SubstrateConfig {
+                piggyback_acks: true,
+                ..SubstrateConfig::ds_da().with_credits(4)
+            };
+            let tb = Testbed::emp(2, EmpConfig::default(), cfg, "pb");
             pingpong::one_way_latency_us(&sim, &tb, 4, 5)
         })
     });

@@ -181,9 +181,9 @@ fn perf_summary_json(perf: &PerfPoints) -> Option<String> {
     let mut fields = Vec::new();
     if let Some(pts) = &perf.small {
         if let Some(p) = pts.iter().find(|p| p.size == 64) {
-            fields.push(format!("\"msgs_64b_coalesce_off\": {}", p.msgs_off));
-            fields.push(format!("\"msgs_64b_coalesce_on\": {}", p.msgs_on));
-            fields.push(format!("\"mbps_64b_coalesce_on\": {}", p.mbps_on));
+            fields.push(format!("\"msgs_64b_coalesce_off\": {}", p.msgs_paper));
+            fields.push(format!("\"msgs_64b_coalesce_on\": {}", p.msgs_default));
+            fields.push(format!("\"mbps_64b_coalesce_on\": {}", p.mbps_default));
         }
     }
     if let Some(pts) = &perf.copy {
@@ -227,12 +227,12 @@ fn small_message_with_summary(profile: Profile, perf: &mut PerfPoints) -> Figure
     let pts = figures::small_message_sweep(profile);
     for p in &pts {
         println!(
-            "small-message-throughput: {}B msgs_sent coalesce_off={} coalesce_on={} \
-             mbps_off={:.1} mbps_on={:.1} mbps_tcp={:.1}",
-            p.size, p.msgs_off, p.msgs_on, p.mbps_off, p.mbps_on, p.mbps_tcp
+            "small-message-throughput: {}B msgs_sent ds_da_uq={} default={} \
+             mbps_ds_da_uq={:.1} mbps_default={:.1} mbps_tcp={:.1}",
+            p.size, p.msgs_paper, p.msgs_default, p.mbps_paper, p.mbps_default, p.mbps_tcp
         );
     }
-    let fig = figures::small_message_figure(&pts);
+    let fig = figures::small_message_figure(&pts, profile);
     perf.small = Some(pts);
     fig
 }
@@ -240,16 +240,16 @@ fn small_message_with_summary(profile: Profile, perf: &mut PerfPoints) -> Figure
 /// Generate the copy-avoidance figure, printing one machine-parsable line
 /// per swept message size for the perf-smoke stage.
 fn copy_avoidance_with_summary(profile: Profile, perf: &mut PerfPoints) -> Figure {
-    let pts = figures::copy_avoidance_sweep(profile);
-    for p in &pts {
+    let sweep = figures::copy_avoidance_sweep(profile);
+    for p in &sweep.points {
         println!(
             "copy-avoidance: {}B copies_avoided={} bytes_direct={} bytes_received={} \
-             us_off={:.2} us_on={:.2}",
-            p.size, p.copies_avoided, p.bytes_direct, p.bytes_received, p.us_off, p.us_on
+             us_ds_da_uq={:.2} us_default={:.2}",
+            p.size, p.copies_avoided, p.bytes_direct, p.bytes_received, p.us_paper, p.us_default
         );
     }
-    let fig = figures::copy_avoidance_figure(&pts);
-    perf.copy = Some(pts);
+    let fig = figures::copy_avoidance_figure(&sweep, profile);
+    perf.copy = Some(sweep.points);
     fig
 }
 

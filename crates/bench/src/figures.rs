@@ -7,8 +7,10 @@ use emp_apps::{
 };
 use emp_proto::EmpConfig;
 use kernel_tcp::TcpConfig;
-use simnet::Sim;
-use simnet::SimDuration;
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+use simnet::{Sim, SimAccess, SimDuration};
 use sockets_emp::{RecvMode, SubstrateConfig};
 
 use crate::raw;
@@ -671,23 +673,55 @@ fn run_tcp_bulk(sim: &Sim, cluster: &kernel_tcp::TcpCluster, total: usize) {
     sim.run();
 }
 
-/// One point of the small-write coalescing sweep: goodput with and
-/// without coalescing (plus kernel TCP for scale) and the substrate
-/// message counts that explain the gap. `ci.sh` asserts on the counters;
-/// the figure plots the Mbps columns.
+/// One point of the small-write sweep: goodput on the paper's preset and
+/// on the default configuration (plus kernel TCP for scale) and the
+/// substrate message counts that explain the gap. `ci.sh` asserts on the
+/// counters; the figure plots the Mbps columns.
 pub struct SmallMsgPoint {
     /// Application write size in bytes.
     pub size: usize,
-    /// Goodput, DS_DA_UQ with coalescing off.
-    pub mbps_off: f64,
-    /// Goodput, DS_DA_UQ with coalescing on.
-    pub mbps_on: f64,
+    /// Goodput, `SubstrateConfig::ds_da_uq()`.
+    pub mbps_paper: f64,
+    /// Goodput, `SubstrateConfig::default()`.
+    pub mbps_default: f64,
     /// Goodput, kernel TCP (256K socket buffers).
     pub mbps_tcp: f64,
-    /// Substrate data messages sent, coalescing off.
-    pub msgs_off: u64,
-    /// Substrate data messages sent, coalescing on.
-    pub msgs_on: u64,
+    /// Substrate data messages sent, `ds_da_uq()`.
+    pub msgs_paper: u64,
+    /// Substrate data messages sent, `default()`.
+    pub msgs_default: u64,
+    /// Goodput at each cell of the copy-policy constants grid, in
+    /// [`policy_grid`] order.
+    pub mbps_grid: Vec<f64>,
+}
+
+/// The copy-policy constants the committed sweep walks (EXPERIMENTS.md,
+/// "copy policy constants"): stage-below x staging capacity.
+pub fn policy_grid(profile: Profile) -> Vec<(usize, usize)> {
+    let send_copy = SubstrateConfig::default().send_copy_threshold;
+    let (below, caps): (&[usize], &[usize]) = match profile {
+        Profile::Quick => (&[send_copy], &[8 << 10, 64 << 10]),
+        Profile::Full => (
+            &[256, 1024, 4096, send_copy],
+            &[8 << 10, 16 << 10, 64 << 10],
+        ),
+    };
+    let cells = below
+        .iter()
+        .flat_map(|&b| caps.iter().map(move |&c| (b, c)));
+    cells.collect()
+}
+
+/// The default configuration with other copy-policy constants.
+fn policy_cfg(stage_below: usize, stage_capacity: usize) -> SubstrateConfig {
+    let mut cfg = SubstrateConfig::default();
+    cfg.copy_policy.stage_below = stage_below;
+    cfg.copy_policy.stage_capacity = stage_capacity;
+    cfg
+}
+
+fn grid_label(stage_below: usize, capacity: usize) -> String {
+    format!("s{stage_below}/c{}K", capacity >> 10)
 }
 
 /// Run the small-message bandwidth sweep behind
@@ -695,145 +729,274 @@ pub struct SmallMsgPoint {
 pub fn small_message_sweep(profile: Profile) -> Vec<SmallMsgPoint> {
     let sizes: &[usize] = match profile {
         Profile::Quick => &[64, 256],
-        Profile::Full => &[16, 64, 256, 1024],
+        Profile::Full => &[16, 64, 256, 1024, 4096, 16 << 10],
     };
-    let total: usize = match profile {
+    let floor: usize = match profile {
         Profile::Quick => 64 * 1024,
-        Profile::Full => 256 * 1024,
+        Profile::Full => 1 << 20,
     };
+    let grid = policy_grid(profile);
     parallel_sweep(sizes, |&size| {
+        // Enough writes at every size for the pipeline to fill.
+        let total = floor.max(size * 64);
         let run = |cfg: SubstrateConfig, label: &str| {
             let sim = Sim::new();
             let tb = emp_tb(cfg, label, 2);
             bandwidth::throughput_with_stats(&sim, &tb, size, total)
         };
-        let (mbps_off, st_off) = run(SubstrateConfig::ds_da_uq(), "ds-da-uq");
-        let (mbps_on, st_on) = run(SubstrateConfig::ds_da_uq().with_coalescing(), "ds-coalesce");
+        let (mbps_paper, st_paper) = run(SubstrateConfig::ds_da_uq(), "ds-da-uq");
+        let (mbps_default, st_default) = run(SubstrateConfig::default(), "default");
         let sim = Sim::new();
         let tb = tcp_tb(2, Some(256 * 1024), "tcp-256k");
         let mbps_tcp = bandwidth::throughput_mbps(&sim, &tb, size, total);
+        let mbps_grid = grid
+            .iter()
+            .map(|&(below, cap)| run(policy_cfg(below, cap), "policy-grid").0)
+            .collect();
         SmallMsgPoint {
             size,
-            mbps_off,
-            mbps_on,
+            mbps_paper,
+            mbps_default,
             mbps_tcp,
-            msgs_off: st_off.msgs_sent,
-            msgs_on: st_on.msgs_sent,
+            msgs_paper: st_paper.msgs_sent,
+            msgs_default: st_default.msgs_sent,
+            mbps_grid,
         }
     })
 }
 
 /// Shape a finished sweep into the plotted figure.
-pub fn small_message_figure(points: &[SmallMsgPoint]) -> Figure {
+pub fn small_message_figure(points: &[SmallMsgPoint], profile: Profile) -> Figure {
     let mut fig = Figure::new(
         "small-message-throughput",
-        "Small-message bandwidth: write coalescing vs plain substrate vs TCP",
+        "Small-message bandwidth: default vs the paper's preset vs TCP, and the copy-policy grid",
         "msg bytes",
         "Mbps",
     );
-    fig.push(
-        "DS_DA_UQ",
-        points.iter().map(|p| (p.size as f64, p.mbps_off)).collect(),
-    );
-    fig.push(
-        "DS_DA_UQ+coal",
-        points.iter().map(|p| (p.size as f64, p.mbps_on)).collect(),
-    );
-    fig.push(
-        "TCP 256K",
-        points.iter().map(|p| (p.size as f64, p.mbps_tcp)).collect(),
-    );
+    let series = |y: &dyn Fn(&SmallMsgPoint) -> f64| -> Vec<(f64, f64)> {
+        points.iter().map(|p| (p.size as f64, y(p))).collect()
+    };
+    fig.push("DS_DA_UQ", series(&|p| p.mbps_paper));
+    fig.push("default", series(&|p| p.mbps_default));
+    fig.push("TCP 256K", series(&|p| p.mbps_tcp));
+    for (i, (below, cap)) in policy_grid(profile).into_iter().enumerate() {
+        fig.push(grid_label(below, cap), series(&|p| p.mbps_grid[i]));
+    }
     fig
 }
 
-/// Small-message bandwidth with and without write coalescing.
+/// Small-message bandwidth on the paper's preset, on the default, and
+/// across the copy-policy constants grid.
 pub fn small_message_throughput(profile: Profile) -> Figure {
-    small_message_figure(&small_message_sweep(profile))
+    small_message_figure(&small_message_sweep(profile), profile)
 }
 
-/// One point of the direct-delivery sweep: ping-pong latency with and
-/// without receiver-posted direct delivery, plus the delivery counters.
-/// The ping-pong reader is always parked in `read()` when its message
-/// lands, so with the knob on every in-sequence delivery should bypass
-/// the §6.2 temp-buffer copy.
+/// One point of the posted-reader sweep: ping-pong latency on the paper's
+/// preset and on the default, plus the delivery counters. The ping-pong
+/// reader is always parked in `read()` when its message lands, so under
+/// the default every in-sequence delivery should bypass the §6.2
+/// temp-buffer copy. The point also carries the request/response shape
+/// the benchmark lacks: write-write-read with a body of this size.
 pub struct CopyAvoidPoint {
     /// Message size in bytes.
     pub size: usize,
-    /// One-way latency, direct delivery off (µs).
-    pub us_off: f64,
-    /// One-way latency, direct delivery on (µs).
-    pub us_on: f64,
-    /// Temp-buffer copies skipped (both ends summed), knob on.
+    /// One-way latency, `SubstrateConfig::ds_da_uq()` (µs).
+    pub us_paper: f64,
+    /// One-way latency, `SubstrateConfig::default()` (µs).
+    pub us_default: f64,
+    /// Temp-buffer copies skipped (both ends summed), default.
     pub copies_avoided: u64,
-    /// Bytes delivered straight into posted reader buffers, knob on.
+    /// Bytes delivered straight into posted reader buffers, default.
     pub bytes_direct: u64,
-    /// Total bytes received (both ends summed), knob on.
+    /// Total bytes received (both ends summed), default.
     pub bytes_received: u64,
+    /// Write-write-read round trip (µs): `ds_da_uq()` first, then the
+    /// default with each stage-below of [`policy_grid`].
+    pub wwr_us: Vec<f64>,
 }
 
-/// Run the direct-delivery ping-pong sweep behind [`copy_avoidance`].
-pub fn copy_avoidance_sweep(profile: Profile) -> Vec<CopyAvoidPoint> {
+/// Everything the `copy-avoidance` entry measures.
+pub struct CopyAvoidSweep {
+    /// One point per message size.
+    pub points: Vec<CopyAvoidPoint>,
+    /// The sparse one-way sender ([`sparse_sender_us`]; it has one size,
+    /// 64 B): `ds_da_uq()`, then `default()`.
+    pub sparse_us: [f64; 2],
+}
+
+/// The stage-below values of [`policy_grid`], each once.
+fn stage_belows(profile: Profile) -> Vec<usize> {
+    let mut v: Vec<usize> = policy_grid(profile).into_iter().map(|c| c.0).collect();
+    v.dedup();
+    v
+}
+
+/// Run the posted-reader ping-pong sweep behind [`copy_avoidance`], with
+/// the two request shapes.
+pub fn copy_avoidance_sweep(profile: Profile) -> CopyAvoidSweep {
     let sizes = profile.latency_sizes();
     let iters = profile.iters();
-    parallel_sweep(sizes, |&size| {
+    let belows = stage_belows(profile);
+    let sparse = |cfg| sparse_sender_us(&emp_tb(cfg, "sparse", 2), iters * 2);
+    let sparse_us = [
+        sparse(SubstrateConfig::ds_da_uq()),
+        sparse(SubstrateConfig::default()),
+    ];
+    let points = parallel_sweep(sizes, |&size| {
         let run = |cfg: SubstrateConfig, label: &str| {
             let sim = Sim::new();
             let tb = emp_tb(cfg, label, 2);
             pingpong::pingpong_with_stats(&sim, &tb, size, iters)
         };
-        let (us_off, _) = run(SubstrateConfig::ds_da_uq(), "ds-da-uq");
-        let (us_on, st_on) = run(
-            SubstrateConfig::ds_da_uq().with_direct_delivery(),
-            "ds-direct",
-        );
+        let (us_paper, _) = run(SubstrateConfig::ds_da_uq(), "ds-da-uq");
+        let (us_default, st) = run(SubstrateConfig::default(), "default");
+        let wwr = |cfg: SubstrateConfig| write_write_read_us(&emp_tb(cfg, "wwr", 2), size, iters);
+        let mut wwr_us = vec![wwr(SubstrateConfig::ds_da_uq())];
+        wwr_us.extend(belows.iter().map(|&b| wwr(policy_cfg(b, 64 << 10))));
         CopyAvoidPoint {
             size,
-            us_off,
-            us_on,
-            copies_avoided: st_on.copies_avoided,
-            bytes_direct: st_on.bytes_direct,
-            bytes_received: st_on.bytes_received,
+            us_paper,
+            us_default,
+            copies_avoided: st.copies_avoided,
+            bytes_direct: st.bytes_direct,
+            bytes_received: st.bytes_received,
+            wwr_us,
         }
-    })
+    });
+    CopyAvoidSweep { points, sparse_us }
 }
 
-/// Shape a finished sweep into the plotted figure.
-pub fn copy_avoidance_figure(points: &[CopyAvoidPoint]) -> Figure {
+/// Header size of the write-write-read shape.
+const WWR_HEADER: usize = 16;
+/// Reply size of the write-write-read shape.
+const WWR_REPLY: usize = 64;
+
+/// Write-write-read: a 16 B header and a `body`-byte body as two writes,
+/// then wait for a 64 B reply — the request shape of every framed
+/// protocol, and the one a send-at-once rule for idle connections loses
+/// on. Returns the mean round trip in µs.
+pub fn write_write_read_us(tb: &Testbed, body: usize, iters: u32) -> f64 {
+    const PORT: u16 = 79;
+    let sim = Sim::new();
+    let out = Arc::new(Mutex::new(f64::NAN));
+    let out2 = Arc::clone(&out);
+    let server = Arc::clone(&tb.nodes[1].api);
+    let client = Arc::clone(&tb.nodes[0].api);
+    let host = server.local_host();
+    sim.spawn("wwr-server", move |ctx| {
+        let l = server.listen(ctx, PORT, 4)?.expect("port free");
+        let conn = l.accept(ctx)?.expect("connection");
+        while let Some(_req) = conn.read_exact(ctx, WWR_HEADER + body)?.expect("request") {
+            conn.write(ctx, &[0x52; WWR_REPLY])?.expect("reply");
+        }
+        conn.close(ctx)?;
+        l.close(ctx)
+    });
+    sim.spawn("wwr-client", move |ctx| {
+        let conn = client.connect(ctx, host, PORT)?.expect("connect");
+        let (header, payload) = ([0x48u8; WWR_HEADER], vec![0x42u8; body]);
+        let mut t0 = ctx.now();
+        // Four warm-up exchanges (set-up, buffer registration), then timed.
+        for i in 0..iters + 4 {
+            if i == 4 {
+                t0 = ctx.now();
+            }
+            conn.write(ctx, &header)?.expect("header");
+            conn.write(ctx, &payload)?.expect("body");
+            conn.read_exact(ctx, WWR_REPLY)?
+                .expect("reply")
+                .expect("reply");
+        }
+        *out2.lock() = ((ctx.now() - t0) / u64::from(iters)).as_micros_f64();
+        conn.close(ctx)
+    });
+    sim.run();
+    let us = *out.lock();
+    assert!(us.is_finite(), "write-write-read did not complete");
+    us
+}
+
+/// The sparse one-way sender: one 64 B write every 100 µs into a reader
+/// parked in `read()`. Returns the mean time from the write call to the
+/// reader holding the bytes, in µs — a default that adds its full staging
+/// deadline to every such message does not win here.
+pub fn sparse_sender_us(tb: &Testbed, writes: u32) -> f64 {
+    const PORT: u16 = 76;
+    const MSG: usize = 64;
+    let sim = Sim::new();
+    let sent = Arc::new(Mutex::new(Vec::new()));
+    let sent2 = Arc::clone(&sent);
+    let total_ns = Arc::new(Mutex::new(0u64));
+    let total_ns2 = Arc::clone(&total_ns);
+    let server = Arc::clone(&tb.nodes[1].api);
+    let client = Arc::clone(&tb.nodes[0].api);
+    let host = server.local_host();
+    sim.spawn("sparse-reader", move |ctx| {
+        let l = server.listen(ctx, PORT, 4)?.expect("port free");
+        let conn = l.accept(ctx)?.expect("connection");
+        for i in 0..writes as usize {
+            conn.read_exact(ctx, MSG)?.expect("read").expect("message");
+            let written = sent2.lock()[i];
+            *total_ns2.lock() += (ctx.now() - written).nanos();
+        }
+        conn.close(ctx)?;
+        l.close(ctx)
+    });
+    sim.spawn("sparse-writer", move |ctx| {
+        let conn = client.connect(ctx, host, PORT)?.expect("connect");
+        // Let the connection establish: the first write is not sparse.
+        ctx.delay(SimDuration::from_millis(1))?;
+        for _ in 0..writes {
+            sent.lock().push(ctx.now());
+            conn.write(ctx, &[0x53; MSG])?.expect("write");
+            ctx.delay(SimDuration::from_micros(100))?;
+        }
+        conn.close(ctx)
+    });
+    sim.run();
+    let ns = *total_ns.lock();
+    ns as f64 / f64::from(writes) / 1e3
+}
+
+/// Shape a finished sweep into the plotted figure (the sparse sender at
+/// its one size, x = 64).
+pub fn copy_avoidance_figure(sweep: &CopyAvoidSweep, profile: Profile) -> Figure {
+    let points = &sweep.points;
     let mut fig = Figure::new(
         "copy-avoidance",
-        "Posted-reader direct delivery: latency and share of bytes copied",
+        "Posted-reader direct delivery, and two request shapes: latency and share of bytes copied",
         "msg bytes",
-        "one-way us (copy % on right series)",
+        "one-way us (copied %, round-trip and delivery us on the right series)",
     );
-    fig.push(
-        "DS_DA_UQ",
-        points.iter().map(|p| (p.size as f64, p.us_off)).collect(),
-    );
-    fig.push(
-        "DS_DA_UQ+direct",
-        points.iter().map(|p| (p.size as f64, p.us_on)).collect(),
-    );
+    let series = |y: &dyn Fn(&CopyAvoidPoint) -> f64| -> Vec<(f64, f64)> {
+        points.iter().map(|p| (p.size as f64, y(p))).collect()
+    };
+    fig.push("DS_DA_UQ", series(&|p| p.us_paper));
+    fig.push("default", series(&|p| p.us_default));
     fig.push(
         "copied %",
-        points
-            .iter()
-            .map(|p| {
-                let copied = p.bytes_received.saturating_sub(p.bytes_direct) as f64;
-                let pct = if p.bytes_received == 0 {
-                    0.0
-                } else {
-                    copied / p.bytes_received as f64 * 100.0
-                };
-                (p.size as f64, pct)
-            })
-            .collect(),
+        series(&|p| {
+            let copied = p.bytes_received.saturating_sub(p.bytes_direct) as f64;
+            if p.bytes_received == 0 {
+                0.0
+            } else {
+                copied / p.bytes_received as f64 * 100.0
+            }
+        }),
     );
+    fig.push("wwr paper", series(&|p| p.wwr_us[0]));
+    for (i, below) in stage_belows(profile).into_iter().enumerate() {
+        fig.push(format!("wwr s{below}"), series(&|p| p.wwr_us[i + 1]));
+    }
+    fig.push("sparse paper", vec![(64.0, sweep.sparse_us[0])]);
+    fig.push("sparse dflt", vec![(64.0, sweep.sparse_us[1])]);
     fig
 }
 
-/// Ping-pong latency and copy share with receiver-posted direct delivery.
+/// Ping-pong latency and copy share on the paper's preset and the
+/// default, with the write-write-read and sparse-sender shapes.
 pub fn copy_avoidance(profile: Profile) -> Figure {
-    copy_avoidance_figure(&copy_avoidance_sweep(profile))
+    copy_avoidance_figure(&copy_avoidance_sweep(profile), profile)
 }
 
 /// Inter-arrival gap (µs) at the storm server's saturation point: the

@@ -1,6 +1,7 @@
 //! The `empstat` workload: one deterministic simulation exercising the
-//! latency path (ping-pong), the readiness path (event-loop webserver)
-//! and the completion path (ring-served webserver) on the same testbed,
+//! latency path (ping-pong), the staged-write path (a one-way stream of
+//! small writes), the readiness path (event-loop webserver) and the
+//! completion path (ring-served webserver) on the same testbed,
 //! then a snapshot of everything the always-on telemetry registry
 //! collected along the way.
 //!
@@ -14,12 +15,17 @@ use simnet::emp_trace::telemetry::RegistrySnapshot;
 use simnet::{Sim, SimAccess};
 
 use emp_apps::webserver::{self, ConcurrencyRun, ServerModel};
-use emp_apps::{overload, pingpong, OverloadReport, StormConfig, Testbed};
+use emp_apps::{bandwidth, overload, pingpong, OverloadReport, StormConfig, Testbed};
 
 /// Ping-pong message size (bytes) in the standard workload.
 pub const PINGPONG_BYTES: usize = 4;
 /// Measured ping-pong round trips in the standard workload.
 pub const PINGPONG_ITERS: u32 = 50;
+/// Write size of the standard workload's one-way stream: small enough
+/// that the default configuration stages it.
+pub const STREAM_WRITE_BYTES: usize = 64;
+/// Bytes the one-way stream carries.
+pub const STREAM_BYTES: usize = 32 * 1024;
 /// Concurrent webserver connections in the standard workload.
 pub const WEB_CONNS: u32 = 8;
 /// Requests per webserver connection in the standard workload.
@@ -36,6 +42,10 @@ pub struct StatRun {
     pub snapshot: RegistrySnapshot,
     /// Ping-pong one-way latency, µs.
     pub pingpong_us: f64,
+    /// One-way small-write stream goodput, Mbit/s. Request/response
+    /// traffic never stages (a lone write is sent at once), so this is
+    /// the stage that puts `sock.coalesce_flushes` on record.
+    pub stream_mbps: f64,
     /// Event-loop webserver aggregate result.
     pub web: ConcurrencyRun,
     /// Completion-ring webserver aggregate result (same workload shape
@@ -96,11 +106,14 @@ pub fn run_standard_workload() -> StatRun {
             ..StormConfig::default()
         },
     );
+    // Last, so the stages above keep their place on the sim clock.
+    let stream_mbps = bandwidth::throughput_mbps(&sim, &tb, STREAM_WRITE_BYTES, STREAM_BYTES);
     let reg = sim.telemetry();
     reg.sample_now(sim.now().nanos());
     StatRun {
         snapshot: reg.snapshot(),
         pingpong_us,
+        stream_mbps,
         web,
         web_completion,
         web_async,
@@ -125,14 +138,16 @@ pub fn workload_summary(run: &StatRun) -> String {
         run.web_async.reqs_per_sec
     ) + &format!(
         "; overload storm {STORM_CLIENTS} attempts -> served={} degraded={} \
-         refused={} shed={} timed_out={} ({:.1} Mbps goodput, p99 {:.0} us)",
+         refused={} shed={} timed_out={} ({:.1} Mbps goodput, p99 {:.0} us); \
+         {STREAM_WRITE_BYTES}B-write stream {:.0} Mbps",
         run.storm.outcomes.served,
         run.storm.outcomes.degraded,
         run.storm.outcomes.refused,
         run.storm.shed,
         run.storm.outcomes.timed_out,
         run.storm.goodput_mbps(),
-        run.storm.p99_us
+        run.storm.p99_us,
+        run.stream_mbps
     )
 }
 
@@ -221,6 +236,27 @@ pub fn self_check(snap: &RegistrySnapshot) -> Result<String, String> {
             return Err(format!("ring gauge {name} stuck at {v} after drain"));
         }
     }
+    // The default data path must actually be the one taken: closing
+    // connections add their counters, so each of the three mechanisms
+    // (staged writes, piggy-backed acks, direct delivery) must have fired
+    // somewhere in the workload — and no connection may have closed with
+    // bytes still staged or a timer flush it never paid for.
+    let ctr = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    let fast_path = [
+        "sock.coalesce_flushes",
+        "sock.piggybacked_credits",
+        "sock.copies_avoided",
+    ];
+    for name in fast_path {
+        if ctr(name) == 0 {
+            return Err(format!("{name} == 0: the default path was not taken"));
+        }
+    }
+    for name in ["sock.stranded_bytes", "sock.unpaid_flush_debt_ns"] {
+        if ctr(name) != 0 {
+            return Err(format!("{name} = {} after the drain", ctr(name)));
+        }
+    }
     let mut parts: Vec<String> = need_hists
         .iter()
         .map(|n| format!("{n}={}", snap.histograms[*n].count))
@@ -230,6 +266,7 @@ pub fn self_check(snap: &RegistrySnapshot) -> Result<String, String> {
     parts.push(format!("exec.wakes={wakes}"));
     parts.push(format!("refused={refused}"));
     parts.push(format!("shed={shed}"));
+    parts.extend(fast_path.iter().map(|n| format!("{n}={}", ctr(n))));
     Ok(format!("empstat self-check ok: {}", parts.join(" ")))
 }
 

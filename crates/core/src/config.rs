@@ -94,6 +94,58 @@ pub enum RecvMode {
     CommThreadBlocking,
 }
 
+/// The per-message copy decision of a stream socket, taken in
+/// `core::stream` for every write and every arriving message. Two named
+/// values exist: [`CopyPolicy::PAPER`] (what §6.2 describes and Figures
+/// 11–17 measure) and [`CopyPolicy::ADAPTIVE`] (the default). The fields
+/// are public only for the sweep that justifies `ADAPTIVE` (`figures
+/// small-message-throughput`); there is no builder.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CopyPolicy {
+    /// Send side: a write of at most this many bytes — and never more than
+    /// `send_copy_threshold`: what is copied into a send buffer anyway may
+    /// share a message, what goes zero-copy never waits — is staged to
+    /// share one substrate message (one credit, one `stream_overhead`)
+    /// with its neighbours, unless it would wait alone: with nothing
+    /// staged and nothing in flight it is sent at once (Nagle's rule).
+    /// Staged bytes leave at [`Self::stage_capacity`], on credit pressure,
+    /// when the owner reads, polls, flushes or closes, and at the latest
+    /// [`Self::STAGE_DEADLINE`] after the first was written — by a
+    /// sim-time timer, whatever the owner does. `0` never stages.
+    pub stage_below: usize,
+    /// Staged bytes that end an episode at once. Never more than one
+    /// substrate message (`temp_buf_size`), whatever this says.
+    pub stage_capacity: usize,
+    /// Receive side: an in-sequence payload is handed straight to a reader
+    /// that is already posted (`read`, `try_read` or a ring `Read`) with a
+    /// buffer it fits, skipping the §6.2 temp-buffer copy; anything else
+    /// goes through the temp buffer.
+    pub direct_to_posted: bool,
+}
+
+impl CopyPolicy {
+    /// Always temp-buffer, never stage: the paper's data path, carried by
+    /// the four Figure 11 presets.
+    pub const PAPER: CopyPolicy = CopyPolicy {
+        stage_below: 0,
+        stage_capacity: 0,
+        direct_to_posted: false,
+    };
+
+    /// Stage every write the send-copy rule copies anyway, a substrate
+    /// message at most; deliver to posted readers directly. Both sizes are
+    /// the winners of the committed sweep (EXPERIMENTS.md, "copy policy
+    /// constants"), and neither is a number of its own.
+    pub const ADAPTIVE: CopyPolicy = CopyPolicy {
+        stage_below: usize::MAX,
+        stage_capacity: usize::MAX,
+        direct_to_posted: true,
+    };
+
+    /// Longest a staged byte waits for company before the timer sends it.
+    pub const STAGE_DEADLINE: SimDuration = SimDuration::from_micros(50);
+}
+
 /// Per-process substrate configuration.
 #[derive(Clone, Debug)]
 pub struct SubstrateConfig {
@@ -172,36 +224,20 @@ pub struct SubstrateConfig {
     /// deadlocked peer blocks the caller indefinitely (Figure 7 relies on
     /// this).
     pub peer_gone_after: Option<SimDuration>,
-    /// Receiver-posted direct delivery: a stream read that finds its
-    /// buffered data empty and an in-order message completed in a data
-    /// descriptor takes the payload straight into the user's buffer,
-    /// skipping the §6.2 temp-buffer copy — the receive counts as posted
-    /// from the moment the reader enters `read()`/`try_read()`. Off by
-    /// default: the Figure 11/13 presets measure the always-copy eager
-    /// path.
-    pub direct_delivery: bool,
-    /// Small-write coalescing: consecutive stream writes no larger than
-    /// [`Self::coalesce_threshold`] are staged in a registered buffer and
-    /// flushed as one substrate message, spending one credit and one
-    /// `stream_overhead` for many writes. Off by default for the same
-    /// calibration reason as `direct_delivery`.
-    pub coalesce_writes: bool,
-    /// A write at most this large is eligible for coalescing.
-    pub coalesce_threshold: usize,
-    /// Staged bytes that force a flush (clamped to `temp_buf_size`).
-    pub coalesce_max: usize,
-    /// Aggregation deadline: once the oldest staged byte has waited this
-    /// long, the next substrate call on the socket flushes before doing
-    /// anything else. `None` leaves staleness bounded only by the other
-    /// flush triggers (buffer-full, credit pressure, read/poll/flush).
-    pub coalesce_deadline: Option<SimDuration>,
+    /// Copy or not, per message (see [`CopyPolicy`]).
+    pub copy_policy: CopyPolicy,
 }
 
 impl Default for SubstrateConfig {
-    /// The paper's best configuration: data streaming with all
-    /// enhancements (`DS_DA_UQ`), 32 credits × 64 KiB.
+    /// What a user gets without choosing: `DS_DA_UQ` (32 credits ×
+    /// 64 KiB) plus §6.1 piggy-backed acks and [`CopyPolicy::ADAPTIVE`].
+    /// The Figure 11 presets below stay the paper's.
     fn default() -> Self {
-        SubstrateConfig::ds_da_uq()
+        SubstrateConfig {
+            piggyback_acks: true,
+            copy_policy: CopyPolicy::ADAPTIVE,
+            ..SubstrateConfig::ds_da_uq()
+        }
     }
 }
 
@@ -213,7 +249,7 @@ impl SubstrateConfig {
             temp_buf_size: 64 * 1024,
             delayed_acks: false,
             acks_in_unexpected_queue: false,
-            piggyback_acks: false, // §6.1; a separate toggle, see with_piggyback()
+            piggyback_acks: false, // §6.1; on in `default()`, off in the measured presets
             dgram_eager_max: crate::proto::MAX_EAGER_DGRAM,
             recv_mode: RecvMode::Direct,
             base_unexpected_slots: 16,
@@ -226,11 +262,7 @@ impl SubstrateConfig {
             reorder_cap_bytes: None,
             write_stall_after: None,
             peer_gone_after: None,
-            direct_delivery: false,
-            coalesce_writes: false,
-            coalesce_threshold: 1024,
-            coalesce_max: 8 * 1024,
-            coalesce_deadline: Some(SimDuration::from_micros(50)),
+            copy_policy: CopyPolicy::PAPER,
         }
     }
 
@@ -271,15 +303,6 @@ impl SubstrateConfig {
     pub fn with_credits(mut self, n: u32) -> Self {
         assert!(n >= 1, "at least one credit required");
         self.credits = n;
-        self
-    }
-
-    /// Enable §6.1 piggy-backed credit returns: a write carries any
-    /// pending return for free. A net win for bidirectional traffic (see
-    /// the piggyback ablation); kept out of the Figure 11/12 presets,
-    /// whose measured ack behaviour is explicit.
-    pub fn with_piggyback(mut self) -> Self {
-        self.piggyback_acks = true;
         self
     }
 
@@ -344,32 +367,6 @@ impl SubstrateConfig {
         assert!(!patience.is_zero(), "a zero watchdog always fires");
         self.peer_gone_after = Some(patience);
         self
-    }
-
-    /// Enable receiver-posted direct delivery (skip the §6.2 temp-buffer
-    /// copy when a read is posted as the in-order message is consumed).
-    pub fn with_direct_delivery(mut self) -> Self {
-        self.direct_delivery = true;
-        self
-    }
-
-    /// Enable small-write coalescing with the default thresholds.
-    pub fn with_coalescing(mut self) -> Self {
-        self.coalesce_writes = true;
-        self
-    }
-
-    /// Override the aggregation deadline (see
-    /// [`Self::coalesce_deadline`]); `None` disables the deadline trigger.
-    pub fn with_coalesce_deadline(mut self, deadline: Option<SimDuration>) -> Self {
-        self.coalesce_deadline = deadline;
-        self
-    }
-
-    /// Effective staging-buffer capacity: `coalesce_max` can never exceed
-    /// one substrate message.
-    pub fn coalesce_capacity(&self) -> usize {
-        self.coalesce_max.min(self.temp_buf_size).max(1)
     }
 
     /// Messages consumed before a flow-control ack is due.
@@ -458,8 +455,8 @@ mod tests {
             assert_eq!(cfg.reorder_cap_bytes, None);
             assert_eq!(cfg.write_stall_after, None);
             assert_eq!(cfg.peer_gone_after, None);
-            assert!(!cfg.direct_delivery, "direct delivery must default off");
-            assert!(!cfg.coalesce_writes, "coalescing must default off");
+            assert_eq!(cfg.copy_policy, CopyPolicy::PAPER);
+            assert!(!cfg.piggyback_acks);
         }
         let armed = SubstrateConfig::ds()
             .with_connect_timeout(SimDuration::from_millis(5))
@@ -513,15 +510,19 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_builders_flip_only_their_knob() {
-        let d = SubstrateConfig::ds_da_uq().with_direct_delivery();
-        assert!(d.direct_delivery && !d.coalesce_writes);
-        let c = SubstrateConfig::ds_da_uq().with_coalescing();
-        assert!(c.coalesce_writes && !c.direct_delivery);
-        assert!(c.coalesce_threshold <= c.coalesce_capacity());
-        assert!(c.coalesce_capacity() <= c.temp_buf_size);
-        let no_deadline = c.with_coalesce_deadline(None);
-        assert_eq!(no_deadline.coalesce_deadline, None);
+    fn default_differs_from_ds_da_uq_in_policy_and_piggyback_only() {
+        let d = SubstrateConfig::default();
+        assert_eq!(d.copy_policy, CopyPolicy::ADAPTIVE);
+        assert!(d.piggyback_acks);
+        let back = SubstrateConfig {
+            copy_policy: CopyPolicy::PAPER,
+            piggyback_acks: false,
+            ..d
+        };
+        assert_eq!(
+            format!("{back:?}"),
+            format!("{:?}", SubstrateConfig::ds_da_uq())
+        );
     }
 
     #[test]

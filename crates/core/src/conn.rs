@@ -16,7 +16,9 @@ use emp_proto::{EmpEndpoint, RecvHandle, SendHandle};
 use hostsim::{VirtRange, PAGE_SIZE};
 use parking_lot::Mutex;
 use simnet::emp_trace::{self, EventKind};
-use simnet::{wait_any, Completion, MacAddr, ProcessCtx, SimAccess, SimAccessExt, SimResult};
+use simnet::{
+    wait_any, Completion, MacAddr, ProcessCtx, SimAccess, SimAccessExt, SimDuration, SimResult,
+};
 
 use crate::config::{SocketType, SubstrateConfig};
 use crate::error::SockError;
@@ -281,13 +283,17 @@ pub(crate) struct SockInner {
     pub(crate) stream_len: usize,
     /// Messages consumed since the last credit return.
     pub(crate) consumed: u32,
-    // ---- small-write coalescing ----
-    /// Staged sub-threshold writes awaiting one flush.
+    // ---- staged small writes (the send half of `CopyPolicy`) ----
+    /// Staged writes awaiting one flush.
     pub(crate) coalesce_buf: Vec<u8>,
     /// Writes currently staged in `coalesce_buf`.
     pub(crate) coalesce_count: u64,
-    /// When the oldest staged byte was written (deadline trigger).
-    pub(crate) coalesce_since: Option<simnet::SimTime>,
+    /// Flushes so far. The deadline timer armed by the first staged byte
+    /// carries the value it saw; a flush in between makes it a no-op.
+    pub(crate) stage_episode: u64,
+    /// Host time of flushes the deadline timer did on the owner's behalf,
+    /// which the owner pays at its next substrate call.
+    pub(crate) flush_debt: SimDuration,
     // ---- receive (datagram) ----
     pub(crate) rndv_handle: Option<RecvHandle>,
     pub(crate) dgram_data: Option<DataSlot>,
@@ -363,6 +369,8 @@ pub(crate) struct SockShared {
     /// Effective temp-buffer size.
     pub(crate) buf_size: usize,
     pub(crate) inner: Mutex<SockInner>,
+    /// For the staging-deadline timer (it must not keep us alive).
+    pub(crate) self_ref: Weak<SockShared>,
 }
 
 impl SockShared {
@@ -380,7 +388,8 @@ impl SockShared {
         credits_max: u32,
         buf_size: usize,
     ) -> SimResult<Arc<SockShared>> {
-        let sock = Arc::new(SockShared {
+        let sock = Arc::new_cyclic(|self_ref| SockShared {
+            self_ref: self_ref.clone(),
             proc_: Arc::clone(proc_),
             cid,
             peer,
@@ -401,7 +410,8 @@ impl SockShared {
                 consumed: 0,
                 coalesce_buf: Vec::new(),
                 coalesce_count: 0,
-                coalesce_since: None,
+                stage_episode: 0,
+                flush_debt: SimDuration::ZERO,
                 rndv_handle: None,
                 dgram_data: None,
                 rndv_granted: false,
@@ -481,7 +491,7 @@ impl SockShared {
 
     /// Record a trace event stamped with this station and connection id.
     /// Compiles to nothing without the `trace` feature.
-    pub(crate) fn trace(&self, ctx: &ProcessCtx, kind: EventKind, a: u64, b: u64) {
+    pub(crate) fn trace(&self, ctx: &dyn SimAccess, kind: EventKind, a: u64, b: u64) {
         if emp_trace::ENABLED {
             ctx.tracer().emit(
                 ctx.now().nanos(),
@@ -717,6 +727,7 @@ impl SockShared {
         }
         // As in shutdown_write: staged writes go out before the Close.
         let _ = self.flush_coalesced(ctx)?;
+        self.publish_stats(ctx);
         let (peer_closed, already_shut, final_seq) = {
             let i = self.inner.lock();
             (i.peer_closed, i.write_closed, i.tx_seq)
@@ -765,6 +776,27 @@ impl SockShared {
         }
         self.proc_.free_cid(self.cid);
         Ok(())
+    }
+
+    /// Add this connection's data-path counters to the telemetry as it
+    /// closes, with what it strands (staged bytes, unpaid flush debt: both
+    /// must read zero). Only non-zero values register a counter.
+    fn publish_stats(&self, ctx: &ProcessCtx) {
+        let (s, stranded, debt) = {
+            let i = self.inner.lock();
+            (i.stats, i.coalesce_buf.len() as u64, i.flush_debt.nanos())
+        };
+        for (name, v) in [
+            ("sock.coalesce_flushes", s.coalesce_flushes),
+            ("sock.piggybacked_credits", s.piggybacked_credits),
+            ("sock.copies_avoided", s.copies_avoided),
+            ("sock.stranded_bytes", stranded),
+            ("sock.unpaid_flush_debt_ns", debt),
+        ] {
+            if v > 0 {
+                ctx.telemetry().counter(name).add(v);
+            }
+        }
     }
 
     /// Would `read()` return without blocking?

@@ -39,7 +39,7 @@ pub mod socket;
 pub mod stream;
 pub mod tags;
 
-pub use config::{RecvMode, RetryPolicy, SocketType, SubstrateConfig};
+pub use config::{CopyPolicy, RecvMode, RetryPolicy, SocketType, SubstrateConfig};
 pub use conn::ConnStats;
 pub use error::SockError;
 pub use fdtable::{FdError, FdTable, PollFd};

@@ -338,8 +338,8 @@ fn record_poll_wait(ctx: &ProcessCtx, entered_ns: u64) {
 
 fn conn_ready(ctx: &ProcessCtx, sock: &SockShared, interest: Interest) -> OpResult<Interest> {
     let mut ready = Interest::EMPTY;
-    // Flush-on-poll: staged coalesced writes go out before the poll
-    // parks — a peer waiting on them would never make us readable.
+    // Flush-on-poll: a caller about to park has nothing more to add to
+    // the staged message, so it goes now instead of at its deadline.
     if sock.socket_type == SocketType::Stream {
         ok_or_return!(sock.try_flush_coalesced(ctx)?);
     }

@@ -2,19 +2,15 @@
 //!
 //! [`EmpRingDriver`] plugs the user-level sockets into
 //! [`simnet::RingCore`], giving the EMP stack the submission/completion
-//! model described in `DESIGN.md` §14. The defining property of this
-//! driver is the read path: a ring `Read` names a registered buffer the
-//! application posted *before* the data arrived, which is exactly the
-//! receiver-posted situation §6.2's direct delivery exploits — so ring
-//! reads force the direct path on ([`Connection`]'s `ring_try_read`) and
-//! every message consumed through the ring skips the temp-buffer copy
-//! and counts in [`ConnStats::copies_avoided`], independent of the
-//! `direct_delivery` config knob.
+//! model described in `DESIGN.md` §14. A ring `Read` names a registered
+//! buffer the application posted *before* the data arrived — a posted
+//! reader like any other, so under [`crate::CopyPolicy::ADAPTIVE`] every
+//! message it fits skips the §6.2 temp-buffer copy and counts in
+//! [`ConnStats::copies_avoided`]; the paper's presets copy here as they
+//! do everywhere.
 //!
 //! Waiting is the readiness layer reused, not duplicated: the driver
-//! parks in a throwaway [`PollSet`] over the stalled head ops, which also
-//! best-effort flushes coalesced writes (so a ring server never deadlocks
-//! on staged bytes).
+//! parks in a throwaway [`PollSet`] over the stalled head ops.
 
 use std::cell::RefCell;
 
@@ -85,9 +81,7 @@ impl RingDriver for EmpRingDriver {
         c: &Connection,
         buf: &mut [u8],
     ) -> SimResult<Result<Option<usize>, OpError>> {
-        // Forced-direct read: the substrate completes straight into
-        // `buf`'s length worth of posted-receiver capacity.
-        Ok(match c.ring_try_read(ctx, buf.len())? {
+        Ok(match c.try_read(ctx, buf.len())? {
             Ok(bytes) => {
                 buf[..bytes.len()].copy_from_slice(&bytes);
                 Ok(Some(bytes.len()))

@@ -589,18 +589,6 @@ impl Connection {
         }
     }
 
-    /// Nonblocking read for the completion-ring path: the destination is
-    /// a registered buffer the application posted in advance, so the
-    /// direct-delivery fast path is forced on (the §6.2 temp-buffer copy
-    /// is skipped and counted in `copies_avoided`) regardless of the
-    /// `direct_delivery` config knob. Stream sockets only.
-    pub(crate) fn ring_try_read(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
-        match self.sock.socket_type {
-            SocketType::Stream => self.sock.stream_ring_try_read(ctx, max),
-            SocketType::Datagram => self.sock.dgram_try_recv(ctx, max),
-        }
-    }
-
     /// Would `read` return without blocking?
     pub fn readable(&self) -> bool {
         self.sock.readable_now()
@@ -616,10 +604,10 @@ impl Connection {
         }
     }
 
-    /// Flush writes staged by small-write coalescing
-    /// ([`SubstrateConfig::with_coalescing`]) as one substrate message,
-    /// blocking for a credit if none is in hand. No-op when coalescing is
-    /// off, nothing is staged, or on a datagram socket.
+    /// Send now what small writes have staged
+    /// ([`crate::CopyPolicy::stage_below`]) instead of leaving it to the
+    /// staging deadline, blocking for a credit if none is in hand. No-op
+    /// when nothing is staged or on a datagram socket.
     pub fn flush(&self, ctx: &ProcessCtx) -> OpResult<()> {
         match self.sock.socket_type {
             SocketType::Stream => self.sock.flush_coalesced(ctx),

@@ -10,9 +10,9 @@
 
 use bytes::Bytes;
 use simnet::emp_trace::{self, EventKind};
-use simnet::{ProcessCtx, SimAccess, SimAccessExt, SimResult};
+use simnet::{ProcessCtx, SimAccess, SimAccessExt, SimDuration, SimResult};
 
-use crate::config::RecvMode;
+use crate::config::{CopyPolicy, RecvMode};
 use crate::conn::{DataSlot, SockShared};
 use crate::error::SockError;
 use crate::proto::Msg;
@@ -39,12 +39,8 @@ impl SockShared {
     /// (the buffer is the application's to reuse again).
     pub(crate) fn stream_write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
         self.trace(ctx, EventKind::SockWriteStart, data.len() as u64, 0);
-        if self.coalesce_due(ctx) {
-            ok_or_return!(self.flush_coalesced(ctx)?);
-        }
-        let cfg = &self.proc_.cfg;
-        if cfg.coalesce_writes && !data.is_empty() && data.len() <= cfg.coalesce_threshold {
-            ok_or_return!(self.check_writable());
+        self.pay_flush_debt(ctx)?;
+        if ok_or_return!(self.stages(data.len())) {
             return self.coalesce_append(ctx, data);
         }
         // A larger write must not overtake bytes already staged.
@@ -59,17 +55,7 @@ impl SockShared {
             ok_or_return!(self.check_writable());
             ok_or_return!(self.acquire_credit(ctx)?);
             let chunk = (data.len() - off).min(self.buf_size);
-            let piggyback = self.take_due_ack();
-            if emp_trace::ENABLED && piggyback > 0 {
-                self.trace(ctx, EventKind::AckPiggybacked, u64::from(piggyback), 0);
-            }
-            let seq = {
-                let mut i = self.inner.lock();
-                i.stats.bytes_sent += chunk as u64;
-                i.stats.msgs_sent += 1;
-                i.stats.piggybacked_credits += u64::from(piggyback);
-                i.claim_tx_seq()
-            };
+            let (piggyback, seq) = self.begin_msg(ctx, chunk);
             let payload = whole.slice(off..off + chunk);
             ctx.delay(self.proc_.cfg.stream_overhead)?;
             self.comm_thread_penalty(ctx)?;
@@ -106,12 +92,59 @@ impl SockShared {
         Ok(Ok(data.len()))
     }
 
-    /// Stage a sub-threshold write in the coalescing buffer (§6.2-style
-    /// staging copy, but shared by many writes), flushing first when it
-    /// would overflow and immediately after when the buffer fills or the
-    /// last credits are in hand.
+    /// The send half of the copy policy: does a write of `len` bytes wait
+    /// in the send buffer to share a substrate message with its
+    /// neighbours, or travel on its own? On its own when it is too large,
+    /// and when it would wait alone — nothing staged, nothing in flight
+    /// (completed sends are reaped first, so that is current). Fails as
+    /// the write itself would on an unwritable socket.
+    fn stages(&self, len: usize) -> Result<bool, SockError> {
+        let cfg = &self.proc_.cfg;
+        let below = cfg.copy_policy.stage_below.min(cfg.send_copy_threshold);
+        if len == 0 || len > below.min(self.stage_capacity()) {
+            return Ok(false);
+        }
+        self.check_writable()?;
+        let i = self.inner.lock();
+        Ok(!(i.coalesce_buf.is_empty() && i.inflight_sends.is_empty()))
+    }
+
+    /// Staged bytes that force a flush: one substrate message at most.
+    fn stage_capacity(&self) -> usize {
+        self.proc_.cfg.copy_policy.stage_capacity.min(self.buf_size)
+    }
+
+    /// Open one outgoing data message: ride any pending credit return on
+    /// it (§6.1 piggy-backing; free, so done for any amount), count it and
+    /// claim its sequence number. `user_bytes` is what it adds to
+    /// `bytes_sent` (staged bytes were counted when they were written).
+    fn begin_msg(&self, sim: &dyn SimAccess, user_bytes: usize) -> (u16, u32) {
+        let (piggyback, seq) = {
+            let mut i = self.inner.lock();
+            let piggyback = if self.proc_.cfg.piggyback_acks {
+                std::mem::take(&mut i.consumed) as u16
+            } else {
+                0
+            };
+            i.stats.bytes_sent += user_bytes as u64;
+            i.stats.msgs_sent += 1;
+            i.stats.piggybacked_credits += u64::from(piggyback);
+            (piggyback, i.claim_tx_seq())
+        };
+        if emp_trace::ENABLED && piggyback > 0 {
+            self.trace(sim, EventKind::AckPiggybacked, u64::from(piggyback), 0);
+        }
+        (piggyback, seq)
+    }
+
+    /// Stage a small write in the connection's send buffer (one copy, but
+    /// a substrate message shared by many writes), flushing first when it
+    /// would overflow one message and immediately after when the buffer
+    /// fills or the last credits are in hand. Invariant on return: bytes
+    /// staged ⇒ at least two credits in hand — which is why the deadline
+    /// timer never has to wait for one.
     fn coalesce_append(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
-        let cap = self.proc_.cfg.coalesce_capacity();
+        let cap = self.stage_capacity();
         let overflow = {
             let i = self.inner.lock();
             i.coalesce_buf.len() + data.len() > cap
@@ -133,8 +166,10 @@ impl SockShared {
         Ok(Ok(data.len()))
     }
 
-    /// Copy `data` into the coalescing staging buffer — the one copy a
-    /// coalesced write pays — and account for it.
+    /// Copy `data` into the staging buffer — the one copy a staged write
+    /// pays — and account for it. The first byte of an episode arms its
+    /// deadline: one sim-time event that sends whatever is still staged
+    /// then; a flush in between ends the episode and it finds nothing.
     fn stage_bytes(&self, ctx: &ProcessCtx, data: &[u8]) -> SimResult<()> {
         let copy = self.proc_.ep.host().cost().memcpy(data.len());
         ctx.delay(copy)?;
@@ -144,17 +179,23 @@ impl SockShared {
             data.len() as u64,
             copy.nanos(),
         );
-        let staged = {
+        let (staged, first_of) = {
             let mut i = self.inner.lock();
+            let first_of = i.coalesce_buf.is_empty().then_some(i.stage_episode);
             i.coalesce_buf.extend_from_slice(data);
             i.coalesce_count += 1;
             i.stats.writes_coalesced += 1;
             i.stats.bytes_sent += data.len() as u64;
-            if i.coalesce_since.is_none() {
-                i.coalesce_since = Some(ctx.now());
-            }
-            i.coalesce_buf.len()
+            (i.coalesce_buf.len(), first_of)
         };
+        if let Some(episode) = first_of {
+            let me = self.self_ref.clone();
+            ctx.schedule_after(CopyPolicy::STAGE_DEADLINE, move |sim| {
+                if let Some(sock) = me.upgrade() {
+                    sock.stage_deadline(sim, episode);
+                }
+            });
+        }
         self.trace(
             ctx,
             EventKind::CoalesceAppend,
@@ -164,20 +205,50 @@ impl SockShared {
         Ok(())
     }
 
-    /// True when the aggregation deadline has expired for staged bytes.
-    /// Checked lazily at substrate entry points (the simulation has no
-    /// timers firing behind the application's back).
-    fn coalesce_due(&self, ctx: &ProcessCtx) -> bool {
-        let Some(deadline) = self.proc_.cfg.coalesce_deadline else {
-            return false;
+    /// The staging deadline, in event context: send what `episode` still
+    /// holds. No process to delay here, so the host work is booked as a
+    /// debt the owner pays at its next substrate call — nothing becomes
+    /// free, and no helper thread exists (§5.2 rejects one).
+    fn stage_deadline(&self, sim: &dyn SimAccess, episode: u64) {
+        {
+            let mut i = self.inner.lock();
+            // A flush ended the episode (`close` and `shutdown_write`
+            // flush first, so that covers them), or — no credit — the
+            // owner is parked in `flush_coalesced` on these very bytes
+            // (invariant on `coalesce_append`) and sends them itself.
+            if i.stage_episode != episode || i.credits == 0 {
+                return;
+            }
+            i.credits -= 1;
+        }
+        let Some((piggyback, seq, payload)) = self.take_staged(sim) else {
+            return;
         };
-        let i = self.inner.lock();
-        i.coalesce_since.is_some_and(|t| ctx.now() - t >= deadline)
+        let range = self.inner.lock().send_range;
+        let header = Msg::data_header(piggyback, seq, payload.len());
+        let tag = self.tx_data_tag();
+        let (h, post) = self
+            .proc_
+            .ep
+            .post_send_split_from_event(sim, self.peer, tag, header, payload, range);
+        let mut i = self.inner.lock();
+        i.inflight_sends.push(h);
+        i.flush_debt += self.proc_.cfg.stream_overhead + self.comm_thread_cost() + post;
     }
 
-    /// Flush staged coalesced writes as one substrate message, blocking
-    /// for a credit when none is in hand. No-op when nothing is staged.
+    /// Pay for the flushes the deadline timer did since the last call.
+    fn pay_flush_debt(&self, ctx: &ProcessCtx) -> SimResult<()> {
+        let debt = std::mem::take(&mut self.inner.lock().flush_debt);
+        if debt.is_zero() {
+            return Ok(());
+        }
+        ctx.delay(debt)
+    }
+
+    /// Flush staged writes as one substrate message, blocking for a credit
+    /// when none is in hand. No-op when nothing is staged.
     pub(crate) fn flush_coalesced(&self, ctx: &ProcessCtx) -> OpResult<()> {
+        self.pay_flush_debt(ctx)?;
         if self.inner.lock().coalesce_buf.is_empty() {
             return Ok(Ok(()));
         }
@@ -188,6 +259,7 @@ impl SockShared {
     /// Nonblocking flush: sends the staged message only with a credit
     /// already in hand. Returns whether the staging buffer is now empty.
     pub(crate) fn try_flush_coalesced(&self, ctx: &ProcessCtx) -> OpResult<bool> {
+        self.pay_flush_debt(ctx)?;
         if self.inner.lock().coalesce_buf.is_empty() {
             return Ok(Ok(true));
         }
@@ -208,25 +280,34 @@ impl SockShared {
         Ok(Ok(true))
     }
 
+    /// End the staging episode, credit already spent: the staged bytes and
+    /// the header fields of their message. `None` when the other context
+    /// (owner or timer) got here first — the credit goes back.
+    fn take_staged(&self, sim: &dyn SimAccess) -> Option<(u16, u32, Bytes)> {
+        let (payload, writes) = {
+            let mut i = self.inner.lock();
+            if i.coalesce_buf.is_empty() {
+                i.credits += 1;
+                return None;
+            }
+            i.stage_episode += 1;
+            i.stats.coalesce_flushes += 1;
+            let payload = Bytes::from(std::mem::take(&mut i.coalesce_buf));
+            (payload, std::mem::take(&mut i.coalesce_count))
+        };
+        self.trace(sim, EventKind::CoalesceFlush, payload.len() as u64, writes);
+        let (piggyback, seq) = self.begin_msg(sim, 0);
+        Some((piggyback, seq, payload))
+    }
+
     /// Send the staged bytes (credit already spent) as one data message.
     /// The staging copy was paid per-append, so the flush itself hands
     /// the NIC the buffer without another copy.
     fn flush_staged(&self, ctx: &ProcessCtx) -> OpResult<()> {
-        let piggyback = self.take_due_ack();
-        if emp_trace::ENABLED && piggyback > 0 {
-            self.trace(ctx, EventKind::AckPiggybacked, u64::from(piggyback), 0);
-        }
-        let (payload, writes, seq) = {
-            let mut i = self.inner.lock();
-            let payload = Bytes::from(std::mem::take(&mut i.coalesce_buf));
-            let writes = std::mem::take(&mut i.coalesce_count);
-            i.coalesce_since = None;
-            i.stats.msgs_sent += 1;
-            i.stats.coalesce_flushes += 1;
-            i.stats.piggybacked_credits += u64::from(piggyback);
-            (payload, writes, i.claim_tx_seq())
+        let Some((piggyback, seq, payload)) = self.take_staged(ctx) else {
+            // The timer sent them while this call was parked: settle now.
+            return self.pay_flush_debt(ctx).map(Ok);
         };
-        self.trace(ctx, EventKind::CoalesceFlush, payload.len() as u64, writes);
         ctx.delay(self.proc_.cfg.stream_overhead)?;
         self.comm_thread_penalty(ctx)?;
         let h = self.send_data_msg(ctx, self.tx_data_tag(), piggyback, seq, payload)?;
@@ -295,7 +376,7 @@ impl SockShared {
         // parks waiting for a response (keeps request/response latency
         // flat under coalescing).
         ok_or_return!(self.try_flush_coalesced(ctx)?);
-        let direct_max = self.proc_.cfg.direct_delivery.then_some(max);
+        let direct_max = self.proc_.cfg.copy_policy.direct_to_posted.then_some(max);
         loop {
             // 1. Serve buffered bytes.
             if let Some(out) = ok_or_return!(self.serve_buffered(ctx, max)?) {
@@ -337,32 +418,15 @@ impl SockShared {
 
     /// Nonblocking stream read: serve whatever is buffered or already
     /// landed; [`SockError::WouldBlock`] when a blocking read would park.
+    /// A ring `Read` comes through here too: its registered buffer is a
+    /// posted reader like any other, and the copy policy treats it so.
     pub(crate) fn stream_try_read(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
-        self.stream_try_read_impl(ctx, max, false)
-    }
-
-    /// [`Self::stream_try_read`] with the direct-delivery fast path
-    /// forced on. The completion-ring read path completes into a
-    /// registered buffer the application posted in advance, so the §6.2
-    /// temp-buffer copy is skippable regardless of the
-    /// `direct_delivery` config knob — this is what makes
-    /// `copies_avoided` cover the ring path.
-    pub(crate) fn stream_ring_try_read(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
-        self.stream_try_read_impl(ctx, max, true)
-    }
-
-    fn stream_try_read_impl(
-        &self,
-        ctx: &ProcessCtx,
-        max: usize,
-        force_direct: bool,
-    ) -> OpResult<Bytes> {
         if max == 0 {
             return Ok(Ok(Bytes::new()));
         }
         // Flush-on-read, as in the blocking path.
         ok_or_return!(self.try_flush_coalesced(ctx)?);
-        let direct_max = (force_direct || self.proc_.cfg.direct_delivery).then_some(max);
+        let direct_max = self.proc_.cfg.copy_policy.direct_to_posted.then_some(max);
         loop {
             if let Some(out) = ok_or_return!(self.serve_buffered(ctx, max)?) {
                 return Ok(Ok(out));
@@ -407,14 +471,8 @@ impl SockShared {
     /// exactly the blocking a nonblocking write must not do.
     pub(crate) fn stream_try_write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
         self.trace(ctx, EventKind::SockWriteStart, data.len() as u64, 0);
-        if self.coalesce_due(ctx) {
-            // Deadline expired: best-effort flush; without a credit the
-            // staged bytes simply keep waiting (never park here).
-            ok_or_return!(self.try_flush_coalesced(ctx)?);
-        }
-        let cfg = &self.proc_.cfg;
-        if cfg.coalesce_writes && !data.is_empty() && data.len() <= cfg.coalesce_threshold {
-            ok_or_return!(self.check_writable());
+        self.pay_flush_debt(ctx)?;
+        if ok_or_return!(self.stages(data.len())) {
             return self.try_coalesce_append(ctx, data);
         }
         // A larger write must not overtake bytes already staged.
@@ -446,17 +504,7 @@ impl SockShared {
                 return Ok(Ok(off));
             }
             let chunk = (data.len() - off).min(self.buf_size);
-            let piggyback = self.take_due_ack();
-            if emp_trace::ENABLED && piggyback > 0 {
-                self.trace(ctx, EventKind::AckPiggybacked, u64::from(piggyback), 0);
-            }
-            let seq = {
-                let mut i = self.inner.lock();
-                i.stats.bytes_sent += chunk as u64;
-                i.stats.msgs_sent += 1;
-                i.stats.piggybacked_credits += u64::from(piggyback);
-                i.claim_tx_seq()
-            };
+            let (piggyback, seq) = self.begin_msg(ctx, chunk);
             let payload = whole.slice(off..off + chunk);
             ctx.delay(self.proc_.cfg.stream_overhead)?;
             self.comm_thread_penalty(ctx)?;
@@ -477,7 +525,7 @@ impl SockShared {
     /// are always flushable without blocking — otherwise a coalesced
     /// `try_write` could silently accept bytes nothing can send.
     fn try_coalesce_append(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
-        let cap = self.proc_.cfg.coalesce_capacity();
+        let cap = self.stage_capacity();
         let overflow = {
             let i = self.inner.lock();
             i.coalesce_buf.len() + data.len() > cap
@@ -674,16 +722,6 @@ impl SockShared {
             i.inflight_sends.push(h);
         }
         Ok(Ok(direct))
-    }
-
-    /// Take whatever credit return is pending and ride it on an outgoing
-    /// data message (§6.1 piggy-backing; free, so done for any amount).
-    fn take_due_ack(&self) -> u16 {
-        if !self.proc_.cfg.piggyback_acks {
-            return 0;
-        }
-        let mut i = self.inner.lock();
-        std::mem::take(&mut i.consumed) as u16
     }
 
     fn check_writable(&self) -> Result<(), SockError> {
@@ -887,13 +925,20 @@ impl SockShared {
     /// a thread synchronization (polling) or a scheduler-granularity wait
     /// (blocking thread).
     pub(crate) fn comm_thread_penalty(&self, ctx: &ProcessCtx) -> SimResult<()> {
-        let cost = match self.proc_.cfg.recv_mode {
-            RecvMode::Direct => return Ok(()),
+        let cost = self.comm_thread_cost();
+        if cost.is_zero() {
+            return Ok(());
+        }
+        ctx.delay(cost)
+    }
+
+    fn comm_thread_cost(&self) -> SimDuration {
+        match self.proc_.cfg.recv_mode {
+            RecvMode::Direct => SimDuration::ZERO,
             RecvMode::CommThreadPolling => self.proc_.ep.host().cost().thread_sync,
             // On average half a scheduling quantum until the blocked
             // communication thread runs again.
             RecvMode::CommThreadBlocking => self.proc_.ep.host().cost().scheduler_granularity / 2,
-        };
-        ctx.delay(cost)
+        }
     }
 }

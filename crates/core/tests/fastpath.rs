@@ -1,8 +1,11 @@
-//! The adaptive zero-copy data path: receiver-posted direct delivery and
-//! small-write coalescing, exercised on a clean fabric where the exact
-//! counter values are deterministic — direct vs temp-buffer interleaving
-//! with partial reads, `try_read` racing arrivals, and coalesced
-//! request/response traffic that must not deadlock or inflate latency.
+//! The adaptive copy policy (`SubstrateConfig::default()`): direct delivery
+//! to posted readers and staged small writes, exercised on a clean fabric
+//! where the exact counter values are deterministic — direct vs temp-buffer
+//! interleaving with partial reads, `try_read` racing arrivals, staged
+//! request/response traffic that must not deadlock or inflate latency, and
+//! the staging deadline: bytes the application stops looking at still leave
+//! within `CopyPolicy::STAGE_DEADLINE`, on every front end, and the host
+//! time of sending them is still charged to the writer.
 
 use emp_proto::{build_cluster, EmpCluster, EmpConfig};
 use simnet::{Completion, Sim, SimDuration, SwitchConfig};
@@ -31,7 +34,7 @@ fn pattern(len: usize) -> Vec<u8> {
 fn posted_reader_takes_every_message_directly() {
     let sim = Sim::new();
     let cl = cluster(2);
-    let cfg = SubstrateConfig::ds_da_uq().with_direct_delivery();
+    let cfg = SubstrateConfig::default();
     let server = substrate(&cl, 1, cfg.clone());
     let client = substrate(&cl, 0, cfg);
     let addr = SockAddr::new(cl.nodes[1].addr(), 80);
@@ -85,7 +88,7 @@ fn posted_reader_takes_every_message_directly() {
 fn partial_reads_interleave_with_direct_delivery() {
     let sim = Sim::new();
     let cl = cluster(2);
-    let cfg = SubstrateConfig::ds_da_uq().with_direct_delivery();
+    let cfg = SubstrateConfig::default();
     let server = substrate(&cl, 1, cfg.clone());
     let client = substrate(&cl, 0, cfg);
     let addr = SockAddr::new(cl.nodes[1].addr(), 80);
@@ -158,7 +161,7 @@ fn partial_reads_interleave_with_direct_delivery() {
 fn try_read_races_arrivals_through_the_direct_path() {
     let sim = Sim::new();
     let cl = cluster(2);
-    let cfg = SubstrateConfig::ds_da_uq().with_direct_delivery();
+    let cfg = SubstrateConfig::default();
     let server = substrate(&cl, 1, cfg.clone());
     let client = substrate(&cl, 0, cfg);
     let addr = SockAddr::new(cl.nodes[1].addr(), 80);
@@ -216,20 +219,22 @@ fn copied_bytes(s: &ConnStats) -> u64 {
     s.bytes_received - s.bytes_direct
 }
 
-/// Request/response traffic with coalescing on both ends: flush-on-read
-/// pushes each side's staged request out before it parks for the reply,
-/// so the exchange completes (no deadlock) with every write staged and
-/// every message a flush.
+/// Request/response traffic whose request is two writes (header, then
+/// body): the header finds the connection idle and goes at once, the body
+/// is staged behind it, and flush-on-read pushes it out before the side
+/// parks for the reply — so the exchange completes with no deadlock and
+/// no wait for the staging deadline. The one-write echo is never staged.
 #[test]
 fn coalesced_pingpong_flushes_on_read_and_completes() {
     let sim = Sim::new();
     let cl = cluster(2);
-    let cfg = SubstrateConfig::ds_da_uq().with_coalescing();
+    let cfg = SubstrateConfig::default();
     let server = substrate(&cl, 1, cfg.clone());
     let client = substrate(&cl, 0, cfg);
     let addr = SockAddr::new(cl.nodes[1].addr(), 80);
     let done = Completion::new();
     let done2 = done.clone();
+    const HEADER: usize = 16;
     const MSG: usize = 64;
     const ROUNDS: usize = 25;
 
@@ -240,8 +245,8 @@ fn coalesced_pingpong_flushes_on_read_and_completes() {
             conn.write(ctx, &m)?.expect("echo");
         }
         let s = conn.stats();
-        assert_eq!(s.writes_coalesced, ROUNDS as u64, "every echo staged");
-        assert!(s.coalesce_flushes >= 1, "staged echoes were flushed");
+        assert_eq!(s.writes_coalesced, 0, "a lone echo is sent at once");
+        assert_eq!(s.msgs_sent, ROUNDS as u64);
         conn.close(ctx)?;
         l.close(ctx)?;
         Ok(())
@@ -249,17 +254,24 @@ fn coalesced_pingpong_flushes_on_read_and_completes() {
     sim.spawn("pinger", move |ctx| {
         let conn = client.connect(ctx, addr)?.expect("connect");
         let payload = pattern(MSG);
+        let t0 = ctx.now();
         for _ in 0..ROUNDS {
-            conn.write(ctx, &payload)?.expect("ping");
+            conn.write(ctx, &payload[..HEADER])?.expect("header");
+            conn.write(ctx, &payload[HEADER..])?.expect("body");
             let echo = conn.read_exact(ctx, MSG)?.expect("read").expect("pong");
             assert_eq!(&echo[..], &payload[..]);
         }
+        let per_round = (ctx.now() - t0) / ROUNDS as u64;
+        assert!(
+            per_round < CopyPolicy::STAGE_DEADLINE * 2,
+            "no round may wait out a staging deadline: {per_round:?} per round"
+        );
         let s = conn.stats();
-        assert_eq!(s.writes_coalesced, ROUNDS as u64, "every ping staged");
-        // Each staged ping goes out on the very next read (flush-on-read):
-        // one message per round trip, nothing aggregated across rounds.
+        assert_eq!(s.writes_coalesced, ROUNDS as u64, "every body staged");
+        // Each staged body goes out on the very next read (flush-on-read):
+        // nothing aggregated across rounds.
         assert_eq!(s.coalesce_flushes, ROUNDS as u64);
-        assert_eq!(s.msgs_sent, ROUNDS as u64);
+        assert_eq!(s.msgs_sent, 2 * ROUNDS as u64);
         conn.close(ctx)?;
         done2.complete(ctx);
         Ok(())
@@ -275,7 +287,7 @@ fn coalesced_pingpong_flushes_on_read_and_completes() {
 fn coalescing_collapses_small_writes_into_few_messages() {
     let sim = Sim::new();
     let cl = cluster(2);
-    let cfg = SubstrateConfig::ds_da_uq().with_coalescing();
+    let cfg = SubstrateConfig::default();
     let server = substrate(&cl, 1, cfg.clone());
     let client = substrate(&cl, 0, cfg);
     let addr = SockAddr::new(cl.nodes[1].addr(), 80);
@@ -310,7 +322,11 @@ fn coalescing_collapses_small_writes_into_few_messages() {
         }
         conn.flush(ctx)?.expect("flush");
         let s = conn.stats();
-        assert_eq!(s.writes_coalesced, WRITES as u64);
+        assert_eq!(
+            s.writes_coalesced + (s.msgs_sent - s.coalesce_flushes),
+            WRITES as u64,
+            "every write is staged or, finding the connection idle, sent at once"
+        );
         assert_eq!(s.bytes_sent, TOTAL as u64);
         assert!(
             s.msgs_sent <= (WRITES / 8) as u64,
@@ -324,10 +340,10 @@ fn coalescing_collapses_small_writes_into_few_messages() {
     assert!(done.is_done());
 }
 
-/// With both knobs off (every Figure-11 preset's default), the new
-/// counters stay zero: the fast paths are strictly opt-in.
+/// Under the paper's policy (every Figure 11 preset) the fast-path
+/// counters stay zero: nothing is staged, everything is copied.
 #[test]
-fn fast_paths_are_off_by_default() {
+fn paper_presets_take_neither_fast_path() {
     let sim = Sim::new();
     let cl = cluster(2);
     let server = substrate(&cl, 1, SubstrateConfig::ds_da_uq());
@@ -362,4 +378,392 @@ fn fast_paths_are_off_by_default() {
     });
     sim.run();
     assert!(done.is_done());
+}
+
+// ---- the staging deadline: no stranded bytes --------------------------
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use simnet::ring::{CqeResult, RingConfig, RingOp, Sqe};
+use simnet::SimAccess;
+use sockets_emp::{Connection, CopyPolicy};
+
+/// Two small writes back to back on an established connection, then
+/// 10 ms of computation. The first finds the connection idle and is sent
+/// at once; the second is staged behind it and nothing the application
+/// does afterwards touches the socket — yet the reader, parked in
+/// `read()`, must hold it within the staging deadline plus one one-way
+/// latency, not when `close()` finally flushes it 10 ms later.
+#[test]
+fn a_write_reaches_a_parked_reader_at_once_or_within_the_deadline() {
+    let sim = Sim::new();
+    let cl = cluster(2);
+    let server = substrate(&cl, 1, SubstrateConfig::default());
+    let client = substrate(&cl, 0, SubstrateConfig::default());
+    let addr = SockAddr::new(cl.nodes[1].addr(), 80);
+    let written_at = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+    let written_at2 = Arc::clone(&written_at);
+    let done = Completion::new();
+    let done2 = done.clone();
+
+    sim.spawn("reader", move |ctx| {
+        let l = server.listen(ctx, 80, 4)?.expect("port free");
+        let conn = l.accept(ctx)?.expect("connection");
+        // Warm-up round trip: the connection is established and every
+        // buffer pinned before the measured writes.
+        let m = conn.read_exact(ctx, 64)?.expect("read").expect("warm-up");
+        conn.write(ctx, &m)?.expect("echo");
+        let deadline = CopyPolicy::STAGE_DEADLINE.nanos();
+        for (i, bounds) in [(0, 40_000), (deadline, 90_000)].into_iter().enumerate() {
+            let m = conn.read(ctx, 8192)?.expect("data");
+            let waited = ctx.now().nanos() - written_at2[i].load(Ordering::Relaxed);
+            assert_eq!(&m[..], &pattern(64)[..]);
+            assert!(
+                (bounds.0..=bounds.1).contains(&waited),
+                "write {i} took {waited} ns to reach the reader, expected {bounds:?}"
+            );
+        }
+        assert!(conn.read(ctx, 8192)?.expect("eof").is_empty());
+        conn.close(ctx)?;
+        l.close(ctx)?;
+        done2.complete(ctx);
+        Ok(())
+    });
+    sim.spawn("writer", move |ctx| {
+        let conn = client.connect(ctx, addr)?.expect("connect");
+        conn.write(ctx, &pattern(64))?.expect("warm-up");
+        conn.read_exact(ctx, 64)?.expect("read").expect("echo");
+        ctx.delay(SimDuration::from_millis(1))?;
+        for at in written_at.iter() {
+            at.store(ctx.now().nanos(), Ordering::Relaxed);
+            conn.write(ctx, &pattern(64))?.expect("write");
+        }
+        ctx.delay(SimDuration::from_millis(10))?;
+        let s = conn.stats();
+        assert_eq!((s.msgs_sent, s.coalesce_flushes), (3, 1), "the timer's");
+        conn.close(ctx)?;
+        Ok(())
+    });
+    sim.run();
+    assert!(done.is_done());
+}
+
+/// What closes socket B once the exchange is over (the connection itself,
+/// or the ring that took it over).
+type Teardown = Box<dyn FnOnce(&simnet::ProcessCtx) -> simnet::SimResult<()>>;
+
+/// How the process in [`write_to_b_then_block_on_a`] hands its small
+/// message to socket B.
+#[derive(Clone, Copy, Debug)]
+enum FrontEnd {
+    Write,
+    TryWriteNoPoll,
+    RingWriteSqe,
+}
+
+/// A process writes two small messages to socket B and then blocks
+/// reading socket A, whose peer answers only once B's peer has seen both.
+/// The first goes at once; the second is staged behind it and nothing the
+/// process does afterwards touches B, so only the staging deadline can
+/// send it: without one this is a deadlock.
+fn write_to_b_then_block_on_a(front_end: FrontEnd) {
+    let sim = Sim::new();
+    let cl = cluster(3);
+    let me = substrate(&cl, 0, SubstrateConfig::default());
+    let peer_a = substrate(&cl, 1, SubstrateConfig::default());
+    let peer_b = substrate(&cl, 2, SubstrateConfig::default());
+    let addr_a = SockAddr::new(cl.nodes[1].addr(), 80);
+    let addr_b = SockAddr::new(cl.nodes[2].addr(), 80);
+    let b_saw_it = Completion::new();
+    let b_saw_it2 = b_saw_it.clone();
+    let done = Completion::new();
+    let done2 = done.clone();
+
+    sim.spawn("peer-a", move |ctx| {
+        let l = peer_a.listen(ctx, 80, 4)?.expect("port free");
+        let conn = l.accept(ctx)?.expect("connection");
+        b_saw_it2.wait(ctx)?;
+        conn.write(ctx, b"go on")?.expect("answer");
+        assert!(conn.read(ctx, 64)?.expect("eof").is_empty());
+        conn.close(ctx)?;
+        l.close(ctx)
+    });
+    sim.spawn("peer-b", move |ctx| {
+        let l = peer_b.listen(ctx, 80, 4)?.expect("port free");
+        let conn = l.accept(ctx)?.expect("connection");
+        let m = conn.read_exact(ctx, 128)?.expect("read").expect("messages");
+        assert_eq!(&m[..], &pattern(128)[..]);
+        b_saw_it.complete(ctx);
+        assert!(conn.read(ctx, 64)?.expect("eof").is_empty());
+        conn.close(ctx)?;
+        l.close(ctx)
+    });
+    sim.spawn("me", move |ctx| {
+        let a = me.connect(ctx, addr_a)?.expect("connect a");
+        let b = me.connect(ctx, addr_b)?.expect("connect b");
+        let halves = pattern(128);
+        let (first, second) = halves.split_at(64);
+        let close_b: Teardown = match front_end {
+            FrontEnd::Write => {
+                b.write(ctx, first)?.expect("write");
+                b.write(ctx, second)?.expect("write");
+                assert_eq!(b.stats().writes_coalesced, 1);
+                Box::new(move |ctx| b.close(ctx))
+            }
+            FrontEnd::TryWriteNoPoll => {
+                assert_eq!(b.try_write(ctx, first)?, Ok(64));
+                assert_eq!(b.try_write(ctx, second)?, Ok(64));
+                assert_eq!(b.stats().writes_coalesced, 1);
+                Box::new(move |ctx| b.close(ctx))
+            }
+            FrontEnd::RingWriteSqe => {
+                let cfg = RingConfig {
+                    sq_depth: 4,
+                    cq_depth: 4,
+                    buf_count: 2,
+                    buf_size: 64,
+                    max_registered_bytes: None,
+                };
+                let mut ring = sockets_emp::ring::ring(cfg, "deadline");
+                let conn = ring.add_conn(b);
+                for (buf, half) in [(0, first), (1, second)] {
+                    ring.fill(buf, half).expect("fill");
+                    let write = RingOp::Write { conn, buf, len: 64 };
+                    ring.push(Sqe::new(u64::from(buf), write)).expect("push");
+                }
+                ring.submit(ctx)?;
+                let cqes = ring.reap(usize::MAX);
+                assert!(
+                    matches!(cqes[1].result, CqeResult::Wrote { buf: 1, len: 64 }),
+                    "{cqes:?}"
+                );
+                let s = ring.conn(conn).expect("registered").stats();
+                assert_eq!(s.writes_coalesced, 1);
+                Box::new(move |ctx| ring.shutdown(ctx))
+            }
+        };
+        let answer = a.read(ctx, 64)?.expect("a's answer");
+        assert_eq!(&answer[..], b"go on");
+        close_b(ctx)?;
+        a.close(ctx)?;
+        done2.complete(ctx);
+        Ok(())
+    });
+    sim.run();
+    assert!(done.is_done(), "{front_end:?}: the write to B never left");
+}
+
+#[test]
+fn a_write_nobody_follows_up_still_leaves_on_every_front_end() {
+    write_to_b_then_block_on_a(FrontEnd::Write);
+    write_to_b_then_block_on_a(FrontEnd::TryWriteNoPoll);
+    write_to_b_then_block_on_a(FrontEnd::RingWriteSqe);
+}
+
+/// Host time the writer spends inside the substrate over `rounds` pairs of
+/// small writes 100 us apart — the first of a pair sent at once, the
+/// second staged behind it and flushed by `flush_now` (an explicit
+/// `flush()`) or left to the deadline timer.
+fn writer_host_ns(rounds: u32, flush_now: bool) -> u64 {
+    let sim = Sim::new();
+    let cl = cluster(2);
+    let server = substrate(&cl, 1, SubstrateConfig::default());
+    let client = substrate(&cl, 0, SubstrateConfig::default());
+    let addr = SockAddr::new(cl.nodes[1].addr(), 80);
+    let spent = Arc::new(AtomicU64::new(0));
+    let spent2 = Arc::clone(&spent);
+
+    sim.spawn("reader", move |ctx| {
+        let l = server.listen(ctx, 80, 4)?.expect("port free");
+        let conn = l.accept(ctx)?.expect("connection");
+        while !conn.read(ctx, 8192)?.expect("data").is_empty() {}
+        conn.close(ctx)?;
+        l.close(ctx)
+    });
+    sim.spawn("writer", move |ctx| {
+        let conn = client.connect(ctx, addr)?.expect("connect");
+        // Pin the send buffer first, so both variants post from a
+        // registered one.
+        conn.write(ctx, &pattern(64))?.expect("warm-up");
+        let mut inside = 0;
+        for _ in 0..rounds {
+            ctx.delay(SimDuration::from_micros(100))?;
+            let t0 = ctx.now();
+            conn.write(ctx, &pattern(64))?.expect("sent at once");
+            conn.write(ctx, &pattern(64))?.expect("staged");
+            if flush_now {
+                conn.flush(ctx)?.expect("flush");
+            }
+            inside += (ctx.now() - t0).nanos();
+        }
+        ctx.delay(SimDuration::from_micros(100))?;
+        let t0 = ctx.now();
+        conn.flush(ctx)?.expect("settle the last flush's debt");
+        inside += (ctx.now() - t0).nanos();
+        let s = conn.stats();
+        assert_eq!(s.coalesce_flushes, u64::from(rounds));
+        assert_eq!(s.msgs_sent, 2 * u64::from(rounds) + 1);
+        spent2.store(inside, Ordering::Relaxed);
+        conn.close(ctx)
+    });
+    sim.run();
+    spent.load(Ordering::Relaxed)
+}
+
+/// A timer flush is not free host work: what it does — bookkeeping,
+/// descriptor, pin, doorbell — is booked against the writer, which pays at
+/// its next substrate call. Over N flushes the writer is charged exactly
+/// what N flushes of its own would have cost, less the one thing only its
+/// own flush does: poll the unexpected queue for credit returns (§6.4)
+/// before spending a credit. The timer holds two by invariant and polls
+/// nothing.
+#[test]
+fn timer_flushes_charge_the_writer_what_its_own_would() {
+    // Fewer messages than the delayed-ack threshold: no credit return
+    // lands, so the poll is all that the writer's own flush adds.
+    const ROUNDS: u32 = 6;
+    let by_timer = writer_host_ns(ROUNDS, false);
+    let by_hand = writer_host_ns(ROUNDS, true);
+    let poll = cluster(1).nodes[0].host.cost().poll_completion.nanos();
+    assert!(poll > 0 && by_timer > 0);
+    assert_eq!(by_hand - by_timer, u64::from(ROUNDS) * poll);
+}
+
+/// `close()` (or `shutdown_write()`) racing the deadline: whichever of the
+/// owner and the timer gets to the staged bytes first sends them, the
+/// other finds nothing, and the peer reads them exactly once before EOF.
+/// The sweep walks the owner's call across the deadline instant in 250 ns
+/// steps so that some runs park the owner mid-flush as the timer fires.
+#[test]
+fn close_and_shutdown_racing_the_deadline_send_the_bytes_exactly_once() {
+    for half_close in [false, true] {
+        for step in 0..32u64 {
+            let gap = CopyPolicy::STAGE_DEADLINE - SimDuration::from_micros(4)
+                + SimDuration::from_nanos(250 * step);
+            race_close_with_deadline(gap, half_close);
+        }
+    }
+}
+
+fn race_close_with_deadline(gap: SimDuration, half_close: bool) {
+    let sim = Sim::new();
+    let cl = cluster(2);
+    let server = substrate(&cl, 1, SubstrateConfig::default());
+    let client = substrate(&cl, 0, SubstrateConfig::default());
+    let addr = SockAddr::new(cl.nodes[1].addr(), 80);
+    let done = Completion::new();
+    let done2 = done.clone();
+
+    sim.spawn("reader", move |ctx| {
+        let l = server.listen(ctx, 80, 4)?.expect("port free");
+        let conn = l.accept(ctx)?.expect("connection");
+        let mut got = Vec::new();
+        loop {
+            let m = conn.read(ctx, 8192)?.expect("data");
+            if m.is_empty() {
+                break;
+            }
+            got.extend_from_slice(&m);
+        }
+        assert_eq!(&got[..], &pattern(200)[..], "gap {gap:?}");
+        assert_eq!(conn.stats().msgs_received, 2, "gap {gap:?}");
+        conn.close(ctx)?;
+        l.close(ctx)?;
+        done2.complete(ctx);
+        Ok(())
+    });
+    sim.spawn("writer", move |ctx| {
+        let conn = client.connect(ctx, addr)?.expect("connect");
+        let credits = conn.debug_state().credits;
+        conn.write(ctx, &pattern(100))?.expect("sent at once");
+        conn.write(ctx, &pattern(200)[100..])?.expect("staged");
+        ctx.delay(gap)?;
+        if half_close {
+            conn.shutdown_write(ctx)?;
+            // The timer of the ended episode fires on a half-closed
+            // socket: it must find nothing to do.
+            ctx.delay(CopyPolicy::STAGE_DEADLINE * 2)?;
+        } else {
+            conn.close(ctx)?;
+        }
+        let s = conn.stats();
+        assert_eq!((s.msgs_sent, s.coalesce_flushes), (2, 1), "gap {gap:?}");
+        assert_eq!(
+            conn.debug_state().credits,
+            credits - 2,
+            "two credits spent, none lost to the race (gap {gap:?})"
+        );
+        conn.close(ctx)
+    });
+    sim.run();
+    assert!(done.is_done(), "gap {gap:?}");
+    // Closing connections report what they strand; whoever lost the race,
+    // nothing was: no staged byte left behind, no timer flush unpaid.
+    let counters = sim.telemetry().snapshot().counters;
+    assert_eq!(
+        counters.get("sock.coalesce_flushes"),
+        Some(&1),
+        "gap {gap:?}"
+    );
+    assert_eq!(counters.get("sock.stranded_bytes"), None, "gap {gap:?}");
+    assert_eq!(
+        counters.get("sock.unpaid_flush_debt_ns"),
+        None,
+        "gap {gap:?}"
+    );
+}
+
+/// Direct delivery through a ring: a ring `Read` is a posted reader like
+/// any other, so the policy — not the front end — decides. The paper's
+/// presets copy, the default does not.
+#[test]
+fn ring_reads_follow_the_copy_policy() {
+    for (cfg, direct) in [
+        (SubstrateConfig::ds_da_uq(), false),
+        (SubstrateConfig::default(), true),
+    ] {
+        let sim = Sim::new();
+        let cl = cluster(2);
+        let server = substrate(&cl, 1, cfg.clone());
+        let client = substrate(&cl, 0, cfg);
+        let addr = SockAddr::new(cl.nodes[1].addr(), 80);
+        let done = Completion::new();
+        let done2 = done.clone();
+        sim.spawn("ring-reader", move |ctx| {
+            let l = server.listen(ctx, 80, 4)?.expect("port free");
+            let conn: Connection = l.accept(ctx)?.expect("connection");
+            let cfg = RingConfig {
+                sq_depth: 4,
+                cq_depth: 4,
+                buf_count: 1,
+                buf_size: 4096,
+                max_registered_bytes: None,
+            };
+            let mut ring = sockets_emp::ring::ring(cfg, "policy");
+            let conn = ring.add_conn(conn);
+            ring.push(Sqe::new(1, RingOp::Read { conn, buf: 0 }))
+                .expect("push");
+            ring.submit_and_wait(ctx, 1)?.expect("read");
+            let cqes = ring.reap(usize::MAX);
+            assert!(
+                matches!(cqes[0].result, CqeResult::Read { buf: 0, len: 2048 }),
+                "{cqes:?}"
+            );
+            let s = ring.conn(conn).expect("registered").stats();
+            assert_eq!(s.copies_avoided, u64::from(direct));
+            assert_eq!(s.bytes_direct, if direct { 2048 } else { 0 });
+            ring.shutdown(ctx)?;
+            done2.complete(ctx);
+            Ok(())
+        });
+        sim.spawn("writer", move |ctx| {
+            let conn = client.connect(ctx, addr)?.expect("connect");
+            conn.write(ctx, &pattern(2048))?.expect("write");
+            ctx.delay(SimDuration::from_millis(1))?;
+            conn.close(ctx)
+        });
+        sim.run();
+        assert!(done.is_done());
+    }
 }

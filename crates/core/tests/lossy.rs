@@ -6,7 +6,7 @@
 use emp_proto::{build_cluster, EmpCluster, EmpConfig};
 use simnet::ring::{CqeResult, RingConfig, RingOp, Sqe};
 use simnet::{Completion, FaultPlan, LinkConfig, Sim, SimAccess, SimDuration, SwitchConfig};
-use sockets_emp::{EmpSockets, SockAddr, SockError, SubstrateConfig};
+use sockets_emp::{CopyPolicy, EmpSockets, SockAddr, SockError, SubstrateConfig};
 
 fn faulty_cluster(n: usize, faults: FaultPlan) -> EmpCluster {
     // EMP abandons a message after `max_retries` silent timer rounds — a
@@ -230,56 +230,47 @@ fn dg_moves_a_megabyte_at_twenty_percent_loss() {
     dgram_exchange(acceptance_plan(14), vec![8192; 128]);
 }
 
-// ---- data-path fast paths under chaos: the adaptive zero-copy knobs
-// must never trade bytes for speed ----
+// ---- the default data path under chaos: the adaptive copy policy must
+// never trade bytes for speed ----
 
 #[test]
 fn coalesced_writes_survive_the_loss_sweep() {
-    // Sub-threshold writes aggregate in the staging buffer; flushes (on
-    // buffer-full and credit pressure) are full-size messages exposed to
-    // the same loss and reordering as everything else.
+    // Small writes aggregate in the staging buffer; flushes (buffer-full,
+    // credit pressure, the deadline timer) are messages exposed to the
+    // same loss and reordering as everything else.
     for plan in sweep_plans() {
-        stream_exchange(
-            SubstrateConfig::ds_da_uq().with_coalescing(),
-            plan,
-            SWEEP_BYTES,
-            700,
-        );
+        stream_exchange(SubstrateConfig::default(), plan, SWEEP_BYTES, 700);
     }
 }
 
 #[test]
 fn coalescing_with_delayed_acks_survives_the_loss_sweep() {
-    // Coalescing × §6.3 delayed acks on the pre-posted fc-ack descriptor
-    // path (non-UQ): flush-time piggy-backing rides the aggregate.
+    // The policy × §6.3 delayed acks on the pre-posted fc-ack descriptor
+    // path (non-UQ, no piggy-backing): the one configuration that sets the
+    // policy value on a paper preset.
+    let cfg = SubstrateConfig {
+        copy_policy: CopyPolicy::ADAPTIVE,
+        ..SubstrateConfig::ds_da()
+    };
     for plan in sweep_plans() {
-        stream_exchange(
-            SubstrateConfig::ds_da().with_coalescing(),
-            plan,
-            SWEEP_BYTES,
-            700,
-        );
+        stream_exchange(cfg.clone(), plan, SWEEP_BYTES, 700);
     }
 }
 
 #[test]
 fn direct_delivery_survives_the_loss_sweep() {
-    // Reordering forces constant interleaving of the direct path (next
-    // in-sequence message, reader posted) with the reorder-buffer path.
+    // Writes too large to stage: reordering forces constant interleaving
+    // of the direct path (next in-sequence message, reader posted) with
+    // the reorder-buffer path.
     for plan in sweep_plans() {
-        stream_exchange(
-            SubstrateConfig::ds_da_uq().with_direct_delivery(),
-            plan,
-            SWEEP_BYTES,
-            7919,
-        );
+        stream_exchange(SubstrateConfig::default(), plan, SWEEP_BYTES, 7919);
     }
 }
 
 #[test]
 fn coalescing_moves_a_megabyte_at_twenty_percent_loss() {
     stream_exchange(
-        SubstrateConfig::ds_da_uq().with_coalescing(),
+        SubstrateConfig::default(),
         acceptance_plan(21),
         MEGABYTE,
         600,
@@ -288,14 +279,85 @@ fn coalescing_moves_a_megabyte_at_twenty_percent_loss() {
 
 #[test]
 fn both_fast_paths_move_a_megabyte_at_twenty_percent_loss() {
+    // Credit stalls under loss leave the deadline timer to end most
+    // staging episodes early, so many staged messages fit the reader's
+    // 8 KiB buffer and go direct: both halves of the policy on one stream.
     stream_exchange(
-        SubstrateConfig::ds_da_uq()
-            .with_coalescing()
-            .with_direct_delivery(),
+        SubstrateConfig::default(),
         acceptance_plan(22),
         MEGABYTE,
         900,
     );
+}
+
+/// The staging deadline on a poisoned socket. A side that stages a small
+/// write, then trips its reorder-buffer cap on the next read, is left with
+/// a deadline timer pending on a connection that may send nothing more:
+/// the read flushed the staged bytes before it parked, so the timer finds
+/// its episode over — no message after the poisoning, every later
+/// operation still `ResourceExhausted`, close still clean.
+#[test]
+fn the_staging_deadline_on_a_poisoned_socket_sends_nothing() {
+    let sim = Sim::new();
+    // No loss, heavy overtaking: an ahead-of-sequence message arrives soon.
+    let cl = faulty_cluster(
+        2,
+        FaultPlan::seeded(0x51).with_reorder(0.3, SimDuration::from_micros(80)),
+    );
+    // Any out-of-order payload at all exceeds a zero-byte budget.
+    let server = substrate(&cl, 1, SubstrateConfig::default().with_reorder_cap(0));
+    let client = substrate(&cl, 0, SubstrateConfig::ds_da_uq());
+    let addr = SockAddr::new(cl.nodes[1].addr(), 80);
+    let done = Completion::new();
+    let done2 = done.clone();
+
+    sim.spawn("poisoned-side", move |ctx| {
+        let l = server.listen(ctx, 80, 4)?.expect("port free");
+        let conn = l.accept(ctx)?.expect("connection");
+        let mut got = 0;
+        let err = loop {
+            // Every round stages a write (arming a deadline) and lets the
+            // read send it.
+            conn.write(ctx, &[7u8; 32])?.expect("stage");
+            match conn.read(ctx, 8192)? {
+                Ok(m) => {
+                    assert!(!m.is_empty(), "the cap must trip before EOF");
+                    for (i, b) in m.iter().enumerate() {
+                        assert_eq!(*b, pat(0, got + i), "byte {} wrong", got + i);
+                    }
+                    got += m.len();
+                }
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(err, SockError::ResourceExhausted);
+        let sent = conn.stats().msgs_sent;
+        // Well past the pending deadline of the last staged write.
+        ctx.delay(SimDuration::from_millis(1))?;
+        assert_eq!(conn.stats().msgs_sent, sent, "a poisoned socket is silent");
+        assert_eq!(
+            conn.write(ctx, &[7u8; 32])?,
+            Err(SockError::ResourceExhausted)
+        );
+        conn.close(ctx)?;
+        l.close(ctx)?;
+        done2.complete(ctx);
+        Ok(())
+    });
+    sim.spawn("streamer", move |ctx| {
+        let conn = client.connect(ctx, addr)?.expect("connect");
+        // Separate small messages back to back, so some overtake; the
+        // peer poisons itself part-way and stops reading.
+        for (i, c) in pattern(0, 256 * 1024).chunks(2048).enumerate() {
+            if conn.write(ctx, c)?.is_err() {
+                assert!(i > 0, "the first write cannot already fail");
+                break;
+            }
+        }
+        conn.close(ctx)
+    });
+    sim.run();
+    assert!(done.is_done(), "the poisoned side did not finish cleanly");
 }
 
 // ---- completion-ring data path under chaos: the SQ/CQ model must be

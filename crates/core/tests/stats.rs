@@ -199,7 +199,11 @@ fn piggybacked_credits_move_only_with_bidirectional_traffic() {
     // accrued *before* the ack threshold fires, so it only bites with
     // delayed acks (under plain DS the threshold is 1 and every consumed
     // credit becomes an explicit ack before any write can carry it).
-    let (c_pb, s_pb) = ping_pong(SubstrateConfig::ds_da().with_piggyback(), 32);
+    let piggyback = SubstrateConfig {
+        piggyback_acks: true,
+        ..SubstrateConfig::ds_da()
+    };
+    let (c_pb, s_pb) = ping_pong(piggyback, 32);
     assert!(
         c_pb.piggybacked_credits > 0 && s_pb.piggybacked_credits > 0,
         "echo traffic must carry piggy-backed credits: {} / {}",

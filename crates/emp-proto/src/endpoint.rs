@@ -13,7 +13,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use hostsim::{Host, VirtRange};
 use simnet::emp_trace::{self, EventKind};
-use simnet::{MacAddr, ProcessCtx, SimAccess, SimResult};
+use simnet::{MacAddr, ProcessCtx, SimAccess, SimDuration, SimResult};
 
 use crate::nic::{DescId, EmpNic, RecvState, SendState, TxBuf};
 use crate::wire::{RecvMsg, Tag};
@@ -114,7 +114,7 @@ impl EmpEndpoint {
 
     /// Record a trace event stamped with this station's id. Compiles to
     /// nothing without the `trace` feature.
-    fn trace(&self, ctx: &ProcessCtx, kind: EventKind, a: u64, b: u64) {
+    fn trace(&self, ctx: &dyn SimAccess, kind: EventKind, a: u64, b: u64) {
         if emp_trace::ENABLED {
             ctx.tracer().emit(
                 ctx.now().nanos(),
@@ -174,6 +174,33 @@ impl EmpEndpoint {
         self.post_send_buf(ctx, dst, tag, TxBuf::pair(header, payload), buf, false)
     }
 
+    /// [`EmpEndpoint::post_send_split`] from event context — a timer, with
+    /// no process to charge: the doorbell is rung now, and the host cost
+    /// the caller would have been delayed by comes back for it to book
+    /// against the process that owns the buffer.
+    pub fn post_send_split_from_event(
+        &self,
+        sim: &dyn SimAccess,
+        dst: MacAddr,
+        tag: Tag,
+        header: Bytes,
+        payload: Bytes,
+        buf: VirtRange,
+    ) -> (SendHandle, SimDuration) {
+        let cost = self.send_host_cost(buf);
+        let data = TxBuf::pair(header, payload);
+        self.trace(sim, EventKind::TxDoorbell, data.len() as u64, 0);
+        let state = self.nic.start_send(sim, dst, tag, data, false);
+        (SendHandle { state }, cost)
+    }
+
+    /// Host time of posting one send from `buf`: descriptor build, the
+    /// pin-and-translate call (free once cached), the doorbell write.
+    fn send_host_cost(&self, buf: VirtRange) -> SimDuration {
+        let (pin, _) = self.host.memory().lock().register(buf, self.host.cost());
+        self.nic.cfg().desc_build + pin + self.host.cost().doorbell_write
+    }
+
     fn post_send_buf(
         &self,
         ctx: &ProcessCtx,
@@ -183,9 +210,7 @@ impl EmpEndpoint {
         buf: VirtRange,
         no_uq: bool,
     ) -> SimResult<SendHandle> {
-        let cfg = self.nic.cfg();
-        let (pin, _) = self.host.memory().lock().register(buf, self.host.cost());
-        ctx.delay(cfg.desc_build + pin + self.host.cost().doorbell_write)?;
+        ctx.delay(self.send_host_cost(buf))?;
         self.trace(ctx, EventKind::TxDoorbell, data.len() as u64, 0);
         let state = self.nic.start_send(ctx, dst, tag, data, no_uq);
         Ok(SendHandle { state })

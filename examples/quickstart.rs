@@ -17,6 +17,8 @@ use sockets_over_emp::emp_proto;
 fn main() {
     let sim = Sim::new();
     let cluster = emp_proto::build_cluster(2, EmpConfig::default(), SwitchConfig::default());
+    // The paper's preset by name, because the number printed below is
+    // compared with the paper's; `SubstrateConfig::default()` is faster.
     let server = EmpSockets::new(cluster.nodes[1].endpoint(), SubstrateConfig::ds_da_uq());
     let client = EmpSockets::new(cluster.nodes[0].endpoint(), SubstrateConfig::ds_da_uq());
     let addr = SockAddr::new(cluster.nodes[1].addr(), 80);

@@ -27,8 +27,10 @@
 //!
 //! let sim = Sim::new();
 //! let cluster = emp_proto::build_cluster(2, EmpConfig::default(), SwitchConfig::default());
-//! let server = EmpSockets::new(cluster.nodes[1].endpoint(), SubstrateConfig::ds_da_uq());
-//! let client = EmpSockets::new(cluster.nodes[0].endpoint(), SubstrateConfig::ds_da_uq());
+//! // `default()` is the fast configuration; name a preset (`ds_da_uq()`,
+//! // `dg()`, ...) to measure what the paper measured.
+//! let server = EmpSockets::new(cluster.nodes[1].endpoint(), SubstrateConfig::default());
+//! let client = EmpSockets::new(cluster.nodes[0].endpoint(), SubstrateConfig::default());
 //! let addr = SockAddr::new(cluster.nodes[1].addr(), 80);
 //!
 //! sim.spawn("server", move |ctx| {
