@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repository CI: formatting, lints, the tier-1 test suite, a traced
+# Repository CI: formatting, lints, doc links, the tier-1 test suite, a traced
 # ping-pong smoke test proving the observability path works end to end,
 # the figure/telemetry/overload smokes and the repo-benchmark smoke.
 #
@@ -18,6 +18,10 @@ cargo clippy --workspace -- -D warnings
 
 step "cargo clippy (trace feature)"
 cargo clippy --workspace --features trace -- -D warnings
+
+step "cargo doc (broken intra-doc links)"
+# Clippy does not check doc links; a renamed type would leave dead ones.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 if [[ "${1:-}" != "--fast" ]]; then
     step "cargo build --release"

@@ -4,12 +4,12 @@ use std::any::Any;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use kernel_tcp::{TcpApi, TcpConn, TcpError, TcpListener, TcpPollSource, TcpPollTarget};
-use simnet::{Event, Interest, MacAddr, ProcessCtx, SimDuration, SimResult, SimTime};
-use sockets_emp::{Connection, EmpSockets, Listener, PollSet, SockAddr as EmpAddr, SockError};
+use kernel_tcp::{TcpApi, TcpConn, TcpListener, TcpPollSource, TcpPollTarget};
+use simnet::{Event, Interest, MacAddr, OpResult, ProcessCtx, SimDuration, SimResult, SimTime};
+use sockets_emp::{Connection, EmpSockets, Listener, PollSet, SockAddr as EmpAddr};
 
 use crate::api::{
-    Conn, Cqe, NetApi, NetConn, NetError, NetListener, NetRing, PollSource, PollTarget, RingConfig,
+    Conn, Cqe, NetApi, NetConn, NetListener, NetRing, PollSource, PollTarget, RingConfig,
     RingCounters, RingDepths, RingError, Sqe,
 };
 
@@ -41,20 +41,6 @@ impl EmpNet {
 struct EmpConnAdapter(Connection);
 struct EmpListenerAdapter(Listener);
 
-fn from_sock_err(e: SockError) -> NetError {
-    match e {
-        SockError::ConnectionRefused => NetError::Refused,
-        SockError::Closed => NetError::Closed,
-        SockError::PeerClosed => NetError::PeerClosed,
-        SockError::MessageTooBig { .. } => NetError::TooBig,
-        SockError::WouldBlock => NetError::WouldBlock,
-        SockError::Invalid => NetError::Invalid,
-        SockError::Timeout => NetError::Timeout,
-        SockError::ResourceExhausted => NetError::Exhausted,
-        other => NetError::Other(other.to_string()),
-    }
-}
-
 /// Downcast a facade connection to the substrate's.
 fn emp_conn(c: &Conn) -> &Connection {
     &c.as_any()
@@ -72,20 +58,20 @@ fn emp_listener(l: &dyn NetListener) -> &Listener {
 }
 
 impl NetConn for EmpConnAdapter {
-    fn write(&self, ctx: &ProcessCtx, data: &[u8]) -> SimResult<Result<usize, NetError>> {
-        Ok(self.0.write(ctx, data)?.map_err(from_sock_err))
+    fn write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
+        self.0.write(ctx, data)
     }
 
-    fn read(&self, ctx: &ProcessCtx, max: usize) -> SimResult<Result<Bytes, NetError>> {
-        Ok(self.0.read(ctx, max)?.map_err(from_sock_err))
+    fn read(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
+        self.0.read(ctx, max)
     }
 
-    fn try_write(&self, ctx: &ProcessCtx, data: &[u8]) -> SimResult<Result<usize, NetError>> {
-        Ok(self.0.try_write(ctx, data)?.map_err(from_sock_err))
+    fn try_write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
+        self.0.try_write(ctx, data)
     }
 
-    fn try_read(&self, ctx: &ProcessCtx, max: usize) -> SimResult<Result<Bytes, NetError>> {
-        Ok(self.0.try_read(ctx, max)?.map_err(from_sock_err))
+    fn try_read(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
+        self.0.try_read(ctx, max)
     }
 
     fn read_deadline(
@@ -93,11 +79,8 @@ impl NetConn for EmpConnAdapter {
         ctx: &ProcessCtx,
         max: usize,
         deadline: SimDuration,
-    ) -> SimResult<Result<Bytes, NetError>> {
-        Ok(self
-            .0
-            .read_deadline(ctx, max, deadline)?
-            .map_err(from_sock_err))
+    ) -> OpResult<Bytes> {
+        self.0.read_deadline(ctx, max, deadline)
     }
 
     fn write_deadline(
@@ -105,11 +88,8 @@ impl NetConn for EmpConnAdapter {
         ctx: &ProcessCtx,
         data: &[u8],
         deadline: SimDuration,
-    ) -> SimResult<Result<usize, NetError>> {
-        Ok(self
-            .0
-            .write_deadline(ctx, data, deadline)?
-            .map_err(from_sock_err))
+    ) -> OpResult<usize> {
+        self.0.write_deadline(ctx, data, deadline)
     }
 
     fn close(&self, ctx: &ProcessCtx) -> SimResult<()> {
@@ -128,8 +108,8 @@ impl NetConn for EmpConnAdapter {
         self.0.peer()
     }
 
-    fn flush(&self, ctx: &ProcessCtx) -> SimResult<Result<(), NetError>> {
-        Ok(self.0.flush(ctx)?.map_err(from_sock_err))
+    fn flush(&self, ctx: &ProcessCtx) -> OpResult<()> {
+        self.0.flush(ctx)
     }
 
     fn substrate_stats(&self) -> Option<sockets_emp::ConnStats> {
@@ -141,15 +121,12 @@ impl NetConn for EmpConnAdapter {
         ctx: &ProcessCtx,
         interest: Interest,
         waker: &std::task::Waker,
-    ) -> SimResult<Result<Interest, NetError>> {
-        Ok(self
-            .0
-            .poll_ready(ctx, interest, waker)?
-            .map_err(from_sock_err))
+    ) -> OpResult<Interest> {
+        self.0.poll_ready(ctx, interest, waker)
     }
 
-    fn cancel_ready(&self, ctx: &ProcessCtx) -> SimResult<Result<(), NetError>> {
-        Ok(self.0.cancel_ready(ctx)?.map_err(from_sock_err))
+    fn cancel_ready(&self, ctx: &ProcessCtx) -> OpResult<()> {
+        self.0.cancel_ready(ctx)
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -162,40 +139,29 @@ impl NetConn for EmpConnAdapter {
 }
 
 impl NetListener for EmpListenerAdapter {
-    fn accept(&self, ctx: &ProcessCtx) -> SimResult<Result<Conn, NetError>> {
+    fn accept(&self, ctx: &ProcessCtx) -> OpResult<Conn> {
         Ok(self
             .0
             .accept(ctx)?
-            .map(|c| Box::new(EmpConnAdapter(c)) as Conn)
-            .map_err(from_sock_err))
+            .map(|c| Box::new(EmpConnAdapter(c)) as Conn))
     }
 
-    fn try_accept(&self, ctx: &ProcessCtx) -> SimResult<Result<Conn, NetError>> {
+    fn try_accept(&self, ctx: &ProcessCtx) -> OpResult<Conn> {
         Ok(self
             .0
             .try_accept(ctx)?
-            .map(|c| Box::new(EmpConnAdapter(c)) as Conn)
-            .map_err(from_sock_err))
+            .map(|c| Box::new(EmpConnAdapter(c)) as Conn))
     }
 
-    fn accept_deadline(
-        &self,
-        ctx: &ProcessCtx,
-        deadline: SimDuration,
-    ) -> SimResult<Result<Conn, NetError>> {
+    fn accept_deadline(&self, ctx: &ProcessCtx, deadline: SimDuration) -> OpResult<Conn> {
         Ok(self
             .0
             .accept_deadline(ctx, deadline)?
-            .map(|c| Box::new(EmpConnAdapter(c)) as Conn)
-            .map_err(from_sock_err))
+            .map(|c| Box::new(EmpConnAdapter(c)) as Conn))
     }
 
-    fn poll_acceptable(
-        &self,
-        ctx: &ProcessCtx,
-        waker: &std::task::Waker,
-    ) -> SimResult<Result<Interest, NetError>> {
-        Ok(self.0.poll_acceptable(ctx, waker)?.map_err(from_sock_err))
+    fn poll_acceptable(&self, ctx: &ProcessCtx, waker: &std::task::Waker) -> OpResult<Interest> {
+        self.0.poll_acceptable(ctx, waker)
     }
 
     fn close(&self, ctx: &ProcessCtx) -> SimResult<()> {
@@ -212,17 +178,11 @@ impl NetListener for EmpListenerAdapter {
 }
 
 impl NetApi for EmpNet {
-    fn connect(
-        &self,
-        ctx: &ProcessCtx,
-        host: MacAddr,
-        port: u16,
-    ) -> SimResult<Result<Conn, NetError>> {
+    fn connect(&self, ctx: &ProcessCtx, host: MacAddr, port: u16) -> OpResult<Conn> {
         Ok(self
             .sockets
             .connect(ctx, EmpAddr::new(host, port))?
-            .map(|c| Box::new(EmpConnAdapter(c)) as Conn)
-            .map_err(from_sock_err))
+            .map(|c| Box::new(EmpConnAdapter(c)) as Conn))
     }
 
     fn connect_deadline(
@@ -231,12 +191,11 @@ impl NetApi for EmpNet {
         host: MacAddr,
         port: u16,
         deadline: SimDuration,
-    ) -> SimResult<Result<Conn, NetError>> {
+    ) -> OpResult<Conn> {
         Ok(self
             .sockets
             .connect_deadline(ctx, EmpAddr::new(host, port), deadline)?
-            .map(|c| Box::new(EmpConnAdapter(c)) as Conn)
-            .map_err(from_sock_err))
+            .map(|c| Box::new(EmpConnAdapter(c)) as Conn))
     }
 
     fn listen(
@@ -244,12 +203,11 @@ impl NetApi for EmpNet {
         ctx: &ProcessCtx,
         port: u16,
         backlog: usize,
-    ) -> SimResult<Result<Box<dyn NetListener>, NetError>> {
+    ) -> OpResult<Box<dyn NetListener>> {
         Ok(self
             .sockets
             .listen(ctx, port, backlog)?
-            .map(|l| Box::new(EmpListenerAdapter(l)) as Box<dyn NetListener>)
-            .map_err(from_sock_err))
+            .map(|l| Box::new(EmpListenerAdapter(l)) as Box<dyn NetListener>))
     }
 
     fn poll(
@@ -257,7 +215,7 @@ impl NetApi for EmpNet {
         ctx: &ProcessCtx,
         sources: &[PollSource<'_>],
         timeout: Option<SimDuration>,
-    ) -> SimResult<Result<Vec<Event>, NetError>> {
+    ) -> OpResult<Vec<Event>> {
         let mut set = PollSet::new();
         for src in sources {
             match &src.target {
@@ -267,19 +225,12 @@ impl NetApi for EmpNet {
                 }
             }
         }
-        Ok(set.poll(ctx, timeout)?.map_err(from_sock_err))
+        set.poll(ctx, timeout)
     }
 
-    fn select_readable(
-        &self,
-        ctx: &ProcessCtx,
-        conns: &[&Conn],
-    ) -> SimResult<Result<usize, NetError>> {
+    fn select_readable(&self, ctx: &ProcessCtx, conns: &[&Conn]) -> OpResult<usize> {
         let inner: Vec<&Connection> = conns.iter().map(|c| emp_conn(c)).collect();
-        Ok(self
-            .sockets
-            .select_readable(ctx, &inner)?
-            .map_err(from_sock_err))
+        self.sockets.select_readable(ctx, &inner)
     }
 
     fn local_host(&self) -> MacAddr {
@@ -327,19 +278,6 @@ impl KernelNet {
 struct TcpConnAdapter(TcpConn);
 struct TcpListenerAdapter(TcpListener);
 
-fn from_tcp_err(e: TcpError) -> NetError {
-    match e {
-        TcpError::ConnectionRefused => NetError::Refused,
-        TcpError::ConnectionReset => NetError::PeerClosed,
-        TcpError::Closed => NetError::Closed,
-        TcpError::AddrInUse => NetError::Other("address in use".into()),
-        TcpError::WouldBlock => NetError::WouldBlock,
-        TcpError::Invalid => NetError::Invalid,
-        TcpError::Timeout => NetError::Timeout,
-        TcpError::Exhausted => NetError::Exhausted,
-    }
-}
-
 /// Downcast a facade connection to the kernel stack's.
 fn tcp_conn(c: &Conn) -> &TcpConn {
     &c.as_any()
@@ -357,20 +295,20 @@ fn tcp_listener(l: &dyn NetListener) -> &TcpListener {
 }
 
 impl NetConn for TcpConnAdapter {
-    fn write(&self, ctx: &ProcessCtx, data: &[u8]) -> SimResult<Result<usize, NetError>> {
-        Ok(self.0.write(ctx, data)?.map_err(from_tcp_err))
+    fn write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
+        self.0.write(ctx, data)
     }
 
-    fn read(&self, ctx: &ProcessCtx, max: usize) -> SimResult<Result<Bytes, NetError>> {
-        Ok(self.0.read(ctx, max)?.map_err(from_tcp_err))
+    fn read(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
+        self.0.read(ctx, max)
     }
 
-    fn try_write(&self, ctx: &ProcessCtx, data: &[u8]) -> SimResult<Result<usize, NetError>> {
-        Ok(self.0.try_write(ctx, data)?.map_err(from_tcp_err))
+    fn try_write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
+        self.0.try_write(ctx, data)
     }
 
-    fn try_read(&self, ctx: &ProcessCtx, max: usize) -> SimResult<Result<Bytes, NetError>> {
-        Ok(self.0.try_read(ctx, max)?.map_err(from_tcp_err))
+    fn try_read(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
+        self.0.try_read(ctx, max)
     }
 
     fn read_deadline(
@@ -378,11 +316,8 @@ impl NetConn for TcpConnAdapter {
         ctx: &ProcessCtx,
         max: usize,
         deadline: SimDuration,
-    ) -> SimResult<Result<Bytes, NetError>> {
-        Ok(self
-            .0
-            .read_deadline(ctx, max, deadline)?
-            .map_err(from_tcp_err))
+    ) -> OpResult<Bytes> {
+        self.0.read_deadline(ctx, max, deadline)
     }
 
     fn write_deadline(
@@ -390,11 +325,8 @@ impl NetConn for TcpConnAdapter {
         ctx: &ProcessCtx,
         data: &[u8],
         deadline: SimDuration,
-    ) -> SimResult<Result<usize, NetError>> {
-        Ok(self
-            .0
-            .write_deadline(ctx, data, deadline)?
-            .map_err(from_tcp_err))
+    ) -> OpResult<usize> {
+        self.0.write_deadline(ctx, data, deadline)
     }
 
     fn close(&self, ctx: &ProcessCtx) -> SimResult<()> {
@@ -418,7 +350,7 @@ impl NetConn for TcpConnAdapter {
         _ctx: &ProcessCtx,
         interest: Interest,
         waker: &std::task::Waker,
-    ) -> SimResult<Result<Interest, NetError>> {
+    ) -> OpResult<Interest> {
         // Pure check-and-arm on the stack's activity condvar; the
         // kernel stack has no stateful wake source to disarm, so the
         // default no-op `cancel_ready` is correct here.
@@ -435,36 +367,28 @@ impl NetConn for TcpConnAdapter {
 }
 
 impl NetListener for TcpListenerAdapter {
-    fn accept(&self, ctx: &ProcessCtx) -> SimResult<Result<Conn, NetError>> {
-        let conn = self.0.accept(ctx)?;
-        Ok(Ok(Box::new(TcpConnAdapter(conn)) as Conn))
+    fn accept(&self, ctx: &ProcessCtx) -> OpResult<Conn> {
+        Ok(self
+            .0
+            .accept(ctx)?
+            .map(|c| Box::new(TcpConnAdapter(c)) as Conn))
     }
 
-    fn try_accept(&self, ctx: &ProcessCtx) -> SimResult<Result<Conn, NetError>> {
+    fn try_accept(&self, ctx: &ProcessCtx) -> OpResult<Conn> {
         Ok(self
             .0
             .try_accept(ctx)?
-            .map(|c| Box::new(TcpConnAdapter(c)) as Conn)
-            .map_err(from_tcp_err))
+            .map(|c| Box::new(TcpConnAdapter(c)) as Conn))
     }
 
-    fn accept_deadline(
-        &self,
-        ctx: &ProcessCtx,
-        deadline: SimDuration,
-    ) -> SimResult<Result<Conn, NetError>> {
+    fn accept_deadline(&self, ctx: &ProcessCtx, deadline: SimDuration) -> OpResult<Conn> {
         Ok(self
             .0
             .accept_deadline(ctx, deadline)?
-            .map(|c| Box::new(TcpConnAdapter(c)) as Conn)
-            .map_err(from_tcp_err))
+            .map(|c| Box::new(TcpConnAdapter(c)) as Conn))
     }
 
-    fn poll_acceptable(
-        &self,
-        _ctx: &ProcessCtx,
-        waker: &std::task::Waker,
-    ) -> SimResult<Result<Interest, NetError>> {
+    fn poll_acceptable(&self, _ctx: &ProcessCtx, waker: &std::task::Waker) -> OpResult<Interest> {
         Ok(Ok(self.0.poll_acceptable(waker)))
     }
 
@@ -483,17 +407,11 @@ impl NetListener for TcpListenerAdapter {
 }
 
 impl NetApi for KernelNet {
-    fn connect(
-        &self,
-        ctx: &ProcessCtx,
-        host: MacAddr,
-        port: u16,
-    ) -> SimResult<Result<Conn, NetError>> {
+    fn connect(&self, ctx: &ProcessCtx, host: MacAddr, port: u16) -> OpResult<Conn> {
         Ok(self
             .api
             .connect(ctx, kernel_tcp::SockAddr::new(host, port))?
-            .map(|c| Box::new(TcpConnAdapter(c)) as Conn)
-            .map_err(from_tcp_err))
+            .map(|c| Box::new(TcpConnAdapter(c)) as Conn))
     }
 
     fn connect_deadline(
@@ -502,12 +420,11 @@ impl NetApi for KernelNet {
         host: MacAddr,
         port: u16,
         deadline: SimDuration,
-    ) -> SimResult<Result<Conn, NetError>> {
+    ) -> OpResult<Conn> {
         Ok(self
             .api
             .connect_deadline(ctx, kernel_tcp::SockAddr::new(host, port), deadline)?
-            .map(|c| Box::new(TcpConnAdapter(c)) as Conn)
-            .map_err(from_tcp_err))
+            .map(|c| Box::new(TcpConnAdapter(c)) as Conn))
     }
 
     fn listen(
@@ -515,12 +432,11 @@ impl NetApi for KernelNet {
         ctx: &ProcessCtx,
         port: u16,
         backlog: usize,
-    ) -> SimResult<Result<Box<dyn NetListener>, NetError>> {
+    ) -> OpResult<Box<dyn NetListener>> {
         Ok(self
             .api
             .listen(ctx, port, backlog)?
-            .map(|l| Box::new(TcpListenerAdapter(l)) as Box<dyn NetListener>)
-            .map_err(from_tcp_err))
+            .map(|l| Box::new(TcpListenerAdapter(l)) as Box<dyn NetListener>))
     }
 
     fn poll(
@@ -528,7 +444,7 @@ impl NetApi for KernelNet {
         ctx: &ProcessCtx,
         sources: &[PollSource<'_>],
         timeout: Option<SimDuration>,
-    ) -> SimResult<Result<Vec<Event>, NetError>> {
+    ) -> OpResult<Vec<Event>> {
         let inner: Vec<TcpPollSource<'_>> = sources
             .iter()
             .map(|src| TcpPollSource {
@@ -540,16 +456,12 @@ impl NetApi for KernelNet {
                 interest: src.interest,
             })
             .collect();
-        Ok(self.api.poll(ctx, &inner, timeout)?.map_err(from_tcp_err))
+        self.api.poll(ctx, &inner, timeout)
     }
 
-    fn select_readable(
-        &self,
-        ctx: &ProcessCtx,
-        conns: &[&Conn],
-    ) -> SimResult<Result<usize, NetError>> {
+    fn select_readable(&self, ctx: &ProcessCtx, conns: &[&Conn]) -> OpResult<usize> {
         let inner: Vec<&TcpConn> = conns.iter().map(|c| tcp_conn(c)).collect();
-        Ok(self.api.select_readable(ctx, &inner)?.map_err(from_tcp_err))
+        self.api.select_readable(ctx, &inner)
     }
 
     fn local_host(&self) -> MacAddr {

@@ -9,78 +9,29 @@ use std::any::Any;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use simnet::{MacAddr, ProcessCtx, SimDuration, SimResult, SimTime};
+use simnet::{MacAddr, OpResult, ProcessCtx, SimDuration, SimResult, SimTime};
 
 pub use simnet::ring::{
-    Cqe, CqeResult, OpError, RingConfig, RingCounters, RingDepths, RingError, RingOp, Sqe,
+    Cqe, CqeResult, RingConfig, RingCounters, RingDepths, RingError, RingOp, Sqe,
 };
-pub use simnet::{Event, Interest};
-
-/// Unified socket errors across stacks.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum NetError {
-    /// Nobody listening (or backlog overflow).
-    Refused,
-    /// Local socket closed.
-    Closed,
-    /// Peer closed or reset.
-    PeerClosed,
-    /// Message exceeds what the receiver accepts (datagram substrates).
-    TooBig,
-    /// A nonblocking operation found nothing to do (EAGAIN); retry after
-    /// [`NetApi::poll`] reports readiness.
-    WouldBlock,
-    /// Invalid argument (EINVAL): e.g. a poll that could never wake.
-    Invalid,
-    /// A deadline expired before the operation completed (ETIMEDOUT):
-    /// a bounded connect, or a deadlined read/write/accept.
-    Timeout,
-    /// A resource budget was exhausted (ENOBUFS): connection budgets,
-    /// reorder-buffer caps, registered-buffer pools. Both stacks surface
-    /// the same variant for the same exhaustion condition.
-    Exhausted,
-    /// Anything else.
-    Other(String),
-}
-
-impl std::fmt::Display for NetError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NetError::Refused => write!(f, "connection refused"),
-            NetError::Closed => write!(f, "socket closed"),
-            NetError::PeerClosed => write!(f, "peer closed"),
-            NetError::TooBig => write!(f, "message too big"),
-            NetError::WouldBlock => write!(f, "operation would block"),
-            NetError::Invalid => write!(f, "invalid argument"),
-            NetError::Timeout => write!(f, "operation timed out"),
-            NetError::Exhausted => write!(f, "resource budget exhausted"),
-            NetError::Other(m) => write!(f, "{m}"),
-        }
-    }
-}
-
-impl std::error::Error for NetError {}
+pub use simnet::{Event, Interest, NetError};
 
 /// One established connection.
 pub trait NetConn: Send + Sync + 'static {
     /// Write the whole buffer (blocking).
-    fn write(&self, ctx: &ProcessCtx, data: &[u8]) -> SimResult<Result<usize, NetError>>;
+    fn write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize>;
     /// Read up to `max` bytes; empty = EOF.
-    fn read(&self, ctx: &ProcessCtx, max: usize) -> SimResult<Result<Bytes, NetError>>;
+    fn read(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes>;
     /// Nonblocking write: accept what fits right now (a partial count);
     /// [`NetError::WouldBlock`] when no byte could be taken.
-    fn try_write(&self, ctx: &ProcessCtx, data: &[u8]) -> SimResult<Result<usize, NetError>>;
+    fn try_write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize>;
     /// Nonblocking read: serve what is already there; empty = EOF;
     /// [`NetError::WouldBlock`] when a blocking read would park.
-    fn try_read(&self, ctx: &ProcessCtx, max: usize) -> SimResult<Result<Bytes, NetError>>;
+    fn try_read(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes>;
     /// [`Self::read`] bounded by `deadline`: [`NetError::Timeout`] when
     /// nothing becomes readable in time.
-    fn read_deadline(
-        &self,
-        ctx: &ProcessCtx,
-        max: usize,
-        deadline: SimDuration,
-    ) -> SimResult<Result<Bytes, NetError>>;
+    fn read_deadline(&self, ctx: &ProcessCtx, max: usize, deadline: SimDuration)
+        -> OpResult<Bytes>;
     /// [`Self::write`] bounded by `deadline`: returns the (possibly
     /// short) count accepted before the deadline; [`NetError::Timeout`]
     /// when not a single byte was taken in time.
@@ -89,7 +40,7 @@ pub trait NetConn: Send + Sync + 'static {
         ctx: &ProcessCtx,
         data: &[u8],
         deadline: SimDuration,
-    ) -> SimResult<Result<usize, NetError>>;
+    ) -> OpResult<usize>;
     /// Orderly close.
     fn close(&self, ctx: &ProcessCtx) -> SimResult<()>;
     /// Would `read` return without blocking?
@@ -107,7 +58,7 @@ pub trait NetConn: Send + Sync + 'static {
     /// Flush any writes the stack buffered for aggregation (the EMP
     /// substrate's small-write coalescing). No-op on stacks without a
     /// staging buffer.
-    fn flush(&self, _ctx: &ProcessCtx) -> SimResult<Result<(), NetError>> {
+    fn flush(&self, _ctx: &ProcessCtx) -> OpResult<()> {
         Ok(Ok(()))
     }
 
@@ -134,17 +85,17 @@ pub trait NetConn: Send + Sync + 'static {
         ctx: &ProcessCtx,
         interest: Interest,
         waker: &std::task::Waker,
-    ) -> SimResult<Result<Interest, NetError>>;
+    ) -> OpResult<Interest>;
 
     /// Disarm any stateful wake source a prior [`Self::poll_ready`]
     /// armed. Idempotent; the drop-guard hook for cancelled futures.
     /// No-op on stacks whose wake sources are stateless.
-    fn cancel_ready(&self, _ctx: &ProcessCtx) -> SimResult<Result<(), NetError>> {
+    fn cancel_ready(&self, _ctx: &ProcessCtx) -> OpResult<()> {
         Ok(Ok(()))
     }
 
     /// Read exactly `n` bytes; `None` on premature EOF.
-    fn read_exact(&self, ctx: &ProcessCtx, n: usize) -> SimResult<Result<Option<Bytes>, NetError>> {
+    fn read_exact(&self, ctx: &ProcessCtx, n: usize) -> OpResult<Option<Bytes>> {
         let mut buf = Vec::with_capacity(n);
         while buf.len() < n {
             let chunk = match self.read(ctx, n - buf.len())? {
@@ -166,25 +117,17 @@ pub type Conn = Box<dyn NetConn>;
 /// A listening socket.
 pub trait NetListener: Send + Sync + 'static {
     /// Block for the next connection.
-    fn accept(&self, ctx: &ProcessCtx) -> SimResult<Result<Conn, NetError>>;
+    fn accept(&self, ctx: &ProcessCtx) -> OpResult<Conn>;
     /// Nonblocking accept: [`NetError::WouldBlock`] on an empty backlog.
-    fn try_accept(&self, ctx: &ProcessCtx) -> SimResult<Result<Conn, NetError>>;
+    fn try_accept(&self, ctx: &ProcessCtx) -> OpResult<Conn>;
     /// [`Self::accept`] bounded by `deadline`: [`NetError::Timeout`]
     /// when no connection arrives in time.
-    fn accept_deadline(
-        &self,
-        ctx: &ProcessCtx,
-        deadline: SimDuration,
-    ) -> SimResult<Result<Conn, NetError>>;
+    fn accept_deadline(&self, ctx: &ProcessCtx, deadline: SimDuration) -> OpResult<Conn>;
     /// Nonblocking acceptability check that arms a [`std::task::Waker`]:
     /// [`Interest::ACCEPTABLE`] when the backlog is non-empty, otherwise
     /// empty with `waker` armed for the next arrival. Same
     /// check-then-arm contract as [`NetConn::poll_ready`].
-    fn poll_acceptable(
-        &self,
-        ctx: &ProcessCtx,
-        waker: &std::task::Waker,
-    ) -> SimResult<Result<Interest, NetError>>;
+    fn poll_acceptable(&self, ctx: &ProcessCtx, waker: &std::task::Waker) -> OpResult<Interest>;
     /// Stop listening.
     fn close(&self, ctx: &ProcessCtx) -> SimResult<()>;
     /// Downcast support for stack-specific `poll()`.
@@ -252,7 +195,7 @@ pub trait NetRing {
     /// The geometry this ring was built with.
     fn cfg(&self) -> RingConfig;
     /// Cancel one queued op by `user_data`: it completes with
-    /// [`OpError::Cancelled`] (buffer returned on reap as usual) and
+    /// [`NetError::Cancelled`] (buffer returned on reap as usual) and
     /// the remaining per-target FIFO order is preserved. `false` when
     /// no queued op carries that `user_data` (already completed, or
     /// mid-flight past the point of no return).
@@ -279,12 +222,7 @@ pub trait NetRing {
 /// One node's sockets interface.
 pub trait NetApi: Send + Sync + 'static {
     /// Active open.
-    fn connect(
-        &self,
-        ctx: &ProcessCtx,
-        host: MacAddr,
-        port: u16,
-    ) -> SimResult<Result<Conn, NetError>>;
+    fn connect(&self, ctx: &ProcessCtx, host: MacAddr, port: u16) -> OpResult<Conn>;
     /// Active open bounded by `deadline`, with typed outcomes on both
     /// stacks: [`NetError::Refused`] when the remote positively refused
     /// (no listener, full backlog), [`NetError::Timeout`] when nobody
@@ -296,14 +234,10 @@ pub trait NetApi: Send + Sync + 'static {
         host: MacAddr,
         port: u16,
         deadline: SimDuration,
-    ) -> SimResult<Result<Conn, NetError>>;
+    ) -> OpResult<Conn>;
     /// Passive open.
-    fn listen(
-        &self,
-        ctx: &ProcessCtx,
-        port: u16,
-        backlog: usize,
-    ) -> SimResult<Result<Box<dyn NetListener>, NetError>>;
+    fn listen(&self, ctx: &ProcessCtx, port: u16, backlog: usize)
+        -> OpResult<Box<dyn NetListener>>;
     /// Block until at least one source is ready (or the timeout expires —
     /// then the empty vector), returning every ready one. The heart of an
     /// event-loop server: connections and listeners in one wait.
@@ -312,14 +246,10 @@ pub trait NetApi: Send + Sync + 'static {
         ctx: &ProcessCtx,
         sources: &[PollSource<'_>],
         timeout: Option<SimDuration>,
-    ) -> SimResult<Result<Vec<Event>, NetError>>;
+    ) -> OpResult<Vec<Event>>;
     /// Block until one of `conns` is readable; returns its index. An
     /// empty set is [`NetError::Invalid`].
-    fn select_readable(
-        &self,
-        ctx: &ProcessCtx,
-        conns: &[&Conn],
-    ) -> SimResult<Result<usize, NetError>>;
+    fn select_readable(&self, ctx: &ProcessCtx, conns: &[&Conn]) -> OpResult<usize>;
     /// This node's station address.
     fn local_host(&self) -> MacAddr;
     /// Short label for reports ("emp-ds", "tcp-16k", ...).

@@ -1,11 +1,12 @@
-//! Unit tests for the facade layer: error display/mapping and adapter
-//! plumbing that the application tests exercise only indirectly.
+//! Unit tests for the facade layer: error display, cross-stack errors
+//! and adapter plumbing that the application tests exercise only
+//! indirectly.
 
 #![cfg(test)]
 
-use crate::api::NetError;
+use crate::api::{CqeResult, NetError, NetRing, RingConfig, RingOp, Sqe};
 use crate::testbed::Testbed;
-use simnet::{Sim, SimDuration};
+use simnet::{ProcessCtx, Sim, SimAccess, SimDuration, SimResult, SimTime};
 use std::sync::Arc;
 
 #[test]
@@ -13,8 +14,14 @@ fn net_error_displays() {
     assert_eq!(NetError::Refused.to_string(), "connection refused");
     assert_eq!(NetError::Closed.to_string(), "socket closed");
     assert_eq!(NetError::PeerClosed.to_string(), "peer closed");
-    assert_eq!(NetError::TooBig.to_string(), "message too big");
-    assert_eq!(NetError::Other("x".into()).to_string(), "x");
+    assert_eq!(
+        NetError::TooBig {
+            size: 100,
+            limit: 64
+        }
+        .to_string(),
+        "message of 100 bytes exceeds receiver limit 64"
+    );
 }
 
 #[test]
@@ -73,11 +80,35 @@ fn cross_stack_adapters_are_independent() {
     assert_ne!(a.nodes[0].api.label(), b.nodes[0].api.label());
 }
 
-/// One scenario, both stacks, one trace: each overload condition must
-/// surface the *same* typed [`NetError`] through the facade regardless
-/// of which stack produced it. This is the differential test for the
-/// unified error taxonomy — refusal, deadline expiry, and budget
-/// exhaustion are three distinct, deterministic outcomes everywhere.
+/// Run one op through a facade ring to its completion and return why it
+/// failed. Stalled ops give up after 5 ms, like the facade probes.
+fn ring_failure(ctx: &ProcessCtx, ring: &mut dyn NetRing, op: RingOp) -> SimResult<NetError> {
+    let deadline = ctx.now() + SimDuration::from_millis(5);
+    ring.push(Sqe::new(0, op).with_deadline(deadline))
+        .expect("ring has room");
+    ring.submit_and_wait(ctx, 1)?.expect("op committed");
+    match ring.reap(1)[0].result {
+        CqeResult::Failed { err } => Ok(err),
+        other => panic!("{op:?} completed as {other:?}"),
+    }
+}
+
+/// Retire a ring connection (frees its slot in the connection budget).
+fn ring_close(ctx: &ProcessCtx, ring: &mut dyn NetRing, conn: u32) -> SimResult<()> {
+    ring.push(Sqe::new(1, RingOp::Close { conn }))
+        .expect("ring has room");
+    ring.submit_and_wait(ctx, 1)?.expect("close committed");
+    assert!(matches!(ring.reap(1)[0].result, CqeResult::Closed { .. }));
+    Ok(())
+}
+
+/// One scenario, both stacks, one trace: each failure condition must
+/// surface the *same* [`NetError`] through the facade regardless of which
+/// stack produced it, and the same again through a completion ring where
+/// the ring has the op. This is the differential test for the unified
+/// error type — refusal, address clash, deadline expiry, budget
+/// exhaustion, a closed listener and a closed peer are distinct,
+/// deterministic outcomes everywhere.
 fn taxonomy_trace(tb: Testbed) -> Vec<String> {
     use simnet::Completion;
     use std::sync::Mutex;
@@ -91,30 +122,47 @@ fn taxonomy_trace(tb: Testbed) -> Vec<String> {
     let t2 = Arc::clone(&trace);
     let probes_done = Completion::new();
     let (pd2, pd3) = (probes_done.clone(), probes_done.clone());
+    let client_done = Completion::new();
+    let (cd2, cd3) = (client_done.clone(), client_done.clone());
     let sdone = Completion::new();
     let sd2 = sdone.clone();
 
     sim.spawn("taxonomy-server", move |ctx| {
         let l = server.listen(ctx, 80, 4)?.expect("port free");
         // Hold both budgeted connections open until the client has run
-        // every probe, so the connection budget stays saturated.
+        // the budget probes, so the connection budget stays saturated.
         let a = l.accept(ctx)?.expect("first conn");
         let b = l.accept(ctx)?.expect("second conn");
         pd2.wait(ctx)?;
         a.close(ctx)?;
         b.close(ctx)?;
+        // A peer that never reads, then one that closes at once.
+        let silent = l.accept(ctx)?.expect("silent conn");
+        l.accept(ctx)?.expect("closing conn").close(ctx)?;
+        cd2.wait(ctx)?;
+        silent.close(ctx)?;
         sd2.complete(ctx);
         Ok(())
     });
     sim.spawn("taxonomy-client", move |ctx| {
         let mut tr = Vec::new();
+        let mut ring = client.ring(RingConfig::default(), "taxonomy");
         // Refusal: nobody listens on port 444.
         let r = client.connect_deadline(ctx, host, 444, ms(50))?;
         tr.push(format!("connect-noone:{:?}", r.err().expect("no listener")));
-        // Deadline on accept: a local listener nobody connects to.
+        // A port can be listened on once.
         let idle = client.listen(ctx, 81, 2)?.expect("port free");
+        let r = client.listen(ctx, 81, 2)?;
+        tr.push(format!("listen-twice:{:?}", r.err().expect("port taken")));
+        // Deadline on accept: a local listener nobody connects to.
         let r = idle.accept_deadline(ctx, ms(5))?;
         tr.push(format!("accept-idle:{:?}", r.err().expect("nobody comes")));
+        // Accept on a closed listener fails instead of parking.
+        idle.close(ctx)?;
+        let r = idle.accept(ctx)?;
+        tr.push(format!("accept-closed:{:?}", r.err().expect("closed")));
+        let r = idle.try_accept(ctx)?;
+        tr.push(format!("try-accept-closed:{:?}", r.err().expect("closed")));
         // Fill the 2-connection budget, then one more.
         let c1 = client
             .connect_deadline(ctx, host, 80, ms(50))?
@@ -127,14 +175,83 @@ fn taxonomy_trace(tb: Testbed) -> Vec<String> {
         // Deadline on read: the server never writes.
         let r = c1.read_deadline(ctx, 64, ms(5))?;
         tr.push(format!("read-idle:{:?}", r.expect_err("silent peer")));
-        c1.close(ctx)?;
+        let id = ring.add_conn(c1);
+        let read = RingOp::Read { conn: id, buf: 0 };
+        tr.push(format!(
+            "ring-read-idle:{:?}",
+            ring_failure(ctx, &mut *ring, read)?
+        ));
+        ring_close(ctx, &mut *ring, id)?;
         c2.close(ctx)?;
-        *t2.lock().unwrap() = tr;
         pd3.complete(ctx);
+        // Let both teardowns finish: closing sockets still count against
+        // the budget.
+        ctx.delay(ms(5))?;
+
+        // Deadline on write: the peer never reads, so flow control stalls.
+        let c3 = client
+            .connect_deadline(ctx, host, 80, ms(50))?
+            .expect("conn 3");
+        let chunk = [7u8; 4096];
+        let mut writes = 0;
+        let err = loop {
+            if let Err(e) = c3.write_deadline(ctx, &chunk, ms(5))? {
+                break e;
+            }
+            writes += 1;
+            assert!(writes < 10_000, "a reader that never reads never stalled");
+        };
+        tr.push(format!("write-blocked:{err:?}"));
+        let id = ring.add_conn(c3);
+        ring.fill(0, &chunk).expect("free buffer");
+        let write = RingOp::Write {
+            conn: id,
+            buf: 0,
+            len: chunk.len() as u32,
+        };
+        tr.push(format!(
+            "ring-write-blocked:{:?}",
+            ring_failure(ctx, &mut *ring, write)?
+        ));
+        ring_close(ctx, &mut *ring, id)?;
+        // Write after the peer closed: EOF first, then the writes fail.
+        let c4 = client
+            .connect_deadline(ctx, host, 80, ms(50))?
+            .expect("conn 4");
+        assert!(c4.read(ctx, 64)?.expect("EOF").is_empty());
+        let mut writes = 0;
+        let err = loop {
+            match c4.write(ctx, b"x")? {
+                Ok(_) => ctx.delay(ms(1))?,
+                Err(e) => break e,
+            }
+            writes += 1;
+            assert!(writes < 10_000, "writes to a closed peer never failed");
+        };
+        tr.push(format!("write-peer-closed:{err:?}"));
+        let id = ring.add_conn(c4);
+        ring.fill(0, b"x").expect("free buffer");
+        let write = RingOp::Write {
+            conn: id,
+            buf: 0,
+            len: 1,
+        };
+        tr.push(format!(
+            "ring-write-peer-closed:{:?}",
+            ring_failure(ctx, &mut *ring, write)?
+        ));
+        ring.shutdown(ctx)?;
+        *t2.lock().unwrap() = tr;
+        cd3.complete(ctx);
         Ok(())
     });
-    sim.run();
-    assert!(sdone.is_done(), "server did not finish");
+    // Stop once the server is done: the substrate would otherwise spend
+    // a second and a half of sim time retransmitting the writes to the
+    // closed peer before giving up on them.
+    assert!(
+        sim.run_until_complete(&sdone, SimTime::MAX),
+        "server did not finish"
+    );
     Arc::try_unwrap(trace).unwrap().into_inner().unwrap()
 }
 
@@ -157,9 +274,17 @@ fn overload_errors_are_typed_identically_on_both_stacks() {
     };
     let want = vec![
         "connect-noone:Refused".to_string(),
+        "listen-twice:AddrInUse".to_string(),
         "accept-idle:Timeout".to_string(),
+        "accept-closed:Closed".to_string(),
+        "try-accept-closed:Closed".to_string(),
         "connect-overbudget:Exhausted".to_string(),
         "read-idle:Timeout".to_string(),
+        "ring-read-idle:Timeout".to_string(),
+        "write-blocked:Timeout".to_string(),
+        "ring-write-blocked:Timeout".to_string(),
+        "write-peer-closed:PeerClosed".to_string(),
+        "ring-write-peer-closed:PeerClosed".to_string(),
     ];
     assert_eq!(emp, want, "substrate taxonomy");
     assert_eq!(tcp, want, "kernel taxonomy");

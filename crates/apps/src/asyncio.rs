@@ -11,16 +11,16 @@
 //!
 //! Two wake sources feed the futures:
 //!
-//! * **readiness** — [`NetConn::poll_ready`]/[`NetListener::poll_acceptable`]
-//!   arm a waker in the stack's readiness layer; the leaf futures here
-//!   retry the nonblocking call after each wake (`try_read` →
-//!   `WouldBlock` → wait readable → retry);
+//! * **readiness** — [`crate::NetConn::poll_ready`] and
+//!   [`NetListener::poll_acceptable`] arm a waker in the stack's readiness
+//!   layer; the leaf futures here retry the nonblocking call after each
+//!   wake (`try_read` → `WouldBlock` → wait readable → retry);
 //! * **completion** — [`AsyncRing`] wraps a [`NetRing`] and parks ops as
 //!   futures on their CQEs via [`NetRing::register_waker`].
 //!
 //! Cancellation is dropping the future. A dropped readiness wait disarms
-//! the stateful wake sources it armed ([`NetConn::cancel_ready`] — the
-//! substrate's flow-control ack watch); a dropped ring op is cancelled in
+//! the stateful wake sources it armed ([`crate::NetConn::cancel_ready`] —
+//! the substrate's flow-control ack watch); a dropped ring op is cancelled in
 //! the submission queue ([`NetRing::cancel`]) or, when already past that
 //! point, marked abandoned so its completion is discarded and its buffer
 //! returned on the next reap. Deadlines compose the same way:
@@ -38,10 +38,12 @@ use std::task::{Context, Poll, Waker};
 use bytes::Bytes;
 use emp_async::{try_with_ctx, with_ctx, LocalExecutor};
 use parking_lot::Mutex;
-use simnet::{MacAddr, ProcessCtx, SimAccess, SimAccessExt, SimDuration, SimResult, SimTime};
+use simnet::{
+    MacAddr, OpResult, ProcessCtx, SimAccess, SimAccessExt, SimDuration, SimResult, SimTime,
+};
 
 use crate::api::{
-    Api, Conn, CqeResult, Interest, NetApi, NetError, NetListener, NetRing, OpError, RingConfig,
+    Api, Conn, CqeResult, Interest, NetApi, NetError, NetListener, NetRing, RingConfig,
     RingCounters, RingDepths, RingOp, Sqe,
 };
 
@@ -74,11 +76,7 @@ impl AsyncConnector {
     /// Active open. The blocking handshake runs on a helper process
     /// ([`emp_async::spawn_blocking`]), so sibling tasks keep running
     /// while this connection is being set up.
-    pub async fn connect(
-        &self,
-        host: MacAddr,
-        port: u16,
-    ) -> SimResult<Result<AsyncStream, NetError>> {
+    pub async fn connect(&self, host: MacAddr, port: u16) -> OpResult<AsyncStream> {
         let api = Arc::clone(&self.api);
         let res =
             emp_async::spawn_blocking("async-connect", move |ctx| api.connect(ctx, host, port))
@@ -93,7 +91,7 @@ impl AsyncConnector {
         host: MacAddr,
         port: u16,
         deadline: SimDuration,
-    ) -> SimResult<Result<AsyncStream, NetError>> {
+    ) -> OpResult<AsyncStream> {
         let api = Arc::clone(&self.api);
         let res = emp_async::spawn_blocking("async-connect", move |ctx| {
             api.connect_deadline(ctx, host, port, deadline)
@@ -103,11 +101,7 @@ impl AsyncConnector {
     }
 
     /// Passive open: bind `port` and move to the listening phase.
-    pub async fn listen(
-        &self,
-        port: u16,
-        backlog: usize,
-    ) -> SimResult<Result<AsyncListener, NetError>> {
+    pub async fn listen(&self, port: u16, backlog: usize) -> OpResult<AsyncListener> {
         let res = with_ctx(|ctx| self.api.listen(ctx, port, backlog))?;
         Ok(res.map(AsyncListener::new))
     }
@@ -135,7 +129,7 @@ impl AsyncListener {
     }
 
     /// Await the next connection.
-    pub async fn accept(&self) -> SimResult<Result<AsyncStream, NetError>> {
+    pub async fn accept(&self) -> OpResult<AsyncStream> {
         loop {
             match with_ctx(|ctx| self.l.try_accept(ctx))? {
                 Ok(c) => return Ok(Ok(AsyncStream::new(c))),
@@ -150,10 +144,7 @@ impl AsyncListener {
 
     /// [`Self::accept`] bounded by `deadline`: dropping the losing
     /// accept future is its cancellation.
-    pub async fn accept_deadline(
-        &self,
-        deadline: SimDuration,
-    ) -> SimResult<Result<AsyncStream, NetError>> {
+    pub async fn accept_deadline(&self, deadline: SimDuration) -> OpResult<AsyncStream> {
         match emp_async::timeout(deadline, self.accept()).await {
             Some(r) => r,
             None => Ok(Err(NetError::Timeout)),
@@ -167,7 +158,7 @@ impl AsyncListener {
 }
 
 /// Resolve when the listener's backlog is non-empty.
-async fn acceptable(l: &dyn NetListener) -> SimResult<Result<Interest, NetError>> {
+async fn acceptable(l: &dyn NetListener) -> OpResult<Interest> {
     poll_fn(|cx| {
         with_ctx(|ctx| match l.poll_acceptable(ctx, cx.waker()) {
             Err(e) => Poll::Ready(Err(e)),
@@ -208,7 +199,7 @@ impl AsyncStream {
     }
 
     /// Read up to `max` bytes; empty = EOF.
-    pub async fn read(&self, max: usize) -> SimResult<Result<Bytes, NetError>> {
+    pub async fn read(&self, max: usize) -> OpResult<Bytes> {
         loop {
             match with_ctx(|ctx| self.conn.try_read(ctx, max))? {
                 Ok(b) => return Ok(Ok(b)),
@@ -222,7 +213,7 @@ impl AsyncStream {
     }
 
     /// Read exactly `n` bytes; `None` on premature EOF.
-    pub async fn read_exact(&self, n: usize) -> SimResult<Result<Option<Bytes>, NetError>> {
+    pub async fn read_exact(&self, n: usize) -> OpResult<Option<Bytes>> {
         let mut buf = Vec::with_capacity(n);
         while buf.len() < n {
             let chunk = match self.read(n - buf.len()).await? {
@@ -239,11 +230,7 @@ impl AsyncStream {
 
     /// [`Self::read`] bounded by `deadline`. The timed-out read future
     /// is dropped — its drop guard disarms whatever it had armed.
-    pub async fn read_deadline(
-        &self,
-        max: usize,
-        deadline: SimDuration,
-    ) -> SimResult<Result<Bytes, NetError>> {
+    pub async fn read_deadline(&self, max: usize, deadline: SimDuration) -> OpResult<Bytes> {
         match emp_async::timeout(deadline, self.read(max)).await {
             Some(r) => r,
             None => Ok(Err(NetError::Timeout)),
@@ -251,7 +238,7 @@ impl AsyncStream {
     }
 
     /// Write the whole buffer, waiting out flow control between chunks.
-    pub async fn write_all(&self, data: &[u8]) -> SimResult<Result<(), NetError>> {
+    pub async fn write_all(&self, data: &[u8]) -> OpResult<()> {
         let mut sent = 0;
         while sent < data.len() {
             match with_ctx(|ctx| self.conn.try_write(ctx, &data[sent..]))? {
@@ -269,11 +256,7 @@ impl AsyncStream {
 
     /// [`Self::write_all`] bounded by `deadline`; a cancelled write
     /// disarms the substrate's flow-control ack watch on the way out.
-    pub async fn write_all_deadline(
-        &self,
-        data: &[u8],
-        deadline: SimDuration,
-    ) -> SimResult<Result<(), NetError>> {
+    pub async fn write_all_deadline(&self, data: &[u8], deadline: SimDuration) -> OpResult<()> {
         match emp_async::timeout(deadline, self.write_all(data)).await {
             Some(r) => r,
             None => Ok(Err(NetError::Timeout)),
@@ -281,12 +264,12 @@ impl AsyncStream {
     }
 
     /// Push out anything the stack staged for aggregation.
-    pub async fn flush(&self) -> SimResult<Result<(), NetError>> {
+    pub async fn flush(&self) -> OpResult<()> {
         with_ctx(|ctx| self.conn.flush(ctx))
     }
 
     /// Await readiness without performing I/O — the async `poll()`.
-    pub async fn ready(&self, interest: Interest) -> SimResult<Result<Interest, NetError>> {
+    pub async fn ready(&self, interest: Interest) -> OpResult<Interest> {
         Readiness::new(&self.conn, interest).await
     }
 
@@ -296,7 +279,7 @@ impl AsyncStream {
     }
 }
 
-/// Leaf future over [`NetConn::poll_ready`]: resolves when any of
+/// Leaf future over [`crate::NetConn::poll_ready`]: resolves when any of
 /// `interest` is ready. Its `Drop` is the cancellation path — when the
 /// wait is abandoned mid-flight (deadline fired, task dropped) it
 /// disarms the stateful wake sources registration armed.
@@ -318,7 +301,7 @@ impl<'a> Readiness<'a> {
 }
 
 impl Future for Readiness<'_> {
-    type Output = SimResult<Result<Interest, NetError>>;
+    type Output = OpResult<Interest>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
@@ -462,7 +445,7 @@ enum Done {
     /// `Close` retired the connection.
     Closed,
     /// The op failed.
-    Failed(OpError),
+    Failed(NetError),
 }
 
 struct RingInner {
@@ -497,20 +480,6 @@ type RingWaiters = Arc<Mutex<BTreeMap<u64, Waker>>>;
 pub struct AsyncRing {
     inner: Rc<RefCell<RingInner>>,
     waiters: RingWaiters,
-}
-
-fn op_err(e: OpError) -> NetError {
-    match e {
-        OpError::Refused => NetError::Refused,
-        OpError::Closed => NetError::Closed,
-        OpError::PeerClosed => NetError::PeerClosed,
-        OpError::TooBig => NetError::TooBig,
-        OpError::Invalid => NetError::Invalid,
-        OpError::Timeout => NetError::Timeout,
-        OpError::Exhausted => NetError::Exhausted,
-        OpError::Cancelled => NetError::Other("op cancelled".into()),
-        OpError::Other => NetError::Other("ring op failed".into()),
-    }
 }
 
 /// Drain the completion queue into the stash, copying read payloads out
@@ -581,36 +550,28 @@ impl AsyncRing {
     }
 
     /// Await the next connection on a registered listener.
-    pub async fn accept(&self, listener: u32) -> SimResult<Result<u32, NetError>> {
+    pub async fn accept(&self, listener: u32) -> OpResult<u32> {
         match self.submit(RingOp::Accept { listener }, None, None).await? {
             Done::Accepted(conn) => Ok(Ok(conn)),
-            Done::Failed(e) => Ok(Err(op_err(e))),
+            Done::Failed(e) => Ok(Err(e)),
             _ => unreachable!("accept completes as Accepted or Failed"),
         }
     }
 
     /// Await one read on `conn` (up to one registered buffer's worth);
     /// empty = EOF.
-    pub async fn read(&self, conn: u32) -> SimResult<Result<Bytes, NetError>> {
+    pub async fn read(&self, conn: u32) -> OpResult<Bytes> {
         self.read_inner(conn, None).await
     }
 
     /// [`Self::read`] with an absolute per-op deadline
     /// ([`NetError::Timeout`] when it passes while the op would still
     /// block).
-    pub async fn read_deadline(
-        &self,
-        conn: u32,
-        deadline: SimTime,
-    ) -> SimResult<Result<Bytes, NetError>> {
+    pub async fn read_deadline(&self, conn: u32, deadline: SimTime) -> OpResult<Bytes> {
         self.read_inner(conn, Some(deadline)).await
     }
 
-    async fn read_inner(
-        &self,
-        conn: u32,
-        deadline: Option<SimTime>,
-    ) -> SimResult<Result<Bytes, NetError>> {
+    async fn read_inner(&self, conn: u32, deadline: Option<SimTime>) -> OpResult<Bytes> {
         let buf = self.take_buf();
         match self
             .submit(RingOp::Read { conn, buf }, Some(buf), deadline)
@@ -618,14 +579,14 @@ impl AsyncRing {
         {
             Done::Data(b) => Ok(Ok(b)),
             Done::Eof => Ok(Ok(Bytes::new())),
-            Done::Failed(e) => Ok(Err(op_err(e))),
+            Done::Failed(e) => Ok(Err(e)),
             _ => unreachable!("read completes as Read, Close, or Failed"),
         }
     }
 
     /// Write the whole buffer through registered buffers, one chunk in
     /// flight at a time.
-    pub async fn write_all(&self, conn: u32, data: &[u8]) -> SimResult<Result<(), NetError>> {
+    pub async fn write_all(&self, conn: u32, data: &[u8]) -> OpResult<()> {
         let chunk_cap = self.inner.borrow().cfg.buf_size;
         let mut sent = 0;
         while sent < data.len() {
@@ -643,7 +604,7 @@ impl AsyncRing {
             };
             match self.submit(op, Some(buf), None).await? {
                 Done::Wrote(n) => sent += n as usize,
-                Done::Failed(e) => return Ok(Err(op_err(e))),
+                Done::Failed(e) => return Ok(Err(e)),
                 _ => unreachable!("write completes as Wrote or Failed"),
             }
         }
@@ -651,10 +612,10 @@ impl AsyncRing {
     }
 
     /// Retire a registered connection.
-    pub async fn close_conn(&self, conn: u32) -> SimResult<Result<(), NetError>> {
+    pub async fn close_conn(&self, conn: u32) -> OpResult<()> {
         match self.submit(RingOp::Close { conn }, None, None).await? {
             Done::Closed => Ok(Ok(())),
-            Done::Failed(e) => Ok(Err(op_err(e))),
+            Done::Failed(e) => Ok(Err(e)),
             _ => unreachable!("close completes as Closed or Failed"),
         }
     }

@@ -7,7 +7,7 @@
 //! attempt ends in exactly one typed outcome (served, degraded, refused,
 //! timed out), goodput stays near its saturated peak, and nothing leaks.
 //! This module is the workload that demonstrates it, written once
-//! against the [`NetApi`] facade so both stacks face the identical
+//! against the [`crate::NetApi`] facade so both stacks face the identical
 //! storm.
 //!
 //! The server is a bounded-everything event loop: bounded accept

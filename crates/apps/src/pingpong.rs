@@ -148,7 +148,7 @@ fn pingpong_run(
 ///
 /// §7.4: TCP's connect blocks ~200-250 µs for the kernel handshake; the
 /// substrate's connect is a single posted message ("the connection time
-/// of the substrate [reduces] to the time required by a message
+/// of the substrate \[reduces\] to the time required by a message
 /// exchange") and returns almost immediately.
 pub fn connect_times_us(sim: &Sim, tb: &Testbed, iters: u32) -> (f64, f64) {
     assert!(tb.nodes.len() >= 2);

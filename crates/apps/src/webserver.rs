@@ -152,7 +152,7 @@ pub fn run_once(tb: &Testbed, version: HttpVersion, response_size: usize, reqs: 
 /// actually taken the connection, not while it sits in the backlog.
 const HELLO_BYTE: u8 = b'+';
 
-/// Byte a shedding server answers instead of [`HELLO_BYTE`] when the
+/// Byte a shedding server answers instead of the greeting byte when the
 /// connection is over its concurrency budget — the HTTP-503 of this
 /// one-byte protocol. Clients see it and back off deterministically.
 pub const SHED_BYTE: u8 = b'!';

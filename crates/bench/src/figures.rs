@@ -648,7 +648,7 @@ fn run_tcp_bulk(sim: &Sim, cluster: &kernel_tcp::TcpCluster, total: usize) {
     let addr = SockAddr::new(cluster.nodes[1].addr(), 9);
     sim.spawn("cpu-sink", move |ctx| {
         let l = api_s.listen(ctx, 9, 4)?.expect("port");
-        let c = l.accept(ctx)?;
+        let c = l.accept(ctx)?.expect("conn");
         let mut got = 0;
         while got < total {
             let d = c.read(ctx, 64 * 1024)?.expect("data");

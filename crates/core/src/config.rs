@@ -28,7 +28,7 @@ pub struct RetryPolicy {
     /// Backoff ceiling: intervals never exceed this.
     pub max_backoff: SimDuration,
     /// Give up after this many *send attempts* (the initial request
-    /// counts as attempt one), surfacing [`crate::SockError::Timeout`].
+    /// counts as attempt one), surfacing [`crate::NetError::Timeout`].
     pub max_attempts: u32,
     /// Overall wall-clock budget for the whole connect, retries included.
     pub deadline: SimDuration,
@@ -190,7 +190,7 @@ pub struct SubstrateConfig {
     /// immediately and pipelines data behind the request (§7.4). `Some(d)`
     /// makes `connect()` block until the request is acknowledged, resending
     /// it with exponential backoff, and fail with
-    /// [`crate::SockError::Timeout`] once `d` elapses with no answer — the
+    /// [`crate::NetError::Timeout`] once `d` elapses with no answer — the
     /// behaviour an application wants against a possibly-dead station.
     pub connect_timeout: Option<SimDuration>,
     /// Full connect retry policy (jittered exponential backoff, attempt
@@ -199,27 +199,27 @@ pub struct SubstrateConfig {
     pub connect_retry: Option<RetryPolicy>,
     /// Per-process connection budget: `connect()`/`accept()` beyond this
     /// many live connections fail with
-    /// [`crate::SockError::ResourceExhausted`] instead of consuming
+    /// [`crate::NetError::Exhausted`] instead of consuming
     /// descriptors and registered buffers without bound. `None` (default)
     /// bounds connections only by the tag space.
     pub max_connections: Option<usize>,
     /// Byte cap on a connection's out-of-order reorder buffer. A stream
     /// whose gap message is lost can otherwise park an unbounded number of
     /// acked-but-undeliverable payloads; at the cap the connection is
-    /// poisoned with [`crate::SockError::ResourceExhausted`] (the bytes
+    /// poisoned with [`crate::NetError::Exhausted`] (the bytes
     /// were EMP-acked, so dropping them silently would corrupt the
     /// stream). `None` (default) keeps the buffer unbounded.
     pub reorder_cap_bytes: Option<usize>,
     /// Write-stall detector: a blocking stream write that waits longer
     /// than this for a flow-control credit fails with
-    /// [`crate::SockError::Timeout`] — the slowloris defence (a reader
+    /// [`crate::NetError::Timeout`] — the slowloris defence (a reader
     /// that never reads pins the writer forever otherwise). `None`
     /// (default) preserves blocking-forever semantics.
     pub write_stall_after: Option<SimDuration>,
     /// Ack-starvation watchdog: when a blocking read or credit wait hears
     /// *nothing* from the peer — no data, no credit return, no control
     /// message — for this long, the operation fails with
-    /// [`crate::SockError::PeerGone`] instead of waiting forever. `None`
+    /// [`crate::NetError::PeerGone`] instead of waiting forever. `None`
     /// (the default) preserves the paper's semantics, where a vanished or
     /// deadlocked peer blocks the caller indefinitely (Figure 7 relies on
     /// this).
@@ -308,7 +308,7 @@ impl SubstrateConfig {
 
     /// Bound `connect()` by `deadline`: block until the request is
     /// answered, resending with exponential backoff, and surface
-    /// [`crate::SockError::Timeout`] when the deadline passes.
+    /// [`crate::NetError::Timeout`] when the deadline passes.
     pub fn with_connect_timeout(mut self, deadline: SimDuration) -> Self {
         assert!(!deadline.is_zero(), "a zero connect deadline always fires");
         self.connect_timeout = Some(deadline);
@@ -328,7 +328,7 @@ impl SubstrateConfig {
     }
 
     /// Cap live connections per process at `n`
-    /// ([`crate::SockError::ResourceExhausted`] beyond it).
+    /// ([`crate::NetError::Exhausted`] beyond it).
     pub fn with_max_connections(mut self, n: usize) -> Self {
         assert!(n >= 1, "at least one connection required");
         self.max_connections = Some(n);
@@ -344,7 +344,7 @@ impl SubstrateConfig {
 
     /// Arm the write-stall detector: a blocking write that waits longer
     /// than `patience` for a credit fails with
-    /// [`crate::SockError::Timeout`].
+    /// [`crate::NetError::Timeout`].
     pub fn with_write_stall_after(mut self, patience: SimDuration) -> Self {
         assert!(!patience.is_zero(), "a zero stall patience always fires");
         self.write_stall_after = Some(patience);
@@ -361,7 +361,7 @@ impl SubstrateConfig {
     }
 
     /// Arm the ack-starvation watchdog: blocking operations fail with
-    /// [`crate::SockError::PeerGone`] after `patience` of total silence
+    /// [`crate::NetError::PeerGone`] after `patience` of total silence
     /// from the peer.
     pub fn with_peer_watchdog(mut self, patience: SimDuration) -> Self {
         assert!(!patience.is_zero(), "a zero watchdog always fires");

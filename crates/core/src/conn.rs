@@ -17,11 +17,11 @@ use hostsim::{VirtRange, PAGE_SIZE};
 use parking_lot::Mutex;
 use simnet::emp_trace::{self, EventKind};
 use simnet::{
-    wait_any, Completion, MacAddr, ProcessCtx, SimAccess, SimAccessExt, SimDuration, SimResult,
+    wait_any, Completion, MacAddr, NetError, OpResult, ProcessCtx, SimAccess, SimAccessExt,
+    SimDuration, SimResult,
 };
 
 use crate::config::{SocketType, SubstrateConfig};
-use crate::error::SockError;
 use crate::proto::{Msg, DATA_HEADER, HEADER};
 use crate::tags;
 
@@ -77,7 +77,7 @@ impl ProcShared {
         })
     }
 
-    pub(crate) fn alloc_cid(&self) -> Result<u16, SockError> {
+    pub(crate) fn alloc_cid(&self) -> Result<u16, NetError> {
         let mut st = self.state.lock();
         // Admission control: the per-process connection budget counts live
         // sockets (close() removes them from the active table), so a
@@ -85,7 +85,7 @@ impl ProcShared {
         if let Some(max) = self.cfg.max_connections {
             let live = st.active.values().filter(|w| w.strong_count() > 0).count();
             if live >= max {
-                return Err(SockError::ResourceExhausted);
+                return Err(NetError::Exhausted);
             }
         }
         if st.next_cid <= tags::MAX_CID {
@@ -95,7 +95,7 @@ impl ProcShared {
         }
         st.free_cids
             .pop_front()
-            .ok_or_else(|| SockError::protocol("connection ids exhausted"))
+            .ok_or(NetError::Protocol("connection ids exhausted"))
     }
 
     pub(crate) fn free_cid(&self, cid: u16) {
@@ -320,7 +320,7 @@ pub(crate) struct SockInner {
     /// Set when a resource budget tripped mid-stream (reorder-buffer cap):
     /// the byte stream can no longer be delivered intact, so every
     /// subsequent operation fails with
-    /// [`SockError::ResourceExhausted`]. Sticky until `close()`.
+    /// [`NetError::Exhausted`]. Sticky until `close()`.
     pub(crate) poisoned: bool,
     /// Local write side shut down (half-close); reads keep working.
     pub(crate) write_closed: bool,
@@ -593,7 +593,7 @@ impl SockShared {
     /// Drain the control descriptor if it completed: handles `Close` and
     /// rendezvous grants/refusals, reposting the descriptor while the
     /// connection stays open.
-    pub(crate) fn poll_ctrl(&self, ctx: &ProcessCtx) -> SimResult<Result<(), SockError>> {
+    pub(crate) fn poll_ctrl(&self, ctx: &ProcessCtx) -> OpResult<()> {
         loop {
             let handle = {
                 let i = self.inner.lock();
@@ -625,11 +625,7 @@ impl SockShared {
                 Msg::RndvNak { limit } => {
                     self.inner.lock().rndv_refused = Some(limit as usize);
                 }
-                other => {
-                    return Ok(Err(SockError::protocol(format!(
-                        "unexpected control message {other:?}"
-                    ))))
-                }
+                _ => return Ok(Err(NetError::Protocol("unexpected control message"))),
             }
             if repost {
                 let range = self.inner.lock().ctrl_range;
@@ -664,11 +660,11 @@ impl SockShared {
     }
 
     /// Prune completed fire-and-forget sends; report a failed one.
-    pub(crate) fn reap_sends(&self) -> Result<(), SockError> {
+    pub(crate) fn reap_sends(&self) -> Result<(), NetError> {
         let mut i = self.inner.lock();
         let conn_status = i.conn_send.as_ref().and_then(|h| h.status());
         match conn_status {
-            Some(false) => return Err(SockError::ConnectionRefused),
+            Some(false) => return Err(NetError::Refused),
             Some(true) => i.conn_send = None,
             None => {}
         }
@@ -684,7 +680,7 @@ impl SockShared {
         if failed {
             // The peer stopped posting descriptors: treat as closed.
             i.peer_closed = true;
-            return Err(SockError::PeerClosed);
+            return Err(NetError::PeerClosed);
         }
         Ok(())
     }
@@ -845,15 +841,11 @@ impl SockShared {
     /// Block until any of `watched` fires. With the ack-starvation
     /// watchdog armed ([`crate::SubstrateConfig::peer_gone_after`]), a wait
     /// that hears nothing from the peer for the configured patience fails
-    /// with [`SockError::PeerGone`] instead of parking forever — the
+    /// with [`NetError::PeerGone`] instead of parking forever — the
     /// vanished-peer detection a production substrate needs (a crashed
     /// process never sends `Close`). Every call re-arms the full patience,
     /// so any completion progress resets the watchdog.
-    pub(crate) fn wait_watched(
-        &self,
-        ctx: &ProcessCtx,
-        watched: &[&Completion],
-    ) -> SimResult<Result<(), SockError>> {
+    pub(crate) fn wait_watched(&self, ctx: &ProcessCtx, watched: &[&Completion]) -> OpResult<()> {
         let Some(patience) = self.proc_.cfg.peer_gone_after else {
             wait_any(ctx, watched)?;
             return Ok(Ok(()));
@@ -868,17 +860,13 @@ impl SockShared {
         if watched.iter().any(|c| c.is_done()) {
             Ok(Ok(()))
         } else {
-            Ok(Err(SockError::PeerGone))
+            Ok(Err(NetError::PeerGone))
         }
     }
 
     /// Block until either the given completion or the control channel
     /// fires, then drain control.
-    pub(crate) fn wait_data_or_ctrl(
-        &self,
-        ctx: &ProcessCtx,
-        data: &Completion,
-    ) -> SimResult<Result<(), SockError>> {
+    pub(crate) fn wait_data_or_ctrl(&self, ctx: &ProcessCtx, data: &Completion) -> OpResult<()> {
         self.wait_data_ctrl_or(ctx, data, None)
     }
 
@@ -890,7 +878,7 @@ impl SockShared {
         ctx: &ProcessCtx,
         data: &Completion,
         extra: Option<&Completion>,
-    ) -> SimResult<Result<(), SockError>> {
+    ) -> OpResult<()> {
         let ctrl = self.ctrl_completion();
         let mut watched: Vec<&Completion> = vec![data, &ctrl];
         if let Some(t) = extra {

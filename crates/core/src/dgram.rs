@@ -10,12 +10,11 @@
 
 use bytes::Bytes;
 use simnet::emp_trace::EventKind;
-use simnet::ProcessCtx;
+use simnet::{NetError, OpResult, ProcessCtx};
 
 use crate::conn::{DataSlot, SockShared};
-use crate::error::SockError;
 use crate::proto::{Msg, DATA_HEADER, HEADER};
-use crate::stream::{ok_or_return, OpResult};
+use crate::stream::ok_or_return;
 
 impl SockShared {
     /// Send one datagram. Small messages go eagerly (EMP retransmission
@@ -27,7 +26,7 @@ impl SockShared {
         {
             let i = self.inner.lock();
             if i.closed || i.write_closed {
-                return Ok(Err(SockError::Closed));
+                return Ok(Err(NetError::Closed));
             }
             // A received Close may be a half-close; writes flow until
             // sends actually fail (see `check_writable`'s note).
@@ -61,7 +60,7 @@ impl SockShared {
             {
                 let mut i = self.inner.lock();
                 if let Some(limit) = i.rndv_refused.take() {
-                    return Ok(Err(SockError::MessageTooBig {
+                    return Ok(Err(NetError::TooBig {
                         size: data.len(),
                         limit,
                     }));
@@ -71,10 +70,10 @@ impl SockShared {
                     break;
                 }
                 if i.peer_closed {
-                    return Ok(Err(SockError::PeerClosed));
+                    return Ok(Err(NetError::PeerClosed));
                 }
                 if i.closed {
-                    return Ok(Err(SockError::Closed));
+                    return Ok(Err(NetError::Closed));
                 }
             }
             let ctrl = self.ctrl_completion();
@@ -95,7 +94,7 @@ impl SockShared {
         let acked = self.proc_.ep.wait_send(ctx, &h)?;
         if !acked {
             self.inner.lock().peer_closed = true;
-            return Ok(Err(SockError::PeerClosed));
+            return Ok(Err(NetError::PeerClosed));
         }
         {
             let mut i = self.inner.lock();
@@ -118,7 +117,7 @@ impl SockShared {
             let parked = {
                 let mut i = self.inner.lock();
                 if i.closed {
-                    return Ok(Err(SockError::Closed));
+                    return Ok(Err(NetError::Closed));
                 }
                 let next = i.rx_next_seq;
                 match i.rx_ooo.remove(&next) {
@@ -155,11 +154,11 @@ impl SockShared {
             if data_done {
                 let slot = self.inner.lock().dgram_data.take().expect("checked");
                 let Some(msg) = self.proc_.ep.wait_recv(ctx, &slot.handle)? else {
-                    return Ok(Err(SockError::Closed));
+                    return Ok(Err(NetError::Closed));
                 };
                 let parsed = ok_or_return!(Msg::decode(&msg.data));
                 let Msg::Data { seq, payload, .. } = parsed else {
-                    return Ok(Err(SockError::protocol("non-data message on data tag")));
+                    return Ok(Err(NetError::Protocol("non-data message on data tag")));
                 };
                 let deliver = {
                     let mut i = self.inner.lock();
@@ -224,11 +223,11 @@ impl SockShared {
     /// Nonblocking datagram send. Eager-sized messages are fire-and-forget
     /// already, so they go out as the blocking path would; larger messages
     /// need the §5.2 rendezvous round trip, which cannot complete without
-    /// parking — those return [`SockError::Invalid`] (use the blocking
+    /// parking — those return [`NetError::Invalid`] (use the blocking
     /// `write` for rendezvous-sized datagrams).
     pub(crate) fn dgram_try_send(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
         if data.len() > self.proc_.cfg.dgram_eager_max {
-            return Ok(Err(SockError::Invalid));
+            return Ok(Err(NetError::Invalid));
         }
         self.dgram_send(ctx, data)
     }
@@ -236,14 +235,14 @@ impl SockShared {
     /// Nonblocking datagram receive: serve a parked or landed datagram,
     /// answer pending rendezvous requests, post the user-buffer descriptor
     /// so a later poll has something to wake on, and report
-    /// [`SockError::WouldBlock`] when nothing is deliverable yet.
+    /// [`NetError::WouldBlock`] when nothing is deliverable yet.
     pub(crate) fn dgram_try_recv(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
         ctx.delay(self.proc_.cfg.dgram_overhead)?;
         loop {
             let parked = {
                 let mut i = self.inner.lock();
                 if i.closed {
-                    return Ok(Err(SockError::Closed));
+                    return Ok(Err(NetError::Closed));
                 }
                 let next = i.rx_next_seq;
                 match i.rx_ooo.remove(&next) {
@@ -278,11 +277,11 @@ impl SockShared {
             if data_done {
                 let slot = self.inner.lock().dgram_data.take().expect("checked");
                 let Some(msg) = self.proc_.ep.wait_recv(ctx, &slot.handle)? else {
-                    return Ok(Err(SockError::Closed));
+                    return Ok(Err(NetError::Closed));
                 };
                 let parsed = ok_or_return!(Msg::decode(&msg.data));
                 let Msg::Data { seq, payload, .. } = parsed else {
-                    return Ok(Err(SockError::protocol("non-data message on data tag")));
+                    return Ok(Err(NetError::Protocol("non-data message on data tag")));
                 };
                 let deliver = {
                     let mut i = self.inner.lock();
@@ -322,7 +321,7 @@ impl SockShared {
                 let ctrl_pending = i.ctrl_handle.as_ref().is_some_and(|h| h.is_done());
                 let data_landed = i.dgram_data.as_ref().is_some_and(|d| d.handle.is_done());
                 if !ctrl_pending && !data_landed {
-                    return Ok(Err(SockError::WouldBlock));
+                    return Ok(Err(NetError::WouldBlock));
                 }
             }
         }
@@ -343,7 +342,7 @@ impl SockShared {
         };
         let parsed = ok_or_return!(Msg::decode(&msg.data));
         let Msg::RndvReq { size } = parsed else {
-            return Ok(Err(SockError::protocol(
+            return Ok(Err(NetError::Protocol(
                 "non-rendezvous message on rendezvous tag",
             )));
         };

@@ -15,9 +15,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use hostsim::{FileHandle, RamDisk};
 use parking_lot::Mutex;
-use simnet::{Interest, ProcessCtx, SimDuration, SimResult};
+use simnet::{Interest, NetError, ProcessCtx, SimDuration, SimResult};
 
-use crate::error::SockError;
 use crate::poll::PollSet;
 use crate::socket::{Connection, EmpSockets, Listener, SockAddr};
 
@@ -56,12 +55,10 @@ pub enum FdError {
     /// The operation does not apply to this descriptor kind (e.g. `read`
     /// on a listener).
     WrongKind,
-    /// A nonblocking descriptor (`set_nonblocking`) had nothing to do —
-    /// the EAGAIN of the fd layer. Retry after [`FdTable::poll`] reports
-    /// readiness.
-    WouldBlock,
-    /// Socket-layer failure.
-    Sock(SockError),
+    /// Socket-layer failure. A nonblocking descriptor (`set_nonblocking`)
+    /// with nothing to do is [`NetError::WouldBlock`] here — retry after
+    /// [`FdTable::poll`] reports readiness.
+    Net(NetError),
     /// Filesystem failure.
     Fs(hostsim::FsError),
 }
@@ -71,8 +68,7 @@ impl std::fmt::Display for FdError {
         match self {
             FdError::BadFd => write!(f, "bad file descriptor"),
             FdError::WrongKind => write!(f, "operation not supported on this descriptor"),
-            FdError::WouldBlock => write!(f, "operation would block"),
-            FdError::Sock(e) => write!(f, "{e}"),
+            FdError::Net(e) => write!(f, "{e}"),
             FdError::Fs(e) => write!(f, "{e}"),
         }
     }
@@ -80,12 +76,9 @@ impl std::fmt::Display for FdError {
 
 impl std::error::Error for FdError {}
 
-impl From<SockError> for FdError {
-    fn from(e: SockError) -> Self {
-        match e {
-            SockError::WouldBlock => FdError::WouldBlock,
-            other => FdError::Sock(other),
-        }
+impl From<NetError> for FdError {
+    fn from(e: NetError) -> Self {
+        FdError::Net(e)
     }
 }
 
@@ -158,7 +151,7 @@ impl FdTable {
 
     /// `fcntl(F_SETFL, O_NONBLOCK)`: toggle nonblocking mode on a
     /// descriptor. A nonblocking socket fd makes `read`/`write`/`accept`
-    /// return [`FdError::WouldBlock`] instead of parking; file fds accept
+    /// return [`NetError::WouldBlock`] instead of parking; file fds accept
     /// the flag but never block anyway (the RAM disk is synchronous).
     pub fn set_nonblocking(&self, fd: i32, on: bool) -> Result<(), FdError> {
         let mut st = self.inner.lock();
@@ -196,7 +189,8 @@ impl FdTable {
     }
 
     /// `accept(2)` on a listener fd; returns the connection's fd. On a
-    /// nonblocking listener fd an empty backlog is [`FdError::WouldBlock`].
+    /// nonblocking listener fd an empty backlog is
+    /// [`NetError::WouldBlock`].
     pub fn accept(&self, ctx: &ProcessCtx, fd: i32) -> FdResult<i32> {
         let (l, nonblocking) = {
             let st = self.inner.lock();
@@ -232,7 +226,7 @@ impl FdTable {
 
     /// Generic `read(2)`: dispatches on what the descriptor names. On a
     /// nonblocking socket fd, nothing deliverable is
-    /// [`FdError::WouldBlock`].
+    /// [`NetError::WouldBlock`].
     pub fn read(&self, ctx: &ProcessCtx, fd: i32, max: usize) -> FdResult<Bytes> {
         match fd_try!(self.data_entry(fd)) {
             (Ok(fh), _) => {
@@ -252,7 +246,7 @@ impl FdTable {
 
     /// Generic `write(2)`. On a nonblocking socket fd the write accepts
     /// what the credits in hand allow (a partial count), or
-    /// [`FdError::WouldBlock`] when no byte could be taken.
+    /// [`NetError::WouldBlock`] when no byte could be taken.
     pub fn write(&self, ctx: &ProcessCtx, fd: i32, data: &[u8]) -> FdResult<usize> {
         match fd_try!(self.data_entry(fd)) {
             (Ok(fh), _) => {
@@ -353,7 +347,7 @@ impl FdTable {
             }
         } else if !already_ready {
             // Nothing pollable and no timeout: the wait could never wake.
-            return Ok(Err(FdError::Sock(SockError::Invalid)));
+            return Ok(Err(FdError::Net(NetError::Invalid)));
         }
         Ok(Ok(fds.iter().filter(|p| !p.revents.is_empty()).count()))
     }

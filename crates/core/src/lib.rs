@@ -30,7 +30,6 @@
 pub mod config;
 pub mod conn;
 pub mod dgram;
-pub mod error;
 pub mod fdtable;
 pub mod poll;
 pub mod proto;
@@ -41,11 +40,10 @@ pub mod tags;
 
 pub use config::{CopyPolicy, RecvMode, RetryPolicy, SocketType, SubstrateConfig};
 pub use conn::ConnStats;
-pub use error::SockError;
 pub use fdtable::{FdError, FdTable, PollFd};
 pub use poll::PollSet;
 pub use ring::{EmpRing, EmpRingDriver};
-pub use simnet::{Event, Interest};
+pub use simnet::{Event, Interest, NetError};
 pub use socket::{
     ConnDebugState, Connection, EmpSockets, Listener, SlotDebug, SockAddr, SubstrateStats,
 };

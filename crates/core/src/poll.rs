@@ -40,15 +40,14 @@ use std::sync::Arc;
 use emp_proto::RecvHandle;
 use parking_lot::Mutex;
 use simnet::{
-    wait_any, Completion, Event, Interest, ProcessCtx, SimAccess, SimAccessExt, SimDuration,
-    SimResult,
+    wait_any, Completion, Event, Interest, NetError, OpResult, ProcessCtx, SimAccess, SimAccessExt,
+    SimDuration, SimResult,
 };
 
 use crate::config::SocketType;
 use crate::conn::SockShared;
-use crate::error::SockError;
 use crate::socket::{Connection, Listener};
-use crate::stream::{ok_or_return, OpResult};
+use crate::stream::ok_or_return;
 
 enum Target {
     Conn(Arc<SockShared>),
@@ -141,13 +140,13 @@ impl PollSet {
     /// Block until at least one registration is ready (or the timeout
     /// expires — then the empty vector), returning every ready one.
     ///
-    /// * `Err(SockError::Invalid)` for a wait that could never wake: an
+    /// * `Err(NetError::Invalid)` for a wait that could never wake: an
     ///   empty set, or one whose interests watch nothing, with no timeout.
     /// * Error states ([`Interest::ERROR`]) are reported regardless of
     ///   the registered mask, like POSIX `POLLERR`.
     pub fn poll(&mut self, ctx: &ProcessCtx, timeout: Option<SimDuration>) -> OpResult<Vec<Event>> {
         if self.entries.is_empty() && timeout.is_none() {
-            return Ok(Err(SockError::Invalid));
+            return Ok(Err(NetError::Invalid));
         }
         let deadline = timeout.map(|d| {
             let c = Completion::new();
@@ -199,7 +198,7 @@ impl PollSet {
             }
             if refs.is_empty() {
                 // Nothing registered can ever produce a wake.
-                return Ok(Err(SockError::Invalid));
+                return Ok(Err(NetError::Invalid));
             }
             wait_any(ctx, &refs)?;
             // 3. Invalidate watch lists that fired: a done completion left
@@ -267,7 +266,7 @@ impl Connection {
             if watch.is_empty() {
                 // Nothing can ever produce a wake (PollSet reports the
                 // same condition as an unwakeable wait).
-                return Ok(Err(SockError::Invalid));
+                return Ok(Err(NetError::Invalid));
             }
             let mut fired = false;
             for c in &watch {
@@ -314,7 +313,7 @@ impl Listener {
             let target = Target::Listener(Arc::clone(&self.pending));
             let watch = collect_watch(ctx, &target, Interest::ACCEPTABLE)?;
             if watch.is_empty() {
-                return Ok(Err(SockError::Invalid));
+                return Ok(Err(NetError::Invalid));
             }
             let mut fired = false;
             for c in &watch {

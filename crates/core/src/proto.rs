@@ -7,8 +7,9 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
+use simnet::NetError;
+
 use crate::config::SocketType;
-use crate::error::SockError;
 
 /// Bytes of substrate header preceding any payload.
 pub const HEADER: usize = 8;
@@ -176,9 +177,9 @@ impl Msg {
     }
 
     /// Parse a wire message.
-    pub fn decode(raw: &Bytes) -> Result<Msg, SockError> {
+    pub fn decode(raw: &Bytes) -> Result<Msg, NetError> {
         if raw.len() < HEADER {
-            return Err(SockError::protocol("message shorter than header"));
+            return Err(NetError::Protocol("message shorter than header"));
         }
         let kind = raw[0];
         let arg16 = u16::from_le_bytes([raw[2], raw[3]]);
@@ -187,7 +188,7 @@ impl Msg {
             KIND_DATA => {
                 let len = arg32 as usize;
                 if raw.len() < DATA_HEADER + len {
-                    return Err(SockError::protocol("data message truncated"));
+                    return Err(NetError::Protocol("data message truncated"));
                 }
                 let seq = u32::from_le_bytes([raw[8], raw[9], raw[10], raw[11]]);
                 Ok(Msg::Data {
@@ -199,7 +200,7 @@ impl Msg {
             KIND_FCACK => Ok(Msg::FcAck { credits: arg16 }),
             KIND_CONN_REQ => {
                 if raw.len() < HEADER + 4 {
-                    return Err(SockError::protocol("conn request truncated"));
+                    return Err(NetError::Protocol("conn request truncated"));
                 }
                 let port = u16::from_le_bytes([raw[8], raw[9]]);
                 let credits = u16::from_le_bytes([raw[10], raw[11]]);
@@ -219,7 +220,7 @@ impl Msg {
             KIND_RNDV_ACK => Ok(Msg::RndvAck),
             KIND_RNDV_NAK => Ok(Msg::RndvNak { limit: arg32 }),
             KIND_CLOSE => Ok(Msg::Close { final_seq: arg32 }),
-            other => Err(SockError::protocol(format!("unknown message kind {other}"))),
+            _ => Err(NetError::Protocol("unknown message kind")),
         }
     }
 

@@ -14,11 +14,10 @@
 
 use std::cell::RefCell;
 
-use simnet::ring::{OpError, RingConfig, RingCore, RingDriver};
-use simnet::{Interest, ProcessCtx, SimDuration, SimResult};
+use simnet::ring::{RingConfig, RingCore, RingDriver};
+use simnet::{Interest, OpResult, ProcessCtx, SimDuration, SimResult};
 
 use crate::conn::ConnStats;
-use crate::error::SockError;
 use crate::poll::PollSet;
 use crate::socket::{Connection, Listener};
 
@@ -46,62 +45,23 @@ impl EmpRingDriver {
     }
 }
 
-fn map_err(e: SockError) -> OpError {
-    match e {
-        SockError::ConnectionRefused => OpError::Refused,
-        SockError::Closed => OpError::Closed,
-        SockError::PeerClosed | SockError::PeerGone => OpError::PeerClosed,
-        SockError::MessageTooBig { .. } => OpError::TooBig,
-        SockError::Invalid | SockError::AddrInUse => OpError::Invalid,
-        SockError::Timeout => OpError::Timeout,
-        SockError::ResourceExhausted => OpError::Exhausted,
-        SockError::WouldBlock | SockError::Protocol(_) => OpError::Other,
-    }
-}
-
 impl RingDriver for EmpRingDriver {
     type Conn = Connection;
     type Listener = Listener;
 
-    fn try_accept(
-        &self,
-        ctx: &ProcessCtx,
-        l: &Listener,
-    ) -> SimResult<Result<Option<Connection>, OpError>> {
-        Ok(match l.try_accept(ctx)? {
-            Ok(c) => Ok(Some(c)),
-            Err(SockError::WouldBlock) => Ok(None),
-            Err(e) => Err(map_err(e)),
-        })
+    fn try_accept(&self, ctx: &ProcessCtx, l: &Listener) -> OpResult<Connection> {
+        l.try_accept(ctx)
     }
 
-    fn try_read(
-        &self,
-        ctx: &ProcessCtx,
-        c: &Connection,
-        buf: &mut [u8],
-    ) -> SimResult<Result<Option<usize>, OpError>> {
-        Ok(match c.try_read(ctx, buf.len())? {
-            Ok(bytes) => {
-                buf[..bytes.len()].copy_from_slice(&bytes);
-                Ok(Some(bytes.len()))
-            }
-            Err(SockError::WouldBlock) => Ok(None),
-            Err(e) => Err(map_err(e)),
-        })
+    fn try_read(&self, ctx: &ProcessCtx, c: &Connection, buf: &mut [u8]) -> OpResult<usize> {
+        Ok(c.try_read(ctx, buf.len())?.map(|bytes| {
+            buf[..bytes.len()].copy_from_slice(&bytes);
+            bytes.len()
+        }))
     }
 
-    fn try_write(
-        &self,
-        ctx: &ProcessCtx,
-        c: &Connection,
-        data: &[u8],
-    ) -> SimResult<Result<Option<usize>, OpError>> {
-        Ok(match c.try_write(ctx, data)? {
-            Ok(n) => Ok(Some(n)),
-            Err(SockError::WouldBlock) => Ok(None),
-            Err(e) => Err(map_err(e)),
-        })
+    fn try_write(&self, ctx: &ProcessCtx, c: &Connection, data: &[u8]) -> OpResult<usize> {
+        c.try_write(ctx, data)
     }
 
     fn close(&self, ctx: &ProcessCtx, c: Connection) -> SimResult<()> {
@@ -130,10 +90,8 @@ impl RingDriver for EmpRingDriver {
         // The events themselves are discarded: RingCore re-drives every
         // head op after a wake, which subsumes them (a timeout wake lets
         // the drive pass expire deadlined head ops).
-        match ps.poll(ctx, timeout)? {
-            Ok(_) => Ok(()),
-            Err(e) => Err(e.into()),
-        }
+        ps.poll(ctx, timeout)??;
+        Ok(())
     }
 
     fn register_waker(

@@ -11,13 +11,15 @@ use std::sync::Arc;
 use bytes::Bytes;
 use emp_proto::{EmpEndpoint, RecvHandle};
 use parking_lot::Mutex;
-use simnet::{wait_any, MacAddr, ProcessCtx, SimAccess, SimAccessExt, SimDuration, SimResult};
+use simnet::{
+    until_deadline, wait_any, Interest, MacAddr, NetError, OpResult, ProcessCtx, SimAccess,
+    SimAccessExt, SimDuration, SimResult,
+};
 
 use crate::config::{SocketType, SubstrateConfig};
 use crate::conn::{ProcShared, SockShared};
-use crate::error::SockError;
 use crate::proto::{Msg, HEADER};
-use crate::stream::{ok_or_return, OpResult};
+use crate::stream::ok_or_return;
 use crate::tags;
 
 /// A remote (or local) substrate address: station + port.
@@ -72,12 +74,12 @@ impl EmpSockets {
     pub fn listen(&self, ctx: &ProcessCtx, port: u16, backlog: usize) -> OpResult<Listener> {
         self.proc_.ensure_init(ctx)?;
         if port > tags::MAX_PORT {
-            return Ok(Err(SockError::AddrInUse));
+            return Ok(Err(NetError::AddrInUse));
         }
         {
             let mut st = self.proc_.state.lock();
             if st.listeners.contains_key(&port) {
-                return Ok(Err(SockError::AddrInUse));
+                return Ok(Err(NetError::AddrInUse));
             }
             st.listeners.insert(port, ());
         }
@@ -98,13 +100,13 @@ impl EmpSockets {
     /// configured it returns immediately — the application may start
     /// writing data right away (§7.4 relies on the request/data
     /// pipelining); a refused connection surfaces as
-    /// [`SockError::ConnectionRefused`] on a later operation. With a
+    /// [`NetError::Refused`] on a later operation. With a
     /// policy ([`SubstrateConfig::with_connect_timeout`] or
     /// [`SubstrateConfig::with_connect_retry`]) the call blocks and fails
-    /// with a *typed* outcome: [`SockError::ConnectionRefused`] when the
+    /// with a *typed* outcome: [`NetError::Refused`] when the
     /// receiver positively refused the request (full backlog, no
-    /// listener), [`SockError::Timeout`] when nobody answered within the
-    /// policy's budget, [`SockError::ResourceExhausted`] past the local
+    /// listener), [`NetError::Timeout`] when nobody answered within the
+    /// policy's budget, [`NetError::Exhausted`] past the local
     /// connection budget.
     pub fn connect(&self, ctx: &ProcessCtx, addr: SockAddr) -> OpResult<Connection> {
         self.connect_inner(ctx, addr, None)
@@ -134,7 +136,7 @@ impl EmpSockets {
     ) -> OpResult<Connection> {
         self.proc_.ensure_init(ctx)?;
         if addr.port > tags::MAX_PORT {
-            return Ok(Err(SockError::AddrInUse));
+            return Ok(Err(NetError::AddrInUse));
         }
         let cid = ok_or_return!(self.proc_.alloc_cid());
         let cfg = &self.proc_.cfg;
@@ -160,8 +162,8 @@ impl EmpSockets {
         // A blocking connect sends the request *refusably*: it must never
         // park in the receiver's unexpected queue — a full backlog (or no
         // listener at all) answers with a NACK that surfaces here as a
-        // deterministic `ConnectionRefused`. A non-blocking connect keeps
-        // the parking behaviour: hiding the request round trip behind
+        // deterministic `Refused`. A non-blocking connect keeps the
+        // parking behaviour: hiding the request round trip behind
         // pipelined data (§7.4) depends on it.
         let h = if policy.is_some() {
             sock.send_msg_refusable(ctx, tags::conn_tag(addr.port), &req)?
@@ -208,18 +210,18 @@ impl EmpSockets {
                     // backlog or nobody listening on the port. Retrying
                     // immediately would re-create the overload that
                     // refused us — surface it.
-                    break Some(SockError::ConnectionRefused);
+                    break Some(NetError::Refused);
                 }
                 Some(false) => {
                     // EMP gave up without an answer (dead station,
                     // exhausted link retries): back off and resend while
                     // the policy allows.
                     if attempt >= policy.max_attempts {
-                        break Some(SockError::Timeout);
+                        break Some(NetError::Timeout);
                     }
                     let backoff = policy.backoff(attempt, seed);
                     if ctx.now() + backoff >= give_up_at {
-                        break Some(SockError::Timeout);
+                        break Some(NetError::Timeout);
                     }
                     ctx.delay(backoff)?;
                     attempt += 1;
@@ -232,14 +234,14 @@ impl EmpSockets {
                     ctx.schedule_at(give_up_at, move |s| t2.complete(s));
                     wait_any(ctx, &[handle.completion(), &timer])?;
                     if !handle.is_done() {
-                        break Some(SockError::Timeout);
+                        break Some(NetError::Timeout);
                     }
                 }
             }
         };
         if let Some(err) = failure {
             let series = match err {
-                SockError::ConnectionRefused => "sock.connects_refused",
+                NetError::Refused => "sock.connects_refused",
                 _ => "sock.connects_timedout",
             };
             ctx.telemetry().counter(series).add(1);
@@ -278,7 +280,7 @@ impl EmpSockets {
     /// `select()` for readability across connections: blocks until one
     /// would not block on `read`, returning its index. A one-shot
     /// [`crate::PollSet`] with `READABLE` interests underneath; an empty
-    /// set is [`SockError::Invalid`] (it could never wake), not a panic.
+    /// set is [`NetError::Invalid`] (it could never wake), not a panic.
     ///
     /// This is the readiness way to multiplex connections in one
     /// process; the completion model ([`crate::ring`]) is the other —
@@ -286,11 +288,11 @@ impl EmpSockets {
     /// registered buffers and waits on completions, never on readiness.
     pub fn select_readable(&self, ctx: &ProcessCtx, conns: &[&Connection]) -> OpResult<usize> {
         if conns.is_empty() {
-            return Ok(Err(SockError::Invalid));
+            return Ok(Err(NetError::Invalid));
         }
         let mut set = crate::poll::PollSet::new();
         for (idx, c) in conns.iter().enumerate() {
-            set.register_conn(c, idx, simnet::Interest::READABLE);
+            set.register_conn(c, idx, Interest::READABLE);
         }
         let events = ok_or_return!(set.poll(ctx, None)?);
         Ok(Ok(events[0].token))
@@ -322,7 +324,7 @@ impl Listener {
             match p.pop_front() {
                 Some(h) => h,
                 // The listener was closed (backlog drained).
-                None => return Ok(Err(SockError::Closed)),
+                None => return Ok(Err(NetError::Closed)),
             }
         };
         // Keep the backlog depth constant.
@@ -336,7 +338,7 @@ impl Listener {
         self.pending.lock().push_back(replacement);
 
         let Some(msg) = self.proc_.ep.wait_recv(ctx, &handle)? else {
-            return Ok(Err(SockError::Closed));
+            return Ok(Err(NetError::Closed));
         };
         let parsed = ok_or_return!(Msg::decode(&msg.data));
         let Msg::ConnReq {
@@ -347,7 +349,7 @@ impl Listener {
             buf_size,
         } = parsed
         else {
-            return Ok(Err(SockError::protocol(
+            return Ok(Err(NetError::Protocol(
                 "non-connection message on a listen tag",
             )));
         };
@@ -367,35 +369,26 @@ impl Listener {
     }
 
     /// [`Self::accept`] bounded by `deadline`: blocks for the next
-    /// connection request, failing with [`SockError::Timeout`] if none
+    /// connection request, failing with [`NetError::Timeout`] if none
     /// arrives in time. The bounded-patience accept a server's event loop
     /// uses to interleave admission with housekeeping (idle reaping).
     pub fn accept_deadline(&self, ctx: &ProcessCtx, deadline: SimDuration) -> OpResult<Connection> {
-        let give_up_at = ctx.now() + deadline;
-        loop {
-            match self.try_accept(ctx)? {
-                Ok(c) => return Ok(Ok(c)),
-                Err(SockError::WouldBlock) => {}
-                Err(e) => return Ok(Err(e)),
-            }
-            let now = ctx.now();
-            if now >= give_up_at {
-                ctx.telemetry().counter("sock.op_timeouts").add(1);
-                return Ok(Err(SockError::Timeout));
-            }
-            let mut set = crate::poll::PollSet::new();
-            set.register_listener(self, 0, simnet::Interest::ACCEPTABLE);
-            let events = ok_or_return!(set.poll(ctx, Some(give_up_at.since(now)))?);
-            if events.is_empty() {
-                ctx.telemetry().counter("sock.op_timeouts").add(1);
-                return Ok(Err(SockError::Timeout));
-            }
-        }
+        until_deadline(
+            ctx,
+            deadline,
+            "sock.op_timeouts",
+            || self.try_accept(ctx),
+            |left| {
+                let mut set = crate::poll::PollSet::new();
+                set.register_listener(self, 0, Interest::ACCEPTABLE);
+                Ok(set.poll(ctx, Some(left))?.map(|events| !events.is_empty()))
+            },
+        )
     }
 
     /// Nonblocking accept: build the connection when a request already
-    /// landed at the head of the backlog; [`SockError::WouldBlock`] when
-    /// an `accept` would park, [`SockError::Closed`] on a closed
+    /// landed at the head of the backlog; [`NetError::WouldBlock`] when
+    /// an `accept` would park, [`NetError::Closed`] on a closed
     /// listener. Poll with [`simnet::Interest::ACCEPTABLE`] to learn when
     /// to retry.
     pub fn try_accept(&self, ctx: &ProcessCtx) -> OpResult<Connection> {
@@ -403,11 +396,11 @@ impl Listener {
             let p = self.pending.lock();
             match p.front() {
                 Some(h) => h.is_done(),
-                None => return Ok(Err(SockError::Closed)),
+                None => return Ok(Err(NetError::Closed)),
             }
         };
         if !front_done {
-            return Ok(Err(SockError::WouldBlock));
+            return Ok(Err(NetError::WouldBlock));
         }
         // The head descriptor is complete: `accept` will not block.
         self.accept(ctx)
@@ -497,7 +490,7 @@ impl Connection {
     }
 
     /// [`Self::read`] bounded by `deadline`: serves data the moment any
-    /// is available, and fails with [`SockError::Timeout`] if none lands
+    /// is available, and fails with [`NetError::Timeout`] if none lands
     /// in time. A slow peer stops costing the caller unbounded patience.
     pub fn read_deadline(
         &self,
@@ -505,31 +498,18 @@ impl Connection {
         max: usize,
         deadline: SimDuration,
     ) -> OpResult<Bytes> {
-        let give_up_at = ctx.now() + deadline;
-        loop {
-            match self.try_read(ctx, max)? {
-                Ok(b) => return Ok(Ok(b)),
-                Err(SockError::WouldBlock) => {}
-                Err(e) => return Ok(Err(e)),
-            }
-            let now = ctx.now();
-            if now >= give_up_at {
-                ctx.telemetry().counter("sock.op_timeouts").add(1);
-                return Ok(Err(SockError::Timeout));
-            }
-            let mut set = crate::poll::PollSet::new();
-            set.register_conn(self, 0, simnet::Interest::READABLE);
-            let events = ok_or_return!(set.poll(ctx, Some(give_up_at.since(now)))?);
-            if events.is_empty() {
-                ctx.telemetry().counter("sock.op_timeouts").add(1);
-                return Ok(Err(SockError::Timeout));
-            }
-        }
+        until_deadline(
+            ctx,
+            deadline,
+            "sock.op_timeouts",
+            || self.try_read(ctx, max),
+            |left| self.wait_ready(ctx, Interest::READABLE, left),
+        )
     }
 
     /// [`Self::write`] bounded by `deadline`: accepts as many bytes as
     /// flow control allows the moment credits are available, and fails
-    /// with [`SockError::Timeout`] if none free up in time — the
+    /// with [`NetError::Timeout`] if none free up in time — the
     /// per-operation form of the
     /// [`SubstrateConfig::with_write_stall_after`] detector. Returns the
     /// byte count accepted (possibly short, like a POSIX `write`).
@@ -539,37 +519,39 @@ impl Connection {
         data: &[u8],
         deadline: SimDuration,
     ) -> OpResult<usize> {
-        let give_up_at = ctx.now() + deadline;
-        loop {
-            match self.try_write(ctx, data)? {
-                Ok(n) => return Ok(Ok(n)),
-                Err(SockError::WouldBlock) => {}
-                Err(e) => return Ok(Err(e)),
-            }
-            let now = ctx.now();
-            if now >= give_up_at {
-                ctx.telemetry().counter("sock.op_timeouts").add(1);
-                return Ok(Err(SockError::Timeout));
-            }
-            let mut set = crate::poll::PollSet::new();
-            set.register_conn(self, 0, simnet::Interest::WRITABLE);
-            let events = ok_or_return!(set.poll(ctx, Some(give_up_at.since(now)))?);
-            if events.is_empty() {
-                ctx.telemetry().counter("sock.op_timeouts").add(1);
-                return Ok(Err(SockError::Timeout));
-            }
-        }
+        until_deadline(
+            ctx,
+            deadline,
+            "sock.op_timeouts",
+            || self.try_write(ctx, data),
+            |left| self.wait_ready(ctx, Interest::WRITABLE, left),
+        )
+    }
+
+    /// Park in a one-entry [`crate::PollSet`] until `interest` holds
+    /// (`true`) or `within` passes (`false`).
+    fn wait_ready(
+        &self,
+        ctx: &ProcessCtx,
+        interest: Interest,
+        within: SimDuration,
+    ) -> OpResult<bool> {
+        let mut set = crate::poll::PollSet::new();
+        set.register_conn(self, 0, interest);
+        Ok(set
+            .poll(ctx, Some(within))?
+            .map(|events| !events.is_empty()))
     }
 
     /// Nonblocking write: accept what can be sent with the credits (or
     /// eager budget) in hand right now.
     ///
     /// * Stream sockets: sends up to `data.len()` bytes as credits allow
-    ///   and returns the count accepted; [`SockError::WouldBlock`] when
+    ///   and returns the count accepted; [`NetError::WouldBlock`] when
     ///   the credits are exhausted before any byte is taken.
     /// * Datagram sockets: eager-sized messages go out as usual (they are
     ///   fire-and-forget); rendezvous-sized ones are
-    ///   [`SockError::Invalid`] — the round trip cannot complete without
+    ///   [`NetError::Invalid`] — the round trip cannot complete without
     ///   blocking.
     pub fn try_write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
         match self.sock.socket_type {
@@ -579,8 +561,8 @@ impl Connection {
     }
 
     /// Nonblocking read: serve whatever is buffered or already landed;
-    /// [`SockError::WouldBlock`] when a blocking `read` would park. Empty
-    /// bytes = EOF. Poll with [`simnet::Interest::READABLE`] to learn
+    /// [`NetError::WouldBlock`] when a blocking `read` would park. Empty
+    /// bytes = EOF. Poll with [`Interest::READABLE`] to learn
     /// when to retry.
     pub fn try_read(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
         match self.sock.socket_type {

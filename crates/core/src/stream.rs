@@ -10,16 +10,11 @@
 
 use bytes::Bytes;
 use simnet::emp_trace::{self, EventKind};
-use simnet::{ProcessCtx, SimAccess, SimAccessExt, SimDuration, SimResult};
+use simnet::{NetError, OpResult, ProcessCtx, SimAccess, SimAccessExt, SimDuration, SimResult};
 
 use crate::config::{CopyPolicy, RecvMode};
 use crate::conn::{DataSlot, SockShared};
-use crate::error::SockError;
 use crate::proto::Msg;
-
-/// A `Result` nested in the simulation result: outer for engine
-/// termination, inner for socket errors.
-pub(crate) type OpResult<T> = SimResult<Result<T, SockError>>;
 
 macro_rules! ok_or_return {
     ($e:expr) => {
@@ -86,7 +81,7 @@ impl SockShared {
             let acked = self.proc_.ep.wait_sends(ctx, &zc_sends)?;
             if !acked {
                 self.inner.lock().peer_closed = true;
-                return Ok(Err(SockError::PeerClosed));
+                return Ok(Err(NetError::PeerClosed));
             }
         }
         Ok(Ok(data.len()))
@@ -98,7 +93,7 @@ impl SockShared {
     /// and when it would wait alone — nothing staged, nothing in flight
     /// (completed sends are reaped first, so that is current). Fails as
     /// the write itself would on an unwritable socket.
-    fn stages(&self, len: usize) -> Result<bool, SockError> {
+    fn stages(&self, len: usize) -> Result<bool, NetError> {
         let cfg = &self.proc_.cfg;
         let below = cfg.copy_policy.stage_below.min(cfg.send_copy_threshold);
         if len == 0 || len > below.min(self.stage_capacity()) {
@@ -322,10 +317,10 @@ impl SockShared {
         let served = {
             let mut i = self.inner.lock();
             if i.closed {
-                return Ok(Err(SockError::Closed));
+                return Ok(Err(NetError::Closed));
             }
             if i.poisoned {
-                return Ok(Err(SockError::ResourceExhausted));
+                return Ok(Err(NetError::Exhausted));
             }
             if i.stream_len > 0 {
                 let mut out = Vec::with_capacity(max.min(i.stream_len));
@@ -417,7 +412,7 @@ impl SockShared {
     }
 
     /// Nonblocking stream read: serve whatever is buffered or already
-    /// landed; [`SockError::WouldBlock`] when a blocking read would park.
+    /// landed; [`NetError::WouldBlock`] when a blocking read would park.
     /// A ring `Read` comes through here too: its registered buffer is a
     /// posted reader like any other, and the copy policy treats it so.
     pub(crate) fn stream_try_read(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
@@ -458,13 +453,13 @@ impl SockShared {
             if drained {
                 return Ok(Ok(Bytes::new()));
             }
-            return Ok(Err(SockError::WouldBlock));
+            return Ok(Err(NetError::WouldBlock));
         }
     }
 
     /// Nonblocking stream write: send as many credit-sized fragments as
     /// available credits allow and report the bytes accepted —
-    /// [`SockError::WouldBlock`] when the credits are exhausted before any
+    /// [`NetError::WouldBlock`] when the credits are exhausted before any
     /// byte is taken. Always uses the buffered-send path (copy into a
     /// registered staging buffer, fire and forget): the zero-copy path
     /// must pin the caller's buffer until the NIC acknowledges, which is
@@ -477,7 +472,7 @@ impl SockShared {
         }
         // A larger write must not overtake bytes already staged.
         if !ok_or_return!(self.try_flush_coalesced(ctx)?) {
-            return Ok(Err(SockError::WouldBlock));
+            return Ok(Err(NetError::WouldBlock));
         }
         let whole = Bytes::copy_from_slice(data);
         let mut off = 0;
@@ -496,10 +491,10 @@ impl SockShared {
             };
             if !got_credit {
                 if self.inner.lock().peer_closed {
-                    return Ok(Err(SockError::PeerClosed));
+                    return Ok(Err(NetError::PeerClosed));
                 }
                 if off == 0 && !data.is_empty() {
-                    return Ok(Err(SockError::WouldBlock));
+                    return Ok(Err(NetError::WouldBlock));
                 }
                 return Ok(Ok(off));
             }
@@ -531,16 +526,16 @@ impl SockShared {
             i.coalesce_buf.len() + data.len() > cap
         };
         if overflow && !ok_or_return!(self.try_flush_coalesced(ctx)?) {
-            return Ok(Err(SockError::WouldBlock));
+            return Ok(Err(NetError::WouldBlock));
         }
         self.reap_fcacks(ctx)?;
         {
             let i = self.inner.lock();
             if i.credits == 0 {
                 return Ok(Err(if i.peer_closed {
-                    SockError::PeerClosed
+                    NetError::PeerClosed
                 } else {
-                    SockError::WouldBlock
+                    NetError::WouldBlock
                 }));
             }
         }
@@ -598,7 +593,7 @@ impl SockShared {
                 payload,
             } = parsed
             else {
-                return Ok(Err(SockError::protocol("non-data message on data tag")));
+                return Ok(Err(NetError::Protocol("non-data message on data tag")));
             };
             ctx.delay(self.proc_.cfg.stream_overhead)?;
             reposts.push(slot.range);
@@ -643,7 +638,7 @@ impl SockShared {
                     // Reorder-buffer budget: the payload was EMP-acked, so
                     // dropping it would corrupt the stream — past the cap
                     // the connection is poisoned instead and every
-                    // subsequent operation fails with `ResourceExhausted`.
+                    // subsequent operation fails with `Exhausted`.
                     let over = self.proc_.cfg.reorder_cap_bytes.is_some_and(|cap| {
                         i.rx_ooo.values().map(Bytes::len).sum::<usize>() + payload.len() > cap
                     });
@@ -692,7 +687,7 @@ impl SockShared {
                     self.proc_.free_range(r);
                 }
                 ctx.telemetry().counter("sock.reorder_cap_trips").add(1);
-                return Ok(Err(SockError::ResourceExhausted));
+                return Ok(Err(NetError::Exhausted));
             }
         }
         // Batch-repost every consumed descriptor to its staging range
@@ -724,14 +719,14 @@ impl SockShared {
         Ok(Ok(direct))
     }
 
-    fn check_writable(&self) -> Result<(), SockError> {
+    fn check_writable(&self) -> Result<(), NetError> {
         self.reap_sends()?;
         let i = self.inner.lock();
         if i.closed || i.write_closed {
-            return Err(SockError::Closed);
+            return Err(NetError::Closed);
         }
         if i.poisoned {
-            return Err(SockError::ResourceExhausted);
+            return Err(NetError::Exhausted);
         }
         // Note: a received Close does NOT fail writes here — the peer may
         // only have shut down its write side (its descriptors stay posted
@@ -759,7 +754,7 @@ impl SockShared {
                     i.credits -= 1;
                     true
                 } else if i.peer_closed {
-                    return Ok(Err(SockError::PeerClosed));
+                    return Ok(Err(NetError::PeerClosed));
                 } else {
                     i.stats.credit_stalls += 1;
                     false
@@ -777,7 +772,7 @@ impl SockShared {
             if let Some(patience) = self.proc_.cfg.write_stall_after {
                 if stall_timer.as_ref().is_some_and(|t| t.is_done()) {
                     ctx.telemetry().counter("sock.write_stall_timeouts").add(1);
-                    return Ok(Err(SockError::Timeout));
+                    return Ok(Err(NetError::Timeout));
                 }
                 if stall_timer.is_none() {
                     let t = simnet::Completion::new();
@@ -908,16 +903,14 @@ impl SockShared {
         Ok(Ok(()))
     }
 
-    fn apply_fcack(&self, ctx: &ProcessCtx, raw: &Bytes) -> Result<(), SockError> {
+    fn apply_fcack(&self, ctx: &ProcessCtx, raw: &Bytes) -> Result<(), NetError> {
         match Msg::decode(raw)? {
             Msg::FcAck { credits } => {
                 self.trace(ctx, EventKind::CreditGrant, u64::from(credits), 0);
                 self.inner.lock().credits += u32::from(credits);
                 Ok(())
             }
-            other => Err(SockError::protocol(format!(
-                "non-ack message on fc-ack tag: {other:?}"
-            ))),
+            _ => Err(NetError::Protocol("non-ack message on fc-ack tag")),
         }
     }
 

@@ -5,8 +5,8 @@
 //! baseline through `kernel_tcp::TcpRingDriver` — so every queueing,
 //! ordering, and backpressure decision is shared by construction. What
 //! this suite pins down is the part that is *not* shared: the drivers'
-//! nonblocking op semantics and error mapping. Each scenario runs the
-//! identical submission script against both stacks and diffs the
+//! nonblocking op semantics and the errors they report. Each scenario
+//! runs the identical submission script against both stacks and diffs the
 //! normalized completion traces; every op kind (`Accept`, `Read`,
 //! `Write`, `Close`), EOF (`Close { final_seq }`), short writes, and
 //! op-failure surfacing must render byte-identically.
@@ -907,7 +907,7 @@ fn ring_deadlines_fire_under_connect_timeout_and_peer_watchdog() {
             matches!(
                 cqes[0].result,
                 CqeResult::Failed {
-                    err: simnet::ring::OpError::Timeout
+                    err: simnet::NetError::Timeout
                 }
             ),
             "5 ms ring deadline must fire before the 20 ms watchdog: {cqes:?}"

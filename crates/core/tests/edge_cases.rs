@@ -4,7 +4,7 @@
 use emp_proto::{build_cluster, EmpCluster, EmpConfig};
 use parking_lot::Mutex;
 use simnet::{Completion, Sim, SimDuration, SimTime, SwitchConfig};
-use sockets_emp::{EmpSockets, SockAddr, SockError, SubstrateConfig};
+use sockets_emp::{EmpSockets, NetError, SockAddr, SubstrateConfig};
 use std::sync::Arc;
 
 fn cluster(n: usize) -> EmpCluster {
@@ -22,11 +22,11 @@ fn ports_beyond_the_tag_space_are_rejected() {
     let s = sub(&cl, 0, SubstrateConfig::ds_da_uq());
     sim.spawn("p", move |ctx| {
         let too_big = 0x1000;
-        assert_eq!(s.listen(ctx, too_big, 4)?.err(), Some(SockError::AddrInUse));
+        assert_eq!(s.listen(ctx, too_big, 4)?.err(), Some(NetError::AddrInUse));
         assert_eq!(
             s.connect(ctx, SockAddr::new(simnet::MacAddr(1), too_big))?
                 .err(),
-            Some(SockError::AddrInUse)
+            Some(NetError::AddrInUse)
         );
         Ok(())
     });
@@ -40,7 +40,7 @@ fn duplicate_listen_is_rejected() {
     let s = sub(&cl, 0, SubstrateConfig::ds_da_uq());
     sim.spawn("p", move |ctx| {
         let _l = s.listen(ctx, 80, 4)?.expect("first listen");
-        assert_eq!(s.listen(ctx, 80, 4)?.err(), Some(SockError::AddrInUse));
+        assert_eq!(s.listen(ctx, 80, 4)?.err(), Some(NetError::AddrInUse));
         Ok(())
     });
     sim.run();
@@ -335,7 +335,7 @@ fn shutdown_write_half_closes() {
         conn.write(ctx, b"whole request")?.expect("send");
         conn.shutdown_write(ctx)?;
         let err = conn.write(ctx, b"more")?.expect_err("write side closed");
-        assert_eq!(err, SockError::Closed);
+        assert_eq!(err, NetError::Closed);
         let resp = conn.read_exact(ctx, 14)?.expect("read").expect("response");
         assert_eq!(&resp[..], b"whole response");
         conn.close(ctx)?;
@@ -354,7 +354,7 @@ fn accept_after_listener_close_errors_cleanly() {
     sim.spawn("p", move |ctx| {
         let l = s.listen(ctx, 80, 2)?.expect("port");
         l.close(ctx)?;
-        assert_eq!(l.accept(ctx)?.err(), Some(SockError::Closed));
+        assert_eq!(l.accept(ctx)?.err(), Some(NetError::Closed));
         Ok(())
     });
     sim.run();

@@ -9,7 +9,7 @@
 
 use emp_proto::{build_cluster, EmpCluster, EmpConfig};
 use simnet::{Completion, Sim, SimDuration, SwitchConfig};
-use sockets_emp::{ConnStats, EmpSockets, SockAddr, SockError, SubstrateConfig};
+use sockets_emp::{ConnStats, EmpSockets, NetError, SockAddr, SubstrateConfig};
 
 fn cluster(n: usize) -> EmpCluster {
     build_cluster(n, EmpConfig::default(), SwitchConfig::default())
@@ -178,7 +178,7 @@ fn try_read_races_arrivals_through_the_direct_path() {
             match conn.try_read(ctx, 8192)? {
                 Ok(m) if m.is_empty() => break,
                 Ok(m) => got.extend_from_slice(&m),
-                Err(SockError::WouldBlock) => ctx.delay(SimDuration::from_micros(20))?,
+                Err(NetError::WouldBlock) => ctx.delay(SimDuration::from_micros(20))?,
                 Err(e) => panic!("try_read failed: {e:?}"),
             }
         }

@@ -4,7 +4,9 @@
 
 use emp_proto::{build_cluster, EmpCluster, EmpConfig};
 use simnet::{Completion, Sim, SimDuration, SwitchConfig};
-use sockets_emp::{EmpSockets, FdError, FdTable, Interest, PollFd, SockAddr, SubstrateConfig};
+use sockets_emp::{
+    EmpSockets, FdError, FdTable, Interest, NetError, PollFd, SockAddr, SubstrateConfig,
+};
 
 fn cluster(n: usize) -> EmpCluster {
     build_cluster(n, EmpConfig::default(), SwitchConfig::default())
@@ -115,7 +117,10 @@ fn o_nonblock_turns_parks_into_would_block() {
         let lfd = fds.socket_listen(ctx, 80, 4)?.expect("listen");
         fds.set_nonblocking(lfd, true).expect("known fd");
         // Nothing queued yet.
-        assert_eq!(fds.accept(ctx, lfd)?.unwrap_err(), FdError::WouldBlock);
+        assert_eq!(
+            fds.accept(ctx, lfd)?.unwrap_err(),
+            FdError::Net(NetError::WouldBlock)
+        );
         // Wait for the connection with poll(2), then retry.
         let mut pfds = [PollFd::new(lfd, Interest::READABLE)];
         let n = fds.poll(ctx, &mut pfds, None)?.expect("poll");
@@ -124,7 +129,10 @@ fn o_nonblock_turns_parks_into_would_block() {
         let cfd = fds.accept(ctx, lfd)?.expect("queued connection");
         fds.set_nonblocking(cfd, true).expect("known fd");
         // The client delays its message: a nonblocking read sees EAGAIN.
-        assert_eq!(fds.read(ctx, cfd, 64)?.unwrap_err(), FdError::WouldBlock);
+        assert_eq!(
+            fds.read(ctx, cfd, 64)?.unwrap_err(),
+            FdError::Net(NetError::WouldBlock)
+        );
         let mut pfds = [PollFd::new(cfd, Interest::READABLE)];
         fds.poll(ctx, &mut pfds, None)?.expect("poll");
         let d = fds.read(ctx, cfd, 64)?.expect("data");

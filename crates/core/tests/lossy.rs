@@ -1,12 +1,15 @@
 //! Substrate robustness under injected fabric faults: every Figure 11
 //! preset must deliver byte-exact data over a fabric that drops, reorders,
 //! and delays frames, and a peer that vanishes must surface
-//! [`SockError::Timeout`] / [`SockError::PeerGone`] instead of a hang.
+//! [`NetError::Timeout`] / [`NetError::PeerGone`] instead of a hang.
 
 use emp_proto::{build_cluster, EmpCluster, EmpConfig};
-use simnet::ring::{CqeResult, RingConfig, RingOp, Sqe};
-use simnet::{Completion, FaultPlan, LinkConfig, Sim, SimAccess, SimDuration, SwitchConfig};
-use sockets_emp::{CopyPolicy, EmpSockets, SockAddr, SockError, SubstrateConfig};
+use simnet::ring::{CqeResult, RingConfig, RingCore, RingDriver, RingOp, Sqe};
+use simnet::{
+    Completion, FaultPlan, Interest, LinkConfig, OpResult, ProcessCtx, Sim, SimAccess, SimDuration,
+    SimResult, SwitchConfig,
+};
+use sockets_emp::{CopyPolicy, EmpSockets, NetError, SockAddr, SubstrateConfig};
 
 fn faulty_cluster(n: usize, faults: FaultPlan) -> EmpCluster {
     // EMP abandons a message after `max_retries` silent timer rounds — a
@@ -295,7 +298,7 @@ fn both_fast_paths_move_a_megabyte_at_twenty_percent_loss() {
 /// a deadline timer pending on a connection that may send nothing more:
 /// the read flushed the staged bytes before it parked, so the timer finds
 /// its episode over — no message after the poisoning, every later
-/// operation still `ResourceExhausted`, close still clean.
+/// operation still `Exhausted`, close still clean.
 #[test]
 fn the_staging_deadline_on_a_poisoned_socket_sends_nothing() {
     let sim = Sim::new();
@@ -330,15 +333,12 @@ fn the_staging_deadline_on_a_poisoned_socket_sends_nothing() {
                 Err(e) => break e,
             }
         };
-        assert_eq!(err, SockError::ResourceExhausted);
+        assert_eq!(err, NetError::Exhausted);
         let sent = conn.stats().msgs_sent;
         // Well past the pending deadline of the last staged write.
         ctx.delay(SimDuration::from_millis(1))?;
         assert_eq!(conn.stats().msgs_sent, sent, "a poisoned socket is silent");
-        assert_eq!(
-            conn.write(ctx, &[7u8; 32])?,
-            Err(SockError::ResourceExhausted)
-        );
+        assert_eq!(conn.write(ctx, &[7u8; 32])?, Err(NetError::Exhausted));
         conn.close(ctx)?;
         l.close(ctx)?;
         done2.complete(ctx);
@@ -550,7 +550,7 @@ fn connect_to_a_dead_peer_times_out_within_the_deadline() {
         let Err(err) = r else {
             panic!("must not connect")
         };
-        assert_eq!(err, SockError::Timeout);
+        assert_eq!(err, NetError::Timeout);
         let waited = ctx.now() - t0;
         assert!(
             waited <= deadline + SimDuration::from_millis(1),
@@ -582,7 +582,7 @@ fn connect_to_a_live_nic_with_no_listener_is_refused_not_timed_out() {
         let Err(err) = r else {
             panic!("must not connect")
         };
-        assert_eq!(err, SockError::ConnectionRefused);
+        assert_eq!(err, NetError::Refused);
         let waited = ctx.now() - t0;
         assert!(
             waited < deadline,
@@ -616,7 +616,7 @@ fn stream_reader_survives_a_writer_crash_mid_stream() {
         // The writer is gone without a Close: the watchdog must convert
         // silence into PeerGone, not block forever.
         let err = conn.read(ctx, 1024)?.expect_err("peer vanished");
-        assert_eq!(err, SockError::PeerGone);
+        assert_eq!(err, NetError::PeerGone);
         conn.close(ctx)?;
         done2.complete(ctx);
         Ok(())
@@ -662,7 +662,7 @@ fn stream_writer_survives_a_reader_crash_mid_stream() {
                 break;
             }
         }
-        assert_eq!(outcome.expect_err("credit starvation"), SockError::PeerGone);
+        assert_eq!(outcome.expect_err("credit starvation"), NetError::PeerGone);
         conn.close(ctx)?;
         done2.complete(ctx);
         Ok(())
@@ -693,7 +693,7 @@ fn accepted_but_abandoned_connection_yields_peer_gone() {
     sim.spawn("client", move |ctx| {
         let conn = client.connect(ctx, addr)?.expect("connect");
         let err = conn.read(ctx, 64)?.expect_err("peer vanished");
-        assert_eq!(err, SockError::PeerGone);
+        assert_eq!(err, NetError::PeerGone);
         conn.close(ctx)?;
         done2.complete(ctx);
         Ok(())
@@ -719,7 +719,7 @@ fn dgram_receiver_survives_a_sender_crash() {
         let m = conn.read(ctx, 1024)?.expect("pre-crash datagram");
         assert_eq!(&m[..], b"dgram");
         let err = conn.read(ctx, 1024)?.expect_err("peer vanished");
-        assert_eq!(err, SockError::PeerGone);
+        assert_eq!(err, NetError::PeerGone);
         conn.close(ctx)?;
         done2.complete(ctx);
         Ok(())
@@ -764,8 +764,72 @@ fn dgram_sender_survives_a_receiver_crash_mid_rendezvous() {
         let err = conn
             .write(ctx, &vec![2u8; 16 * 1024])?
             .expect_err("grant never arrives");
-        assert_eq!(err, SockError::PeerGone);
+        assert_eq!(err, NetError::PeerGone);
         conn.close(ctx)?;
+        done2.complete(ctx);
+        Ok(())
+    });
+    sim.run();
+    assert!(done.is_done());
+}
+
+/// A ring driver over a vanished peer: every op reports what the
+/// watchdog reports to the blocking calls above.
+struct VanishedPeer;
+
+impl RingDriver for VanishedPeer {
+    type Conn = ();
+    type Listener = ();
+
+    fn try_accept(&self, _: &ProcessCtx, _: &()) -> OpResult<()> {
+        Ok(Err(NetError::PeerGone))
+    }
+
+    fn try_read(&self, _: &ProcessCtx, _: &(), _: &mut [u8]) -> OpResult<usize> {
+        Ok(Err(NetError::PeerGone))
+    }
+
+    fn try_write(&self, _: &ProcessCtx, _: &(), _: &[u8]) -> OpResult<usize> {
+        Ok(Err(NetError::PeerGone))
+    }
+
+    fn close(&self, _: &ProcessCtx, _: ()) -> SimResult<()> {
+        Ok(())
+    }
+
+    fn close_listener(&self, _: &ProcessCtx, _: ()) -> SimResult<()> {
+        Ok(())
+    }
+
+    fn wait(
+        &self,
+        _: &ProcessCtx,
+        _: &[(&(), Interest)],
+        _: &[&()],
+        _: Option<SimDuration>,
+    ) -> SimResult<()> {
+        unreachable!("no op ever stalls on a vanished peer")
+    }
+}
+
+#[test]
+fn ring_ops_on_a_vanished_peer_complete_as_peer_gone() {
+    let sim = Sim::new();
+    let done = Completion::new();
+    let done2 = done.clone();
+    sim.spawn("ring", move |ctx| {
+        let mut ring = RingCore::new(VanishedPeer, RingConfig::default(), "vanished");
+        let conn = ring.add_conn(());
+        ring.push(Sqe::new(0, RingOp::Read { conn, buf: 0 }))
+            .expect("room");
+        ring.submit_and_wait(ctx, 1)?.expect("committed");
+        // The blocking calls' PeerGone, unchanged (rings used to say PeerClosed).
+        assert_eq!(
+            ring.reap(1)[0].result,
+            CqeResult::Failed {
+                err: NetError::PeerGone
+            }
+        );
         done2.complete(ctx);
         Ok(())
     });
@@ -834,7 +898,7 @@ fn connect_churn_over_a_lossy_wire_keeps_survivors_byte_exact() {
                         match conn.read_deadline(ctx, 4096, ms(25))? {
                             Ok(m) if m.is_empty() => break false,
                             Ok(m) => got.extend_from_slice(&m),
-                            Err(SockError::Timeout) => break true,
+                            Err(NetError::Timeout) => break true,
                             Err(other) => panic!("read failed oddly: {other:?}"),
                         }
                     };
@@ -855,7 +919,7 @@ fn connect_churn_over_a_lossy_wire_keeps_survivors_byte_exact() {
                     conn.close(ctx)?;
                     srv2.fetch_add(1, Ordering::Relaxed);
                 }
-                Err(SockError::Timeout) => {
+                Err(NetError::Timeout) => {
                     if fin2.load(Ordering::Relaxed) == CLIENTS {
                         break;
                     }
@@ -883,10 +947,10 @@ fn connect_churn_over_a_lossy_wire_keeps_survivors_byte_exact() {
                     }
                     conn.close(ctx)?;
                 }
-                Err(SockError::ConnectionRefused) => {
+                Err(NetError::Refused) => {
                     refu.fetch_add(1, Ordering::Relaxed);
                 }
-                Err(SockError::Timeout) => {
+                Err(NetError::Timeout) => {
                     timo.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(other) => panic!("connect failed oddly: {other:?}"),

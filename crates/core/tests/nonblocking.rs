@@ -1,10 +1,10 @@
 //! The readiness layer end to end: nonblocking socket calls returning
-//! [`SockError::WouldBlock`], and [`PollSet`] waits over connections and
+//! [`NetError::WouldBlock`], and [`PollSet`] waits over connections and
 //! listeners that report exactly when a retry will make progress.
 
 use emp_proto::{build_cluster, EmpCluster, EmpConfig};
 use simnet::{Completion, Sim, SimAccess, SimDuration, SwitchConfig};
-use sockets_emp::{EmpSockets, Interest, PollSet, SockAddr, SockError, SubstrateConfig};
+use sockets_emp::{EmpSockets, Interest, NetError, PollSet, SockAddr, SubstrateConfig};
 
 fn cluster(n: usize) -> EmpCluster {
     build_cluster(n, EmpConfig::default(), SwitchConfig::default())
@@ -28,7 +28,7 @@ fn try_read_would_block_until_poll_reports_readable() {
         let l = server.listen(ctx, 80, 8)?.expect("port free");
         let conn = l.accept(ctx)?.expect("client");
         // The client stays silent for a millisecond: nothing to read yet.
-        assert_eq!(conn.try_read(ctx, 64)?.unwrap_err(), SockError::WouldBlock);
+        assert_eq!(conn.try_read(ctx, 64)?.unwrap_err(), NetError::WouldBlock);
         let mut set = PollSet::new();
         set.register_conn(&conn, 7, Interest::READABLE);
         let events = set.poll(ctx, None)?.expect("poll");
@@ -93,7 +93,7 @@ fn try_write_would_block_on_credit_exhaustion_until_acks_return() {
         // ...and the third write has none to take.
         assert_eq!(
             conn.try_write(ctx, &msg)?.unwrap_err(),
-            SockError::WouldBlock
+            NetError::WouldBlock
         );
         assert!(!conn.writable());
         let mut set = PollSet::new();
@@ -126,7 +126,7 @@ fn try_accept_would_block_until_poll_reports_acceptable() {
         let l = server.listen(ctx, 80, 8)?.expect("port free");
         assert_eq!(
             l.try_accept(ctx).map(|r| r.map(|_| ()))?.unwrap_err(),
-            SockError::WouldBlock
+            NetError::WouldBlock
         );
         let mut set = PollSet::new();
         set.register_listener(&l, 9, Interest::ACCEPTABLE);
@@ -162,13 +162,10 @@ fn select_on_an_empty_set_is_invalid_not_a_hang() {
     let done2 = done.clone();
 
     sim.spawn("selector", move |ctx| {
-        assert_eq!(
-            s.select_readable(ctx, &[])?.unwrap_err(),
-            SockError::Invalid
-        );
+        assert_eq!(s.select_readable(ctx, &[])?.unwrap_err(), NetError::Invalid);
         // Same for a bare poll with nothing to wait on and no timeout.
         let mut set = PollSet::new();
-        assert_eq!(set.poll(ctx, None)?.unwrap_err(), SockError::Invalid);
+        assert_eq!(set.poll(ctx, None)?.unwrap_err(), NetError::Invalid);
         done2.complete(ctx);
         Ok(())
     });

@@ -6,7 +6,7 @@
 use emp_proto::{build_cluster, EmpCluster, EmpConfig};
 use parking_lot::Mutex;
 use simnet::{Completion, Sim, SimAccess, SimDuration, SimTime, SwitchConfig};
-use sockets_emp::{EmpSockets, SockAddr, SockError, SubstrateConfig};
+use sockets_emp::{EmpSockets, NetError, SockAddr, SubstrateConfig};
 use std::sync::Arc;
 
 fn cluster(n: usize) -> EmpCluster {
@@ -409,7 +409,7 @@ fn rendezvous_rejects_oversized_datagrams() {
         let err = conn
             .write(ctx, &vec![1u8; 100_000])?
             .expect_err("too big for receiver");
-        assert!(matches!(err, SockError::MessageTooBig { limit: 4096, .. }));
+        assert!(matches!(err, NetError::TooBig { limit: 4096, .. }));
         conn.write(ctx, b"small")?.expect("fits");
         Ok(())
     });
@@ -543,7 +543,7 @@ fn write_after_local_close_fails() {
         let conn = client.connect(ctx, addr)?.expect("connect");
         conn.close(ctx)?;
         let err = conn.write(ctx, b"late")?.expect_err("closed");
-        assert_eq!(err, SockError::Closed);
+        assert_eq!(err, NetError::Closed);
         Ok(())
     });
     sim.run();

@@ -1128,7 +1128,7 @@ impl EmpNic {
     /// after a short pause (explicit backpressure, cheaper than waiting
     /// out the retransmission timer). `!busy` is a refusal: the send
     /// fails immediately with the `refused` flag set, which the host
-    /// maps to `ConnectionRefused`.
+    /// maps to `NetError::Refused`.
     fn process_nack(&self, sim: &Sim, msg_id: u64, busy: bool) {
         if busy {
             {

@@ -8,10 +8,13 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use simnet::{Event, Interest, ProcessCtx, SimAccess, SimAccessExt, SimDuration, SimResult};
+use simnet::{
+    until_deadline, Event, Interest, NetError, OpResult, ProcessCtx, SimAccess, SimAccessExt,
+    SimDuration, SimResult,
+};
 
 use crate::stack::{ListenerState, TcpStack};
-use crate::tcp::{TcpError, TcpSocket};
+use crate::tcp::TcpSocket;
 use crate::udp::{self, UdpPort};
 use crate::wire::SockAddr;
 
@@ -58,11 +61,7 @@ impl TcpApi {
 
     /// Active open to `remote`; blocks for the three-way handshake
     /// (~200-250 µs on the calibrated testbed, §7.4).
-    pub fn connect(
-        &self,
-        ctx: &ProcessCtx,
-        remote: SockAddr,
-    ) -> SimResult<Result<TcpConn, TcpError>> {
+    pub fn connect(&self, ctx: &ProcessCtx, remote: SockAddr) -> OpResult<TcpConn> {
         Ok(self.stack.connect(ctx, remote)?.map(|sock| TcpConn {
             stack: Arc::clone(&self.stack),
             sock,
@@ -70,14 +69,14 @@ impl TcpApi {
     }
 
     /// [`Self::connect`] bounded by `deadline`: fails with
-    /// [`TcpError::Timeout`] when the handshake has not completed in time
-    /// (refusal stays the distinct [`TcpError::ConnectionRefused`]).
+    /// [`NetError::Timeout`] when the handshake has not completed in time
+    /// (refusal stays the distinct [`NetError::Refused`]).
     pub fn connect_deadline(
         &self,
         ctx: &ProcessCtx,
         remote: SockAddr,
         deadline: SimDuration,
-    ) -> SimResult<Result<TcpConn, TcpError>> {
+    ) -> OpResult<TcpConn> {
         Ok(self
             .stack
             .connect_inner(ctx, remote, Some(deadline))?
@@ -88,12 +87,7 @@ impl TcpApi {
     }
 
     /// Passive open on `port`.
-    pub fn listen(
-        &self,
-        ctx: &ProcessCtx,
-        port: u16,
-        backlog: usize,
-    ) -> SimResult<Result<TcpListener, TcpError>> {
+    pub fn listen(&self, ctx: &ProcessCtx, port: u16, backlog: usize) -> OpResult<TcpListener> {
         Ok(self.stack.listen(ctx, port, backlog)?.map(|l| TcpListener {
             stack: Arc::clone(&self.stack),
             l,
@@ -101,7 +95,7 @@ impl TcpApi {
     }
 
     /// Bind a UDP port.
-    pub fn udp_bind(&self, ctx: &ProcessCtx, port: u16) -> SimResult<Result<UdpSock, TcpError>> {
+    pub fn udp_bind(&self, ctx: &ProcessCtx, port: u16) -> OpResult<UdpSock> {
         Ok(udp::bind(&self.stack, ctx, port)?.map(|p| UdpSock {
             stack: Arc::clone(&self.stack),
             p,
@@ -115,16 +109,16 @@ impl TcpApi {
     /// each segment (data, acks opening the send window, accept-queue
     /// deliveries, resets), so all readiness kinds share one wake source.
     ///
-    /// An empty source list with no timeout is [`TcpError::Invalid`]
+    /// An empty source list with no timeout is [`NetError::Invalid`]
     /// (the wait could never wake).
     pub fn poll(
         &self,
         ctx: &ProcessCtx,
         sources: &[TcpPollSource<'_>],
         timeout: Option<SimDuration>,
-    ) -> SimResult<Result<Vec<Event>, TcpError>> {
+    ) -> OpResult<Vec<Event>> {
         if sources.is_empty() && timeout.is_none() {
-            return Ok(Err(TcpError::Invalid));
+            return Ok(Err(NetError::Invalid));
         }
         ctx.delay(self.stack.host().cost().syscall)?;
         let give_up_at = timeout.map(|d| ctx.now() + d);
@@ -178,13 +172,9 @@ impl TcpApi {
 
     /// `select()` over connections for readability: blocks until at least
     /// one is readable and returns its index. A readable-only
-    /// [`TcpApi::poll`] underneath; an empty set is [`TcpError::Invalid`]
+    /// [`TcpApi::poll`] underneath; an empty set is [`NetError::Invalid`]
     /// (it could never wake), not an endless park.
-    pub fn select_readable(
-        &self,
-        ctx: &ProcessCtx,
-        conns: &[&TcpConn],
-    ) -> SimResult<Result<usize, TcpError>> {
+    pub fn select_readable(&self, ctx: &ProcessCtx, conns: &[&TcpConn]) -> OpResult<usize> {
         let sources: Vec<TcpPollSource<'_>> = conns
             .iter()
             .enumerate()
@@ -194,10 +184,9 @@ impl TcpApi {
                 interest: Interest::READABLE,
             })
             .collect();
-        match self.poll(ctx, &sources, None)? {
-            Ok(events) => Ok(Ok(events[0].token)),
-            Err(e) => Ok(Err(e)),
-        }
+        Ok(self
+            .poll(ctx, &sources, None)?
+            .map(|events| events[0].token))
     }
 
     /// Change the socket-buffer size for sockets created from now on.
@@ -224,17 +213,13 @@ impl TcpConn {
     }
 
     /// Blocking read of up to `max` bytes; an empty buffer is EOF.
-    pub fn read(&self, ctx: &ProcessCtx, max: usize) -> SimResult<Result<Bytes, TcpError>> {
+    pub fn read(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
         self.stack.read(ctx, &self.sock, max)
     }
 
     /// Read exactly `n` bytes (looping over `read`); `None` on premature
     /// EOF.
-    pub fn read_exact(
-        &self,
-        ctx: &ProcessCtx,
-        n: usize,
-    ) -> SimResult<Result<Option<Bytes>, TcpError>> {
+    pub fn read_exact(&self, ctx: &ProcessCtx, n: usize) -> OpResult<Option<Bytes>> {
         let mut buf = Vec::with_capacity(n);
         while buf.len() < n {
             let chunk = match self.read(ctx, n - buf.len())? {
@@ -250,96 +235,72 @@ impl TcpConn {
     }
 
     /// Blocking write of the whole buffer.
-    pub fn write(&self, ctx: &ProcessCtx, data: &[u8]) -> SimResult<Result<usize, TcpError>> {
+    pub fn write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
         self.stack.write(ctx, &self.sock, data)
     }
 
     /// Nonblocking read: serve what the receive buffer holds;
-    /// [`TcpError::WouldBlock`] when a blocking read would park.
-    pub fn try_read(&self, ctx: &ProcessCtx, max: usize) -> SimResult<Result<Bytes, TcpError>> {
+    /// [`NetError::WouldBlock`] when a blocking read would park.
+    pub fn try_read(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
         self.stack.try_read(ctx, &self.sock, max)
     }
 
     /// [`Self::read`] bounded by `deadline`: serves data the moment any
-    /// arrives, fails with [`TcpError::Timeout`] if none does in time.
+    /// arrives, fails with [`NetError::Timeout`] if none does in time.
     pub fn read_deadline(
         &self,
         ctx: &ProcessCtx,
         max: usize,
         deadline: SimDuration,
-    ) -> SimResult<Result<Bytes, TcpError>> {
-        let give_up_at = ctx.now() + deadline;
-        loop {
-            match self.try_read(ctx, max)? {
-                Ok(b) => return Ok(Ok(b)),
-                Err(TcpError::WouldBlock) => {}
-                Err(e) => return Ok(Err(e)),
-            }
-            let now = ctx.now();
-            if now >= give_up_at {
-                ctx.telemetry().counter("tcp.op_timeouts").add(1);
-                return Ok(Err(TcpError::Timeout));
-            }
-            let api = TcpApi::new(Arc::clone(&self.stack));
-            let sources = [TcpPollSource {
-                target: TcpPollTarget::Conn(self),
-                token: 0,
-                interest: Interest::READABLE,
-            }];
-            let events = match api.poll(ctx, &sources, Some(give_up_at.since(now)))? {
-                Ok(e) => e,
-                Err(e) => return Ok(Err(e)),
-            };
-            if events.is_empty() {
-                ctx.telemetry().counter("tcp.op_timeouts").add(1);
-                return Ok(Err(TcpError::Timeout));
-            }
-        }
+    ) -> OpResult<Bytes> {
+        until_deadline(
+            ctx,
+            deadline,
+            "tcp.op_timeouts",
+            || self.try_read(ctx, max),
+            |left| self.wait_ready(ctx, Interest::READABLE, left),
+        )
     }
 
     /// [`Self::write`] bounded by `deadline`: accepts what fits the send
     /// buffer the moment space frees up (a possibly short count, like
-    /// POSIX `write`), fails with [`TcpError::Timeout`] if the buffer
+    /// POSIX `write`), fails with [`NetError::Timeout`] if the buffer
     /// stays full — the slowloris defence on the kernel stack.
     pub fn write_deadline(
         &self,
         ctx: &ProcessCtx,
         data: &[u8],
         deadline: SimDuration,
-    ) -> SimResult<Result<usize, TcpError>> {
-        let give_up_at = ctx.now() + deadline;
-        loop {
-            match self.try_write(ctx, data)? {
-                Ok(n) => return Ok(Ok(n)),
-                Err(TcpError::WouldBlock) => {}
-                Err(e) => return Ok(Err(e)),
-            }
-            let now = ctx.now();
-            if now >= give_up_at {
-                ctx.telemetry().counter("tcp.op_timeouts").add(1);
-                return Ok(Err(TcpError::Timeout));
-            }
-            let api = TcpApi::new(Arc::clone(&self.stack));
-            let sources = [TcpPollSource {
-                target: TcpPollTarget::Conn(self),
-                token: 0,
-                interest: Interest::WRITABLE,
-            }];
-            let events = match api.poll(ctx, &sources, Some(give_up_at.since(now)))? {
-                Ok(e) => e,
-                Err(e) => return Ok(Err(e)),
-            };
-            if events.is_empty() {
-                ctx.telemetry().counter("tcp.op_timeouts").add(1);
-                return Ok(Err(TcpError::Timeout));
-            }
-        }
+    ) -> OpResult<usize> {
+        until_deadline(
+            ctx,
+            deadline,
+            "tcp.op_timeouts",
+            || self.try_write(ctx, data),
+            |left| self.wait_ready(ctx, Interest::WRITABLE, left),
+        )
+    }
+
+    /// Park until `interest` holds (`true`) or `within` passes (`false`).
+    fn wait_ready(
+        &self,
+        ctx: &ProcessCtx,
+        interest: Interest,
+        within: SimDuration,
+    ) -> OpResult<bool> {
+        poll_one(
+            &self.stack,
+            ctx,
+            TcpPollTarget::Conn(self),
+            interest,
+            within,
+        )
     }
 
     /// Nonblocking write: copy what fits the send buffer and report the
-    /// count accepted; [`TcpError::WouldBlock`] when it is full before
+    /// count accepted; [`NetError::WouldBlock`] when it is full before
     /// any byte is taken.
-    pub fn try_write(&self, ctx: &ProcessCtx, data: &[u8]) -> SimResult<Result<usize, TcpError>> {
+    pub fn try_write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
         self.stack.try_write(ctx, &self.sock, data)
     }
 
@@ -390,6 +351,14 @@ impl TcpConn {
     }
 }
 
+impl Drop for TcpConn {
+    /// The last handle is gone: after [`TcpConn::close`], data that still
+    /// arrives is answered with a reset.
+    fn drop(&mut self) {
+        self.sock.inner.lock().orphaned = true;
+    }
+}
+
 /// A listening socket.
 pub struct TcpListener {
     stack: Arc<TcpStack>,
@@ -397,57 +366,37 @@ pub struct TcpListener {
 }
 
 impl TcpListener {
-    /// Block for the next established connection.
-    pub fn accept(&self, ctx: &ProcessCtx) -> SimResult<TcpConn> {
-        let sock = self.stack.accept(ctx, &self.l)?;
-        Ok(TcpConn {
+    /// Block for the next established connection; [`NetError::Closed`]
+    /// once the listener is closed ([`Self::unlisten`]) and its queue is
+    /// empty.
+    pub fn accept(&self, ctx: &ProcessCtx) -> OpResult<TcpConn> {
+        Ok(self.stack.accept(ctx, &self.l)?.map(|sock| TcpConn {
             stack: Arc::clone(&self.stack),
             sock,
-        })
+        }))
     }
 
     /// [`Self::accept`] bounded by `deadline`: fails with
-    /// [`TcpError::Timeout`] if no established connection is queued in
+    /// [`NetError::Timeout`] if no established connection is queued in
     /// time — the bounded-patience accept an event loop interleaves with
     /// housekeeping.
-    pub fn accept_deadline(
-        &self,
-        ctx: &ProcessCtx,
-        deadline: SimDuration,
-    ) -> SimResult<Result<TcpConn, TcpError>> {
-        let give_up_at = ctx.now() + deadline;
-        loop {
-            match self.try_accept(ctx)? {
-                Ok(c) => return Ok(Ok(c)),
-                Err(TcpError::WouldBlock) => {}
-                Err(e) => return Ok(Err(e)),
-            }
-            let now = ctx.now();
-            if now >= give_up_at {
-                ctx.telemetry().counter("tcp.op_timeouts").add(1);
-                return Ok(Err(TcpError::Timeout));
-            }
-            let api = TcpApi::new(Arc::clone(&self.stack));
-            let sources = [TcpPollSource {
-                target: TcpPollTarget::Listener(self),
-                token: 0,
-                interest: Interest::ACCEPTABLE,
-            }];
-            let events = match api.poll(ctx, &sources, Some(give_up_at.since(now)))? {
-                Ok(e) => e,
-                Err(e) => return Ok(Err(e)),
-            };
-            if events.is_empty() {
-                ctx.telemetry().counter("tcp.op_timeouts").add(1);
-                return Ok(Err(TcpError::Timeout));
-            }
-        }
+    pub fn accept_deadline(&self, ctx: &ProcessCtx, deadline: SimDuration) -> OpResult<TcpConn> {
+        until_deadline(
+            ctx,
+            deadline,
+            "tcp.op_timeouts",
+            || self.try_accept(ctx),
+            |left| {
+                let target = TcpPollTarget::Listener(self);
+                poll_one(&self.stack, ctx, target, Interest::ACCEPTABLE, left)
+            },
+        )
     }
 
     /// Nonblocking accept: pop an established connection if one is
-    /// queued; [`TcpError::WouldBlock`] otherwise. Poll with
+    /// queued; [`NetError::WouldBlock`] otherwise. Poll with
     /// [`Interest::ACCEPTABLE`] to learn when to retry.
-    pub fn try_accept(&self, ctx: &ProcessCtx) -> SimResult<Result<TcpConn, TcpError>> {
+    pub fn try_accept(&self, ctx: &ProcessCtx) -> OpResult<TcpConn> {
         Ok(self.stack.try_accept(ctx, &self.l)?.map(|sock| TcpConn {
             stack: Arc::clone(&self.stack),
             sock,
@@ -481,6 +430,24 @@ impl TcpListener {
     fn l_port(&self) -> u16 {
         self.l.port
     }
+}
+
+/// Park in a one-source [`TcpApi::poll`] until `interest` holds on
+/// `target` (`true`) or `within` passes (`false`).
+fn poll_one(
+    stack: &Arc<TcpStack>,
+    ctx: &ProcessCtx,
+    target: TcpPollTarget<'_>,
+    interest: Interest,
+    within: SimDuration,
+) -> OpResult<bool> {
+    let sources = [TcpPollSource {
+        target,
+        token: 0,
+        interest,
+    }];
+    let events = TcpApi::new(Arc::clone(stack)).poll(ctx, &sources, Some(within))?;
+    Ok(events.map(|events| !events.is_empty()))
 }
 
 /// A bound UDP socket.

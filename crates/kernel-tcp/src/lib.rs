@@ -27,8 +27,7 @@ pub use api::{TcpApi, TcpConn, TcpListener, TcpPollSource, TcpPollTarget, UdpSoc
 pub use config::TcpConfig;
 pub use nic::AcenicNic;
 pub use ring::{TcpRing, TcpRingDriver};
-pub use simnet::{Event, Interest};
+pub use simnet::{Event, Interest, NetError};
 pub use stack::TcpStack;
-pub use tcp::TcpError;
 pub use testbed::{build_tcp_cluster, TcpCluster, TcpNode};
 pub use wire::SockAddr;

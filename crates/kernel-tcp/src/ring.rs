@@ -10,11 +10,10 @@
 //! apples-to-apples differential test (same [`simnet::RingCore`]
 //! semantics, different substrate underneath).
 
-use simnet::ring::{OpError, RingConfig, RingCore, RingDriver};
-use simnet::{Interest, ProcessCtx, SimDuration, SimResult};
+use simnet::ring::{RingConfig, RingCore, RingDriver};
+use simnet::{Interest, OpResult, ProcessCtx, SimDuration, SimResult};
 
 use crate::api::{TcpApi, TcpConn, TcpListener, TcpPollSource, TcpPollTarget};
-use crate::tcp::TcpError;
 
 /// A completion ring over the kernel TCP stack.
 pub type TcpRing = RingCore<TcpRingDriver>;
@@ -31,61 +30,23 @@ pub struct TcpRingDriver {
     api: TcpApi,
 }
 
-fn map_err(e: TcpError) -> OpError {
-    match e {
-        TcpError::ConnectionRefused => OpError::Refused,
-        TcpError::Closed => OpError::Closed,
-        TcpError::ConnectionReset => OpError::PeerClosed,
-        TcpError::AddrInUse | TcpError::Invalid => OpError::Invalid,
-        TcpError::Timeout => OpError::Timeout,
-        TcpError::Exhausted => OpError::Exhausted,
-        TcpError::WouldBlock => OpError::Other,
-    }
-}
-
 impl RingDriver for TcpRingDriver {
     type Conn = TcpConn;
     type Listener = TcpListener;
 
-    fn try_accept(
-        &self,
-        ctx: &ProcessCtx,
-        l: &TcpListener,
-    ) -> SimResult<Result<Option<TcpConn>, OpError>> {
-        Ok(match l.try_accept(ctx)? {
-            Ok(c) => Ok(Some(c)),
-            Err(TcpError::WouldBlock) => Ok(None),
-            Err(e) => Err(map_err(e)),
-        })
+    fn try_accept(&self, ctx: &ProcessCtx, l: &TcpListener) -> OpResult<TcpConn> {
+        l.try_accept(ctx)
     }
 
-    fn try_read(
-        &self,
-        ctx: &ProcessCtx,
-        c: &TcpConn,
-        buf: &mut [u8],
-    ) -> SimResult<Result<Option<usize>, OpError>> {
-        Ok(match c.try_read(ctx, buf.len())? {
-            Ok(bytes) => {
-                buf[..bytes.len()].copy_from_slice(&bytes);
-                Ok(Some(bytes.len()))
-            }
-            Err(TcpError::WouldBlock) => Ok(None),
-            Err(e) => Err(map_err(e)),
-        })
+    fn try_read(&self, ctx: &ProcessCtx, c: &TcpConn, buf: &mut [u8]) -> OpResult<usize> {
+        Ok(c.try_read(ctx, buf.len())?.map(|bytes| {
+            buf[..bytes.len()].copy_from_slice(&bytes);
+            bytes.len()
+        }))
     }
 
-    fn try_write(
-        &self,
-        ctx: &ProcessCtx,
-        c: &TcpConn,
-        data: &[u8],
-    ) -> SimResult<Result<Option<usize>, OpError>> {
-        Ok(match c.try_write(ctx, data)? {
-            Ok(n) => Ok(Some(n)),
-            Err(TcpError::WouldBlock) => Ok(None),
-            Err(e) => Err(map_err(e)),
-        })
+    fn try_write(&self, ctx: &ProcessCtx, c: &TcpConn, data: &[u8]) -> OpResult<usize> {
+        c.try_write(ctx, data)
     }
 
     fn close(&self, ctx: &ProcessCtx, c: TcpConn) -> SimResult<()> {
@@ -122,10 +83,8 @@ impl RingDriver for TcpRingDriver {
         // Events are discarded: RingCore re-drives every head op after
         // the wake, which subsumes them (a timeout wake lets the drive
         // pass expire deadlined head ops).
-        match self.api.poll(ctx, &sources, timeout)? {
-            Ok(_) => Ok(()),
-            Err(e) => Err(simnet::SimError::app(e.to_string())),
-        }
+        self.api.poll(ctx, &sources, timeout)??;
+        Ok(())
     }
 
     fn register_waker(

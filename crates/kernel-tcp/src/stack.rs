@@ -14,14 +14,14 @@ use bytes::Bytes;
 use hostsim::Host;
 use parking_lot::Mutex;
 use simnet::{
-    EtherType, Frame, MacAddr, Payload, ProcessCtx, SimAccess, SimAccessExt, SimCondvar, SimQueue,
-    SimResult,
+    EtherType, Frame, MacAddr, NetError, OpResult, Payload, ProcessCtx, SimAccess, SimAccessExt,
+    SimCondvar, SimQueue, SimResult,
 };
 use tigon_nic::FirmwareCpu;
 
 use crate::config::TcpConfig;
 use crate::nic::{AcenicNic, BatchHandler};
-use crate::tcp::{conn_key, ConnKey, TcpError, TcpInner, TcpSocket, TcpState};
+use crate::tcp::{conn_key, ConnKey, TcpInner, TcpSocket, TcpState};
 use crate::udp::UdpPort;
 use crate::udp::UdpReasm;
 use crate::wire::{IpPacket, IpProto, SockAddr, TcpFlags, TcpSegment};
@@ -44,7 +44,7 @@ pub(crate) struct StackState {
     /// Socket buffer size for new sockets (the Figure 13 knob).
     pub(crate) sockbuf: usize,
     /// Per-stack connection budget: actives beyond this are refused
-    /// ([`TcpError::Exhausted`] locally, RST to remote SYNs). `None` =
+    /// ([`NetError::Exhausted`] locally, RST to remote SYNs). `None` =
     /// unbounded.
     pub(crate) max_conns: Option<usize>,
     pub(crate) rst_sent: u64,
@@ -140,7 +140,7 @@ impl TcpStack {
     }
 
     /// Cap live connections on this stack: an active open past the cap
-    /// fails with [`TcpError::Exhausted`]; a remote SYN past it is
+    /// fails with [`NetError::Exhausted`]; a remote SYN past it is
     /// refused with RST, exactly like a full accept backlog. `None`
     /// removes the cap.
     pub fn set_max_conns(&self, max: Option<usize>) {
@@ -289,9 +289,32 @@ impl TcpStack {
         {
             let mut i = sock.inner.lock();
             if seg.flags.rst {
+                let connecting = i.state == TcpState::SynSent;
                 i.reset = true;
                 i.state = TcpState::Closed;
                 drop(i);
+                if !connecting {
+                    // `connect` tears a refused socket down itself.
+                    self.state
+                        .lock()
+                        .conns
+                        .remove(&conn_key(sock.local, sock.remote));
+                }
+                sock.cv.notify_all(sim);
+                self.activity.notify_all(sim);
+                return;
+            }
+            if !seg.data.is_empty() && i.fin_queued && i.orphaned {
+                // Data for a socket the application has closed and let go
+                // of: nobody will read it, so the socket is reset and the
+                // peer told (RFC 1122 §4.2.2.13; Linux counts it as
+                // TCPAbortOnData).
+                i.reset = true;
+                i.state = TcpState::Closed;
+                drop(i);
+                let key = conn_key(sock.local, sock.remote);
+                self.state.lock().conns.remove(&key);
+                self.send_rst(sim, key);
                 sock.cv.notify_all(sim);
                 self.activity.notify_all(sim);
                 return;
@@ -546,31 +569,27 @@ impl TcpStack {
     }
 
     /// Active open. Blocks until established or refused.
-    pub(crate) fn connect(
-        &self,
-        ctx: &ProcessCtx,
-        remote: SockAddr,
-    ) -> SimResult<Result<Arc<TcpSocket>, TcpError>> {
+    pub(crate) fn connect(&self, ctx: &ProcessCtx, remote: SockAddr) -> OpResult<Arc<TcpSocket>> {
         self.connect_inner(ctx, remote, None)
     }
 
     /// [`Self::connect`] bounded by an optional deadline: gives up with
-    /// [`TcpError::Timeout`] (tearing the half-open socket down) when the
+    /// [`NetError::Timeout`] (tearing the half-open socket down) when the
     /// handshake has not completed in time. Refusal (RST) stays a
-    /// distinct outcome, as does [`TcpError::Exhausted`] past the
+    /// distinct outcome, as does [`NetError::Exhausted`] past the
     /// per-stack connection budget.
     pub(crate) fn connect_inner(
         &self,
         ctx: &ProcessCtx,
         remote: SockAddr,
         deadline: Option<simnet::SimDuration>,
-    ) -> SimResult<Result<Arc<TcpSocket>, TcpError>> {
+    ) -> OpResult<Arc<TcpSocket>> {
         ctx.delay(self.host.cost().syscall)?;
         {
             let st = self.state.lock();
             if st.max_conns.is_some_and(|m| st.conns.len() >= m) {
                 ctx.telemetry().counter("tcp.connects_exhausted").add(1);
-                return Ok(Err(TcpError::Exhausted));
+                return Ok(Err(NetError::Exhausted));
             }
         }
         let port = self.alloc_ephemeral(remote);
@@ -609,7 +628,7 @@ impl TcpStack {
                         .conns
                         .remove(&conn_key(sock.local, sock.remote));
                     ctx.telemetry().counter("tcp.connects_refused").add(1);
-                    return Ok(Err(TcpError::ConnectionRefused));
+                    return Ok(Err(NetError::Refused));
                 }
                 if i.state == TcpState::Established {
                     break;
@@ -625,7 +644,7 @@ impl TcpStack {
                     .remove(&conn_key(sock.local, sock.remote));
                 sock.inner.lock().state = TcpState::Closed;
                 ctx.telemetry().counter("tcp.connects_timedout").add(1);
-                return Ok(Err(TcpError::Timeout));
+                return Ok(Err(NetError::Timeout));
             }
             sock.cv.wait(ctx)?;
         }
@@ -639,11 +658,11 @@ impl TcpStack {
         ctx: &ProcessCtx,
         port: u16,
         backlog: usize,
-    ) -> SimResult<Result<Arc<ListenerState>, TcpError>> {
+    ) -> OpResult<Arc<ListenerState>> {
         ctx.delay(self.host.cost().syscall)?;
         let mut st = self.state.lock();
         if st.listeners.contains_key(&port) {
-            return Ok(Err(TcpError::AddrInUse));
+            return Ok(Err(NetError::AddrInUse));
         }
         let l = Arc::new(ListenerState {
             port,
@@ -659,15 +678,32 @@ impl TcpStack {
         self.state.lock().listeners.remove(&port);
     }
 
+    /// Whether `l` was unlistened with nothing left in its queue: no
+    /// connection can ever arrive for it.
+    fn listener_closed(&self, l: &Arc<ListenerState>) -> bool {
+        l.queue.is_empty()
+            && !self
+                .state
+                .lock()
+                .listeners
+                .get(&l.port)
+                .is_some_and(|cur| Arc::ptr_eq(cur, l))
+    }
+
+    /// Blocking accept of the next established connection;
+    /// [`NetError::Closed`] once the listener is closed and drained.
     pub(crate) fn accept(
         &self,
         ctx: &ProcessCtx,
         l: &Arc<ListenerState>,
-    ) -> SimResult<Arc<TcpSocket>> {
+    ) -> OpResult<Arc<TcpSocket>> {
         ctx.delay(self.host.cost().syscall)?;
+        if self.listener_closed(l) {
+            return Ok(Err(NetError::Closed));
+        }
         let sock = l.queue.pop(ctx)?;
         ctx.delay(self.host.cost().process_wakeup + self.host.cost().context_switch)?;
-        Ok(sock)
+        Ok(Ok(sock))
     }
 
     /// Blocking read of up to `max` bytes. Empty result = orderly EOF.
@@ -676,14 +712,14 @@ impl TcpStack {
         ctx: &ProcessCtx,
         sock: &Arc<TcpSocket>,
         max: usize,
-    ) -> SimResult<Result<Bytes, TcpError>> {
+    ) -> OpResult<Bytes> {
         ctx.delay(self.host.cost().syscall)?;
         let mut waited = false;
         loop {
             let taken = {
                 let mut i = sock.inner.lock();
                 if i.reset {
-                    return Ok(Err(TcpError::ConnectionReset));
+                    return Ok(Err(NetError::PeerClosed));
                 }
                 if !i.rcv_buf.is_empty() {
                     let n = max.min(i.rcv_buf.len());
@@ -697,7 +733,7 @@ impl TcpStack {
                 } else if i.fin_received {
                     return Ok(Ok(Bytes::new()));
                 } else if i.state == TcpState::Closed {
-                    return Ok(Err(TcpError::Closed));
+                    return Ok(Err(NetError::Closed));
                 } else {
                     None
                 }
@@ -727,17 +763,17 @@ impl TcpStack {
         ctx: &ProcessCtx,
         sock: &Arc<TcpSocket>,
         data: &[u8],
-    ) -> SimResult<Result<usize, TcpError>> {
+    ) -> OpResult<usize> {
         ctx.delay(self.host.cost().syscall)?;
         let mut off = 0;
         while off < data.len() {
             let copied = {
                 let mut i = sock.inner.lock();
                 if i.reset {
-                    return Ok(Err(TcpError::ConnectionReset));
+                    return Ok(Err(NetError::PeerClosed));
                 }
                 if i.fin_queued || matches!(i.state, TcpState::Closed | TcpState::FinWait) {
-                    return Ok(Err(TcpError::Closed));
+                    return Ok(Err(NetError::Closed));
                 }
                 let space = i.snd_cap - i.snd_buf.len();
                 if space > 0 {
@@ -761,7 +797,7 @@ impl TcpStack {
     }
 
     /// Nonblocking read: serve what the receive buffer holds right now;
-    /// [`TcpError::WouldBlock`] when a blocking read would park. Same
+    /// [`NetError::WouldBlock`] when a blocking read would park. Same
     /// syscall/copy/window-update accounting as [`TcpStack::read`], minus
     /// the wakeup path.
     pub(crate) fn try_read(
@@ -769,12 +805,12 @@ impl TcpStack {
         ctx: &ProcessCtx,
         sock: &Arc<TcpSocket>,
         max: usize,
-    ) -> SimResult<Result<Bytes, TcpError>> {
+    ) -> OpResult<Bytes> {
         ctx.delay(self.host.cost().syscall)?;
         let taken = {
             let mut i = sock.inner.lock();
             if i.reset {
-                return Ok(Err(TcpError::ConnectionReset));
+                return Ok(Err(NetError::PeerClosed));
             }
             if !i.rcv_buf.is_empty() {
                 let n = max.min(i.rcv_buf.len());
@@ -786,9 +822,9 @@ impl TcpStack {
             } else if i.fin_received {
                 return Ok(Ok(Bytes::new()));
             } else if i.state == TcpState::Closed {
-                return Ok(Err(TcpError::Closed));
+                return Ok(Err(NetError::Closed));
             } else {
-                return Ok(Err(TcpError::WouldBlock));
+                return Ok(Err(NetError::WouldBlock));
             }
         };
         let (data, update) = taken;
@@ -800,26 +836,26 @@ impl TcpStack {
     }
 
     /// Nonblocking write: copy what fits the send buffer right now and
-    /// report the count accepted; [`TcpError::WouldBlock`] when the
+    /// report the count accepted; [`NetError::WouldBlock`] when the
     /// buffer is full before any byte is taken.
     pub(crate) fn try_write(
         &self,
         ctx: &ProcessCtx,
         sock: &Arc<TcpSocket>,
         data: &[u8],
-    ) -> SimResult<Result<usize, TcpError>> {
+    ) -> OpResult<usize> {
         ctx.delay(self.host.cost().syscall)?;
         let copied = {
             let mut i = sock.inner.lock();
             if i.reset {
-                return Ok(Err(TcpError::ConnectionReset));
+                return Ok(Err(NetError::PeerClosed));
             }
             if i.fin_queued || matches!(i.state, TcpState::Closed | TcpState::FinWait) {
-                return Ok(Err(TcpError::Closed));
+                return Ok(Err(NetError::Closed));
             }
             let space = i.snd_cap - i.snd_buf.len();
             if space == 0 && !data.is_empty() {
-                return Ok(Err(TcpError::WouldBlock));
+                return Ok(Err(NetError::WouldBlock));
             }
             let n = space.min(data.len());
             i.snd_buf.extend(&data[..n]);
@@ -831,19 +867,21 @@ impl TcpStack {
     }
 
     /// Nonblocking accept: pop an established connection if one is
-    /// queued; [`TcpError::WouldBlock`] otherwise.
+    /// queued; [`NetError::WouldBlock`] otherwise ([`NetError::Closed`]
+    /// once the listener is closed and drained).
     pub(crate) fn try_accept(
         &self,
         ctx: &ProcessCtx,
         l: &Arc<ListenerState>,
-    ) -> SimResult<Result<Arc<TcpSocket>, TcpError>> {
+    ) -> OpResult<Arc<TcpSocket>> {
         ctx.delay(self.host.cost().syscall)?;
         match l.queue.try_pop() {
             Some(sock) => {
                 ctx.delay(self.host.cost().process_wakeup + self.host.cost().context_switch)?;
                 Ok(Ok(sock))
             }
-            None => Ok(Err(TcpError::WouldBlock)),
+            None if self.listener_closed(l) => Ok(Err(NetError::Closed)),
+            None => Ok(Err(NetError::WouldBlock)),
         }
     }
 

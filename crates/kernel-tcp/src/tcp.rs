@@ -35,49 +35,6 @@ pub enum TcpState {
     Closed,
 }
 
-/// Errors surfaced through the sockets API (an errno subset).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TcpError {
-    /// RST received while connecting (no listener / backlog overflow).
-    ConnectionRefused,
-    /// Connection reset while established.
-    ConnectionReset,
-    /// Operation on a closed socket.
-    Closed,
-    /// Listen port already taken.
-    AddrInUse,
-    /// A nonblocking operation found nothing to do (EAGAIN): empty
-    /// receive buffer, full send buffer, or empty accept queue.
-    WouldBlock,
-    /// Invalid argument (EINVAL): e.g. `select`/`poll` over an empty set
-    /// with no timeout, which could never wake.
-    Invalid,
-    /// A deadline expired before the operation could complete
-    /// (ETIMEDOUT): a bounded `connect`, or a deadlined
-    /// `read`/`write`/`accept`.
-    Timeout,
-    /// A resource budget was exhausted (ENOBUFS): the per-stack
-    /// connection budget. Mirrors the substrate's `ResourceExhausted`.
-    Exhausted,
-}
-
-impl std::fmt::Display for TcpError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TcpError::ConnectionRefused => write!(f, "connection refused"),
-            TcpError::ConnectionReset => write!(f, "connection reset by peer"),
-            TcpError::Closed => write!(f, "socket closed"),
-            TcpError::AddrInUse => write!(f, "address in use"),
-            TcpError::WouldBlock => write!(f, "operation would block"),
-            TcpError::Invalid => write!(f, "invalid argument"),
-            TcpError::Timeout => write!(f, "operation timed out"),
-            TcpError::Exhausted => write!(f, "resource budget exhausted"),
-        }
-    }
-}
-
-impl std::error::Error for TcpError {}
-
 /// Mutable socket state, guarded by the socket's mutex.
 pub(crate) struct TcpInner {
     pub(crate) state: TcpState,
@@ -104,6 +61,9 @@ pub(crate) struct TcpInner {
     pub(crate) rcv_nxt: u64,
     pub(crate) fin_received: bool,
     pub(crate) reset: bool,
+    /// Closed and its handle dropped: nothing will ever read what
+    /// arrives (a kernel's orphaned socket).
+    pub(crate) orphaned: bool,
     // --- ack bookkeeping ---
     /// Window size most recently advertised to the peer.
     pub(crate) last_advertised: usize,
@@ -136,6 +96,7 @@ impl TcpInner {
             rcv_nxt: 0,
             fin_received: false,
             reset: false,
+            orphaned: false,
             last_advertised: 0,
             unacked_segments: 0,
             delack_gen: 0,

@@ -4,10 +4,9 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use simnet::{MacAddr, ProcessCtx, SimAccess, SimQueue, SimResult};
+use simnet::{MacAddr, NetError, OpResult, ProcessCtx, SimAccess, SimQueue, SimResult};
 
 use crate::stack::TcpStack;
-use crate::tcp::TcpError;
 use crate::wire::{udp_fragments, IpPacket, IpProto, SockAddr, UdpDatagram};
 
 /// Datagrams queued per UDP port before the kernel starts dropping (models
@@ -28,15 +27,11 @@ pub(crate) struct UdpReasm {
 }
 
 /// Bind a UDP port.
-pub(crate) fn bind(
-    stack: &TcpStack,
-    ctx: &ProcessCtx,
-    port: u16,
-) -> SimResult<Result<Arc<UdpPort>, TcpError>> {
+pub(crate) fn bind(stack: &TcpStack, ctx: &ProcessCtx, port: u16) -> OpResult<Arc<UdpPort>> {
     ctx.delay(stack.host().cost().syscall)?;
     let mut st = stack.state.lock();
     if st.udp_ports.contains_key(&port) {
-        return Ok(Err(TcpError::AddrInUse));
+        return Ok(Err(NetError::AddrInUse));
     }
     let p = Arc::new(UdpPort {
         port,

@@ -3,7 +3,7 @@
 //! with 16 KiB socket buffers, ~550 Mbps with large ones, and 200-250 µs
 //! connection setup (§7.2, §7.4).
 
-use kernel_tcp::{build_tcp_cluster, SockAddr, TcpCluster, TcpConfig, TcpError};
+use kernel_tcp::{build_tcp_cluster, NetError, SockAddr, TcpCluster, TcpConfig};
 use parking_lot::Mutex;
 use simnet::{Completion, Sim, SimAccess, SimDuration, SwitchConfig};
 use std::sync::Arc;
@@ -23,7 +23,7 @@ fn connect_transfer_close_roundtrip() {
     let api_s = cl.nodes[1].api();
     sim.spawn("server", move |ctx| {
         let l = api_s.listen(ctx, 80, 8)?.expect("port free");
-        let conn = l.accept(ctx)?;
+        let conn = l.accept(ctx)?.expect("connection");
         let req = conn.read(ctx, 1024)?.expect("request");
         assert_eq!(&req[..], b"hello?");
         conn.write(ctx, b"world!")?.expect("write ok");
@@ -60,7 +60,7 @@ fn connect_time_calibrates_to_paper() {
     sim.spawn("server", move |ctx| {
         let l = api_s.listen(ctx, 80, 16)?.expect("port free");
         for _ in 0..20 {
-            let c = l.accept(ctx)?;
+            let c = l.accept(ctx)?.expect("connection");
             c.close(ctx)?;
         }
         Ok(())
@@ -98,7 +98,7 @@ fn four_byte_latency_calibrates_to_paper() {
     let api_s = cl.nodes[1].api();
     sim.spawn("echoer", move |ctx| {
         let l = api_s.listen(ctx, 7, 4)?.expect("port free");
-        let c = l.accept(ctx)?;
+        let c = l.accept(ctx)?.expect("connection");
         loop {
             let data = c.read(ctx, 64)?.expect("data");
             if data.is_empty() {
@@ -147,7 +147,7 @@ fn measure_bandwidth(sockbuf: usize) -> f64 {
     let api_s = cl.nodes[1].api();
     sim.spawn("sink", move |ctx| {
         let l = api_s.listen(ctx, 9, 4)?.expect("port free");
-        let c = l.accept(ctx)?;
+        let c = l.accept(ctx)?.expect("connection");
         let mut got = 0usize;
         let t0 = ctx.now();
         loop {
@@ -217,7 +217,7 @@ fn connection_refused_when_no_listener() {
     let api = cl.nodes[0].api();
     sim.spawn("client", move |ctx| {
         let res = api.connect(ctx, target)?;
-        assert_eq!(res.err(), Some(TcpError::ConnectionRefused));
+        assert_eq!(res.err(), Some(NetError::Refused));
         Ok(())
     });
     sim.run();
@@ -269,7 +269,7 @@ fn bidirectional_writes_do_not_deadlock_within_buffers() {
     let api_s = cl.nodes[1].api();
     sim.spawn("peer-b", move |ctx| {
         let l = api_s.listen(ctx, 80, 4)?.expect("port free");
-        let c = l.accept(ctx)?;
+        let c = l.accept(ctx)?.expect("connection");
         // Write first, then read — mirror image of the client.
         c.write(ctx, &vec![2u8; N])?.expect("write");
         let got = c.read_exact(ctx, N)?.expect("read").expect("data");
@@ -331,8 +331,8 @@ fn select_wakes_on_the_readable_connection() {
     let api_s = cl.nodes[0].api();
     sim.spawn("selector", move |ctx| {
         let l = api_s.listen(ctx, 80, 8)?.expect("port free");
-        let c1 = l.accept(ctx)?;
-        let c2 = l.accept(ctx)?;
+        let c1 = l.accept(ctx)?.expect("connection");
+        let c2 = l.accept(ctx)?.expect("connection");
         // Identify connections by peer host.
         let conns = [&c1, &c2];
         let idx = api_s.select_readable(ctx, &conns)?.expect("nonempty set");

@@ -1,7 +1,7 @@
 //! Edge-case coverage for the kernel stack: EOF exactness, half-close
 //! semantics, UDP overflow, port exhaustion behaviour, listener teardown.
 
-use kernel_tcp::{build_tcp_cluster, SockAddr, TcpCluster, TcpConfig, TcpError};
+use kernel_tcp::{build_tcp_cluster, NetError, SockAddr, TcpCluster, TcpConfig};
 use parking_lot::Mutex;
 use simnet::{Completion, Sim, SimDuration, SwitchConfig};
 use std::sync::Arc;
@@ -21,7 +21,7 @@ fn eof_arrives_only_after_all_data() {
     let api_s = cl.nodes[1].api();
     sim.spawn("server", move |ctx| {
         let l = api_s.listen(ctx, 80, 4)?.expect("port");
-        let c = l.accept(ctx)?;
+        let c = l.accept(ctx)?.expect("connection");
         // Write everything, then close immediately: FIN is queued behind
         // the data and must not truncate it.
         c.write(ctx, &vec![9u8; 100_000])?.expect("write");
@@ -61,7 +61,7 @@ fn half_close_still_allows_receiving() {
     let api_s = cl.nodes[1].api();
     sim.spawn("peer-b", move |ctx| {
         let l = api_s.listen(ctx, 80, 4)?.expect("port");
-        let c = l.accept(ctx)?;
+        let c = l.accept(ctx)?.expect("connection");
         // Wait for A's FIN (read returns EOF), then still send data.
         let d = c.read(ctx, 64)?.expect("read");
         assert!(d.is_empty(), "A closed first");
@@ -94,7 +94,7 @@ fn write_after_close_is_an_error() {
     let api_s = cl.nodes[1].api();
     sim.spawn("server", move |ctx| {
         let l = api_s.listen(ctx, 80, 4)?.expect("port");
-        let _c = l.accept(ctx)?;
+        let _c = l.accept(ctx)?.expect("connection");
         ctx.delay(SimDuration::from_millis(1))?;
         Ok(())
     });
@@ -103,7 +103,7 @@ fn write_after_close_is_an_error() {
         let c = api_c.connect(ctx, addr)?.expect("connect");
         c.close(ctx)?;
         let err = c.write(ctx, b"too late")?.expect_err("closed socket");
-        assert_eq!(err, TcpError::Closed);
+        assert_eq!(err, NetError::Closed);
         Ok(())
     });
     sim.run();
@@ -157,7 +157,7 @@ fn listener_unlisten_refuses_future_connects() {
     let api_s = cl.nodes[1].api();
     sim.spawn("server", move |ctx| {
         let l = api_s.listen(ctx, 80, 4)?.expect("port");
-        let c = l.accept(ctx)?;
+        let c = l.accept(ctx)?.expect("connection");
         let _ = c.read(ctx, 16)?;
         l.unlisten();
         c.close(ctx)?;
@@ -171,7 +171,7 @@ fn listener_unlisten_refuses_future_connects() {
         ctx.delay(SimDuration::from_millis(1))?;
         c.close(ctx)?;
         let second = api_c.connect(ctx, addr)?;
-        assert_eq!(second.err(), Some(TcpError::ConnectionRefused));
+        assert_eq!(second.err(), Some(NetError::Refused));
         *r2.lock() = true;
         Ok(())
     });
@@ -187,7 +187,7 @@ fn duplicate_listen_is_addr_in_use() {
     sim.spawn("p", move |ctx| {
         let _l = api.listen(ctx, 80, 4)?.expect("first");
         let second = api.listen(ctx, 80, 4)?;
-        assert_eq!(second.err(), Some(TcpError::AddrInUse));
+        assert_eq!(second.err(), Some(NetError::AddrInUse));
         Ok(())
     });
     sim.run();
@@ -206,7 +206,7 @@ fn many_sequential_connections_recycle_ephemeral_ports() {
     sim.spawn("server", move |ctx| {
         let l = api_s.listen(ctx, 80, 16)?.expect("port");
         for _ in 0..CONNS {
-            let c = l.accept(ctx)?;
+            let c = l.accept(ctx)?.expect("connection");
             let d = c.read_exact(ctx, 2)?.expect("read").expect("data");
             c.write(ctx, &d)?.expect("echo");
             c.close(ctx)?;
@@ -249,7 +249,7 @@ fn nagle_delays_back_to_back_small_writes() {
         let api_s = cl.nodes[1].api();
         sim.spawn("server", move |ctx| {
             let l = api_s.listen(ctx, 80, 4)?.expect("port");
-            let c = l.accept(ctx)?;
+            let c = l.accept(ctx)?.expect("connection");
             let d = c.read_exact(ctx, 2)?.expect("read").expect("two bytes");
             assert_eq!(&d[..], b"ab");
             c.write(ctx, b"!")?.expect("reply");

@@ -1,10 +1,10 @@
 //! The kernel baseline's nonblocking surface: `try_*` calls returning
-//! [`TcpError::WouldBlock`] and `poll()` over mixed sockets, mirroring the
+//! [`NetError::WouldBlock`] and `poll()` over mixed sockets, mirroring the
 //! substrate's readiness layer so the facade can drive either stack from
 //! one event loop.
 
 use kernel_tcp::{
-    build_tcp_cluster, Interest, SockAddr, TcpCluster, TcpConfig, TcpError, TcpPollSource,
+    build_tcp_cluster, Interest, NetError, SockAddr, TcpCluster, TcpConfig, TcpPollSource,
     TcpPollTarget,
 };
 use simnet::{Completion, Sim, SimAccess, SimDuration, SwitchConfig};
@@ -24,8 +24,8 @@ fn try_read_would_block_until_poll_reports_readable() {
     let api_s = cl.nodes[1].api();
     sim.spawn("server", move |ctx| {
         let l = api_s.listen(ctx, 80, 8)?.expect("port free");
-        let conn = l.accept(ctx)?;
-        assert_eq!(conn.try_read(ctx, 64)?.unwrap_err(), TcpError::WouldBlock);
+        let conn = l.accept(ctx)?.expect("connection");
+        assert_eq!(conn.try_read(ctx, 64)?.unwrap_err(), NetError::WouldBlock);
         let sources = [TcpPollSource {
             target: TcpPollTarget::Conn(&conn),
             token: 5,
@@ -65,7 +65,7 @@ fn try_write_would_block_when_the_send_buffer_fills() {
     let api_s = cl.nodes[1].api();
     sim.spawn("server", move |ctx| {
         let l = api_s.listen(ctx, 80, 8)?.expect("port free");
-        let conn = l.accept(ctx)?;
+        let conn = l.accept(ctx)?.expect("connection");
         // Let the client saturate both buffers before draining.
         ctx.delay(SimDuration::from_millis(5))?;
         loop {
@@ -87,7 +87,7 @@ fn try_write_would_block_when_the_send_buffer_fills() {
         for _ in 0..64 {
             match conn.try_write(ctx, &chunk)? {
                 Ok(n) => assert!(n >= 1),
-                Err(TcpError::WouldBlock) => {
+                Err(NetError::WouldBlock) => {
                     stalled = true;
                     break;
                 }
@@ -124,7 +124,7 @@ fn try_accept_would_block_until_poll_reports_acceptable() {
     let api_s = cl.nodes[1].api();
     sim.spawn("server", move |ctx| {
         let l = api_s.listen(ctx, 80, 8)?.expect("port free");
-        assert!(matches!(l.try_accept(ctx)?, Err(TcpError::WouldBlock)));
+        assert!(matches!(l.try_accept(ctx)?, Err(NetError::WouldBlock)));
         let sources = [TcpPollSource {
             target: TcpPollTarget::Listener(&l),
             token: 2,
@@ -163,11 +163,11 @@ fn poll_timeout_and_empty_select_match_the_substrate_semantics() {
     let api_s = cl.nodes[1].api();
     sim.spawn("server", move |ctx| {
         let l = api_s.listen(ctx, 80, 8)?.expect("port free");
-        let conn = l.accept(ctx)?;
+        let conn = l.accept(ctx)?.expect("connection");
         // An empty select can never wake: EINVAL, not a hang.
         assert_eq!(
             api_s.select_readable(ctx, &[])?.unwrap_err(),
-            TcpError::Invalid
+            NetError::Invalid
         );
         let t0 = ctx.now();
         let sources = [TcpPollSource {

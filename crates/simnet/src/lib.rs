@@ -44,15 +44,15 @@ pub mod time;
 
 pub use emp_trace;
 pub use engine::{EventFn, Sim, SimAccess, SimAccessExt};
-pub use error::{SimError, SimResult};
+pub use error::{NetError, OpResult, SimError, SimResult};
 pub use fault::{FaultDecision, FaultPlan, FaultState, XorShift64};
 pub use frame::{EtherType, Frame, MacAddr, Payload, MTU};
 pub use link::{FrameSink, LinkConfig, LinkTx};
 pub use process::{ProcId, ProcessCtx};
-pub use readiness::{Event, Interest};
+pub use readiness::{until_deadline, Event, Interest};
 pub use ring::{
-    Cqe, CqeResult, OpError, RingConfig, RingCore, RingCounters, RingDepths, RingDriver, RingError,
-    RingOp, Sqe,
+    Cqe, CqeResult, RingConfig, RingCore, RingCounters, RingDepths, RingDriver, RingError, RingOp,
+    Sqe,
 };
 pub use stats::{Histogram, LinkStats, RunningStats, Throughput};
 pub use switch::{Switch, SwitchConfig, BROADCAST};

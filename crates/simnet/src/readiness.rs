@@ -6,6 +6,48 @@
 //! registrations are actionable ([`Event`]s). Both the sockets-over-EMP
 //! substrate and the kernel TCP baseline express their poll layers in
 //! these types so the comparison stays apples-to-apples.
+//!
+//! A nonblocking attempt plus a readiness wait is all a deadlined blocking
+//! call needs; [`until_deadline`] is that loop, written once for every
+//! stack.
+
+use crate::engine::SimAccess;
+use crate::error::{NetError, OpResult};
+use crate::process::ProcessCtx;
+use crate::time::SimDuration;
+
+/// A blocking operation bounded by `deadline`, built from its nonblocking
+/// form: `attempt` runs until it returns anything but
+/// [`NetError::WouldBlock`]; between attempts, `wait_ready(remaining)`
+/// parks until the operation could make progress (`Ok(true)`) or
+/// `remaining` passes (`Ok(false)`). When the deadline wins, the call
+/// fails with [`NetError::Timeout`] and adds one to the `timeouts`
+/// telemetry counter.
+pub fn until_deadline<T>(
+    ctx: &ProcessCtx,
+    deadline: SimDuration,
+    timeouts: &str,
+    mut attempt: impl FnMut() -> OpResult<T>,
+    mut wait_ready: impl FnMut(SimDuration) -> OpResult<bool>,
+) -> OpResult<T> {
+    let give_up_at = ctx.now() + deadline;
+    loop {
+        match attempt()? {
+            Err(NetError::WouldBlock) => {}
+            done => return Ok(done),
+        }
+        let now = ctx.now();
+        if now < give_up_at {
+            match wait_ready(give_up_at.since(now))? {
+                Ok(true) => continue,
+                Ok(false) => {}
+                Err(e) => return Ok(Err(e)),
+            }
+        }
+        ctx.telemetry().counter(timeouts).add(1);
+        return Ok(Err(NetError::Timeout));
+    }
+}
 
 /// A readiness interest mask: which conditions a poll should report for
 /// one registration. Combine with `|`; test with [`Interest::contains`].

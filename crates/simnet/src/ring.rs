@@ -43,7 +43,7 @@ use std::sync::Arc;
 use emp_trace::telemetry::Gauge;
 
 use crate::engine::SimAccess;
-use crate::error::SimResult;
+use crate::error::{NetError, OpResult, SimResult};
 use crate::process::ProcessCtx;
 use crate::readiness::Interest;
 use crate::time::{SimDuration, SimTime};
@@ -139,7 +139,7 @@ pub struct Sqe {
     pub op: RingOp,
     /// Absolute per-op deadline. A deadlined op that reaches the head of
     /// its target's queue and *would block* past this instant completes
-    /// as [`CqeResult::Failed`] with [`OpError::Timeout`] instead of
+    /// as [`CqeResult::Failed`] with [`NetError::Timeout`] instead of
     /// stalling the target forever; an op whose progress is ready
     /// completes normally even past its deadline. `None` (the default)
     /// waits indefinitely.
@@ -225,36 +225,6 @@ impl std::fmt::Display for RingError {
 
 impl std::error::Error for RingError {}
 
-/// Stack-agnostic failure of an admitted op, carried in
-/// [`CqeResult::Failed`]. Both stacks map their native errors into these
-/// so completions compare equal across stacks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OpError {
-    /// Nobody listening / backlog overflow.
-    Refused,
-    /// The target was closed locally (e.g. an op queued behind a
-    /// `Close` on the same connection).
-    Closed,
-    /// Peer closed or reset mid-operation.
-    PeerClosed,
-    /// Message exceeds what the receiver accepts.
-    TooBig,
-    /// Invalid argument.
-    Invalid,
-    /// The op's deadline passed while it would still block (per-op
-    /// deadlines, connect timeouts, peer watchdogs).
-    Timeout,
-    /// A resource budget refused the op: connection budget, reorder-
-    /// buffer cap, or another byte-accounted limit.
-    Exhausted,
-    /// The op was cancelled by [`RingCore::cancel`] before it ran (the
-    /// async front end maps dropped futures here). Later ops on the same
-    /// target keep their submission order.
-    Cancelled,
-    /// Anything else.
-    Other,
-}
-
 /// The payload of a completion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CqeResult {
@@ -294,7 +264,7 @@ pub enum CqeResult {
     /// The op failed; any attached buffer still returns on reap.
     Failed {
         /// Why.
-        err: OpError,
+        err: NetError,
     },
 }
 
@@ -342,30 +312,17 @@ pub trait RingDriver {
     /// The stack's listener handle.
     type Listener;
 
-    /// Nonblocking accept: `Ok(None)` when the backlog is empty.
-    fn try_accept(
-        &self,
-        ctx: &ProcessCtx,
-        l: &Self::Listener,
-    ) -> SimResult<Result<Option<Self::Conn>, OpError>>;
+    /// Nonblocking accept: [`NetError::WouldBlock`] when the backlog is
+    /// empty.
+    fn try_accept(&self, ctx: &ProcessCtx, l: &Self::Listener) -> OpResult<Self::Conn>;
 
-    /// Nonblocking read into `buf`: `Ok(Some(0))` is end-of-stream,
-    /// `Ok(None)` means a blocking read would park.
-    fn try_read(
-        &self,
-        ctx: &ProcessCtx,
-        c: &Self::Conn,
-        buf: &mut [u8],
-    ) -> SimResult<Result<Option<usize>, OpError>>;
+    /// Nonblocking read into `buf`: `Ok(0)` is end-of-stream,
+    /// [`NetError::WouldBlock`] means a blocking read would park.
+    fn try_read(&self, ctx: &ProcessCtx, c: &Self::Conn, buf: &mut [u8]) -> OpResult<usize>;
 
     /// Nonblocking write: the count accepted right now (≥ 1), or
-    /// `Ok(None)` when no byte could be taken.
-    fn try_write(
-        &self,
-        ctx: &ProcessCtx,
-        c: &Self::Conn,
-        data: &[u8],
-    ) -> SimResult<Result<Option<usize>, OpError>>;
+    /// [`NetError::WouldBlock`] when no byte could be taken.
+    fn try_write(&self, ctx: &ProcessCtx, c: &Self::Conn, data: &[u8]) -> OpResult<usize>;
 
     /// Orderly close of a connection. Never blocks indefinitely.
     fn close(&self, ctx: &ProcessCtx, c: Self::Conn) -> SimResult<()>;
@@ -431,6 +388,21 @@ struct RingGauges {
     sq: Arc<Gauge>,
     in_flight: Arc<Gauge>,
     cq: Arc<Gauge>,
+}
+
+/// The targets [`RingCore`] waits on: stalled head ops, per target.
+struct Stalled<'a, C, L> {
+    conns: Vec<(&'a C, Interest)>,
+    listeners: Vec<&'a L>,
+    next_deadline: Option<SimTime>,
+}
+
+impl<C, L> Stalled<'_, C, L> {
+    fn note(&mut self, deadline: Option<SimTime>) {
+        if let Some(d) = deadline {
+            self.next_deadline = Some(self.next_deadline.map_or(d, |n| n.min(d)));
+        }
+    }
 }
 
 /// The completion-ring state machine, generic over the stack underneath.
@@ -692,7 +664,7 @@ impl<D: RingDriver> RingCore<D> {
                         None => self.complete(
                             sqe,
                             CqeResult::Failed {
-                                err: OpError::Closed,
+                                err: NetError::Closed,
                             },
                         ),
                     }
@@ -741,7 +713,7 @@ impl<D: RingDriver> RingCore<D> {
     }
 
     /// Cancel the op tagged `user_data` if it has not yet run: it
-    /// completes as [`CqeResult::Failed`] with [`OpError::Cancelled`]
+    /// completes as [`CqeResult::Failed`] with [`NetError::Cancelled`]
     /// (any attached buffer returns to the application when that CQE is
     /// reaped — buffer ownership follows the normal completion path, so
     /// nothing leaks). Ops behind it on the same target keep their FIFO
@@ -758,7 +730,7 @@ impl<D: RingDriver> RingCore<D> {
             self.complete(
                 sqe,
                 CqeResult::Failed {
-                    err: OpError::Cancelled,
+                    err: NetError::Cancelled,
                 },
             );
             self.publish_gauges(ctx);
@@ -786,7 +758,7 @@ impl<D: RingDriver> RingCore<D> {
                 self.complete(
                     sqe,
                     CqeResult::Failed {
-                        err: OpError::Cancelled,
+                        err: NetError::Cancelled,
                     },
                 );
                 self.publish_gauges(ctx);
@@ -812,29 +784,11 @@ impl<D: RingDriver> RingCore<D> {
         ctx: &ProcessCtx,
         waker: &std::task::Waker,
     ) -> SimResult<Option<SimTime>> {
-        let mut conns: Vec<(&D::Conn, Interest)> = Vec::new();
-        let mut next_deadline: Option<SimTime> = None;
-        let note = |d: Option<SimTime>, next: &mut Option<SimTime>| {
-            if let Some(d) = d {
-                *next = Some(next.map_or(d, |n: SimTime| if d < n { d } else { n }));
-            }
-        };
-        for e in self.conns.values() {
-            let head = e.q.front();
-            let interest = match head.map(|s| s.op) {
-                Some(RingOp::Read { .. }) => Interest::READABLE,
-                Some(RingOp::Write { .. }) => Interest::WRITABLE,
-                _ => continue,
-            };
-            note(head.and_then(|s| s.deadline), &mut next_deadline);
-            conns.push((&e.conn, interest));
-        }
-        let mut listeners: Vec<&D::Listener> = Vec::new();
-        for e in self.listeners.values() {
-            let Some(head) = e.q.front() else { continue };
-            note(head.deadline, &mut next_deadline);
-            listeners.push(&e.l);
-        }
+        let Stalled {
+            conns,
+            listeners,
+            next_deadline,
+        } = self.stalled();
         if conns.is_empty() && listeners.is_empty() {
             return Ok(None);
         }
@@ -843,7 +797,7 @@ impl<D: RingDriver> RingCore<D> {
         Ok(next_deadline)
     }
 
-    /// Tear the ring down: fail every queued op (as [`OpError::Closed`]
+    /// Tear the ring down: fail every queued op (as [`NetError::Closed`]
     /// completions, reaped and discarded), close every live connection
     /// and listener through the driver, and release every buffer. After
     /// this, [`RingCore::free_bufs`] equals the pool size.
@@ -855,7 +809,7 @@ impl<D: RingDriver> RingCore<D> {
             self.complete(
                 sqe,
                 CqeResult::Failed {
-                    err: OpError::Closed,
+                    err: NetError::Closed,
                 },
             );
         }
@@ -867,7 +821,7 @@ impl<D: RingDriver> RingCore<D> {
                 self.complete(
                     sqe,
                     CqeResult::Failed {
-                        err: OpError::Closed,
+                        err: NetError::Closed,
                     },
                 );
             }
@@ -881,7 +835,7 @@ impl<D: RingDriver> RingCore<D> {
                 self.complete(
                     sqe,
                     CqeResult::Failed {
-                        err: OpError::Closed,
+                        err: NetError::Closed,
                     },
                 );
             }
@@ -940,33 +894,19 @@ impl<D: RingDriver> RingCore<D> {
             let Some(&sqe) = e.q.front() else {
                 return Ok(progressed);
             };
-            match self.driver.try_accept(ctx, &e.l)? {
-                Ok(Some(conn)) => {
-                    e.q.pop_front();
-                    let cid = self.add_conn(conn);
-                    self.complete(sqe, CqeResult::Accepted { conn: cid });
-                    progressed = true;
-                }
-                Ok(None) => {
-                    if Self::deadline_due(ctx, &sqe) {
-                        e.q.pop_front();
-                        self.complete(
-                            sqe,
-                            CqeResult::Failed {
-                                err: OpError::Timeout,
-                            },
-                        );
-                        progressed = true;
-                        continue;
-                    }
-                    return Ok(progressed);
-                }
-                Err(err) => {
-                    e.q.pop_front();
-                    self.complete(sqe, CqeResult::Failed { err });
-                    progressed = true;
-                }
-            }
+            let outcome = self.driver.try_accept(ctx, &e.l)?;
+            let Some(outcome) = Self::settle(ctx, &sqe, outcome) else {
+                return Ok(progressed);
+            };
+            e.q.pop_front();
+            let result = match outcome {
+                Ok(conn) => CqeResult::Accepted {
+                    conn: self.add_conn(conn),
+                },
+                Err(err) => CqeResult::Failed { err },
+            };
+            self.complete(sqe, result);
+            progressed = true;
         }
     }
 
@@ -979,52 +919,24 @@ impl<D: RingDriver> RingCore<D> {
             let Some(&sqe) = e.q.front() else {
                 return Ok(progressed);
             };
-            match sqe.op {
+            let outcome = match sqe.op {
                 RingOp::Read { buf, .. } => {
                     // Split the borrow: lift the buffer out while the
                     // stack completes into it.
                     let mut storage = std::mem::take(&mut self.bufs[buf as usize]);
                     let r = self.driver.try_read(ctx, &e.conn, &mut storage);
                     self.bufs[buf as usize] = storage;
-                    match r? {
-                        Ok(Some(0)) => {
-                            let final_seq = e.rx_bytes;
-                            e.q.pop_front();
-                            self.complete(
-                                sqe,
-                                CqeResult::Close {
-                                    conn: id,
-                                    final_seq,
-                                },
-                            );
-                            progressed = true;
-                        }
-                        Ok(Some(n)) => {
-                            e.rx_bytes += n as u64;
-                            e.q.pop_front();
-                            self.complete(sqe, CqeResult::Read { buf, len: n as u32 });
-                            progressed = true;
-                        }
-                        Ok(None) => {
-                            if Self::deadline_due(ctx, &sqe) {
-                                e.q.pop_front();
-                                self.complete(
-                                    sqe,
-                                    CqeResult::Failed {
-                                        err: OpError::Timeout,
-                                    },
-                                );
-                                progressed = true;
-                                continue;
+                    r?.map(|n| {
+                        if n == 0 {
+                            CqeResult::Close {
+                                conn: id,
+                                final_seq: e.rx_bytes,
                             }
-                            return Ok(progressed);
+                        } else {
+                            e.rx_bytes += n as u64;
+                            CqeResult::Read { buf, len: n as u32 }
                         }
-                        Err(err) => {
-                            e.q.pop_front();
-                            self.complete(sqe, CqeResult::Failed { err });
-                            progressed = true;
-                        }
-                    }
+                    })
                 }
                 RingOp::Write { buf, len, .. } => {
                     let storage = std::mem::take(&mut self.bufs[buf as usize]);
@@ -1032,32 +944,7 @@ impl<D: RingDriver> RingCore<D> {
                         .driver
                         .try_write(ctx, &e.conn, &storage[..len as usize]);
                     self.bufs[buf as usize] = storage;
-                    match r? {
-                        Ok(Some(n)) => {
-                            e.q.pop_front();
-                            self.complete(sqe, CqeResult::Wrote { buf, len: n as u32 });
-                            progressed = true;
-                        }
-                        Ok(None) => {
-                            if Self::deadline_due(ctx, &sqe) {
-                                e.q.pop_front();
-                                self.complete(
-                                    sqe,
-                                    CqeResult::Failed {
-                                        err: OpError::Timeout,
-                                    },
-                                );
-                                progressed = true;
-                                continue;
-                            }
-                            return Ok(progressed);
-                        }
-                        Err(err) => {
-                            e.q.pop_front();
-                            self.complete(sqe, CqeResult::Failed { err });
-                            progressed = true;
-                        }
-                    }
+                    r?.map(|n| CqeResult::Wrote { buf, len: n as u32 })
                 }
                 RingOp::Close { .. } => {
                     // Retire the connection; later ops queued on it fail
@@ -1071,51 +958,75 @@ impl<D: RingDriver> RingCore<D> {
                         self.complete(
                             later,
                             CqeResult::Failed {
-                                err: OpError::Closed,
+                                err: NetError::Closed,
                             },
                         );
                     }
                     return Ok(true);
                 }
                 RingOp::Accept { .. } => unreachable!("accepts queue on listeners"),
-            }
+            };
+            let Some(outcome) = Self::settle(ctx, &sqe, outcome) else {
+                return Ok(progressed);
+            };
+            e.q.pop_front();
+            self.complete(sqe, outcome.unwrap_or_else(|err| CqeResult::Failed { err }));
+            progressed = true;
         }
     }
 
-    /// Whether this op's deadline has passed (it completes as a
-    /// [`OpError::Timeout`] failure instead of blocking further).
-    fn deadline_due(ctx: &ProcessCtx, sqe: &Sqe) -> bool {
-        sqe.deadline.is_some_and(|d| ctx.now() >= d)
+    /// A head op's attempt, or `None` while it would still block: a stall
+    /// past the op's deadline settles as a [`NetError::Timeout`] failure
+    /// instead of blocking further.
+    fn settle<T>(
+        ctx: &ProcessCtx,
+        sqe: &Sqe,
+        outcome: Result<T, NetError>,
+    ) -> Option<Result<T, NetError>> {
+        match outcome {
+            Err(NetError::WouldBlock) if sqe.deadline.is_some_and(|d| ctx.now() >= d) => {
+                Some(Err(NetError::Timeout))
+            }
+            Err(NetError::WouldBlock) => None,
+            settled => Some(settled),
+        }
+    }
+
+    /// Every target whose head op would block, with the progress it waits
+    /// for, and the earliest deadline among those ops.
+    fn stalled(&self) -> Stalled<'_, D::Conn, D::Listener> {
+        let mut s = Stalled {
+            conns: Vec::new(),
+            listeners: Vec::new(),
+            next_deadline: None,
+        };
+        for e in self.conns.values() {
+            let Some(head) = e.q.front() else { continue };
+            let interest = match head.op {
+                RingOp::Read { .. } => Interest::READABLE,
+                RingOp::Write { .. } => Interest::WRITABLE,
+                // A Close head never stalls (drive retires it).
+                _ => continue,
+            };
+            s.note(head.deadline);
+            s.conns.push((&e.conn, interest));
+        }
+        for e in self.listeners.values() {
+            let Some(head) = e.q.front() else { continue };
+            s.note(head.deadline);
+            s.listeners.push(&e.l);
+        }
+        s
     }
 
     /// Park until some stalled head op could make progress, or until the
     /// earliest head-op deadline so `drive` can expire it.
     fn park(&mut self, ctx: &ProcessCtx) -> SimResult<()> {
-        let mut conns: Vec<(&D::Conn, Interest)> = Vec::new();
-        let mut next_deadline: Option<SimTime> = None;
-        let note = |d: Option<SimTime>, next: &mut Option<SimTime>| {
-            if let Some(d) = d {
-                *next = Some(next.map_or(d, |n: SimTime| if d < n { d } else { n }));
-            }
-        };
-        for e in self.conns.values() {
-            let head = e.q.front();
-            let interest = match head.map(|s| s.op) {
-                Some(RingOp::Read { .. }) => Interest::READABLE,
-                Some(RingOp::Write { .. }) => Interest::WRITABLE,
-                // A Close head never stalls (drive retires it), and an
-                // idle connection has nothing to wait for.
-                _ => continue,
-            };
-            note(head.and_then(|s| s.deadline), &mut next_deadline);
-            conns.push((&e.conn, interest));
-        }
-        let mut listeners: Vec<&D::Listener> = Vec::new();
-        for e in self.listeners.values() {
-            let Some(head) = e.q.front() else { continue };
-            note(head.deadline, &mut next_deadline);
-            listeners.push(&e.l);
-        }
+        let Stalled {
+            conns,
+            listeners,
+            next_deadline,
+        } = self.stalled();
         debug_assert!(
             !(conns.is_empty() && listeners.is_empty()),
             "park only with stalled ops (submit_and_wait checks committed)"

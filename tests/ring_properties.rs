@@ -14,10 +14,11 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
+use sockets_over_emp::emp_apps::Testbed;
 use sockets_over_emp::prelude::*;
 use sockets_over_emp::simnet::ring::{CqeResult, RingConfig, RingError, RingOp, Sqe};
 use sockets_over_emp::simnet::Completion as SimCompletion;
-use sockets_over_emp::sockets_emp::SockError;
+use sockets_over_emp::simnet::NetError;
 use sockets_over_emp::{emp_proto, sockets_emp};
 
 /// One step of a random ring schedule. The connection under test is
@@ -304,7 +305,7 @@ fn run_schedule(g: Geom, steps: Vec<Step>) {
             }
             match conn.try_write(ctx, &data[off..])? {
                 Ok(n) => off += n,
-                Err(SockError::WouldBlock) => ctx.delay(SimDuration::from_micros(200))?,
+                Err(NetError::WouldBlock) => ctx.delay(SimDuration::from_micros(200))?,
                 Err(_) => break, // server tore the connection down
             }
         }
@@ -342,5 +343,48 @@ proptest! {
             .map(|&(k, b, l)| decode_step(g, k, b, l))
             .collect();
         run_schedule(g, steps);
+    }
+}
+
+/// A cancelled op completes as `Cancelled` through the stack-agnostic
+/// facade ring — the completion an async op future's drop produces — on
+/// both stacks.
+#[test]
+fn cancelled_ring_ops_complete_as_cancelled_on_both_stacks() {
+    for tb in [Testbed::emp_default(2), Testbed::kernel_default(2)] {
+        let sim = Sim::new();
+        let server = Arc::clone(&tb.nodes[1].api);
+        let client = Arc::clone(&tb.nodes[0].api);
+        let host = tb.nodes[1].api.local_host();
+        let done = SimCompletion::new();
+        let d2 = done.clone();
+        sim.spawn("ring-server", move |ctx| {
+            let l = server.listen(ctx, 80, 4)?.expect("port free");
+            let mut ring = server.ring(RingConfig::default(), "cancel");
+            let conn = ring.add_conn(l.accept(ctx)?.expect("client"));
+            // The client never writes: the read stalls until cancelled.
+            ring.push(Sqe::new(9, RingOp::Read { conn, buf: 0 }))
+                .expect("room");
+            ring.submit(ctx)?;
+            assert!(ring.cancel(ctx, 9), "stalled read is cancellable");
+            let cqe = ring.reap(1)[0];
+            // The facade type itself (async ring ops used to say `Other`).
+            assert_eq!(
+                cqe.result,
+                CqeResult::Failed {
+                    err: NetError::Cancelled
+                }
+            );
+            ring.shutdown(ctx)?;
+            d2.complete(ctx);
+            Ok(())
+        });
+        sim.spawn("idle-client", move |ctx| {
+            let conn = client.connect(ctx, host, 80)?.expect("connect");
+            ctx.delay(SimDuration::from_millis(1))?;
+            conn.close(ctx)
+        });
+        sim.run();
+        assert!(done.is_done(), "ring server did not finish");
     }
 }
