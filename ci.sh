@@ -36,9 +36,13 @@ cargo test --workspace -q --features trace
 
 step "cargo test (lossy suite)"
 # Chaos stage: the substrate robustness suite (seeded fault injection,
-# vanished-peer detection) in both build modes.
+# vanished-peer detection) and EMP's own loss recovery (selective repeat,
+# RTT-measured timeout, a slow receiver not mistaken for loss) in both
+# build modes.
 cargo test -q -p sockets-emp --test lossy
 cargo test -q -p sockets-emp --test lossy --features sockets-emp/trace
+cargo test -q -p emp-proto --test reliability
+cargo test -q -p emp-proto --test reliability --features emp-proto/trace
 
 step "event-loop webserver smoke"
 # Readiness stage: one single-process poll()-driven server, 32 concurrent
@@ -82,6 +86,9 @@ events=$(echo "$out" | sed -n 's/^(\([0-9]\+\) events.*/\1/p')
     || { echo "FAIL: chrome trace file missing or empty"; exit 1; }
 echo "$out" | grep -q "fault counters: wire_drops=" \
     || { echo "FAIL: no fault-counter report in traced run"; exit 1; }
+# The fabric is lossless: nothing may be retransmitted.
+echo "$out" | grep -q "fault counters: .* retransmits=0 " \
+    || { echo "FAIL: retransmissions on a lossless traced run"; exit 1; }
 
 step "data-path default-vs-preset perf smoke"
 # Perf stage: the two fast-path figures run SubstrateConfig::ds_da_uq()

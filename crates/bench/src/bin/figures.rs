@@ -289,16 +289,17 @@ fn run_traced_pingpong() {
             corrupt += p.frames_corrupted;
             delayed += p.frames_delayed;
         }
-        let (mut retx, mut ring_drops, mut dma_delays) = (0u64, 0u64, 0u64);
+        let (mut retx, mut fast, mut ring_drops, mut dma_delays) = (0u64, 0u64, 0u64, 0u64);
         for node in &cl.nodes {
             let s = node.nic.stats();
             retx += s.frames_retransmitted;
+            fast += s.fast_retransmits;
             ring_drops += s.nic_rx_ring_drops;
             dma_delays += s.nic_dma_delays;
         }
         println!(
             "fault counters: wire_drops={drops} wire_corrupt={corrupt} \
-             wire_delayed={delayed} retransmits={retx} \
+             wire_delayed={delayed} retransmits={retx} fast_retransmits={fast} \
              nic_rx_ring_drops={ring_drops} nic_dma_delays={dma_delays}"
         );
     }

@@ -16,8 +16,9 @@ pub struct EmpConfig {
     /// reliability window that keeps the sender from racing arbitrarily
     /// far ahead of the receiving NIC's (slower) processing path.
     pub tx_window_frames: u32,
-    /// Sender-side retransmission timeout for unacknowledged frames (the
-    /// receiver silently drops frames with no matching descriptor).
+    /// Floor of the per-peer measured retransmission timeout, RTO =
+    /// max(this, SRTT + 4·RTTVAR), and the period of each message's
+    /// ack-progress check.
     pub retransmit_timeout: SimDuration,
     /// Give up on a message after this many retransmission rounds; the
     /// send handle then completes unsuccessfully.

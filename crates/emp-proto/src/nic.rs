@@ -3,10 +3,12 @@
 //! This is Figure 2 of the paper in executable form. Transmit: a host
 //! request (T1) is parsed by the tx CPU (T2-T3 bookkeeping), each frame is
 //! DMA-fetched (T5) and sent; a transmission record tracks acknowledged
-//! frames, with timeout-driven retransmission. Receive: each arriving frame
-//! is classified (R3), tag-matched against the pre-posted descriptor list
-//! (R4, at the measured 550 ns per descriptor walked), and DMA'd to the
-//! host buffer (R6); cumulative acks go back every `ack_window` frames.
+//! frames, with selective-repeat retransmission under an RTT-measured
+//! timeout (DESIGN §8). Receive: each arriving frame is classified (R3),
+//! tag-matched against the pre-posted descriptor list (R4, at the measured
+//! 550 ns per descriptor walked), and DMA'd to the host buffer (R6); acks
+//! with a bitmap of held fragments go back every `ack_window` frames, and
+//! every frame while the message has a hole.
 //! Frames that match nothing fall into the unexpected queue if slots are
 //! available (checked last, extra host copy on claim), else are dropped for
 //! the sender to retransmit.
@@ -42,8 +44,11 @@ pub struct EmpStats {
     /// Data frames dropped because nothing matched and no unexpected slot
     /// was free.
     pub frames_dropped: u64,
-    /// Frames retransmitted after timeout.
+    /// Data frames resent (after a rewind or for a selective-ack hole).
     pub frames_retransmitted: u64,
+    /// The subset of `frames_retransmitted` resent on ack evidence (a
+    /// hole below a fragment the receiver holds), not by a rewind.
+    pub fast_retransmits: u64,
     /// Messages abandoned after `max_retries`.
     pub sends_failed: u64,
     /// Protocol acks put on the wire.
@@ -173,11 +178,91 @@ struct TxRecord {
     next_to_send: u32,
     /// Cumulative frames acknowledged by the receiver.
     acked: u32,
+    /// Fragments the receiver holds: bit `i` is fragment `acked + i`.
+    held: u64,
+    /// Fragments resent in the current timer round, indexed like `held`.
+    resent: u64,
+    /// One past the highest fragment ever released.
+    sent_hi: u32,
+    /// The fragment timed for an RTT sample and its release time (ns).
+    timed: Option<(u32, u64)>,
     /// Consecutive timer rounds without ack progress.
     retries: u32,
     /// Whether the perpetual per-message timer is running.
     timer_armed: bool,
     state: SendState,
+}
+
+impl TxRecord {
+    /// Fragment `idx`'s bit in `held` and `resent`.
+    fn bit(&self, idx: u32) -> u64 {
+        1u64.checked_shl(idx - self.acked).unwrap_or(0)
+    }
+
+    /// Apply an ack; returns the frames freed from the window and the
+    /// holes to resend now: released, unheld fragments below the highest
+    /// held one, not yet resent this round.
+    fn on_ack(&mut self, frames: u32, sack: u64) -> (u32, u64) {
+        // Invariant: this message holds `next_to_send - acked` of the
+        // global in-flight window. An ack can outrun `next_to_send` when
+        // it belongs to frames sent before a rewind — then those frames
+        // need no resend, so the send pointer jumps forward with it.
+        let old_outstanding = self.next_to_send - self.acked;
+        if frames >= self.acked {
+            let advance = frames - self.acked;
+            self.held = self.held.checked_shr(advance).unwrap_or(0) | sack << 1;
+            self.resent = self.resent.checked_shr(advance).unwrap_or(0);
+            self.acked = frames;
+            self.next_to_send = self.next_to_send.max(frames);
+        }
+        let freed = old_outstanding - (self.next_to_send - self.acked);
+        let below_top = self.held.checked_ilog2().map_or(0, |top| (1 << top) - 1);
+        let released = 1u64
+            .checked_shl(self.next_to_send - self.acked)
+            .map_or(u64::MAX, |b| b - 1);
+        (freed, below_top & released & !self.held & !self.resent)
+    }
+
+    /// Start a round: back to the acknowledged prefix. Returns the frames
+    /// leaving the in-flight window.
+    fn rewind(&mut self) -> u32 {
+        let rewound = self.next_to_send - self.acked;
+        self.next_to_send = self.acked;
+        self.resent = 0;
+        rewound
+    }
+
+    /// Fragment `idx` goes on the wire at `now_ns`: is it a resend?
+    fn note_send(&mut self, idx: u32, now_ns: u64) -> bool {
+        if idx < self.sent_hi {
+            self.resent |= self.bit(idx);
+            if self.timed.is_some_and(|(t, _)| t == idx) {
+                self.timed = None;
+            }
+            true
+        } else {
+            self.sent_hi = idx + 1;
+            self.timed.get_or_insert((idx, now_ns));
+            false
+        }
+    }
+
+    /// An RTT sample, if the timed fragment is now acknowledged or held.
+    fn take_rtt_sample(&mut self, now_ns: u64) -> Option<u64> {
+        let (idx, sent) = self.timed?;
+        if idx >= self.acked && self.held & self.bit(idx) == 0 {
+            return None;
+        }
+        self.timed = None;
+        Some(now_ns - sent)
+    }
+}
+
+/// Fold the RTT sample `r` into a peer's `(srtt, rttvar)`, in ns (RFC 6298).
+fn rtt_update(prev: Option<(u64, u64)>, r: u64) -> (u64, u64) {
+    prev.map_or((r, r / 2), |(srtt, var)| {
+        ((7 * srtt + r) / 8, (3 * var + srtt.abs_diff(r)) / 4)
+    })
 }
 
 struct RecvDesc {
@@ -224,6 +309,22 @@ impl ActiveRecv {
         }
         (false, self.contiguous == self.num_frames)
     }
+
+    /// The selective-ack bitmap: bit `i` is fragment `contiguous + 1 + i`.
+    fn sack(&self) -> u64 {
+        let from = self.contiguous as usize + 1;
+        let held = self.have.iter().skip(from).take(64);
+        held.rev().fold(0, |bits, &h| bits << 1 | u64::from(h))
+    }
+
+    /// The ack due after a store: every `ack_window` fragments, on
+    /// completion, and at once while a hole is open (as TCP does).
+    fn ack_due(&self, ack_window: u32, done: bool) -> Option<(u32, u64)> {
+        let due = done
+            || self.received_count.is_multiple_of(ack_window)
+            || self.received_count > self.contiguous;
+        due.then(|| (self.contiguous, self.sack()))
+    }
 }
 
 struct NicState {
@@ -234,6 +335,8 @@ struct NicState {
     tx_order: VecDeque<u64>,
     /// Released-but-unacknowledged frames across all messages.
     tx_inflight: u32,
+    /// `(srtt, rttvar)` in ns toward each peer this NIC sends to.
+    rtt: HashMap<MacAddr, (u64, u64)>,
     /// Pre-posted descriptors in post order — the list the tag matcher
     /// walks, 550 ns per entry examined.
     preposted: Vec<RecvDesc>,
@@ -285,6 +388,7 @@ impl EmpNic {
                 tx: HashMap::new(),
                 tx_order: VecDeque::new(),
                 tx_inflight: 0,
+                rtt: HashMap::new(),
                 preposted: Vec::new(),
                 active: HashMap::new(),
                 unexpected_capacity: 0,
@@ -367,6 +471,21 @@ impl EmpNic {
             .collect();
         v.sort_unstable();
         (v, st.tx_inflight)
+    }
+
+    /// Diagnostic: the retransmission timeout toward `peer` and the
+    /// smoothed RTT it is built from (`None` until the first sample).
+    pub fn rtt(&self, peer: MacAddr) -> (SimDuration, Option<SimDuration>) {
+        let est = self.state.lock().rtt.get(&peer).copied();
+        let srtt = est.map(|(srtt, _)| SimDuration::from_nanos(srtt));
+        (self.timeout(est, 0), srtt)
+    }
+
+    /// RTO = max(floor, SRTT + 4·RTTVAR), ×2 per fruitless round (≤ 2^5).
+    fn timeout(&self, est: Option<(u64, u64)>, retries: u32) -> SimDuration {
+        let floor = self.cfg.retransmit_timeout;
+        let rto = est.map_or(floor, |(srtt, var)| SimDuration::from_nanos(srtt + 4 * var));
+        floor.max(rto) * 2u64.pow(retries.min(5))
     }
 
     fn arc(&self) -> Arc<EmpNic> {
@@ -458,6 +577,10 @@ impl EmpNic {
                     posted_ns: s.now().nanos(),
                     next_to_send: 0,
                     acked: 0,
+                    held: 0,
+                    resent: 0,
+                    sent_hi: 0,
+                    timed: None,
                     retries: 0,
                     timer_armed: false,
                     state: state.clone(),
@@ -471,7 +594,7 @@ impl EmpNic {
             .cpu_tx
             .exec_at(s, earliest, self.cfg.nic.tx_request_cost, move |sim| {
                 me.state.lock().tx_order.push_back(msg_id);
-                me.release_tx(sim);
+                me.release_tx(sim, Vec::new());
             });
         state
     }
@@ -480,12 +603,15 @@ impl EmpNic {
     /// at most `tx_window_frames` released-but-unacknowledged frames exist
     /// across all messages. Messages release in FIFO order, which keeps the
     /// receiver's processing backlog (and therefore ack lag) bounded — the
-    /// reliability window of a NIC-driven protocol.
-    fn release_tx(&self, sim: &Sim) {
+    /// reliability window of a NIC-driven protocol. `resends` (holes the
+    /// window already counts) go first.
+    fn release_tx(&self, sim: &Sim, resends: Vec<Frame>) {
         let window = self.cfg.tx_window_frames;
-        let mut to_schedule = Vec::new();
+        let now = sim.now().nanos();
+        let mut to_schedule = resends;
         {
-            let mut st = self.state.lock();
+            let mut guard = self.state.lock();
+            let st = &mut *guard;
             while st.tx_inflight < window {
                 let Some(&msg_id) = st.tx_order.front() else {
                     break;
@@ -507,41 +633,24 @@ impl EmpNic {
                 };
                 let end = rec.num_frames.min(rec.next_to_send + budget);
                 for idx in rec.next_to_send..end {
-                    let (a, b) = chunk_range(rec.data.len(), idx);
-                    to_schedule.push(Frame {
-                        src: self.mac(),
-                        dst: rec.dst,
-                        ethertype: EtherType::EMP,
-                        payload: wire_payload(EmpWire::Data {
-                            msg_id,
-                            tag: rec.tag,
-                            frame_idx: idx,
-                            num_frames: rec.num_frames,
-                            total_len: rec.data.len() as u32,
-                            no_uq: rec.no_uq,
-                            chunk: rec.data.slice(a, b),
-                        }),
-                    });
+                    if rec.held & rec.bit(idx) != 0 {
+                        continue;
+                    }
+                    if rec.note_send(idx, now) {
+                        st.stats.frames_retransmitted += 1;
+                    }
+                    to_schedule.push(self.data_frame(msg_id, rec, idx));
                 }
                 let released = end - rec.next_to_send;
                 rec.next_to_send = end;
                 let fully_released = rec.next_to_send == rec.num_frames;
-                let arm = if !rec.timer_armed && rec.next_to_send > rec.acked {
+                if !rec.timer_armed && rec.next_to_send > rec.acked {
                     rec.timer_armed = true;
-                    Some(rec.acked)
-                } else {
-                    None
-                };
-                st.tx_inflight += released;
-                if let Some(acked_snapshot) = arm {
                     // Arming only schedules an event; safe under the lock.
-                    self.arm_retransmit_timer(
-                        sim,
-                        msg_id,
-                        acked_snapshot,
-                        self.cfg.retransmit_timeout,
-                    );
+                    let floor = self.cfg.retransmit_timeout;
+                    self.arm_retransmit_timer(sim, msg_id, rec.acked, now, floor);
                 }
+                st.tx_inflight += released;
                 if fully_released {
                     st.tx_order.pop_front();
                 } else {
@@ -570,34 +679,61 @@ impl EmpNic {
         }
     }
 
-    /// The per-message retransmission timer. Re-arms while the record
-    /// lives; on a silent period with no ack progress it rewinds the send
-    /// pointer to the acknowledged prefix and releases again, with
-    /// exponential backoff on consecutive fruitless rounds.
+    /// Data frame `idx` of message `msg_id`.
+    fn data_frame(&self, msg_id: u64, rec: &TxRecord, idx: u32) -> Frame {
+        let (a, b) = chunk_range(rec.data.len(), idx);
+        Frame {
+            src: self.mac(),
+            dst: rec.dst,
+            ethertype: EtherType::EMP,
+            payload: wire_payload(EmpWire::Data {
+                msg_id,
+                tag: rec.tag,
+                frame_idx: idx,
+                num_frames: rec.num_frames,
+                total_len: rec.data.len() as u32,
+                no_uq: rec.no_uq,
+                chunk: rec.data.slice(a, b),
+            }),
+        }
+    }
+
+    /// The per-message retransmission timer: checks for ack progress every
+    /// `retransmit_timeout` while the record lives. A silence since
+    /// `since_ns` that outlasts the backed-off RTO rewinds the send
+    /// pointer to the acknowledged prefix and releases what is not held.
     fn arm_retransmit_timer(
         &self,
         s: &dyn SimAccess,
         msg_id: u64,
         acked_snapshot: u32,
-        timeout: SimDuration,
+        since_ns: u64,
+        delay: SimDuration,
     ) {
         let me = self.arc();
-        s.schedule_after(timeout, move |sim| {
+        s.schedule_after(delay, move |sim| {
             enum Action {
-                Rearm(u32, SimDuration),
+                Rearm(u32, u64, SimDuration),
                 Fail(SendState),
                 Retransmit(SimDuration, u32, u32),
             }
+            let now = sim.now().nanos();
             let action = {
-                let mut st = me.state.lock();
+                let mut guard = me.state.lock();
+                let st = &mut *guard;
                 let Some(rec) = st.tx.get_mut(&msg_id) else {
                     return; // acked and removed: the common case
                 };
+                let due = me.timeout(st.rtt.get(&rec.dst).copied(), rec.retries);
                 if rec.acked > acked_snapshot {
                     // Progress since the last arming: not a loss, reset
                     // the backoff and keep watching.
                     rec.retries = 0;
-                    Action::Rearm(rec.acked, me.cfg.retransmit_timeout)
+                    Action::Rearm(rec.acked, now, me.cfg.retransmit_timeout)
+                } else if now - since_ns < due.nanos() {
+                    // Silent, but not for a whole RTO: maybe only slow.
+                    let rest = SimDuration::from_nanos(since_ns + due.nanos() - now);
+                    Action::Rearm(acked_snapshot, since_ns, rest)
                 } else {
                     rec.retries += 1;
                     if rec.retries > me.cfg.max_retries {
@@ -610,24 +746,19 @@ impl EmpNic {
                         st.tx_order.retain(|&id| id != msg_id);
                         Action::Fail(rec.state)
                     } else {
-                        // Rewind to the acked prefix and release again.
-                        let rewound = rec.next_to_send - rec.acked;
-                        rec.next_to_send = rec.acked;
-                        let retries = rec.retries;
-                        let acked = rec.acked;
-                        st.tx_inflight -= rewound;
-                        st.stats.frames_retransmitted += u64::from(rewound);
+                        st.tx_inflight -= rec.rewind();
+                        let (retries, acked) = (rec.retries, rec.acked);
                         if !st.tx_order.contains(&msg_id) {
                             st.tx_order.push_front(msg_id);
                         }
-                        let backoff = me.cfg.retransmit_timeout * 2u64.pow(retries.min(5));
+                        let backoff = me.timeout(st.rtt.get(&rec.dst).copied(), retries);
                         Action::Retransmit(backoff, acked, retries)
                     }
                 }
             };
             match action {
-                Action::Rearm(acked, timeout) => {
-                    me.arm_retransmit_timer(sim, msg_id, acked, timeout)
+                Action::Rearm(acked, since, delay) => {
+                    me.arm_retransmit_timer(sim, msg_id, acked, since, delay)
                 }
                 Action::Fail(state) => {
                     *state.ok.lock() = Some(false);
@@ -635,36 +766,42 @@ impl EmpNic {
                 }
                 Action::Retransmit(backoff, acked, retries) => {
                     me.trace(sim, EventKind::Retransmit, u64::from(retries), msg_id);
-                    me.arm_retransmit_timer(sim, msg_id, acked, backoff);
-                    me.release_tx(sim);
+                    me.arm_retransmit_timer(sim, msg_id, acked, now, backoff);
+                    me.release_tx(sim, Vec::new());
                 }
             }
         });
     }
 
-    fn process_ack(&self, sim: &Sim, msg_id: u64, frames: u32) {
+    fn process_ack(&self, sim: &Sim, msg_id: u64, frames: u32, sack: u64) {
+        let now = sim.now().nanos();
+        let mut resends = Vec::new();
         let finished = {
-            let mut st = self.state.lock();
+            let mut guard = self.state.lock();
+            let st = &mut *guard;
             let Some(rec) = st.tx.get_mut(&msg_id) else {
                 return; // duplicate ack after completion
             };
-            // Invariant: this message holds `next_to_send - acked` of the
-            // global in-flight window. An ack can outrun `next_to_send`
-            // when it belongs to frames sent before a retransmission
-            // rewind — then those frames need no resend, so the send
-            // pointer jumps forward with it.
-            let old_outstanding = rec.next_to_send - rec.acked;
-            rec.acked = rec.acked.max(frames);
-            rec.next_to_send = rec.next_to_send.max(rec.acked);
-            let freed = old_outstanding - (rec.next_to_send - rec.acked);
+            let (freed, holes) = rec.on_ack(frames, sack);
             st.tx_inflight -= freed;
-            let rec = st.tx.get_mut(&msg_id).expect("present above");
+            if let Some(sample) = rec.take_rtt_sample(now) {
+                let est = rtt_update(st.rtt.get(&rec.dst).copied(), sample);
+                st.rtt.insert(rec.dst, est);
+            }
+            // Resend each hole now; it already counts in the window.
+            for bit in (0..u64::BITS).filter(|b| holes >> b & 1 != 0) {
+                let idx = rec.acked + bit;
+                rec.note_send(idx, now);
+                resends.push(self.data_frame(msg_id, rec, idx));
+            }
+            st.stats.frames_retransmitted += resends.len() as u64;
+            st.stats.fast_retransmits += resends.len() as u64;
             if rec.acked >= rec.num_frames {
                 let rec = st.tx.remove(&msg_id).expect("present above");
                 st.stats.msgs_sent += 1;
                 st.tx_order.retain(|&id| id != msg_id);
                 if let Some(h) = &st.msg_latency {
-                    h.record(sim.now().nanos().saturating_sub(rec.posted_ns));
+                    h.record(now.saturating_sub(rec.posted_ns));
                 }
                 Some(rec.state)
             } else {
@@ -676,7 +813,7 @@ impl EmpNic {
             let post = self.cfg.nic.completion_post;
             s_complete_send(sim, state, post);
         }
-        self.release_tx(sim);
+        self.release_tx(sim, resends);
     }
 
     // ------------------------------------------------------------------
@@ -823,7 +960,7 @@ impl EmpNic {
             return RxPhase2 {
                 walked: 0,
                 dma_bytes: 0,
-                ack: Some((src, *msg_id, frames)),
+                ack: Some((src, *msg_id, frames, 0)),
                 nack: None,
                 deliver: None,
             };
@@ -835,19 +972,19 @@ impl EmpNic {
         if let Some(active) = st.active.get_mut(&key) {
             let (dup, done) = active.store(*frame_idx, chunk);
             if dup {
-                // Retransmission overlap: nothing stored; re-ack the
-                // contiguous prefix so the sender advances.
-                let contiguous = active.contiguous;
+                // Retransmission overlap: nothing stored; re-ack so the
+                // sender advances.
                 return RxPhase2 {
                     walked: 0,
                     dma_bytes: 0,
-                    ack: Some((src, *msg_id, contiguous)),
+                    ack: Some((src, *msg_id, active.contiguous, active.sack())),
                     nack: None,
                     deliver: None,
                 };
             }
-            let at_window = active.received_count % self.cfg.ack_window == 0;
-            let ack = (done || at_window).then_some((src, *msg_id, active.contiguous));
+            let ack = active
+                .ack_due(self.cfg.ack_window, done)
+                .map(|(frames, sack)| (src, *msg_id, frames, sack));
             if done {
                 let active = st.active.remove(&key).expect("present above");
                 return self.finish_recv(&mut st, key, *tag, active, chunk.len(), ack);
@@ -960,8 +1097,9 @@ impl EmpNic {
             dest,
         };
         let (_dup, done) = active.store(*frame_idx, chunk);
-        let at_window = active.received_count.is_multiple_of(self.cfg.ack_window);
-        let ack = (done || at_window).then_some((src, *msg_id, active.contiguous));
+        let ack = active
+            .ack_due(self.cfg.ack_window, done)
+            .map(|(frames, sack)| (src, *msg_id, frames, sack));
         if done {
             return self.finish_recv(&mut st, key, *tag, active, chunk.len(), ack);
         }
@@ -982,7 +1120,7 @@ impl EmpNic {
         tag: Tag,
         active: ActiveRecv,
         last_chunk: usize,
-        ack: Option<(MacAddr, u64, u32)>,
+        ack: Option<(MacAddr, u64, u32, u64)>,
     ) -> RxPhase2 {
         debug_assert_eq!(active.buf.len(), active.total_len as usize);
         st.stats.msgs_received += 1;
@@ -1089,14 +1227,18 @@ impl EmpNic {
         }
     }
 
-    fn send_ack(&self, sim: &Sim, dst: MacAddr, msg_id: u64, frames: u32) {
+    fn send_ack(&self, sim: &Sim, dst: MacAddr, msg_id: u64, frames: u32, sack: u64) {
         self.state.lock().stats.acks_sent += 1;
         let me = self.arc();
         let frame = Frame {
             src: self.mac(),
             dst,
             ethertype: EtherType::EMP,
-            payload: wire_payload(EmpWire::Ack { msg_id, frames }),
+            payload: wire_payload(EmpWire::Ack {
+                msg_id,
+                frames,
+                sack,
+            }),
         };
         self.tigon
             .cpu_tx
@@ -1124,9 +1266,9 @@ impl EmpNic {
     }
 
     /// React to a peer's negative acknowledgment. `busy` is transient
-    /// exhaustion: rewind the unacknowledged frames and release again
-    /// after a short pause (explicit backpressure, cheaper than waiting
-    /// out the retransmission timer). `!busy` is a refusal: the send
+    /// exhaustion: rewind the unacknowledged frames and release the ones
+    /// not held again after a short pause (explicit backpressure, cheaper
+    /// than waiting out the retransmission timer). `!busy` is a refusal: the send
     /// fails immediately with the `refused` flag set, which the host
     /// maps to `NetError::Refused`.
     fn process_nack(&self, sim: &Sim, msg_id: u64, busy: bool) {
@@ -1137,20 +1279,18 @@ impl EmpNic {
                 let Some(rec) = st.tx.get_mut(&msg_id) else {
                     return; // already completed or abandoned
                 };
-                let rewound = rec.next_to_send - rec.acked;
+                let rewound = rec.rewind();
                 if rewound == 0 {
                     return; // nothing outstanding (already rewound)
                 }
-                rec.next_to_send = rec.acked;
                 st.tx_inflight -= rewound;
-                st.stats.frames_retransmitted += u64::from(rewound);
                 if !st.tx_order.contains(&msg_id) {
                     st.tx_order.push_front(msg_id);
                 }
             }
             let me = self.arc();
             let pause = SimDuration::from_nanos(self.cfg.retransmit_timeout.nanos() / 4);
-            sim.schedule_after(pause, move |sim| me.release_tx(sim));
+            sim.schedule_after(pause, move |sim| me.release_tx(sim, Vec::new()));
         } else {
             let state = {
                 let mut st = self.state.lock();
@@ -1167,7 +1307,7 @@ impl EmpNic {
             *state.refused.lock() = true;
             *state.ok.lock() = Some(false);
             state.completion.complete(sim);
-            self.release_tx(sim);
+            self.release_tx(sim, Vec::new());
         }
     }
 }
@@ -1176,7 +1316,8 @@ impl EmpNic {
 struct RxPhase2 {
     walked: usize,
     dma_bytes: usize,
-    ack: Option<(MacAddr, u64, u32)>,
+    /// An ack to put on the wire: `(dst, msg_id, frames, sack)`.
+    ack: Option<(MacAddr, u64, u32, u64)>,
     /// A negative acknowledgment to put on the wire: `(dst, msg_id, busy)`.
     nack: Option<(MacAddr, u64, bool)>,
     deliver: Option<Deliver>,
@@ -1208,12 +1349,16 @@ impl FrameSink for EmpNic {
             return;
         };
         match wire {
-            EmpWire::Ack { msg_id, frames } => {
+            EmpWire::Ack {
+                msg_id,
+                frames,
+                sack,
+            } => {
                 let me = self.arc();
                 self.tigon
                     .cpu_rx
                     .exec(s, self.cfg.nic.ack_cost, move |sim| {
-                        me.process_ack(sim, msg_id, frames);
+                        me.process_ack(sim, msg_id, frames, sack);
                     });
             }
             EmpWire::Nack { msg_id, busy } => {
@@ -1271,8 +1416,8 @@ impl FrameSink for EmpNic {
                                     dma.nanos(),
                                 );
                             }
-                            if let Some((dst, msg_id, frames)) = phase2.ack {
-                                me2.send_ack(sim, dst, msg_id, frames);
+                            if let Some((dst, msg_id, frames, sack)) = phase2.ack {
+                                me2.send_ack(sim, dst, msg_id, frames, sack);
                             }
                             if let Some((dst, msg_id, busy)) = phase2.nack {
                                 me2.send_nack(sim, dst, msg_id, busy);
@@ -1362,6 +1507,162 @@ mod tests {
         assert_eq!(a.contiguous, 1);
         assert_eq!(a.store(1, &full), (false, true));
         assert_eq!(a.contiguous, 3, "prefix jumps over the stored tail");
+    }
+
+    #[test]
+    fn sack_bitmap_reports_what_is_held_past_the_first_hole() {
+        let mut a = active(5, (5 * crate::wire::MAX_CHUNK) as u32);
+        let c = vec![0u8; crate::wire::MAX_CHUNK];
+        // Arrive 2, 0, 4, 1, 3.
+        a.store(2, &c);
+        assert_eq!((a.contiguous, a.sack()), (0, 0b10), "bit 0 is fragment 1");
+        a.store(0, &c);
+        assert_eq!((a.contiguous, a.sack()), (1, 0b1));
+        a.store(4, &c);
+        assert_eq!((a.contiguous, a.sack()), (1, 0b101));
+        a.store(1, &c);
+        assert_eq!(
+            (a.contiguous, a.sack()),
+            (3, 0b1),
+            "never reports `contiguous`"
+        );
+        a.store(3, &c);
+        assert_eq!((a.contiguous, a.sack()), (5, 0));
+    }
+
+    #[test]
+    fn acks_carry_the_bitmap_every_frame_while_a_hole_is_open() {
+        let sim = Sim::new();
+        let nic = EmpNic::new(MacAddr(1), EmpConfig::default());
+        nic.state.lock().unexpected_capacity = 1;
+        let rec = record(3);
+        let ack_for = |idx: u32| {
+            let frame = Frame {
+                src: MacAddr(0),
+                ..EmpNic::data_frame(&nic, 7, &rec, idx)
+            };
+            let wire = frame.payload.downcast::<EmpWire>().cloned().expect("emp");
+            let ack = nic.rx_match(&sim, &frame, &wire).ack;
+            ack.map(|(_, _, frames, sack)| (frames, sack))
+        };
+        // Arrive 2, 0, 1: each acked at once while the hole is open.
+        assert_eq!(ack_for(2), Some((0, 0b10)));
+        assert_eq!(ack_for(0), Some((1, 0b1)));
+        assert_eq!(ack_for(1), Some((3, 0)), "completion");
+        // A late duplicate of the finished message is re-acked in full.
+        assert_eq!(ack_for(2), Some((3, 0)));
+    }
+
+    /// A fresh record of a `frames`-fragment message to `MacAddr(1)`.
+    fn record(frames: u32) -> TxRecord {
+        let data = vec![3u8; frames as usize * crate::wire::MAX_CHUNK];
+        TxRecord {
+            dst: MacAddr(1),
+            tag: Tag(1),
+            data: TxBuf::one(Bytes::from(data)),
+            no_uq: false,
+            num_frames: frames,
+            posted_ns: 0,
+            next_to_send: 0,
+            acked: 0,
+            held: 0,
+            resent: 0,
+            sent_hi: 0,
+            timed: None,
+            retries: 0,
+            timer_armed: false,
+            state: SendState::new(),
+        }
+    }
+
+    /// A record of `frames` fragments, all released once.
+    fn released(frames: u32) -> TxRecord {
+        let mut rec = record(frames);
+        for idx in 0..frames {
+            assert!(!rec.note_send(idx, 0), "first send");
+        }
+        rec.next_to_send = frames;
+        rec
+    }
+
+    #[test]
+    fn a_hole_is_resent_once_per_round() {
+        let mut rec = released(8);
+        // 0, 1 and 4 arrived: the ack is for 2 with fragment 4 held, so
+        // 2 and 3 are holes.
+        assert_eq!(rec.on_ack(2, 0b10), (2, 0b11));
+        assert!(rec.note_send(2, 10) && rec.note_send(3, 10));
+        // 5 arrives too: same holes, already resent this round.
+        assert_eq!(rec.on_ack(2, 0b110), (0, 0));
+        // 2's resend arrives: 3 is still resent, relative to the new base.
+        assert_eq!(rec.on_ack(3, 0b11), (1, 0));
+        // A timer round rewinds; the release skips 4 and 5 and resends 3,
+        // 6 and 7 — and that resend is the round's one resend of 3.
+        assert_eq!(rec.rewind(), 5);
+        let sent: Vec<u32> = (3..8).filter(|&i| rec.held & rec.bit(i) == 0).collect();
+        assert_eq!(sent, [3, 6, 7]);
+        for idx in sent {
+            assert!(rec.note_send(idx, 20), "resend");
+        }
+        rec.next_to_send = 8;
+        assert_eq!(rec.on_ack(3, 0b11), (0, 0));
+    }
+
+    #[test]
+    fn rtt_samples_come_only_from_fragments_never_resent() {
+        let mut rec = released(4);
+        assert_eq!(rec.timed, Some((0, 0)), "first fragment released is timed");
+        rec.on_ack(1, 0);
+        assert_eq!(rec.take_rtt_sample(40), Some(40));
+        // Nothing new was released, so nothing is timed.
+        assert_eq!(rec.take_rtt_sample(50), None);
+        let mut rec = released(4);
+        rec.rewind();
+        assert!(rec.note_send(0, 30), "fragment 0 resent");
+        rec.on_ack(4, 0);
+        assert_eq!(rec.take_rtt_sample(60), None, "Karn's rule");
+    }
+
+    /// A sending NIC holding a 6-fragment message, all released: the
+    /// receiver acked fragment 0 and holds 2, 3 and 4, so 1 and 5 are
+    /// the only ones missing.
+    fn nic_with_held_fragments() -> (Sim, Arc<EmpNic>, crate::EmpCluster) {
+        let sim = Sim::new();
+        let cl = crate::build_cluster(2, EmpConfig::default(), simnet::SwitchConfig::default());
+        let nic = Arc::clone(&cl.nodes[0].nic);
+        let mut rec = released(6);
+        rec.on_ack(1, 0b111);
+        let mut st = nic.state.lock();
+        st.tx.insert(0, rec);
+        st.tx_inflight = 5;
+        drop(st);
+        (sim, nic, cl)
+    }
+
+    #[test]
+    fn the_timer_never_resends_a_held_fragment() {
+        let (sim, nic, _cl) = nic_with_held_fragments();
+        let floor = nic.cfg.retransmit_timeout;
+        nic.arm_retransmit_timer(&sim, 0, 1, 0, floor);
+        sim.run_until(simnet::SimTime::ZERO + floor + SimDuration::from_nanos(1));
+        let stats = nic.stats();
+        assert_eq!(stats.frames_retransmitted, 2, "fragments 1 and 5 only");
+        assert_eq!(stats.fast_retransmits, 0);
+        assert_eq!(nic.debug_tx().0, [(0, 1, 6, 6, 1)]);
+    }
+
+    #[test]
+    fn a_busy_nack_never_resends_a_held_fragment() {
+        let (sim, nic, _cl) = nic_with_held_fragments();
+        nic.process_nack(&sim, 0, true);
+        let pause = nic.cfg.retransmit_timeout.nanos() / 4;
+        sim.run_until(simnet::SimTime::ZERO + SimDuration::from_nanos(pause + 1));
+        assert_eq!(
+            nic.stats().frames_retransmitted,
+            2,
+            "fragments 1 and 5 only"
+        );
+        assert_eq!(nic.debug_tx().0, [(0, 1, 6, 6, 0)]);
     }
 
     #[test]

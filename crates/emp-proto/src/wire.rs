@@ -3,9 +3,9 @@
 //! EMP fragments messages into Ethernet frames. Every data frame carries a
 //! compact header (message id, 16-bit tag, frame index/count, total length)
 //! used by the receiving NIC for tag matching and reassembly; acknowledgment
-//! frames carry the cumulative frame count received. Header sizes are
-//! charged on the wire, so small-message latency and large-message goodput
-//! both see them.
+//! frames carry the cumulative frame count received and a selective-ack
+//! bitmap. Header sizes are charged on the wire, so small-message latency
+//! and large-message goodput both see them.
 
 use bytes::Bytes;
 use simnet::{MacAddr, MTU};
@@ -18,7 +18,7 @@ pub struct Tag(pub u16);
 /// Bytes of EMP header in every data frame (msg id, tag, frame idx/count,
 /// total length, flags).
 pub const DATA_HEADER: usize = 20;
-/// On-wire payload size of an acknowledgment frame.
+/// On-wire payload size of an acknowledgment frame (msg id, count, bitmap).
 pub const ACK_WIRE: usize = 20;
 /// Maximum message bytes carried per frame.
 pub const MAX_CHUNK: usize = MTU - DATA_HEADER;
@@ -67,14 +67,17 @@ pub enum EmpWire {
         chunk: Bytes,
     },
     /// Cumulative acknowledgment: "I have the first `frames` fragments of
-    /// your message `msg_id`". Generated and consumed entirely by the NICs;
-    /// hosts never see these (paper §5.2).
+    /// your message `msg_id`, and these after them". Generated and consumed
+    /// entirely by the NICs; hosts never see these (paper §5.2).
     Ack {
         /// The acknowledged message (sender-local id, scoped by the
         /// acknowledging NIC's address).
         msg_id: u64,
         /// Cumulative fragments received.
         frames: u32,
+        /// Selective ack: bit `i` set when fragment `frames + 1 + i` is held
+        /// (fragment `frames` is the first missing one, so has no bit).
+        sack: u64,
     },
     /// Negative acknowledgment: the receiving NIC could not take the
     /// message. Generated and consumed by the NICs, like [`EmpWire::Ack`].
@@ -171,6 +174,7 @@ mod tests {
         let a = EmpWire::Ack {
             msg_id: 1,
             frames: 1,
+            sack: u64::MAX,
         };
         assert_eq!(a.wire_len(), ACK_WIRE);
         // A max chunk exactly fills the MTU.
