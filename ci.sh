@@ -29,6 +29,7 @@ if [[ "${1:-}" != "--fast" ]]; then
 fi
 
 step "cargo test (tier-1, default features)"
+# Includes the server-model suites (all I/O models, both stacks, byte-exact).
 cargo test --workspace -q
 
 step "cargo test (trace feature)"
@@ -43,35 +44,6 @@ cargo test -q -p sockets-emp --test lossy
 cargo test -q -p sockets-emp --test lossy --features sockets-emp/trace
 cargo test -q -p emp-proto --test reliability
 cargo test -q -p emp-proto --test reliability --features emp-proto/trace
-
-step "event-loop webserver smoke"
-# Readiness stage: one single-process poll()-driven server, 32 concurrent
-# clients, byte-exact responses asserted inside every client — on both
-# stacks, in both build modes.
-cargo test -q -p emp-apps --test event_loop
-cargo test -q -p emp-apps --test event_loop --features emp-apps/trace
-
-step "completion-smoke"
-# Completion-model stage: the SQ/CQ ring servers (webserver + kvstore +
-# raw echo) serve 32 concurrent clients byte-exact on both stacks, in
-# both build modes; `ring_reads_avoid_copies_on_the_substrate` asserts
-# `copies_avoided > 0` on the ring read path (registered buffers
-# completing directly from NIC slots). Ring-depth gauges themselves are
-# checked by the empstat self-check below (`ring.*` series required).
-cargo test -q -p emp-apps --test completion_model
-cargo test -q -p emp-apps --test completion_model --features emp-apps/trace
-
-step "async-smoke"
-# Async-model stage: straight-line async/await handlers on the
-# deterministic sim-driven executor serve the 32-connection webserver and
-# kvstore workloads byte-exact on both stacks, in both build modes. The
-# suite also pins the contracts the futures stand on: same-seed runs are
-# byte-identical (`deterministic_text` equality, `exec.*` telemetry
-# included), a ring-op future dropped mid-read leaks no registered
-# buffer, and the readiness layer's check-then-arm survives spurious
-# wakes, interest changes, and registration after readiness fired.
-cargo test -q -p emp-apps --test async_model
-cargo test -q -p emp-apps --test async_model --features emp-apps/trace
 
 step "traced ping-pong smoke"
 # Must print a latency budget and a non-empty Chrome trace.

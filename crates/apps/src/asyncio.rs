@@ -46,11 +46,7 @@ use crate::api::{
     Api, Conn, CqeResult, Interest, NetApi, NetError, NetListener, NetRing, RingConfig,
     RingCounters, RingDepths, RingOp, Sqe,
 };
-
-/// Read granularity of [`serve_async`] handlers, matching the event
-/// loop's chunk so the three single-process server models issue
-/// identical I/O patterns.
-pub const READ_CHUNK: usize = 4096;
+use crate::serve::READ_CHUNK;
 
 // ---------------------------------------------------------------------
 // Phase 1: the connector
@@ -347,9 +343,9 @@ impl Drop for Readiness<'_> {
 /// out)` → write-all → flush until EOF. The per-connection state machine
 /// the event loop threads by hand is just control flow here, yet the
 /// whole server still runs on one process — the executor interleaves
-/// handlers at their await points. Same protocol, byte for byte, as
-/// [`crate::eventloop::serve_event_loop`] and
-/// [`crate::completion::serve_completion`].
+/// handlers at their await points. [`crate::serve()`] runs it as
+/// [`crate::ServerModel::Async`], the same protocol byte for byte as the
+/// other three models.
 pub fn serve_async(
     ctx: &ProcessCtx,
     l: Box<dyn NetListener>,

@@ -5,9 +5,9 @@
 //! stack *when* I/O would succeed and then performs it; this one submits
 //! the I/O itself — `Accept`/`Read`/`Write`/`Close` ops on a
 //! submission queue over registered buffers — and consumes completions
-//! in batches. Applications supply the same `service(inbuf, out)`
-//! framing callback as the event loop, so the three server models
-//! (per-connection, readiness event loop, completion ring) answer the
+//! in batches. It takes the same `service(inbuf, out)` framing callback
+//! as every other model, and [`crate::serve()`] runs it as
+//! [`crate::ServerModel::Completion`], so the server models answer the
 //! same protocol byte-for-byte and differ only in their I/O model.
 //!
 //! The discipline mirrors the event loop's: per connection at most one
@@ -22,6 +22,7 @@ use std::collections::HashMap;
 use simnet::{ProcessCtx, SimAccess, SimResult};
 
 use crate::api::{CqeResult, NetApi, NetListener, RingConfig, RingCounters, RingOp, Sqe};
+use crate::serve::READ_CHUNK;
 
 /// What one completion-model serve produced, for assertions and reports.
 pub struct CompletionRun {
@@ -34,20 +35,17 @@ pub struct CompletionRun {
     pub substrate_stats: Option<sockets_emp::ConnStats>,
 }
 
-/// Registered-buffer size for the completion server (also its read
-/// granularity and write chunk, matching the event loop's `READ_CHUNK`).
-pub const RING_BUF_SIZE: usize = 4096;
-
 /// Ring geometry sized for `n_conns` concurrent connections under the
 /// one-op-per-connection discipline: a buffer per connection plus slack,
-/// completion room for every possible in-flight op.
+/// completion room for every possible in-flight op. A registered buffer
+/// holds one [`READ_CHUNK`] — the read granularity and write chunk.
 pub fn ring_config(n_conns: u32) -> RingConfig {
     let n = n_conns as usize;
     RingConfig {
         sq_depth: n + 8,
         cq_depth: 2 * n + 16,
         buf_count: n + 4,
-        buf_size: RING_BUF_SIZE,
+        buf_size: READ_CHUNK,
         max_registered_bytes: None,
     }
 }
@@ -228,7 +226,7 @@ fn next_op(
     }
     let buf = free_bufs.pop().expect("pool sized one buffer per conn");
     if st.sent < st.out.len() {
-        let chunk = (st.out.len() - st.sent).min(RING_BUF_SIZE);
+        let chunk = (st.out.len() - st.sent).min(READ_CHUNK);
         ring.fill(buf, &st.out[st.sent..st.sent + chunk])
             .expect("buffer off the free list");
         ring.push(Sqe::new(

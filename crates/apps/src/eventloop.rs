@@ -6,11 +6,14 @@
 //! reads and writes in between — expressible without threads or helper
 //! processes. This module is that skeleton: applications supply only the
 //! request framing (bytes in → bytes out) and get accept, flow-controlled
-//! writes, EOF, and error teardown for free.
+//! writes, EOF, and error teardown for free. [`crate::serve()`] runs it
+//! as [`crate::ServerModel::EventLoop`]; the overload policy is this
+//! model's alone.
 
 use simnet::{ProcessCtx, SimAccess, SimDuration, SimResult, SimTime};
 
 use crate::api::{Conn, Interest, NetApi, NetError, NetListener, PollSource, PollTarget};
+use crate::serve::READ_CHUNK;
 
 /// Per-connection state of the event loop.
 struct ConnState {
@@ -71,33 +74,15 @@ pub struct ServeReport {
 /// [`Interest::WRITABLE`] only (the stack's flow control — credits on the
 /// substrate, the send buffer on TCP — decides when more is accepted);
 /// otherwise it polls for [`Interest::READABLE`].
-pub fn serve_event_loop(
-    ctx: &ProcessCtx,
-    api: &dyn NetApi,
-    l: &dyn NetListener,
-    n_conns: u32,
-    greeting: &[u8],
-    service: impl FnMut(&mut Vec<u8>, &mut Vec<u8>),
-) -> SimResult<()> {
-    serve_event_loop_with(
-        ctx,
-        api,
-        l,
-        n_conns,
-        greeting,
-        &OverloadPolicy::default(),
-        service,
-    )
-    .map(|_| ())
-}
-
-/// [`serve_event_loop`] with an [`OverloadPolicy`]: the same loop, but it
-/// sheds connections past `max_conns` (degrade response, then close),
-/// sheds slow consumers whose pending output exceeds `max_queued_bytes`,
-/// and reaps connections idle past `idle_timeout`. Shed and reaped
-/// connections count toward `n_conns` — under a connect storm the server
-/// answers everyone *deterministically*, it just answers most of them
-/// with the degrade response.
+///
+/// `policy` is how the loop degrades instead of queueing without bound
+/// ([`OverloadPolicy::default`] = unprotected, what [`crate::serve()`]
+/// passes): it sheds connections past `max_conns` (degrade response, then
+/// close), sheds slow consumers whose pending output exceeds
+/// `max_queued_bytes`, and reaps connections idle past `idle_timeout`.
+/// Shed and reaped connections count toward `n_conns` — under a connect
+/// storm the server answers everyone *deterministically*, it just answers
+/// most of them with the degrade response.
 pub fn serve_event_loop_with(
     ctx: &ProcessCtx,
     api: &dyn NetApi,
@@ -108,7 +93,6 @@ pub fn serve_event_loop_with(
     mut service: impl FnMut(&mut Vec<u8>, &mut Vec<u8>),
 ) -> SimResult<ServeReport> {
     const LISTENER: usize = usize::MAX;
-    const READ_CHUNK: usize = 4096;
 
     let mut conns: Vec<Option<ConnState>> = Vec::new();
     let mut accepted = 0u32;

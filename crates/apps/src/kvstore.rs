@@ -19,11 +19,9 @@ use rand::{Rng, SeedableRng};
 use simnet::{Sim, SimAccess, SimTime};
 
 use crate::api::Conn;
-use crate::asyncio::serve_async;
-use crate::completion::serve_completion;
-use crate::eventloop::{serve_event_loop, serve_event_loop_with, OverloadPolicy, ServeReport};
+use crate::eventloop::{serve_event_loop_with, OverloadPolicy, ServeReport};
+use crate::serve::{serve, ServerModel};
 use crate::testbed::Testbed;
-use crate::webserver::ServerModel;
 
 /// Server port.
 pub const KV_PORT: u16 = 111;
@@ -71,125 +69,55 @@ fn read_exactly(
     }
 }
 
-/// Serve `expected_conns` client connections on node `server`, each
-/// handled by its own worker until the client closes.
-pub fn spawn_server(sim: &Sim, tb: &Testbed, server: usize, expected_conns: u32) {
+/// Serve `expected_conns` clients on node `server`, structured per
+/// `model`: the GET/PUT protocol is stated once (`serve_frames`) and
+/// [`crate::serve()`] runs it under any of the four I/O models.
+pub fn spawn_server_model(
+    sim: &Sim,
+    tb: &Testbed,
+    server: usize,
+    expected_conns: u32,
+    model: ServerModel,
+) {
     let api = Arc::clone(&tb.nodes[server].api);
-    let store: Arc<Mutex<HashMap<u32, Bytes>>> = Arc::new(Mutex::new(HashMap::new()));
     sim.spawn("kv-server", move |ctx| {
         let l = api.listen(ctx, KV_PORT, 16)?.expect("port free");
-        for _ in 0..expected_conns {
-            let conn = l.accept(ctx)?.expect("client");
-            let store = Arc::clone(&store);
-            ctx.spawn("kv-worker", move |ctx| {
-                // Request: op u8, key u32, value_len u32 [, value].
-                while let Some(hdr) = read_exactly(ctx, &conn, 9)? {
-                    let op = hdr[0];
-                    let key = u32::from_le_bytes(hdr[1..5].try_into().expect("4"));
-                    let vlen = u32::from_le_bytes(hdr[5..9].try_into().expect("4")) as usize;
-                    match op {
-                        OP_PUT => {
-                            let Some(value) = read_exactly(ctx, &conn, vlen)? else {
-                                break;
-                            };
-                            store.lock().insert(key, value);
-                            // Response: status u8, len u32 (0).
-                            let mut r = BytesMut::with_capacity(5);
-                            r.put_u8(STATUS_OK);
-                            r.put_u32_le(0);
-                            if conn.write(ctx, &r)?.is_err() {
-                                break;
-                            }
-                        }
-                        OP_GET => {
-                            let hit = store.lock().get(&key).cloned();
-                            let mut r = BytesMut::with_capacity(5);
-                            match &hit {
-                                Some(v) => {
-                                    r.put_u8(STATUS_OK);
-                                    r.put_u32_le(v.len() as u32);
-                                    r.extend_from_slice(v);
-                                }
-                                None => {
-                                    r.put_u8(STATUS_MISS);
-                                    r.put_u32_le(0);
-                                }
-                            }
-                            if conn.write(ctx, &r)?.is_err() {
-                                break;
-                            }
-                        }
-                        other => panic!("unknown kv op {other}"),
-                    }
-                }
-                let _ = conn.close(ctx);
-                Ok(())
-            });
-        }
-        l.close(ctx)?;
-        Ok(())
+        // The service owns the store: the single-process models need no
+        // lock, and `serve` shares it behind one for per-connection workers.
+        let mut store: HashMap<u32, Bytes> = HashMap::new();
+        serve(
+            ctx,
+            api.as_ref(),
+            l,
+            model,
+            expected_conns,
+            &[],
+            move |inbuf, out| serve_frames(&mut store, inbuf, out),
+        )
     });
 }
 
-/// Serve `expected_conns` clients from one single-process event loop on
-/// node `server`: the same GET/PUT protocol as [`spawn_server`], framed
-/// incrementally out of the loop's receive buffer (the 9-byte header
-/// first, then — for PUT — the value body), driven entirely by
-/// [`crate::api::NetApi::poll`] and the nonblocking calls.
+/// [`spawn_server_model`] with [`ServerModel::PerConnection`].
+pub fn spawn_server(sim: &Sim, tb: &Testbed, server: usize, expected_conns: u32) {
+    spawn_server_model(sim, tb, server, expected_conns, ServerModel::PerConnection);
+}
+
+/// [`spawn_server_model`] with [`ServerModel::EventLoop`].
 pub fn spawn_server_event_loop(sim: &Sim, tb: &Testbed, server: usize, expected_conns: u32) {
-    let api = Arc::clone(&tb.nodes[server].api);
-    sim.spawn("kv-event-loop", move |ctx| {
-        let l = api.listen(ctx, KV_PORT, 16)?.expect("port free");
-        // Single process: the store needs no lock.
-        let mut store: HashMap<u32, Bytes> = HashMap::new();
-        serve_event_loop(ctx, api.as_ref(), l.as_ref(), expected_conns, &[], {
-            let store = &mut store;
-            move |inbuf, out| serve_frames(store, inbuf, out)
-        })?;
-        l.close(ctx)?;
-        Ok(())
-    });
+    spawn_server_model(sim, tb, server, expected_conns, ServerModel::EventLoop);
 }
 
-/// Serve `expected_conns` clients through one completion ring on node
-/// `server`: the same GET/PUT protocol and incremental framing as
-/// [`spawn_server_event_loop`], but driven by submitted
-/// `Read`/`Write` ops over registered buffers and reaped completions
-/// ([`crate::completion::serve_completion`]) instead of readiness
-/// events.
+/// [`spawn_server_model`] with [`ServerModel::Completion`].
 pub fn spawn_server_completion(sim: &Sim, tb: &Testbed, server: usize, expected_conns: u32) {
-    let api = Arc::clone(&tb.nodes[server].api);
-    sim.spawn("kv-completion", move |ctx| {
-        let l = api.listen(ctx, KV_PORT, 16)?.expect("port free");
-        let mut store: HashMap<u32, Bytes> = HashMap::new();
-        serve_completion(ctx, api.as_ref(), l, expected_conns, &[], {
-            let store = &mut store;
-            move |inbuf, out| serve_frames(store, inbuf, out)
-        })?;
-        Ok(())
-    });
+    spawn_server_model(sim, tb, server, expected_conns, ServerModel::Completion);
 }
 
-/// Serve `expected_conns` clients with straight-line async handlers on
-/// node `server`: the same GET/PUT protocol and incremental framing as
-/// [`spawn_server_event_loop`], but each connection is an `async` task
-/// on one executor ([`crate::asyncio::serve_async`]) instead of a hand-
-/// threaded state machine.
+/// [`spawn_server_model`] with [`ServerModel::Async`].
 pub fn spawn_server_async(sim: &Sim, tb: &Testbed, server: usize, expected_conns: u32) {
-    let api = Arc::clone(&tb.nodes[server].api);
-    sim.spawn("kv-async", move |ctx| {
-        let l = api.listen(ctx, KV_PORT, 16)?.expect("port free");
-        // Single executor process: the store moves into the service
-        // closure and needs no lock.
-        let mut store: HashMap<u32, Bytes> = HashMap::new();
-        serve_async(ctx, l, expected_conns, &[], move |inbuf, out| {
-            serve_frames(&mut store, inbuf, out)
-        })?;
-        Ok(())
-    });
+    spawn_server_model(sim, tb, server, expected_conns, ServerModel::Async);
 }
 
-/// As [`spawn_server_event_loop`], with a concurrency budget: at most
+/// The event-loop server with a concurrency budget: at most
 /// `max_conns` clients are served at once and the overflow is answered
 /// with a [`STATUS_BUSY`] frame, then closed. Returns a handle that
 /// carries the server's [`ServeReport`] once the workload drains.
@@ -221,10 +149,7 @@ pub fn spawn_server_event_loop_shedding(
             expected_conns,
             &[],
             &policy,
-            {
-                let store = &mut store;
-                move |inbuf, out| serve_frames(store, inbuf, out)
-            },
+            |inbuf, out| serve_frames(&mut store, inbuf, out),
         )?;
         *report.lock() = Some(r);
         l.close(ctx)?;
@@ -310,12 +235,7 @@ pub fn run_workload_with(
         "need a node per client + server"
     );
     let sim = Sim::new();
-    match model {
-        ServerModel::PerConnection => spawn_server(&sim, tb, 0, n_clients as u32),
-        ServerModel::EventLoop => spawn_server_event_loop(&sim, tb, 0, n_clients as u32),
-        ServerModel::Completion => spawn_server_completion(&sim, tb, 0, n_clients as u32),
-        ServerModel::Async => spawn_server_async(&sim, tb, 0, n_clients as u32),
-    }
+    spawn_server_model(&sim, tb, 0, n_clients as u32, model);
     let acc = Arc::new(Mutex::new((0u64, 0u64, 0.0f64, SimTime::ZERO)));
 
     for c in 0..n_clients {

@@ -14,6 +14,8 @@
 //! * [`kvstore`] — a data-center-style key-value service (the paper's
 //!   §8 future work).
 //!
+//! The two servers state their protocol once and [`serve()`] runs it
+//! under any of the four I/O models ([`ServerModel`]).
 //! [`testbed::Testbed`] builds the 4-node cluster over either stack.
 
 #![warn(missing_docs)]
@@ -31,6 +33,7 @@ pub mod kvstore;
 pub mod matmul;
 pub mod overload;
 pub mod pingpong;
+pub mod serve;
 pub mod testbed;
 pub mod webserver;
 
@@ -41,6 +44,7 @@ pub use api::{
 };
 pub use asyncio::{serve_async, AsyncConnector, AsyncListener, AsyncRing, AsyncStream};
 pub use completion::serve_completion;
-pub use eventloop::{serve_event_loop, serve_event_loop_with, OverloadPolicy, ServeReport};
+pub use eventloop::{serve_event_loop_with, OverloadPolicy, ServeReport};
 pub use overload::{run_storm, run_storm_on, OverloadReport, StormConfig};
+pub use serve::{serve, ServerModel};
 pub use testbed::{AppNode, Testbed};

@@ -5,15 +5,21 @@
 //! is the average client-observed response time (connect included for the
 //! requests that need one), which is where the substrate's cheap
 //! connection management pays off.
+//!
+//! Every server here runs one protocol, `respond`, through
+//! [`crate::serve()`]; the paper's figures use the process-per-connection
+//! model, the concurrent-connection experiment all four.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use simnet::{Sim, SimAccess, SimTime};
+use simnet::{ProcessCtx, Sim, SimAccess, SimResult, SimTime};
 
-use crate::asyncio::serve_async;
-use crate::completion::serve_completion;
-use crate::eventloop::{serve_event_loop, serve_event_loop_with, OverloadPolicy, ServeReport};
+use crate::api::Conn;
+use crate::eventloop::{serve_event_loop_with, OverloadPolicy, ServeReport};
+use crate::serve::serve;
+// Re-exported at its historical path, which the benchmark imports.
+pub use crate::serve::ServerModel;
 use crate::testbed::Testbed;
 
 /// The request message size (§7.4: "a request message (which can
@@ -74,27 +80,15 @@ pub fn average_response_us_per_conn(
     let api = Arc::clone(&tb.nodes[0].api);
     sim.spawn("http-server", move |ctx| {
         let l = api.listen(ctx, HTTP_PORT, 16)?.expect("port free");
-        for _ in 0..total_conns {
-            let conn = l.accept(ctx)?.expect("client");
-            ctx.spawn("http-worker", move |ctx| {
-                loop {
-                    let req = match conn.read_exact(ctx, REQUEST_SIZE)? {
-                        Ok(Some(r)) => r,
-                        Ok(None) => break, // client closed the connection
-                        Err(_) => break,
-                    };
-                    debug_assert_eq!(req.len(), REQUEST_SIZE);
-                    let response = vec![0x42u8; response_size];
-                    if conn.write(ctx, &response)?.is_err() {
-                        break;
-                    }
-                }
-                let _ = conn.close(ctx);
-                Ok(())
-            });
-        }
-        l.close(ctx)?;
-        Ok(())
+        serve(
+            ctx,
+            api.as_ref(),
+            l,
+            ServerModel::PerConnection,
+            total_conns,
+            &[],
+            respond(response_size),
+        )
     });
 
     // --- clients ---
@@ -104,24 +98,19 @@ pub fn average_response_us_per_conn(
         let server_host = tb.nodes[0].api.local_host();
         let samples = Arc::clone(&samples);
         sim.spawn(format!("http-client-{client}"), move |ctx| {
-            let mut remaining = requests_per_client;
-            while remaining > 0 {
+            let mut done = 0;
+            while done < requests_per_client {
                 let t_conn = ctx.now();
                 let conn = api.connect(ctx, server_host, HTTP_PORT)?.expect("connect");
-                let burst = remaining.min(per_conn);
+                let burst = (requests_per_client - done).min(per_conn);
                 for i in 0..burst {
                     // The first request on a connection pays for the
                     // connect; later ones (HTTP/1.1) don't.
                     let t0 = if i == 0 { t_conn } else { ctx.now() };
-                    conn.write(ctx, &[b'G'; REQUEST_SIZE])?.expect("request");
-                    let body = conn
-                        .read_exact(ctx, response_size)?
-                        .expect("response")
-                        .expect("body");
-                    debug_assert_eq!(body.len(), response_size);
+                    request(ctx, &conn, client, done + i, response_size)?;
                     samples.lock().push((ctx.now() - t0).as_micros_f64());
                 }
-                remaining -= burst;
+                done += burst;
                 conn.close(ctx)?;
             }
             Ok(())
@@ -144,7 +133,7 @@ pub fn run_once(tb: &Testbed, version: HttpVersion, response_size: usize, reqs: 
 }
 
 // ---------------------------------------------------------------------
-// Concurrent connections: event loop vs process per connection
+// Concurrent connections: the four server models
 // ---------------------------------------------------------------------
 
 /// Byte the server sends right after accepting, before the first request.
@@ -156,36 +145,6 @@ const HELLO_BYTE: u8 = b'+';
 /// connection is over its concurrency budget — the HTTP-503 of this
 /// one-byte protocol. Clients see it and back off deterministically.
 pub const SHED_BYTE: u8 = b'!';
-
-/// How the concurrent-connection server is structured.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ServerModel {
-    /// A worker process per accepted connection, blocking calls.
-    PerConnection,
-    /// One process, one [`crate::api::NetApi::poll`] wait, nonblocking
-    /// calls ([`serve_event_loop`]).
-    EventLoop,
-    /// One process, one completion ring ([`crate::api::NetApi::ring`]):
-    /// ops submitted over registered buffers, completions reaped in
-    /// batches ([`serve_completion`]).
-    Completion,
-    /// One process, one async executor ([`emp_async::LocalExecutor`]):
-    /// a straight-line `async` handler task per connection, wakes from
-    /// the readiness layer ([`crate::asyncio::serve_async`]).
-    Async,
-}
-
-impl ServerModel {
-    /// Short name for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            ServerModel::PerConnection => "per-conn",
-            ServerModel::EventLoop => "event-loop",
-            ServerModel::Completion => "completion",
-            ServerModel::Async => "async",
-        }
-    }
-}
 
 /// Aggregate result of one [`concurrent_throughput`] run.
 #[derive(Clone, Copy, Debug)]
@@ -222,8 +181,31 @@ fn decode_request(req: &[u8]) -> (u32, u32) {
     )
 }
 
-fn response_body(conn: u32, req: u32, size: usize) -> Vec<u8> {
-    (0..size).map(|j| body_byte(conn, req, j)).collect()
+/// The web server's protocol, stated once for every server model: answer
+/// each complete request in `inbuf` with `size` bytes of
+/// [`body_byte`]s, leaving a partial request in place.
+fn respond(size: usize) -> impl FnMut(&mut Vec<u8>, &mut Vec<u8>) + Send + 'static {
+    move |inbuf, out| {
+        while inbuf.len() >= REQUEST_SIZE {
+            let (conn, req) = decode_request(&inbuf[..REQUEST_SIZE]);
+            inbuf.drain(..REQUEST_SIZE);
+            out.extend((0..size).map(|j| body_byte(conn, req, j)));
+        }
+    }
+}
+
+/// One request round trip on `conn`: send request `req` of connection
+/// `k`, read the `size`-byte response, and verify every byte of it.
+fn request(ctx: &ProcessCtx, conn: &Conn, k: u32, req: u32, size: usize) -> SimResult<()> {
+    conn.write(ctx, &encode_request(k, req))?.expect("request");
+    let body = conn
+        .read_exact(ctx, size)?
+        .expect("response")
+        .expect("body");
+    for (j, &byte) in body.iter().enumerate() {
+        assert_eq!(byte, body_byte(k, req, j), "conn {k} req {req} byte {j}");
+    }
+    Ok(())
 }
 
 /// Run `n_conns` concurrent persistent connections (clients spread
@@ -258,16 +240,52 @@ pub fn concurrent_throughput_on(
     reqs_per_conn: u32,
     response_size: usize,
 ) -> ConcurrencyRun {
+    let (samples, end) = run_concurrent(sim, tb, model, n_conns, reqs_per_conn, response_size);
+    let requests = samples.len() as u64;
+    ConcurrencyRun {
+        requests,
+        elapsed_us: end.as_secs_f64() * 1e6,
+        reqs_per_sec: requests as f64 / end.as_secs_f64(),
+    }
+}
+
+/// The concurrent workload on `sim`: a node-0 server structured per
+/// `model`, and `n_conns` clients that each take the greeting and then
+/// issue `reqs_per_conn` byte-verified requests. Returns every request's
+/// `(connection, µs)` round trip and the instant the last connection
+/// closed.
+fn run_concurrent(
+    sim: &Sim,
+    tb: &Testbed,
+    model: ServerModel,
+    n_conns: u32,
+    reqs_per_conn: u32,
+    response_size: usize,
+) -> (Vec<(u32, f64)>, SimTime) {
     assert!(tb.nodes.len() >= 2, "need a server node and a client node");
     assert!(n_conns >= 1 && reqs_per_conn >= 1);
-    spawn_model_server(sim, tb, model, n_conns, response_size);
+    let api = Arc::clone(&tb.nodes[0].api);
+    let backlog = n_conns as usize + 8;
+    sim.spawn("http-server", move |ctx| {
+        let l = api.listen(ctx, HTTP_PORT, backlog)?.expect("port free");
+        serve(
+            ctx,
+            api.as_ref(),
+            l,
+            model,
+            n_conns,
+            &[HELLO_BYTE],
+            respond(response_size),
+        )
+    });
 
-    let end = Arc::new(Mutex::new((SimTime::ZERO, 0u32)));
+    // (request samples, per-connection close instants)
+    let acc = Arc::new(Mutex::new((Vec::new(), Vec::new())));
     for k in 0..n_conns {
         let node = 1 + (k as usize % (tb.nodes.len() - 1));
         let api = Arc::clone(&tb.nodes[node].api);
         let server_host = tb.nodes[0].api.local_host();
-        let end = Arc::clone(&end);
+        let acc = Arc::clone(&acc);
         sim.spawn(format!("http-conc-client-{k}"), move |ctx| {
             let conn = api.connect(ctx, server_host, HTTP_PORT)?.expect("connect");
             let hello = conn
@@ -276,125 +294,27 @@ pub fn concurrent_throughput_on(
                 .expect("hello byte");
             assert_eq!(hello[0], HELLO_BYTE);
             for r in 0..reqs_per_conn {
-                conn.write(ctx, &encode_request(k, r))?.expect("request");
-                let body = conn
-                    .read_exact(ctx, response_size)?
-                    .expect("response")
-                    .expect("body");
-                for (j, &byte) in body.iter().enumerate() {
-                    assert_eq!(byte, body_byte(k, r, j), "conn {k} req {r} byte {j}");
-                }
+                let t0 = ctx.now();
+                request(ctx, &conn, k, r, response_size)?;
+                acc.lock().0.push((k, (ctx.now() - t0).as_micros_f64()));
             }
             conn.close(ctx)?;
-            let mut e = end.lock();
-            e.0 = e.0.max(ctx.now());
-            e.1 += 1;
+            acc.lock().1.push(ctx.now());
             Ok(())
         });
     }
     sim.run_until(SimTime::from_secs(600));
-    let (end, finished) = *end.lock();
-    assert_eq!(finished, n_conns, "every connection must finish");
-    let requests = u64::from(n_conns) * u64::from(reqs_per_conn);
-    ConcurrencyRun {
-        requests,
-        elapsed_us: end.as_secs_f64() * 1e6,
-        reqs_per_sec: requests as f64 / end.as_secs_f64(),
-    }
-}
-
-/// Spawn the node-0 server of the concurrent workload, structured per
-/// `model`. All four models speak the same byte protocol, so the same
-/// clients verify any of them.
-fn spawn_model_server(
-    sim: &Sim,
-    tb: &Testbed,
-    model: ServerModel,
-    n_conns: u32,
-    response_size: usize,
-) {
-    let api = Arc::clone(&tb.nodes[0].api);
-    let backlog = n_conns as usize + 8;
-    match model {
-        ServerModel::EventLoop => {
-            sim.spawn("http-event-loop", move |ctx| {
-                let l = api.listen(ctx, HTTP_PORT, backlog)?.expect("port free");
-                serve_event_loop(
-                    ctx,
-                    api.as_ref(),
-                    l.as_ref(),
-                    n_conns,
-                    &[HELLO_BYTE],
-                    |inbuf, out| {
-                        while inbuf.len() >= REQUEST_SIZE {
-                            let (cid, rid) = decode_request(&inbuf[..REQUEST_SIZE]);
-                            inbuf.drain(..REQUEST_SIZE);
-                            out.extend_from_slice(&response_body(cid, rid, response_size));
-                        }
-                    },
-                )?;
-                l.close(ctx)?;
-                Ok(())
-            });
-        }
-        ServerModel::Completion => {
-            sim.spawn("http-completion", move |ctx| {
-                let l = api.listen(ctx, HTTP_PORT, backlog)?.expect("port free");
-                serve_completion(
-                    ctx,
-                    api.as_ref(),
-                    l,
-                    n_conns,
-                    &[HELLO_BYTE],
-                    |inbuf, out| {
-                        while inbuf.len() >= REQUEST_SIZE {
-                            let (cid, rid) = decode_request(&inbuf[..REQUEST_SIZE]);
-                            inbuf.drain(..REQUEST_SIZE);
-                            out.extend_from_slice(&response_body(cid, rid, response_size));
-                        }
-                    },
-                )?;
-                Ok(())
-            });
-        }
-        ServerModel::Async => {
-            sim.spawn("http-async", move |ctx| {
-                let l = api.listen(ctx, HTTP_PORT, backlog)?.expect("port free");
-                serve_async(ctx, l, n_conns, &[HELLO_BYTE], move |inbuf, out| {
-                    while inbuf.len() >= REQUEST_SIZE {
-                        let (cid, rid) = decode_request(&inbuf[..REQUEST_SIZE]);
-                        inbuf.drain(..REQUEST_SIZE);
-                        out.extend_from_slice(&response_body(cid, rid, response_size));
-                    }
-                })?;
-                Ok(())
-            });
-        }
-        ServerModel::PerConnection => {
-            sim.spawn("http-server", move |ctx| {
-                let l = api.listen(ctx, HTTP_PORT, backlog)?.expect("port free");
-                for _ in 0..n_conns {
-                    let conn = l.accept(ctx)?.expect("client");
-                    ctx.spawn("http-worker", move |ctx| {
-                        if conn.write(ctx, &[HELLO_BYTE])?.is_err() {
-                            return Ok(());
-                        }
-                        while let Ok(Some(req)) = conn.read_exact(ctx, REQUEST_SIZE)? {
-                            let (cid, rid) = decode_request(&req);
-                            let body = response_body(cid, rid, response_size);
-                            if conn.write(ctx, &body)?.is_err() {
-                                break;
-                            }
-                        }
-                        let _ = conn.close(ctx);
-                        Ok(())
-                    });
-                }
-                l.close(ctx)?;
-                Ok(())
-            });
-        }
-    }
+    let (samples, ends) = std::mem::take(&mut *acc.lock());
+    assert_eq!(ends.len(), n_conns as usize, "every connection must finish");
+    assert_eq!(
+        samples.len(),
+        (n_conns * reqs_per_conn) as usize,
+        "every request must complete"
+    );
+    (
+        samples,
+        ends.into_iter().max().expect("at least one connection"),
+    )
 }
 
 /// Latency/fairness view of one [`concurrent_throughput`]-shaped run.
@@ -424,49 +344,8 @@ pub fn concurrent_latency(
     reqs_per_conn: u32,
     response_size: usize,
 ) -> LatencyRun {
-    assert!(tb.nodes.len() >= 2, "need a server node and a client node");
-    assert!(n_conns >= 1 && reqs_per_conn >= 1);
     let sim = Sim::new();
-    spawn_model_server(&sim, tb, model, n_conns, response_size);
-
-    let samples: Arc<Mutex<Vec<(u32, f64)>>> = Arc::new(Mutex::new(Vec::with_capacity(
-        (n_conns * reqs_per_conn) as usize,
-    )));
-    for k in 0..n_conns {
-        let node = 1 + (k as usize % (tb.nodes.len() - 1));
-        let api = Arc::clone(&tb.nodes[node].api);
-        let server_host = tb.nodes[0].api.local_host();
-        let samples = Arc::clone(&samples);
-        sim.spawn(format!("http-lat-client-{k}"), move |ctx| {
-            let conn = api.connect(ctx, server_host, HTTP_PORT)?.expect("connect");
-            let hello = conn
-                .read_exact(ctx, 1)?
-                .expect("hello")
-                .expect("hello byte");
-            assert_eq!(hello[0], HELLO_BYTE);
-            for r in 0..reqs_per_conn {
-                let t0 = ctx.now();
-                conn.write(ctx, &encode_request(k, r))?.expect("request");
-                let body = conn
-                    .read_exact(ctx, response_size)?
-                    .expect("response")
-                    .expect("body");
-                for (j, &byte) in body.iter().enumerate() {
-                    assert_eq!(byte, body_byte(k, r, j), "conn {k} req {r} byte {j}");
-                }
-                samples.lock().push((k, (ctx.now() - t0).as_micros_f64()));
-            }
-            conn.close(ctx)?;
-            Ok(())
-        });
-    }
-    sim.run_until(SimTime::from_secs(600));
-    let s = samples.lock();
-    assert_eq!(
-        s.len(),
-        (n_conns * reqs_per_conn) as usize,
-        "every request must complete"
-    );
+    let (s, _) = run_concurrent(&sim, tb, model, n_conns, reqs_per_conn, response_size);
     let mut rtts: Vec<f64> = s.iter().map(|&(_, us)| us).collect();
     rtts.sort_by(f64::total_cmp);
     let pct = |q: f64| rtts[((rtts.len() - 1) as f64 * q).round() as usize];
@@ -515,24 +394,16 @@ pub fn concurrent_throughput_shedding(
                 shed_response: vec![SHED_BYTE],
                 ..OverloadPolicy::default()
             };
-            let r = serve_event_loop_with(
+            *report.lock() = serve_event_loop_with(
                 ctx,
                 api.as_ref(),
                 l.as_ref(),
                 n_conns,
                 &[HELLO_BYTE],
                 &policy,
-                |inbuf, out| {
-                    while inbuf.len() >= REQUEST_SIZE {
-                        let (cid, rid) = decode_request(&inbuf[..REQUEST_SIZE]);
-                        inbuf.drain(..REQUEST_SIZE);
-                        out.extend_from_slice(&response_body(cid, rid, response_size));
-                    }
-                },
+                respond(response_size),
             )?;
-            *report.lock() = r;
-            l.close(ctx)?;
-            Ok(())
+            l.close(ctx)
         });
     }
     let tally = Arc::new(Mutex::new((0u32, 0u32))); // (served, shed)
@@ -547,14 +418,7 @@ pub fn concurrent_throughput_shedding(
             match first {
                 Some(b) if b[0] == HELLO_BYTE => {
                     for r in 0..reqs_per_conn {
-                        conn.write(ctx, &encode_request(k, r))?.expect("request");
-                        let body = conn
-                            .read_exact(ctx, response_size)?
-                            .expect("response")
-                            .expect("body");
-                        for (j, &byte) in body.iter().enumerate() {
-                            assert_eq!(byte, body_byte(k, r, j), "conn {k} req {r} byte {j}");
-                        }
+                        request(ctx, &conn, k, r, response_size)?;
                     }
                     tally.lock().0 += 1;
                 }
