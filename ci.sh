@@ -14,10 +14,11 @@ step "cargo fmt --check"
 cargo fmt --all --check
 
 step "cargo clippy (default features)"
-cargo clippy --workspace -- -D warnings
+# --all-targets lints the test suites and examples too.
+cargo clippy --workspace --all-targets -- -D warnings
 
 step "cargo clippy (trace feature)"
-cargo clippy --workspace --features trace -- -D warnings
+cargo clippy --workspace --all-targets --features trace -- -D warnings
 
 step "cargo doc (broken intra-doc links)"
 # Clippy does not check doc links; a renamed type would leave dead ones.

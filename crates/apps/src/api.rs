@@ -3,13 +3,18 @@
 //! The paper's whole point is that the *same application* runs over kernel
 //! TCP and over the EMP substrate. This module is that seam: every
 //! application in this crate is written against [`NetApi`]/[`NetConn`],
-//! and adapters implement them for both stacks.
+//! and each stack's own socket types implement them ([`crate::stacks`]).
+//! The completion ring is written once over the same surface: [`ring`]
+//! drives any node's sockets through their nonblocking calls and parks in
+//! [`NetApi::poll`].
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use simnet::{MacAddr, OpResult, ProcessCtx, SimDuration, SimResult, SimTime};
+use simnet::ring::{RingCore, RingDriver};
+use simnet::{MacAddr, OpResult, ProcessCtx, SimDuration, SimResult};
 
 pub use simnet::ring::{
     Cqe, CqeResult, RingConfig, RingCounters, RingDepths, RingError, RingOp, Sqe,
@@ -43,17 +48,8 @@ pub trait NetConn: Send + Sync + 'static {
     ) -> OpResult<usize>;
     /// Orderly close.
     fn close(&self, ctx: &ProcessCtx) -> SimResult<()>;
-    /// Would `read` return without blocking?
-    fn readable(&self) -> bool;
-    /// Would `write` make progress without blocking?
-    fn writable(&self) -> bool;
-    /// The remote station.
-    fn peer_host(&self) -> MacAddr;
-    /// Downcast support for stack-specific `select()`/`poll()`.
+    /// Downcast to the stack's own type, for its `select()`/`poll()`.
     fn as_any(&self) -> &dyn Any;
-    /// Consume the box for an owning downcast — how a facade connection
-    /// moves into a stack's completion ring ([`NetRing::add_conn`]).
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
 
     /// Flush any writes the stack buffered for aggregation (the EMP
     /// substrate's small-write coalescing). No-op on stacks without a
@@ -130,11 +126,8 @@ pub trait NetListener: Send + Sync + 'static {
     fn poll_acceptable(&self, ctx: &ProcessCtx, waker: &std::task::Waker) -> OpResult<Interest>;
     /// Stop listening.
     fn close(&self, ctx: &ProcessCtx) -> SimResult<()>;
-    /// Downcast support for stack-specific `poll()`.
+    /// Downcast to the stack's own type, for its `poll()`.
     fn as_any(&self) -> &dyn Any;
-    /// Consume the box for an owning downcast — how a facade listener
-    /// moves into a stack's completion ring ([`NetRing::add_listener`]).
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
 /// What one [`PollSource`] watches: a connection or a listener.
@@ -154,69 +147,6 @@ pub struct PollSource<'a> {
     pub token: usize,
     /// Interests to watch ([`Interest::ERROR`] is always reported).
     pub interest: Interest,
-}
-
-/// A stack's completion ring behind the facade: the
-/// submission/completion I/O model ([`simnet::ring`]) with facade
-/// connections and listeners as the registered targets. Applications
-/// written against this trait (the `ServerModel::Completion` servers)
-/// run unchanged over both stacks, like the readiness servers do over
-/// [`NetApi::poll`].
-pub trait NetRing {
-    /// Register a facade connection; it must come from the same stack
-    /// that built this ring.
-    fn add_conn(&mut self, conn: Conn) -> u32;
-    /// Register a facade listener from the same stack.
-    fn add_listener(&mut self, l: Box<dyn NetListener>) -> u32;
-    /// Copy `data` into the front of a free registered buffer.
-    fn fill(&mut self, buf: u32, data: &[u8]) -> Result<(), RingError>;
-    /// Read access to a registered buffer.
-    fn buf(&self, buf: u32) -> Option<&[u8]>;
-    /// Queue one op ([`simnet::ring::RingCore::push`] semantics).
-    fn push(&mut self, sqe: Sqe) -> Result<(), RingError>;
-    /// Submit queued ops and drive without blocking.
-    fn submit(&mut self, ctx: &ProcessCtx) -> SimResult<()>;
-    /// Submit, then park until `min_complete` completions are reapable.
-    fn submit_and_wait(
-        &mut self,
-        ctx: &ProcessCtx,
-        min_complete: usize,
-    ) -> SimResult<Result<(), RingError>>;
-    /// Pop up to `max` completions, returning their buffers to the app.
-    fn reap(&mut self, max: usize) -> Vec<Cqe>;
-    /// Current occupancy.
-    fn depths(&self) -> RingDepths;
-    /// Monotonic op accounting.
-    fn counters(&self) -> RingCounters;
-    /// Buffers currently application-owned.
-    fn free_bufs(&self) -> usize;
-    /// Registered connections currently live.
-    fn live_conns(&self) -> usize;
-    /// The geometry this ring was built with.
-    fn cfg(&self) -> RingConfig;
-    /// Cancel one queued op by `user_data`: it completes with
-    /// [`NetError::Cancelled`] (buffer returned on reap as usual) and
-    /// the remaining per-target FIFO order is preserved. `false` when
-    /// no queued op carries that `user_data` (already completed, or
-    /// mid-flight past the point of no return).
-    fn cancel(&mut self, ctx: &ProcessCtx, user_data: u64) -> bool;
-    /// Arm `waker` to fire when any stalled head op's target becomes
-    /// ready. The returned instant, when `Some`, is the earliest
-    /// deadline among the stalled ops (the caller owns the timer that
-    /// expires it). When nothing is stalled, nothing is armed and
-    /// `None` comes back — completions are already reapable, so
-    /// drive/reap instead of sleeping.
-    fn register_waker(
-        &mut self,
-        ctx: &ProcessCtx,
-        waker: &std::task::Waker,
-    ) -> SimResult<Option<SimTime>>;
-    /// Fail queued ops, close every registered target, release buffers.
-    fn shutdown(&mut self, ctx: &ProcessCtx) -> SimResult<()>;
-    /// Aggregate EMP substrate counters of the connections this ring has
-    /// closed (`None` on the kernel stack) — the evidence that ring
-    /// reads ride the direct-delivery path (`copies_avoided`).
-    fn substrate_stats(&self) -> Option<sockets_emp::ConnStats>;
 }
 
 /// One node's sockets interface.
@@ -254,9 +184,6 @@ pub trait NetApi: Send + Sync + 'static {
     fn local_host(&self) -> MacAddr;
     /// Short label for reports ("emp-ds", "tcp-16k", ...).
     fn label(&self) -> String;
-    /// Build a completion ring on this stack ([`NetRing`]). `label`
-    /// namespaces the ring's telemetry gauges (`ring.<label>.*`).
-    fn ring(&self, cfg: RingConfig, label: &str) -> Box<dyn NetRing>;
     /// The wrapped EMP substrate, when this API runs over it (`None` on
     /// the kernel stack). Overload-harness introspection: leak checks
     /// read live-connection counts after a chaos run.
@@ -272,3 +199,127 @@ pub trait NetApi: Send + Sync + 'static {
 
 /// Shared handle applications pass around.
 pub type Api = Arc<dyn NetApi>;
+
+/// A completion ring over one node's facade sockets: the
+/// submission/completion I/O model ([`simnet::ring`]) with [`Conn`]s and
+/// listeners as the registered targets. Applications written against it
+/// (the `ServerModel::Completion` servers) run unchanged over both
+/// stacks, like the readiness servers do over [`NetApi::poll`].
+pub type Ring<'a> = RingCore<ApiRingDriver<'a>>;
+
+/// Build a completion ring over `api`'s sockets; register only
+/// connections and listeners that `api` opened. `label` namespaces the
+/// ring's telemetry gauges (`ring.<label>.*`).
+pub fn ring<'a>(api: &'a dyn NetApi, cfg: RingConfig, label: impl Into<String>) -> Ring<'a> {
+    let driver = ApiRingDriver {
+        api,
+        closed_stats: RefCell::default(),
+    };
+    RingCore::new(driver, cfg, label)
+}
+
+/// The one [`RingDriver`]: each op is the socket's own nonblocking call,
+/// and the blocking wait is [`NetApi::poll`] over the stalled targets.
+/// Under the substrate's adaptive copy policy a ring `Read` is a reader
+/// posted before the data arrived, so every message it fits skips the
+/// §6.2 temp-buffer copy ([`sockets_emp::ConnStats::copies_avoided`]);
+/// on the kernel stack every read still pays the user/kernel copy.
+pub struct ApiRingDriver<'a> {
+    api: &'a dyn NetApi,
+    /// Substrate counters of the connections this ring has closed, kept
+    /// so the copy-avoidance evidence outlives the connections.
+    closed_stats: RefCell<sockets_emp::ConnStats>,
+}
+
+impl ApiRingDriver<'_> {
+    /// Aggregate EMP substrate counters of every connection this ring has
+    /// closed (`None` on the kernel stack).
+    pub fn substrate_stats(&self) -> Option<sockets_emp::ConnStats> {
+        self.api.substrate().map(|_| *self.closed_stats.borrow())
+    }
+}
+
+impl RingDriver for ApiRingDriver<'_> {
+    type Conn = Conn;
+    type Listener = Box<dyn NetListener>;
+
+    fn try_accept(&self, ctx: &ProcessCtx, l: &Box<dyn NetListener>) -> OpResult<Conn> {
+        l.try_accept(ctx)
+    }
+
+    fn try_read(&self, ctx: &ProcessCtx, c: &Conn, buf: &mut [u8]) -> OpResult<usize> {
+        Ok(c.try_read(ctx, buf.len())?.map(|bytes| {
+            buf[..bytes.len()].copy_from_slice(&bytes);
+            bytes.len()
+        }))
+    }
+
+    fn try_write(&self, ctx: &ProcessCtx, c: &Conn, data: &[u8]) -> OpResult<usize> {
+        c.try_write(ctx, data)
+    }
+
+    fn close(&self, ctx: &ProcessCtx, c: Conn) -> SimResult<()> {
+        if let Some(stats) = c.substrate_stats() {
+            *self.closed_stats.borrow_mut() += stats;
+        }
+        c.close(ctx)
+    }
+
+    fn close_listener(&self, ctx: &ProcessCtx, l: Box<dyn NetListener>) -> SimResult<()> {
+        l.close(ctx)
+    }
+
+    fn wait(
+        &self,
+        ctx: &ProcessCtx,
+        conns: &[(&Conn, Interest)],
+        listeners: &[&Box<dyn NetListener>],
+        timeout: Option<SimDuration>,
+    ) -> SimResult<()> {
+        let conns = conns
+            .iter()
+            .map(|&(c, interest)| (PollTarget::Conn(c), interest));
+        let listeners = listeners
+            .iter()
+            .map(|l| (PollTarget::Listener(l.as_ref()), Interest::ACCEPTABLE));
+        let sources: Vec<PollSource<'_>> = conns
+            .chain(listeners)
+            .enumerate()
+            .map(|(token, (target, interest))| PollSource {
+                target,
+                token,
+                interest,
+            })
+            .collect();
+        // The events themselves are discarded: RingCore re-drives every
+        // head op after a wake, which subsumes them (a timeout wake lets
+        // the drive pass expire deadlined head ops).
+        self.api.poll(ctx, &sources, timeout)??;
+        Ok(())
+    }
+
+    fn register_waker(
+        &self,
+        ctx: &ProcessCtx,
+        conns: &[(&Conn, Interest)],
+        listeners: &[&Box<dyn NetListener>],
+        waker: &std::task::Waker,
+    ) -> SimResult<bool> {
+        // Readiness found during registration means the ring should
+        // re-drive now, not sleep: deliver the wake straight back. An
+        // unwakeable or failed source wakes it too, so the next drive
+        // pass surfaces the op's error.
+        let ready = |r: Result<Interest, NetError>| r.map_or(true, |r| !r.is_empty());
+        let mut wake_now = false;
+        for (c, interest) in conns {
+            wake_now |= ready(c.poll_ready(ctx, *interest, waker)?);
+        }
+        for l in listeners {
+            wake_now |= ready(l.poll_acceptable(ctx, waker)?);
+        }
+        if wake_now {
+            waker.wake_by_ref();
+        }
+        Ok(true)
+    }
+}

@@ -1,10 +1,10 @@
 //! Unit tests for the facade layer: error display, cross-stack errors
-//! and adapter plumbing that the application tests exercise only
+//! and stack plumbing that the application tests exercise only
 //! indirectly.
 
 #![cfg(test)]
 
-use crate::api::{CqeResult, NetError, NetRing, RingConfig, RingOp, Sqe};
+use crate::api::{ring, CqeResult, NetError, Ring, RingConfig, RingOp, Sqe};
 use crate::testbed::Testbed;
 use simnet::{ProcessCtx, Sim, SimAccess, SimDuration, SimResult, SimTime};
 use std::sync::Arc;
@@ -82,7 +82,7 @@ fn cross_stack_adapters_are_independent() {
 
 /// Run one op through a facade ring to its completion and return why it
 /// failed. Stalled ops give up after 5 ms, like the facade probes.
-fn ring_failure(ctx: &ProcessCtx, ring: &mut dyn NetRing, op: RingOp) -> SimResult<NetError> {
+fn ring_failure(ctx: &ProcessCtx, ring: &mut Ring<'_>, op: RingOp) -> SimResult<NetError> {
     let deadline = ctx.now() + SimDuration::from_millis(5);
     ring.push(Sqe::new(0, op).with_deadline(deadline))
         .expect("ring has room");
@@ -94,7 +94,7 @@ fn ring_failure(ctx: &ProcessCtx, ring: &mut dyn NetRing, op: RingOp) -> SimResu
 }
 
 /// Retire a ring connection (frees its slot in the connection budget).
-fn ring_close(ctx: &ProcessCtx, ring: &mut dyn NetRing, conn: u32) -> SimResult<()> {
+fn ring_close(ctx: &ProcessCtx, ring: &mut Ring<'_>, conn: u32) -> SimResult<()> {
     ring.push(Sqe::new(1, RingOp::Close { conn }))
         .expect("ring has room");
     ring.submit_and_wait(ctx, 1)?.expect("close committed");
@@ -146,7 +146,7 @@ fn taxonomy_trace(tb: Testbed) -> Vec<String> {
     });
     sim.spawn("taxonomy-client", move |ctx| {
         let mut tr = Vec::new();
-        let mut ring = client.ring(RingConfig::default(), "taxonomy");
+        let mut ring = ring(client.as_ref(), RingConfig::default(), "taxonomy");
         // Refusal: nobody listens on port 444.
         let r = client.connect_deadline(ctx, host, 444, ms(50))?;
         tr.push(format!("connect-noone:{:?}", r.err().expect("no listener")));
@@ -179,9 +179,9 @@ fn taxonomy_trace(tb: Testbed) -> Vec<String> {
         let read = RingOp::Read { conn: id, buf: 0 };
         tr.push(format!(
             "ring-read-idle:{:?}",
-            ring_failure(ctx, &mut *ring, read)?
+            ring_failure(ctx, &mut ring, read)?
         ));
-        ring_close(ctx, &mut *ring, id)?;
+        ring_close(ctx, &mut ring, id)?;
         c2.close(ctx)?;
         pd3.complete(ctx);
         // Let both teardowns finish: closing sockets still count against
@@ -211,9 +211,9 @@ fn taxonomy_trace(tb: Testbed) -> Vec<String> {
         };
         tr.push(format!(
             "ring-write-blocked:{:?}",
-            ring_failure(ctx, &mut *ring, write)?
+            ring_failure(ctx, &mut ring, write)?
         ));
-        ring_close(ctx, &mut *ring, id)?;
+        ring_close(ctx, &mut ring, id)?;
         // Write after the peer closed: EOF first, then the writes fail.
         let c4 = client
             .connect_deadline(ctx, host, 80, ms(50))?
@@ -238,7 +238,7 @@ fn taxonomy_trace(tb: Testbed) -> Vec<String> {
         };
         tr.push(format!(
             "ring-write-peer-closed:{:?}",
-            ring_failure(ctx, &mut *ring, write)?
+            ring_failure(ctx, &mut ring, write)?
         ));
         ring.shutdown(ctx)?;
         *t2.lock().unwrap() = tr;

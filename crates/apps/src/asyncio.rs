@@ -15,17 +15,18 @@
 //!   [`NetListener::poll_acceptable`] arm a waker in the stack's readiness
 //!   layer; the leaf futures here retry the nonblocking call after each
 //!   wake (`try_read` → `WouldBlock` → wait readable → retry);
-//! * **completion** — [`AsyncRing`] wraps a [`NetRing`] and parks ops as
-//!   futures on their CQEs via [`NetRing::register_waker`].
+//! * **completion** — [`AsyncRing`] wraps the facade's completion ring
+//!   ([`Ring`]) and parks ops as futures on their CQEs via
+//!   [`simnet::ring::RingCore::register_waker`].
 //!
 //! Cancellation is dropping the future. A dropped readiness wait disarms
 //! the stateful wake sources it armed ([`crate::NetConn::cancel_ready`] —
-//! the substrate's flow-control ack watch); a dropped ring op is cancelled in
-//! the submission queue ([`NetRing::cancel`]) or, when already past that
-//! point, marked abandoned so its completion is discarded and its buffer
-//! returned on the next reap. Deadlines compose the same way:
-//! [`emp_async::timeout`] drops the losing future, which *is* the
-//! cancellation.
+//! the substrate's flow-control ack watch); a dropped ring op is cancelled
+//! in the submission queue ([`simnet::ring::RingCore::cancel`]) or, when
+//! already past that point, marked abandoned so its completion is
+//! discarded and its buffer returned on the next reap. Deadlines compose
+//! the same way: [`emp_async::timeout`] drops the losing future, which
+//! *is* the cancellation.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -43,7 +44,7 @@ use simnet::{
 };
 
 use crate::api::{
-    Api, Conn, CqeResult, Interest, NetApi, NetError, NetListener, NetRing, RingConfig,
+    ring, Api, Conn, CqeResult, Interest, NetApi, NetError, NetListener, Ring, RingConfig,
     RingCounters, RingDepths, RingOp, Sqe,
 };
 use crate::serve::READ_CHUNK;
@@ -444,8 +445,8 @@ enum Done {
     Failed(NetError),
 }
 
-struct RingInner {
-    ring: Box<dyn NetRing>,
+struct RingInner<'a> {
+    ring: Ring<'a>,
     cfg: RingConfig,
     next_ud: u64,
     /// Completions reaped but not yet claimed by their future.
@@ -467,21 +468,22 @@ struct RingInner {
 /// deadline timer scheduled into the engine can reach it.
 type RingWaiters = Arc<Mutex<BTreeMap<u64, Waker>>>;
 
-/// A [`NetRing`] driven by futures: submit an op, `await` its
+/// A completion [`Ring`] driven by futures: submit an op, `await` its
 /// completion. One future per op; any parked future re-drives the ring
 /// when woken and distributes the completions it reaps to its siblings.
-/// Dropping an op future cancels it ([`NetRing::cancel`]) or, past the
-/// point of no return, abandons it — either way the registered buffer
-/// comes back to the pool and `ring.*` gauges drain to zero.
-pub struct AsyncRing {
-    inner: Rc<RefCell<RingInner>>,
+/// Dropping an op future cancels it ([`simnet::ring::RingCore::cancel`])
+/// or, past the point of no return, abandons it — either way the
+/// registered buffer comes back to the pool and `ring.*` gauges drain to
+/// zero.
+pub struct AsyncRing<'a> {
+    inner: Rc<RefCell<RingInner<'a>>>,
     waiters: RingWaiters,
 }
 
 /// Drain the completion queue into the stash, copying read payloads out
 /// of their registered buffers and returning every completed op's buffer
 /// to the pool. Abandoned ops' completions are discarded here.
-fn reap_all(inner: &mut RingInner) {
+fn reap_all(inner: &mut RingInner<'_>) {
     for cqe in inner.ring.reap(usize::MAX) {
         let done = match cqe.result {
             CqeResult::Accepted { conn } => Done::Accepted(conn),
@@ -515,11 +517,11 @@ fn wake_siblings(waiters: &RingWaiters, except: u64) {
     }
 }
 
-impl AsyncRing {
+impl<'a> AsyncRing<'a> {
     /// Build a completion ring on `api` and wrap it. `label` namespaces
     /// the ring's telemetry gauges (`ring.<label>.*`).
-    pub fn new(api: &dyn NetApi, cfg: RingConfig, label: &str) -> Self {
-        let ring = api.ring(cfg, label);
+    pub fn new(api: &'a dyn NetApi, cfg: RingConfig, label: &str) -> Self {
+        let ring = ring(api, cfg, label);
         AsyncRing {
             inner: Rc::new(RefCell::new(RingInner {
                 ring,
@@ -616,8 +618,9 @@ impl AsyncRing {
         }
     }
 
-    /// Registered buffers currently application-owned (pool view —
-    /// equals [`NetRing::free_bufs`] when no completion is stashed).
+    /// Registered buffers currently application-owned (pool view — equals
+    /// [`simnet::ring::RingCore::free_bufs`] when no completion is
+    /// stashed).
     pub fn pool_free(&self) -> usize {
         self.inner.borrow().free_bufs.len()
     }
@@ -650,7 +653,7 @@ impl AsyncRing {
             .expect("ring buffer pool sized for its concurrent ops")
     }
 
-    fn submit(&self, op: RingOp, buf: Option<u32>, deadline: Option<SimTime>) -> RingOpFuture {
+    fn submit(&self, op: RingOp, buf: Option<u32>, deadline: Option<SimTime>) -> RingOpFuture<'a> {
         let mut inner = self.inner.borrow_mut();
         let ud = inner.next_ud;
         inner.next_ud += 1;
@@ -672,14 +675,14 @@ impl AsyncRing {
 }
 
 /// One submitted op awaiting its completion.
-struct RingOpFuture {
-    ring: Rc<RefCell<RingInner>>,
+struct RingOpFuture<'a> {
+    ring: Rc<RefCell<RingInner<'a>>>,
     waiters: RingWaiters,
     user_data: u64,
     done: bool,
 }
 
-impl Future for RingOpFuture {
+impl Future for RingOpFuture<'_> {
     type Output = SimResult<Done>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
@@ -733,7 +736,7 @@ impl Future for RingOpFuture {
     }
 }
 
-impl RingOpFuture {
+impl RingOpFuture<'_> {
     /// Mark resolved and hand the baton to the siblings: the stack-level
     /// waker may be ours (now stale), so they must re-poll and re-arm.
     fn resolve(&mut self) {
@@ -743,7 +746,7 @@ impl RingOpFuture {
     }
 }
 
-impl Drop for RingOpFuture {
+impl Drop for RingOpFuture<'_> {
     fn drop(&mut self) {
         if self.done {
             return;

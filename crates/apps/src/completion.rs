@@ -1,5 +1,5 @@
-//! A single-process completion-model server skeleton over
-//! [`NetApi::ring`].
+//! A single-process completion-model server skeleton over the facade's
+//! completion ring ([`crate::api::ring`]).
 //!
 //! The readiness twin of this skeleton ([`crate::eventloop`]) asks the
 //! stack *when* I/O would succeed and then performs it; this one submits
@@ -21,7 +21,9 @@ use std::collections::HashMap;
 
 use simnet::{ProcessCtx, SimAccess, SimResult};
 
-use crate::api::{CqeResult, NetApi, NetListener, RingConfig, RingCounters, RingOp, Sqe};
+use crate::api::{
+    ring, CqeResult, NetApi, NetListener, Ring, RingConfig, RingCounters, RingOp, Sqe,
+};
 use crate::serve::READ_CHUNK;
 
 /// What one completion-model serve produced, for assertions and reports.
@@ -102,7 +104,7 @@ pub fn serve_completion(
 ) -> SimResult<CompletionRun> {
     let cfg = ring_config(n_conns);
     let label = format!("srv-n{}", api.local_host().0);
-    let mut ring = api.ring(cfg, &label);
+    let mut ring = ring(api, cfg, label);
     let listener = ring.add_listener(l);
     let mut free_bufs: Vec<u32> = (0..cfg.buf_count as u32).rev().collect();
     let mut conns: HashMap<u32, CState> = HashMap::new();
@@ -114,7 +116,7 @@ pub fn serve_completion(
 
     if n_conns == 0 {
         let counters = ring.counters();
-        let substrate_stats = ring.substrate_stats();
+        let substrate_stats = ring.driver().substrate_stats();
         ring.shutdown(ctx)?;
         return Ok(CompletionRun {
             counters,
@@ -156,7 +158,7 @@ pub fn serve_completion(
                         cur_buf: None,
                         closing: false,
                     };
-                    next_op(&mut *ring, &mut st, conn, &mut free_bufs);
+                    next_op(&mut ring, &mut st, conn, &mut free_bufs);
                     conns.insert(conn, st);
                 }
                 CqeResult::Read { buf, len } => {
@@ -164,7 +166,7 @@ pub fn serve_completion(
                     let st = conns.get_mut(&conn).expect("live conn");
                     st.inbuf.extend_from_slice(&chunk);
                     service(&mut st.inbuf, &mut st.out);
-                    next_op(&mut *ring, st, conn, &mut free_bufs);
+                    next_op(&mut ring, st, conn, &mut free_bufs);
                 }
                 CqeResult::Wrote { len, .. } => {
                     let st = conns.get_mut(&conn).expect("live conn");
@@ -173,7 +175,7 @@ pub fn serve_completion(
                         st.out.clear();
                         st.sent = 0;
                     }
-                    next_op(&mut *ring, st, conn, &mut free_bufs);
+                    next_op(&mut ring, st, conn, &mut free_bufs);
                 }
                 CqeResult::Close { conn, .. } => {
                     // EOF: the peer is done sending; retire the conn.
@@ -203,7 +205,7 @@ pub fn serve_completion(
     }
 
     let counters = ring.counters();
-    let substrate_stats = ring.substrate_stats();
+    let substrate_stats = ring.driver().substrate_stats();
     ring.shutdown(ctx)?;
     debug_assert_eq!(ring.free_bufs(), cfg.buf_count, "ring leaked buffers");
     Ok(CompletionRun {
@@ -215,12 +217,7 @@ pub fn serve_completion(
 /// Post the connection's next op under the one-op-in-flight discipline:
 /// the next `Write` chunk while a response is pending, a `Read`
 /// otherwise. No-op while closing.
-fn next_op(
-    ring: &mut dyn crate::api::NetRing,
-    st: &mut CState,
-    conn: u32,
-    free_bufs: &mut Vec<u32>,
-) {
+fn next_op(ring: &mut Ring<'_>, st: &mut CState, conn: u32, free_bufs: &mut Vec<u32>) {
     if st.closing {
         return;
     }

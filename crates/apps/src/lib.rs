@@ -20,7 +20,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adapters;
 pub mod api;
 #[cfg(test)]
 mod api_tests;
@@ -34,17 +33,18 @@ pub mod matmul;
 pub mod overload;
 pub mod pingpong;
 pub mod serve;
+pub mod stacks;
 pub mod testbed;
 pub mod webserver;
 
-pub use adapters::{EmpNet, KernelNet};
 pub use api::{
-    Api, Conn, Cqe, CqeResult, Event, Interest, NetApi, NetConn, NetError, NetListener, NetRing,
-    PollSource, PollTarget, RingConfig, RingCounters, RingDepths, RingError, RingOp, Sqe,
+    ring, Api, Conn, Cqe, CqeResult, Event, Interest, NetApi, NetConn, NetError, NetListener,
+    PollSource, PollTarget, Ring, RingConfig, RingCounters, RingDepths, RingError, RingOp, Sqe,
 };
 pub use asyncio::{serve_async, AsyncConnector, AsyncListener, AsyncRing, AsyncStream};
 pub use completion::serve_completion;
 pub use eventloop::{serve_event_loop_with, OverloadPolicy, ServeReport};
 pub use overload::{run_storm, run_storm_on, OverloadReport, StormConfig};
 pub use serve::{serve, ServerModel};
+pub use stacks::{EmpNet, KernelNet};
 pub use testbed::{AppNode, Testbed};

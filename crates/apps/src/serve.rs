@@ -31,7 +31,7 @@ pub enum ServerModel {
     /// One process, one [`crate::api::NetApi::poll`] wait, nonblocking
     /// calls ([`serve_event_loop_with`]).
     EventLoop,
-    /// One process, one completion ring ([`crate::api::NetApi::ring`]):
+    /// One process, one completion ring ([`crate::api::ring`]):
     /// ops submitted over registered buffers, completions reaped in
     /// batches ([`serve_completion`]).
     Completion,

@@ -9,8 +9,8 @@ use kernel_tcp::{TcpCluster, TcpConfig};
 use simnet::SwitchConfig;
 use sockets_emp::{EmpSockets, SubstrateConfig};
 
-use crate::adapters::{EmpNet, KernelNet};
 use crate::api::Api;
+use crate::stacks::{EmpNet, KernelNet};
 
 /// Which stack a testbed runs (the variants keep the protocol objects —
 /// switch, NICs, stacks — alive for the simulation's lifetime).

@@ -1,6 +1,6 @@
 //! One generator per figure of the paper's evaluation (§7). Each returns a
 //! [`Figure`] with the same series the paper plots; the `figures` binary
-//! prints them and the criterion benches time representative points.
+//! prints them.
 
 use emp_apps::{
     bandwidth, ftp, kvstore, matmul, overload, pingpong, webserver, StormConfig, Testbed,
@@ -16,11 +16,11 @@ use sockets_emp::{RecvMode, SubstrateConfig};
 use crate::raw;
 use crate::report::{parallel_sweep, Figure};
 
-/// Sweep resolution: `quick` trims the point count for smoke runs and
-/// criterion; `full` reproduces every plotted point.
+/// Sweep resolution: `quick` trims the point count for smoke runs;
+/// `full` reproduces every plotted point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Profile {
-    /// Few points, few iterations (CI / criterion).
+    /// Few points, few iterations (CI).
     Quick,
     /// The full sweeps.
     Full,

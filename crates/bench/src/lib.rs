@@ -1,10 +1,9 @@
-//! # emp-bench — figure harnesses and benchmarks
+//! # emp-bench — figure harnesses
 //!
 //! Regenerates every figure of the paper's evaluation (§7) from the
 //! simulated testbed: [`figures::fig11`] through [`figures::fig17`], plus
 //! the §5.2/§6 ablations. The `figures` binary prints the tables and
-//! writes JSON; the criterion benches time representative points of each
-//! figure's harness.
+//! writes JSON.
 
 #![warn(missing_docs)]
 

@@ -33,7 +33,6 @@ pub mod dgram;
 pub mod fdtable;
 pub mod poll;
 pub mod proto;
-pub mod ring;
 pub mod socket;
 pub mod stream;
 pub mod tags;
@@ -42,7 +41,6 @@ pub use config::{CopyPolicy, RecvMode, RetryPolicy, SocketType, SubstrateConfig}
 pub use conn::ConnStats;
 pub use fdtable::{FdError, FdTable, PollFd};
 pub use poll::PollSet;
-pub use ring::{EmpRing, EmpRingDriver};
 pub use simnet::{Event, Interest, NetError};
 pub use socket::{
     ConnDebugState, Connection, EmpSockets, Listener, SlotDebug, SockAddr, SubstrateStats,

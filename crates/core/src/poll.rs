@@ -10,7 +10,7 @@
 //! per registration and reused, not rebuilt on every wake.
 //!
 //! Readiness is one of the substrate's two I/O models, not the only one:
-//! the completion model ([`crate::ring`]) submits `Accept`/`Read`/
+//! the completion model ([`simnet::ring`]) submits `Accept`/`Read`/
 //! `Write`/`Close` ops over registered buffers and reaps completions in
 //! batches instead of asking when an operation would succeed. Its ring
 //! driver reuses this layer's wakeup machinery (a `PollSet` is the wait

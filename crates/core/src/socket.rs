@@ -283,7 +283,7 @@ impl EmpSockets {
     /// set is [`NetError::Invalid`] (it could never wake), not a panic.
     ///
     /// This is the readiness way to multiplex connections in one
-    /// process; the completion model ([`crate::ring`]) is the other —
+    /// process; the completion model ([`simnet::ring`]) is the other —
     /// there the application submits the reads themselves over
     /// registered buffers and waits on completions, never on readiness.
     pub fn select_readable(&self, ctx: &ProcessCtx, conns: &[&Connection]) -> OpResult<usize> {

@@ -1,24 +1,24 @@
 //! Cross-stack conformance suite for the completion-queue I/O model.
 //!
-//! The same [`simnet::RingCore`] engine drives both stacks — the EMP
-//! substrate through [`sockets_emp::EmpRingDriver`] and the kernel TCP
-//! baseline through `kernel_tcp::TcpRingDriver` — so every queueing,
-//! ordering, and backpressure decision is shared by construction. What
-//! this suite pins down is the part that is *not* shared: the drivers'
-//! nonblocking op semantics and the errors they report. Each scenario
-//! runs the identical submission script against both stacks and diffs the
-//! normalized completion traces; every op kind (`Accept`, `Read`,
-//! `Write`, `Close`), EOF (`Close { final_seq }`), short writes, and
-//! op-failure surfacing must render byte-identically.
+//! One ring drives both stacks: [`emp_apps::ring`] is the
+//! [`simnet::RingCore`] engine over the facade's sockets, whose wait is
+//! [`emp_apps::NetApi::poll`]. So every queueing, ordering, and
+//! backpressure decision — and the driver itself — is shared by
+//! construction. What this suite pins down is the part that is *not*
+//! shared: each stack's nonblocking op semantics and the errors it
+//! reports. Each scenario runs the identical submission script against
+//! both stacks and diffs the normalized completion traces; every op kind
+//! (`Accept`, `Read`, `Write`, `Close`), EOF (`Close { final_seq }`),
+//! short writes, and op-failure surfacing must render byte-identically.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use emp_proto::{build_cluster, EmpConfig};
-use kernel_tcp::{build_tcp_cluster, TcpConfig};
-use simnet::ring::{Cqe, CqeResult, RingConfig, RingCore, RingDriver, RingError, RingOp, Sqe};
-use simnet::{Completion, ProcessCtx, Sim, SimAccess, SimDuration, SimResult, SwitchConfig};
-use sockets_emp::{EmpRing, EmpSockets, SubstrateConfig};
+use emp_apps::{ring, Conn, Ring, Testbed};
+use emp_proto::EmpConfig;
+use simnet::ring::{Cqe, CqeResult, RingConfig, RingError, RingOp, Sqe};
+use simnet::{Completion, ProcessCtx, Sim, SimAccess, SimDuration, SimResult};
+use sockets_emp::SubstrateConfig;
 
 const PORT: u16 = 80;
 
@@ -43,17 +43,13 @@ fn fmt_cqe(c: &Cqe) -> String {
     }
 }
 
-fn push<D: RingDriver>(ring: &mut RingCore<D>, user_data: u64, op: RingOp) {
+fn push(ring: &mut Ring<'_>, user_data: u64, op: RingOp) {
     ring.push(Sqe::new(user_data, op)).expect("push admitted");
 }
 
 /// Submit, park until at least `n` completions accumulated, reap them
 /// all. Scenarios keep few enough ops in flight that batches are exact.
-fn wait_cqes<D: RingDriver>(
-    ctx: &ProcessCtx,
-    ring: &mut RingCore<D>,
-    n: usize,
-) -> SimResult<Vec<Cqe>> {
+fn wait_cqes(ctx: &ProcessCtx, ring: &mut Ring<'_>, n: usize) -> SimResult<Vec<Cqe>> {
     let mut out = Vec::new();
     while out.len() < n {
         ring.submit_and_wait(ctx, n - out.len())?
@@ -63,121 +59,52 @@ fn wait_cqes<D: RingDriver>(
     Ok(out)
 }
 
-/// The client half of every scenario, written once against this trait
-/// and run unchanged over both stacks' blocking socket APIs.
-trait ConfClient {
-    fn send_all(&self, ctx: &ProcessCtx, data: &[u8]) -> SimResult<()>;
-    fn recv_exact(&self, ctx: &ProcessCtx, n: usize) -> SimResult<Vec<u8>>;
-    fn shut(&self, ctx: &ProcessCtx) -> SimResult<()>;
+/// The client half's blocking write of a whole buffer.
+fn send_all(ctx: &ProcessCtx, c: &Conn, mut data: &[u8]) -> SimResult<()> {
+    while !data.is_empty() {
+        let n = c.write(ctx, data)?.expect("client write");
+        data = &data[n..];
+    }
+    Ok(())
 }
 
-impl ConfClient for sockets_emp::Connection {
-    fn send_all(&self, ctx: &ProcessCtx, mut data: &[u8]) -> SimResult<()> {
-        while !data.is_empty() {
-            let n = self.write(ctx, data)?.expect("client write");
-            data = &data[n..];
-        }
-        Ok(())
+/// The client half's blocking read of exactly `n` bytes.
+fn recv_exact(ctx: &ProcessCtx, c: &Conn, n: usize) -> SimResult<Vec<u8>> {
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        let m = c.read(ctx, n - out.len())?.expect("client read");
+        assert!(!m.is_empty(), "premature EOF at byte {}", out.len());
+        out.extend_from_slice(&m);
     }
-
-    fn recv_exact(&self, ctx: &ProcessCtx, n: usize) -> SimResult<Vec<u8>> {
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            let m = self.read(ctx, n - out.len())?.expect("client read");
-            assert!(!m.is_empty(), "premature EOF at byte {}", out.len());
-            out.extend_from_slice(&m);
-        }
-        Ok(out)
-    }
-
-    fn shut(&self, ctx: &ProcessCtx) -> SimResult<()> {
-        self.close(ctx)
-    }
+    Ok(out)
 }
 
-impl ConfClient for kernel_tcp::TcpConn {
-    fn send_all(&self, ctx: &ProcessCtx, mut data: &[u8]) -> SimResult<()> {
-        while !data.is_empty() {
-            let n = self.write(ctx, data)?.expect("client write");
-            data = &data[n..];
-        }
-        Ok(())
-    }
-
-    fn recv_exact(&self, ctx: &ProcessCtx, n: usize) -> SimResult<Vec<u8>> {
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            let m = self.read(ctx, n - out.len())?.expect("client read");
-            assert!(!m.is_empty(), "premature EOF at byte {}", out.len());
-            out.extend_from_slice(&m);
-        }
-        Ok(out)
-    }
-
-    fn shut(&self, ctx: &ProcessCtx) -> SimResult<()> {
-        self.close(ctx)
-    }
+/// The stacks every scenario runs on: the substrate under the paper's
+/// best preset, and the kernel baseline.
+fn testbeds() -> [Testbed; 2] {
+    [
+        Testbed::emp(
+            2,
+            EmpConfig::default(),
+            SubstrateConfig::ds_da_uq(),
+            "conf-emp",
+        ),
+        Testbed::kernel_default(2),
+    ]
 }
 
-/// Run a scenario on the EMP substrate: `server` drives a ring whose
+/// Run a scenario on `tb`: `server` drives a ring on node 1 whose
 /// listener is registered as id 0, `client(ctx, i, conn)` runs once per
-/// spawned client. Returns the server's trace after asserting the ring
-/// tore down clean (no leaked buffers, every push accounted for).
-fn run_emp<S, C>(n_clients: usize, cfg: RingConfig, server: S, client: C) -> Vec<String>
+/// spawned client on node 0. Returns the server's trace after asserting
+/// the ring tore down clean (no leaked buffers, every push accounted for).
+fn run<S, C>(tb: &Testbed, n_clients: usize, cfg: RingConfig, server: S, client: C) -> Vec<String>
 where
-    S: FnOnce(&ProcessCtx, &mut EmpRing) -> SimResult<Vec<String>> + Send + 'static,
-    C: Fn(&ProcessCtx, usize, &sockets_emp::Connection) -> SimResult<()> + Send + Sync + 'static,
+    S: FnOnce(&ProcessCtx, &mut Ring<'_>) -> SimResult<Vec<String>> + Send + 'static,
+    C: Fn(&ProcessCtx, usize, &Conn) -> SimResult<()> + Send + Sync + 'static,
 {
     let sim = Sim::new();
-    let cl = build_cluster(2, EmpConfig::default(), SwitchConfig::default());
-    let ssub = EmpSockets::new(cl.nodes[1].endpoint(), SubstrateConfig::ds_da_uq());
-    let csub = EmpSockets::new(cl.nodes[0].endpoint(), SubstrateConfig::ds_da_uq());
-    let addr = sockets_emp::SockAddr::new(cl.nodes[1].addr(), PORT);
-    let trace: Arc<Mutex<Vec<String>>> = Arc::default();
-    let done = Completion::new();
-    let (t2, d2) = (trace.clone(), done.clone());
-    sim.spawn("ring-server", move |ctx| {
-        let l = ssub
-            .listen(ctx, PORT, n_clients.max(4))?
-            .expect("port free");
-        let mut ring = sockets_emp::ring::ring(cfg, "conf-emp");
-        assert_eq!(ring.add_listener(l), 0);
-        let tr = server(ctx, &mut ring)?;
-        finish_ring(ctx, &mut ring)?;
-        *t2.lock().unwrap() = tr;
-        d2.complete(ctx);
-        Ok(())
-    });
-    let client = Arc::new(client);
-    let cdone: Vec<Completion> = (0..n_clients).map(|_| Completion::new()).collect();
-    for (i, cd) in cdone.iter().enumerate() {
-        let (sub, cf, cd) = (csub.clone(), client.clone(), cd.clone());
-        sim.spawn(format!("client-{i}"), move |ctx| {
-            let conn = sub.connect(ctx, addr)?.expect("connect");
-            cf(ctx, i, &conn)?;
-            cd.complete(ctx);
-            Ok(())
-        });
-    }
-    sim.run();
-    assert!(done.is_done(), "server did not finish cleanly");
-    for (i, c) in cdone.iter().enumerate() {
-        assert!(c.is_done(), "client {i} did not finish cleanly");
-    }
-    Arc::try_unwrap(trace).unwrap().into_inner().unwrap()
-}
-
-/// [`run_emp`]'s twin over the kernel TCP baseline.
-fn run_tcp<S, C>(n_clients: usize, cfg: RingConfig, server: S, client: C) -> Vec<String>
-where
-    S: FnOnce(&ProcessCtx, &mut kernel_tcp::TcpRing) -> SimResult<Vec<String>> + Send + 'static,
-    C: Fn(&ProcessCtx, usize, &kernel_tcp::TcpConn) -> SimResult<()> + Send + Sync + 'static,
-{
-    let sim = Sim::new();
-    let cl = build_tcp_cluster(2, TcpConfig::default(), SwitchConfig::default());
-    let sapi = cl.nodes[1].api();
-    let capi = cl.nodes[0].api();
-    let addr = kernel_tcp::SockAddr::new(cl.nodes[1].addr(), PORT);
+    let sapi = Arc::clone(&tb.nodes[1].api);
+    let host = sapi.local_host();
     let trace: Arc<Mutex<Vec<String>>> = Arc::default();
     let done = Completion::new();
     let (t2, d2) = (trace.clone(), done.clone());
@@ -185,7 +112,7 @@ where
         let l = sapi
             .listen(ctx, PORT, n_clients.max(4))?
             .expect("port free");
-        let mut ring = kernel_tcp::ring::ring(sapi.clone(), cfg, "conf-tcp");
+        let mut ring = ring(sapi.as_ref(), cfg, "conf");
         assert_eq!(ring.add_listener(l), 0);
         let tr = server(ctx, &mut ring)?;
         finish_ring(ctx, &mut ring)?;
@@ -196,9 +123,9 @@ where
     let client = Arc::new(client);
     let cdone: Vec<Completion> = (0..n_clients).map(|_| Completion::new()).collect();
     for (i, cd) in cdone.iter().enumerate() {
-        let (api, cf, cd) = (capi.clone(), client.clone(), cd.clone());
+        let (api, cf, cd) = (Arc::clone(&tb.nodes[0].api), client.clone(), cd.clone());
         sim.spawn(format!("client-{i}"), move |ctx| {
-            let conn = api.connect(ctx, addr)?.expect("connect");
+            let conn = api.connect(ctx, host, PORT)?.expect("connect");
             cf(ctx, i, &conn)?;
             cd.complete(ctx);
             Ok(())
@@ -212,11 +139,20 @@ where
     Arc::try_unwrap(trace).unwrap().into_inner().unwrap()
 }
 
+/// [`run`] on both [`testbeds`]: the substrate's trace, then the kernel's.
+fn run_both<S, C>(n_clients: usize, cfg: RingConfig, server: S, client: C) -> [Vec<String>; 2]
+where
+    S: FnOnce(&ProcessCtx, &mut Ring<'_>) -> SimResult<Vec<String>> + Copy + Send + 'static,
+    C: Fn(&ProcessCtx, usize, &Conn) -> SimResult<()> + Copy + Send + Sync + 'static,
+{
+    testbeds().map(|tb| run(&tb, n_clients, cfg, server, client))
+}
+
 /// Teardown invariants every scenario must leave behind: shutdown
 /// releases the whole registered pool, the queues drain to zero, and
 /// the push/complete/reap counters balance (no lost or double
 /// completions).
-fn finish_ring<D: RingDriver>(ctx: &ProcessCtx, ring: &mut RingCore<D>) -> SimResult<()> {
+fn finish_ring(ctx: &ProcessCtx, ring: &mut Ring<'_>) -> SimResult<()> {
     ring.shutdown(ctx)?;
     assert_eq!(
         ring.free_bufs(),
@@ -236,10 +172,7 @@ fn finish_ring<D: RingDriver>(ctx: &ProcessCtx, ring: &mut RingCore<D>) -> SimRe
 const LIFE_REQ: usize = 32;
 const LIFE_REPLY: usize = 8;
 
-fn lifecycle_server<D: RingDriver>(
-    ctx: &ProcessCtx,
-    ring: &mut RingCore<D>,
-) -> SimResult<Vec<String>> {
+fn lifecycle_server(ctx: &ProcessCtx, ring: &mut Ring<'_>) -> SimResult<Vec<String>> {
     let mut trace = Vec::new();
     push(ring, 1, RingOp::Accept { listener: 0 });
     trace.extend(wait_cqes(ctx, ring, 1)?.iter().map(fmt_cqe));
@@ -268,28 +201,17 @@ fn lifecycle_server<D: RingDriver>(
     Ok(trace)
 }
 
-fn lifecycle_client<C: ConfClient>(ctx: &ProcessCtx, _i: usize, c: &C) -> SimResult<()> {
-    c.send_all(ctx, &pattern(7, LIFE_REQ))?;
-    let reply = c.recv_exact(ctx, LIFE_REPLY)?;
+fn lifecycle_client(ctx: &ProcessCtx, _i: usize, c: &Conn) -> SimResult<()> {
+    send_all(ctx, c, &pattern(7, LIFE_REQ))?;
+    let reply = recv_exact(ctx, c, LIFE_REPLY)?;
     assert_eq!(reply, pattern(8, LIFE_REPLY), "reply bytes corrupted");
-    c.shut(ctx)
+    c.close(ctx)
 }
 
 #[test]
 fn lifecycle_trace_identical_across_stacks() {
     let cfg = RingConfig::default();
-    let emp = run_emp(
-        1,
-        cfg,
-        lifecycle_server,
-        lifecycle_client::<sockets_emp::Connection>,
-    );
-    let tcp = run_tcp(
-        1,
-        cfg,
-        lifecycle_server,
-        lifecycle_client::<kernel_tcp::TcpConn>,
-    );
+    let [emp, tcp] = run_both(1, cfg, lifecycle_server, lifecycle_client);
     let want = vec![
         "1:accepted(0)".to_string(),
         format!("2:read(b0,{LIFE_REQ})"),
@@ -303,7 +225,7 @@ fn lifecycle_trace_identical_across_stacks() {
 
 // --- per-connection FIFO: queued ops run and complete in push order --
 
-fn fifo_server<D: RingDriver>(ctx: &ProcessCtx, ring: &mut RingCore<D>) -> SimResult<Vec<String>> {
+fn fifo_server(ctx: &ProcessCtx, ring: &mut Ring<'_>) -> SimResult<Vec<String>> {
     let mut trace = Vec::new();
     push(ring, 9, RingOp::Accept { listener: 0 });
     trace.extend(wait_cqes(ctx, ring, 1)?.iter().map(fmt_cqe));
@@ -332,21 +254,20 @@ fn fifo_server<D: RingDriver>(ctx: &ProcessCtx, ring: &mut RingCore<D>) -> SimRe
     Ok(trace)
 }
 
-fn fifo_client<C: ConfClient>(ctx: &ProcessCtx, _i: usize, c: &C) -> SimResult<()> {
-    c.send_all(ctx, &pattern(1, 16))?;
+fn fifo_client(ctx: &ProcessCtx, _i: usize, c: &Conn) -> SimResult<()> {
+    send_all(ctx, c, &pattern(1, 16))?;
     // The reply only arrives after the first read completed (FIFO), so
     // receiving it synchronizes the second send.
-    let reply = c.recv_exact(ctx, 8)?;
+    let reply = recv_exact(ctx, c, 8)?;
     assert_eq!(reply, pattern(2, 8));
-    c.send_all(ctx, &pattern(3, 16))?;
-    c.shut(ctx)
+    send_all(ctx, c, &pattern(3, 16))?;
+    c.close(ctx)
 }
 
 #[test]
 fn fifo_order_identical_across_stacks() {
     let cfg = RingConfig::default();
-    let emp = run_emp(1, cfg, fifo_server, fifo_client::<sockets_emp::Connection>);
-    let tcp = run_tcp(1, cfg, fifo_server, fifo_client::<kernel_tcp::TcpConn>);
+    let [emp, tcp] = run_both(1, cfg, fifo_server, fifo_client);
     let want = vec![
         "9:accepted(0)".to_string(),
         // Short reads: 16 bytes into a 4096-byte registered buffer.
@@ -364,10 +285,7 @@ fn fifo_order_identical_across_stacks() {
 
 const BULK_TOTAL: usize = 10_000;
 
-fn bulk_read_server<D: RingDriver>(
-    ctx: &ProcessCtx,
-    ring: &mut RingCore<D>,
-) -> SimResult<Vec<String>> {
+fn bulk_read_server(ctx: &ProcessCtx, ring: &mut Ring<'_>) -> SimResult<Vec<String>> {
     let mut trace = Vec::new();
     push(ring, 1, RingOp::Accept { listener: 0 });
     assert_eq!(fmt_cqe(&wait_cqes(ctx, ring, 1)?[0]), "1:accepted(0)");
@@ -400,12 +318,12 @@ fn bulk_read_server<D: RingDriver>(
     Ok(trace)
 }
 
-fn bulk_write_client<C: ConfClient>(ctx: &ProcessCtx, _i: usize, c: &C) -> SimResult<()> {
+fn bulk_write_client(ctx: &ProcessCtx, _i: usize, c: &Conn) -> SimResult<()> {
     let data = pattern(0, BULK_TOTAL);
     for chunk in data.chunks(1000) {
-        c.send_all(ctx, chunk)?;
+        send_all(ctx, c, chunk)?;
     }
-    c.shut(ctx)
+    c.close(ctx)
 }
 
 #[test]
@@ -414,18 +332,7 @@ fn eof_final_seq_counts_all_delivered_bytes() {
     // boundaries), so only the EOF accounting is diffed: both must
     // report exactly BULK_TOTAL bytes delivered before the peer close.
     let cfg = RingConfig::default();
-    let emp = run_emp(
-        1,
-        cfg,
-        bulk_read_server,
-        bulk_write_client::<sockets_emp::Connection>,
-    );
-    let tcp = run_tcp(
-        1,
-        cfg,
-        bulk_read_server,
-        bulk_write_client::<kernel_tcp::TcpConn>,
-    );
+    let [emp, tcp] = run_both(1, cfg, bulk_read_server, bulk_write_client);
     let want = vec![format!("eof(0,{BULK_TOTAL})"), "closed(0)".to_string()];
     assert_eq!(emp, want, "substrate EOF accounting");
     assert_eq!(tcp, want, "kernel EOF accounting");
@@ -435,10 +342,7 @@ fn eof_final_seq_counts_all_delivered_bytes() {
 
 const SEND_TOTAL: usize = 65_536;
 
-fn bulk_write_server<D: RingDriver>(
-    ctx: &ProcessCtx,
-    ring: &mut RingCore<D>,
-) -> SimResult<Vec<String>> {
+fn bulk_write_server(ctx: &ProcessCtx, ring: &mut Ring<'_>) -> SimResult<Vec<String>> {
     push(ring, 1, RingOp::Accept { listener: 0 });
     assert_eq!(fmt_cqe(&wait_cqes(ctx, ring, 1)?[0]), "1:accepted(0)");
     let data = pattern(9, SEND_TOTAL);
@@ -478,29 +382,18 @@ fn bulk_write_server<D: RingDriver>(
     Ok(vec![format!("sent({sent})")])
 }
 
-fn bulk_read_client<C: ConfClient>(ctx: &ProcessCtx, _i: usize, c: &C) -> SimResult<()> {
-    let got = c.recv_exact(ctx, SEND_TOTAL)?;
+fn bulk_read_client(ctx: &ProcessCtx, _i: usize, c: &Conn) -> SimResult<()> {
+    let got = recv_exact(ctx, c, SEND_TOTAL)?;
     for (i, b) in got.iter().enumerate() {
         assert_eq!(*b, pat(9, i), "byte {i} corrupted");
     }
-    c.shut(ctx)
+    c.close(ctx)
 }
 
 #[test]
 fn short_writes_deliver_byte_exact_on_both_stacks() {
     let cfg = RingConfig::default();
-    let emp = run_emp(
-        1,
-        cfg,
-        bulk_write_server,
-        bulk_read_client::<sockets_emp::Connection>,
-    );
-    let tcp = run_tcp(
-        1,
-        cfg,
-        bulk_write_server,
-        bulk_read_client::<kernel_tcp::TcpConn>,
-    );
+    let [emp, tcp] = run_both(1, cfg, bulk_write_server, bulk_read_client);
     let want = vec![format!("sent({SEND_TOTAL})")];
     assert_eq!(emp, want, "substrate short-write continuation");
     assert_eq!(tcp, want, "kernel short-write continuation");
@@ -509,10 +402,7 @@ fn short_writes_deliver_byte_exact_on_both_stacks() {
 // --- error surfacing: ops behind a Close fail in order, retired ids
 // --- are rejected at push -------------------------------------------
 
-fn close_order_server<D: RingDriver>(
-    ctx: &ProcessCtx,
-    ring: &mut RingCore<D>,
-) -> SimResult<Vec<String>> {
+fn close_order_server(ctx: &ProcessCtx, ring: &mut Ring<'_>) -> SimResult<Vec<String>> {
     let mut trace = Vec::new();
     push(ring, 1, RingOp::Accept { listener: 0 });
     trace.extend(wait_cqes(ctx, ring, 1)?.iter().map(fmt_cqe));
@@ -543,10 +433,7 @@ fn close_order_server<D: RingDriver>(
 #[test]
 fn ops_behind_close_fail_identically_across_stacks() {
     let cfg = RingConfig::default();
-    let client = |ctx: &ProcessCtx, _i: usize, c: &sockets_emp::Connection| c.shut(ctx);
-    let emp = run_emp(1, cfg, close_order_server, client);
-    let client = |ctx: &ProcessCtx, _i: usize, c: &kernel_tcp::TcpConn| c.shut(ctx);
-    let tcp = run_tcp(1, cfg, close_order_server, client);
+    let [emp, tcp] = run_both(1, cfg, close_order_server, |ctx, _i, c| c.close(ctx));
     let want = vec![
         "1:accepted(0)".to_string(),
         "20:closed(0)".to_string(),
@@ -561,9 +448,8 @@ fn ops_behind_close_fail_identically_across_stacks() {
 
 #[test]
 fn push_validation_surfaces_typed_errors() {
-    // Engine-level validation is stack-independent (it never reaches a
-    // driver), so one substrate run covers it. sq=8 > cq=3 makes CQ
-    // admission the binding constraint.
+    // Engine-level validation never reaches the stack, so both must agree
+    // trivially. sq=8 > cq=3 makes CQ admission the binding constraint.
     let cfg = RingConfig {
         sq_depth: 8,
         cq_depth: 3,
@@ -571,7 +457,7 @@ fn push_validation_surfaces_typed_errors() {
         buf_size: 64,
         max_registered_bytes: None,
     };
-    let server = move |ctx: &ProcessCtx, ring: &mut EmpRing| {
+    let server = |ctx: &ProcessCtx, ring: &mut Ring<'_>| {
         // A wait with nothing committed can never end: typed error.
         assert_eq!(
             ring.submit_and_wait(ctx, 1)?,
@@ -615,9 +501,7 @@ fn push_validation_surfaces_typed_errors() {
         );
         Ok(Vec::new())
     };
-    run_emp(1, cfg, server, |ctx, _i, c: &sockets_emp::Connection| {
-        c.shut(ctx)
-    });
+    run_both(1, cfg, server, |ctx, _i, c| c.close(ctx));
 
     // With a deep CQ the submission queue itself is the bound.
     let cfg = RingConfig {
@@ -627,7 +511,7 @@ fn push_validation_surfaces_typed_errors() {
         buf_size: 64,
         max_registered_bytes: None,
     };
-    let server = move |ctx: &ProcessCtx, ring: &mut EmpRing| {
+    let server = |ctx: &ProcessCtx, ring: &mut Ring<'_>| {
         push(ring, 1, RingOp::Accept { listener: 0 });
         let cqes = wait_cqes(ctx, ring, 1)?;
         assert!(matches!(cqes[0].result, CqeResult::Accepted { conn: 0 }));
@@ -640,9 +524,7 @@ fn push_validation_surfaces_typed_errors() {
         );
         Ok(Vec::new())
     };
-    run_emp(1, cfg, server, |ctx, _i, c: &sockets_emp::Connection| {
-        c.shut(ctx)
-    });
+    run_both(1, cfg, server, |ctx, _i, c| c.close(ctx));
 }
 
 // --- 32 concurrent connections, byte-exact echo ----------------------
@@ -660,7 +542,7 @@ struct EchoState {
 /// A completion-model echo server driven directly against the ring
 /// engine: one op in flight per connection, one registered buffer per
 /// connection, accepts re-armed until every expected client arrived.
-fn echo_server<D: RingDriver>(ctx: &ProcessCtx, ring: &mut RingCore<D>) -> SimResult<Vec<String>> {
+fn echo_server(ctx: &ProcessCtx, ring: &mut Ring<'_>) -> SimResult<Vec<String>> {
     const UD_ACCEPT: u64 = u64::MAX;
     let mut free: Vec<u32> = (0..ring.cfg().buf_count as u32).collect();
     let mut st: BTreeMap<u32, EchoState> = BTreeMap::new();
@@ -744,14 +626,14 @@ fn echo_server<D: RingDriver>(ctx: &ProcessCtx, ring: &mut RingCore<D>) -> SimRe
     Ok(vec![format!("served({closed})")])
 }
 
-fn echo_client<C: ConfClient>(ctx: &ProcessCtx, i: usize, c: &C) -> SimResult<()> {
+fn echo_client(ctx: &ProcessCtx, i: usize, c: &Conn) -> SimResult<()> {
     for r in 0..ECHO_REQS {
         let msg = pattern(i * ECHO_REQS + r + 11, ECHO_MSG);
-        c.send_all(ctx, &msg)?;
-        let echo = c.recv_exact(ctx, ECHO_MSG)?;
+        send_all(ctx, c, &msg)?;
+        let echo = recv_exact(ctx, c, ECHO_MSG)?;
         assert_eq!(echo, msg, "client {i} round {r} echo mismatch");
     }
-    c.shut(ctx)
+    c.close(ctx)
 }
 
 fn echo_cfg() -> RingConfig {
@@ -766,33 +648,22 @@ fn echo_cfg() -> RingConfig {
 
 #[test]
 fn echo_32_connections_byte_exact_on_substrate() {
-    let trace = run_emp(
-        ECHO_CONNS,
-        echo_cfg(),
-        echo_server,
-        echo_client::<sockets_emp::Connection>,
-    );
+    let [emp, _] = testbeds();
+    let trace = run(&emp, ECHO_CONNS, echo_cfg(), echo_server, echo_client);
     assert_eq!(trace, vec![format!("served({ECHO_CONNS})")]);
 }
 
 #[test]
 fn echo_32_connections_byte_exact_on_kernel() {
-    let trace = run_tcp(
-        ECHO_CONNS,
-        echo_cfg(),
-        echo_server,
-        echo_client::<kernel_tcp::TcpConn>,
-    );
+    let [_, tcp] = testbeds();
+    let trace = run(&tcp, ECHO_CONNS, echo_cfg(), echo_server, echo_client);
     assert_eq!(trace, vec![format!("served({ECHO_CONNS})")]);
 }
 
 // --- per-op deadlines: a deadlined Sqe fires Timeout while ops on
 // --- other targets proceed, and head-of-line releases afterwards ----
 
-fn deadline_server<D: RingDriver>(
-    ctx: &ProcessCtx,
-    ring: &mut RingCore<D>,
-) -> SimResult<Vec<String>> {
+fn deadline_server(ctx: &ProcessCtx, ring: &mut Ring<'_>) -> SimResult<Vec<String>> {
     let mut trace = Vec::new();
     let ms = SimDuration::from_millis;
     push(ring, 1, RingOp::Accept { listener: 0 });
@@ -829,12 +700,12 @@ fn deadline_server<D: RingDriver>(
     Ok(trace)
 }
 
-fn deadline_client<C: ConfClient>(ctx: &ProcessCtx, _i: usize, c: &C) -> SimResult<()> {
+fn deadline_client(ctx: &ProcessCtx, _i: usize, c: &Conn) -> SimResult<()> {
     ctx.delay(SimDuration::from_millis(1))?;
-    c.send_all(ctx, &[9; 4])?;
-    let got = c.recv_exact(ctx, 4)?;
+    send_all(ctx, c, &[9; 4])?;
+    let got = recv_exact(ctx, c, 4)?;
     assert_eq!(got, [7; 4], "post-timeout write corrupted");
-    c.shut(ctx)
+    c.close(ctx)
 }
 
 fn deadline_trace() -> Vec<String> {
@@ -851,18 +722,7 @@ fn deadline_trace() -> Vec<String> {
 #[test]
 fn deadlined_sqes_time_out_while_other_targets_proceed_on_both_stacks() {
     let cfg = RingConfig::default();
-    let emp = run_emp(
-        1,
-        cfg,
-        deadline_server,
-        deadline_client::<sockets_emp::Connection>,
-    );
-    let tcp = run_tcp(
-        1,
-        cfg,
-        deadline_server,
-        deadline_client::<kernel_tcp::TcpConn>,
-    );
+    let [emp, tcp] = run_both(1, cfg, deadline_server, deadline_client);
     assert_eq!(emp, deadline_trace(), "substrate deadline trace");
     assert_eq!(tcp, deadline_trace(), "kernel deadline trace");
 }
@@ -873,27 +733,16 @@ fn deadlined_sqes_time_out_while_other_targets_proceed_on_both_stacks() {
 #[test]
 fn ring_deadlines_fire_under_connect_timeout_and_peer_watchdog() {
     let ms = SimDuration::from_millis;
-    let sim = Sim::new();
-    let cl = build_cluster(2, EmpConfig::default(), SwitchConfig::default());
     // Both overload knobs armed: the connect path carries a 50 ms
     // deadline, blocking waits a 20 ms ack-starvation watchdog. Ring
     // deadlines are shorter than both and must fire independently.
     let cfg = SubstrateConfig::ds_da_uq()
         .with_connect_timeout(ms(50))
         .with_peer_watchdog(ms(20));
-    let ssub = EmpSockets::new(cl.nodes[1].endpoint(), cfg.clone());
-    let csub = EmpSockets::new(cl.nodes[0].endpoint(), cfg);
-    let addr = sockets_emp::SockAddr::new(cl.nodes[1].addr(), PORT);
-    let done = Completion::new();
-    let cdone = Completion::new();
-    let (d2, cd2) = (done.clone(), cdone.clone());
-
-    sim.spawn("watchdog-ring-server", move |ctx| {
-        let l = ssub.listen(ctx, PORT, 4)?.expect("port free");
-        let mut ring = sockets_emp::ring::ring(RingConfig::default(), "wd-ring");
-        ring.add_listener(l);
-        push(&mut ring, 1, RingOp::Accept { listener: 0 });
-        let cqes = wait_cqes(ctx, &mut ring, 1)?;
+    let tb = Testbed::emp(2, EmpConfig::default(), cfg, "emp-watchdog");
+    let server = move |ctx: &ProcessCtx, ring: &mut Ring<'_>| {
+        push(ring, 1, RingOp::Accept { listener: 0 });
+        let cqes = wait_cqes(ctx, ring, 1)?;
         assert!(matches!(cqes[0].result, CqeResult::Accepted { conn: 0 }));
 
         // The client stays silent for 10 ms — longer than the 5 ms ring
@@ -902,7 +751,7 @@ fn ring_deadlines_fire_under_connect_timeout_and_peer_watchdog() {
         let t0 = ctx.now();
         ring.push(Sqe::new(20, RingOp::Read { conn: 0, buf: 0 }).with_deadline(t0 + ms(5)))
             .expect("push deadlined read");
-        let cqes = wait_cqes(ctx, &mut ring, 1)?;
+        let cqes = wait_cqes(ctx, ring, 1)?;
         assert!(
             matches!(
                 cqes[0].result,
@@ -916,27 +765,20 @@ fn ring_deadlines_fire_under_connect_timeout_and_peer_watchdog() {
 
         // The connection is still live: a fresh undeadlined read picks
         // up the client's (late) payload.
-        push(&mut ring, 21, RingOp::Read { conn: 0, buf: 0 });
-        let cqes = wait_cqes(ctx, &mut ring, 1)?;
+        push(ring, 21, RingOp::Read { conn: 0, buf: 0 });
+        let cqes = wait_cqes(ctx, ring, 1)?;
         assert!(
             matches!(cqes[0].result, CqeResult::Read { buf: 0, len: 4 }),
             "post-deadline read must still deliver: {cqes:?}"
         );
-        push(&mut ring, 22, RingOp::Close { conn: 0 });
-        let _ = wait_cqes(ctx, &mut ring, 1)?;
-        finish_ring(ctx, &mut ring)?;
-        d2.complete(ctx);
-        Ok(())
-    });
-    sim.spawn("watchdog-ring-client", move |ctx| {
-        let conn = csub.connect(ctx, addr)?.expect("connect under deadline");
+        push(ring, 22, RingOp::Close { conn: 0 });
+        let _ = wait_cqes(ctx, ring, 1)?;
+        Ok(Vec::new())
+    };
+    let client = move |ctx: &ProcessCtx, _i: usize, conn: &Conn| {
         ctx.delay(ms(10))?;
         conn.write(ctx, &[5; 4])?.expect("late write");
-        conn.close(ctx)?;
-        cd2.complete(ctx);
-        Ok(())
-    });
-    sim.run();
-    assert!(done.is_done(), "server did not finish");
-    assert!(cdone.is_done(), "client did not finish");
+        conn.close(ctx)
+    };
+    run(&tb, 1, RingConfig::default(), server, client);
 }

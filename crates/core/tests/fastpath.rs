@@ -385,6 +385,7 @@ fn paper_presets_take_neither_fast_path() {
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use emp_apps::{ring, EmpNet};
 use simnet::ring::{CqeResult, RingConfig, RingOp, Sqe};
 use simnet::SimAccess;
 use sockets_emp::{Connection, CopyPolicy};
@@ -451,7 +452,7 @@ fn a_write_reaches_a_parked_reader_at_once_or_within_the_deadline() {
 
 /// What closes socket B once the exchange is over (the connection itself,
 /// or the ring that took it over).
-type Teardown = Box<dyn FnOnce(&simnet::ProcessCtx) -> simnet::SimResult<()>>;
+type Teardown<'a> = Box<dyn FnOnce(&simnet::ProcessCtx) -> simnet::SimResult<()> + 'a>;
 
 /// How the process in [`write_to_b_then_block_on_a`] hands its small
 /// message to socket B.
@@ -500,6 +501,7 @@ fn write_to_b_then_block_on_a(front_end: FrontEnd) {
         l.close(ctx)
     });
     sim.spawn("me", move |ctx| {
+        let api = EmpNet::new(me.clone(), "me");
         let a = me.connect(ctx, addr_a)?.expect("connect a");
         let b = me.connect(ctx, addr_b)?.expect("connect b");
         let halves = pattern(128);
@@ -525,8 +527,8 @@ fn write_to_b_then_block_on_a(front_end: FrontEnd) {
                     buf_size: 64,
                     max_registered_bytes: None,
                 };
-                let mut ring = sockets_emp::ring::ring(cfg, "deadline");
-                let conn = ring.add_conn(b);
+                let mut ring = ring(&api, cfg, "deadline");
+                let conn = ring.add_conn(Box::new(b));
                 for (buf, half) in [(0, first), (1, second)] {
                     ring.fill(buf, half).expect("fill");
                     let write = RingOp::Write { conn, buf, len: 64 };
@@ -538,8 +540,8 @@ fn write_to_b_then_block_on_a(front_end: FrontEnd) {
                     matches!(cqes[1].result, CqeResult::Wrote { buf: 1, len: 64 }),
                     "{cqes:?}"
                 );
-                let s = ring.conn(conn).expect("registered").stats();
-                assert_eq!(s.writes_coalesced, 1);
+                let s = ring.conn(conn).expect("registered").substrate_stats();
+                assert_eq!(s.expect("substrate").writes_coalesced, 1);
                 Box::new(move |ctx| ring.shutdown(ctx))
             }
         };
@@ -740,8 +742,9 @@ fn ring_reads_follow_the_copy_policy() {
                 buf_size: 4096,
                 max_registered_bytes: None,
             };
-            let mut ring = sockets_emp::ring::ring(cfg, "policy");
-            let conn = ring.add_conn(conn);
+            let api = EmpNet::new(server, "policy");
+            let mut ring = ring(&api, cfg, "policy");
+            let conn = ring.add_conn(Box::new(conn));
             ring.push(Sqe::new(1, RingOp::Read { conn, buf: 0 }))
                 .expect("push");
             ring.submit_and_wait(ctx, 1)?.expect("read");
@@ -750,7 +753,8 @@ fn ring_reads_follow_the_copy_policy() {
                 matches!(cqes[0].result, CqeResult::Read { buf: 0, len: 2048 }),
                 "{cqes:?}"
             );
-            let s = ring.conn(conn).expect("registered").stats();
+            let s = ring.conn(conn).expect("registered").substrate_stats();
+            let s = s.expect("substrate");
             assert_eq!(s.copies_avoided, u64::from(direct));
             assert_eq!(s.bytes_direct, if direct { 2048 } else { 0 });
             ring.shutdown(ctx)?;

@@ -3,6 +3,7 @@
 //! and delays frames, and a peer that vanishes must surface
 //! [`NetError::Timeout`] / [`NetError::PeerGone`] instead of a hang.
 
+use emp_apps::{ring, EmpNet, NetApi};
 use emp_proto::{build_cluster, EmpCluster, EmpConfig};
 use simnet::ring::{CqeResult, RingConfig, RingCore, RingDriver, RingOp, Sqe};
 use simnet::{
@@ -386,8 +387,9 @@ fn ring_exchange(faults: FaultPlan, total: usize, chunk: usize) {
             buf_size: 8192,
             max_registered_bytes: None,
         };
-        let l = server.listen(ctx, 80, 4)?.expect("port free");
-        let mut ring = sockets_emp::ring::ring(cfg, "lossy-ring");
+        let api = EmpNet::new(server, "lossy");
+        let l = api.listen(ctx, 80, 4)?.expect("port free");
+        let mut ring = ring(&api, cfg, "lossy-ring");
         assert_eq!(ring.add_listener(l), 0);
 
         ring.push(Sqe::new(0, RingOp::Accept { listener: 0 }))

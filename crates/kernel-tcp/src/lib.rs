@@ -16,7 +16,6 @@
 pub mod api;
 pub mod config;
 pub mod nic;
-pub mod ring;
 pub mod stack;
 pub mod tcp;
 pub mod testbed;
@@ -26,7 +25,6 @@ pub mod wire;
 pub use api::{TcpApi, TcpConn, TcpListener, TcpPollSource, TcpPollTarget, UdpSock};
 pub use config::TcpConfig;
 pub use nic::AcenicNic;
-pub use ring::{TcpRing, TcpRingDriver};
 pub use simnet::{Event, Interest, NetError};
 pub use stack::TcpStack;
 pub use testbed::{build_tcp_cluster, TcpCluster, TcpNode};

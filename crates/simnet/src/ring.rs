@@ -7,9 +7,9 @@
 //! paper's argument — once socket processing leaves the kernel, the
 //! natural steady state is a pool of application-registered buffers the
 //! stack completes into directly (io_uring-style), not a parked reader
-//! per socket. Both the sockets-over-EMP substrate and the kernel TCP
-//! baseline express their rings in these types so the two stacks can be
-//! differentially tested against one semantic contract.
+//! per socket. The sockets-over-EMP substrate and the kernel TCP
+//! baseline run their rings on these types, through one driver over the
+//! applications' sockets facade, so the two stacks share one contract.
 //!
 //! The contract, in brief:
 //!
@@ -302,10 +302,10 @@ pub struct RingCounters {
 }
 
 /// A stack's nonblocking ops plus one blocking wait — everything
-/// [`RingCore`] needs to drive a ring over it. Implementations: the EMP
-/// substrate (`sockets-emp`, completing reads directly from NIC slots)
-/// and the kernel TCP baseline (`kernel-tcp`, emulating the same
-/// semantics over its nonblocking calls).
+/// [`RingCore`] needs to drive a ring over it. The one implementation
+/// (`emp-apps`' `ApiRingDriver`) works over the sockets facade, so it
+/// serves both the EMP substrate and the kernel TCP baseline; test
+/// fakes implement it too.
 pub trait RingDriver {
     /// The stack's connection handle.
     type Conn;

@@ -1,7 +1,8 @@
 //! Property-based tests of the completion-ring invariants: arbitrary
-//! push/submit/reap schedules over a live 2-node substrate must never
-//! lose or double a completion, must round-trip every `user_data`, must
-//! never alias one registered buffer across two in-flight ops, and must
+//! push/submit/reap schedules over a live 2-node cluster — each schedule
+//! on the substrate and on the kernel baseline — must never lose or
+//! double a completion, must round-trip every `user_data`, must never
+//! alias one registered buffer across two in-flight ops, and must
 //! surface queue overflow as typed push errors rather than dropped
 //! completions.
 //!
@@ -14,12 +15,11 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
-use sockets_over_emp::emp_apps::Testbed;
+use sockets_over_emp::emp_apps::{ring, Testbed};
 use sockets_over_emp::prelude::*;
 use sockets_over_emp::simnet::ring::{CqeResult, RingConfig, RingError, RingOp, Sqe};
 use sockets_over_emp::simnet::Completion as SimCompletion;
 use sockets_over_emp::simnet::NetError;
-use sockets_over_emp::{emp_proto, sockets_emp};
 
 /// One step of a random ring schedule. The connection under test is
 /// always ring id 0; buffer ids may point past the pool (`BadBuf`) and
@@ -127,14 +127,14 @@ impl Model {
 
 const CLIENT_TOTAL: usize = 2048;
 
-/// Run one random schedule against a live ring and check every invariant
-/// along the way. Panics (with the violated invariant) on failure.
-fn run_schedule(g: Geom, steps: Vec<Step>) {
+/// Run one random schedule against a live ring on `tb` and check every
+/// invariant along the way. Panics (with the violated invariant) on
+/// failure.
+fn run_schedule(tb: &Testbed, g: Geom, steps: Vec<Step>) {
     let sim = Sim::new();
-    let cluster = emp_proto::build_cluster(2, EmpConfig::default(), SwitchConfig::default());
-    let server = EmpSockets::new(cluster.nodes[1].endpoint(), SubstrateConfig::ds_da_uq());
-    let client = EmpSockets::new(cluster.nodes[0].endpoint(), SubstrateConfig::ds_da_uq());
-    let addr = SockAddr::new(cluster.nodes[1].addr(), 80);
+    let server = Arc::clone(&tb.nodes[1].api);
+    let client = Arc::clone(&tb.nodes[0].api);
+    let host = server.local_host();
     let done = SimCompletion::new();
     let d2 = done.clone();
     let failure: Arc<Mutex<Option<String>>> = Arc::default();
@@ -149,7 +149,7 @@ fn run_schedule(g: Geom, steps: Vec<Step>) {
             max_registered_bytes: None,
         };
         let l = server.listen(ctx, 80, 4)?.expect("port free");
-        let mut ring = sockets_emp::ring::ring(cfg, "prop");
+        let mut ring = ring(server.as_ref(), cfg, "prop");
         ring.add_listener(l);
         let mut m = Model::new(g);
 
@@ -294,7 +294,7 @@ fn run_schedule(g: Geom, steps: Vec<Step>) {
     });
 
     sim.spawn("client", move |ctx| {
-        let conn = client.connect(ctx, addr)?.expect("connect");
+        let conn = client.connect(ctx, host, 80)?.expect("connect");
         let data = vec![0xAB; CLIENT_TOTAL];
         let mut off = 0;
         // Nonblocking sender with a bounded spin so the sim always
@@ -314,16 +314,20 @@ fn run_schedule(g: Geom, steps: Vec<Step>) {
     });
 
     sim.run_until(SimTime::from_secs(120));
-    assert!(done.is_done(), "ring server never finished its schedule");
+    let stack = tb.nodes[0].api.label();
+    assert!(
+        done.is_done(),
+        "{stack}: ring server never finished its schedule"
+    );
     let failed = failure.lock().take();
     if let Some(msg) = failed {
-        panic!("ring invariant violated: {msg}");
+        panic!("{stack}: ring invariant violated: {msg}");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 12, // each case runs a full simulation with OS threads
+        cases: 12, // each case runs two full simulations with OS threads
         .. ProptestConfig::default()
     })]
 
@@ -342,7 +346,16 @@ proptest! {
             .iter()
             .map(|&(k, b, l)| decode_step(g, k, b, l))
             .collect();
-        run_schedule(g, steps);
+        // The stack is one more input: the same schedule on each.
+        let substrate = Testbed::emp(
+            2,
+            EmpConfig::default(),
+            SubstrateConfig::ds_da_uq(),
+            "prop-emp",
+        );
+        for tb in [substrate, Testbed::kernel_default(2)] {
+            run_schedule(&tb, g, steps.clone());
+        }
     }
 }
 
@@ -360,7 +373,7 @@ fn cancelled_ring_ops_complete_as_cancelled_on_both_stacks() {
         let d2 = done.clone();
         sim.spawn("ring-server", move |ctx| {
             let l = server.listen(ctx, 80, 4)?.expect("port free");
-            let mut ring = server.ring(RingConfig::default(), "cancel");
+            let mut ring = ring(server.as_ref(), RingConfig::default(), "cancel");
             let conn = ring.add_conn(l.accept(ctx)?.expect("client"));
             // The client never writes: the read stalls until cancelled.
             ring.push(Sqe::new(9, RingOp::Read { conn, buf: 0 }))
