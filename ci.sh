@@ -38,13 +38,16 @@ cargo test --workspace -q --features trace
 
 step "cargo test (lossy suite)"
 # Chaos stage: the substrate robustness suite (seeded fault injection,
-# vanished-peer detection) and EMP's own loss recovery (selective repeat,
-# RTT-measured timeout, a slow receiver not mistaken for loss) in both
-# build modes.
+# vanished-peer detection), EMP's own loss recovery (selective repeat,
+# RTT-measured timeout, a slow receiver not mistaken for loss) and EMP's
+# ack piggy-backing (a lost carrier frame recovered, a one-way stream
+# untouched) in both build modes.
 cargo test -q -p sockets-emp --test lossy
 cargo test -q -p sockets-emp --test lossy --features sockets-emp/trace
 cargo test -q -p emp-proto --test reliability
 cargo test -q -p emp-proto --test reliability --features emp-proto/trace
+cargo test -q -p emp-proto --test piggyback
+cargo test -q -p emp-proto --test piggyback --features emp-proto/trace
 
 step "traced ping-pong smoke"
 # Must print a latency budget and a non-empty Chrome trace.
@@ -116,8 +119,9 @@ step "telemetry smoke (empstat)"
 # default build and the traced one, and the JSON export must parse. The
 # self-check also gates that the default data path is the one taken
 # (sock.coalesce_flushes, sock.piggybacked_credits, sock.copies_avoided
-# all > 0) and that no connection closed with staged bytes or an unpaid
-# timer flush (sock.stranded_bytes, sock.unpaid_flush_debt_ns == 0).
+# and EMP's acks_piggybacked all > 0) and that no connection closed with
+# staged bytes or an unpaid timer flush (sock.stranded_bytes,
+# sock.unpaid_flush_debt_ns == 0).
 mkdir -p target/figures
 telemetry_smoke() {
     local features=() label="$1"

@@ -3,17 +3,19 @@
 //! everything the always-on telemetry registry collected.
 //!
 //! ```text
-//! cargo run --release -p emp-bench --bin empstat             # table
+//! cargo run --release -p emp-bench --bin empstat             # tables
 //! cargo run --release -p emp-bench --bin empstat -- --json   # JSON export
 //! cargo run --release -p emp-bench --bin empstat -- --prom   # Prometheus text
 //! cargo run --release -p emp-bench --bin empstat -- --overhead
 //! cargo run --release -p emp-bench --bin empstat -- --overload
 //! ```
 //!
+//! The table form also prints each NIC's firmware busy time by task kind.
 //! With `--json`/`--prom` the export goes to stdout and the workload
-//! summary + self-check lines to stderr, so the output pipes cleanly into
-//! files or scrapers. The process exits non-zero if the self-check fails
-//! (a named histogram recorded nothing) — the `telemetry-smoke` stage of
+//! summary, per-NIC table and self-check lines to stderr, so the output
+//! pipes cleanly into files or scrapers. The process exits non-zero if
+//! the self-check fails (a named histogram recorded nothing, or the
+//! default data path was not taken) — the `telemetry-smoke` stage of
 //! `ci.sh` relies on that. `--overhead` instead microbenchmarks the
 //! telemetry hot paths and fails if the estimated share of an
 //! instrumented ping-pong exceeds the 2% budget. `--overload` runs the
@@ -65,7 +67,8 @@ fn main() {
 
     let run = stat::run_standard_workload();
     let summary = stat::workload_summary(&run);
-    let check = match stat::self_check(&run.snapshot) {
+    let nics = stat::nic_profile_table(&run.nics);
+    let check = match stat::self_check(&run) {
         Ok(line) => line,
         Err(e) => {
             eprintln!("{summary}");
@@ -78,15 +81,18 @@ fn main() {
             println!("{summary}");
             println!("{check}");
             println!();
+            println!("{nics}");
             print!("{}", run.snapshot.render_table());
         }
         "json" => {
             eprintln!("{summary}");
+            eprint!("{nics}");
             eprintln!("{check}");
             print!("{}", run.snapshot.to_json());
         }
         "prom" => {
             eprintln!("{summary}");
+            eprint!("{nics}");
             eprintln!("{check}");
             print!("{}", run.snapshot.render_prom());
         }

@@ -3,7 +3,8 @@
 //! small writes), the readiness path (event-loop webserver) and the
 //! completion path (ring-served webserver) on the same testbed,
 //! then a snapshot of everything the always-on telemetry registry
-//! collected along the way.
+//! collected along the way, and each NIC's protocol counters with its
+//! firmware time split by task kind.
 //!
 //! Both the `empstat` binary and the `figures --json` telemetry section
 //! run this, so the numbers a dashboard scrapes and the numbers the
@@ -11,6 +12,9 @@
 //! determinism integration test runs it twice and asserts byte-identical
 //! registry contents.
 
+use std::fmt::Write as _;
+
+use emp_proto::EmpStats;
 use simnet::emp_trace::telemetry::RegistrySnapshot;
 use simnet::{Sim, SimAccess};
 
@@ -59,6 +63,8 @@ pub struct StatRun {
     /// Overload storm result (connect storm against a shedding server),
     /// so the admission-control counters are always live in the export.
     pub storm: OverloadReport,
+    /// Each NIC's protocol counters and firmware profile, by node.
+    pub nics: Vec<EmpStats>,
 }
 
 /// Run the standard workload on a fresh simulation: a
@@ -110,7 +116,9 @@ pub fn run_standard_workload() -> StatRun {
     let stream_mbps = bandwidth::throughput_mbps(&sim, &tb, STREAM_WRITE_BYTES, STREAM_BYTES);
     let reg = sim.telemetry();
     reg.sample_now(sim.now().nanos());
+    let cluster = tb.emp_cluster().expect("EMP testbed");
     StatRun {
+        nics: cluster.nodes.iter().map(|n| n.nic.stats()).collect(),
         snapshot: reg.snapshot(),
         pingpong_us,
         stream_mbps,
@@ -151,10 +159,44 @@ pub fn workload_summary(run: &StatRun) -> String {
     )
 }
 
+/// Per-NIC firmware profile: each CPU's busy time by task kind (µs), and
+/// how the NIC's acks left — standalone or riding on a data frame.
+pub fn nic_profile_table(nics: &[EmpStats]) -> String {
+    let us = |ns: u64| format!("{:.1}", ns as f64 / 1e3);
+    let mut out = String::from(
+        "per-NIC firmware busy time (us) by task kind\n\
+         node | rx: total frame walk dma completion ack post uq_resize \
+         | tx: total request frame ack | acks: standalone held piggybacked\n",
+    );
+    for (node, s) in nics.iter().enumerate() {
+        let (rx, tx) = (s.rx_fw, s.tx_fw);
+        let rx_cols = [
+            rx.total(),
+            rx.frame,
+            rx.walk,
+            rx.dma,
+            rx.completion,
+            rx.ack,
+            rx.post,
+            rx.uq_resize,
+        ]
+        .map(us)
+        .join(" ");
+        let tx_cols = [tx.total(), tx.request, tx.frame, tx.ack].map(us).join(" ");
+        let _ = writeln!(
+            out,
+            "n{node} | rx: {rx_cols} | tx: {tx_cols} | acks: {} {} {}",
+            s.acks_sent, s.acks_held, s.acks_piggybacked
+        );
+    }
+    out
+}
+
 /// Telemetry self-check: the histograms and series the acceptance
 /// criteria name must be non-empty after the standard workload. Returns
 /// an error string naming the first missing piece.
-pub fn self_check(snap: &RegistrySnapshot) -> Result<String, String> {
+pub fn self_check(run: &StatRun) -> Result<String, String> {
+    let snap = &run.snapshot;
     let need_hists = [
         "app.rtt_ns",
         "app.eventloop_turn_ns",
@@ -239,9 +281,14 @@ pub fn self_check(snap: &RegistrySnapshot) -> Result<String, String> {
     // The default data path must actually be the one taken: closing
     // connections add their counters, so each of the three mechanisms
     // (staged writes, piggy-backed acks, direct delivery) must have fired
-    // somewhere in the workload — and no connection may have closed with
-    // bytes still staged or a timer flush it never paid for.
+    // somewhere in the workload, and EMP's own acks must have ridden on
+    // data frames — and no connection may have closed with bytes still
+    // staged or a timer flush it never paid for.
     let ctr = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    let emp_piggybacked: u64 = run.nics.iter().map(|s| s.acks_piggybacked).sum();
+    if emp_piggybacked == 0 {
+        return Err("emp acks_piggybacked == 0: the default path was not taken".into());
+    }
     let fast_path = [
         "sock.coalesce_flushes",
         "sock.piggybacked_credits",
@@ -267,6 +314,7 @@ pub fn self_check(snap: &RegistrySnapshot) -> Result<String, String> {
     parts.push(format!("refused={refused}"));
     parts.push(format!("shed={shed}"));
     parts.extend(fast_path.iter().map(|n| format!("{n}={}", ctr(n))));
+    parts.push(format!("emp.acks_piggybacked={emp_piggybacked}"));
     Ok(format!("empstat self-check ok: {}", parts.join(" ")))
 }
 
@@ -428,7 +476,7 @@ mod tests {
     #[test]
     fn standard_workload_fills_registry() {
         let run = run_standard_workload();
-        let ok = self_check(&run.snapshot).expect("self-check");
+        let ok = self_check(&run).expect("self-check");
         assert!(ok.contains("series="));
         assert!(run.pingpong_us > 0.0);
         assert!(run.web.requests == u64::from(WEB_CONNS) * u64::from(WEB_REQS));

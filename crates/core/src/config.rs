@@ -163,7 +163,9 @@ pub struct SubstrateConfig {
     /// §6.4: keep flow-control-ack buffers in the EMP unexpected queue so
     /// they stop lengthening the data descriptors' tag-match walk.
     pub acks_in_unexpected_queue: bool,
-    /// §6.1: piggy-back due acknowledgments on reverse-direction data.
+    /// §6.1: piggy-back due acknowledgments on reverse-direction data —
+    /// the substrate's credit acks, and (set on the NIC at bind) EMP's own
+    /// per-message acks (DESIGN §8).
     pub piggyback_acks: bool,
     /// Datagram sockets: messages up to this size go eagerly (zero-copy to
     /// a pre-posted user buffer); larger ones use rendezvous (§6.2).

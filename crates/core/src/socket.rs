@@ -46,8 +46,11 @@ pub struct EmpSockets {
 
 impl EmpSockets {
     /// Bind the substrate to a node's EMP endpoint with the given
-    /// configuration.
+    /// configuration. `cfg.piggyback_acks` switches piggy-backing at both
+    /// layers: credit acks on reverse data here, and EMP's own acks on
+    /// reverse frames in the NIC (DESIGN §8).
     pub fn new(ep: EmpEndpoint, cfg: SubstrateConfig) -> Self {
+        ep.nic().set_piggyback_acks(cfg.piggyback_acks);
         EmpSockets {
             proc_: ProcShared::new(ep, cfg),
         }

@@ -63,10 +63,14 @@ fn one_way(cfg: SubstrateConfig, count: usize, size: usize) -> (ConnStats, ConnS
 /// Ping-pong exchange: both sides alternate send/receive `iters` times.
 /// Returns `(client_stats, server_stats)`.
 fn ping_pong(cfg: SubstrateConfig, iters: usize) -> (ConnStats, ConnStats) {
+    ping_pong_on(&cluster(2), cfg, iters)
+}
+
+/// [`ping_pong`] between nodes 0 and 1 of `cl`.
+fn ping_pong_on(cl: &EmpCluster, cfg: SubstrateConfig, iters: usize) -> (ConnStats, ConnStats) {
     let sim = Sim::new();
-    let cl = cluster(2);
-    let server = substrate(&cl, 1, cfg.clone());
-    let client = substrate(&cl, 0, cfg);
+    let server = substrate(cl, 1, cfg.clone());
+    let client = substrate(cl, 0, cfg);
     let addr = SockAddr::new(cl.nodes[1].addr(), 80);
     let out = Arc::new(Mutex::new((ConnStats::default(), ConnStats::default())));
 
@@ -220,6 +224,37 @@ fn piggybacked_credits_move_only_with_bidirectional_traffic() {
         s_pb.fcacks_sent,
         s.fcacks_sent
     );
+}
+
+#[test]
+fn only_the_default_binds_nic_level_ack_piggybacking() {
+    // The substrate switches EMP's own ack piggy-backing with the §6.1
+    // flag when it binds: under every paper preset the NIC never holds an
+    // ack, so each message still costs one standalone ack frame.
+    let presets = [
+        SubstrateConfig::ds(),
+        SubstrateConfig::ds_da(),
+        SubstrateConfig::ds_da_uq(),
+        SubstrateConfig::dg(),
+    ];
+    for cfg in presets {
+        let cl = cluster(2);
+        ping_pong_on(&cl, cfg, 16);
+        for node in &cl.nodes {
+            let s = node.nic.stats();
+            assert!(!node.nic.piggyback_acks());
+            assert_eq!((s.acks_held, s.acks_piggybacked), (0, 0));
+            assert_eq!(s.acks_sent, s.msgs_received);
+        }
+    }
+    let cl = cluster(2);
+    ping_pong_on(&cl, SubstrateConfig::default(), 16);
+    for node in &cl.nodes {
+        let s = node.nic.stats();
+        assert!(node.nic.piggyback_acks());
+        assert!(s.acks_piggybacked > 0, "echo traffic carries EMP acks");
+        assert!(s.acks_sent < s.msgs_received);
+    }
 }
 
 #[test]

@@ -8,12 +8,15 @@
 //! tag-matched against the pre-posted descriptor list (R4, at the measured
 //! 550 ns per descriptor walked), and DMA'd to the host buffer (R6); acks
 //! with a bitmap of held fragments go back every `ack_window` frames, and
-//! every frame while the message has a hole.
+//! every frame while the message has a hole. With piggy-backing on, a short
+//! message's final ack may wait up to half an SRTT to ride on a data frame
+//! to the same peer (DESIGN §8).
 //! Frames that match nothing fall into the unexpected queue if slots are
 //! available (checked last, extra host copy on claim), else are dropped for
 //! the sender to retransmit.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
@@ -25,7 +28,7 @@ use simnet::{
 use tigon_nic::Tigon;
 
 use crate::config::EmpConfig;
-use crate::wire::{chunk_range, frames_for, EmpWire, RecvMsg, Tag};
+use crate::wire::{ack_fits, chunk_range, frames_for, Ack, EmpWire, RecvMsg, Tag};
 
 /// Identifier of a posted receive descriptor.
 pub type DescId = u64;
@@ -51,8 +54,16 @@ pub struct EmpStats {
     pub fast_retransmits: u64,
     /// Messages abandoned after `max_retries`.
     pub sends_failed: u64,
-    /// Protocol acks put on the wire.
+    /// Standalone ack frames put on the wire.
     pub acks_sent: u64,
+    /// Final acks held back to ride on a data frame to the same peer
+    /// (DESIGN §8); each then rides, or leaves alone when the hold ends.
+    pub acks_held: u64,
+    /// Acks that went out attached to a data frame rather than in a frame
+    /// of their own (not counted in `acks_sent`).
+    pub acks_piggybacked: u64,
+    /// Acks consumed from arriving data frames.
+    pub acks_piggybacked_received: u64,
     /// Negative acknowledgments put on the wire (busy backpressure and
     /// refusals of `no_uq` messages that matched nothing).
     pub nacks_sent: u64,
@@ -70,6 +81,103 @@ pub struct EmpStats {
     pub nic_rx_ring_drops: u64,
     /// DMA completions delayed by injected PCI contention.
     pub nic_dma_delays: u64,
+    /// Receive-firmware busy time by task kind.
+    pub rx_fw: RxFirmwareNs,
+    /// Transmit-firmware busy time by task kind.
+    pub tx_fw: TxFirmwareNs,
+}
+
+/// Receive-CPU busy nanoseconds by firmware task kind. On a two-CPU NIC
+/// the kinds sum to the rx CPU's `busy_total()`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RxFirmwareNs {
+    /// Per-frame classification and reliability bookkeeping (R3–R5),
+    /// attached acks included.
+    pub frame: u64,
+    /// Tag-match walk over the pre-posted descriptors (R4).
+    pub walk: u64,
+    /// DMA of received bytes to the host (R6), injected stalls included.
+    pub dma: u64,
+    /// Completion posts to the host.
+    pub completion: u64,
+    /// Consuming standalone acks and nacks.
+    pub ack: u64,
+    /// Descriptor inserts and removals.
+    pub post: u64,
+    /// Unexpected-queue resizes.
+    pub uq_resize: u64,
+}
+
+impl RxFirmwareNs {
+    /// All kinds together.
+    pub fn total(&self) -> u64 {
+        self.frame + self.walk + self.dma + self.completion + self.ack + self.post + self.uq_resize
+    }
+}
+
+/// Transmit-CPU busy nanoseconds by firmware task kind. On a two-CPU NIC
+/// the kinds sum to the tx CPU's `busy_total()`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TxFirmwareNs {
+    /// Accepting host send requests (T1–T3).
+    pub request: u64,
+    /// Per-frame DMA fetch, header build and MAC hand-off (T4–T5).
+    pub frame: u64,
+    /// Generating standalone acks and nacks.
+    pub ack: u64,
+}
+
+impl TxFirmwareNs {
+    /// All kinds together.
+    pub fn total(&self) -> u64 {
+        self.request + self.frame + self.ack
+    }
+}
+
+/// A firmware task kind, indexing [`FwProfile`].
+#[derive(Clone, Copy)]
+enum Fw {
+    RxFrame,
+    RxWalk,
+    RxDma,
+    RxCompletion,
+    RxAck,
+    RxPost,
+    RxUqResize,
+    TxRequest,
+    TxFrame,
+    TxAck,
+}
+
+/// Firmware busy nanoseconds per task kind, charged when the task is
+/// scheduled — where the CPU adds it to its busy total.
+#[derive(Default)]
+struct FwProfile([AtomicU64; 10]);
+
+impl FwProfile {
+    fn get(&self, kind: Fw) -> u64 {
+        self.0[kind as usize].load(Ordering::Relaxed)
+    }
+
+    fn rx(&self) -> RxFirmwareNs {
+        RxFirmwareNs {
+            frame: self.get(Fw::RxFrame),
+            walk: self.get(Fw::RxWalk),
+            dma: self.get(Fw::RxDma),
+            completion: self.get(Fw::RxCompletion),
+            ack: self.get(Fw::RxAck),
+            post: self.get(Fw::RxPost),
+            uq_resize: self.get(Fw::RxUqResize),
+        }
+    }
+
+    fn tx(&self) -> TxFirmwareNs {
+        TxFirmwareNs {
+            request: self.get(Fw::TxRequest),
+            frame: self.get(Fw::TxFrame),
+            ack: self.get(Fw::TxAck),
+        }
+    }
 }
 
 /// Host-visible side of a send: completes when every frame is acked (or the
@@ -194,6 +302,12 @@ struct TxRecord {
 }
 
 impl TxRecord {
+    /// Message bytes carried by fragment `idx`.
+    fn chunk_len(&self, idx: u32) -> usize {
+        let (a, b) = chunk_range(self.data.len(), idx);
+        b - a
+    }
+
     /// Fragment `idx`'s bit in `held` and `resent`.
     fn bit(&self, idx: u32) -> u64 {
         1u64.checked_shl(idx - self.acked).unwrap_or(0)
@@ -289,6 +403,9 @@ struct ActiveRecv {
     received_count: u32,
     /// Length of the contiguous prefix, the value cumulative acks carry.
     contiguous: u32,
+    /// No hole has opened and no duplicate arrived, so no ack went back
+    /// before the final one.
+    clean: bool,
     have: Vec<bool>,
     buf: Vec<u8>,
     dest: RecvDest,
@@ -298,6 +415,7 @@ impl ActiveRecv {
     /// Store one fragment; returns `(was_duplicate, message_complete)`.
     fn store(&mut self, idx: u32, chunk: &[u8]) -> (bool, bool) {
         if self.have[idx as usize] {
+            self.clean = false;
             return (true, false);
         }
         let start = idx as usize * crate::wire::MAX_CHUNK;
@@ -307,6 +425,7 @@ impl ActiveRecv {
         while (self.contiguous as usize) < self.have.len() && self.have[self.contiguous as usize] {
             self.contiguous += 1;
         }
+        self.clean &= self.received_count == self.contiguous;
         (false, self.contiguous == self.num_frames)
     }
 
@@ -327,6 +446,33 @@ impl ActiveRecv {
     }
 }
 
+/// NIC-level ack piggy-backing (DESIGN §8): acks held for a data frame to
+/// ride on, and which conversations alternate.
+#[derive(Default)]
+struct AckRides {
+    /// The switch, set from `SubstrateConfig::piggyback_acks` when the
+    /// substrate binds.
+    on: bool,
+    /// Acks held for each peer, oldest first.
+    held: HashMap<MacAddr, VecDeque<Ack>>,
+    /// Peers this NIC released a data frame to since it last completed a
+    /// message from them.
+    sent_since_done: HashSet<MacAddr>,
+}
+
+impl AckRides {
+    /// A data frame carrying `chunk_len` bytes leaves for `dst`: the oldest
+    /// ack held for `dst` boards it if there is room under the MTU.
+    fn board(&mut self, dst: MacAddr, chunk_len: usize) -> Option<Ack> {
+        if !self.on {
+            return None;
+        }
+        self.sent_since_done.insert(dst);
+        let held = self.held.get_mut(&dst).filter(|_| ack_fits(chunk_len))?;
+        held.pop_front()
+    }
+}
+
 struct NicState {
     next_msg_id: u64,
     next_desc_id: DescId,
@@ -337,6 +483,7 @@ struct NicState {
     tx_inflight: u32,
     /// `(srtt, rttvar)` in ns toward each peer this NIC sends to.
     rtt: HashMap<MacAddr, (u64, u64)>,
+    rides: AckRides,
     /// Pre-posted descriptors in post order — the list the tag matcher
     /// walks, 550 ns per entry examined.
     preposted: Vec<RecvDesc>,
@@ -373,6 +520,7 @@ pub struct EmpNic {
     tigon: Tigon,
     cfg: EmpConfig,
     state: Mutex<NicState>,
+    fw: FwProfile,
     self_ref: Weak<EmpNic>,
 }
 
@@ -389,6 +537,7 @@ impl EmpNic {
                 tx_order: VecDeque::new(),
                 tx_inflight: 0,
                 rtt: HashMap::new(),
+                rides: AckRides::default(),
                 preposted: Vec::new(),
                 active: HashMap::new(),
                 unexpected_capacity: 0,
@@ -400,6 +549,7 @@ impl EmpNic {
                 stats: EmpStats::default(),
                 msg_latency: None,
             }),
+            fw: FwProfile::default(),
             self_ref: weak.clone(),
         })
     }
@@ -426,7 +576,30 @@ impl EmpNic {
         let (ring_drops, dma_delays) = self.tigon.fault_counts();
         stats.nic_rx_ring_drops = ring_drops;
         stats.nic_dma_delays = dma_delays;
+        stats.rx_fw = self.fw.rx();
+        stats.tx_fw = self.fw.tx();
         stats
+    }
+
+    /// Switch NIC-level ack piggy-backing (DESIGN §8): a message of at most
+    /// `ack_window` frames that completes with no hole may hold its ack for
+    /// up to half the SRTT to its sender, to ride on a data frame going
+    /// back, when the conversation with that peer alternates. Off until
+    /// set; the sockets substrate sets it from
+    /// `SubstrateConfig::piggyback_acks` when it binds.
+    pub fn set_piggyback_acks(&self, on: bool) {
+        self.state.lock().rides.on = on;
+    }
+
+    /// Whether NIC-level ack piggy-backing is on.
+    pub fn piggyback_acks(&self) -> bool {
+        self.state.lock().rides.on
+    }
+
+    /// Charge `cost` of firmware time to task kind `kind`; returns `cost`.
+    fn charge(&self, kind: Fw, cost: SimDuration) -> SimDuration {
+        self.fw.0[kind as usize].fetch_add(cost.nanos(), Ordering::Relaxed);
+        cost
     }
 
     /// Pre-posted descriptors currently on the NIC.
@@ -590,12 +763,11 @@ impl EmpNic {
         };
         let me = self.arc();
         let earliest = s.now() + self.cfg.nic.pci_post_latency;
-        self.tigon
-            .cpu_tx
-            .exec_at(s, earliest, self.cfg.nic.tx_request_cost, move |sim| {
-                me.state.lock().tx_order.push_back(msg_id);
-                me.release_tx(sim, Vec::new());
-            });
+        let cost = self.charge(Fw::TxRequest, self.cfg.nic.tx_request_cost);
+        self.tigon.cpu_tx.exec_at(s, earliest, cost, move |sim| {
+            me.state.lock().tx_order.push_back(msg_id);
+            me.release_tx(sim, Vec::new());
+        });
         state
     }
 
@@ -639,7 +811,9 @@ impl EmpNic {
                     if rec.note_send(idx, now) {
                         st.stats.frames_retransmitted += 1;
                     }
-                    to_schedule.push(self.data_frame(msg_id, rec, idx));
+                    let ack = st.rides.board(rec.dst, rec.chunk_len(idx));
+                    st.stats.acks_piggybacked += u64::from(ack.is_some());
+                    to_schedule.push(self.data_frame(msg_id, rec, idx, ack));
                 }
                 let released = end - rec.next_to_send;
                 rec.next_to_send = end;
@@ -668,7 +842,7 @@ impl EmpNic {
             if !stall.is_zero() {
                 self.trace(sim, EventKind::NicFault, 1, stall.nanos());
             }
-            let cost = dma + self.cfg.nic.tx_frame_cost + stall;
+            let cost = self.charge(Fw::TxFrame, dma + self.cfg.nic.tx_frame_cost + stall);
             self.tigon.cpu_tx.exec(sim, cost, move |sim| {
                 if emp_trace::ENABLED {
                     me.trace(sim, EventKind::DmaCopy, wire_len as u64, dma.nanos());
@@ -679,8 +853,8 @@ impl EmpNic {
         }
     }
 
-    /// Data frame `idx` of message `msg_id`.
-    fn data_frame(&self, msg_id: u64, rec: &TxRecord, idx: u32) -> Frame {
+    /// Data frame `idx` of message `msg_id`, carrying `ack` if one boarded.
+    fn data_frame(&self, msg_id: u64, rec: &TxRecord, idx: u32, ack: Option<Ack>) -> Frame {
         let (a, b) = chunk_range(rec.data.len(), idx);
         Frame {
             src: self.mac(),
@@ -694,6 +868,7 @@ impl EmpNic {
                 total_len: rec.data.len() as u32,
                 no_uq: rec.no_uq,
                 chunk: rec.data.slice(a, b),
+                ack,
             }),
         }
     }
@@ -773,12 +948,19 @@ impl EmpNic {
         });
     }
 
-    fn process_ack(&self, sim: &Sim, msg_id: u64, frames: u32, sack: u64) {
+    /// Apply a peer's ack; `attached` when it rode on a data frame.
+    fn process_ack(&self, sim: &Sim, ack: Ack, attached: bool) {
+        let Ack {
+            msg_id,
+            frames,
+            sack,
+        } = ack;
         let now = sim.now().nanos();
         let mut resends = Vec::new();
         let finished = {
             let mut guard = self.state.lock();
             let st = &mut *guard;
+            st.stats.acks_piggybacked_received += u64::from(attached);
             let Some(rec) = st.tx.get_mut(&msg_id) else {
                 return; // duplicate ack after completion
             };
@@ -792,7 +974,9 @@ impl EmpNic {
             for bit in (0..u64::BITS).filter(|b| holes >> b & 1 != 0) {
                 let idx = rec.acked + bit;
                 rec.note_send(idx, now);
-                resends.push(self.data_frame(msg_id, rec, idx));
+                let ack = st.rides.board(rec.dst, rec.chunk_len(idx));
+                st.stats.acks_piggybacked += u64::from(ack.is_some());
+                resends.push(self.data_frame(msg_id, rec, idx, ack));
             }
             st.stats.frames_retransmitted += resends.len() as u64;
             st.stats.fast_retransmits += resends.len() as u64;
@@ -873,7 +1057,7 @@ impl EmpNic {
         }
         let me = self.arc();
         let earliest = s.now() + self.cfg.nic.pci_post_latency;
-        let cost = self.cfg.rx_post_cost * descs.len() as u64;
+        let cost = self.charge(Fw::RxPost, self.cfg.rx_post_cost * descs.len() as u64);
         let batch = descs.len() as u64;
         self.tigon.cpu_rx.exec_at(s, earliest, cost, move |sim| {
             if batch > 1 {
@@ -894,20 +1078,19 @@ impl EmpNic {
     pub fn unpost_descriptor(&self, s: &dyn SimAccess, id: DescId) {
         let me = self.arc();
         let earliest = s.now() + self.cfg.nic.pci_post_latency;
-        self.tigon
-            .cpu_rx
-            .exec_at(s, earliest, self.cfg.rx_post_cost, move |sim| {
-                let state = {
-                    let mut st = me.state.lock();
-                    let pos = st.preposted.iter().position(|d| d.id == id);
-                    pos.map(|p| st.preposted.remove(p).state)
-                };
-                if let Some(state) = state {
-                    me.trace(sim, EventKind::DescUnpost, id, 0);
-                    *state.slot.lock() = Some(None);
-                    state.completion.complete(sim);
-                }
-            });
+        let cost = self.charge(Fw::RxPost, self.cfg.rx_post_cost);
+        self.tigon.cpu_rx.exec_at(s, earliest, cost, move |sim| {
+            let state = {
+                let mut st = me.state.lock();
+                let pos = st.preposted.iter().position(|d| d.id == id);
+                pos.map(|p| st.preposted.remove(p).state)
+            };
+            if let Some(state) = state {
+                me.trace(sim, EventKind::DescUnpost, id, 0);
+                *state.slot.lock() = Some(None);
+                state.completion.complete(sim);
+            }
+        });
     }
 
     /// Resize the unexpected queue (number of in-flight-or-unclaimed
@@ -915,11 +1098,10 @@ impl EmpNic {
     pub fn set_unexpected_slots(&self, s: &dyn SimAccess, slots: usize) {
         let me = self.arc();
         let earliest = s.now() + self.cfg.nic.pci_post_latency;
-        self.tigon
-            .cpu_rx
-            .exec_at(s, earliest, self.cfg.rx_post_cost, move |_| {
-                me.state.lock().unexpected_capacity = slots;
-            });
+        let cost = self.charge(Fw::RxUqResize, self.cfg.rx_post_cost);
+        self.tigon.cpu_rx.exec_at(s, earliest, cost, move |_| {
+            me.state.lock().unexpected_capacity = slots;
+        });
     }
 
     /// Host-side claim of a pooled unexpected message matching `(tag, src)`.
@@ -946,6 +1128,7 @@ impl EmpNic {
             total_len,
             no_uq,
             chunk,
+            ack: carried,
         } = wire
         else {
             unreachable!("rx_match is only called for data frames");
@@ -953,16 +1136,21 @@ impl EmpNic {
         let src = frame.src;
         let mut st = self.state.lock();
         let key = (src, *msg_id);
+        let ack_to_src = |(frames, sack)| {
+            let ack = Ack {
+                msg_id: *msg_id,
+                frames,
+                sack,
+            };
+            (src, ack)
+        };
 
         // A duplicate of a message that already completed (its final ack
         // was lost): re-acknowledge the full count so the sender finishes.
         if let Some(&frames) = st.recent_done.get(&key) {
             return RxPhase2 {
-                walked: 0,
-                dma_bytes: 0,
-                ack: Some((src, *msg_id, frames, 0)),
-                nack: None,
-                deliver: None,
+                ack: Some(ack_to_src((frames, 0))),
+                ..RxPhase2::default()
             };
         }
 
@@ -975,26 +1163,21 @@ impl EmpNic {
                 // Retransmission overlap: nothing stored; re-ack so the
                 // sender advances.
                 return RxPhase2 {
-                    walked: 0,
-                    dma_bytes: 0,
-                    ack: Some((src, *msg_id, active.contiguous, active.sack())),
-                    nack: None,
-                    deliver: None,
+                    ack: Some(ack_to_src((active.contiguous, active.sack()))),
+                    ..RxPhase2::default()
                 };
             }
-            let ack = active
-                .ack_due(self.cfg.ack_window, done)
-                .map(|(frames, sack)| (src, *msg_id, frames, sack));
+            let ack = active.ack_due(self.cfg.ack_window, done).map(ack_to_src);
             if done {
                 let active = st.active.remove(&key).expect("present above");
-                return self.finish_recv(&mut st, key, *tag, active, chunk.len(), ack);
+                let hold = self.ack_hold(&mut st, src, &active, carried.is_some());
+                let phase2 = self.finish_recv(&mut st, key, *tag, active, chunk.len(), ack);
+                return RxPhase2 { hold, ..phase2 };
             }
             return RxPhase2 {
-                walked: 0,
                 dma_bytes: chunk.len(),
                 ack,
-                nack: None,
-                deliver: None,
+                ..RxPhase2::default()
             };
         }
 
@@ -1053,10 +1236,8 @@ impl EmpNic {
                 }
                 return RxPhase2 {
                     walked,
-                    dma_bytes: 0,
-                    ack: None,
                     nack: Some((src, *msg_id, false)),
-                    deliver: None,
+                    ..RxPhase2::default()
                 };
             }
             None => {
@@ -1077,10 +1258,8 @@ impl EmpNic {
                     }
                     return RxPhase2 {
                         walked,
-                        dma_bytes: 0,
-                        ack: None,
                         nack: Some((src, *msg_id, true)),
-                        deliver: None,
+                        ..RxPhase2::default()
                     };
                 }
             }
@@ -1092,25 +1271,48 @@ impl EmpNic {
             total_len: *total_len,
             received_count: 0,
             contiguous: 0,
+            clean: true,
             have: vec![false; *num_frames as usize],
             buf: vec![0u8; *total_len as usize],
             dest,
         };
         let (_dup, done) = active.store(*frame_idx, chunk);
-        let ack = active
-            .ack_due(self.cfg.ack_window, done)
-            .map(|(frames, sack)| (src, *msg_id, frames, sack));
+        let ack = active.ack_due(self.cfg.ack_window, done).map(ack_to_src);
         if done {
-            return self.finish_recv(&mut st, key, *tag, active, chunk.len(), ack);
+            let hold = self.ack_hold(&mut st, src, &active, carried.is_some());
+            let phase2 = self.finish_recv(&mut st, key, *tag, active, chunk.len(), ack);
+            return RxPhase2 { hold, ..phase2 };
         }
         st.active.insert(key, active);
         RxPhase2 {
             walked,
             dma_bytes: chunk.len(),
             ack,
-            nack: None,
-            deliver: None,
+            ..RxPhase2::default()
         }
+    }
+
+    /// How long the final ack of `active`, just completed from `src`, may
+    /// wait to ride on a data frame going back (DESIGN §8): only with the
+    /// switch on, for a message of at most `ack_window` frames that never
+    /// had a hole, and only when a data frame back is likely soon — this
+    /// NIC sent to `src` since the last message from it completed, or the
+    /// final frame itself carried an ack (`carried_ack`). At most half the
+    /// SRTT to `src`; no estimate, no hold.
+    fn ack_hold(
+        &self,
+        st: &mut NicState,
+        src: MacAddr,
+        active: &ActiveRecv,
+        carried_ack: bool,
+    ) -> Option<SimDuration> {
+        if !st.rides.on {
+            return None;
+        }
+        let alternating = st.rides.sent_since_done.remove(&src) || carried_ack;
+        let short = active.clean && active.num_frames <= self.cfg.ack_window;
+        let &(srtt, _) = st.rtt.get(&src).filter(|_| alternating && short)?;
+        Some(SimDuration::from_nanos(srtt / 2))
     }
 
     fn finish_recv(
@@ -1120,7 +1322,7 @@ impl EmpNic {
         tag: Tag,
         active: ActiveRecv,
         last_chunk: usize,
-        ack: Option<(MacAddr, u64, u32, u64)>,
+        ack: Option<(MacAddr, Ack)>,
     ) -> RxPhase2 {
         debug_assert_eq!(active.buf.len(), active.total_len as usize);
         st.stats.msgs_received += 1;
@@ -1159,8 +1361,8 @@ impl EmpNic {
             walked,
             dma_bytes: last_chunk,
             ack,
-            nack: None,
             deliver: Some(deliver),
+            ..RxPhase2::default()
         }
     }
 
@@ -1227,24 +1429,43 @@ impl EmpNic {
         }
     }
 
-    fn send_ack(&self, sim: &Sim, dst: MacAddr, msg_id: u64, frames: u32, sack: u64) {
+    fn send_ack(&self, sim: &Sim, dst: MacAddr, ack: Ack) {
         self.state.lock().stats.acks_sent += 1;
         let me = self.arc();
         let frame = Frame {
             src: self.mac(),
             dst,
             ethertype: EtherType::EMP,
-            payload: wire_payload(EmpWire::Ack {
-                msg_id,
-                frames,
-                sack,
-            }),
+            payload: wire_payload(EmpWire::Ack(ack)),
         };
-        self.tigon
-            .cpu_tx
-            .exec(sim, self.cfg.nic.ack_cost, move |sim| {
-                me.tigon.send_frame(sim, frame);
-            });
+        let cost = self.charge(Fw::TxAck, self.cfg.nic.ack_cost);
+        self.tigon.cpu_tx.exec(sim, cost, move |sim| {
+            me.tigon.send_frame(sim, frame);
+        });
+    }
+
+    /// Hold `ack` for at most `hold` to board the next data frame to `dst`
+    /// with room for it; if none leaves in time it goes as a frame of its
+    /// own.
+    fn hold_ack(&self, sim: &Sim, dst: MacAddr, ack: Ack, hold: SimDuration) {
+        {
+            let mut st = self.state.lock();
+            st.stats.acks_held += 1;
+            st.rides.held.entry(dst).or_default().push_back(ack);
+        }
+        let me = self.arc();
+        sim.schedule_after(hold, move |sim| {
+            let unboarded = {
+                let mut st = me.state.lock();
+                st.rides.held.get_mut(&dst).and_then(|held| {
+                    let i = held.iter().position(|a| a.msg_id == ack.msg_id)?;
+                    held.remove(i)
+                })
+            };
+            if let Some(ack) = unboarded {
+                me.send_ack(sim, dst, ack);
+            }
+        });
     }
 
     /// Put a negative acknowledgment on the wire (same tx-CPU cost as an
@@ -1258,11 +1479,10 @@ impl EmpNic {
             ethertype: EtherType::EMP,
             payload: wire_payload(EmpWire::Nack { msg_id, busy }),
         };
-        self.tigon
-            .cpu_tx
-            .exec(s, self.cfg.nic.ack_cost, move |sim| {
-                me.tigon.send_frame(sim, frame);
-            });
+        let cost = self.charge(Fw::TxAck, self.cfg.nic.ack_cost);
+        self.tigon.cpu_tx.exec(s, cost, move |sim| {
+            me.tigon.send_frame(sim, frame);
+        });
     }
 
     /// React to a peer's negative acknowledgment. `busy` is transient
@@ -1313,11 +1533,14 @@ impl EmpNic {
 }
 
 /// Work computed by the rx matching phase, executed as the second rx task.
+#[derive(Default)]
 struct RxPhase2 {
     walked: usize,
     dma_bytes: usize,
-    /// An ack to put on the wire: `(dst, msg_id, frames, sack)`.
-    ack: Option<(MacAddr, u64, u32, u64)>,
+    /// An ack to put on the wire: `(dst, ack)`.
+    ack: Option<(MacAddr, Ack)>,
+    /// How long `ack` may wait to ride on a data frame to `dst`.
+    hold: Option<SimDuration>,
     /// A negative acknowledgment to put on the wire: `(dst, msg_id, busy)`.
     nack: Option<(MacAddr, u64, bool)>,
     deliver: Option<Deliver>,
@@ -1349,25 +1572,19 @@ impl FrameSink for EmpNic {
             return;
         };
         match wire {
-            EmpWire::Ack {
-                msg_id,
-                frames,
-                sack,
-            } => {
+            EmpWire::Ack(ack) => {
                 let me = self.arc();
-                self.tigon
-                    .cpu_rx
-                    .exec(s, self.cfg.nic.ack_cost, move |sim| {
-                        me.process_ack(sim, msg_id, frames, sack);
-                    });
+                let cost = self.charge(Fw::RxAck, self.cfg.nic.ack_cost);
+                self.tigon.cpu_rx.exec(s, cost, move |sim| {
+                    me.process_ack(sim, ack, false);
+                });
             }
             EmpWire::Nack { msg_id, busy } => {
                 let me = self.arc();
-                self.tigon
-                    .cpu_rx
-                    .exec(s, self.cfg.nic.ack_cost, move |sim| {
-                        me.process_nack(sim, msg_id, busy);
-                    });
+                let cost = self.charge(Fw::RxAck, self.cfg.nic.ack_cost);
+                self.tigon.cpu_rx.exec(s, cost, move |sim| {
+                    me.process_nack(sim, msg_id, busy);
+                });
             }
             EmpWire::Data { msg_id, .. } => {
                 // Injected NIC fault: the receive-descriptor ring is
@@ -1383,63 +1600,64 @@ impl FrameSink for EmpNic {
                 }
                 self.trace(s, EventKind::NicRxStart, frame.payload.wire_len() as u64, 0);
                 let me = self.arc();
-                // Phase 1: classification + bookkeeping, fixed cost.
-                self.tigon
-                    .cpu_rx
-                    .exec(s, self.cfg.nic.rx_frame_cost, move |sim| {
-                        let phase2 = me.rx_match(sim, &frame, &wire);
-                        let cfg = &me.cfg.nic;
-                        let dma = cfg.dma_time(phase2.dma_bytes);
-                        let mut cost = cfg.tag_match_time(phase2.walked) + dma;
-                        if phase2.dma_bytes > 0 {
-                            // Injected NIC fault: this DMA completion
-                            // stalls behind (simulated) PCI contention.
-                            let stall = me.tigon.inject_dma_delay();
-                            if !stall.is_zero() {
-                                me.trace(sim, EventKind::NicFault, 1, stall.nanos());
-                                cost += stall;
-                            }
+                // Phase 1: classification + bookkeeping, fixed cost; an
+                // attached ack is consumed within it.
+                let cost = self.charge(Fw::RxFrame, self.cfg.nic.rx_frame_cost);
+                self.tigon.cpu_rx.exec(s, cost, move |sim| {
+                    if let EmpWire::Data { ack: Some(ack), .. } = wire {
+                        me.process_ack(sim, ack, true);
+                    }
+                    let phase2 = me.rx_match(sim, &frame, &wire);
+                    let cfg = &me.cfg.nic;
+                    let mut dma = cfg.dma_time(phase2.dma_bytes);
+                    if phase2.dma_bytes > 0 {
+                        // Injected NIC fault: this DMA completion
+                        // stalls behind (simulated) PCI contention.
+                        let stall = me.tigon.inject_dma_delay();
+                        if !stall.is_zero() {
+                            me.trace(sim, EventKind::NicFault, 1, stall.nanos());
+                            dma += stall;
                         }
-                        if matches!(phase2.deliver, Some(Deliver::Host { .. })) {
-                            cost += cfg.completion_post;
+                    }
+                    let mut cost = me.charge(Fw::RxWalk, cfg.tag_match_time(phase2.walked))
+                        + me.charge(Fw::RxDma, dma);
+                    if matches!(phase2.deliver, Some(Deliver::Host { .. })) {
+                        cost += me.charge(Fw::RxCompletion, cfg.completion_post);
+                    }
+                    // Phase 2: tag-match walk + DMA to host (+ status
+                    // post), still serial on the rx CPU — this serial
+                    // chain is EMP's large-message bottleneck.
+                    let me2 = Arc::clone(&me);
+                    me.tigon.cpu_rx.exec(sim, cost, move |sim| {
+                        if emp_trace::ENABLED && phase2.dma_bytes > 0 {
+                            me2.trace(
+                                sim,
+                                EventKind::DmaCopy,
+                                phase2.dma_bytes as u64,
+                                dma.nanos(),
+                            );
                         }
-                        // Phase 2: tag-match walk + DMA to host (+ status
-                        // post), still serial on the rx CPU — this serial
-                        // chain is EMP's large-message bottleneck.
-                        let me2 = Arc::clone(&me);
-                        me.tigon.cpu_rx.exec(sim, cost, move |sim| {
-                            if emp_trace::ENABLED && phase2.dma_bytes > 0 {
-                                me2.trace(
-                                    sim,
-                                    EventKind::DmaCopy,
-                                    phase2.dma_bytes as u64,
-                                    dma.nanos(),
-                                );
+                        match (phase2.ack, phase2.hold) {
+                            (Some((dst, ack)), Some(hold)) => me2.hold_ack(sim, dst, ack, hold),
+                            (Some((dst, ack)), None) => me2.send_ack(sim, dst, ack),
+                            (None, _) => {}
+                        }
+                        if let Some((dst, msg_id, busy)) = phase2.nack {
+                            me2.send_nack(sim, dst, msg_id, busy);
+                        }
+                        match phase2.deliver {
+                            Some(Deliver::Host { state, msg }) => {
+                                me2.trace(sim, EventKind::RecvDeliver, msg.data.len() as u64, 0);
+                                *state.slot.lock() = Some(Some(msg));
+                                state.completion.complete(sim);
                             }
-                            if let Some((dst, msg_id, frames, sack)) = phase2.ack {
-                                me2.send_ack(sim, dst, msg_id, frames, sack);
+                            Some(Deliver::Pool(msg)) => {
+                                me2.finalize_unexpected(sim, msg);
                             }
-                            if let Some((dst, msg_id, busy)) = phase2.nack {
-                                me2.send_nack(sim, dst, msg_id, busy);
-                            }
-                            match phase2.deliver {
-                                Some(Deliver::Host { state, msg }) => {
-                                    me2.trace(
-                                        sim,
-                                        EventKind::RecvDeliver,
-                                        msg.data.len() as u64,
-                                        0,
-                                    );
-                                    *state.slot.lock() = Some(Some(msg));
-                                    state.completion.complete(sim);
-                                }
-                                Some(Deliver::Pool(msg)) => {
-                                    me2.finalize_unexpected(sim, msg);
-                                }
-                                None => {}
-                            }
-                        });
+                            None => {}
+                        }
                     });
+                });
             }
         }
     }
@@ -1456,6 +1674,7 @@ mod tests {
             total_len: len,
             received_count: 0,
             contiguous: 0,
+            clean: true,
             have: vec![false; frames as usize],
             buf: vec![0u8; len as usize],
             dest: RecvDest::Unexpected,
@@ -1539,11 +1758,11 @@ mod tests {
         let ack_for = |idx: u32| {
             let frame = Frame {
                 src: MacAddr(0),
-                ..EmpNic::data_frame(&nic, 7, &rec, idx)
+                ..EmpNic::data_frame(&nic, 7, &rec, idx, None)
             };
             let wire = frame.payload.downcast::<EmpWire>().cloned().expect("emp");
             let ack = nic.rx_match(&sim, &frame, &wire).ack;
-            ack.map(|(_, _, frames, sack)| (frames, sack))
+            ack.map(|(_, ack)| (ack.frames, ack.sack))
         };
         // Arrive 2, 0, 1: each acked at once while the hole is open.
         assert_eq!(ack_for(2), Some((0, 0b10)));

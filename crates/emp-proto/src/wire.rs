@@ -2,10 +2,11 @@
 //!
 //! EMP fragments messages into Ethernet frames. Every data frame carries a
 //! compact header (message id, 16-bit tag, frame index/count, total length)
-//! used by the receiving NIC for tag matching and reassembly; acknowledgment
-//! frames carry the cumulative frame count received and a selective-ack
-//! bitmap. Header sizes are charged on the wire, so small-message latency
-//! and large-message goodput both see them.
+//! used by the receiving NIC for tag matching and reassembly; an
+//! acknowledgment carries the cumulative frame count received and a
+//! selective-ack bitmap, in a frame of its own or attached to a data frame
+//! going the other way (DESIGN §8). Header sizes are charged on the wire,
+//! so small-message latency and large-message goodput both see them.
 
 use bytes::Bytes;
 use simnet::{MacAddr, MTU};
@@ -23,6 +24,12 @@ pub const ACK_WIRE: usize = 20;
 /// Maximum message bytes carried per frame.
 pub const MAX_CHUNK: usize = MTU - DATA_HEADER;
 
+/// True when a data frame carrying `chunk_len` message bytes has room
+/// under the MTU for an attached [`Ack`].
+pub fn ack_fits(chunk_len: usize) -> bool {
+    DATA_HEADER + chunk_len + ACK_WIRE <= MTU
+}
+
 /// Number of frames needed for a message of `len` bytes (at least one; a
 /// zero-length message still sends a header-only frame).
 pub fn frames_for(len: usize) -> u32 {
@@ -38,6 +45,21 @@ pub fn chunk_range(len: usize, idx: u32) -> (usize, usize) {
     let start = (idx as usize) * MAX_CHUNK;
     let end = (start + MAX_CHUNK).min(len);
     (start.min(len), end)
+}
+
+/// Cumulative acknowledgment: "I have the first `frames` fragments of your
+/// message `msg_id`, and these after them". Generated and consumed entirely
+/// by the NICs; hosts never see these (paper §5.2).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Ack {
+    /// The acknowledged message (sender-local id, scoped by the
+    /// acknowledging NIC's address).
+    pub msg_id: u64,
+    /// Cumulative fragments received.
+    pub frames: u32,
+    /// Selective ack: bit `i` set when fragment `frames + 1 + i` is held
+    /// (fragment `frames` is the first missing one, so has no bit).
+    pub sack: u64,
 }
 
 /// An EMP frame as it crosses the wire.
@@ -65,20 +87,13 @@ pub enum EmpWire {
         /// The fragment's bytes (a cheap slice of the message buffer —
         /// EMP is zero-copy, and so is the simulation of it).
         chunk: Bytes,
+        /// An acknowledgment for a message going the other way, riding
+        /// this frame instead of a frame of its own; only where
+        /// [`ack_fits`] the chunk.
+        ack: Option<Ack>,
     },
-    /// Cumulative acknowledgment: "I have the first `frames` fragments of
-    /// your message `msg_id`, and these after them". Generated and consumed
-    /// entirely by the NICs; hosts never see these (paper §5.2).
-    Ack {
-        /// The acknowledged message (sender-local id, scoped by the
-        /// acknowledging NIC's address).
-        msg_id: u64,
-        /// Cumulative fragments received.
-        frames: u32,
-        /// Selective ack: bit `i` set when fragment `frames + 1 + i` is held
-        /// (fragment `frames` is the first missing one, so has no bit).
-        sack: u64,
-    },
+    /// A standalone acknowledgment.
+    Ack(Ack),
     /// Negative acknowledgment: the receiving NIC could not take the
     /// message. Generated and consumed by the NICs, like [`EmpWire::Ack`].
     Nack {
@@ -96,8 +111,10 @@ impl EmpWire {
     /// On-wire Ethernet payload size of this frame.
     pub fn wire_len(&self) -> usize {
         match self {
-            EmpWire::Data { chunk, .. } => DATA_HEADER + chunk.len(),
-            EmpWire::Ack { .. } | EmpWire::Nack { .. } => ACK_WIRE,
+            EmpWire::Data { chunk, ack, .. } => {
+                DATA_HEADER + chunk.len() + ack.map_or(0, |_| ACK_WIRE)
+            }
+            EmpWire::Ack(_) | EmpWire::Nack { .. } => ACK_WIRE,
         }
     }
 }
@@ -155,6 +172,7 @@ mod tests {
             total_len: 0,
             no_uq: false,
             chunk: Bytes::new(),
+            ack: None,
         };
         assert_eq!(w.wire_len(), DATA_HEADER);
     }
@@ -169,14 +187,30 @@ mod tests {
             total_len: 100,
             no_uq: false,
             chunk: Bytes::from(vec![0u8; 100]),
+            ack: None,
         };
         assert_eq!(w.wire_len(), 120);
-        let a = EmpWire::Ack {
+        let ack = Ack {
             msg_id: 1,
             frames: 1,
             sack: u64::MAX,
         };
-        assert_eq!(a.wire_len(), ACK_WIRE);
+        assert_eq!(EmpWire::Ack(ack).wire_len(), ACK_WIRE);
+        let carrier = EmpWire::Data {
+            msg_id: 2,
+            tag: Tag(7),
+            frame_idx: 0,
+            num_frames: 1,
+            total_len: 100,
+            no_uq: false,
+            chunk: Bytes::from(vec![0u8; 100]),
+            ack: Some(ack),
+        };
+        assert_eq!(
+            carrier.wire_len(),
+            120 + ACK_WIRE,
+            "attached ack on the wire"
+        );
         // A max chunk exactly fills the MTU.
         let w = EmpWire::Data {
             msg_id: 1,
@@ -186,7 +220,10 @@ mod tests {
             total_len: MAX_CHUNK as u32,
             no_uq: false,
             chunk: Bytes::from(vec![0u8; MAX_CHUNK]),
+            ack: None,
         };
         assert_eq!(w.wire_len(), MTU);
+        assert!(!ack_fits(MAX_CHUNK), "a full frame carries no ack");
+        assert!(ack_fits(MAX_CHUNK - ACK_WIRE));
     }
 }

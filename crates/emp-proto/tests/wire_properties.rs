@@ -1,6 +1,6 @@
 //! Property tests of EMP's fragmentation arithmetic.
 
-use emp_proto::wire::{chunk_range, frames_for, EmpWire, Tag, MAX_CHUNK};
+use emp_proto::wire::{ack_fits, chunk_range, frames_for, Ack, EmpWire, Tag, ACK_WIRE, MAX_CHUNK};
 use proptest::prelude::*;
 use simnet::MTU;
 
@@ -23,19 +23,31 @@ proptest! {
     }
 
     #[test]
-    fn every_data_frame_fits_the_mtu(len in 0usize..300_000, idx_seed in any::<u32>()) {
+    fn every_data_frame_fits_the_mtu(
+        len in 0usize..300_000,
+        idx_seed in any::<u32>(),
+        frames in any::<u32>(),
+        sack in any::<u64>(),
+    ) {
         let n = frames_for(len);
         let idx = idx_seed % n;
         let (a, b) = chunk_range(len, idx);
-        let w = EmpWire::Data {
-            msg_id: 1,
-            tag: Tag(3),
-            frame_idx: idx,
-            num_frames: n,
-            total_len: len as u32,
-            no_uq: false,
-            chunk: bytes::Bytes::from(vec![0u8; b - a]),
-        };
-        prop_assert!(w.wire_len() <= MTU);
+        // Without an ack, and with one wherever the NIC would attach it.
+        let ack = Ack { msg_id: 2, frames, sack };
+        for ack in [None, ack_fits(b - a).then_some(ack)] {
+            let w = EmpWire::Data {
+                msg_id: 1,
+                tag: Tag(3),
+                frame_idx: idx,
+                num_frames: n,
+                total_len: len as u32,
+                no_uq: false,
+                chunk: bytes::Bytes::from(vec![0u8; b - a]),
+                ack,
+            };
+            prop_assert!(w.wire_len() <= MTU);
+        }
+        // Only frames with an ack's worth of room below the MTU carry one.
+        prop_assert_eq!(ack_fits(b - a), b - a + ACK_WIRE <= MAX_CHUNK);
     }
 }

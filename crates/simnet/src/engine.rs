@@ -242,9 +242,35 @@ impl Default for Sim {
     }
 }
 
+/// Keep freed heap memory in the process rather than returning the heap
+/// top to the kernel whenever 128 KiB of it is free (glibc's default trim
+/// threshold). A simulation allocates and frees message-sized buffers (up
+/// to 64 KiB) at a high rate; where they happen to sit at the heap top,
+/// every message paid an `sbrk` round trip and a page fault per 4 KiB it
+/// touched, and whether a run was hit depended on the sizes of unrelated
+/// allocations. Applied once per process.
+fn keep_heap_top() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        ONCE.call_once(|| {
+            const M_TRIM_THRESHOLD: i32 = -1;
+            extern "C" {
+                fn mallopt(param: i32, value: i32) -> i32;
+            }
+            // SAFETY: glibc's `mallopt`, declared with its C signature; it
+            // only sets an allocator tunable, under the allocator's lock.
+            unsafe {
+                mallopt(M_TRIM_THRESHOLD, 64 << 20);
+            }
+        });
+    }
+}
+
 impl Sim {
     /// Create an empty simulation at t = 0.
     pub fn new() -> Sim {
+        keep_heap_top();
         let shared = Arc::new(SimShared {
             core: Mutex::new(SimCore {
                 now: SimTime::ZERO,

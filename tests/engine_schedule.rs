@@ -21,6 +21,14 @@
 //! frames go back on the wire after a drop is the protocol model itself,
 //! so that pin moved (7 820 → 7 586 events, 14.60 → 12.35 ms). The three
 //! lossless pins never lose a frame and did not move.
+//!
+//! `default_paired_writes` was re-recorded when EMP's own acks began to
+//! ride on reverse data frames under `SubstrateConfig::piggyback_acks`
+//! (DESIGN §8): the writer's NIC puts its acks for the reader's two
+//! messages on its own data frames instead of in two ack frames (1 151 →
+//! 1 145 events, same end time). Its flush and message counts did not
+//! move.
+//! The three `DS_DA_UQ` pins leave the switch off and did not move.
 
 use std::sync::Arc;
 
@@ -208,6 +216,6 @@ fn default_paired_writes() {
     sim.run();
     assert_eq!(
         schedule_of(&sim),
-        (1_151, 2_905_620, 4_683_283_573_283_655_927)
+        (1_145, 2_905_620, 14_249_486_138_938_100_563)
     );
 }

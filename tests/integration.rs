@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sockets_over_emp::emp_apps::{ftp, matmul, webserver, Testbed};
+use sockets_over_emp::emp_apps::{ftp, kvstore, matmul, webserver, ServerModel, Testbed};
 use sockets_over_emp::emp_proto::{self, EmpConfig};
 use sockets_over_emp::prelude::*;
 
@@ -35,6 +35,46 @@ fn facade_quickstart_roundtrip() {
     });
     sim.run();
     assert!(*ok.lock());
+}
+
+#[test]
+fn nic_firmware_profile_accounts_for_every_busy_nanosecond() {
+    // A short kv run on the default testbed: 3 clients into the event-loop
+    // server, 4 KiB values (multi-frame PUTs). Each NIC's per-kind
+    // firmware time must sum to its CPUs' busy totals exactly.
+    let tb = Testbed::emp_default(4);
+    let r = kvstore::run_workload_with(&tb, ServerModel::EventLoop, 3, 8, 4096, 0.5, 11);
+    assert_eq!(r.ops, 24);
+    let cluster = tb.emp_cluster().expect("EMP testbed");
+    for node in &cluster.nodes {
+        let (s, tigon) = (node.nic.stats(), node.nic.tigon());
+        assert_eq!(
+            s.rx_fw.total(),
+            tigon.cpu_rx.busy_total().nanos(),
+            "{:?}",
+            s.rx_fw
+        );
+        assert_eq!(
+            s.tx_fw.total(),
+            tigon.cpu_tx.busy_total().nanos(),
+            "{:?}",
+            s.tx_fw
+        );
+    }
+    let server = cluster.nodes[0].nic.stats();
+    let rx = server.rx_fw;
+    for (kind, ns) in [
+        ("frame", rx.frame),
+        ("walk", rx.walk),
+        ("dma", rx.dma),
+        ("completion", rx.completion),
+        ("post", rx.post),
+        ("uq_resize", rx.uq_resize),
+    ] {
+        assert!(ns > 0, "server rx firmware spent nothing on {kind}");
+    }
+    assert!(server.tx_fw.request > 0 && server.tx_fw.frame > 0);
+    assert!(server.acks_piggybacked > 0, "responses carry request acks");
 }
 
 #[test]
