@@ -49,6 +49,14 @@ cargo test -q -p emp-proto --test reliability --features emp-proto/trace
 cargo test -q -p emp-proto --test piggyback
 cargo test -q -p emp-proto --test piggyback --features emp-proto/trace
 
+step "cargo test (descriptor re-arms)"
+# Under the §6.1 switch a consumed data descriptor is re-armed by the send
+# that returns its credit: every consumed descriptor comes back, a stream
+# stays byte-exact, a close with re-arms pending leaks no buffer, and the
+# presets still repost at consume time — in both build modes.
+cargo test -q -p sockets-emp --test rearm
+cargo test -q -p sockets-emp --test rearm --features sockets-emp/trace
+
 step "traced ping-pong smoke"
 # Must print a latency budget and a non-empty Chrome trace.
 out=$(cargo run -q --release -p emp-bench --bin figures --features trace -- --trace)
@@ -118,10 +126,11 @@ step "telemetry smoke (empstat)"
 # data — non-zero latency histograms and sampled time series — in the
 # default build and the traced one, and the JSON export must parse. The
 # self-check also gates that the default data path is the one taken
-# (sock.coalesce_flushes, sock.piggybacked_credits, sock.copies_avoided
-# and EMP's acks_piggybacked all > 0) and that no connection closed with
-# staged bytes or an unpaid timer flush (sock.stranded_bytes,
-# sock.unpaid_flush_debt_ns == 0).
+# (sock.coalesce_flushes, sock.piggybacked_credits, sock.rearms_ridden,
+# sock.copies_avoided and EMP's acks_piggybacked all > 0), that no
+# connection closed with staged bytes or an unpaid timer flush
+# (sock.stranded_bytes, sock.unpaid_flush_debt_ns == 0) and that no credit
+# left without its descriptor re-armed (sock.credits_without_rearm == 0).
 mkdir -p target/figures
 telemetry_smoke() {
     local features=() label="$1"

@@ -166,7 +166,7 @@ pub fn nic_profile_table(nics: &[EmpStats]) -> String {
     let mut out = String::from(
         "per-NIC firmware busy time (us) by task kind\n\
          node | rx: total frame walk dma completion ack post uq_resize \
-         | tx: total request frame ack | acks: standalone held piggybacked\n",
+         | tx: total request rearm frame ack | acks: standalone held piggybacked\n",
     );
     for (node, s) in nics.iter().enumerate() {
         let (rx, tx) = (s.rx_fw, s.tx_fw);
@@ -182,7 +182,9 @@ pub fn nic_profile_table(nics: &[EmpStats]) -> String {
         ]
         .map(us)
         .join(" ");
-        let tx_cols = [tx.total(), tx.request, tx.frame, tx.ack].map(us).join(" ");
+        let tx_cols = [tx.total(), tx.request, tx.rearm, tx.frame, tx.ack]
+            .map(us)
+            .join(" ");
         let _ = writeln!(
             out,
             "n{node} | rx: {rx_cols} | tx: {tx_cols} | acks: {} {} {}",
@@ -279,11 +281,13 @@ pub fn self_check(run: &StatRun) -> Result<String, String> {
         }
     }
     // The default data path must actually be the one taken: closing
-    // connections add their counters, so each of the three mechanisms
-    // (staged writes, piggy-backed acks, direct delivery) must have fired
+    // connections add their counters, so each of the four mechanisms
+    // (staged writes, piggy-backed credits, descriptor re-arms riding the
+    // sends that return those credits, direct delivery) must have fired
     // somewhere in the workload, and EMP's own acks must have ridden on
     // data frames — and no connection may have closed with bytes still
-    // staged or a timer flush it never paid for.
+    // staged or a timer flush it never paid for, nor returned a credit
+    // without re-arming its descriptor in the same request.
     let ctr = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     let emp_piggybacked: u64 = run.nics.iter().map(|s| s.acks_piggybacked).sum();
     if emp_piggybacked == 0 {
@@ -292,6 +296,7 @@ pub fn self_check(run: &StatRun) -> Result<String, String> {
     let fast_path = [
         "sock.coalesce_flushes",
         "sock.piggybacked_credits",
+        "sock.rearms_ridden",
         "sock.copies_avoided",
     ];
     for name in fast_path {
@@ -299,7 +304,11 @@ pub fn self_check(run: &StatRun) -> Result<String, String> {
             return Err(format!("{name} == 0: the default path was not taken"));
         }
     }
-    for name in ["sock.stranded_bytes", "sock.unpaid_flush_debt_ns"] {
+    for name in [
+        "sock.stranded_bytes",
+        "sock.unpaid_flush_debt_ns",
+        "sock.credits_without_rearm",
+    ] {
         if ctr(name) != 0 {
             return Err(format!("{name} = {} after the drain", ctr(name)));
         }

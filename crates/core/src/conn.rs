@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
-use emp_proto::{EmpEndpoint, RecvHandle, SendHandle};
+use emp_proto::{EmpEndpoint, PostSpec, RecvHandle, SendHandle, TxBuf};
 use hostsim::{VirtRange, PAGE_SIZE};
 use parking_lot::Mutex;
 use simnet::emp_trace::{self, EventKind};
@@ -56,6 +56,13 @@ pub(crate) struct ProcState {
     /// of a given shape pays pin+translate syscalls — the way a real
     /// substrate would pool its registered temp buffers.
     range_pool: HashMap<u64, Vec<VirtRange>>,
+}
+
+impl ProcState {
+    /// Buffer ranges waiting in the pool.
+    pub(crate) fn pooled_ranges(&self) -> usize {
+        self.range_pool.values().map(Vec::len).sum()
+    }
 }
 
 impl ProcShared {
@@ -230,6 +237,12 @@ pub struct ConnStats {
     pub writes_coalesced: u64,
     /// Coalesced flushes (substrate messages carrying staged writes).
     pub coalesce_flushes: u64,
+    /// Consumed data descriptors re-armed by the send that returned their
+    /// credits (§6.1 piggy-backing on; the presets repost at consume time).
+    pub rearms_ridden: u64,
+    /// Credits returned with piggy-backing on whose descriptor the same
+    /// send did not re-arm. Zero by construction.
+    pub credits_without_rearm: u64,
 }
 
 impl std::ops::AddAssign for ConnStats {
@@ -246,6 +259,8 @@ impl std::ops::AddAssign for ConnStats {
         self.bytes_direct += o.bytes_direct;
         self.writes_coalesced += o.writes_coalesced;
         self.coalesce_flushes += o.coalesce_flushes;
+        self.rearms_ridden += o.rearms_ridden;
+        self.credits_without_rearm += o.credits_without_rearm;
     }
 }
 
@@ -253,6 +268,15 @@ impl std::ops::AddAssign for ConnStats {
 pub(crate) struct DataSlot {
     pub(crate) handle: RecvHandle,
     pub(crate) range: VirtRange,
+}
+
+/// Credits one message returns to the peer and, with piggy-backing on,
+/// the staging ranges of the consumed data descriptors the same send
+/// re-arms.
+#[derive(Default)]
+pub(crate) struct CreditReturn {
+    pub(crate) credits: u16,
+    pub(crate) rearms: Vec<VirtRange>,
 }
 
 /// Mutable per-connection state (single-process discipline: one simulated
@@ -283,6 +307,10 @@ pub(crate) struct SockInner {
     pub(crate) stream_len: usize,
     /// Messages consumed since the last credit return.
     pub(crate) consumed: u32,
+    /// With piggy-backing on, the ranges of those messages' descriptors:
+    /// each waits to be re-armed by the send that returns its credit
+    /// (`consumed` long). Empty under the presets.
+    pub(crate) rearms: Vec<VirtRange>,
     // ---- staged small writes (the send half of `CopyPolicy`) ----
     /// Staged writes awaiting one flush.
     pub(crate) coalesce_buf: Vec<u8>,
@@ -340,6 +368,15 @@ impl SockInner {
     /// count; EOF is immediate then.
     pub(crate) fn peer_drained(&self) -> bool {
         self.peer_closed && self.peer_final_seq.is_none_or(|f| self.rx_next_seq >= f)
+    }
+
+    /// Take the credit return due: every credit consumed since the last
+    /// one, with the descriptors to re-arm.
+    pub(crate) fn take_credit_return(&mut self) -> CreditReturn {
+        CreditReturn {
+            credits: std::mem::take(&mut self.consumed) as u16,
+            rearms: std::mem::take(&mut self.rearms),
+        }
     }
 
     /// Claim the next outgoing data-message sequence number.
@@ -408,6 +445,7 @@ impl SockShared {
                 stream_chunks: VecDeque::new(),
                 stream_len: 0,
                 consumed: 0,
+                rearms: Vec::new(),
                 coalesce_buf: Vec::new(),
                 coalesce_count: 0,
                 stage_episode: 0,
@@ -571,23 +609,74 @@ impl SockShared {
             .post_send_refusable(ctx, self.peer, tag, msg.encode(), range)
     }
 
-    /// Send a data message as a header + payload pair: the NIC gathers the
-    /// two segments itself, so the payload is never assembled into a fresh
-    /// host buffer. The wire bytes are identical to
+    /// Send a data message returning `ret` as a header + payload pair: the
+    /// NIC gathers the two segments itself, so the payload is never
+    /// assembled into a fresh host buffer. The wire bytes are identical to
     /// `send_msg(.., &Msg::Data { .. })`.
     pub(crate) fn send_data_msg(
         &self,
         ctx: &ProcessCtx,
-        tag: emp_proto::Tag,
-        piggyback: u16,
+        ret: CreditReturn,
         seq: u32,
         payload: Bytes,
     ) -> SimResult<SendHandle> {
+        let header = Msg::data_header(ret.credits, seq, payload.len());
+        let data = TxBuf::pair(header, payload);
+        self.send_returning(ctx, self.tx_data_tag(), data, ret)
+    }
+
+    /// Send an explicit flow-control ack returning `ret`.
+    pub(crate) fn send_fcack(&self, ctx: &ProcessCtx, ret: CreditReturn) -> SimResult<SendHandle> {
+        let data = TxBuf::one(
+            Msg::FcAck {
+                credits: ret.credits,
+            }
+            .encode(),
+        );
+        self.send_returning(ctx, self.tx_fcack_tag(), data, ret)
+    }
+
+    /// Post `data`, which returns `ret`'s credits, in one NIC request with
+    /// the re-arms of their descriptors.
+    fn send_returning(
+        &self,
+        ctx: &ProcessCtx,
+        tag: emp_proto::Tag,
+        data: TxBuf,
+        ret: CreditReturn,
+    ) -> SimResult<SendHandle> {
         let range = self.inner.lock().send_range;
-        let header = Msg::data_header(piggyback, seq, payload.len());
-        self.proc_
+        let rearms = self.rearm_posts(&ret);
+        let (h, handles) = self
+            .proc_
             .ep
-            .post_send_split(ctx, self.peer, tag, header, payload, range)
+            .post_send_rearming(ctx, self.peer, tag, data, range, &rearms)?;
+        self.rearmed(ret, handles);
+        Ok(h)
+    }
+
+    /// The data-descriptor posts that re-arm `ret`'s ranges.
+    pub(crate) fn rearm_posts(&self, ret: &CreditReturn) -> Vec<PostSpec> {
+        let cap = self.buf_size + DATA_HEADER;
+        let tag = self.rx_data_tag();
+        ret.rearms
+            .iter()
+            .map(|r| (tag, Some(self.peer), cap, *r))
+            .collect()
+    }
+
+    /// Book the descriptors a send re-armed for `ret`: they rejoin the
+    /// data slots in the order the NIC inserts them.
+    pub(crate) fn rearmed(&self, ret: CreditReturn, handles: Vec<RecvHandle>) {
+        let mut i = self.inner.lock();
+        if self.proc_.cfg.piggyback_acks {
+            i.stats.rearms_ridden += handles.len() as u64;
+            i.stats.credits_without_rearm +=
+                u64::from(ret.credits).saturating_sub(handles.len() as u64);
+        }
+        for (handle, range) in handles.into_iter().zip(ret.rearms) {
+            i.data_slots.push_back(DataSlot { handle, range });
+        }
     }
 
     /// Drain the control descriptor if it completed: handles `Close` and
@@ -721,6 +810,10 @@ impl SockShared {
         if already {
             return Ok(());
         }
+        // Descriptors still waiting for a credit-returning send are never
+        // re-armed, and their credits never returned: the buffers go back
+        // to the pool with the rest below.
+        let stale = self.inner.lock().take_credit_return().rearms;
         // As in shutdown_write: staged writes go out before the Close.
         let _ = self.flush_coalesced(ctx)?;
         self.publish_stats(ctx);
@@ -743,6 +836,7 @@ impl SockShared {
                 i.rndv_range,
                 i.user_range,
             ];
+            r.extend(stale);
             for slot in i.data_slots.drain(..) {
                 v.push(slot.handle);
                 r.push(slot.range);
@@ -776,7 +870,8 @@ impl SockShared {
 
     /// Add this connection's data-path counters to the telemetry as it
     /// closes, with what it strands (staged bytes, unpaid flush debt: both
-    /// must read zero). Only non-zero values register a counter.
+    /// must read zero, as must `credits_without_rearm`). Only non-zero
+    /// values register a counter.
     fn publish_stats(&self, ctx: &ProcessCtx) {
         let (s, stranded, debt) = {
             let i = self.inner.lock();
@@ -786,6 +881,8 @@ impl SockShared {
             ("sock.coalesce_flushes", s.coalesce_flushes),
             ("sock.piggybacked_credits", s.piggybacked_credits),
             ("sock.copies_avoided", s.copies_avoided),
+            ("sock.rearms_ridden", s.rearms_ridden),
+            ("sock.credits_without_rearm", s.credits_without_rearm),
             ("sock.stranded_bytes", stranded),
             ("sock.unpaid_flush_debt_ns", debt),
         ] {

@@ -260,14 +260,14 @@ impl EmpSockets {
     /// summed, plus table sizes. Closed connections leave the active table,
     /// so this reflects the substrate's current working set.
     pub fn stats(&self) -> SubstrateStats {
-        let (socks, listeners) = {
+        let (socks, listeners, pooled_ranges) = {
             let st = self.proc_.state.lock();
             let socks: Vec<Arc<SockShared>> = st
                 .active
                 .values()
                 .filter_map(std::sync::Weak::upgrade)
                 .collect();
-            (socks, st.listeners.len())
+            (socks, st.listeners.len(), st.pooled_ranges())
         };
         let mut totals = crate::conn::ConnStats::default();
         for s in &socks {
@@ -276,6 +276,7 @@ impl EmpSockets {
         SubstrateStats {
             connections: socks.len(),
             listeners,
+            pooled_ranges,
             totals,
         }
     }
@@ -640,6 +641,7 @@ impl Connection {
             stream_len: i.stream_len,
             credits: i.credits,
             consumed: i.consumed,
+            rearms_pending: i.rearms.len(),
             peer_closed: i.peer_closed,
             closed: i.closed,
         }
@@ -671,6 +673,10 @@ pub struct ConnDebugState {
     pub credits: u32,
     /// Messages consumed since the last credit return.
     pub consumed: u32,
+    /// Consumed data descriptors waiting for the send that returns their
+    /// credits to re-arm them (piggy-backing on; always 0 under the
+    /// presets). `data_slots + rearms_pending` is the credit count N.
+    pub rearms_pending: usize,
     /// Peer sent a close notification.
     pub peer_closed: bool,
     /// This side is closed.
@@ -684,6 +690,9 @@ pub struct SubstrateStats {
     pub connections: usize,
     /// Open listeners.
     pub listeners: usize,
+    /// Registered buffer ranges in the process pool, free for the next
+    /// connection.
+    pub pooled_ranges: usize,
     /// Sum of every live connection's [`crate::conn::ConnStats`].
     pub totals: crate::conn::ConnStats,
 }

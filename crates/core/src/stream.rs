@@ -9,11 +9,12 @@
 //! when §6.4 is enabled.
 
 use bytes::Bytes;
+use emp_proto::TxBuf;
 use simnet::emp_trace::{self, EventKind};
 use simnet::{NetError, OpResult, ProcessCtx, SimAccess, SimAccessExt, SimDuration, SimResult};
 
 use crate::config::{CopyPolicy, RecvMode};
-use crate::conn::{DataSlot, SockShared};
+use crate::conn::{CreditReturn, DataSlot, SockShared};
 use crate::proto::Msg;
 
 macro_rules! ok_or_return {
@@ -50,7 +51,7 @@ impl SockShared {
             ok_or_return!(self.check_writable());
             ok_or_return!(self.acquire_credit(ctx)?);
             let chunk = (data.len() - off).min(self.buf_size);
-            let (piggyback, seq) = self.begin_msg(ctx, chunk);
+            let (ret, seq) = self.begin_msg(ctx, chunk);
             let payload = whole.slice(off..off + chunk);
             ctx.delay(self.proc_.cfg.stream_overhead)?;
             self.comm_thread_penalty(ctx)?;
@@ -60,13 +61,13 @@ impl SockShared {
                 let copy = self.proc_.ep.host().cost().memcpy(chunk);
                 ctx.delay(copy)?;
                 self.trace(ctx, EventKind::SubstrateCopy, chunk as u64, copy.nanos());
-                let h = self.send_data_msg(ctx, self.tx_data_tag(), piggyback, seq, payload)?;
+                let h = self.send_data_msg(ctx, ret, seq, payload)?;
                 self.inner.lock().inflight_sends.push(h);
             } else {
                 // Zero-copy send: the user buffer is pinned and handed to
                 // the NIC. Fragments pipeline — the doorbells go out
                 // back-to-back and the batch is reaped once below.
-                let h = self.send_data_msg(ctx, self.tx_data_tag(), piggyback, seq, payload)?;
+                let h = self.send_data_msg(ctx, ret, seq, payload)?;
                 zc_sends.push(h);
             }
             off += chunk;
@@ -110,26 +111,27 @@ impl SockShared {
     }
 
     /// Open one outgoing data message: ride any pending credit return on
-    /// it (§6.1 piggy-backing; free, so done for any amount), count it and
+    /// it (§6.1 piggy-backing; free, so done for any amount), with the
+    /// re-arms of the descriptors those credits pay for, count it and
     /// claim its sequence number. `user_bytes` is what it adds to
     /// `bytes_sent` (staged bytes were counted when they were written).
-    fn begin_msg(&self, sim: &dyn SimAccess, user_bytes: usize) -> (u16, u32) {
-        let (piggyback, seq) = {
+    fn begin_msg(&self, sim: &dyn SimAccess, user_bytes: usize) -> (CreditReturn, u32) {
+        let (ret, seq) = {
             let mut i = self.inner.lock();
-            let piggyback = if self.proc_.cfg.piggyback_acks {
-                std::mem::take(&mut i.consumed) as u16
+            let ret = if self.proc_.cfg.piggyback_acks {
+                i.take_credit_return()
             } else {
-                0
+                CreditReturn::default()
             };
             i.stats.bytes_sent += user_bytes as u64;
             i.stats.msgs_sent += 1;
-            i.stats.piggybacked_credits += u64::from(piggyback);
-            (piggyback, i.claim_tx_seq())
+            i.stats.piggybacked_credits += u64::from(ret.credits);
+            (ret, i.claim_tx_seq())
         };
-        if emp_trace::ENABLED && piggyback > 0 {
-            self.trace(sim, EventKind::AckPiggybacked, u64::from(piggyback), 0);
+        if emp_trace::ENABLED && ret.credits > 0 {
+            self.trace(sim, EventKind::AckPiggybacked, u64::from(ret.credits), 0);
         }
-        (piggyback, seq)
+        (ret, seq)
     }
 
     /// Stage a small write in the connection's send buffer (one copy, but
@@ -216,16 +218,21 @@ impl SockShared {
             }
             i.credits -= 1;
         }
-        let Some((piggyback, seq, payload)) = self.take_staged(sim) else {
+        let Some((ret, seq, payload)) = self.take_staged(sim) else {
             return;
         };
         let range = self.inner.lock().send_range;
-        let header = Msg::data_header(piggyback, seq, payload.len());
-        let tag = self.tx_data_tag();
-        let (h, post) = self
-            .proc_
-            .ep
-            .post_send_split_from_event(sim, self.peer, tag, header, payload, range);
+        let data = TxBuf::pair(Msg::data_header(ret.credits, seq, payload.len()), payload);
+        let rearms = self.rearm_posts(&ret);
+        let (h, handles, post) = self.proc_.ep.post_send_rearming_from_event(
+            sim,
+            self.peer,
+            self.tx_data_tag(),
+            data,
+            range,
+            &rearms,
+        );
+        self.rearmed(ret, handles);
         let mut i = self.inner.lock();
         i.inflight_sends.push(h);
         i.flush_debt += self.proc_.cfg.stream_overhead + self.comm_thread_cost() + post;
@@ -278,7 +285,7 @@ impl SockShared {
     /// End the staging episode, credit already spent: the staged bytes and
     /// the header fields of their message. `None` when the other context
     /// (owner or timer) got here first — the credit goes back.
-    fn take_staged(&self, sim: &dyn SimAccess) -> Option<(u16, u32, Bytes)> {
+    fn take_staged(&self, sim: &dyn SimAccess) -> Option<(CreditReturn, u32, Bytes)> {
         let (payload, writes) = {
             let mut i = self.inner.lock();
             if i.coalesce_buf.is_empty() {
@@ -291,21 +298,21 @@ impl SockShared {
             (payload, std::mem::take(&mut i.coalesce_count))
         };
         self.trace(sim, EventKind::CoalesceFlush, payload.len() as u64, writes);
-        let (piggyback, seq) = self.begin_msg(sim, 0);
-        Some((piggyback, seq, payload))
+        let (ret, seq) = self.begin_msg(sim, 0);
+        Some((ret, seq, payload))
     }
 
     /// Send the staged bytes (credit already spent) as one data message.
     /// The staging copy was paid per-append, so the flush itself hands
     /// the NIC the buffer without another copy.
     fn flush_staged(&self, ctx: &ProcessCtx) -> OpResult<()> {
-        let Some((piggyback, seq, payload)) = self.take_staged(ctx) else {
+        let Some((ret, seq, payload)) = self.take_staged(ctx) else {
             // The timer sent them while this call was parked: settle now.
             return self.pay_flush_debt(ctx).map(Ok);
         };
         ctx.delay(self.proc_.cfg.stream_overhead)?;
         self.comm_thread_penalty(ctx)?;
-        let h = self.send_data_msg(ctx, self.tx_data_tag(), piggyback, seq, payload)?;
+        let h = self.send_data_msg(ctx, ret, seq, payload)?;
         self.inner.lock().inflight_sends.push(h);
         Ok(Ok(()))
     }
@@ -499,14 +506,14 @@ impl SockShared {
                 return Ok(Ok(off));
             }
             let chunk = (data.len() - off).min(self.buf_size);
-            let (piggyback, seq) = self.begin_msg(ctx, chunk);
+            let (ret, seq) = self.begin_msg(ctx, chunk);
             let payload = whole.slice(off..off + chunk);
             ctx.delay(self.proc_.cfg.stream_overhead)?;
             self.comm_thread_penalty(ctx)?;
             let copy = self.proc_.ep.host().cost().memcpy(chunk);
             ctx.delay(copy)?;
             self.trace(ctx, EventKind::SubstrateCopy, chunk as u64, copy.nanos());
-            let h = self.send_data_msg(ctx, self.tx_data_tag(), piggyback, seq, payload)?;
+            let h = self.send_data_msg(ctx, ret, seq, payload)?;
             self.inner.lock().inflight_sends.push(h);
             off += chunk;
             if off >= data.len() {
@@ -559,8 +566,10 @@ impl SockShared {
     }
 
     /// Drain every completed head data descriptor: append payloads to the
-    /// stream, batch-repost the consumed descriptors behind one doorbell,
-    /// and run the credit-return policy (§6.1/§6.3) per message.
+    /// stream, and run the credit-return policy (§6.1/§6.3) per message.
+    /// The consumed descriptors are batch-reposted behind one doorbell —
+    /// or, with piggy-backing on, left for the send that returns their
+    /// credits to re-arm, so a credit never leaves without its descriptor.
     ///
     /// With `direct_max` set (a reader is parked here with a posted buffer
     /// of that size), the first in-sequence payload that fits while the
@@ -596,15 +605,19 @@ impl SockShared {
                 return Ok(Err(NetError::Protocol("non-data message on data tag")));
             };
             ctx.delay(self.proc_.cfg.stream_overhead)?;
-            reposts.push(slot.range);
             let (send_explicit, delivered_direct) = {
                 let mut i = self.inner.lock();
+                if self.proc_.cfg.piggyback_acks {
+                    i.rearms.push(slot.range);
+                } else {
+                    reposts.push(slot.range);
+                }
                 i.credits += u32::from(piggyback);
                 i.stats.msgs_received += 1;
-                // The descriptor is consumed (and reposted below) regardless
-                // of arrival order; only the *byte stream* is sequenced. An
-                // ahead-of-sequence payload parks in the reorder buffer
-                // until the retransmitting gap message lands.
+                // The descriptor is consumed (and reposted or re-armed)
+                // regardless of arrival order; only the *byte stream* is
+                // sequenced. An ahead-of-sequence payload parks in the
+                // reorder buffer until the retransmitting gap message lands.
                 let mut delivered = 0;
                 if seq == i.rx_next_seq {
                     // Direct delivery is only sound for the very next bytes
@@ -661,7 +674,7 @@ impl SockShared {
                 // the ack goes out explicitly.
                 let threshold = self.proc_.cfg.ack_threshold();
                 let explicit = if i.consumed >= threshold {
-                    Some(std::mem::take(&mut i.consumed) as u16)
+                    Some(i.take_credit_return())
                 } else {
                     if emp_trace::ENABLED && self.proc_.cfg.piggyback_acks && i.consumed > 0 {
                         let accrued = u64::from(i.consumed);
@@ -676,14 +689,15 @@ impl SockShared {
                 self.trace(ctx, EventKind::DirectDeliver, delivered_direct as u64, 0);
                 self.trace(ctx, EventKind::SockReadEnd, delivered_direct as u64, 0);
             }
-            if let Some(credits) = send_explicit {
-                explicit_acks.push(credits);
+            if let Some(ret) = send_explicit {
+                explicit_acks.push(ret);
             }
             if self.inner.lock().poisoned {
                 // Budget tripped on this message: the popped descriptors
                 // can no longer serve the (now unrecoverable) stream —
                 // recycle their buffers instead of reposting.
-                for r in reposts {
+                let unsent = explicit_acks.into_iter().flat_map(|r| r.rearms);
+                for r in reposts.into_iter().chain(unsent) {
                     self.proc_.free_range(r);
                 }
                 ctx.telemetry().counter("sock.reorder_cap_trips").add(1);
@@ -706,12 +720,12 @@ impl SockShared {
                 i.data_slots.push_back(DataSlot { handle, range });
             }
         }
-        for credits in explicit_acks {
+        for ret in explicit_acks {
             if emp_trace::ENABLED {
-                self.trace(ctx, EventKind::CreditReturn, u64::from(credits), 0);
-                self.trace(ctx, EventKind::AckSent, u64::from(credits), 0);
+                self.trace(ctx, EventKind::CreditReturn, u64::from(ret.credits), 0);
+                self.trace(ctx, EventKind::AckSent, u64::from(ret.credits), 0);
             }
-            let h = self.send_msg(ctx, self.tx_fcack_tag(), &Msg::FcAck { credits })?;
+            let h = self.send_fcack(ctx, ret)?;
             let mut i = self.inner.lock();
             i.stats.fcacks_sent += 1;
             i.inflight_sends.push(h);

@@ -1,9 +1,11 @@
 //! Property-based tests of the §6.1 credit machinery: for arbitrary
 //! send/recv interleavings (and arbitrary credit budgets) each side keeps
-//! exactly N data descriptors posted (2N across the connection, §6.1
-//! "posts 2N descriptors"), the sender's credit pool never exceeds N, and
-//! the delayed-ack accumulator never reaches the return threshold without
-//! being flushed.
+//! exactly N data descriptors (2N across the connection, §6.1 "posts 2N
+//! descriptors") — posted, or with piggy-backing on consumed and waiting
+//! for the send that returns their credits to re-arm them — the sender's
+//! credit pool never exceeds N, and the delayed-ack accumulator never
+//! reaches the return threshold without being flushed. The presets and
+//! the piggy-backing default are both drawn.
 
 use std::sync::Arc;
 
@@ -25,10 +27,11 @@ fn cluster(faults: FaultPlan) -> EmpCluster {
 }
 
 fn preset(which: u32) -> SubstrateConfig {
-    match which % 3 {
+    match which % 4 {
         0 => SubstrateConfig::ds(),
         1 => SubstrateConfig::ds_da(),
-        _ => SubstrateConfig::ds_da_uq(),
+        2 => SubstrateConfig::ds_da_uq(),
+        _ => SubstrateConfig::default(),
     }
 }
 
@@ -67,10 +70,10 @@ fn audit_run(
             }
             got += m.len();
             let st = conn.debug_state();
-            if st.data_slots != n as usize {
+            if st.data_slots + st.rearms_pending != n as usize {
                 v_r.lock().push(format!(
-                    "receive side holds {} data descriptors, not N={n}",
-                    st.data_slots
+                    "receive side holds {} data descriptors and {} re-arms, not N={n}",
+                    st.data_slots, st.rearms_pending
                 ));
             }
             if st.consumed >= threshold {
@@ -95,10 +98,10 @@ fn audit_run(
                     st.credits
                 ));
             }
-            if st.data_slots != n as usize {
+            if st.data_slots + st.rearms_pending != n as usize {
                 v_w.lock().push(format!(
-                    "send side holds {} data descriptors, not N={n}",
-                    st.data_slots
+                    "send side holds {} data descriptors and {} re-arms, not N={n}",
+                    st.data_slots, st.rearms_pending
                 ));
             }
         }
@@ -121,7 +124,7 @@ proptest! {
         writes in prop::collection::vec(1usize..9_000, 1..10),
         reads in prop::collection::vec(1usize..4_096, 1..6),
         credits in 1u32..6,
-        which in 0u32..3,
+        which in 0u32..4,
     ) {
         let cfg = preset(which).with_credits(credits);
         let violations = audit_run(cfg, FaultPlan::none(), writes, reads);
@@ -134,11 +137,17 @@ proptest! {
         reads in prop::collection::vec(1usize..4_096, 1..6),
         credits in 1u32..6,
         seed in any::<u64>(),
+        piggyback in any::<bool>(),
     ) {
         let faults = FaultPlan::seeded(seed | 1)
             .with_drop_prob(0.1)
             .with_reorder(0.1, simnet::SimDuration::from_micros(60));
-        let cfg = SubstrateConfig::ds_da_uq().with_credits(credits);
+        let cfg = if piggyback {
+            SubstrateConfig::default()
+        } else {
+            SubstrateConfig::ds_da_uq()
+        };
+        let cfg = cfg.with_credits(credits);
         let violations = audit_run(cfg, faults, writes, reads);
         prop_assert!(violations.is_empty(), "{}", violations.join("; "));
     }

@@ -18,6 +18,10 @@ use simnet::{MacAddr, ProcessCtx, SimAccess, SimDuration, SimResult};
 use crate::nic::{DescId, EmpNic, RecvState, SendState, TxBuf};
 use crate::wire::{RecvMsg, Tag};
 
+/// A receive descriptor to post from the host: `(tag, source filter,
+/// capacity, buffer)`.
+pub type PostSpec = (Tag, Option<MacAddr>, usize, VirtRange);
+
 /// Handle to an in-flight send.
 #[derive(Clone)]
 pub struct SendHandle {
@@ -57,6 +61,10 @@ pub struct RecvHandle {
 }
 
 impl RecvHandle {
+    fn new((id, state): (DescId, RecvState)) -> Self {
+        RecvHandle { id, state }
+    }
+
     /// The NIC descriptor id (for explicit unposting).
     pub fn id(&self) -> DescId {
         self.id
@@ -159,46 +167,75 @@ impl EmpEndpoint {
         self.post_send_buf(ctx, dst, tag, TxBuf::one(data), buf, true)
     }
 
-    /// [`EmpEndpoint::post_send`] with the message as a header + payload
-    /// pair: the NIC gathers the two segments itself, so the host never
-    /// assembles (copies) them into one buffer.
-    pub fn post_send_split(
+    /// [`EmpEndpoint::post_send`] that also re-arms the receive
+    /// descriptors `rearms` in the same request: each pays its descriptor
+    /// build and pin-cache lookup here, but rides the send's doorbell, and
+    /// the NIC's transmit CPU inserts it before the message's first frame
+    /// leaves. `data` may be a header + payload pair, which the NIC
+    /// gathers itself. Returns the send's handle and one receive handle
+    /// per re-arm, in order.
+    pub fn post_send_rearming(
         &self,
         ctx: &ProcessCtx,
         dst: MacAddr,
         tag: Tag,
-        header: Bytes,
-        payload: Bytes,
+        data: TxBuf,
         buf: VirtRange,
-    ) -> SimResult<SendHandle> {
-        self.post_send_buf(ctx, dst, tag, TxBuf::pair(header, payload), buf, false)
+        rearms: &[PostSpec],
+    ) -> SimResult<(SendHandle, Vec<RecvHandle>)> {
+        ctx.delay(self.send_host_cost(buf, rearms))?;
+        Ok(self.start_send(ctx, dst, tag, data, false, rearms))
     }
 
-    /// [`EmpEndpoint::post_send_split`] from event context — a timer, with
-    /// no process to charge: the doorbell is rung now, and the host cost
-    /// the caller would have been delayed by comes back for it to book
-    /// against the process that owns the buffer.
-    pub fn post_send_split_from_event(
+    /// [`EmpEndpoint::post_send_rearming`] from event context — a timer,
+    /// with no process to charge: the doorbell is rung now, and the host
+    /// cost the caller would have been delayed by comes back for it to
+    /// book against the process that owns the buffer.
+    pub fn post_send_rearming_from_event(
         &self,
         sim: &dyn SimAccess,
         dst: MacAddr,
         tag: Tag,
-        header: Bytes,
-        payload: Bytes,
+        data: TxBuf,
         buf: VirtRange,
-    ) -> (SendHandle, SimDuration) {
-        let cost = self.send_host_cost(buf);
-        let data = TxBuf::pair(header, payload);
-        self.trace(sim, EventKind::TxDoorbell, data.len() as u64, 0);
-        let state = self.nic.start_send(sim, dst, tag, data, false);
-        (SendHandle { state }, cost)
+        rearms: &[PostSpec],
+    ) -> (SendHandle, Vec<RecvHandle>, SimDuration) {
+        let cost = self.send_host_cost(buf, rearms);
+        let (h, descs) = self.start_send(sim, dst, tag, data, false, rearms);
+        (h, descs, cost)
     }
 
-    /// Host time of posting one send from `buf`: descriptor build, the
-    /// pin-and-translate call (free once cached), the doorbell write.
-    fn send_host_cost(&self, buf: VirtRange) -> SimDuration {
-        let (pin, _) = self.host.memory().lock().register(buf, self.host.cost());
-        self.nic.cfg().desc_build + pin + self.host.cost().doorbell_write
+    /// Host time of posting one send from `buf` that re-arms `rearms`:
+    /// a descriptor build and a pin-and-translate call (free once cached)
+    /// per descriptor, and one doorbell write.
+    fn send_host_cost(&self, buf: VirtRange, rearms: &[PostSpec]) -> SimDuration {
+        let mut cost = self.nic.cfg().desc_build + self.pin(buf) + self.host.cost().doorbell_write;
+        for (_, _, _, rbuf) in rearms {
+            cost += self.nic.cfg().desc_build + self.pin(*rbuf);
+        }
+        cost
+    }
+
+    /// The pin-and-translate call for `buf`: a cache lookup once pinned.
+    fn pin(&self, buf: VirtRange) -> SimDuration {
+        self.host.memory().lock().register(buf, self.host.cost()).0
+    }
+
+    /// Ring the doorbell: hand the NIC the send (and its re-arms).
+    fn start_send(
+        &self,
+        sim: &dyn SimAccess,
+        dst: MacAddr,
+        tag: Tag,
+        data: TxBuf,
+        no_uq: bool,
+        rearms: &[PostSpec],
+    ) -> (SendHandle, Vec<RecvHandle>) {
+        self.trace(sim, EventKind::TxDoorbell, data.len() as u64, 0);
+        let specs = rearms.iter().map(|&(t, s, c, _)| (t, s, c)).collect();
+        let (state, descs) = self.nic.start_send(sim, dst, tag, data, no_uq, specs);
+        let handles = descs.into_iter().map(RecvHandle::new).collect();
+        (SendHandle { state }, handles)
     }
 
     fn post_send_buf(
@@ -210,10 +247,8 @@ impl EmpEndpoint {
         buf: VirtRange,
         no_uq: bool,
     ) -> SimResult<SendHandle> {
-        ctx.delay(self.send_host_cost(buf))?;
-        self.trace(ctx, EventKind::TxDoorbell, data.len() as u64, 0);
-        let state = self.nic.start_send(ctx, dst, tag, data, no_uq);
-        Ok(SendHandle { state })
+        ctx.delay(self.send_host_cost(buf, &[]))?;
+        Ok(self.start_send(ctx, dst, tag, data, no_uq, &[]).0)
     }
 
     /// Block until the send is fully acknowledged (`true`) or abandoned
@@ -263,10 +298,10 @@ impl EmpEndpoint {
         buf: VirtRange,
     ) -> SimResult<RecvHandle> {
         let cfg = self.nic.cfg();
-        let (pin, _) = self.host.memory().lock().register(buf, self.host.cost());
-        ctx.delay(cfg.desc_build + pin + self.host.cost().doorbell_write)?;
-        let (id, state) = self.nic.post_descriptor(ctx, tag, src, capacity);
-        Ok(RecvHandle { id, state })
+        ctx.delay(cfg.desc_build + self.pin(buf) + self.host.cost().doorbell_write)?;
+        Ok(RecvHandle::new(
+            self.nic.post_descriptor(ctx, tag, src, capacity),
+        ))
     }
 
     /// Post a batch of receive descriptors behind one doorbell: each entry
@@ -277,7 +312,7 @@ impl EmpEndpoint {
     pub fn post_recv_batch(
         &self,
         ctx: &ProcessCtx,
-        posts: &[(Tag, Option<MacAddr>, usize, VirtRange)],
+        posts: &[PostSpec],
     ) -> SimResult<Vec<RecvHandle>> {
         if posts.is_empty() {
             return Ok(Vec::new());
@@ -285,19 +320,18 @@ impl EmpEndpoint {
         let cfg = self.nic.cfg();
         let mut cost = self.host.cost().doorbell_write;
         for (_, _, _, buf) in posts {
-            let (pin, _) = self.host.memory().lock().register(*buf, self.host.cost());
-            cost += cfg.desc_build + pin;
+            cost += cfg.desc_build + self.pin(*buf);
         }
         ctx.delay(cost)?;
         let specs = posts
             .iter()
-            .map(|(tag, src, cap, _)| (*tag, *src, *cap))
+            .map(|&(tag, src, cap, _)| (tag, src, cap))
             .collect();
         Ok(self
             .nic
             .post_descriptors(ctx, specs)
             .into_iter()
-            .map(|(id, state)| RecvHandle { id, state })
+            .map(RecvHandle::new)
             .collect())
     }
 

@@ -24,7 +24,7 @@ pub mod testbed;
 pub mod wire;
 
 pub use config::EmpConfig;
-pub use endpoint::{EmpEndpoint, RecvHandle, RecvPoll, SendHandle};
-pub use nic::{DescId, EmpNic, EmpStats, TxBuf};
+pub use endpoint::{EmpEndpoint, PostSpec, RecvHandle, RecvPoll, SendHandle};
+pub use nic::{DescId, DescSpec, EmpNic, EmpStats, TxBuf};
 pub use testbed::{build_cluster, EmpCluster, EmpNode};
 pub use wire::{RecvMsg, Tag, MAX_CHUNK};

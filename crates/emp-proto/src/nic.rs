@@ -1,16 +1,17 @@
 //! The EMP firmware: the protocol state machines that run on the NIC.
 //!
 //! This is Figure 2 of the paper in executable form. Transmit: a host
-//! request (T1) is parsed by the tx CPU (T2-T3 bookkeeping), each frame is
-//! DMA-fetched (T5) and sent; a transmission record tracks acknowledged
-//! frames, with selective-repeat retransmission under an RTT-measured
-//! timeout (DESIGN §8). Receive: each arriving frame is classified (R3),
-//! tag-matched against the pre-posted descriptor list (R4, at the measured
-//! 550 ns per descriptor walked), and DMA'd to the host buffer (R6); acks
-//! with a bitmap of held fragments go back every `ack_window` frames, and
-//! every frame while the message has a hole. With piggy-backing on, a short
-//! message's final ack may wait up to half an SRTT to ride on a data frame
-//! to the same peer (DESIGN §8).
+//! request (T1) is parsed by the tx CPU (T2-T3 bookkeeping) — which also
+//! inserts any receive descriptors the request re-arms before its frames
+//! leave (DESIGN §8) — each frame is DMA-fetched (T5) and sent; a
+//! transmission record tracks acknowledged frames, with selective-repeat
+//! retransmission under an RTT-measured timeout (DESIGN §8). Receive: each
+//! arriving frame is classified (R3), tag-matched against the pre-posted
+//! descriptor list (R4, at the measured 550 ns per descriptor walked), and
+//! DMA'd to the host buffer (R6); acks with a bitmap of held fragments go
+//! back every `ack_window` frames, and every frame while the message has a
+//! hole. With piggy-backing on, a short message's final ack may wait up to
+//! half an SRTT to ride on a data frame to the same peer (DESIGN §8).
 //! Frames that match nothing fall into the unexpected queue if slots are
 //! available (checked last, extra host copy on claim), else are dropped for
 //! the sender to retransmit.
@@ -32,6 +33,9 @@ use crate::wire::{ack_fits, chunk_range, frames_for, Ack, EmpWire, RecvMsg, Tag}
 
 /// Identifier of a posted receive descriptor.
 pub type DescId = u64;
+
+/// A receive descriptor to post: `(tag, source filter, capacity)`.
+pub type DescSpec = (Tag, Option<MacAddr>, usize);
 
 /// Diagnostic view of a live transmit record:
 /// `(msg_id, acked, next_to_send, num_frames, retries)`.
@@ -121,6 +125,8 @@ impl RxFirmwareNs {
 pub struct TxFirmwareNs {
     /// Accepting host send requests (T1–T3).
     pub request: u64,
+    /// Inserting the receive descriptors a send request re-arms.
+    pub rearm: u64,
     /// Per-frame DMA fetch, header build and MAC hand-off (T4–T5).
     pub frame: u64,
     /// Generating standalone acks and nacks.
@@ -130,7 +136,7 @@ pub struct TxFirmwareNs {
 impl TxFirmwareNs {
     /// All kinds together.
     pub fn total(&self) -> u64 {
-        self.request + self.frame + self.ack
+        self.request + self.rearm + self.frame + self.ack
     }
 }
 
@@ -145,6 +151,7 @@ enum Fw {
     RxPost,
     RxUqResize,
     TxRequest,
+    TxRearm,
     TxFrame,
     TxAck,
 }
@@ -152,7 +159,7 @@ enum Fw {
 /// Firmware busy nanoseconds per task kind, charged when the task is
 /// scheduled — where the CPU adds it to its busy total.
 #[derive(Default)]
-struct FwProfile([AtomicU64; 10]);
+struct FwProfile([AtomicU64; 11]);
 
 impl FwProfile {
     fn get(&self, kind: Fw) -> u64 {
@@ -174,6 +181,7 @@ impl FwProfile {
     fn tx(&self) -> TxFirmwareNs {
         TxFirmwareNs {
             request: self.get(Fw::TxRequest),
+            rearm: self.get(Fw::TxRearm),
             frame: self.get(Fw::TxFrame),
             ack: self.get(Fw::TxAck),
         }
@@ -487,6 +495,9 @@ struct NicState {
     /// Pre-posted descriptors in post order — the list the tag matcher
     /// walks, 550 ns per entry examined.
     preposted: Vec<RecvDesc>,
+    /// Descriptors a send request re-arms that the tx CPU has not inserted
+    /// yet, each flagged once the host unposted it in the meantime.
+    rearming: HashMap<DescId, bool>,
     /// In-progress multi-frame receives, keyed by (source, message id).
     active: HashMap<(MacAddr, u64), ActiveRecv>,
     /// Slots available for unexpected messages.
@@ -510,6 +521,21 @@ struct NicState {
     /// across all NICs of the sim). `None` until the first send, when the
     /// telemetry registry becomes reachable.
     msg_latency: Option<Arc<emp_trace::telemetry::LogLinHistogram>>,
+}
+
+impl NicState {
+    /// A fresh receive descriptor for `(tag, src_filter, capacity)`.
+    fn new_desc(&mut self, (tag, src_filter, capacity): DescSpec) -> RecvDesc {
+        let id = self.next_desc_id;
+        self.next_desc_id += 1;
+        RecvDesc {
+            id,
+            tag,
+            src_filter,
+            capacity,
+            state: RecvState::new(),
+        }
+    }
 }
 
 /// Completed-receive memory depth (bounds `recent_done`).
@@ -539,6 +565,7 @@ impl EmpNic {
                 rtt: HashMap::new(),
                 rides: AckRides::default(),
                 preposted: Vec::new(),
+                rearming: HashMap::new(),
                 active: HashMap::new(),
                 unexpected_capacity: 0,
                 unexpected_in_use: 0,
@@ -723,7 +750,12 @@ impl EmpNic {
 
     /// Accept a host send request (T1 has already been paid by the host;
     /// this starts the firmware side). Returns the send's host-visible
-    /// state.
+    /// state, and that of each receive descriptor in `rearms`: the tx CPU
+    /// parses the request, inserts those descriptors at `rx_post_cost`
+    /// each and matches the unexpected pool against them before the
+    /// message's first frame is released — so a credit the message
+    /// returns can never reach the peer ahead of the descriptor it pays
+    /// for.
     pub fn start_send(
         &self,
         s: &dyn SimAccess,
@@ -731,11 +763,16 @@ impl EmpNic {
         tag: Tag,
         data: TxBuf,
         no_uq: bool,
-    ) -> SendState {
+        rearms: Vec<DescSpec>,
+    ) -> (SendState, Vec<(DescId, RecvState)>) {
         self.ensure_telemetry(s);
         let state = SendState::new();
-        let msg_id = {
+        let (msg_id, descs) = {
             let mut st = self.state.lock();
+            let descs: Vec<RecvDesc> = rearms.into_iter().map(|d| st.new_desc(d)).collect();
+            for d in &descs {
+                st.rearming.insert(d.id, false);
+            }
             let msg_id = st.next_msg_id;
             st.next_msg_id += 1;
             let num_frames = frames_for(data.len());
@@ -759,16 +796,21 @@ impl EmpNic {
                     state: state.clone(),
                 },
             );
-            msg_id
+            (msg_id, descs)
         };
+        let handles = descs.iter().map(|d| (d.id, d.state.clone())).collect();
         let me = self.arc();
         let earliest = s.now() + self.cfg.nic.pci_post_latency;
-        let cost = self.charge(Fw::TxRequest, self.cfg.nic.tx_request_cost);
+        let cost = self.charge(Fw::TxRequest, self.cfg.nic.tx_request_cost)
+            + self.charge(Fw::TxRearm, self.cfg.rx_post_cost * descs.len() as u64);
         self.tigon.cpu_tx.exec_at(s, earliest, cost, move |sim| {
+            if !descs.is_empty() {
+                me.insert_descriptors(sim, descs);
+            }
             me.state.lock().tx_order.push_back(msg_id);
             me.release_tx(sim, Vec::new());
         });
-        state
+        (state, handles)
     }
 
     /// Release frames to the wire, respecting the per-NIC transmit window:
@@ -1032,44 +1074,45 @@ impl EmpNic {
     pub fn post_descriptors(
         &self,
         s: &dyn SimAccess,
-        specs: Vec<(Tag, Option<MacAddr>, usize)>,
+        specs: Vec<DescSpec>,
     ) -> Vec<(DescId, RecvState)> {
         if specs.is_empty() {
             return Vec::new();
         }
-        let mut out = Vec::with_capacity(specs.len());
-        let mut descs = Vec::with_capacity(specs.len());
-        {
+        let descs: Vec<RecvDesc> = {
             let mut st = self.state.lock();
-            for (tag, src_filter, capacity) in specs {
-                let id = st.next_desc_id;
-                st.next_desc_id += 1;
-                let state = RecvState::new();
-                descs.push(RecvDesc {
-                    id,
-                    tag,
-                    src_filter,
-                    capacity,
-                    state: state.clone(),
-                });
-                out.push((id, state));
-            }
-        }
+            specs.into_iter().map(|d| st.new_desc(d)).collect()
+        };
+        let out = descs.iter().map(|d| (d.id, d.state.clone())).collect();
         let me = self.arc();
         let earliest = s.now() + self.cfg.nic.pci_post_latency;
         let cost = self.charge(Fw::RxPost, self.cfg.rx_post_cost * descs.len() as u64);
-        let batch = descs.len() as u64;
         self.tigon.cpu_rx.exec_at(s, earliest, cost, move |sim| {
-            if batch > 1 {
-                me.trace(sim, EventKind::DescPostBatch, batch, 0);
-            }
-            for d in descs {
-                me.trace(sim, EventKind::DescPost, d.id, d.capacity as u64);
-                me.state.lock().preposted.push(d);
-            }
-            me.drain_pool_matches(sim);
+            me.insert_descriptors(sim, descs);
         });
         out
+    }
+
+    /// The firmware's descriptor insert: append `descs` to the pre-posted
+    /// list in order, then claim whatever the unexpected pool holds for
+    /// them. A re-armed descriptor the host unposted before this ran is
+    /// completed as unposted instead.
+    fn insert_descriptors(&self, sim: &Sim, descs: Vec<RecvDesc>) {
+        if descs.len() > 1 {
+            self.trace(sim, EventKind::DescPostBatch, descs.len() as u64, 0);
+        }
+        for d in descs {
+            let unposted = self.state.lock().rearming.remove(&d.id) == Some(true);
+            if unposted {
+                self.trace(sim, EventKind::DescUnpost, d.id, 0);
+                *d.state.slot.lock() = Some(None);
+                d.state.completion.complete(sim);
+                continue;
+            }
+            self.trace(sim, EventKind::DescPost, d.id, d.capacity as u64);
+            self.state.lock().preposted.push(d);
+        }
+        self.drain_pool_matches(sim);
     }
 
     /// Host explicitly unposts a descriptor (§4.2: "every descriptor is
@@ -1083,6 +1126,13 @@ impl EmpNic {
             let state = {
                 let mut st = me.state.lock();
                 let pos = st.preposted.iter().position(|d| d.id == id);
+                if pos.is_none() {
+                    // A re-arm still queued on the tx CPU: it completes as
+                    // unposted when that CPU reaches it.
+                    if let Some(unposted) = st.rearming.get_mut(&id) {
+                        *unposted = true;
+                    }
+                }
                 pos.map(|p| st.preposted.remove(p).state)
             };
             if let Some(state) = state {
@@ -1868,6 +1918,44 @@ mod tests {
         assert_eq!(stats.frames_retransmitted, 2, "fragments 1 and 5 only");
         assert_eq!(stats.fast_retransmits, 0);
         assert_eq!(nic.debug_tx().0, [(0, 1, 6, 6, 1)]);
+    }
+
+    #[test]
+    fn a_send_inserts_its_rearms_on_the_tx_cpu_before_its_frames_leave() {
+        let sim = Sim::new();
+        let cl = crate::build_cluster(2, EmpConfig::default(), simnet::SwitchConfig::default());
+        let nic = Arc::clone(&cl.nodes[0].nic);
+        let data = TxBuf::one(Bytes::from_static(b"credit"));
+        let rearms = vec![(Tag(7), Some(MacAddr(1)), 64); 2];
+        let (_, descs) = nic.start_send(&sim, MacAddr(1), Tag(3), data, false, rearms);
+        sim.run();
+        assert_eq!(nic.debug_preposted().len(), 2);
+        assert!(descs.iter().all(|(_, s)| !s.completion.is_done()));
+        let (rx, tx) = (nic.stats().rx_fw, nic.stats().tx_fw);
+        assert_eq!(tx.rearm, 2 * nic.cfg.rx_post_cost.nanos());
+        assert_eq!(tx.total(), nic.tigon.cpu_tx.busy_total().nanos());
+        assert_eq!(rx.post, 0, "the rx CPU inserted nothing");
+    }
+
+    #[test]
+    fn a_rearm_unposted_before_the_tx_cpu_reaches_it_is_never_inserted() {
+        // The host unposts (close) while the re-arming send still waits
+        // for the tx CPU: the unpost, on the rx CPU, finds nothing; the
+        // insert then completes the descriptor as unposted instead of
+        // stranding it on the list.
+        let sim = Sim::new();
+        let cl = crate::build_cluster(2, EmpConfig::default(), simnet::SwitchConfig::default());
+        let nic = Arc::clone(&cl.nodes[0].nic);
+        let data = TxBuf::one(Bytes::from_static(b"credit"));
+        let rearms = vec![(Tag(7), Some(MacAddr(1)), 64)];
+        let (_, descs) = nic.start_send(&sim, MacAddr(1), Tag(3), data, false, rearms);
+        let (id, state) = descs.into_iter().next().expect("one re-arm");
+        nic.unpost_descriptor(&sim, id);
+        sim.run();
+        assert!(nic.debug_preposted().is_empty());
+        assert!(state.completion.is_done());
+        assert!(state.slot.lock().as_ref().is_some_and(Option::is_none));
+        assert!(nic.state.lock().rearming.is_empty());
     }
 
     #[test]

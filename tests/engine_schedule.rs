@@ -28,6 +28,14 @@
 //! messages on its own data frames instead of in two ack frames (1 151 →
 //! 1 145 events, same end time). Its flush and message counts did not
 //! move.
+//!
+//! It was re-recorded again when, under the same switch, a consumed data
+//! descriptor stopped being reposted behind a doorbell of its own at read
+//! time and began to be re-armed by the send that returns its credit
+//! (DESIGN §8): the reader's 40 reads no longer post anything, its two
+//! FcAcks re-arm 16 descriptors each on its NIC's tx CPU, and the last 8
+//! are freed at close (1 145 → 1 066 events, same end time). Its flush
+//! and message counts did not move.
 //! The three `DS_DA_UQ` pins leave the switch off and did not move.
 
 use std::sync::Arc;
@@ -216,6 +224,6 @@ fn default_paired_writes() {
     sim.run();
     assert_eq!(
         schedule_of(&sim),
-        (1_145, 2_905_620, 14_249_486_138_938_100_563)
+        (1_066, 2_905_620, 305_620_747_849_919_988)
     );
 }

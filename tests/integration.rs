@@ -74,6 +74,12 @@ fn nic_firmware_profile_accounts_for_every_busy_nanosecond() {
         assert!(ns > 0, "server rx firmware spent nothing on {kind}");
     }
     assert!(server.tx_fw.request > 0 && server.tx_fw.frame > 0);
+    // Under the default's §6.1 switch the responses re-arm the request
+    // descriptors, on the tx CPU.
+    assert!(
+        server.tx_fw.rearm > 0,
+        "server tx firmware re-armed nothing"
+    );
     assert!(server.acks_piggybacked > 0, "responses carry request acks");
 }
 
