@@ -57,6 +57,14 @@ step "cargo test (descriptor re-arms)"
 cargo test -q -p sockets-emp --test rearm
 cargo test -q -p sockets-emp --test rearm --features sockets-emp/trace
 
+step "cargo test (adaptive copy policy)"
+# The default data path's copy decisions: direct delivery to posted
+# readers, staged small writes and their deadline, and a long write that
+# returns with its copied tail in flight while the presets keep one
+# zero-copy message they wait out — in both build modes.
+cargo test -q -p sockets-emp --test fastpath
+cargo test -q -p sockets-emp --test fastpath --features sockets-emp/trace
+
 step "traced ping-pong smoke"
 # Must print a latency budget and a non-empty Chrome trace.
 out=$(cargo run -q --release -p emp-bench --bin figures --features trace -- --trace)

@@ -726,10 +726,13 @@ fn grid_label(stage_below: usize, capacity: usize) -> String {
 
 /// Run the small-message bandwidth sweep behind
 /// [`small_message_throughput`], returning the per-point counters too.
+/// The full profile ends with two write sizes above `send_copy_threshold`,
+/// where the default sends a zero-copy head and a copied tail it does not
+/// wait for, and the preset one zero-copy write it waits out.
 pub fn small_message_sweep(profile: Profile) -> Vec<SmallMsgPoint> {
     let sizes: &[usize] = match profile {
         Profile::Quick => &[64, 256],
-        Profile::Full => &[16, 64, 256, 1024, 4096, 16 << 10],
+        Profile::Full => &[16, 64, 256, 1024, 4096, 16 << 10, 64 << 10, 256 << 10],
     };
     let floor: usize = match profile {
         Profile::Quick => 64 * 1024,

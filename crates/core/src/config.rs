@@ -180,8 +180,12 @@ pub struct SubstrateConfig {
     pub base_unexpected_slots: usize,
     /// Stream writes up to this size are copied into a registered send
     /// buffer and complete asynchronously (standard sockets `write`
-    /// semantics); larger writes stay zero-copy and block until the NIC
-    /// acknowledges, so the buffer is safe to reuse.
+    /// semantics); larger writes go zero-copy and block until the NIC
+    /// acknowledges, so the buffer is safe to reuse. Under a staging
+    /// [`CopyPolicy`] (`stage_below > 0`, as in `default()`) a larger
+    /// write copies its last this-many bytes as well and blocks only
+    /// until its zero-copy head is acknowledged, leaving that tail in
+    /// flight; under the presets it blocks until its last fragment is.
     pub send_copy_threshold: usize,
     /// Host bookkeeping per stream message (buffer list management, credit
     /// accounting) on the 700 MHz testbed host.

@@ -30,9 +30,17 @@ pub(crate) use ok_or_return;
 
 impl SockShared {
     /// Blocking stream write: fragments into temp-buffer-sized substrate
-    /// messages, spending one credit each. Zero-copy on the send side —
-    /// the call returns when the NIC has acknowledged the last fragment
-    /// (the buffer is the application's to reuse again).
+    /// messages, spending one credit each. A message of at most
+    /// `send_copy_threshold` bytes is copied and left in flight; a larger
+    /// one goes zero-copy and the call returns when the NIC has
+    /// acknowledged it (the buffer is the application's to reuse again).
+    /// Under a staging copy policy (`stage_below > 0`, as in `default()`)
+    /// a write longer than the threshold keeps its last
+    /// `send_copy_threshold` bytes back as a copied tail: the call returns
+    /// when the zero-copy head is acknowledged while the tail is still on
+    /// the wire, so the next write's head queues behind it at the NIC and
+    /// the link does not idle while the final ack comes back. A tail that
+    /// fails later fails the next call, as a copied small write does.
     pub(crate) fn stream_write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
         self.trace(ctx, EventKind::SockWriteStart, data.len() as u64, 0);
         self.pay_flush_debt(ctx)?;
@@ -45,12 +53,15 @@ impl SockShared {
         // each fragment below is a cheap refcounted slice of it, not a
         // fresh allocation-and-copy per chunk.
         let whole = Bytes::copy_from_slice(data);
+        let head = data.len() - self.copied_tail(data.len());
         let mut zc_sends = Vec::new();
         let mut off = 0;
         while off < data.len() || (data.is_empty() && off == 0) {
             ok_or_return!(self.check_writable());
             ok_or_return!(self.acquire_credit(ctx)?);
-            let chunk = (data.len() - off).min(self.buf_size);
+            // Head fragments first; the tail, if any, is one message.
+            let end = if off < head { head } else { data.len() };
+            let chunk = (end - off).min(self.buf_size);
             let (ret, seq) = self.begin_msg(ctx, chunk);
             let payload = whole.slice(off..off + chunk);
             ctx.delay(self.proc_.cfg.stream_overhead)?;
@@ -86,6 +97,20 @@ impl SockShared {
             }
         }
         Ok(Ok(data.len()))
+    }
+
+    /// Bytes at the end of a `len`-byte write sent as one copied message
+    /// that the write does not wait for: the last `send_copy_threshold`
+    /// of a longer write under a staging policy, else none. A head of at
+    /// most the threshold is copied too, so writes up to twice the
+    /// threshold go fully copied.
+    fn copied_tail(&self, len: usize) -> usize {
+        let cfg = &self.proc_.cfg;
+        if cfg.copy_policy.stage_below > 0 && len > cfg.send_copy_threshold {
+            cfg.send_copy_threshold.min(self.buf_size)
+        } else {
+            0
+        }
     }
 
     /// The send half of the copy policy: does a write of `len` bytes wait

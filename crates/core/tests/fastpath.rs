@@ -771,3 +771,137 @@ fn ring_reads_follow_the_copy_policy() {
         assert!(done.is_done());
     }
 }
+
+// ---- a long write's copied tail ---------------------------------------
+
+/// What one write of a fresh connection looked like from both ends.
+struct OneWrite {
+    /// Substrate data messages the write sent.
+    msgs: u64,
+    /// Sim instant the write returned (ns).
+    returned_at: u64,
+    /// Sim instant the reader held the write's last byte (ns).
+    last_byte_at: u64,
+    /// Messages the writer's NIC still held unacknowledged on return.
+    unacked_at_return: usize,
+}
+
+/// One `len`-byte write under `cfg` to a reader already parked in
+/// `read()`, the bytes checked exactly at the reader.
+fn one_write(cfg: SubstrateConfig, len: usize) -> OneWrite {
+    let sim = Sim::new();
+    let cl = cluster(2);
+    let server = substrate(&cl, 1, cfg.clone());
+    let client = substrate(&cl, 0, cfg);
+    let nic = Arc::clone(&cl.nodes[0].nic);
+    let addr = SockAddr::new(cl.nodes[1].addr(), 80);
+    let last_byte_at = Arc::new(AtomicU64::new(0));
+    let out = Arc::new(parking_lot::Mutex::new(None));
+    let (last2, out2) = (Arc::clone(&last_byte_at), Arc::clone(&out));
+
+    sim.spawn("reader", move |ctx| {
+        let l = server.listen(ctx, 80, 4)?.expect("port free");
+        let conn = l.accept(ctx)?.expect("connection");
+        let mut got = Vec::with_capacity(len);
+        while got.len() < len {
+            let m = conn.read(ctx, 256 << 10)?.expect("data");
+            assert!(!m.is_empty(), "premature EOF at byte {}", got.len());
+            got.extend_from_slice(&m);
+        }
+        last2.store(ctx.now().nanos(), Ordering::SeqCst);
+        assert!(got == pattern(len), "{len} B write: bytes differ");
+        let eof = conn.read(ctx, 8192)?.expect("eof");
+        assert!(eof.is_empty(), "EOF must follow the last byte exactly");
+        conn.close(ctx)?;
+        l.close(ctx)
+    });
+    sim.spawn("writer", move |ctx| {
+        let conn = client.connect(ctx, addr)?.expect("connect");
+        // Long enough for the reader to be parked in `read()`.
+        ctx.delay(SimDuration::from_millis(1))?;
+        let before = conn.stats().msgs_sent;
+        conn.write(ctx, &pattern(len))?.expect("write");
+        *out2.lock() = Some(OneWrite {
+            msgs: conn.stats().msgs_sent - before,
+            returned_at: ctx.now().nanos(),
+            last_byte_at: 0,
+            unacked_at_return: nic.debug_tx().0.len(),
+        });
+        conn.close(ctx)
+    });
+    sim.run();
+    let mut w = out.lock().take().expect("the write returned");
+    w.last_byte_at = last_byte_at.load(Ordering::SeqCst);
+    assert!(
+        w.last_byte_at > 0,
+        "{len} B write: the reader got every byte"
+    );
+    w
+}
+
+/// On `default()` one 64 KiB write to a parked reader goes out as a
+/// zero-copy head and a copied 16 KiB tail, and returns once the head is
+/// acknowledged: the tail is still on its way, so the reader holds the
+/// last byte only after the writer is free again.
+#[test]
+fn a_long_default_write_returns_with_its_copied_tail_in_flight() {
+    let w = one_write(SubstrateConfig::default(), 64 << 10);
+    assert_eq!(w.msgs, 2, "a zero-copy head and a copied tail");
+    assert_eq!(w.unacked_at_return, 1, "the tail, and only it, in flight");
+    assert!(
+        w.returned_at < w.last_byte_at,
+        "returned at {} ns, the reader held the last byte at {} ns",
+        w.returned_at,
+        w.last_byte_at
+    );
+}
+
+/// Write sizes around the tail rule, each byte-exact with the message
+/// count it predicts: a write of at most `send_copy_threshold` (T) is one
+/// copied message; a longer one is a head in `temp_buf_size` fragments
+/// plus a T-byte copied tail. A head of at most T takes the copy path
+/// too, so writes up to 2 × T end up fully copied; above that the write
+/// waits for its zero-copy head and returns with only the tail in flight.
+#[test]
+fn writes_around_the_threshold_split_as_the_tail_rule_predicts() {
+    let cfg = SubstrateConfig::default();
+    let t = cfg.send_copy_threshold;
+    assert_eq!((t, cfg.temp_buf_size), (16 << 10, 64 << 10));
+    for (len, msgs) in [
+        (t, 1),
+        (t + 1, 2),
+        (2 * t, 2),
+        (64 << 10, 2),
+        ((64 << 10) + 1, 2),
+        (256 << 10, 5), // 64 + 64 + 64 + 48 KiB head, 16 KiB tail
+    ] {
+        let w = one_write(cfg.clone(), len);
+        assert_eq!(w.msgs, msgs, "{len} B write");
+        assert!(
+            w.returned_at < w.last_byte_at,
+            "{len} B write: tail in flight"
+        );
+        if len > 2 * t {
+            assert_eq!(w.unacked_at_return, 1, "{len} B write: only the tail");
+        } else {
+            assert!(w.unacked_at_return >= 1, "{len} B write: nothing waited");
+        }
+    }
+}
+
+/// The four Figure 11 presets carry `CopyPolicy::PAPER`, so the rule never
+/// applies: the same 64 KiB write stays one zero-copy message and returns
+/// only after its acknowledgment, with nothing left in flight.
+#[test]
+fn paper_presets_keep_a_long_write_one_message_that_waits_for_its_ack() {
+    for (name, cfg) in [
+        ("ds", SubstrateConfig::ds()),
+        ("ds_da", SubstrateConfig::ds_da()),
+        ("ds_da_uq", SubstrateConfig::ds_da_uq()),
+        ("dg", SubstrateConfig::dg()),
+    ] {
+        let w = one_write(cfg, 64 << 10);
+        assert_eq!(w.msgs, 1, "{name}: one message");
+        assert_eq!(w.unacked_at_return, 0, "{name}: returned after its ack");
+    }
+}

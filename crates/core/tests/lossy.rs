@@ -294,6 +294,31 @@ fn both_fast_paths_move_a_megabyte_at_twenty_percent_loss() {
     );
 }
 
+#[test]
+fn long_writes_with_copied_tails_survive_the_loss_sweep() {
+    // Writes above `send_copy_threshold` leave a copied tail in flight when
+    // they return, so the next write's head follows it onto a lossy,
+    // reordering wire: 64 KiB writes (zero-copy head + tail) and 20 KiB
+    // writes (a 4 KiB head, copied too, + tail).
+    for plan in sweep_plans() {
+        for chunk in [64 * 1024, 20 * 1024] {
+            stream_exchange(SubstrateConfig::default(), plan, 4 * SWEEP_BYTES, chunk);
+        }
+    }
+}
+
+#[test]
+fn long_writes_with_copied_tails_move_a_megabyte_at_twenty_percent_loss() {
+    for (seed, chunk) in [(23, 64 * 1024), (24, 20 * 1024)] {
+        stream_exchange(
+            SubstrateConfig::default(),
+            acceptance_plan(seed),
+            MEGABYTE,
+            chunk,
+        );
+    }
+}
+
 /// The staging deadline on a poisoned socket. A side that stages a small
 /// write, then trips its reorder-buffer cap on the next read, is left with
 /// a deadline timer pending on a connection that may send nothing more:
@@ -671,6 +696,61 @@ fn stream_writer_survives_a_reader_crash_mid_stream() {
     });
     sim.run();
     assert!(done.is_done());
+}
+
+/// `stream_writer_survives_a_reader_crash_mid_stream` on `default()`: each
+/// 64 KiB write returns with its copied tail in flight, and the reader
+/// vanishes while the first one's is. The writer's next call fails —
+/// `PeerGone` from the watchdog, or `PeerClosed` from a tail that failed
+/// — and closing strands nothing.
+#[test]
+fn default_writer_survives_a_reader_crash_with_a_tail_in_flight() {
+    let sim = Sim::new();
+    let cl = faulty_cluster(2, FaultPlan::none());
+    let cfg = SubstrateConfig::default()
+        .with_credits(2)
+        .with_peer_watchdog(SimDuration::from_millis(20));
+    let server = substrate(&cl, 1, cfg.clone());
+    let client = substrate(&cl, 0, cfg);
+    let writer_nic = std::sync::Arc::clone(&cl.nodes[0].nic);
+    let addr = SockAddr::new(cl.nodes[1].addr(), 80);
+    let done = Completion::new();
+    let done2 = done.clone();
+
+    sim.spawn("reader", move |ctx| {
+        let l = server.listen(ctx, 80, 4)?.expect("port free");
+        let conn = l.accept(ctx)?.expect("connection");
+        let _ = conn.read(ctx, 64)?.expect("the first write's head");
+        assert_eq!(writer_nic.debug_tx().0.len(), 1, "the tail is in flight");
+        // Crash: stop reading, never return credits, never close.
+        Ok(())
+    });
+    sim.spawn("writer", move |ctx| {
+        let conn = client.connect(ctx, addr)?.expect("connect");
+        let data = vec![7u8; 64 * 1024];
+        conn.write(ctx, &data)?.expect("the first write");
+        let mut outcome = Ok(0);
+        for _ in 0..16 {
+            outcome = conn.write(ctx, &data)?;
+            if outcome.is_err() {
+                break;
+            }
+        }
+        let err = outcome.expect_err("a write after the crash fails");
+        assert!(
+            matches!(err, NetError::PeerGone | NetError::PeerClosed),
+            "{err:?}"
+        );
+        conn.close(ctx)?;
+        done2.complete(ctx);
+        Ok(())
+    });
+    sim.run();
+    assert!(done.is_done());
+    let counters = sim.telemetry().snapshot().counters;
+    for name in ["sock.stranded_bytes", "sock.unpaid_flush_debt_ns"] {
+        assert_eq!(counters.get(name).copied().unwrap_or(0), 0, "{name}");
+    }
 }
 
 #[test]

@@ -91,8 +91,9 @@ pub struct EmpStats {
     pub tx_fw: TxFirmwareNs,
 }
 
-/// Receive-CPU busy nanoseconds by firmware task kind. On a two-CPU NIC
-/// the kinds sum to the rx CPU's `busy_total()`.
+/// Receive-CPU busy nanoseconds by firmware task kind, counted when a
+/// task is booked. On a two-CPU NIC the kinds sum to the work booked on
+/// the rx CPU, which is its `busy_total()` whenever it is idle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RxFirmwareNs {
     /// Per-frame classification and reliability bookkeeping (R3–R5),
@@ -119,8 +120,9 @@ impl RxFirmwareNs {
     }
 }
 
-/// Transmit-CPU busy nanoseconds by firmware task kind. On a two-CPU NIC
-/// the kinds sum to the tx CPU's `busy_total()`.
+/// Transmit-CPU busy nanoseconds by firmware task kind, counted when a
+/// task is booked. On a two-CPU NIC the kinds sum to the work booked on
+/// the tx CPU, which is its `busy_total()` whenever it is idle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TxFirmwareNs {
     /// Accepting host send requests (T1–T3).

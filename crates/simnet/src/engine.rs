@@ -26,7 +26,7 @@
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
@@ -186,6 +186,24 @@ pub trait SimAccess {
     /// engine drives its sampler after every executed event.
     fn telemetry(&self) -> Arc<emp_trace::telemetry::Registry> {
         Arc::clone(&self.shared().telemetry)
+    }
+
+    /// A weak handle on this simulation's clock (see [`SimClock`]).
+    fn clock(&self) -> SimClock {
+        SimClock(Arc::downgrade(&self.shared()))
+    }
+}
+
+/// Read-only access to a simulation's clock for a component that must
+/// know the time in a method no `SimAccess` is passed to. Weak, like every
+/// cross-component reference: it never keeps the engine alive.
+#[derive(Clone)]
+pub struct SimClock(Weak<SimShared>);
+
+impl SimClock {
+    /// The current simulated time; `None` once the simulation is gone.
+    pub fn now(&self) -> Option<SimTime> {
+        self.0.upgrade().map(|s| s.now())
     }
 }
 

@@ -5,19 +5,47 @@
 //! path. Each CPU executes firmware tasks strictly serially; per-task costs
 //! are what ultimately bound EMP's small-message latency and large-message
 //! bandwidth, so the model tracks busy time precisely: a task posted while
-//! the CPU is busy starts when the CPU frees up.
+//! the CPU is busy starts when the CPU frees up. A task is booked — its
+//! start and end fixed — when it is posted, but counts as busy time only
+//! as its run elapses, so busy time never exceeds the clock.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use simnet::{Sim, SimAccess, SimAccessExt, SimDuration, SimTime};
+use simnet::{Sim, SimAccess, SimAccessExt, SimClock, SimDuration, SimTime};
 
 struct CpuState {
     busy_until: SimTime,
-    busy_total: SimDuration,
+    /// Busy time of booked runs that had ended when last settled.
+    ran: SimDuration,
+    /// Booked runs not yet settled as over: `(start, end)` in time order,
+    /// back-to-back runs merged into one.
+    booked: VecDeque<(SimTime, SimTime)>,
     tasks_run: u64,
     last_seen: SimTime,
-    registered: bool,
+    /// The clock of the simulation that booked the first task.
+    clock: Option<SimClock>,
+}
+
+impl CpuState {
+    /// Busy time elapsed by `now`: runs over by then move into `ran`, and
+    /// the one under way, if any, counts what it has run so far.
+    fn busy_at(&mut self, now: SimTime) -> SimDuration {
+        while let Some(&(start, end)) = self.booked.front() {
+            if end > now {
+                return self.ran + now.since(start);
+            }
+            self.ran += end - start;
+            self.booked.pop_front();
+        }
+        self.ran
+    }
+
+    /// Every booked run, elapsed or not.
+    fn booked_total(&self) -> SimDuration {
+        self.ran + self.booked.iter().map(|&(start, end)| end - start).sum()
+    }
 }
 
 /// One embedded firmware CPU.
@@ -36,10 +64,11 @@ impl FirmwareCpu {
             node: simnet::emp_trace::NO_NODE,
             state: Arc::new(Mutex::new(CpuState {
                 busy_until: SimTime::ZERO,
-                busy_total: SimDuration::ZERO,
+                ran: SimDuration::ZERO,
+                booked: VecDeque::new(),
                 tasks_run: 0,
                 last_seen: SimTime::ZERO,
-                registered: false,
+                clock: None,
             })),
         }
     }
@@ -71,14 +100,23 @@ impl FirmwareCpu {
     {
         let (start, done, register) = {
             let mut st = self.state.lock();
-            let start = earliest.max(st.busy_until).max(s.now());
+            let now = s.now();
+            let start = earliest.max(st.busy_until).max(now);
             let done = start + cost;
+            // Settle the runs already over, which keeps `booked` as short
+            // as the CPU's backlog.
+            st.busy_at(now);
+            match st.booked.back_mut() {
+                Some(run) if run.1 == start => run.1 = done,
+                _ => st.booked.push_back((start, done)),
+            }
             st.busy_until = done;
-            st.busy_total += cost;
             st.tasks_run += 1;
             st.last_seen = st.last_seen.max(done);
-            let register = !st.registered;
-            st.registered = true;
+            let register = st.clock.is_none();
+            if register {
+                st.clock = Some(s.clock());
+            }
             (start, done, register)
         };
         if register {
@@ -125,9 +163,16 @@ impl FirmwareCpu {
         self.state.lock().busy_until
     }
 
-    /// Total CPU time consumed by tasks so far.
+    /// Total CPU time consumed by tasks so far: the elapsed part of every
+    /// booked task, so never more than the sim time gone by. Once the CPU
+    /// is idle (or the simulation is gone) this is the whole cost of every
+    /// task booked.
     pub fn busy_total(&self) -> SimDuration {
-        self.state.lock().busy_total
+        let mut st = self.state.lock();
+        match st.clock.as_ref().and_then(SimClock::now) {
+            Some(now) => st.busy_at(now),
+            None => st.booked_total(),
+        }
     }
 
     /// Number of tasks executed (scheduled) so far.
@@ -141,7 +186,7 @@ impl FirmwareCpu {
         if st.last_seen == SimTime::ZERO {
             return 0.0;
         }
-        st.busy_total.as_secs_f64() / st.last_seen.since(SimTime::ZERO).as_secs_f64()
+        st.booked_total().as_secs_f64() / st.last_seen.since(SimTime::ZERO).as_secs_f64()
     }
 }
 
@@ -207,5 +252,31 @@ mod tests {
         assert_eq!(cpu.busy_until(), SimTime::from_nanos(12_000));
         let u = cpu.utilization();
         assert!((u - 4.0 / 12.0).abs() < 1e-9, "utilization {u}");
+    }
+
+    #[test]
+    fn booked_work_counts_as_busy_only_as_it_runs() {
+        let sim = Sim::new();
+        let cpu = FirmwareCpu::new("rx");
+        let cost = SimDuration::from_micros(4);
+        let cpu2 = cpu.clone();
+        sim.schedule_at(SimTime::ZERO, move |s| {
+            cpu2.exec_at(s, SimTime::from_micros(10), cost, |_| {});
+        });
+        let reads = Arc::new(Mutex::new(Vec::new()));
+        for at in [5, 12] {
+            let (cpu, reads) = (cpu.clone(), Arc::clone(&reads));
+            sim.schedule_at(SimTime::from_micros(at), move |_| {
+                reads.lock().push(cpu.busy_total());
+            });
+        }
+        sim.run();
+        assert_eq!(
+            *reads.lock(),
+            vec![SimDuration::ZERO, SimDuration::from_micros(2)],
+            "nothing before the task starts, half its cost midway"
+        );
+        assert_eq!(cpu.busy_total(), cost, "its full cost after it runs");
+        assert_eq!(cpu.busy_until(), SimTime::from_micros(14));
     }
 }
