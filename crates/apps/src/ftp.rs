@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use simnet::{Sim, SimAccess, SimDuration};
+use simnet::{Sim, SimAccess};
 
 use crate::api::NetError;
 use crate::testbed::Testbed;
@@ -53,20 +53,13 @@ pub fn spawn_server(sim: &Sim, tb: &Testbed, server: usize, expected_requests: u
                     .expect("RETR command")
                     .to_string();
                 let fd = fs.open(ctx, &name)?.expect("file exists");
-                // Announce the size, then stream the file.
-                let size = {
-                    let mut total = 0usize;
-                    loop {
-                        let chunk = fs.read(ctx, fd, CHUNK)?.expect("file read");
-                        if chunk.is_empty() {
-                            break;
-                        }
-                        total += chunk.len();
-                        conn.write(ctx, &chunk)?.expect("socket write");
+                loop {
+                    let chunk = fs.read(ctx, fd, CHUNK)?.expect("file read");
+                    if chunk.is_empty() {
+                        break;
                     }
-                    total
-                };
-                let _ = size;
+                    conn.write(ctx, &chunk)?.expect("socket write");
+                }
                 fs.close(ctx, fd)?.expect("close file");
                 conn.close(ctx)?;
                 Ok(())
@@ -133,13 +126,36 @@ pub fn transfer_mbps(tb: &Testbed, size: usize) -> f64 {
     spawn_server(&sim, tb, 1, 1);
     let (bytes, _us, mbps) = fetch(&sim, tb, 0, 1, "payload.bin");
     assert_eq!(bytes, size, "whole file must arrive");
-    let _ = SimDuration::ZERO;
     mbps
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hostsim::RamDisk;
+
+    /// The whole contents of `path` on `fs`, read in a simulation of its own.
+    fn contents(fs: &RamDisk, path: &str) -> Vec<u8> {
+        let sim = Sim::new();
+        let (fs, path) = (fs.clone(), path.to_string());
+        let out = Arc::new(Mutex::new(Vec::new()));
+        let out2 = Arc::clone(&out);
+        sim.spawn("slurp", move |ctx| {
+            let fd = fs.open(ctx, &path)?.expect("file exists");
+            loop {
+                let chunk = fs.read(ctx, fd, CHUNK)?.expect("file read");
+                if chunk.is_empty() {
+                    break;
+                }
+                out2.lock().extend_from_slice(&chunk);
+            }
+            fs.close(ctx, fd)?.expect("close");
+            Ok(())
+        });
+        sim.run();
+        let data = std::mem::take(&mut *out.lock());
+        data
+    }
 
     #[test]
     fn transfers_whole_file_and_stores_it() {
@@ -149,7 +165,10 @@ mod tests {
         spawn_server(&sim, &tb, 1, 1);
         let (bytes, _, _) = fetch(&sim, &tb, 0, 1, "a.bin");
         assert_eq!(bytes, 300_000);
-        assert!(tb.nodes[0].host.fs().exists("dl-a.bin"));
+        let served = contents(tb.nodes[1].host.fs(), "a.bin");
+        let stored = contents(tb.nodes[0].host.fs(), "dl-a.bin");
+        assert_eq!(served.len(), 300_000);
+        assert!(stored == served, "stored file differs from the served one");
     }
 
     #[test]

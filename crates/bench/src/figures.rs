@@ -1080,27 +1080,35 @@ pub fn overload_degradation(profile: Profile) -> Figure {
     fig
 }
 
-/// Every figure, in paper order.
+/// A figure generator.
+pub type FigureFn = fn(Profile) -> Figure;
+
+/// Every figure, in paper order: the name the `figures` binary takes
+/// (each figure's [`Figure::id`]) and its generator.
+pub const FIGURES: &[(&str, FigureFn)] = &[
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13a", fig13_latency),
+    ("fig13b", fig13_bandwidth),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("fig16", fig16),
+    ("fig17", fig17),
+    ("connect-time", connect_time),
+    ("datacenter-kv", datacenter_kv),
+    ("event-loop-concurrency", event_loop_concurrency),
+    ("concurrency-fairness", concurrency_fairness),
+    ("ablation-commthread", ablation_commthread),
+    ("ablation-piggyback", ablation_piggyback),
+    ("ablation-nic-cpus", ablation_nic_cpus),
+    ("cpu-utilization", cpu_utilization),
+    ("small-message-throughput", small_message_throughput),
+    ("copy-avoidance", copy_avoidance),
+    ("overload-degradation", overload_degradation),
+];
+
+/// Every figure, in paper order (generated in parallel: each owns its
+/// simulations).
 pub fn all_figures(profile: Profile) -> Vec<Figure> {
-    vec![
-        fig11(profile),
-        fig12(profile),
-        fig13_latency(profile),
-        fig13_bandwidth(profile),
-        fig14(profile),
-        fig15(profile),
-        fig16(profile),
-        fig17(profile),
-        connect_time(profile),
-        datacenter_kv(profile),
-        event_loop_concurrency(profile),
-        concurrency_fairness(profile),
-        ablation_commthread(profile),
-        ablation_piggyback(profile),
-        ablation_nic_cpus(profile),
-        cpu_utilization(profile),
-        small_message_throughput(profile),
-        copy_avoidance(profile),
-        overload_degradation(profile),
-    ]
+    parallel_sweep(FIGURES, |(_, generate)| generate(profile))
 }

@@ -9,9 +9,8 @@
 
 pub mod figures;
 pub mod raw;
-pub mod regress;
 pub mod report;
 pub mod stat;
 
 pub use figures::{all_figures, Profile};
-pub use report::{Figure, Series};
+pub use report::{figures_json, Figure, Series};

@@ -123,6 +123,17 @@ impl Figure {
     }
 }
 
+/// Render figures as one JSON array of their [`Figure::to_json`] bodies:
+/// what `figures --json` writes, and the text of the committed quick-profile
+/// golden (`crates/bench/tests/figures.quick.json`).
+pub fn figures_json(figures: &[Figure]) -> String {
+    let bodies: Vec<String> = figures
+        .iter()
+        .map(|f| f.to_json().trim_end().to_string())
+        .collect();
+    format!("[\n{}\n]\n", bodies.join(",\n"))
+}
+
 /// Run sweep points in parallel OS threads (each point owns its
 /// deterministic simulation) and return results in input order.
 pub fn parallel_sweep<X, Y, F>(points: &[X], f: F) -> Vec<Y>

@@ -6,11 +6,8 @@
 //! collected along the way, and each NIC's protocol counters with its
 //! firmware time split by task kind.
 //!
-//! Both the `empstat` binary and the `figures --json` telemetry section
-//! run this, so the numbers a dashboard scrapes and the numbers the
-//! figure pipeline embeds come from the identical workload. The
-//! determinism integration test runs it twice and asserts byte-identical
-//! registry contents.
+//! The `empstat` binary runs this, and the determinism integration test
+//! runs it twice and asserts byte-identical registry contents.
 
 use std::fmt::Write as _;
 

@@ -49,7 +49,8 @@ struct OpenFile {
 
 #[derive(Default)]
 struct FsState {
-    files: BTreeMap<String, Bytes>,
+    /// Each file is one buffer, appended in place by [`RamDisk::write`].
+    files: BTreeMap<String, Vec<u8>>,
     open: BTreeMap<u32, OpenFile>,
     next_fd: u32,
 }
@@ -92,7 +93,7 @@ impl RamDisk {
 
     /// Instantly create `path` with the given contents (test/benchmark
     /// setup; consumes no simulated time).
-    pub fn put(&self, path: impl Into<String>, data: impl Into<Bytes>) {
+    pub fn put(&self, path: impl Into<String>, data: impl Into<Vec<u8>>) {
         self.state.lock().files.insert(path.into(), data.into());
     }
 
@@ -147,7 +148,7 @@ impl RamDisk {
     pub fn create(&self, ctx: &ProcessCtx, path: &str) -> SimResult<FileHandle> {
         ctx.delay(self.cfg.call_overhead)?;
         let mut st = self.state.lock();
-        st.files.insert(path.to_string(), Bytes::new());
+        st.files.insert(path.to_string(), Vec::new());
         let fd = st.next_fd;
         st.next_fd += 1;
         st.open.insert(
@@ -175,11 +176,9 @@ impl RamDisk {
                 ctx.delay(self.cfg.call_overhead)?;
                 return Ok(Err(FsError::BadHandle));
             };
-            let path = of.path.clone();
-            let offset = of.offset;
-            let data = st.files.get(&path).cloned().unwrap_or_default();
-            let end = (offset + len).min(data.len());
-            let chunk = data.slice(offset.min(data.len())..end);
+            let data = st.files.get(&of.path).map_or(&[][..], |d| &d[..]);
+            let end = (of.offset + len).min(data.len());
+            let chunk = Bytes::copy_from_slice(&data[of.offset.min(end)..end]);
             st.open.get_mut(&fd.0).expect("checked above").offset = end;
             chunk
         };
@@ -203,22 +202,16 @@ impl RamDisk {
     ) -> SimResult<Result<usize, FsError>> {
         {
             let mut st = self.state.lock();
-            let Some(of) = st.open.get_mut(&fd.0) else {
+            let FsState { files, open, .. } = &mut *st;
+            let Some(of) = open.get_mut(&fd.0) else {
                 drop(st);
                 ctx.delay(self.cfg.call_overhead)?;
                 return Ok(Err(FsError::BadHandle));
             };
-            let path = of.path.clone();
-            let offset = of.offset;
-            let entry = st.files.entry(path).or_default();
-            let mut buf = entry.to_vec();
-            if buf.len() < offset {
-                buf.resize(offset, 0);
-            }
-            buf.truncate(offset);
-            buf.extend_from_slice(data);
-            *entry = Bytes::from(buf);
-            st.open.get_mut(&fd.0).expect("checked above").offset = offset + data.len();
+            let file = files.entry(of.path.clone()).or_default();
+            file.resize(of.offset, 0);
+            file.extend_from_slice(data);
+            of.offset += data.len();
         }
         ctx.delay(
             self.cfg.call_overhead
