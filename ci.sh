@@ -43,7 +43,11 @@ step "cargo test (lossy suite)"
 # vanished-peer detection), EMP's own loss recovery (selective repeat,
 # RTT-measured timeout, a slow receiver not mistaken for loss) and EMP's
 # ack piggy-backing (a lost carrier frame recovered, a one-way stream
-# untouched) in both build modes.
+# untouched) in both build modes. Loss is also what exercises the transmit
+# window's accounting: a fragment the receiver already holds leaves the
+# in-flight window, so one hole no longer throttles the frames behind it
+# (the emp-proto unit tests, in the tier-1 step above, check the window
+# against its records after every step of a hole-and-rewind sequence).
 cargo test -q -p sockets-emp --test lossy
 cargo test -q -p sockets-emp --test lossy --features sockets-emp/trace
 cargo test -q -p emp-proto --test reliability
@@ -63,7 +67,12 @@ step "cargo test (adaptive copy policy)"
 # The default data path's copy decisions: direct delivery to posted
 # readers, staged small writes and their deadline, and a long write that
 # returns with its copied tail in flight while the presets keep one
-# zero-copy message they wait out — in both build modes.
+# zero-copy message they wait out — in both build modes. The deadline
+# defers while a full message of the connection is unacknowledged: a busy
+# 64 B stream must reach messages of at least 32 KiB with the writer's NIC
+# queue bounded, and a staged tail the writer never flushes must still
+# arrive within drain + one deadline + one one-way latency (the deferral
+# re-arms; one that does not leaves that test deadlocked).
 cargo test -q -p sockets-emp --test fastpath
 cargo test -q -p sockets-emp --test fastpath --features sockets-emp/trace
 

@@ -109,9 +109,15 @@ pub struct CopyPolicy {
     /// with its neighbours, unless it would wait alone: with nothing
     /// staged and nothing in flight it is sent at once (Nagle's rule).
     /// Staged bytes leave at [`Self::stage_capacity`], on credit pressure,
-    /// when the owner reads, polls, flushes or closes, and at the latest
-    /// [`Self::STAGE_DEADLINE`] after the first was written — by a
-    /// sim-time timer, whatever the owner does. `0` never stages.
+    /// when the owner reads, polls, flushes, shuts down or closes, and
+    /// otherwise by a sim-time timer [`Self::STAGE_DEADLINE`] after the
+    /// first was written, whatever the owner does — unless the
+    /// connection's unacknowledged sends still add up to a full substrate
+    /// message: the NIC could not start on the staged bytes sooner, so the
+    /// timer re-arms and they keep gathering company. A blocking writer
+    /// whose capacity flush finds two full messages unacknowledged ahead
+    /// of it waits for them, so the NIC queue stays at most three deep.
+    /// `0` never stages.
     pub stage_below: usize,
     /// Staged bytes that end an episode at once. Never more than one
     /// substrate message (`temp_buf_size`), whatever this says.
@@ -142,7 +148,11 @@ impl CopyPolicy {
         direct_to_posted: true,
     };
 
-    /// Longest a staged byte waits for company before the timer sends it.
+    /// Longest a staged byte waits for company before the timer sends it
+    /// — while less than a full substrate message of its connection is
+    /// unacknowledged. With a full message ahead of it the timer re-arms
+    /// for another period instead: it never delays a byte the NIC could
+    /// already start on, it only decides how many writes share a message.
     pub const STAGE_DEADLINE: SimDuration = SimDuration::from_micros(50);
 }
 

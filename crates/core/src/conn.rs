@@ -237,6 +237,9 @@ pub struct ConnStats {
     pub writes_coalesced: u64,
     /// Coalesced flushes (substrate messages carrying staged writes).
     pub coalesce_flushes: u64,
+    /// Staging deadlines that sent nothing and re-armed because a full
+    /// substrate message of this connection was still unacknowledged.
+    pub stage_deferrals: u64,
     /// Consumed data descriptors re-armed by the send that returned their
     /// credits (§6.1 piggy-backing on; the presets repost at consume time).
     pub rearms_ridden: u64,
@@ -259,6 +262,7 @@ impl std::ops::AddAssign for ConnStats {
         self.bytes_direct += o.bytes_direct;
         self.writes_coalesced += o.writes_coalesced;
         self.coalesce_flushes += o.coalesce_flushes;
+        self.stage_deferrals += o.stage_deferrals;
         self.rearms_ridden += o.rearms_ridden;
         self.credits_without_rearm += o.credits_without_rearm;
     }
@@ -879,6 +883,7 @@ impl SockShared {
         };
         for (name, v) in [
             ("sock.coalesce_flushes", s.coalesce_flushes),
+            ("sock.stage_deferrals", s.stage_deferrals),
             ("sock.piggybacked_credits", s.piggybacked_credits),
             ("sock.copies_avoided", s.copies_avoided),
             ("sock.rearms_ridden", s.rearms_ridden),

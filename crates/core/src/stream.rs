@@ -9,7 +9,7 @@
 //! when §6.4 is enabled.
 
 use bytes::Bytes;
-use emp_proto::TxBuf;
+use emp_proto::{SendHandle, TxBuf};
 use simnet::emp_trace::{self, EventKind};
 use simnet::{NetError, OpResult, ProcessCtx, SimAccess, SimAccessExt, SimDuration, SimResult};
 
@@ -27,6 +27,16 @@ macro_rules! ok_or_return {
 }
 
 pub(crate) use ok_or_return;
+
+/// Bytes of `sends` the NIC has not yet acknowledged. Reads the handles'
+/// status words, as `reap_sends` does, so it charges no host time.
+fn unacked_bytes(sends: &[SendHandle]) -> usize {
+    sends
+        .iter()
+        .filter(|h| h.status().is_none())
+        .map(SendHandle::msg_len)
+        .sum()
+}
 
 impl SockShared {
     /// Blocking stream write: fragments into temp-buffer-sized substrate
@@ -162,9 +172,10 @@ impl SockShared {
     /// Stage a small write in the connection's send buffer (one copy, but
     /// a substrate message shared by many writes), flushing first when it
     /// would overflow one message and immediately after when the buffer
-    /// fills or the last credits are in hand. Invariant on return: bytes
-    /// staged ⇒ at least two credits in hand — which is why the deadline
-    /// timer never has to wait for one.
+    /// fills or the last credits are in hand; after either capacity flush
+    /// it waits while the NIC is far behind ([`Self::await_queue_room`]).
+    /// Invariant on return: bytes staged ⇒ at least two credits in hand —
+    /// which is why the deadline timer never has to wait for one.
     fn coalesce_append(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
         let cap = self.stage_capacity();
         let overflow = {
@@ -173,6 +184,7 @@ impl SockShared {
         };
         if overflow {
             ok_or_return!(self.flush_coalesced(ctx)?);
+            self.await_queue_room(ctx)?;
         }
         self.stage_bytes(ctx, data)?;
         let (full, pressure) = {
@@ -185,7 +197,38 @@ impl SockShared {
             // buffer would turn a visible write stall into a silent one.
             ok_or_return!(self.flush_coalesced(ctx)?);
         }
+        if full {
+            self.await_queue_room(ctx)?;
+        }
         Ok(Ok(data.len()))
+    }
+
+    /// After a capacity flush: when two full substrate messages (two
+    /// `temp_buf_size`s, whatever the staging capacity) are still
+    /// unacknowledged ahead of the one just sent — one on the wire, one
+    /// queued behind it — park until the NIC has acknowledged them. The
+    /// staging deadline defers while a full message is in flight, so
+    /// without this bound a writer faster than the wire would queue a full
+    /// message per credit at the NIC (32 × 64 KiB under `default()`). With
+    /// it the NIC holds at most three and never waits for the writer: the
+    /// writer resumes while the newest message is still to send, and fills
+    /// the next one while the NIC works on it. A send that fails completes
+    /// too; the failure surfaces at the next call through `reap_sends`.
+    fn await_queue_room(&self, ctx: &ProcessCtx) -> SimResult<()> {
+        let last_ahead = {
+            let i = self.inner.lock();
+            let Some((_, ahead)) = i.inflight_sends.split_last() else {
+                return Ok(());
+            };
+            if unacked_bytes(ahead) < 2 * self.buf_size {
+                return Ok(());
+            }
+            ahead.last().cloned()
+        };
+        if let Some(h) = last_ahead {
+            self.proc_.ep.wait_send(ctx, &h)?;
+        }
+        Ok(())
     }
 
     /// Copy `data` into the staging buffer — the one copy a staged write
@@ -211,12 +254,7 @@ impl SockShared {
             (i.coalesce_buf.len(), first_of)
         };
         if let Some(episode) = first_of {
-            let me = self.self_ref.clone();
-            ctx.schedule_after(CopyPolicy::STAGE_DEADLINE, move |sim| {
-                if let Some(sock) = me.upgrade() {
-                    sock.stage_deadline(sim, episode);
-                }
-            });
+            self.arm_stage_deadline(ctx, episode);
         }
         self.trace(
             ctx,
@@ -227,10 +265,29 @@ impl SockShared {
         Ok(())
     }
 
+    /// Fire [`Self::stage_deadline`] for `episode` one
+    /// [`CopyPolicy::STAGE_DEADLINE`] from now.
+    fn arm_stage_deadline(&self, sim: &dyn SimAccess, episode: u64) {
+        let me = self.self_ref.clone();
+        sim.schedule_after(CopyPolicy::STAGE_DEADLINE, move |sim| {
+            if let Some(sock) = me.upgrade() {
+                sock.stage_deadline(sim, episode);
+            }
+        });
+    }
+
     /// The staging deadline, in event context: send what `episode` still
-    /// holds. No process to delay here, so the host work is booked as a
-    /// debt the owner pays at its next substrate call — nothing becomes
-    /// free, and no helper thread exists (§5.2 rejects one).
+    /// holds — unless this connection's unacknowledged sends already add
+    /// up to a full substrate message. Then the NIC could not start on the
+    /// staged bytes any sooner, so the deadline defers instead: it re-arms
+    /// for the same episode and the bytes keep gathering company until
+    /// capacity, credit pressure, the owner's next read, poll, flush,
+    /// shutdown or close, or a deadline that finds less in flight. The sum
+    /// reads the send handles' status words, as `reap_sends` does, so it
+    /// charges no host time. No process to delay here, so the host work
+    /// of a send is booked as a debt the owner pays at its next substrate
+    /// call — nothing becomes free, and no helper thread exists (§5.2
+    /// rejects one).
     fn stage_deadline(&self, sim: &dyn SimAccess, episode: u64) {
         {
             let mut i = self.inner.lock();
@@ -239,6 +296,12 @@ impl SockShared {
             // owner is parked in `flush_coalesced` on these very bytes
             // (invariant on `coalesce_append`) and sends them itself.
             if i.stage_episode != episode || i.credits == 0 {
+                return;
+            }
+            if unacked_bytes(&i.inflight_sends) >= self.stage_capacity() {
+                i.stats.stage_deferrals += 1;
+                drop(i);
+                self.arm_stage_deadline(sim, episode);
                 return;
             }
             i.credits -= 1;

@@ -716,6 +716,126 @@ fn race_close_with_deadline(gap: SimDuration, half_close: bool) {
     );
 }
 
+/// A 64 B writer faster than the wire, into a reader parked in `read()`:
+/// with a full message of this connection still unacknowledged the
+/// deadline defers instead of cutting the stream, so the staged messages
+/// grow toward capacity (one `temp_buf_size`) instead of stopping at what
+/// one deadline gathers. The writer's NIC never queues more than three
+/// full messages' worth of frames.
+#[test]
+fn a_busy_stream_is_cut_by_capacity_not_by_the_deadline() {
+    let sim = Sim::new();
+    let cl = cluster(2);
+    let server = substrate(&cl, 1, SubstrateConfig::default());
+    let client = substrate(&cl, 0, SubstrateConfig::default());
+    let addr = SockAddr::new(cl.nodes[1].addr(), 80);
+    let nic = Arc::clone(&cl.nodes[0].nic);
+    let done = Completion::new();
+    let done2 = done.clone();
+    const MSG: usize = 64;
+    const TOTAL: usize = 1 << 20;
+
+    sim.spawn("reader", move |ctx| {
+        let l = server.listen(ctx, 80, 4)?.expect("port free");
+        let conn = l.accept(ctx)?.expect("connection");
+        let mut got = Vec::with_capacity(TOTAL);
+        while got.len() < TOTAL {
+            let m = conn.read(ctx, 1 << 16)?.expect("data");
+            assert!(!m.is_empty(), "premature EOF at {}", got.len());
+            got.extend_from_slice(&m);
+        }
+        assert!(got == pattern(TOTAL), "stream bytes differ");
+        assert!(conn.read(ctx, 64)?.expect("eof").is_empty());
+        conn.close(ctx)?;
+        l.close(ctx)?;
+        done2.complete(ctx);
+        Ok(())
+    });
+    sim.spawn("writer", move |ctx| {
+        let conn = client.connect(ctx, addr)?.expect("connect");
+        let mut queued_max = 0;
+        for c in pattern(TOTAL).chunks(MSG) {
+            conn.write(ctx, c)?.expect("write");
+            let queued = nic.debug_tx().0.iter().map(|r| r.3 - r.1).sum();
+            queued_max = queued_max.max(queued);
+        }
+        conn.flush(ctx)?.expect("flush");
+        let s = conn.stats();
+        assert!(s.stage_deferrals > 0, "the deadline never deferred: {s:?}");
+        let avg = s.bytes_sent / s.msgs_sent;
+        assert!(avg >= 32 << 10, "messages of {avg} B on average: {s:?}");
+        let three_full = 3 * emp_proto::wire::frames_for((64 << 10) + 64);
+        assert!(
+            queued_max <= three_full,
+            "{queued_max} frames queued at the NIC"
+        );
+        conn.close(ctx)
+    });
+    sim.run();
+    assert!(done.is_done());
+}
+
+/// The deferral re-arms: a writer stages its last small writes while more
+/// than a full message is still unacknowledged, then blocks on something
+/// only the reader can complete, and only once it has every byte. Nothing
+/// the writer does sends the staged tail, so only a deadline that keeps
+/// coming back can. It arrives byte-exact within the drain of what was in
+/// flight at the last write, one deadline and one one-way latency.
+#[test]
+fn a_deferred_deadline_still_sends_the_staged_tail() {
+    let sim = Sim::new();
+    let cl = cluster(2);
+    let server = substrate(&cl, 1, SubstrateConfig::default());
+    let client = substrate(&cl, 0, SubstrateConfig::default());
+    let addr = SockAddr::new(cl.nodes[1].addr(), 80);
+    let received = Arc::new(AtomicU64::new(0));
+    let received2 = Arc::clone(&received);
+    let all_read = Completion::new();
+    let (all_read2, all_read3) = (all_read.clone(), all_read.clone());
+    let bound_ns = Arc::new(AtomicU64::new(0));
+    let bound_ns2 = Arc::clone(&bound_ns);
+    // Three full messages and a tail a little over one deadline's worth.
+    const TOTAL: usize = 3 * (64 << 10) + 4000;
+
+    sim.spawn("reader", move |ctx| {
+        let l = server.listen(ctx, 80, 4)?.expect("port free");
+        let conn = l.accept(ctx)?.expect("connection");
+        let mut got = Vec::with_capacity(TOTAL);
+        while got.len() < TOTAL {
+            let m = conn.read(ctx, 1 << 16)?.expect("data");
+            assert!(!m.is_empty(), "premature EOF at {}", got.len());
+            got.extend_from_slice(&m);
+            received2.store(got.len() as u64, Ordering::Relaxed);
+        }
+        assert!(got == pattern(TOTAL), "stream bytes differ");
+        let at = ctx.now().nanos();
+        let bound = bound_ns2.load(Ordering::Relaxed);
+        assert!(at <= bound, "the tail arrived at {at} ns, bound {bound} ns");
+        all_read2.complete(ctx);
+        assert!(conn.read(ctx, 64)?.expect("eof").is_empty());
+        conn.close(ctx)?;
+        l.close(ctx)
+    });
+    sim.spawn("writer", move |ctx| {
+        let conn = client.connect(ctx, addr)?.expect("connect");
+        for c in pattern(TOTAL).chunks(64) {
+            conn.write(ctx, c)?.expect("write");
+        }
+        // In flight at the last write, drained at 800 Mbit/s or better.
+        let in_flight = TOTAL as u64 - received.load(Ordering::Relaxed);
+        assert!(in_flight >= 64 << 10, "only {in_flight} B in flight");
+        let one_way = 40_000;
+        let bound =
+            ctx.now().nanos() + in_flight * 10 + CopyPolicy::STAGE_DEADLINE.nanos() + one_way;
+        bound_ns.store(bound, Ordering::Relaxed);
+        all_read3.wait(ctx)?;
+        assert!(conn.stats().stage_deferrals > 0, "{:?}", conn.stats());
+        conn.close(ctx)
+    });
+    sim.run();
+    assert!(all_read.is_done(), "the staged tail never left");
+}
+
 /// Direct delivery through a ring: a ring `Read` is a posted reader like
 /// any other, so the policy — not the front end — decides. The paper's
 /// presets copy, the default does not.

@@ -26,9 +26,15 @@ pub type PostSpec = (Tag, Option<MacAddr>, usize, VirtRange);
 #[derive(Clone)]
 pub struct SendHandle {
     state: SendState,
+    len: usize,
 }
 
 impl SendHandle {
+    /// Bytes of the message this send carries.
+    pub fn msg_len(&self) -> usize {
+        self.len
+    }
+
     /// True once the send completed (successfully or not).
     pub fn is_done(&self) -> bool {
         self.state.completion.is_done()
@@ -231,11 +237,12 @@ impl EmpEndpoint {
         no_uq: bool,
         rearms: &[PostSpec],
     ) -> (SendHandle, Vec<RecvHandle>) {
-        self.trace(sim, EventKind::TxDoorbell, data.len() as u64, 0);
+        let len = data.len();
+        self.trace(sim, EventKind::TxDoorbell, len as u64, 0);
         let specs = rearms.iter().map(|&(t, s, c, _)| (t, s, c)).collect();
         let (state, descs) = self.nic.start_send(sim, dst, tag, data, no_uq, specs);
         let handles = descs.into_iter().map(RecvHandle::new).collect();
-        (SendHandle { state }, handles)
+        (SendHandle { state, len }, handles)
     }
 
     fn post_send_buf(

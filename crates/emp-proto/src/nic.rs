@@ -323,15 +323,25 @@ impl TxRecord {
         1u64.checked_shl(idx - self.acked).unwrap_or(0)
     }
 
+    /// This message's share of the NIC's in-flight window: fragments
+    /// released and not yet acknowledged, less those the receiver already
+    /// holds. A held fragment waits only for the hole below it, not for
+    /// the wire or the receiver's backlog, which the window bounds.
+    fn outstanding(&self) -> u32 {
+        let released = self.next_to_send - self.acked;
+        let mask = 1u64.checked_shl(released).map_or(u64::MAX, |b| b - 1);
+        released - (self.held & mask).count_ones()
+    }
+
     /// Apply an ack; returns the frames freed from the window and the
     /// holes to resend now: released, unheld fragments below the highest
     /// held one, not yet resent this round.
     fn on_ack(&mut self, frames: u32, sack: u64) -> (u32, u64) {
-        // Invariant: this message holds `next_to_send - acked` of the
-        // global in-flight window. An ack can outrun `next_to_send` when
-        // it belongs to frames sent before a rewind — then those frames
-        // need no resend, so the send pointer jumps forward with it.
-        let old_outstanding = self.next_to_send - self.acked;
+        // Invariant: this message holds `outstanding()` of the global
+        // in-flight window. An ack can outrun `next_to_send` when it
+        // belongs to frames sent before a rewind — then those frames need
+        // no resend, so the send pointer jumps forward with it.
+        let old_outstanding = self.outstanding();
         if frames >= self.acked {
             let advance = frames - self.acked;
             self.held = self.held.checked_shr(advance).unwrap_or(0) | sack << 1;
@@ -339,7 +349,7 @@ impl TxRecord {
             self.acked = frames;
             self.next_to_send = self.next_to_send.max(frames);
         }
-        let freed = old_outstanding - (self.next_to_send - self.acked);
+        let freed = old_outstanding - self.outstanding();
         let below_top = self.held.checked_ilog2().map_or(0, |top| (1 << top) - 1);
         let released = 1u64
             .checked_shl(self.next_to_send - self.acked)
@@ -350,7 +360,7 @@ impl TxRecord {
     /// Start a round: back to the acknowledged prefix. Returns the frames
     /// leaving the in-flight window.
     fn rewind(&mut self) -> u32 {
-        let rewound = self.next_to_send - self.acked;
+        let rewound = self.outstanding();
         self.next_to_send = self.acked;
         self.resent = 0;
         rewound
@@ -816,8 +826,8 @@ impl EmpNic {
     }
 
     /// Release frames to the wire, respecting the per-NIC transmit window:
-    /// at most `tx_window_frames` released-but-unacknowledged frames exist
-    /// across all messages. Messages release in FIFO order, which keeps the
+    /// at most `tx_window_frames` outstanding frames (released, neither
+    /// acknowledged nor held by the receiver) exist across all messages. Messages release in FIFO order, which keeps the
     /// receiver's processing backlog (and therefore ack lag) bounded — the
     /// reliability window of a NIC-driven protocol. `resends` (holes the
     /// window already counts) go first.
@@ -847,20 +857,26 @@ impl EmpNic {
                     st.tx_order.pop_front();
                     continue;
                 };
-                let end = rec.num_frames.min(rec.next_to_send + budget);
-                for idx in rec.next_to_send..end {
-                    if rec.held & rec.bit(idx) != 0 {
-                        continue;
+                // Held fragments are skipped and cost no budget; the send
+                // pointer moves past any that end the released range.
+                let mut released = 0;
+                let mut idx = rec.next_to_send;
+                while idx < rec.num_frames {
+                    if rec.held & rec.bit(idx) == 0 {
+                        if released == budget {
+                            break;
+                        }
+                        if rec.note_send(idx, now) {
+                            st.stats.frames_retransmitted += 1;
+                        }
+                        let ack = st.rides.board(rec.dst, rec.chunk_len(idx));
+                        st.stats.acks_piggybacked += u64::from(ack.is_some());
+                        to_schedule.push(self.data_frame(msg_id, rec, idx, ack));
+                        released += 1;
                     }
-                    if rec.note_send(idx, now) {
-                        st.stats.frames_retransmitted += 1;
-                    }
-                    let ack = st.rides.board(rec.dst, rec.chunk_len(idx));
-                    st.stats.acks_piggybacked += u64::from(ack.is_some());
-                    to_schedule.push(self.data_frame(msg_id, rec, idx, ack));
+                    idx += 1;
                 }
-                let released = end - rec.next_to_send;
-                rec.next_to_send = end;
+                rec.next_to_send = idx;
                 let fully_released = rec.next_to_send == rec.num_frames;
                 if !rec.timer_armed && rec.next_to_send > rec.acked {
                     rec.timer_armed = true;
@@ -960,7 +976,7 @@ impl EmpNic {
                         st.stats.sends_failed += 1;
                         // The abandoned message's outstanding frames leave
                         // the in-flight window with it.
-                        st.tx_inflight -= rec.next_to_send - rec.acked;
+                        st.tx_inflight -= rec.outstanding();
                         // Drop any queued release entry for this message.
                         st.tx_order.retain(|&id| id != msg_id);
                         Action::Fail(rec.state)
@@ -1570,7 +1586,7 @@ impl EmpNic {
                 let Some(rec) = st.tx.remove(&msg_id) else {
                     return; // duplicate refusal
                 };
-                st.tx_inflight -= rec.next_to_send - rec.acked;
+                st.tx_inflight -= rec.outstanding();
                 st.tx_order.retain(|&id| id != msg_id);
                 st.stats.sends_failed += 1;
                 st.stats.sends_refused += 1;
@@ -1860,16 +1876,18 @@ mod tests {
     fn a_hole_is_resent_once_per_round() {
         let mut rec = released(8);
         // 0, 1 and 4 arrived: the ack is for 2 with fragment 4 held, so
-        // 2 and 3 are holes.
-        assert_eq!(rec.on_ack(2, 0b10), (2, 0b11));
+        // 2 and 3 are holes. 0, 1 and the held 4 leave the window.
+        assert_eq!(rec.on_ack(2, 0b10), (3, 0b11));
         assert!(rec.note_send(2, 10) && rec.note_send(3, 10));
-        // 5 arrives too: same holes, already resent this round.
-        assert_eq!(rec.on_ack(2, 0b110), (0, 0));
+        // 5 arrives too: it leaves the window; same holes, already resent
+        // this round.
+        assert_eq!(rec.on_ack(2, 0b110), (1, 0));
         // 2's resend arrives: 3 is still resent, relative to the new base.
         assert_eq!(rec.on_ack(3, 0b11), (1, 0));
-        // A timer round rewinds; the release skips 4 and 5 and resends 3,
-        // 6 and 7 — and that resend is the round's one resend of 3.
-        assert_eq!(rec.rewind(), 5);
+        // A timer round rewinds 3, 6 and 7 (4 and 5 are held and already
+        // out of the window); the release skips 4 and 5 and resends 3, 6
+        // and 7 — and that resend is the round's one resend of 3.
+        assert_eq!(rec.rewind(), 3);
         let sent: Vec<u32> = (3..8).filter(|&i| rec.held & rec.bit(i) == 0).collect();
         assert_eq!(sent, [3, 6, 7]);
         for idx in sent {
@@ -1877,6 +1895,57 @@ mod tests {
         }
         rec.next_to_send = 8;
         assert_eq!(rec.on_ack(3, 0b11), (0, 0));
+    }
+
+    /// The NIC's in-flight count, checked against the records it counts.
+    fn window_matches_records(nic: &EmpNic) -> u32 {
+        let st = nic.state.lock();
+        let sum = st.tx.values().map(TxRecord::outstanding).sum();
+        assert_eq!(st.tx_inflight, sum, "tx_inflight against its records");
+        sum
+    }
+
+    #[test]
+    fn the_window_counts_exactly_the_outstanding_fragments() {
+        // Nothing runs: each step changes the NIC's state at once, and the
+        // frames it schedules never leave.
+        let sim = Sim::new();
+        let cl = crate::build_cluster(2, EmpConfig::default(), simnet::SwitchConfig::default());
+        let nic = Arc::clone(&cl.nodes[0].nic);
+        let window = nic.cfg.tx_window_frames;
+        {
+            let mut st = nic.state.lock();
+            for id in 0..2 {
+                st.tx.insert(id, record(12));
+                st.tx_order.push_back(id);
+            }
+        }
+        nic.release_tx(&sim, Vec::new());
+        assert_eq!(window_matches_records(&nic), window);
+        let ack = |msg_id, frames, sack| Ack {
+            msg_id,
+            frames,
+            sack,
+        };
+        // Message 0: 0..=2 arrived, 3 and 4 are holes (resent at once),
+        // 5 and 6 are held. Five frames leave the window, and message 1
+        // takes their place.
+        nic.process_ack(&sim, ack(0, 3, 0b110), false);
+        assert_eq!(window_matches_records(&nic), window);
+        assert_eq!(nic.state.lock().tx[&0].outstanding(), 7);
+        // A busy NACK rewinds message 0 to its acknowledged prefix; the
+        // paused release then resends its seven unheld fragments.
+        nic.process_nack(&sim, 0, true);
+        assert_eq!(window_matches_records(&nic), window - 7);
+        nic.release_tx(&sim, Vec::new());
+        assert_eq!(window_matches_records(&nic), window);
+        assert_eq!(nic.debug_tx().0[0], (0, 3, 12, 12, 0));
+        // Message 0 completes; message 1 is then refused.
+        nic.process_ack(&sim, ack(0, 12, 0), false);
+        window_matches_records(&nic);
+        nic.process_nack(&sim, 1, false);
+        assert_eq!(window_matches_records(&nic), 0);
+        assert!(nic.debug_tx().0.is_empty());
     }
 
     #[test]
@@ -1905,7 +1974,7 @@ mod tests {
         rec.on_ack(1, 0b111);
         let mut st = nic.state.lock();
         st.tx.insert(0, rec);
-        st.tx_inflight = 5;
+        st.tx_inflight = 2;
         drop(st);
         (sim, nic, cl)
     }

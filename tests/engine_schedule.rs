@@ -22,6 +22,14 @@
 //! so that pin moved (7 820 → 7 586 events, 14.60 → 12.35 ms). The three
 //! lossless pins never lose a frame and did not move.
 //!
+//! It was re-recorded again when fragments the receiver already holds left
+//! EMP's in-flight window: `tx_window_frames` bounds what the receiving
+//! NIC still has to process, and a held fragment waits only for the hole
+//! below it, so the window stopped counting it and a hole no longer
+//! throttles the frames behind it until it is repaired (7 586 → 7 535
+//! events, 12.35 → 11.86 ms). Held fragments exist only after a loss, so
+//! the three lossless pins did not move.
+//!
 //! `default_paired_writes` was re-recorded when EMP's own acks began to
 //! ride on reverse data frames under `SubstrateConfig::piggyback_acks`
 //! (DESIGN §8): the writer's NIC puts its acks for the reader's two
@@ -178,7 +186,7 @@ fn lossy_stream_1mib() {
     assert!(lost > 0, "the fault plan must have bitten");
     assert_eq!(
         schedule_of(&sim),
-        (7_586, 12_354_311, 1_067_917_469_586_305_348)
+        (7_535, 11_862_215, 16_538_168_325_283_014_851)
     );
 }
 
