@@ -63,6 +63,16 @@ step "cargo test (descriptor re-arms)"
 cargo test -q -p sockets-emp --test rearm
 cargo test -q -p sockets-emp --test rearm --features sockets-emp/trace
 
+step "cargo test (receive windows)"
+# Under the same switch each direction's window starts at two descriptors
+# and grows to N once, when its sender has used both: request/response
+# traffic keeps two for life, a stream grows at its second message, the
+# growth costs exactly N - 2 descriptor posts, a preset and a default peer
+# agree either way, and churn or a close racing the growth strands
+# nothing — in both build modes.
+cargo test -q -p sockets-emp --test window
+cargo test -q -p sockets-emp --test window --features sockets-emp/trace
+
 step "cargo test (adaptive copy policy)"
 # The default data path's copy decisions: direct delivery to posted
 # readers, staged small writes and their deadline, and a long write that

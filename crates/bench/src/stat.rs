@@ -284,7 +284,10 @@ pub fn self_check(run: &StatRun) -> Result<String, String> {
     // somewhere in the workload, and EMP's own acks must have ridden on
     // data frames — and no connection may have closed with bytes still
     // staged or a timer flush it never paid for, nor returned a credit
-    // without re-arming its descriptor in the same request.
+    // without re-arming its descriptor in the same request, nor held other
+    // than its receive window of data descriptors. Windows start at two
+    // and grow to N once a sender uses both: the streaming stage must
+    // grow one, and each grow posts exactly N − 2 descriptors.
     let ctr = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     let emp_piggybacked: u64 = run.nics.iter().map(|s| s.acks_piggybacked).sum();
     if emp_piggybacked == 0 {
@@ -305,10 +308,20 @@ pub fn self_check(run: &StatRun) -> Result<String, String> {
         "sock.stranded_bytes",
         "sock.unpaid_flush_debt_ns",
         "sock.credits_without_rearm",
+        "sock.window_unaccounted",
     ] {
         if ctr(name) != 0 {
             return Err(format!("{name} = {} after the drain", ctr(name)));
         }
+    }
+    let (grows, grants) = (ctr("sock.window_grows"), ctr("sock.window_grants"));
+    let n = u64::from(sockets_emp::SubstrateConfig::default().credits);
+    if grows == 0 || grants != grows * (n - 2) {
+        return Err(format!(
+            "sock.window_grows = {grows}, sock.window_grants = {grants}: \
+             each grow must post N - 2 = {} descriptors",
+            n - 2
+        ));
     }
     let mut parts: Vec<String> = need_hists
         .iter()
@@ -320,6 +333,8 @@ pub fn self_check(run: &StatRun) -> Result<String, String> {
     parts.push(format!("refused={refused}"));
     parts.push(format!("shed={shed}"));
     parts.extend(fast_path.iter().map(|n| format!("{n}={}", ctr(n))));
+    parts.push(format!("sock.window_grows={grows}"));
+    parts.push(format!("sock.window_grants={grants}"));
     parts.push(format!("emp.acks_piggybacked={emp_piggybacked}"));
     Ok(format!("empstat self-check ok: {}", parts.join(" ")))
 }

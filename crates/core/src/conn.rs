@@ -25,6 +25,16 @@ use crate::config::{SocketType, SubstrateConfig};
 use crate::proto::{Msg, DATA_HEADER, HEADER};
 use crate::tags;
 
+/// Data descriptors each direction of a stream connection starts with
+/// when its connect announced window growth (`piggyback_acks`, DESIGN §8).
+/// A request/response connection never has more than one message
+/// unconsumed, so two serve it for life; a stream uses both on its second
+/// message and grows to N then. Larger starting windows bring back the
+/// per-connection posting and unposting that saturate an accept storm
+/// (`overload_goodput_degrades_gracefully_past_saturation`: 3, 4 and 8
+/// fail it, 2 passes at 0.806).
+pub(crate) const INITIAL_WINDOW: u32 = 2;
+
 /// Per-process substrate state (behind `EmpSockets`).
 pub(crate) struct ProcShared {
     pub(crate) ep: EmpEndpoint,
@@ -160,7 +170,7 @@ impl ProcShared {
                 "credits_out",
                 Box::new(|s| {
                     let i = s.inner.lock();
-                    i64::from(s.credits_max) - i64::from(i.credits)
+                    i64::from(i.peer_window) - i64::from(i.credits)
                 }),
             ),
             (
@@ -244,8 +254,17 @@ pub struct ConnStats {
     /// credits (§6.1 piggy-backing on; the presets repost at consume time).
     pub rearms_ridden: u64,
     /// Credits returned with piggy-backing on whose descriptor the same
-    /// send did not re-arm. Zero by construction.
+    /// send did not re-arm (or, for a window's growth, post). Zero by
+    /// construction.
     pub credits_without_rearm: u64,
+    /// Times this side's receive window grew from
+    /// two (`conn::INITIAL_WINDOW`) to N: at most once
+    /// per connection, when its sender first used the whole window.
+    pub window_grows: u64,
+    /// New data descriptors the window's growth posted (N − 2 per grow),
+    /// each in the request of the send that returned its credit. Not
+    /// re-arms: none of them was ever consumed.
+    pub window_grants: u64,
 }
 
 impl std::ops::AddAssign for ConnStats {
@@ -265,6 +284,8 @@ impl std::ops::AddAssign for ConnStats {
         self.stage_deferrals += o.stage_deferrals;
         self.rearms_ridden += o.rearms_ridden;
         self.credits_without_rearm += o.credits_without_rearm;
+        self.window_grows += o.window_grows;
+        self.window_grants += o.window_grants;
     }
 }
 
@@ -276,11 +297,13 @@ pub(crate) struct DataSlot {
 
 /// Credits one message returns to the peer and, with piggy-backing on,
 /// the staging ranges of the consumed data descriptors the same send
-/// re-arms.
+/// re-arms. A return that grows the window also carries the ranges of
+/// the new descriptors the same send posts, counted in `credits`.
 #[derive(Default)]
 pub(crate) struct CreditReturn {
     pub(crate) credits: u16,
     pub(crate) rearms: Vec<VirtRange>,
+    pub(crate) grants: Vec<VirtRange>,
 }
 
 /// Mutable per-connection state (single-process discipline: one simulated
@@ -290,6 +313,10 @@ pub(crate) struct SockInner {
     // ---- transmit ----
     /// Credits available to send (§6.1).
     pub(crate) credits: u32,
+    /// Data descriptors the peer keeps for this side: its receive window,
+    /// agreed by the connection request and raised by the return that
+    /// grows it. `peer_window - credits` credits are out.
+    pub(crate) peer_window: u32,
     /// Pre-posted flow-control-ack descriptors, completion order (empty in
     /// unexpected-queue mode).
     pub(crate) fcack_handles: VecDeque<RecvHandle>,
@@ -304,6 +331,10 @@ pub(crate) struct SockInner {
     /// The connection request (client side) — checked for refusal.
     pub(crate) conn_send: Option<SendHandle>,
     // ---- receive (stream) ----
+    /// This side's receive window: the data descriptors it keeps, posted
+    /// (`data_slots`) or waiting to be re-armed (`rearms`).
+    /// [`INITIAL_WINDOW`] or N at establish; grows to N at most once.
+    pub(crate) window: u32,
     /// Pre-posted data descriptors in completion order.
     pub(crate) data_slots: VecDeque<DataSlot>,
     /// Reassembled byte stream awaiting `read()` (chunks + total length).
@@ -380,6 +411,7 @@ impl SockInner {
         CreditReturn {
             credits: std::mem::take(&mut self.consumed) as u16,
             rearms: std::mem::take(&mut self.rearms),
+            grants: Vec::new(),
         }
     }
 
@@ -405,7 +437,8 @@ pub(crate) struct SockShared {
     pub(crate) is_client: bool,
     /// Stream or datagram (negotiated by the connection request).
     pub(crate) socket_type: SocketType,
-    /// Effective credit count (client's N, mirrored by the acceptor).
+    /// Effective credit count (client's N, mirrored by the acceptor): the
+    /// largest receive window either direction reaches.
     pub(crate) credits_max: u32,
     /// Effective temp-buffer size.
     pub(crate) buf_size: usize,
@@ -417,6 +450,8 @@ pub(crate) struct SockShared {
 impl SockShared {
     /// Build and wire up one side of a connection. For the client side
     /// this happens at `connect()`; for the server side at `accept()`.
+    /// With `grows_window` (announced by the client, adopted by the
+    /// acceptor) both directions' windows start at [`INITIAL_WINDOW`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn establish(
         proc_: &Arc<ProcShared>,
@@ -428,7 +463,13 @@ impl SockShared {
         socket_type: SocketType,
         credits_max: u32,
         buf_size: usize,
+        grows_window: bool,
     ) -> SimResult<Arc<SockShared>> {
+        let window = if grows_window {
+            INITIAL_WINDOW.min(credits_max)
+        } else {
+            credits_max
+        };
         let sock = Arc::new_cyclic(|self_ref| SockShared {
             self_ref: self_ref.clone(),
             proc_: Arc::clone(proc_),
@@ -440,11 +481,13 @@ impl SockShared {
             credits_max,
             buf_size,
             inner: Mutex::new(SockInner {
-                credits: credits_max,
+                credits: window,
+                peer_window: window,
                 fcack_handles: VecDeque::new(),
                 poll_fcack: None,
                 inflight_sends: Vec::new(),
                 conn_send: None,
+                window,
                 data_slots: VecDeque::new(),
                 stream_chunks: VecDeque::new(),
                 stream_len: 0,
@@ -487,11 +530,11 @@ impl SockShared {
         }
         match socket_type {
             SocketType::Stream => {
-                // N data descriptors into temp buffers (§5.2 eager w/ flow
-                // control), each with its own stable staging range — posted
-                // as one batch behind a single doorbell.
-                let mut posts = Vec::with_capacity(credits_max as usize);
-                for _ in 0..credits_max {
+                // The window's data descriptors into temp buffers (§5.2
+                // eager w/ flow control), each with its own stable staging
+                // range — posted as one batch behind a single doorbell.
+                let mut posts = Vec::with_capacity(window as usize);
+                for _ in 0..window {
                     let range = proc_.alloc_range(buf_size + DATA_HEADER);
                     posts.push((
                         sock.rx_data_tag(),
@@ -634,6 +677,7 @@ impl SockShared {
         let data = TxBuf::one(
             Msg::FcAck {
                 credits: ret.credits,
+                grew_window: !ret.grants.is_empty(),
             }
             .encode(),
         );
@@ -641,7 +685,7 @@ impl SockShared {
     }
 
     /// Post `data`, which returns `ret`'s credits, in one NIC request with
-    /// the re-arms of their descriptors.
+    /// the re-arms of their descriptors (and the window's new ones).
     fn send_returning(
         &self,
         ctx: &ProcessCtx,
@@ -659,28 +703,49 @@ impl SockShared {
         Ok(h)
     }
 
-    /// The data-descriptor posts that re-arm `ret`'s ranges.
+    /// The data-descriptor posts that re-arm `ret`'s ranges, then those
+    /// that grow the window.
     pub(crate) fn rearm_posts(&self, ret: &CreditReturn) -> Vec<PostSpec> {
         let cap = self.buf_size + DATA_HEADER;
         let tag = self.rx_data_tag();
         ret.rearms
             .iter()
+            .chain(&ret.grants)
             .map(|r| (tag, Some(self.peer), cap, *r))
             .collect()
     }
 
-    /// Book the descriptors a send re-armed for `ret`: they rejoin the
-    /// data slots in the order the NIC inserts them.
+    /// Book the descriptors a send re-armed or posted for `ret`: they
+    /// join the data slots in the order the NIC inserts them.
     pub(crate) fn rearmed(&self, ret: CreditReturn, handles: Vec<RecvHandle>) {
         let mut i = self.inner.lock();
         if self.proc_.cfg.piggyback_acks {
-            i.stats.rearms_ridden += handles.len() as u64;
+            i.stats.rearms_ridden += ret.rearms.len() as u64;
             i.stats.credits_without_rearm +=
                 u64::from(ret.credits).saturating_sub(handles.len() as u64);
         }
-        for (handle, range) in handles.into_iter().zip(ret.rearms) {
+        i.stats.window_grants += ret.grants.len() as u64;
+        let ranges = ret.rearms.into_iter().chain(ret.grants);
+        for (handle, range) in handles.into_iter().zip(ranges) {
             i.data_slots.push_back(DataSlot { handle, range });
         }
+    }
+
+    /// Grow the window to N on a return that is due because the sender
+    /// used all of it: allocate the N − window new descriptors' staging
+    /// ranges and add their credits. The send of `ret` posts them.
+    pub(crate) fn grow_window(&self, ret: &mut CreditReturn) {
+        let grant = {
+            let mut i = self.inner.lock();
+            let grant = self.credits_max - i.window;
+            i.window = self.credits_max;
+            i.stats.window_grows += 1;
+            grant
+        };
+        ret.credits += grant as u16;
+        ret.grants = (0..grant)
+            .map(|_| self.proc_.alloc_range(self.buf_size + DATA_HEADER))
+            .collect();
     }
 
     /// Drain the control descriptor if it completed: handles `Close` and
@@ -814,13 +879,14 @@ impl SockShared {
         if already {
             return Ok(());
         }
+        let unaccounted = self.window_unaccounted();
         // Descriptors still waiting for a credit-returning send are never
         // re-armed, and their credits never returned: the buffers go back
         // to the pool with the rest below.
         let stale = self.inner.lock().take_credit_return().rearms;
         // As in shutdown_write: staged writes go out before the Close.
         let _ = self.flush_coalesced(ctx)?;
-        self.publish_stats(ctx);
+        self.publish_stats(ctx, unaccounted);
         let (peer_closed, already_shut, final_seq) = {
             let i = self.inner.lock();
             (i.peer_closed, i.write_closed, i.tx_seq)
@@ -872,11 +938,23 @@ impl SockShared {
         Ok(())
     }
 
+    /// How far a stream side's data descriptors, posted or waiting for a
+    /// re-arm, are from its window. Zero by construction, except on a
+    /// poisoned connection, which recycles the descriptors it consumed.
+    fn window_unaccounted(&self) -> u64 {
+        let i = self.inner.lock();
+        if self.socket_type != SocketType::Stream || i.poisoned {
+            return 0;
+        }
+        (i.data_slots.len() + i.rearms.len()).abs_diff(i.window as usize) as u64
+    }
+
     /// Add this connection's data-path counters to the telemetry as it
     /// closes, with what it strands (staged bytes, unpaid flush debt: both
-    /// must read zero, as must `credits_without_rearm`). Only non-zero
-    /// values register a counter.
-    fn publish_stats(&self, ctx: &ProcessCtx) {
+    /// must read zero, as must `credits_without_rearm` and the descriptors
+    /// `unaccounted` for by the window). Only non-zero values register a
+    /// counter.
+    fn publish_stats(&self, ctx: &ProcessCtx, unaccounted: u64) {
         let (s, stranded, debt) = {
             let i = self.inner.lock();
             (i.stats, i.coalesce_buf.len() as u64, i.flush_debt.nanos())
@@ -888,6 +966,9 @@ impl SockShared {
             ("sock.copies_avoided", s.copies_avoided),
             ("sock.rearms_ridden", s.rearms_ridden),
             ("sock.credits_without_rearm", s.credits_without_rearm),
+            ("sock.window_grows", s.window_grows),
+            ("sock.window_grants", s.window_grants),
+            ("sock.window_unaccounted", unaccounted),
             ("sock.stranded_bytes", stranded),
             ("sock.unpaid_flush_debt_ns", debt),
         ] {

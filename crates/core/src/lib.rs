@@ -13,7 +13,9 @@
 //! * **Rendezvous** for datagram sockets' large messages (§5.2, §6.2) —
 //!   zero-copy, deadlock-prone by design (Figure 7);
 //! * **Credit-based flow control with 2N descriptors** and **piggy-backed
-//!   acks** (§6.1);
+//!   acks** (§6.1) — under the default configuration each direction's
+//!   window starts at two descriptors and grows to N once its sender
+//!   uses both;
 //! * **Delayed acknowledgments** (§6.3) and **acks through the EMP
 //!   unexpected queue** (§6.4) — toggled via [`SubstrateConfig`] presets
 //!   `ds()`, `ds_da()`, `ds_da_uq()`, `dg()`, matching Figure 11's labels;

@@ -33,6 +33,13 @@ const KIND_RNDV_ACK: u8 = 5;
 const KIND_CLOSE: u8 = 6;
 const KIND_RNDV_NAK: u8 = 7;
 
+/// `ConnReq` flags bit: the connecting side's data descriptors start at
+/// `conn::INITIAL_WINDOW` and grow to N once (DESIGN §8). Bit 0
+/// of the same byte is the socket type.
+const CONN_GROWS_WINDOW: u8 = 0x02;
+/// `FcAck` flags bit: this return grew the sender's window to N.
+const FCACK_GREW_WINDOW: u8 = 0x01;
+
 /// A substrate message.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Msg {
@@ -52,6 +59,9 @@ pub enum Msg {
     FcAck {
         /// Credits returned.
         credits: u16,
+        /// The return carries the descriptors that grew the receiver's
+        /// window to N, and their credits.
+        grew_window: bool,
     },
     /// Connection request (§5.1 "Data Message Exchange"): carries what
     /// TCP's SYN carries — who is connecting — plus the parameters the
@@ -68,6 +78,11 @@ pub enum Msg {
         credits: u16,
         /// Sender's temp-buffer size.
         buf_size: u32,
+        /// Both directions start with a window of
+        /// `conn::INITIAL_WINDOW` data descriptors and grow it to
+        /// N the first time their sender uses it up (the sender's §6.1
+        /// switch is on); otherwise both post N at once.
+        grows_window: bool,
     },
     /// Rendezvous request: "I want to send `size` bytes" (§5.2).
     RndvReq {
@@ -111,9 +126,12 @@ impl Msg {
                 b.put_u32_le(*seq);
                 b.extend_from_slice(payload);
             }
-            Msg::FcAck { credits } => {
+            Msg::FcAck {
+                credits,
+                grew_window,
+            } => {
                 b.put_u8(KIND_FCACK);
-                b.put_u8(0);
+                b.put_u8(if *grew_window { FCACK_GREW_WINDOW } else { 0 });
                 b.put_u16_le(*credits);
                 b.put_u32_le(0);
             }
@@ -123,12 +141,14 @@ impl Msg {
                 socket_type,
                 credits,
                 buf_size,
+                grows_window,
             } => {
                 b.put_u8(KIND_CONN_REQ);
-                b.put_u8(match socket_type {
+                let kind = match socket_type {
                     SocketType::Stream => 0,
                     SocketType::Datagram => 1,
-                });
+                };
+                b.put_u8(kind | if *grows_window { CONN_GROWS_WINDOW } else { 0 });
                 b.put_u16_le(*cid);
                 b.put_u32_le(*buf_size);
                 b.put_u16_le(*port);
@@ -197,7 +217,10 @@ impl Msg {
                     payload: raw.slice(DATA_HEADER..DATA_HEADER + len),
                 })
             }
-            KIND_FCACK => Ok(Msg::FcAck { credits: arg16 }),
+            KIND_FCACK => Ok(Msg::FcAck {
+                credits: arg16,
+                grew_window: raw[1] & FCACK_GREW_WINDOW != 0,
+            }),
             KIND_CONN_REQ => {
                 if raw.len() < HEADER + 4 {
                     return Err(NetError::Protocol("conn request truncated"));
@@ -207,13 +230,14 @@ impl Msg {
                 Ok(Msg::ConnReq {
                     cid: arg16,
                     port,
-                    socket_type: if raw[1] == 0 {
+                    socket_type: if raw[1] & 1 == 0 {
                         SocketType::Stream
                     } else {
                         SocketType::Datagram
                     },
                     credits,
                     buf_size: arg32,
+                    grows_window: raw[1] & CONN_GROWS_WINDOW != 0,
                 })
             }
             KIND_RNDV_REQ => Ok(Msg::RndvReq { size: arg32 }),
@@ -258,13 +282,21 @@ mod tests {
             seq: u32::MAX,
             payload: Bytes::new(),
         });
-        roundtrip(Msg::FcAck { credits: 16 });
+        roundtrip(Msg::FcAck {
+            credits: 16,
+            grew_window: false,
+        });
+        roundtrip(Msg::FcAck {
+            credits: 32,
+            grew_window: true,
+        });
         roundtrip(Msg::ConnReq {
             cid: 0x1234,
             port: 80,
             socket_type: SocketType::Stream,
             credits: 32,
             buf_size: 65536,
+            grows_window: true,
         });
         roundtrip(Msg::ConnReq {
             cid: 1,
@@ -272,6 +304,15 @@ mod tests {
             socket_type: SocketType::Datagram,
             credits: 4,
             buf_size: 1024,
+            grows_window: false,
+        });
+        roundtrip(Msg::ConnReq {
+            cid: 2,
+            port: 7,
+            socket_type: SocketType::Datagram,
+            credits: 4,
+            buf_size: 1024,
+            grows_window: true,
         });
         roundtrip(Msg::RndvReq { size: 1 << 20 });
         roundtrip(Msg::RndvAck);

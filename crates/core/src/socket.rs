@@ -143,6 +143,9 @@ impl EmpSockets {
         }
         let cid = ok_or_return!(self.proc_.alloc_cid());
         let cfg = &self.proc_.cfg;
+        // Windows that grow with traffic ride the §6.1 switch: the
+        // request announces them and the acceptor adopts them.
+        let grows_window = cfg.piggyback_acks;
         let sock = SockShared::establish(
             &self.proc_,
             ctx,
@@ -153,6 +156,7 @@ impl EmpSockets {
             cfg.socket_type,
             cfg.credits,
             cfg.temp_buf_size,
+            grows_window,
         )?;
         let req = Msg::ConnReq {
             cid,
@@ -160,6 +164,7 @@ impl EmpSockets {
             socket_type: cfg.socket_type,
             credits: cfg.credits as u16,
             buf_size: cfg.temp_buf_size as u32,
+            grows_window,
         };
         let policy = policy_override.or_else(|| cfg.effective_connect_policy());
         // A blocking connect sends the request *refusably*: it must never
@@ -351,6 +356,7 @@ impl Listener {
             socket_type,
             credits,
             buf_size,
+            grows_window,
         } = parsed
         else {
             return Ok(Err(NetError::Protocol(
@@ -368,6 +374,7 @@ impl Listener {
             socket_type,
             u32::from(credits),
             buf_size as usize,
+            grows_window,
         )?;
         Ok(Ok(Connection { sock }))
     }
@@ -642,6 +649,7 @@ impl Connection {
             credits: i.credits,
             consumed: i.consumed,
             rearms_pending: i.rearms.len(),
+            window: i.window,
             peer_closed: i.peer_closed,
             closed: i.closed,
         }
@@ -675,8 +683,12 @@ pub struct ConnDebugState {
     pub consumed: u32,
     /// Consumed data descriptors waiting for the send that returns their
     /// credits to re-arm them (piggy-backing on; always 0 under the
-    /// presets). `data_slots + rearms_pending` is the credit count N.
+    /// presets). `data_slots + rearms_pending == window`.
     pub rearms_pending: usize,
+    /// This side's receive window: 2 on a fresh connection whose connect
+    /// announced growth (`default()`), N once its sender used both, and N
+    /// from the start under the presets.
+    pub window: u32,
     /// Peer sent a close notification.
     pub peer_closed: bool,
     /// This side is closed.

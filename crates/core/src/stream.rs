@@ -1,8 +1,10 @@
 //! Data-streaming sockets: the eager-with-flow-control path (§5.2, §6).
 //!
-//! The receive side pre-posts N descriptors into temp buffers; arriving
-//! messages dissolve into a byte stream that `read()` serves with partial
-//! reads (TCP's data-streaming semantics) at the cost of one extra copy.
+//! The receive side pre-posts its window of descriptors into temp buffers
+//! (N, or under the default two until the sender first uses both);
+//! arriving messages dissolve into a byte stream that `read()` serves
+//! with partial reads (TCP's data-streaming semantics) at the cost of one
+//! extra copy.
 //! The send side spends credits, piggy-backs credit returns on reverse
 //! data, and blocks on explicit flow-control acks when it runs dry —
 //! consumed from pre-posted descriptors, or from the EMP unexpected queue
@@ -500,7 +502,7 @@ impl SockShared {
                 i.data_slots
                     .front()
                     .map(|s| s.handle.completion().clone())
-                    .expect("stream socket keeps N descriptors posted")
+                    .expect("stream socket keeps its window posted")
             };
             ok_or_return!(self.wait_data_or_ctrl(ctx, &data_completion)?);
         }
@@ -658,6 +660,8 @@ impl SockShared {
     /// The consumed descriptors are batch-reposted behind one doorbell —
     /// or, with piggy-backing on, left for the send that returns their
     /// credits to re-arm, so a credit never leaves without its descriptor.
+    /// A drain that uses up a window below N grows it: the return is sent
+    /// at once and posts the new descriptors too.
     ///
     /// With `direct_max` set (a reader is parked here with a posted buffer
     /// of that size), the first in-sequence payload that fits while the
@@ -760,9 +764,16 @@ impl SockShared {
                 // on this approach and need an explicit acknowledgment
                 // mechanism too"); at the threshold, with no write in hand,
                 // the ack goes out explicitly.
+                //
+                // A window below N is used up before that threshold: every
+                // descriptor of it consumed means the sender holds no
+                // credit, so the return is due at once and grows the
+                // window to N (DESIGN §8). At N the threshold always
+                // comes first.
                 let threshold = self.proc_.cfg.ack_threshold();
-                let explicit = if i.consumed >= threshold {
-                    Some(i.take_credit_return())
+                let used_up = i.window < self.credits_max && i.consumed >= i.window;
+                let explicit = if used_up || i.consumed >= threshold {
+                    Some((i.take_credit_return(), used_up))
                 } else {
                     if emp_trace::ENABLED && self.proc_.cfg.piggyback_acks && i.consumed > 0 {
                         let accrued = u64::from(i.consumed);
@@ -777,14 +788,19 @@ impl SockShared {
                 self.trace(ctx, EventKind::DirectDeliver, delivered_direct as u64, 0);
                 self.trace(ctx, EventKind::SockReadEnd, delivered_direct as u64, 0);
             }
-            if let Some(ret) = send_explicit {
+            if let Some((mut ret, used_up)) = send_explicit {
+                if used_up {
+                    self.grow_window(&mut ret);
+                }
                 explicit_acks.push(ret);
             }
             if self.inner.lock().poisoned {
                 // Budget tripped on this message: the popped descriptors
                 // can no longer serve the (now unrecoverable) stream —
                 // recycle their buffers instead of reposting.
-                let unsent = explicit_acks.into_iter().flat_map(|r| r.rearms);
+                let unsent = explicit_acks
+                    .into_iter()
+                    .flat_map(|r| r.rearms.into_iter().chain(r.grants));
                 for r in reposts.into_iter().chain(unsent) {
                     self.proc_.free_range(r);
                 }
@@ -1007,9 +1023,16 @@ impl SockShared {
 
     fn apply_fcack(&self, ctx: &ProcessCtx, raw: &Bytes) -> Result<(), NetError> {
         match Msg::decode(raw)? {
-            Msg::FcAck { credits } => {
+            Msg::FcAck {
+                credits,
+                grew_window,
+            } => {
                 self.trace(ctx, EventKind::CreditGrant, u64::from(credits), 0);
-                self.inner.lock().credits += u32::from(credits);
+                let mut i = self.inner.lock();
+                i.credits += u32::from(credits);
+                if grew_window {
+                    i.peer_window = self.credits_max;
+                }
                 Ok(())
             }
             _ => Err(NetError::Protocol("non-ack message on fc-ack tag")),

@@ -224,6 +224,9 @@ fn copied_bytes(s: &ConnStats) -> u64 {
 /// is staged behind it, and flush-on-read pushes it out before the side
 /// parks for the reply — so the exchange completes with no deadlock and
 /// no wait for the staging deadline. The one-write echo is never staged.
+/// Two warm-up messages grow the echoer's window to N first: on a fresh
+/// connection the first request uses both descriptors of its window, and
+/// the growing return would stage the first echo behind it.
 #[test]
 fn coalesced_pingpong_flushes_on_read_and_completes() {
     let sim = Sim::new();
@@ -241,6 +244,16 @@ fn coalesced_pingpong_flushes_on_read_and_completes() {
     sim.spawn("echoer", move |ctx| {
         let l = server.listen(ctx, 80, 4)?.expect("port free");
         let conn = l.accept(ctx)?.expect("connection");
+        conn.read_exact(ctx, 2 * MSG)?
+            .expect("read")
+            .expect("warm-up");
+        assert_eq!(
+            conn.debug_state().window,
+            SubstrateConfig::default().credits
+        );
+        // Let the growing return be acknowledged: a send in flight would
+        // stage the first echo.
+        ctx.delay(SimDuration::from_micros(100))?;
         while let Some(m) = conn.read_exact(ctx, MSG)?.expect("read") {
             conn.write(ctx, &m)?.expect("echo");
         }
@@ -254,6 +267,11 @@ fn coalesced_pingpong_flushes_on_read_and_completes() {
     sim.spawn("pinger", move |ctx| {
         let conn = client.connect(ctx, addr)?.expect("connect");
         let payload = pattern(MSG);
+        for _ in 0..2 {
+            conn.write(ctx, &payload)?.expect("warm-up");
+            ctx.delay(SimDuration::from_micros(100))?;
+        }
+        ctx.delay(SimDuration::from_millis(1))?;
         let t0 = ctx.now();
         for _ in 0..ROUNDS {
             conn.write(ctx, &payload[..HEADER])?.expect("header");
@@ -271,7 +289,8 @@ fn coalesced_pingpong_flushes_on_read_and_completes() {
         // Each staged body goes out on the very next read (flush-on-read):
         // nothing aggregated across rounds.
         assert_eq!(s.coalesce_flushes, ROUNDS as u64);
-        assert_eq!(s.msgs_sent, 2 * ROUNDS as u64);
+        // Two warm-up messages and two per round.
+        assert_eq!(s.msgs_sent, 2 * ROUNDS as u64 + 2);
         conn.close(ctx)?;
         done2.complete(ctx);
         Ok(())
@@ -395,7 +414,9 @@ use sockets_emp::{Connection, CopyPolicy};
 /// at once; the second is staged behind it and nothing the application
 /// does afterwards touches the socket — yet the reader, parked in
 /// `read()`, must hold it within the staging deadline plus one one-way
-/// latency, not when `close()` finally flushes it 10 ms later.
+/// latency, not when `close()` finally flushes it 10 ms later. The
+/// warm-up grows the reader's window to N first: with two credits the
+/// second write would be flushed at once on credit pressure.
 #[test]
 fn a_write_reaches_a_parked_reader_at_once_or_within_the_deadline() {
     let sim = Sim::new();
@@ -411,10 +432,14 @@ fn a_write_reaches_a_parked_reader_at_once_or_within_the_deadline() {
     sim.spawn("reader", move |ctx| {
         let l = server.listen(ctx, 80, 4)?.expect("port free");
         let conn = l.accept(ctx)?.expect("connection");
-        // Warm-up round trip: the connection is established and every
-        // buffer pinned before the measured writes.
-        let m = conn.read_exact(ctx, 64)?.expect("read").expect("warm-up");
-        conn.write(ctx, &m)?.expect("echo");
+        // Warm-up round trip: the connection is established, its window
+        // grown and every buffer pinned before the measured writes.
+        let m = conn.read_exact(ctx, 128)?.expect("read").expect("warm-up");
+        assert_eq!(
+            conn.debug_state().window,
+            SubstrateConfig::default().credits
+        );
+        conn.write(ctx, &m[..64])?.expect("echo");
         let deadline = CopyPolicy::STAGE_DEADLINE.nanos();
         for (i, bounds) in [(0, 40_000), (deadline, 90_000)].into_iter().enumerate() {
             let m = conn.read(ctx, 8192)?.expect("data");
@@ -433,7 +458,10 @@ fn a_write_reaches_a_parked_reader_at_once_or_within_the_deadline() {
     });
     sim.spawn("writer", move |ctx| {
         let conn = client.connect(ctx, addr)?.expect("connect");
-        conn.write(ctx, &pattern(64))?.expect("warm-up");
+        for _ in 0..2 {
+            conn.write(ctx, &pattern(64))?.expect("warm-up");
+            ctx.delay(SimDuration::from_micros(100))?;
+        }
         conn.read_exact(ctx, 64)?.expect("read").expect("echo");
         ctx.delay(SimDuration::from_millis(1))?;
         for at in written_at.iter() {
@@ -442,7 +470,8 @@ fn a_write_reaches_a_parked_reader_at_once_or_within_the_deadline() {
         }
         ctx.delay(SimDuration::from_millis(10))?;
         let s = conn.stats();
-        assert_eq!((s.msgs_sent, s.coalesce_flushes), (3, 1), "the timer's");
+        // Two warm-up messages and the two measured writes' messages.
+        assert_eq!((s.msgs_sent, s.coalesce_flushes), (4, 1), "the timer's");
         conn.close(ctx)?;
         Ok(())
     });
@@ -579,6 +608,11 @@ fn writer_host_ns(rounds: u32, flush_now: bool) -> u64 {
     sim.spawn("reader", move |ctx| {
         let l = server.listen(ctx, 80, 4)?.expect("port free");
         let conn = l.accept(ctx)?.expect("connection");
+        conn.read_exact(ctx, 128)?.expect("read").expect("warm-up");
+        assert_eq!(
+            conn.debug_state().window,
+            SubstrateConfig::default().credits
+        );
         while !conn.read(ctx, 8192)?.expect("data").is_empty() {}
         conn.close(ctx)?;
         l.close(ctx)
@@ -586,8 +620,12 @@ fn writer_host_ns(rounds: u32, flush_now: bool) -> u64 {
     sim.spawn("writer", move |ctx| {
         let conn = client.connect(ctx, addr)?.expect("connect");
         // Pin the send buffer first, so both variants post from a
-        // registered one.
-        conn.write(ctx, &pattern(64))?.expect("warm-up");
+        // registered one, and grow the reader's window to N so the
+        // measured rounds never run short of credits.
+        for _ in 0..2 {
+            conn.write(ctx, &pattern(64))?.expect("warm-up");
+            ctx.delay(SimDuration::from_micros(100))?;
+        }
         let mut inside = 0;
         for _ in 0..rounds {
             ctx.delay(SimDuration::from_micros(100))?;
@@ -605,7 +643,7 @@ fn writer_host_ns(rounds: u32, flush_now: bool) -> u64 {
         inside += (ctx.now() - t0).nanos();
         let s = conn.stats();
         assert_eq!(s.coalesce_flushes, u64::from(rounds));
-        assert_eq!(s.msgs_sent, 2 * u64::from(rounds) + 1);
+        assert_eq!(s.msgs_sent, 2 * u64::from(rounds) + 2);
         spent2.store(inside, Ordering::Relaxed);
         conn.close(ctx)
     });

@@ -133,21 +133,22 @@ fn one_way(cl: &EmpCluster, cfg: SubstrateConfig, writes: &[usize], read_max: us
 }
 
 /// Every descriptor a side consumed was re-armed by one of its sends or
-/// is still waiting for one, and its N descriptors are all accounted for.
-fn assert_rearmed(who: &str, (stats, st): Side, credits: u32) {
+/// is still waiting for one, and the descriptors of its receive window —
+/// `window`, the initial two or N once grown — are all accounted for.
+fn assert_rearmed(who: &str, (stats, st): Side, window: u32) {
     assert_eq!(
         stats.rearms_ridden + st.rearms_pending as u64,
         stats.msgs_received,
         "{who}: every consumed descriptor re-armed or waiting"
     );
     assert_eq!(stats.credits_without_rearm, 0, "{who}");
-    assert_eq!(st.data_slots + st.rearms_pending, credits as usize, "{who}");
+    assert_eq!(st.window, window, "{who}");
+    assert_eq!(st.data_slots + st.rearms_pending, window as usize, "{who}");
 }
 
 #[test]
 fn request_response_rearms_every_consumed_descriptor_on_a_reply() {
     let cfg = SubstrateConfig::default();
-    let credits = cfg.credits;
     let cl = cluster();
     let (client, server) = request_response(&cl, cfg, 64, 64, 512);
     assert_eq!(server.0.msgs_received, 64);
@@ -155,8 +156,9 @@ fn request_response_rearms_every_consumed_descriptor_on_a_reply() {
     assert_eq!(server.0.rearms_ridden, 64);
     assert_eq!(server.1.rearms_pending, 0);
     assert_eq!(server.0.fcacks_sent, 0, "responses carry every credit");
-    assert_rearmed("client", client, credits);
-    assert_rearmed("server", server, credits);
+    // One message unconsumed at a time: both windows stay at two.
+    assert_rearmed("client", client, 2);
+    assert_rearmed("server", server, 2);
     for node in &cl.nodes {
         let s = node.nic.stats();
         assert_eq!(
@@ -179,10 +181,18 @@ fn a_one_way_stream_rearms_on_its_flow_control_acks_and_stays_byte_exact() {
     let (stats, st) = reader;
     assert!(stats.fcacks_sent > 0);
     assert_eq!(stats.piggybacked_credits, 0, "the reader never writes");
-    // The reader's NIC inserted exactly the re-arms its acks carried.
+    // The reader's NIC inserted exactly the re-arms its acks carried,
+    // and the N − 2 descriptors of the window's one growth.
     let reader_nic = cl.nodes[1].nic.stats();
     let per_rearm = EmpConfig::default().rx_post_cost.nanos();
-    assert_eq!(reader_nic.tx_fw.rearm, stats.rearms_ridden * per_rearm);
+    assert_eq!(
+        (stats.window_grows, stats.window_grants),
+        (1, u64::from(credits - 2))
+    );
+    assert_eq!(
+        reader_nic.tx_fw.rearm,
+        (stats.rearms_ridden + stats.window_grants) * per_rearm
+    );
     assert_eq!(reader_nic.unexpected_msgs, 0);
     assert_rearmed("reader", (stats, st), credits);
 }
@@ -192,8 +202,11 @@ fn a_staging_deadline_flush_rearms_from_event_context() {
     // The server answers request B while its 16 KiB answer to A is still
     // on the wire, so the second answer is staged, and then makes no
     // substrate call: only the staging deadline's timer can send it, and
-    // with it B's credit and the re-arm of B's descriptor.
+    // with it B's credit and the re-arm of B's descriptor. Two warm-up
+    // messages first grow the client's window to N: with two credits the
+    // server would flush answer B at once on credit pressure.
     const BIG: usize = 16 * 1024;
+    let credits = SubstrateConfig::default().credits;
     let sim = Sim::new();
     let cl = cluster();
     let server = EmpSockets::new(cl.nodes[1].endpoint(), SubstrateConfig::default());
@@ -205,6 +218,9 @@ fn a_staging_deadline_flush_rearms_from_event_context() {
     sim.spawn("server", move |ctx| {
         let l = server.listen(ctx, 80, 4)?.expect("port free");
         let conn = l.accept(ctx)?.expect("connection");
+        conn.write(ctx, &[3u8; 64])?.expect("warm-up");
+        ctx.delay(SimDuration::from_micros(100))?;
+        conn.write(ctx, &[4u8; 64])?.expect("warm-up");
         conn.read_exact(ctx, 64)?.expect("read").expect("request A");
         conn.write(ctx, &[1u8; BIG])?.expect("answer A, buffered");
         conn.read_exact(ctx, 64)?.expect("read").expect("request B");
@@ -218,6 +234,11 @@ fn a_staging_deadline_flush_rearms_from_event_context() {
     });
     sim.spawn("client", move |ctx| {
         let conn = connect_settled(ctx, &client, addr)?;
+        conn.read_exact(ctx, 128)?.expect("read").expect("warm-up");
+        assert_eq!(conn.debug_state().window, credits);
+        // Let the growing return be acknowledged: a send in flight would
+        // stage request A.
+        ctx.delay(SimDuration::from_micros(100))?;
         conn.write(ctx, &[7u8; 64])?.expect("request A");
         ctx.delay(SimDuration::from_micros(20))?;
         conn.write(ctx, &[8u8; 64])?.expect("request B");

@@ -44,6 +44,16 @@
 //! FcAcks re-arm 16 descriptors each on its NIC's tx CPU, and the last 8
 //! are freed at close (1 145 → 1 066 events, same end time). Its flush
 //! and message counts did not move.
+//!
+//! It was re-recorded again when, under the same switch, each direction of
+//! a stream connection began with a window of two data descriptors and
+//! grew it to N the first time its sender used both (DESIGN §8): connect
+//! and accept post two descriptors instead of 32 each and close unposts
+//! that many fewer, the first pair's staged write is flushed at once on
+//! credit pressure, and the read that consumes it sends one FcAck that
+//! re-arms two descriptors and posts 30 new ones, paying their builds and
+//! first-touch pins (1 066 → 1 027 events, 2.905 620 → 2.917 128 ms).
+//! Its flush and message counts did not move.
 //! The three `DS_DA_UQ` pins leave the switch off and did not move.
 
 use std::sync::Arc;
@@ -232,6 +242,6 @@ fn default_paired_writes() {
     sim.run();
     assert_eq!(
         schedule_of(&sim),
-        (1_066, 2_905_620, 305_620_747_849_919_988)
+        (1_027, 2_917_128, 14_707_283_251_027_056_591)
     );
 }
