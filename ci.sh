@@ -73,6 +73,16 @@ step "cargo test (receive windows)"
 cargo test -q -p sockets-emp --test window
 cargo test -q -p sockets-emp --test window --features sockets-emp/trace
 
+step "cargo test (connection rider)"
+# Under the same switch a stream connect's request waits for the first
+# operation: a first write of 1..=FIRST_MAX bytes rides inside it, every
+# other first operation sends it bare, every backlog slot (replacements
+# included) fits a request with data, a preset listener accepts one, a
+# blocking connect never carries data, and nothing leaks — in both build
+# modes.
+cargo test -q -p sockets-emp --test rider
+cargo test -q -p sockets-emp --test rider --features sockets-emp/trace
+
 step "cargo test (adaptive copy policy)"
 # The default data path's copy decisions: direct delivery to posted
 # readers, staged small writes and their deadline, and a long write that
@@ -107,8 +117,11 @@ step "data-path default-vs-preset perf smoke"
 # Perf stage: the two fast-path figures run SubstrateConfig::ds_da_uq()
 # against SubstrateConfig::default(). The default must collapse the
 # 64-byte substrate message count (and with it win bandwidth) and must
-# skip every temp-buffer copy for posted readers — in the default build
-# and, because trace hooks ride the same code paths, the traced one.
+# skip every temp-buffer copy for posted readers but one: a first ping
+# that fits the connection request (up to proto::FIRST_MAX bytes, which
+# each summary line prints as first_max) rides in it and is buffered at
+# accept, so exactly its bytes are copied at each such size (DESIGN §8) — in the default build and, because trace
+# hooks ride the same code paths, the traced one.
 perf_smoke() {
     local features=() label="$1"
     [[ "$label" == trace ]] && features=(--features emp-bench/trace)
@@ -134,14 +147,17 @@ perf_smoke() {
                 if ($i ~ /^copies_avoided=/) { v = $i; sub(/.*=/, "", v); avoided += v + 0 }
                 if ($i ~ /^bytes_direct=/)   { v = $i; sub(/.*=/, "", v); direct += v + 0 }
                 if ($i ~ /^bytes_received=/) { v = $i; sub(/.*=/, "", v); recvd += v + 0 }
+                if ($i ~ /^first_max=/)      { v = $i; sub(/.*=/, "", v); first_max = v + 0 }
             }
+            size = $2; sub(/B$/, "", size)
+            if (size + 0 <= first_max) rider += size
         }
         END {
             if (!smt) { printf "FAIL(%s): no 64B small-message summary line\n", label; bad = 1 }
             if (!ca)  { printf "FAIL(%s): no copy-avoidance summary lines\n", label; bad = 1 }
             if (ca && !(avoided > 0)) { printf "FAIL(%s): copies_avoided == 0 under default()\n", label; bad = 1 }
-            if (ca && direct != recvd) {
-                printf "FAIL(%s): posted-reader sweep still copied %d bytes under default()\n", label, recvd - direct
+            if (ca && recvd - direct != rider) {
+                printf "FAIL(%s): posted-reader sweep copied %d bytes under default(), not the %d of the first pings riding connection requests\n", label, recvd - direct, rider
                 bad = 1
             }
             exit bad
@@ -156,7 +172,8 @@ step "telemetry smoke (empstat)"
 # default build and the traced one, and the JSON export must parse. The
 # self-check also gates that the default data path is the one taken
 # (sock.coalesce_flushes, sock.piggybacked_credits, sock.rearms_ridden,
-# sock.copies_avoided and EMP's acks_piggybacked all > 0), that no
+# sock.copies_avoided, sock.conn_riders and EMP's acks_piggybacked all
+# > 0), that no
 # connection closed with staged bytes or an unpaid timer flush
 # (sock.stranded_bytes, sock.unpaid_flush_debt_ns == 0) and that no credit
 # left without its descriptor re-armed (sock.credits_without_rearm == 0).

@@ -232,6 +232,10 @@ fn late_registration_run(tb: &Testbed) {
     let checked2 = Arc::clone(&checked);
     sim.spawn("late-client", move |ctx| {
         let conn = api.connect(ctx, host, EDGE_PORT)?.expect("connect");
+        // A default substrate connection sends its request with its first
+        // operation; send it bare now, so the server accepts and greets
+        // while this client sleeps.
+        conn.flush(ctx)?.expect("flush");
         // Let the server's byte land long before any waker exists.
         ctx.delay(SimDuration::from_millis(2))?;
         emp_async::block_on(ctx, async move {

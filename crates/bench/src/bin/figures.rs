@@ -107,14 +107,22 @@ fn small_message_with_summary(profile: Profile) -> Figure {
 }
 
 /// Generate the copy-avoidance figure, printing one machine-parsable line
-/// per swept message size for the perf-smoke stage.
+/// per swept message size for the perf-smoke stage. `first_max` is the
+/// largest first write that rides a connection request and is therefore
+/// copied at accept.
 fn copy_avoidance_with_summary(profile: Profile) -> Figure {
     let sweep = figures::copy_avoidance_sweep(profile);
     for p in &sweep.points {
         println!(
             "copy-avoidance: {}B copies_avoided={} bytes_direct={} bytes_received={} \
-             us_ds_da_uq={:.2} us_default={:.2}",
-            p.size, p.copies_avoided, p.bytes_direct, p.bytes_received, p.us_paper, p.us_default
+             us_ds_da_uq={:.2} us_default={:.2} first_max={}",
+            p.size,
+            p.copies_avoided,
+            p.bytes_direct,
+            p.bytes_received,
+            p.us_paper,
+            p.us_default,
+            sockets_emp::proto::FIRST_MAX
         );
     }
     figures::copy_avoidance_figure(&sweep, profile)

@@ -278,16 +278,20 @@ pub fn self_check(run: &StatRun) -> Result<String, String> {
         }
     }
     // The default data path must actually be the one taken: closing
-    // connections add their counters, so each of the four mechanisms
+    // connections add their counters, so each of the five mechanisms
     // (staged writes, piggy-backed credits, descriptor re-arms riding the
-    // sends that return those credits, direct delivery) must have fired
+    // sends that return those credits, direct delivery, first writes
+    // riding connection requests) must have fired
     // somewhere in the workload, and EMP's own acks must have ridden on
     // data frames — and no connection may have closed with bytes still
     // staged or a timer flush it never paid for, nor returned a credit
     // without re-arming its descriptor in the same request, nor held other
     // than its receive window of data descriptors. Windows start at two
     // and grow to N once a sender uses both: the streaming stage must
-    // grow one, and each grow posts exactly N − 2 descriptors.
+    // grow one, and each grow posts exactly N − 2 descriptors. The
+    // webserver stages greet first, so their clients' first operation is a
+    // read and their requests go bare; the ping-pong and stream clients
+    // write first.
     let ctr = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     let emp_piggybacked: u64 = run.nics.iter().map(|s| s.acks_piggybacked).sum();
     if emp_piggybacked == 0 {
@@ -298,6 +302,7 @@ pub fn self_check(run: &StatRun) -> Result<String, String> {
         "sock.piggybacked_credits",
         "sock.rearms_ridden",
         "sock.copies_avoided",
+        "sock.conn_riders",
     ];
     for name in fast_path {
         if ctr(name) == 0 {

@@ -203,15 +203,14 @@ pub struct SubstrateConfig {
     /// Host bookkeeping per datagram operation.
     pub dgram_overhead: SimDuration,
     /// `None` (the default) keeps `connect()` non-blocking: it returns
-    /// immediately and pipelines data behind the request (§7.4). `Some(d)`
-    /// makes `connect()` block until the request is acknowledged, resending
-    /// it with exponential backoff, and fail with
-    /// [`crate::NetError::Timeout`] once `d` elapses with no answer — the
-    /// behaviour an application wants against a possibly-dead station.
-    pub connect_timeout: Option<SimDuration>,
-    /// Full connect retry policy (jittered exponential backoff, attempt
-    /// cap, overall deadline). Takes precedence over the simpler
-    /// [`Self::connect_timeout`]; see [`Self::effective_connect_policy`].
+    /// immediately and the request travels ahead of (or, under the §6.1
+    /// switch, with) the first data (§7.4). `Some(policy)` makes
+    /// `connect()` block until the request is acknowledged, resending it
+    /// with the policy's backoff, and fail with
+    /// [`crate::NetError::Timeout`] once its deadline passes with no
+    /// answer — the behaviour an application wants against a
+    /// possibly-dead station. Set by [`Self::with_connect_retry`] or
+    /// [`Self::with_connect_timeout`].
     pub connect_retry: Option<RetryPolicy>,
     /// Per-process connection budget: `connect()`/`accept()` beyond this
     /// many live connections fail with
@@ -272,7 +271,6 @@ impl SubstrateConfig {
             send_copy_threshold: 16 * 1024,
             stream_overhead: SimDuration::from_micros_f64(2.8),
             dgram_overhead: SimDuration::from_nanos(300),
-            connect_timeout: None,
             connect_retry: None,
             max_connections: None,
             reorder_cap_bytes: None,
@@ -324,10 +322,18 @@ impl SubstrateConfig {
 
     /// Bound `connect()` by `deadline`: block until the request is
     /// answered, resending with exponential backoff, and surface
-    /// [`crate::NetError::Timeout`] when the deadline passes.
+    /// [`crate::NetError::Timeout`] when the deadline passes. Shorthand
+    /// for [`RetryPolicy::from_deadline`]: it replaces an earlier timeout,
+    /// but an explicit retry policy (any other than a timeout compiles to)
+    /// stays in force.
     pub fn with_connect_timeout(mut self, deadline: SimDuration) -> Self {
         assert!(!deadline.is_zero(), "a zero connect deadline always fires");
-        self.connect_timeout = Some(deadline);
+        let explicit = self
+            .connect_retry
+            .is_some_and(|p| p != RetryPolicy::from_deadline(p.deadline));
+        if !explicit {
+            self.connect_retry = Some(RetryPolicy::from_deadline(deadline));
+        }
         self
     }
 
@@ -365,15 +371,6 @@ impl SubstrateConfig {
         assert!(!patience.is_zero(), "a zero stall patience always fires");
         self.write_stall_after = Some(patience);
         self
-    }
-
-    /// The connect policy in force: an explicit [`Self::connect_retry`]
-    /// wins; a bare [`Self::connect_timeout`] compiles to
-    /// [`RetryPolicy::from_deadline`]; neither means non-blocking connect
-    /// (the §7.4 pipelining behaviour).
-    pub fn effective_connect_policy(&self) -> Option<RetryPolicy> {
-        self.connect_retry
-            .or_else(|| self.connect_timeout.map(RetryPolicy::from_deadline))
     }
 
     /// Arm the ack-starvation watchdog: blocking operations fail with
@@ -464,9 +461,7 @@ mod tests {
             SubstrateConfig::ds_da_uq(),
             SubstrateConfig::dg(),
         ] {
-            assert_eq!(cfg.connect_timeout, None);
             assert_eq!(cfg.connect_retry, None);
-            assert_eq!(cfg.effective_connect_policy(), None);
             assert_eq!(cfg.max_connections, None);
             assert_eq!(cfg.reorder_cap_bytes, None);
             assert_eq!(cfg.write_stall_after, None);
@@ -477,20 +472,27 @@ mod tests {
         let armed = SubstrateConfig::ds()
             .with_connect_timeout(SimDuration::from_millis(5))
             .with_peer_watchdog(SimDuration::from_millis(20));
-        assert_eq!(armed.connect_timeout, Some(SimDuration::from_millis(5)));
+        assert_eq!(
+            armed.connect_retry,
+            Some(RetryPolicy::from_deadline(SimDuration::from_millis(5)))
+        );
         assert_eq!(armed.peer_gone_after, Some(SimDuration::from_millis(20)));
     }
 
     #[test]
     fn connect_timeout_compiles_to_legacy_policy() {
-        let cfg = SubstrateConfig::ds().with_connect_timeout(SimDuration::from_millis(8));
-        let p = cfg.effective_connect_policy().unwrap();
+        // A later timeout replaces an earlier one.
+        let cfg = SubstrateConfig::ds()
+            .with_connect_timeout(SimDuration::from_millis(3))
+            .with_connect_timeout(SimDuration::from_millis(8));
+        let p = cfg.connect_retry.unwrap();
         assert_eq!(p.base, SimDuration::from_millis(1));
         assert_eq!(p.max_backoff, SimDuration::from_millis(8));
         assert_eq!(p.deadline, SimDuration::from_millis(8));
         assert_eq!(p.max_attempts, u32::MAX);
         assert!(!p.jitter);
-        // An explicit policy wins over the bare timeout.
+        // An explicit policy wins over the bare timeout, whichever was
+        // set first.
         let explicit = RetryPolicy {
             base: SimDuration::from_micros(100),
             max_backoff: SimDuration::from_millis(1),
@@ -499,7 +501,9 @@ mod tests {
             jitter: true,
         };
         let cfg = cfg.with_connect_retry(explicit);
-        assert_eq!(cfg.effective_connect_policy(), Some(explicit));
+        assert_eq!(cfg.connect_retry, Some(explicit));
+        let cfg = cfg.with_connect_timeout(SimDuration::from_millis(8));
+        assert_eq!(cfg.connect_retry, Some(explicit));
     }
 
     #[test]

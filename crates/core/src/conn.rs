@@ -265,6 +265,9 @@ pub struct ConnStats {
     /// each in the request of the send that returned its credit. Not
     /// re-arms: none of them was ever consumed.
     pub window_grants: u64,
+    /// Connections whose first write travelled inside the connection
+    /// request (at most 1, counted on the connecting side).
+    pub conn_riders: u64,
 }
 
 impl std::ops::AddAssign for ConnStats {
@@ -286,6 +289,7 @@ impl std::ops::AddAssign for ConnStats {
         self.credits_without_rearm += o.credits_without_rearm;
         self.window_grows += o.window_grows;
         self.window_grants += o.window_grants;
+        self.conn_riders += o.conn_riders;
     }
 }
 
@@ -330,6 +334,10 @@ pub(crate) struct SockInner {
     pub(crate) inflight_sends: Vec<SendHandle>,
     /// The connection request (client side) — checked for refusal.
     pub(crate) conn_send: Option<SendHandle>,
+    /// The request of a non-blocking connect under the §6.1 switch, held
+    /// back until the connection's first operation sends it — with that
+    /// operation's bytes when it is a write that fits (DESIGN §8).
+    pub(crate) conn_req: Option<Msg>,
     // ---- receive (stream) ----
     /// This side's receive window: the data descriptors it keeps, posted
     /// (`data_slots`) or waiting to be re-armed (`rearms`).
@@ -487,6 +495,7 @@ impl SockShared {
                 poll_fcack: None,
                 inflight_sends: Vec::new(),
                 conn_send: None,
+                conn_req: None,
                 window,
                 data_slots: VecDeque::new(),
                 stream_chunks: VecDeque::new(),
@@ -636,6 +645,32 @@ impl SockShared {
         self.proc_
             .ep
             .post_send(ctx, self.peer, tag, msg.encode(), range)
+    }
+
+    /// Send the connection request `connect()` held back, bare, if it
+    /// still holds one. Every first operation of such a connection but a
+    /// riding write comes through here; afterwards it is a no-op.
+    pub(crate) fn send_conn_req(&self, ctx: &ProcessCtx) -> SimResult<()> {
+        let Some(req) = self.inner.lock().conn_req.take() else {
+            return Ok(());
+        };
+        self.post_conn_req(ctx, req, Bytes::new())
+    }
+
+    /// Send `req`, already taken from `conn_req`, carrying `first` as data
+    /// message 0 (empty: a bare request).
+    pub(crate) fn post_conn_req(
+        &self,
+        ctx: &ProcessCtx,
+        mut req: Msg,
+        first: Bytes,
+    ) -> SimResult<()> {
+        if let Msg::ConnReq { first: f, .. } = &mut req {
+            *f = first;
+        }
+        let h = self.send_msg(ctx, tags::conn_tag(self.port), &req)?;
+        self.inner.lock().conn_send = Some(h);
+        Ok(())
     }
 
     /// Like [`Self::send_msg`], but the message may never park in the
@@ -968,6 +1003,7 @@ impl SockShared {
             ("sock.credits_without_rearm", s.credits_without_rearm),
             ("sock.window_grows", s.window_grows),
             ("sock.window_grants", s.window_grants),
+            ("sock.conn_riders", s.conn_riders),
             ("sock.window_unaccounted", unaccounted),
             ("sock.stranded_bytes", stranded),
             ("sock.unpaid_flush_debt_ns", debt),

@@ -338,8 +338,13 @@ fn record_poll_wait(ctx: &ProcessCtx, entered_ns: u64) {
 fn conn_ready(ctx: &ProcessCtx, sock: &SockShared, interest: Interest) -> OpResult<Interest> {
     let mut ready = Interest::EMPTY;
     // Flush-on-poll: a caller about to park has nothing more to add to
-    // the staged message, so it goes now instead of at its deadline.
+    // the staged message, so it goes now instead of at its deadline. A
+    // caller waiting to read has nothing for a held-back connection
+    // request to carry, so that goes too.
     if sock.socket_type == SocketType::Stream {
+        if interest.intersects(Interest::READABLE) {
+            sock.send_conn_req(ctx)?;
+        }
         ok_or_return!(sock.try_flush_coalesced(ctx)?);
     }
     // Drain landed control traffic (close notifications, rendezvous

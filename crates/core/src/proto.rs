@@ -25,6 +25,15 @@ pub const DATA_HEADER: usize = HEADER + 4;
 /// 28.5 µs path of §7.1).
 pub const MAX_EAGER_DGRAM: usize = emp_proto::MAX_CHUNK - DATA_HEADER;
 
+/// Bytes of a bare connection request: the common header plus port and
+/// credit count.
+pub const CONN_REQ: usize = HEADER + 4;
+
+/// Largest first write that travels inside its connection request
+/// (DESIGN §8): one EMP frame's payload less the request itself, so the
+/// request stays single-frame. Derived, not a knob.
+pub const FIRST_MAX: usize = emp_proto::MAX_CHUNK - CONN_REQ;
+
 const KIND_DATA: u8 = 1;
 const KIND_FCACK: u8 = 2;
 const KIND_CONN_REQ: u8 = 3;
@@ -83,6 +92,10 @@ pub enum Msg {
         /// N the first time their sender uses it up (the sender's §6.1
         /// switch is on); otherwise both post N at once.
         grows_window: bool,
+        /// The connection's first write, at most [`FIRST_MAX`] bytes,
+        /// riding the request as data message 0 (seq 0, no credit spent);
+        /// empty for a bare request.
+        first: Bytes,
     },
     /// Rendezvous request: "I want to send `size` bytes" (§5.2).
     RndvReq {
@@ -142,6 +155,7 @@ impl Msg {
                 credits,
                 buf_size,
                 grows_window,
+                first,
             } => {
                 b.put_u8(KIND_CONN_REQ);
                 let kind = match socket_type {
@@ -153,6 +167,7 @@ impl Msg {
                 b.put_u32_le(*buf_size);
                 b.put_u16_le(*port);
                 b.put_u16_le(*credits);
+                b.extend_from_slice(first);
             }
             Msg::RndvReq { size } => {
                 b.put_u8(KIND_RNDV_REQ);
@@ -222,7 +237,7 @@ impl Msg {
                 grew_window: raw[1] & FCACK_GREW_WINDOW != 0,
             }),
             KIND_CONN_REQ => {
-                if raw.len() < HEADER + 4 {
+                if raw.len() < CONN_REQ {
                     return Err(NetError::Protocol("conn request truncated"));
                 }
                 let port = u16::from_le_bytes([raw[8], raw[9]]);
@@ -238,6 +253,7 @@ impl Msg {
                     credits,
                     buf_size: arg32,
                     grows_window: raw[1] & CONN_GROWS_WINDOW != 0,
+                    first: raw.slice(CONN_REQ..),
                 })
             }
             KIND_RNDV_REQ => Ok(Msg::RndvReq { size: arg32 }),
@@ -253,7 +269,7 @@ impl Msg {
         HEADER
             + match self {
                 Msg::Data { payload, .. } => 4 + payload.len(),
-                Msg::ConnReq { .. } => 4,
+                Msg::ConnReq { first, .. } => 4 + first.len(),
                 _ => 0,
             }
     }
@@ -297,6 +313,7 @@ mod tests {
             credits: 32,
             buf_size: 65536,
             grows_window: true,
+            first: Bytes::new(),
         });
         roundtrip(Msg::ConnReq {
             cid: 1,
@@ -305,6 +322,7 @@ mod tests {
             credits: 4,
             buf_size: 1024,
             grows_window: false,
+            first: Bytes::new(),
         });
         roundtrip(Msg::ConnReq {
             cid: 2,
@@ -313,6 +331,16 @@ mod tests {
             credits: 4,
             buf_size: 1024,
             grows_window: true,
+            first: Bytes::new(),
+        });
+        roundtrip(Msg::ConnReq {
+            cid: 3,
+            port: 80,
+            socket_type: SocketType::Stream,
+            credits: 32,
+            buf_size: 65536,
+            grows_window: true,
+            first: Bytes::from_static(b"GET / HTTP/1.0\r\n"),
         });
         roundtrip(Msg::RndvReq { size: 1 << 20 });
         roundtrip(Msg::RndvAck);
@@ -366,6 +394,20 @@ mod tests {
             piggyback: 0,
             seq: 0,
             payload: Bytes::from(vec![0u8; MAX_EAGER_DGRAM]),
+        };
+        assert_eq!(m.wire_len(), emp_proto::MAX_CHUNK);
+    }
+
+    #[test]
+    fn request_with_first_max_fits_one_emp_frame() {
+        let m = Msg::ConnReq {
+            cid: 0,
+            port: 80,
+            socket_type: SocketType::Stream,
+            credits: 32,
+            buf_size: 65536,
+            grows_window: true,
+            first: Bytes::from(vec![7u8; FIRST_MAX]),
         };
         assert_eq!(m.wire_len(), emp_proto::MAX_CHUNK);
     }

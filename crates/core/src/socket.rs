@@ -18,7 +18,7 @@ use simnet::{
 
 use crate::config::{SocketType, SubstrateConfig};
 use crate::conn::{ProcShared, SockShared};
-use crate::proto::{Msg, HEADER};
+use crate::proto::{Msg, CONN_REQ, FIRST_MAX};
 use crate::stream::ok_or_return;
 use crate::tags;
 
@@ -36,6 +36,25 @@ impl SockAddr {
     pub fn new(host: MacAddr, port: u16) -> Self {
         SockAddr { host, port }
     }
+}
+
+/// Capacity of a listener's backlog slot: a connection request with its
+/// connection's first write aboard. Every listener posts this size,
+/// preset or not, so any client's request fits.
+const BACKLOG_SLOT: usize = CONN_REQ + FIRST_MAX;
+
+/// Post `n` backlog slots for `port` into `range`, behind one doorbell:
+/// `listen()`'s whole backlog and `accept()`'s replacement alike, so the
+/// two can never disagree on the slot size.
+fn post_backlog(
+    proc_: &ProcShared,
+    ctx: &ProcessCtx,
+    port: u16,
+    range: hostsim::VirtRange,
+    n: usize,
+) -> SimResult<Vec<RecvHandle>> {
+    let posts = vec![(tags::conn_tag(port), None, BACKLOG_SLOT, range); n];
+    proc_.ep.post_recv_batch(ctx, &posts)
 }
 
 /// One process's sockets-over-EMP library instance.
@@ -86,10 +105,9 @@ impl EmpSockets {
             }
             st.listeners.insert(port, ());
         }
-        let range = self.proc_.alloc_range(HEADER + 4);
-        // The whole backlog goes down behind one doorbell.
-        let posts = vec![(tags::conn_tag(port), None, HEADER + 4, range); backlog.max(1)];
-        let pending: VecDeque<RecvHandle> = self.proc_.ep.post_recv_batch(ctx, &posts)?.into();
+        let range = self.proc_.alloc_range(BACKLOG_SLOT);
+        let pending: VecDeque<RecvHandle> =
+            post_backlog(&self.proc_, ctx, port, range, backlog.max(1))?.into();
         Ok(Ok(Listener {
             proc_: Arc::clone(&self.proc_),
             port,
@@ -99,18 +117,32 @@ impl EmpSockets {
     }
 
     /// Active open: allocate a connection id, wire up the local side, and
-    /// send the connection-request message. With no connect policy
-    /// configured it returns immediately — the application may start
-    /// writing data right away (§7.4 relies on the request/data
-    /// pipelining); a refused connection surfaces as
-    /// [`NetError::Refused`] on a later operation. With a
-    /// policy ([`SubstrateConfig::with_connect_timeout`] or
-    /// [`SubstrateConfig::with_connect_retry`]) the call blocks and fails
-    /// with a *typed* outcome: [`NetError::Refused`] when the
-    /// receiver positively refused the request (full backlog, no
-    /// listener), [`NetError::Timeout`] when nobody answered within the
-    /// policy's budget, [`NetError::Exhausted`] past the local
-    /// connection budget.
+    /// send the connection-request message (§5.1).
+    ///
+    /// With no connect policy configured it returns at once, and the
+    /// application may write right away; a refused connection surfaces
+    /// as [`NetError::Refused`] on a later operation. Under the §6.1
+    /// switch (`piggyback_acks`, as in `default()`) a stream connect sends
+    /// nothing yet: the connection's first operation sends the request
+    /// (DESIGN §8). A first `write` of 1..=[`crate::proto::FIRST_MAX`]
+    /// bytes travels inside it as data message 0, copied, spending no
+    /// credit — one frame instead of two, as TCP Fast Open (RFC 7413)
+    /// carries data in its SYN and Linux's `TCP_FASTOPEN_CONNECT` defers
+    /// the SYN to the first `write()`. Any other first operation (a larger
+    /// or empty write, a read, a poll for readability, `try_write`,
+    /// `flush`, `shutdown_write`, `close`) sends the bare request first.
+    /// Until then the server does not see the connection: a client that
+    /// waits for a server to speak first should poll, read or flush. The
+    /// presets send the request at once, and the server queues whatever
+    /// rode in it whatever its own configuration.
+    ///
+    /// With a policy ([`SubstrateConfig::with_connect_timeout`] or
+    /// [`SubstrateConfig::with_connect_retry`]) the call sends the request
+    /// bare and blocks, and fails with a *typed* outcome:
+    /// [`NetError::Refused`] when the receiver positively refused the
+    /// request (full backlog, no listener), [`NetError::Timeout`] when
+    /// nobody answered within the policy's budget,
+    /// [`NetError::Exhausted`] past the local connection budget.
     pub fn connect(&self, ctx: &ProcessCtx, addr: SockAddr) -> OpResult<Connection> {
         self.connect_inner(ctx, addr, None)
     }
@@ -165,22 +197,29 @@ impl EmpSockets {
             credits: cfg.credits as u16,
             buf_size: cfg.temp_buf_size as u32,
             grows_window,
+            first: Bytes::new(),
         };
-        let policy = policy_override.or_else(|| cfg.effective_connect_policy());
-        // A blocking connect sends the request *refusably*: it must never
-        // park in the receiver's unexpected queue — a full backlog (or no
-        // listener at all) answers with a NACK that surfaces here as a
-        // deterministic `Refused`. A non-blocking connect keeps the
-        // parking behaviour: hiding the request round trip behind
-        // pipelined data (§7.4) depends on it.
-        let h = if policy.is_some() {
-            sock.send_msg_refusable(ctx, tags::conn_tag(addr.port), &req)?
-        } else {
-            sock.send_msg(ctx, tags::conn_tag(addr.port), &req)?
-        };
-        sock.inner.lock().conn_send = Some(h);
-        if let Some(policy) = policy {
-            ok_or_return!(self.await_connect(ctx, &sock, &req, addr, policy)?);
+        match policy_override.or(cfg.connect_retry) {
+            // A blocking connect sends the request *refusably*: it must
+            // never park in the receiver's unexpected queue — a full
+            // backlog (or no listener at all) answers with a NACK that
+            // surfaces here as a deterministic `Refused`.
+            Some(policy) => {
+                let h = sock.send_msg_refusable(ctx, tags::conn_tag(addr.port), &req)?;
+                sock.inner.lock().conn_send = Some(h);
+                ok_or_return!(self.await_connect(ctx, &sock, &req, addr, policy)?);
+            }
+            // A non-blocking connect keeps the parking behaviour: hiding
+            // the request round trip behind pipelined data (§7.4) depends
+            // on it. Under the §6.1 switch a stream's first operation
+            // sends it, with the first write aboard when that fits; the
+            // presets send it now.
+            None => {
+                sock.inner.lock().conn_req = Some(req);
+                if !(grows_window && cfg.socket_type == SocketType::Stream) {
+                    sock.send_conn_req(ctx)?;
+                }
+            }
         }
         Ok(Ok(Connection { sock }))
     }
@@ -337,14 +376,8 @@ impl Listener {
             }
         };
         // Keep the backlog depth constant.
-        let replacement = self.proc_.ep.post_recv(
-            ctx,
-            tags::conn_tag(self.port),
-            None,
-            HEADER + 4,
-            self.range,
-        )?;
-        self.pending.lock().push_back(replacement);
+        let replacement = post_backlog(&self.proc_, ctx, self.port, self.range, 1)?;
+        self.pending.lock().extend(replacement);
 
         let Some(msg) = self.proc_.ep.wait_recv(ctx, &handle)? else {
             return Ok(Err(NetError::Closed));
@@ -357,6 +390,7 @@ impl Listener {
             credits,
             buf_size,
             grows_window,
+            first,
         } = parsed
         else {
             return Ok(Err(NetError::Protocol(
@@ -376,6 +410,9 @@ impl Listener {
             buf_size as usize,
             grows_window,
         )?;
+        if !first.is_empty() {
+            sock.accept_first(ctx, first)?;
+        }
         Ok(Ok(Connection { sock }))
     }
 

@@ -17,7 +17,7 @@ use simnet::{NetError, OpResult, ProcessCtx, SimAccess, SimAccessExt, SimDuratio
 
 use crate::config::{CopyPolicy, RecvMode};
 use crate::conn::{CreditReturn, DataSlot, SockShared};
-use crate::proto::Msg;
+use crate::proto::{Msg, FIRST_MAX};
 
 macro_rules! ok_or_return {
     ($e:expr) => {
@@ -56,6 +56,9 @@ impl SockShared {
     pub(crate) fn stream_write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
         self.trace(ctx, EventKind::SockWriteStart, data.len() as u64, 0);
         self.pay_flush_debt(ctx)?;
+        if self.ride_conn_req(ctx, data)? {
+            return Ok(Ok(data.len()));
+        }
         if ok_or_return!(self.stages(data.len())) {
             return self.coalesce_append(ctx, data);
         }
@@ -81,9 +84,7 @@ impl SockShared {
             if chunk <= self.proc_.cfg.send_copy_threshold {
                 // Buffered send: copy into a registered staging buffer and
                 // return without waiting (like TCP's write-into-sockbuf).
-                let copy = self.proc_.ep.host().cost().memcpy(chunk);
-                ctx.delay(copy)?;
-                self.trace(ctx, EventKind::SubstrateCopy, chunk as u64, copy.nanos());
+                self.charge_copy(ctx, chunk)?;
                 let h = self.send_data_msg(ctx, ret, seq, payload)?;
                 self.inner.lock().inflight_sends.push(h);
             } else {
@@ -109,6 +110,56 @@ impl SockShared {
             }
         }
         Ok(Ok(data.len()))
+    }
+
+    /// The first write of a connection whose connect held its request
+    /// back (DESIGN §8): 1..=[`FIRST_MAX`] bytes travel inside the request
+    /// as data message 0 — copied like any small write, seq 0, no credit
+    /// spent, so the peer's accept queues them with no descriptor and
+    /// returns no credit for them. Returns whether `data` went; a write
+    /// that does not fit sends the bare request and runs as usual. No-op
+    /// once the request is sent.
+    fn ride_conn_req(&self, ctx: &ProcessCtx, data: &[u8]) -> SimResult<bool> {
+        if data.is_empty() || data.len() > FIRST_MAX {
+            self.send_conn_req(ctx)?;
+            return Ok(false);
+        }
+        // Claim the request and seq 0 together: an operation of another
+        // process during the charges below finds the request gone.
+        let Some(req) = self.inner.lock().conn_req.take() else {
+            return Ok(false);
+        };
+        let (ret, seq) = self.begin_msg(ctx, data.len());
+        debug_assert!(seq == 0 && ret.credits == 0, "nothing precedes a rider");
+        self.inner.lock().stats.conn_riders += 1;
+        ctx.delay(self.proc_.cfg.stream_overhead)?;
+        self.comm_thread_penalty(ctx)?;
+        self.charge_copy(ctx, data.len())?;
+        self.post_conn_req(ctx, req, Bytes::copy_from_slice(data))?;
+        Ok(true)
+    }
+
+    /// Accept side of [`Self::ride_conn_req`]: queue the bytes a
+    /// connection request carried as received data message 0. They are
+    /// copied out of the backlog slot, which the next request reuses, into
+    /// the stream; no data descriptor held them, so no credit is due.
+    pub(crate) fn accept_first(&self, ctx: &ProcessCtx, first: Bytes) -> SimResult<()> {
+        self.charge_copy(ctx, first.len())?;
+        let mut i = self.inner.lock();
+        i.rx_next_seq = 1;
+        i.stats.msgs_received += 1;
+        i.stream_len += first.len();
+        i.stream_chunks.push_back(first);
+        Ok(())
+    }
+
+    /// Charge one host copy of `len` bytes: a small write into a
+    /// registered send buffer, or a request's bytes out of a backlog slot.
+    fn charge_copy(&self, ctx: &ProcessCtx, len: usize) -> SimResult<()> {
+        let copy = self.proc_.ep.host().cost().memcpy(len);
+        ctx.delay(copy)?;
+        self.trace(ctx, EventKind::SubstrateCopy, len as u64, copy.nanos());
+        Ok(())
     }
 
     /// Bytes at the end of a `len`-byte write sent as one copied message
@@ -238,14 +289,7 @@ impl SockShared {
     /// deadline: one sim-time event that sends whatever is still staged
     /// then; a flush in between ends the episode and it finds nothing.
     fn stage_bytes(&self, ctx: &ProcessCtx, data: &[u8]) -> SimResult<()> {
-        let copy = self.proc_.ep.host().cost().memcpy(data.len());
-        ctx.delay(copy)?;
-        self.trace(
-            ctx,
-            EventKind::SubstrateCopy,
-            data.len() as u64,
-            copy.nanos(),
-        );
+        self.charge_copy(ctx, data.len())?;
         let (staged, first_of) = {
             let mut i = self.inner.lock();
             let first_of = i.coalesce_buf.is_empty().then_some(i.stage_episode);
@@ -341,6 +385,7 @@ impl SockShared {
     /// when none is in hand. No-op when nothing is staged.
     pub(crate) fn flush_coalesced(&self, ctx: &ProcessCtx) -> OpResult<()> {
         self.pay_flush_debt(ctx)?;
+        self.send_conn_req(ctx)?;
         if self.inner.lock().coalesce_buf.is_empty() {
             return Ok(Ok(()));
         }
@@ -464,6 +509,7 @@ impl SockShared {
         if max == 0 {
             return Ok(Ok(Bytes::new()));
         }
+        self.send_conn_req(ctx)?;
         // Flush-on-read: staged coalesced writes go out before this side
         // parks waiting for a response (keeps request/response latency
         // flat under coalescing).
@@ -516,6 +562,7 @@ impl SockShared {
         if max == 0 {
             return Ok(Ok(Bytes::new()));
         }
+        self.send_conn_req(ctx)?;
         // Flush-on-read, as in the blocking path.
         ok_or_return!(self.try_flush_coalesced(ctx)?);
         let direct_max = self.proc_.cfg.copy_policy.direct_to_posted.then_some(max);
@@ -564,6 +611,7 @@ impl SockShared {
     pub(crate) fn stream_try_write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
         self.trace(ctx, EventKind::SockWriteStart, data.len() as u64, 0);
         self.pay_flush_debt(ctx)?;
+        self.send_conn_req(ctx)?;
         if ok_or_return!(self.stages(data.len())) {
             return self.try_coalesce_append(ctx, data);
         }
@@ -600,9 +648,7 @@ impl SockShared {
             let payload = whole.slice(off..off + chunk);
             ctx.delay(self.proc_.cfg.stream_overhead)?;
             self.comm_thread_penalty(ctx)?;
-            let copy = self.proc_.ep.host().cost().memcpy(chunk);
-            ctx.delay(copy)?;
-            self.trace(ctx, EventKind::SubstrateCopy, chunk as u64, copy.nanos());
+            self.charge_copy(ctx, chunk)?;
             let h = self.send_data_msg(ctx, ret, seq, payload)?;
             self.inner.lock().inflight_sends.push(h);
             off += chunk;

@@ -6,6 +6,11 @@
 //! the staging deadline: bytes the application stops looking at still leave
 //! within `CopyPolicy::STAGE_DEADLINE`, on every front end, and the host
 //! time of sending them is still charged to the writer.
+//!
+//! Under `default()` a first write that fits travels inside the connection
+//! request (DESIGN §8; `rider.rs` covers that path). The tests here count
+//! every write as a data message into a data descriptor, so each client
+//! sends its request bare with `flush()` right after `connect()`.
 
 use emp_proto::{build_cluster, EmpCluster, EmpConfig};
 use simnet::{Completion, Sim, SimDuration, SwitchConfig};
@@ -63,6 +68,7 @@ fn posted_reader_takes_every_message_directly() {
     });
     sim.spawn("pinger", move |ctx| {
         let conn = client.connect(ctx, addr)?.expect("connect");
+        conn.flush(ctx)?.expect("bare request");
         let payload = pattern(MSG);
         for _ in 0..ROUNDS {
             conn.write(ctx, &payload)?.expect("ping");
@@ -266,6 +272,7 @@ fn coalesced_pingpong_flushes_on_read_and_completes() {
     });
     sim.spawn("pinger", move |ctx| {
         let conn = client.connect(ctx, addr)?.expect("connect");
+        conn.flush(ctx)?.expect("bare request");
         let payload = pattern(MSG);
         for _ in 0..2 {
             conn.write(ctx, &payload)?.expect("warm-up");
@@ -458,6 +465,7 @@ fn a_write_reaches_a_parked_reader_at_once_or_within_the_deadline() {
     });
     sim.spawn("writer", move |ctx| {
         let conn = client.connect(ctx, addr)?.expect("connect");
+        conn.flush(ctx)?.expect("bare request");
         for _ in 0..2 {
             conn.write(ctx, &pattern(64))?.expect("warm-up");
             ctx.delay(SimDuration::from_micros(100))?;
@@ -533,6 +541,7 @@ fn write_to_b_then_block_on_a(front_end: FrontEnd) {
         let api = EmpNet::new(me.clone(), "me");
         let a = me.connect(ctx, addr_a)?.expect("connect a");
         let b = me.connect(ctx, addr_b)?.expect("connect b");
+        b.flush(ctx)?.expect("bare request");
         let halves = pattern(128);
         let (first, second) = halves.split_at(64);
         let close_b: Teardown = match front_end {
@@ -619,6 +628,7 @@ fn writer_host_ns(rounds: u32, flush_now: bool) -> u64 {
     });
     sim.spawn("writer", move |ctx| {
         let conn = client.connect(ctx, addr)?.expect("connect");
+        conn.flush(ctx)?.expect("bare request");
         // Pin the send buffer first, so both variants post from a
         // registered one, and grow the reader's window to N so the
         // measured rounds never run short of credits.
@@ -715,6 +725,7 @@ fn race_close_with_deadline(gap: SimDuration, half_close: bool) {
     });
     sim.spawn("writer", move |ctx| {
         let conn = client.connect(ctx, addr)?.expect("connect");
+        conn.flush(ctx)?.expect("bare request");
         let credits = conn.debug_state().credits;
         conn.write(ctx, &pattern(100))?.expect("sent at once");
         conn.write(ctx, &pattern(200)[100..])?.expect("staged");

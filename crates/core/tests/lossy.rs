@@ -319,6 +319,76 @@ fn long_writes_with_copied_tails_move_a_megabyte_at_twenty_percent_loss() {
     }
 }
 
+/// `conns` fresh `default()` connections in a row over a faulty fabric,
+/// each opened by a first write that rides in its connection request
+/// (DESIGN §8) and followed at once by a second write, then answered: the
+/// request, the data message behind it and the answer all cross the
+/// lossy, reordering wire, so the second message can overtake the request
+/// and wait in the unexpected queue for the accept. Bytes must be exact
+/// both ways on every connection, and every request must carry its
+/// first write.
+fn rider_churn(faults: FaultPlan, conns: usize) {
+    const FIRST: usize = 100;
+    const SECOND: usize = 3000;
+    const ANSWER: usize = 2000;
+    let sim = Sim::new();
+    let cl = faulty_cluster(2, faults);
+    let server = substrate(&cl, 1, SubstrateConfig::default());
+    let client = substrate(&cl, 0, SubstrateConfig::default());
+    let addr = SockAddr::new(cl.nodes[1].addr(), 80);
+    let done = Completion::new();
+    let done2 = done.clone();
+
+    sim.spawn("server", move |ctx| {
+        let l = server.listen(ctx, 80, 4)?.expect("port free");
+        for k in 0..conns {
+            let conn = l.accept(ctx)?.expect("connection");
+            let req = conn
+                .read_exact(ctx, FIRST + SECOND)?
+                .expect("read")
+                .expect("request");
+            assert_eq!(&req[..], &pattern(k, FIRST + SECOND)[..], "conn {k}");
+            conn.write(ctx, &pattern(k + 1, ANSWER))?.expect("answer");
+            assert!(conn.read(ctx, 1)?.expect("eof").is_empty(), "conn {k}");
+            conn.close(ctx)?;
+        }
+        l.close(ctx)
+    });
+    sim.spawn("client", move |ctx| {
+        for k in 0..conns {
+            let conn = client.connect(ctx, addr)?.expect("connect");
+            let req = pattern(k, FIRST + SECOND);
+            conn.write(ctx, &req[..FIRST])?.expect("first write");
+            conn.write(ctx, &req[FIRST..])?.expect("second write");
+            let answer = conn
+                .read_exact(ctx, ANSWER)?
+                .expect("read")
+                .expect("answer");
+            assert_eq!(&answer[..], &pattern(k + 1, ANSWER)[..], "conn {k}");
+            assert_eq!(conn.stats().conn_riders, 1, "conn {k}");
+            conn.close(ctx)?;
+        }
+        done2.complete(ctx);
+        Ok(())
+    });
+    sim.run();
+    assert!(done.is_done(), "the client did not finish cleanly");
+}
+
+#[test]
+fn requests_carrying_first_writes_survive_the_loss_sweep() {
+    for plan in sweep_plans() {
+        rider_churn(plan, 12);
+    }
+}
+
+#[test]
+fn requests_carrying_first_writes_survive_twenty_percent_loss() {
+    for seed in [11, 12, 13, 14, 21, 22, 23, 24] {
+        rider_churn(acceptance_plan(seed), 12);
+    }
+}
+
 /// The staging deadline on a poisoned socket. A side that stages a small
 /// write, then trips its reorder-buffer cap on the next read, is left with
 /// a deadline timer pending on a connection that may send nothing more:

@@ -23,11 +23,14 @@ fn cluster() -> EmpCluster {
 /// Connect once the server listens, and return once it accepted: a
 /// connection request or first message racing the server's descriptors
 /// waits in the unexpected queue (§7.4's pipelined connect), which is not
-/// what this suite is about.
+/// what this suite is about. The request goes bare (`flush()`), so the
+/// server accepts now and the first write binds a data descriptor like
+/// every later one instead of riding the request (DESIGN §8).
 fn connect_settled(ctx: &ProcessCtx, api: &EmpSockets, addr: SockAddr) -> SimResult<Connection> {
     let settle = SimDuration::from_millis(2);
     ctx.delay(settle)?;
     let conn = api.connect(ctx, addr)?.expect("connect");
+    conn.flush(ctx)?.expect("bare request");
     ctx.delay(settle)?;
     Ok(conn)
 }
@@ -294,6 +297,8 @@ fn closing_with_rearms_pending_leaks_no_buffer_or_descriptor() {
     sim.spawn("client", move |ctx| {
         for _ in 0..CYCLES {
             let conn = client.connect(ctx, addr)?.expect("connect");
+            // Bare request: the request below binds a data descriptor.
+            conn.flush(ctx)?.expect("bare request");
             conn.write(ctx, &[7u8; 64])?.expect("request");
             assert!(conn.read(ctx, 1)?.expect("eof").is_empty());
             conn.close(ctx)?;

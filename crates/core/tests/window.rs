@@ -39,11 +39,15 @@ fn pair(
 }
 
 /// Connect once the server listens, and return once it accepted, so no
-/// request or first message waits in the unexpected queue.
+/// request or first message waits in the unexpected queue. The request
+/// goes bare (`flush()`), so the server accepts now and the first write
+/// binds a data descriptor like every later one instead of riding the
+/// request (DESIGN §8).
 fn connect_settled(ctx: &ProcessCtx, api: &EmpSockets, addr: SockAddr) -> SimResult<Connection> {
     let settle = SimDuration::from_millis(2);
     ctx.delay(settle)?;
     let conn = api.connect(ctx, addr)?.expect("connect");
+    conn.flush(ctx)?.expect("bare request");
     ctx.delay(settle)?;
     Ok(conn)
 }
@@ -297,9 +301,11 @@ fn growth_costs_exactly_n_minus_two_descriptor_posts() {
 #[test]
 fn write_write_read_on_a_fresh_connection_grows_once() {
     // `coalesced_pingpong_flushes_on_read_and_completes` on a fresh
-    // connection: the first request's two messages use both descriptors
-    // of the echoer's window and grow it; no round after the first may
-    // wait out a staging deadline.
+    // connection. The first request's header rides in the connection
+    // request (DESIGN §8) and binds no descriptor, so its body uses one;
+    // the second request's two messages use both descriptors of the
+    // echoer's window and grow it. No round after that one may wait out a
+    // staging deadline.
     const HEADER: usize = 16;
     const MSG: usize = 64;
     const ROUNDS: usize = 25;
@@ -344,15 +350,36 @@ fn write_write_read_on_a_fresh_connection_grows_once() {
     let ((p_stats, p_st), rounds) = pinger.lock().clone().expect("pinger finished");
     assert_eq!((e_stats.window_grows, e_st.window), (1, n));
     assert_eq!(e_stats.msgs_received, 2 * ROUNDS as u64);
+    assert_eq!(p_stats.conn_riders, 1, "the first header rode the request");
     assert_eq!(
         (p_stats.window_grows, p_st.window),
         (0, 2),
         "one echo at a time"
     );
-    for (r, d) in rounds.iter().enumerate().skip(1) {
+    // Round 0 pays the accept: its header rides the request and its body
+    // reaches the echoer before accept posts the connection's descriptors,
+    // so it waits in the unexpected queue (each NIC parks one message
+    // over the run). Round 1 grows the echoer's window.
+    // Both are pinned exactly; every later round stays fast.
+    assert_eq!(
+        cl.nodes
+            .iter()
+            .map(|n| n.nic.stats().unexpected_msgs)
+            .collect::<Vec<_>>(),
+        [1, 1]
+    );
+    assert_eq!(
+        rounds[..2],
+        [
+            SimDuration::from_nanos(116_865),
+            SimDuration::from_nanos(316_530)
+        ],
+        "the accepting and the growing round"
+    );
+    for (r, d) in rounds.iter().enumerate().skip(2) {
         assert!(
             *d < CopyPolicy::STAGE_DEADLINE * 2,
-            "round {r} took {d:?}: no round after the first may wait out a staging deadline"
+            "round {r} took {d:?}: no round after the growing one may wait out a staging deadline"
         );
     }
 }

@@ -54,6 +54,17 @@
 //! re-arms two descriptors and posts 30 new ones, paying their builds and
 //! first-touch pins (1 066 → 1 027 events, 2.905 620 → 2.917 128 ms).
 //! Its flush and message counts did not move.
+//!
+//! It was re-recorded again when, under the same switch, a fresh
+//! connection's first small write began to ride inside its connection
+//! request (DESIGN §8): one frame instead of two, and no data descriptor
+//! consumed. The first pair's second write then finds nothing in flight
+//! and goes at once, so the writer uses up its two-credit window, and the
+//! reader grows it, one pair later; the reader's delayed FcAck
+//! moves to the tenth pair, whose flush then waits for its held EMP ack,
+//! so the eleventh pair's two writes share one message (1 027 → 993
+//! events, 2.917 128 → 2.989 098 ms; 40 → 39 messages, 20 → 19 flushes,
+//! one connection rider).
 //! The three `DS_DA_UQ` pins leave the switch off and did not move.
 
 use std::sync::Arc;
@@ -207,6 +218,13 @@ fn default_paired_writes() {
     // pair finds the connection idle and is sent at once; the second is
     // staged behind it and sent by its staging deadline — a timer event,
     // not a process — and the writer pays for that flush at its next call.
+    // The very first write rides in the connection request instead
+    // (DESIGN §8), which is not a send in flight, so the first pair's
+    // second write finds the connection idle and is sent at once too. The
+    // reader's delayed FcAck then leaves on the tenth pair's first
+    // message, so its NIC holds the ack of that pair's flush for reverse
+    // data (DESIGN §8): the eleventh pair finds the flush unacknowledged
+    // and stages both its writes into one message.
     const PAIRS: u64 = 20;
     let sim = Sim::new();
     let tb = Testbed::emp_default(2);
@@ -235,13 +253,15 @@ fn default_paired_writes() {
             ctx.delay(SimDuration::from_micros(100))?;
         }
         let stats = conn.substrate_stats().expect("substrate connection");
-        assert_eq!(stats.coalesce_flushes, PAIRS, "one timer flush per pair");
-        assert_eq!(stats.msgs_sent, 2 * PAIRS);
+        assert_eq!(stats.conn_riders, 1, "the first write rode the request");
+        assert_eq!(stats.writes_coalesced, PAIRS);
+        assert_eq!(stats.coalesce_flushes, PAIRS - 1, "one pair shares one");
+        assert_eq!(stats.msgs_sent, 2 * PAIRS - 1);
         conn.close(ctx)
     });
     sim.run();
     assert_eq!(
         schedule_of(&sim),
-        (1_027, 2_917_128, 14_707_283_251_027_056_591)
+        (993, 2_989_098, 12_893_137_857_356_549_455)
     );
 }

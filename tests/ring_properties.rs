@@ -394,6 +394,10 @@ fn cancelled_ring_ops_complete_as_cancelled_on_both_stacks() {
         });
         sim.spawn("idle-client", move |ctx| {
             let conn = client.connect(ctx, host, 80)?.expect("connect");
+            // Send the substrate's connection request now (a default
+            // connection sends it with its first operation), so the server
+            // accepts and its read stalls while this client idles.
+            conn.flush(ctx)?.expect("flush");
             ctx.delay(SimDuration::from_millis(1))?;
             conn.close(ctx)
         });
