@@ -715,7 +715,7 @@ impl Future for RingOpFuture<'_> {
                     let waiters = Arc::clone(&this.waiters);
                     // The timer wakes whoever is parked *at fire time* —
                     // the arming future may be long gone by then.
-                    ctx.schedule_at(deadline, move |_| {
+                    ctx.timer_at(deadline, move |_| {
                         for w in waiters.lock().values() {
                             w.wake_by_ref();
                         }

@@ -1071,7 +1071,7 @@ impl SockShared {
         };
         let timer = Completion::new();
         let t2 = timer.clone();
-        ctx.schedule_after(patience, move |s| t2.complete(s));
+        ctx.timer_after(patience, move |s| t2.complete(s));
         let mut all: Vec<&Completion> = Vec::with_capacity(watched.len() + 1);
         all.extend_from_slice(watched);
         all.push(&timer);

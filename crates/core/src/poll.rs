@@ -151,7 +151,7 @@ impl PollSet {
         let deadline = timeout.map(|d| {
             let c = Completion::new();
             let c2 = c.clone();
-            ctx.schedule_after(d, move |s| c2.complete(s));
+            ctx.timer_after(d, move |s| c2.complete(s));
             c
         });
         let entered_ns = ctx.now().nanos();

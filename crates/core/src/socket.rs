@@ -278,7 +278,7 @@ impl EmpSockets {
                 None => {
                     let timer = simnet::Completion::new();
                     let t2 = timer.clone();
-                    ctx.schedule_at(give_up_at, move |s| t2.complete(s));
+                    ctx.timer_at(give_up_at, move |s| t2.complete(s));
                     wait_any(ctx, &[handle.completion(), &timer])?;
                     if !handle.is_done() {
                         break Some(NetError::Timeout);

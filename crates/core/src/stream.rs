@@ -315,7 +315,7 @@ impl SockShared {
     /// [`CopyPolicy::STAGE_DEADLINE`] from now.
     fn arm_stage_deadline(&self, sim: &dyn SimAccess, episode: u64) {
         let me = self.self_ref.clone();
-        sim.schedule_after(CopyPolicy::STAGE_DEADLINE, move |sim| {
+        sim.timer_after(CopyPolicy::STAGE_DEADLINE, move |sim| {
             if let Some(sock) = me.upgrade() {
                 sock.stage_deadline(sim, episode);
             }
@@ -941,7 +941,7 @@ impl SockShared {
                 if stall_timer.is_none() {
                     let t = simnet::Completion::new();
                     let t2 = t.clone();
-                    ctx.schedule_after(patience, move |s| t2.complete(s));
+                    ctx.timer_after(patience, move |s| t2.complete(s));
                     stall_timer = Some(t);
                 }
             }

@@ -64,7 +64,7 @@ impl Future for Sleep {
             let timer = this.timer.get_or_insert_with(|| {
                 let c = Completion::new();
                 let c2 = c.clone();
-                ctx.schedule_at(deadline, move |s| c2.complete(s));
+                ctx.timer_at(deadline, move |s| c2.complete(s));
                 c
             });
             if timer.watch_waker(cx.waker()) {

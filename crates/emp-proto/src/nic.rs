@@ -17,6 +17,7 @@
 //! the sender to retransmit.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -25,6 +26,7 @@ use parking_lot::Mutex;
 use simnet::emp_trace::{self, EventKind};
 use simnet::{
     Completion, EtherType, Frame, FrameSink, MacAddr, Sim, SimAccess, SimAccessExt, SimDuration,
+    SimTime, TimerGuard,
 };
 use tigon_nic::Tigon;
 
@@ -306,8 +308,8 @@ struct TxRecord {
     timed: Option<(u32, u64)>,
     /// Consecutive timer rounds without ack progress.
     retries: u32,
-    /// Whether the perpetual per-message timer is running.
-    timer_armed: bool,
+    /// The per-message timer, once armed; cancelled when the record goes.
+    timer: Option<TimerGuard>,
     state: SendState,
 }
 
@@ -381,6 +383,13 @@ impl TxRecord {
         }
     }
 
+    /// The record is gone: its pending timer check has nothing to do.
+    fn cancel_timer(&self) {
+        if let Some(guard) = &self.timer {
+            guard.cancel();
+        }
+    }
+
     /// An RTT sample, if the timed fragment is now acknowledged or held.
     fn take_rtt_sample(&mut self, now_ns: u64) -> Option<u64> {
         let (idx, sent) = self.timed?;
@@ -427,6 +436,7 @@ struct ActiveRecv {
     /// before the final one.
     clean: bool,
     have: Vec<bool>,
+    /// The message's bytes: the fragments stored so far, up to the highest.
     buf: Vec<u8>,
     dest: RecvDest,
 }
@@ -438,8 +448,15 @@ impl ActiveRecv {
             self.clean = false;
             return (true, false);
         }
+        // The buffer grows as fragments arrive in order; only a hole ahead
+        // of a fragment is zero-filled, to be overwritten when it arrives.
         let start = idx as usize * crate::wire::MAX_CHUNK;
-        self.buf[start..start + chunk.len()].copy_from_slice(chunk);
+        if self.buf.len() <= start {
+            self.buf.resize(start, 0);
+            self.buf.extend_from_slice(chunk);
+        } else {
+            self.buf[start..start + chunk.len()].copy_from_slice(chunk);
+        }
         self.have[idx as usize] = true;
         self.received_count += 1;
         while (self.contiguous as usize) < self.have.len() && self.have[self.contiguous as usize] {
@@ -466,6 +483,42 @@ impl ActiveRecv {
     }
 }
 
+/// The hasher of the NIC's maps, whose keys are small integers (station
+/// addresses, message and descriptor ids): one rotate, xor and multiply
+/// per word, as rustc's FxHash, in place of SipHash's rounds. No key comes
+/// from outside the simulation, so there is nothing to defend against.
+#[derive(Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by small integers, hashed with [`IdHasher`].
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
 /// NIC-level ack piggy-backing (DESIGN §8): acks held for a data frame to
 /// ride on, and which conversations alternate.
 #[derive(Default)]
@@ -474,10 +527,10 @@ struct AckRides {
     /// substrate binds.
     on: bool,
     /// Acks held for each peer, oldest first.
-    held: HashMap<MacAddr, VecDeque<Ack>>,
+    held: IdMap<MacAddr, VecDeque<Ack>>,
     /// Peers this NIC released a data frame to since it last completed a
     /// message from them.
-    sent_since_done: HashSet<MacAddr>,
+    sent_since_done: HashSet<MacAddr, BuildHasherDefault<IdHasher>>,
 }
 
 impl AckRides {
@@ -496,22 +549,22 @@ impl AckRides {
 struct NicState {
     next_msg_id: u64,
     next_desc_id: DescId,
-    tx: HashMap<u64, TxRecord>,
+    tx: IdMap<u64, TxRecord>,
     /// Messages with frames still to release, in FIFO order.
     tx_order: VecDeque<u64>,
     /// Released-but-unacknowledged frames across all messages.
     tx_inflight: u32,
     /// `(srtt, rttvar)` in ns toward each peer this NIC sends to.
-    rtt: HashMap<MacAddr, (u64, u64)>,
+    rtt: IdMap<MacAddr, (u64, u64)>,
     rides: AckRides,
     /// Pre-posted descriptors in post order — the list the tag matcher
     /// walks, 550 ns per entry examined.
     preposted: Vec<RecvDesc>,
     /// Descriptors a send request re-arms that the tx CPU has not inserted
     /// yet, each flagged once the host unposted it in the meantime.
-    rearming: HashMap<DescId, bool>,
+    rearming: IdMap<DescId, bool>,
     /// In-progress multi-frame receives, keyed by (source, message id).
-    active: HashMap<(MacAddr, u64), ActiveRecv>,
+    active: IdMap<(MacAddr, u64), ActiveRecv>,
     /// Slots available for unexpected messages.
     unexpected_capacity: usize,
     /// Slots consumed: active unexpected receives + unclaimed pool entries.
@@ -522,11 +575,11 @@ struct NicState {
     /// DMA to the staging area has not finished: they are in neither
     /// `active` nor `pool`, yet later messages of the same lane must not
     /// overtake them into a descriptor.
-    pending_unexpected: HashMap<(MacAddr, Tag), u32>,
+    pending_unexpected: IdMap<(MacAddr, Tag), u32>,
     /// Recently completed receives, so duplicates of a message whose
     /// final ack was lost can be re-acknowledged instead of silently
     /// dropped (which would wedge the sender forever).
-    recent_done: HashMap<(MacAddr, u64), u32>,
+    recent_done: IdMap<(MacAddr, u64), u32>,
     recent_done_order: VecDeque<(MacAddr, u64)>,
     stats: EmpStats,
     /// Post-to-final-ack latency histogram (`emp.msg_latency_ns`, shared
@@ -571,19 +624,19 @@ impl EmpNic {
             state: Mutex::new(NicState {
                 next_msg_id: 0,
                 next_desc_id: 0,
-                tx: HashMap::new(),
+                tx: IdMap::default(),
                 tx_order: VecDeque::new(),
                 tx_inflight: 0,
-                rtt: HashMap::new(),
+                rtt: IdMap::default(),
                 rides: AckRides::default(),
                 preposted: Vec::new(),
-                rearming: HashMap::new(),
-                active: HashMap::new(),
+                rearming: IdMap::default(),
+                active: IdMap::default(),
                 unexpected_capacity: 0,
                 unexpected_in_use: 0,
                 pool: VecDeque::new(),
-                pending_unexpected: HashMap::new(),
-                recent_done: HashMap::new(),
+                pending_unexpected: IdMap::default(),
+                recent_done: IdMap::default(),
                 recent_done_order: VecDeque::new(),
                 stats: EmpStats::default(),
                 msg_latency: None,
@@ -744,15 +797,14 @@ impl EmpNic {
     /// Record a trace event stamped with this NIC's station id. Compiles
     /// to nothing without the `trace` feature.
     fn trace(&self, s: &dyn SimAccess, kind: EventKind, a: u64, b: u64) {
+        self.trace_at(s, s.now(), kind, a, b);
+    }
+
+    /// [`EmpNic::trace`] stamped at `at`: the end of a task booked now.
+    fn trace_at(&self, s: &dyn SimAccess, at: SimTime, kind: EventKind, a: u64, b: u64) {
         if emp_trace::ENABLED {
-            s.tracer().emit(
-                s.now().nanos(),
-                self.mac().0,
-                emp_trace::NO_CONN,
-                kind,
-                a,
-                b,
-            );
+            s.tracer()
+                .emit(at.nanos(), self.mac().0, emp_trace::NO_CONN, kind, a, b);
         }
     }
 
@@ -804,7 +856,7 @@ impl EmpNic {
                     sent_hi: 0,
                     timed: None,
                     retries: 0,
-                    timer_armed: false,
+                    timer: None,
                     state: state.clone(),
                 },
             );
@@ -827,10 +879,13 @@ impl EmpNic {
 
     /// Release frames to the wire, respecting the per-NIC transmit window:
     /// at most `tx_window_frames` outstanding frames (released, neither
-    /// acknowledged nor held by the receiver) exist across all messages. Messages release in FIFO order, which keeps the
-    /// receiver's processing backlog (and therefore ack lag) bounded — the
+    /// acknowledged nor held by the receiver) exist across all messages.
+    /// Messages release in FIFO order, which keeps the receiver's
+    /// processing backlog (and therefore ack lag) bounded — the
     /// reliability window of a NIC-driven protocol. `resends` (holes the
-    /// window already counts) go first.
+    /// window already counts) go first. Each frame's tx CPU task (DMA
+    /// fetch, header, MAC hand-off) is booked, and the frame goes on the
+    /// link at once as of the task's end: its content was fixed here.
     fn release_tx(&self, sim: &Sim, resends: Vec<Frame>) {
         let window = self.cfg.tx_window_frames;
         let now = sim.now().nanos();
@@ -878,11 +933,11 @@ impl EmpNic {
                 }
                 rec.next_to_send = idx;
                 let fully_released = rec.next_to_send == rec.num_frames;
-                if !rec.timer_armed && rec.next_to_send > rec.acked {
-                    rec.timer_armed = true;
+                if rec.timer.is_none() && rec.next_to_send > rec.acked {
+                    let guard = rec.timer.insert(TimerGuard::new()).clone();
                     // Arming only schedules an event; safe under the lock.
                     let floor = self.cfg.retransmit_timeout;
-                    self.arm_retransmit_timer(sim, msg_id, rec.acked, now, floor);
+                    self.arm_retransmit_timer(sim, msg_id, rec.acked, now, floor, guard);
                 }
                 st.tx_inflight += released;
                 if fully_released {
@@ -893,7 +948,6 @@ impl EmpNic {
             }
         }
         for frame in to_schedule {
-            let me = self.arc();
             let wire_len = frame.payload.wire_len();
             let dma = self.cfg.nic.dma_time(wire_len);
             // Injected NIC fault: the frame's DMA fetch may stall behind
@@ -903,13 +957,12 @@ impl EmpNic {
                 self.trace(sim, EventKind::NicFault, 1, stall.nanos());
             }
             let cost = self.charge(Fw::TxFrame, dma + self.cfg.nic.tx_frame_cost + stall);
-            self.tigon.cpu_tx.exec(sim, cost, move |sim| {
-                if emp_trace::ENABLED {
-                    me.trace(sim, EventKind::DmaCopy, wire_len as u64, dma.nanos());
-                    me.trace(sim, EventKind::NicTxWire, wire_len as u64, 0);
-                }
-                me.tigon.send_frame(sim, frame);
-            });
+            let done = self.tigon.cpu_tx.book(sim, cost);
+            if emp_trace::ENABLED {
+                self.trace_at(sim, done, EventKind::DmaCopy, wire_len as u64, dma.nanos());
+                self.trace_at(sim, done, EventKind::NicTxWire, wire_len as u64, 0);
+            }
+            self.tigon.send_frame(sim, done, frame);
         }
     }
 
@@ -937,6 +990,8 @@ impl EmpNic {
     /// `retransmit_timeout` while the record lives. A silence since
     /// `since_ns` that outlasts the backed-off RTO rewinds the send
     /// pointer to the acknowledged prefix and releases what is not held.
+    /// The record's `guard` cancels the pending check when the record
+    /// goes (final ack or refusal), so a finished message costs no event.
     fn arm_retransmit_timer(
         &self,
         s: &dyn SimAccess,
@@ -944,9 +999,10 @@ impl EmpNic {
         acked_snapshot: u32,
         since_ns: u64,
         delay: SimDuration,
+        guard: TimerGuard,
     ) {
         let me = self.arc();
-        s.schedule_after(delay, move |sim| {
+        s.guarded_timer_after(delay, guard.clone(), move |sim| {
             enum Action {
                 Rearm(u32, u64, SimDuration),
                 Fail(SendState),
@@ -954,10 +1010,10 @@ impl EmpNic {
             }
             let now = sim.now().nanos();
             let action = {
-                let mut guard = me.state.lock();
-                let st = &mut *guard;
+                let mut locked = me.state.lock();
+                let st = &mut *locked;
                 let Some(rec) = st.tx.get_mut(&msg_id) else {
-                    return; // acked and removed: the common case
+                    return; // abandoned by an earlier round of this timer
                 };
                 let due = me.timeout(st.rtt.get(&rec.dst).copied(), rec.retries);
                 if rec.acked > acked_snapshot {
@@ -993,7 +1049,7 @@ impl EmpNic {
             };
             match action {
                 Action::Rearm(acked, since, delay) => {
-                    me.arm_retransmit_timer(sim, msg_id, acked, since, delay)
+                    me.arm_retransmit_timer(sim, msg_id, acked, since, delay, guard)
                 }
                 Action::Fail(state) => {
                     *state.ok.lock() = Some(false);
@@ -1001,7 +1057,7 @@ impl EmpNic {
                 }
                 Action::Retransmit(backoff, acked, retries) => {
                     me.trace(sim, EventKind::Retransmit, u64::from(retries), msg_id);
-                    me.arm_retransmit_timer(sim, msg_id, acked, now, backoff);
+                    me.arm_retransmit_timer(sim, msg_id, acked, now, backoff, guard);
                     me.release_tx(sim, Vec::new());
                 }
             }
@@ -1042,6 +1098,7 @@ impl EmpNic {
             st.stats.fast_retransmits += resends.len() as u64;
             if rec.acked >= rec.num_frames {
                 let rec = st.tx.remove(&msg_id).expect("present above");
+                rec.cancel_timer();
                 st.stats.msgs_sent += 1;
                 st.tx_order.retain(|&id| id != msg_id);
                 if let Some(h) = &st.msg_latency {
@@ -1341,7 +1398,7 @@ impl EmpNic {
             contiguous: 0,
             clean: true,
             have: vec![false; *num_frames as usize],
-            buf: vec![0u8; *total_len as usize],
+            buf: Vec::with_capacity(*total_len as usize),
             dest,
         };
         let (_dup, done) = active.store(*frame_idx, chunk);
@@ -1497,9 +1554,11 @@ impl EmpNic {
         }
     }
 
+    /// Put an ack on the wire. Like every frame this NIC sends, it is
+    /// booked on the tx CPU and leaves as of the task's end, so frames
+    /// reach the link in the CPU's order.
     fn send_ack(&self, sim: &Sim, dst: MacAddr, ack: Ack) {
         self.state.lock().stats.acks_sent += 1;
-        let me = self.arc();
         let frame = Frame {
             src: self.mac(),
             dst,
@@ -1507,9 +1566,8 @@ impl EmpNic {
             payload: wire_payload(EmpWire::Ack(ack)),
         };
         let cost = self.charge(Fw::TxAck, self.cfg.nic.ack_cost);
-        self.tigon.cpu_tx.exec(sim, cost, move |sim| {
-            me.tigon.send_frame(sim, frame);
-        });
+        let done = self.tigon.cpu_tx.book(sim, cost);
+        self.tigon.send_frame(sim, done, frame);
     }
 
     /// Hold `ack` for at most `hold` to board the next data frame to `dst`
@@ -1522,7 +1580,7 @@ impl EmpNic {
             st.rides.held.entry(dst).or_default().push_back(ack);
         }
         let me = self.arc();
-        sim.schedule_after(hold, move |sim| {
+        sim.timer_after(hold, move |sim| {
             let unboarded = {
                 let mut st = me.state.lock();
                 st.rides.held.get_mut(&dst).and_then(|held| {
@@ -1540,7 +1598,6 @@ impl EmpNic {
     /// ack — it is the same kind of firmware-generated control frame).
     fn send_nack(&self, s: &dyn SimAccess, dst: MacAddr, msg_id: u64, busy: bool) {
         self.state.lock().stats.nacks_sent += 1;
-        let me = self.arc();
         let frame = Frame {
             src: self.mac(),
             dst,
@@ -1548,9 +1605,8 @@ impl EmpNic {
             payload: wire_payload(EmpWire::Nack { msg_id, busy }),
         };
         let cost = self.charge(Fw::TxAck, self.cfg.nic.ack_cost);
-        self.tigon.cpu_tx.exec(s, cost, move |sim| {
-            me.tigon.send_frame(sim, frame);
-        });
+        let done = self.tigon.cpu_tx.book(s, cost);
+        self.tigon.send_frame(s, done, frame);
     }
 
     /// React to a peer's negative acknowledgment. `busy` is transient
@@ -1578,7 +1634,7 @@ impl EmpNic {
             }
             let me = self.arc();
             let pause = SimDuration::from_nanos(self.cfg.retransmit_timeout.nanos() / 4);
-            sim.schedule_after(pause, move |sim| me.release_tx(sim, Vec::new()));
+            sim.timer_after(pause, move |sim| me.release_tx(sim, Vec::new()));
         } else {
             let state = {
                 let mut st = self.state.lock();
@@ -1586,6 +1642,7 @@ impl EmpNic {
                 let Some(rec) = st.tx.remove(&msg_id) else {
                     return; // duplicate refusal
                 };
+                rec.cancel_timer();
                 st.tx_inflight -= rec.outstanding();
                 st.tx_order.retain(|&id| id != msg_id);
                 st.stats.sends_failed += 1;
@@ -1601,6 +1658,8 @@ impl EmpNic {
 }
 
 /// Work computed by the rx matching phase, executed as the second rx task.
+/// A phase 2 with nothing to report — no ack, no nack, no delivery — is
+/// only booked on the rx CPU: three frames in four of a large message.
 #[derive(Default)]
 struct RxPhase2 {
     walked: usize,
@@ -1612,6 +1671,12 @@ struct RxPhase2 {
     /// A negative acknowledgment to put on the wire: `(dst, msg_id, busy)`.
     nack: Option<(MacAddr, u64, bool)>,
     deliver: Option<Deliver>,
+}
+
+impl RxPhase2 {
+    fn has_effect(&self) -> bool {
+        self.ack.is_some() || self.nack.is_some() || self.deliver.is_some()
+    }
 }
 
 enum Deliver {
@@ -1636,10 +1701,10 @@ impl FrameSink for EmpNic {
         if frame.ethertype != EtherType::EMP || frame.dst != self.mac() {
             return; // flooded foreign traffic; MAC filter drops it
         }
-        let Some(wire) = frame.payload.downcast::<EmpWire>().cloned() else {
+        let Some(wire) = frame.payload.downcast::<EmpWire>() else {
             return;
         };
-        match wire {
+        match *wire {
             EmpWire::Ack(ack) => {
                 let me = self.arc();
                 let cost = self.charge(Fw::RxAck, self.cfg.nic.ack_cost);
@@ -1672,10 +1737,14 @@ impl FrameSink for EmpNic {
                 // attached ack is consumed within it.
                 let cost = self.charge(Fw::RxFrame, self.cfg.nic.rx_frame_cost);
                 self.tigon.cpu_rx.exec(s, cost, move |sim| {
-                    if let EmpWire::Data { ack: Some(ack), .. } = wire {
+                    let wire = frame
+                        .payload
+                        .downcast::<EmpWire>()
+                        .expect("checked at arrival");
+                    if let EmpWire::Data { ack: Some(ack), .. } = *wire {
                         me.process_ack(sim, ack, true);
                     }
-                    let phase2 = me.rx_match(sim, &frame, &wire);
+                    let phase2 = me.rx_match(sim, &frame, wire);
                     let cfg = &me.cfg.nic;
                     let mut dma = cfg.dma_time(phase2.dma_bytes);
                     if phase2.dma_bytes > 0 {
@@ -1695,38 +1764,45 @@ impl FrameSink for EmpNic {
                     // Phase 2: tag-match walk + DMA to host (+ status
                     // post), still serial on the rx CPU — this serial
                     // chain is EMP's large-message bottleneck.
-                    let me2 = Arc::clone(&me);
-                    me.tigon.cpu_rx.exec(sim, cost, move |sim| {
-                        if emp_trace::ENABLED && phase2.dma_bytes > 0 {
-                            me2.trace(
-                                sim,
-                                EventKind::DmaCopy,
-                                phase2.dma_bytes as u64,
-                                dma.nanos(),
-                            );
-                        }
-                        match (phase2.ack, phase2.hold) {
-                            (Some((dst, ack)), Some(hold)) => me2.hold_ack(sim, dst, ack, hold),
-                            (Some((dst, ack)), None) => me2.send_ack(sim, dst, ack),
-                            (None, _) => {}
-                        }
-                        if let Some((dst, msg_id, busy)) = phase2.nack {
-                            me2.send_nack(sim, dst, msg_id, busy);
-                        }
-                        match phase2.deliver {
-                            Some(Deliver::Host { state, msg }) => {
-                                me2.trace(sim, EventKind::RecvDeliver, msg.data.len() as u64, 0);
-                                *state.slot.lock() = Some(Some(msg));
-                                state.completion.complete(sim);
-                            }
-                            Some(Deliver::Pool(msg)) => {
-                                me2.finalize_unexpected(sim, msg);
-                            }
-                            None => {}
-                        }
-                    });
+                    let dma_bytes = phase2.dma_bytes;
+                    let done = if phase2.has_effect() {
+                        let me2 = Arc::clone(&me);
+                        me.tigon
+                            .cpu_rx
+                            .exec(sim, cost, move |sim| me2.rx_phase2(sim, phase2))
+                    } else {
+                        me.tigon.cpu_rx.book(sim, cost)
+                    };
+                    if emp_trace::ENABLED && dma_bytes > 0 {
+                        let bytes = dma_bytes as u64;
+                        me.trace_at(sim, done, EventKind::DmaCopy, bytes, dma.nanos());
+                    }
                 });
             }
+        }
+    }
+}
+
+impl EmpNic {
+    /// The end of a receive's second rx CPU task: its ack (sent or held),
+    /// its nack and its delivery.
+    fn rx_phase2(&self, sim: &Sim, phase2: RxPhase2) {
+        match (phase2.ack, phase2.hold) {
+            (Some((dst, ack)), Some(hold)) => self.hold_ack(sim, dst, ack, hold),
+            (Some((dst, ack)), None) => self.send_ack(sim, dst, ack),
+            (None, _) => {}
+        }
+        if let Some((dst, msg_id, busy)) = phase2.nack {
+            self.send_nack(sim, dst, msg_id, busy);
+        }
+        match phase2.deliver {
+            Some(Deliver::Host { state, msg }) => {
+                self.trace(sim, EventKind::RecvDeliver, msg.data.len() as u64, 0);
+                *state.slot.lock() = Some(Some(msg));
+                state.completion.complete(sim);
+            }
+            Some(Deliver::Pool(msg)) => self.finalize_unexpected(sim, msg),
+            None => {}
         }
     }
 }
@@ -1744,7 +1820,7 @@ mod tests {
             contiguous: 0,
             clean: true,
             have: vec![false; frames as usize],
-            buf: vec![0u8; len as usize],
+            buf: Vec::with_capacity(len as usize),
             dest: RecvDest::Unexpected,
         }
     }
@@ -1857,7 +1933,7 @@ mod tests {
             sent_hi: 0,
             timed: None,
             retries: 0,
-            timer_armed: false,
+            timer: None,
             state: SendState::new(),
         }
     }
@@ -1983,7 +2059,7 @@ mod tests {
     fn the_timer_never_resends_a_held_fragment() {
         let (sim, nic, _cl) = nic_with_held_fragments();
         let floor = nic.cfg.retransmit_timeout;
-        nic.arm_retransmit_timer(&sim, 0, 1, 0, floor);
+        nic.arm_retransmit_timer(&sim, 0, 1, 0, floor, TimerGuard::new());
         sim.run_until(simnet::SimTime::ZERO + floor + SimDuration::from_nanos(1));
         let stats = nic.stats();
         assert_eq!(stats.frames_retransmitted, 2, "fragments 1 and 5 only");

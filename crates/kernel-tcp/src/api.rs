@@ -125,7 +125,7 @@ impl TcpApi {
         if let Some(at) = give_up_at {
             // The deadline rides the same wake source as the sockets.
             let cv = self.stack.activity.clone();
-            ctx.schedule_at(at, move |s| cv.notify_all(s));
+            ctx.timer_at(at, move |s| cv.notify_all(s));
         }
         loop {
             let mut events = Vec::new();

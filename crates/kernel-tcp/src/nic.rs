@@ -87,13 +87,14 @@ impl AcenicNic {
     /// Transmit a frame (driver has already built it; this is the NIC-side
     /// descriptor fetch + DMA + MAC, serialized on the NIC).
     pub fn send(&self, s: &dyn SimAccess, frame: Frame) {
-        let me = self.self_ref.upgrade().expect("AcenicNic is Arc-owned");
-        self.tx_cpu.exec(s, self.tx_cost, move |sim| {
-            let link = me.link.lock();
-            link.as_ref()
-                .expect("NIC not attached to a link")
-                .send(sim, frame);
-        });
+        // Every frame goes through the tx CPU's FIFO, so booking the task
+        // and putting the frame on the link as of its end keeps the link's
+        // order (`LinkTx::send_at`).
+        let done = self.tx_cpu.book(s, self.tx_cost);
+        let link = self.link.lock();
+        link.as_ref()
+            .expect("NIC not attached to a link")
+            .send_at(s, done, frame);
     }
 
     /// Interrupts raised so far.
@@ -135,7 +136,7 @@ impl FrameSink for AcenicNic {
                     rx.timer_generation += 1;
                     let gen = rx.timer_generation;
                     let me = self.self_ref.upgrade().expect("AcenicNic is Arc-owned");
-                    s.schedule_after(self.coalesce_timer, move |sim| {
+                    s.timer_after(self.coalesce_timer, move |sim| {
                         let live = {
                             let rx = me.rx.lock();
                             rx.timer_armed && rx.timer_generation == gen

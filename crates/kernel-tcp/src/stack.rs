@@ -355,7 +355,7 @@ impl TcpStack {
                     let gen = i.delack_gen;
                     let me = self.arc();
                     let sock2 = Arc::clone(sock);
-                    sim.schedule_after(self.cfg.delack_timeout, move |sim2| {
+                    sim.timer_after(self.cfg.delack_timeout, move |sim2| {
                         let fire = {
                             let i = sock2.inner.lock();
                             i.delack_armed && i.delack_gen == gen && i.unacked_segments > 0
@@ -616,7 +616,7 @@ impl TcpStack {
         if let Some(at) = give_up_at {
             // The deadline rides the socket's own wake source.
             let cv = sock.cv.clone();
-            ctx.schedule_at(at, move |s| cv.notify_all(s));
+            ctx.timer_at(at, move |s| cv.notify_all(s));
         }
         loop {
             {
@@ -904,7 +904,7 @@ impl BatchHandler for TcpStack {
     fn handle_batch(&self, s: &dyn SimAccess, frames: Vec<Frame>) {
         // One interrupt for the whole batch, then per-segment processing,
         // all on the kernel CPU.
-        self.kernel.exec(s, self.cfg.interrupt_cost, |_| {});
+        self.kernel.book(s, self.cfg.interrupt_cost);
         for frame in frames {
             let Some(pkt) = frame.payload.downcast::<IpPacket>().cloned() else {
                 continue;

@@ -1,9 +1,14 @@
 //! The discrete-event engine.
 //!
-//! A [`Sim`] owns a priority queue of events ordered by `(time, sequence)`;
-//! ties in time are broken by scheduling order, which makes every run
-//! deterministic. Simulated *processes* (threads with blocking semantics)
-//! are layered on top in [`crate::process`].
+//! A [`Sim`] owns a priority queue of events ordered by `(time, as_of,
+//! sequence)`: ties in time are broken by the instant each event was
+//! scheduled as of, then by scheduling order, which makes every run
+//! deterministic. An ordinary event is scheduled as of now; a frame
+//! delivery booked ahead of time (a frame whose firmware task or switch
+//! latency is still running when it is put on the wire) is scheduled as of
+//! the instant it stands for, so it sorts where the event chain it replaces
+//! would have put it (DESIGN §6). Simulated *processes* (threads with
+//! blocking semantics) are layered on top in [`crate::process`].
 //!
 //! **One turn, many threads.** Exactly one thread — the caller of
 //! [`Sim::run`] or a single process thread — holds *the turn* at any
@@ -25,12 +30,15 @@
 
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
+use emp_trace::Counter;
 use parking_lot::Mutex;
 
 use crate::error::SimResult;
+use crate::frame::Frame;
+use crate::link::FrameSink;
 use crate::process::{Baton, LoopMsg, ProcId, ProcTable, ProcessCtx, Resume, HANDOFF_WATCHDOG};
 use crate::sync::Completion;
 use crate::time::{SimDuration, SimTime};
@@ -38,42 +46,134 @@ use crate::time::{SimDuration, SimTime};
 /// A scheduled event: a one-shot closure run on the thread holding the turn.
 pub type EventFn = Box<dyn FnOnce(&Sim) + Send>;
 
-/// What a queued event does when its time comes.
-enum Action {
-    Call(EventFn),
-    /// Resume a parked process: its thread takes the turn.
-    Wake(ProcId),
+/// What kind of work an executed event is. The engine counts executed
+/// events per class in the telemetry registry, as
+/// `simnet.events.<class>` (`wake`, `deliver`, `task`, `timer`, `other`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EventClass {
+    /// A parked process resumes.
+    Wake,
+    /// A frame's last bit reaches a station or a switch port.
+    Deliver,
+    /// A firmware or kernel CPU task completes.
+    Task,
+    /// A timer fires: retransmission, staging deadline, a timeout.
+    Timer,
+    /// Anything else.
+    Other,
 }
 
-struct Event {
-    time: SimTime,
-    seq: u64,
-    action: Action,
-}
+impl EventClass {
+    const ALL: [EventClass; 5] = [
+        EventClass::Wake,
+        EventClass::Deliver,
+        EventClass::Task,
+        EventClass::Timer,
+        EventClass::Other,
+    ];
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+    /// The class's name in `simnet.events.<name>`.
+    fn name(self) -> &'static str {
+        match self {
+            EventClass::Wake => "wake",
+            EventClass::Deliver => "deliver",
+            EventClass::Task => "task",
+            EventClass::Timer => "timer",
+            EventClass::Other => "other",
+        }
     }
 }
-impl Eq for Event {}
-impl PartialOrd for Event {
+
+/// Cancels the timer events scheduled with it
+/// ([`SimAccess::schedule_timer`]). A cancelled timer is still popped at its
+/// instant, so the clock and the telemetry sampler see it, but it is not
+/// run and not counted as executed (`simnet.events.cancelled` counts it).
+#[derive(Clone, Default)]
+pub struct TimerGuard(Arc<AtomicBool>);
+
+impl TimerGuard {
+    /// A guard whose timers are live.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Cancel every timer scheduled with this guard that has not fired.
+    pub fn cancel(&self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether [`TimerGuard::cancel`] was called. Only the turn holder
+    /// cancels and pops timers, and the turn passes through a mutex, so a
+    /// relaxed flag is enough.
+    pub(crate) fn is_cancelled(&self) -> bool {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// What a queued event does when its time comes.
+enum Action {
+    Call(EventClass, EventFn),
+    /// A timer that is skipped once its guard is cancelled.
+    Timer(TimerGuard, EventFn),
+    /// Resume a parked process: its thread takes the turn.
+    Wake(ProcId),
+    /// Hand a frame to the sink its link delivers to.
+    Deliver(Arc<dyn FrameSink>, Frame),
+}
+
+impl Action {
+    fn class(&self) -> EventClass {
+        match self {
+            Action::Call(class, _) => *class,
+            Action::Timer(..) => EventClass::Timer,
+            Action::Wake(_) => EventClass::Wake,
+            Action::Deliver(..) => EventClass::Deliver,
+        }
+    }
+}
+
+/// A queued event's place in the order. Its action waits in
+/// [`SimCore::actions`], so the heap moves 32-byte keys, not actions.
+struct Key {
+    time: SimTime,
+    /// The instant the event was scheduled as of: `now` for an ordinary
+    /// event, the instant it stands for for a delivery booked ahead.
+    as_of: SimTime,
+    seq: u64,
+    slot: u32,
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.seq == other.seq
+    }
+}
+impl Eq for Key {}
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Event {
+impl Ord for Key {
     // Reversed so that `BinaryHeap` (a max-heap) pops the earliest event.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+        (other.time, other.as_of, other.seq).cmp(&(self.time, self.as_of, self.seq))
     }
 }
 
+/// A popped event; no action for a cancelled timer, which is skipped.
+struct Event {
+    time: SimTime,
+    action: Option<Action>,
+}
+
 pub(crate) struct SimCore {
-    now: SimTime,
     next_seq: u64,
-    queue: BinaryHeap<Event>,
-    executed: u64,
+    queue: BinaryHeap<Key>,
+    /// The actions of queued events, indexed by [`Key::slot`]; `free`
+    /// lists the empty slots.
+    actions: Vec<Option<Action>>,
+    free: Vec<u32>,
     /// Stop conditions of the current `run*` call.
     deadline: SimTime,
     done: Option<Completion>,
@@ -88,38 +188,62 @@ pub(crate) struct SimCore {
 /// This type has no public API of its own; use it through [`SimAccess`].
 pub struct SimShared {
     pub(crate) core: Mutex<SimCore>,
+    /// The clock, in ns. Only the turn holder advances it (under the
+    /// `core` lock, when it pops an event), and the turn passes through a
+    /// mutex, so a relaxed load outside the lock reads the current time.
+    now: AtomicU64,
     pub(crate) procs: Mutex<ProcTable>,
     /// Where the `run*` caller sleeps while a process thread has the turn.
     main: Baton<LoopMsg>,
-    handoffs: AtomicU64,
+    /// `simnet.thread_handoffs`: see [`Sim::thread_handoffs`].
+    handoffs: Arc<Counter>,
+    /// `simnet.events.<class>`, indexed by [`EventClass`].
+    executed_by_class: [Arc<Counter>; 5],
+    /// `simnet.events.cancelled`: timers popped after their guard was
+    /// cancelled.
+    cancelled: Arc<Counter>,
     pub(crate) tracer: emp_trace::Tracer,
     pub(crate) telemetry: Arc<emp_trace::telemetry::Registry>,
 }
 
 impl SimShared {
     pub(crate) fn now(&self) -> SimTime {
-        self.core.lock().now
+        SimTime::from_nanos(self.now.load(Ordering::Relaxed))
     }
 
-    fn schedule(&self, at: SimTime, action: Action) {
+    /// Queue `action` at `at`, as of `as_of` (both clamped to now).
+    fn schedule(&self, at: SimTime, as_of: SimTime, action: Action) {
         let mut core = self.core.lock();
         // Never schedule into the past; clamp to "now" (runs after events
         // already queued for the current instant, preserving causality).
-        let time = at.max(core.now);
+        let now = self.now();
+        let time = at.max(now);
+        let as_of = as_of.max(now).min(time);
         let seq = core.next_seq;
         core.next_seq += 1;
-        core.queue.push(Event { time, seq, action });
-    }
-
-    pub(crate) fn schedule_boxed(&self, at: SimTime, f: EventFn) {
-        self.schedule(at, Action::Call(f));
+        let slot = match core.free.pop() {
+            Some(slot) => {
+                core.actions[slot as usize] = Some(action);
+                slot
+            }
+            None => {
+                core.actions.push(Some(action));
+                (core.actions.len() - 1) as u32
+            }
+        };
+        core.queue.push(Key {
+            time,
+            as_of,
+            seq,
+            slot,
+        });
     }
 
     /// Schedule the wake-up of a parked process. Crate-private: the 1:1
     /// park/wake discipline is maintained by the blocking primitives in
     /// [`crate::process`] and [`crate::sync`].
     pub(crate) fn schedule_wake(&self, pid: ProcId, at: SimTime) {
-        self.schedule(at, Action::Wake(pid));
+        self.schedule(at, SimTime::ZERO, Action::Wake(pid));
     }
 
     /// Pop the next event and advance the clock to it, or `None` once the
@@ -133,18 +257,35 @@ impl SimShared {
         if core.queue.peek()?.time > core.deadline {
             return None;
         }
-        let ev = core.queue.pop().expect("peeked event exists");
-        core.now = ev.time;
-        core.executed += 1;
-        if let Action::Wake(pid) = ev.action {
+        let key = core.queue.pop().expect("peeked event exists");
+        core.free.push(key.slot);
+        let action = core.actions[key.slot as usize].take();
+        let action = action.expect("a queued event's slot holds its action");
+        self.now.store(key.time.nanos(), Ordering::Relaxed);
+        if matches!(&action, Action::Timer(guard, _) if guard.is_cancelled()) {
+            self.cancelled.inc();
+            // The closure is dropped with the lock released: what it owns
+            // may reach back into the engine when it goes.
+            drop(core);
+            drop(action);
+            return Some(Event {
+                time: key.time,
+                action: None,
+            });
+        }
+        if let Action::Wake(pid) = action {
             core.turn = pid;
         }
-        Some(ev)
+        self.executed_by_class[action.class() as usize].inc();
+        Some(Event {
+            time: key.time,
+            action: Some(action),
+        })
     }
 
     /// Give the turn back to the `run*` caller.
     pub(crate) fn post(&self, msg: LoopMsg) {
-        self.handoffs.fetch_add(1, Ordering::Relaxed);
+        self.handoffs.inc();
         self.main.pass(msg);
     }
 }
@@ -162,14 +303,50 @@ pub trait SimAccess {
     #[doc(hidden)]
     fn shared(&self) -> Arc<SimShared>;
 
+    /// The shared engine state without a reference-count round trip, where
+    /// the handle owns it (a [`Sim`]).
+    #[doc(hidden)]
+    fn shared_ref(&self) -> Option<&SimShared> {
+        None
+    }
+
     /// The current simulated time.
     fn now(&self) -> SimTime {
-        self.shared().now()
+        match self.shared_ref() {
+            Some(shared) => shared.now(),
+            None => self.shared().now(),
+        }
     }
 
     /// Schedule a boxed event at an absolute time (clamped to now).
     fn schedule_boxed(&self, at: SimTime, f: EventFn) {
-        self.shared().schedule_boxed(at, f);
+        self.schedule_class(at, EventClass::Other, f);
+    }
+
+    /// Schedule a boxed event of class `class` at an absolute time
+    /// (clamped to now).
+    fn schedule_class(&self, at: SimTime, class: EventClass, f: EventFn) {
+        schedule_on(self, at, SimTime::ZERO, Action::Call(class, f));
+    }
+
+    /// Schedule a timer at an absolute time (clamped to now) that does not
+    /// run once `guard` is cancelled.
+    fn schedule_timer(&self, at: SimTime, guard: TimerGuard, f: EventFn) {
+        schedule_on(self, at, SimTime::ZERO, Action::Timer(guard, f));
+    }
+
+    /// Schedule the delivery of `frame` to `sink` at `at`, as of the instant
+    /// `as_of` (clamped to `[now, at]`) it stands for: a frame booked onto a
+    /// wire ahead of time sorts among the events of its delivery instant as
+    /// if it had been sent at `as_of`.
+    fn schedule_delivery(
+        &self,
+        at: SimTime,
+        as_of: SimTime,
+        sink: Arc<dyn FrameSink>,
+        frame: Frame,
+    ) {
+        schedule_on(self, at, as_of, Action::Deliver(sink, frame));
     }
 
     /// This simulation's event tracer (a cheap shared handle). All layers
@@ -191,6 +368,13 @@ pub trait SimAccess {
     /// A weak handle on this simulation's clock (see [`SimClock`]).
     fn clock(&self) -> SimClock {
         SimClock(Arc::downgrade(&self.shared()))
+    }
+}
+
+fn schedule_on<S: SimAccess + ?Sized>(s: &S, at: SimTime, as_of: SimTime, action: Action) {
+    match s.shared_ref() {
+        Some(shared) => shared.schedule(at, as_of, action),
+        None => s.shared().schedule(at, as_of, action),
     }
 }
 
@@ -223,6 +407,32 @@ pub trait SimAccessExt: SimAccess {
         F: FnOnce(&Sim) + Send + 'static,
     {
         self.schedule_boxed(at, Box::new(f));
+    }
+
+    /// Schedule `f` as a timer event `after` from now.
+    fn timer_after<F>(&self, after: SimDuration, f: F)
+    where
+        F: FnOnce(&Sim) + Send + 'static,
+    {
+        self.schedule_class(self.now() + after, EventClass::Timer, Box::new(f));
+    }
+
+    /// Schedule `f` as a timer event at the absolute instant `at` (clamped
+    /// to now).
+    fn timer_at<F>(&self, at: SimTime, f: F)
+    where
+        F: FnOnce(&Sim) + Send + 'static,
+    {
+        self.schedule_class(at, EventClass::Timer, Box::new(f));
+    }
+
+    /// Schedule `f` as a timer event `after` from now that does not run
+    /// once `guard` is cancelled.
+    fn guarded_timer_after<F>(&self, after: SimDuration, guard: TimerGuard, f: F)
+    where
+        F: FnOnce(&Sim) + Send + 'static,
+    {
+        self.schedule_timer(self.now() + after, guard, Box::new(f));
     }
 }
 
@@ -289,12 +499,14 @@ impl Sim {
     /// Create an empty simulation at t = 0.
     pub fn new() -> Sim {
         keep_heap_top();
+        let telemetry = emp_trace::telemetry::Registry::new();
         let shared = Arc::new(SimShared {
+            now: AtomicU64::new(0),
             core: Mutex::new(SimCore {
-                now: SimTime::ZERO,
                 next_seq: 0,
                 queue: BinaryHeap::new(),
-                executed: 0,
+                actions: Vec::new(),
+                free: Vec::new(),
                 deadline: SimTime::MAX,
                 done: None,
                 terminated: false,
@@ -302,9 +514,12 @@ impl Sim {
             }),
             procs: Mutex::new(ProcTable::new()),
             main: Baton::new(),
-            handoffs: AtomicU64::new(0),
+            handoffs: telemetry.counter("simnet.thread_handoffs"),
+            executed_by_class: EventClass::ALL
+                .map(|class| telemetry.counter(&format!("simnet.events.{}", class.name()))),
+            cancelled: telemetry.counter("simnet.events.cancelled"),
             tracer: emp_trace::Tracer::new(),
-            telemetry: emp_trace::telemetry::Registry::new(),
+            telemetry,
         });
         Sim {
             shared,
@@ -358,9 +573,10 @@ impl Sim {
         done.is_done()
     }
 
-    /// Total number of events executed so far.
+    /// Total number of events executed so far (the sum of the
+    /// `simnet.events.<class>` counters).
     pub fn events_executed(&self) -> u64 {
-        self.shared.core.lock().executed
+        self.shared.executed_by_class.iter().map(|c| c.get()).sum()
     }
 
     /// Number of events currently queued.
@@ -371,8 +587,9 @@ impl Sim {
     /// How many times the turn has moved from one OS thread to another
     /// (to a process thread whose wake-up was popped, or back to the
     /// `run*` caller). A process woken by the thread it parked on costs none.
+    /// Also the registry counter `simnet.thread_handoffs`.
     pub fn thread_handoffs(&self) -> u64 {
-        self.shared.handoffs.load(Ordering::Relaxed)
+        self.shared.handoffs.get()
     }
 
     /// Drive the loop from the `run*` caller's thread, sleeping whenever a
@@ -410,30 +627,48 @@ impl Sim {
                 }
                 return me.is_none();
             };
-            match ev.action {
-                Action::Call(f) if me.is_none() => f(self),
-                // On a process thread a panicking event must not unwind into
-                // the parked process: it belongs to the `run*` caller.
-                Action::Call(f) => {
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(self))) {
-                        shared.post(LoopMsg::EventPanic(payload));
-                        return false;
-                    }
+            let kept_turn = match ev.action {
+                None => true,
+                Some(Action::Call(_, f) | Action::Timer(_, f)) => self.run_event(me, f),
+                Some(Action::Deliver(sink, frame)) => {
+                    self.run_event(me, move |sim| sink.deliver(sim, frame))
                 }
                 // The caller's own wake-up; the sample this event is owed is
                 // taken when the process next parks or exits.
-                Action::Wake(pid) if me == Some(pid) => return true,
-                Action::Wake(pid) => {
+                Some(Action::Wake(pid)) if me == Some(pid) => return true,
+                Some(Action::Wake(pid)) => {
                     let baton = shared.procs.lock().baton(pid);
                     if let Some(baton) = baton {
-                        shared.handoffs.fetch_add(1, Ordering::Relaxed);
+                        shared.handoffs.inc();
                         baton.pass(Resume::Run);
                         return false;
                     }
                     // Stale wake-up of a process that already exited.
+                    true
                 }
+            };
+            if !kept_turn {
+                return false;
             }
             shared.telemetry.maybe_sample(ev.time.nanos());
+        }
+    }
+
+    /// Run one event on the turn holder's thread. On a process thread (`me`
+    /// is `Some`) a panicking event must not unwind into the parked
+    /// process: it belongs to the `run*` caller, and `false` says the turn
+    /// went back to it.
+    fn run_event(&self, me: Option<ProcId>, f: impl FnOnce(&Sim)) -> bool {
+        if me.is_none() {
+            f(self);
+            return true;
+        }
+        match catch_unwind(AssertUnwindSafe(|| f(self))) {
+            Ok(()) => true,
+            Err(payload) => {
+                self.shared.post(LoopMsg::EventPanic(payload));
+                false
+            }
         }
     }
 
@@ -464,6 +699,10 @@ impl Sim {
 impl SimAccess for Sim {
     fn shared(&self) -> Arc<SimShared> {
         Arc::clone(&self.shared)
+    }
+
+    fn shared_ref(&self) -> Option<&SimShared> {
+        Some(&self.shared)
     }
 }
 
@@ -577,5 +816,94 @@ mod tests {
             v
         }
         assert_eq!(run_once(), run_once());
+    }
+
+    #[test]
+    fn cancelled_timers_are_popped_but_not_run() {
+        let sim = Sim::new();
+        let fired = Arc::new(AtomicU64::new(0));
+        let guard = TimerGuard::new();
+        for at in [100, 200] {
+            let fired = Arc::clone(&fired);
+            sim.schedule_timer(
+                SimTime::from_nanos(at),
+                guard.clone(),
+                Box::new(move |_| {
+                    fired.fetch_add(1, Ordering::Relaxed);
+                }),
+            );
+        }
+        let g2 = guard.clone();
+        sim.schedule_at(SimTime::from_nanos(50), move |_| g2.cancel());
+        sim.run();
+        assert_eq!(fired.load(Ordering::Relaxed), 0);
+        assert_eq!(sim.now().nanos(), 200, "the clock still reaches them");
+        assert_eq!(sim.events_executed(), 1);
+        let counters = sim.telemetry().snapshot().counters;
+        assert_eq!(counters["simnet.events.cancelled"], 2);
+        assert_eq!(counters["simnet.events.timer"], 0);
+    }
+
+    #[test]
+    fn executed_events_are_counted_by_class() {
+        struct Null;
+        impl FrameSink for Null {
+            fn deliver(&self, _s: &dyn SimAccess, _frame: Frame) {}
+        }
+        let sim = Sim::new();
+        let frame = Frame {
+            src: crate::frame::MacAddr(0),
+            dst: crate::frame::MacAddr(1),
+            ethertype: crate::frame::EtherType::EMP,
+            payload: crate::frame::Payload::new((), 4),
+        };
+        sim.schedule_delivery(SimTime::from_nanos(5), SimTime::ZERO, Arc::new(Null), frame);
+        sim.timer_at(SimTime::from_nanos(6), |_| {});
+        sim.schedule_class(SimTime::from_nanos(7), EventClass::Task, Box::new(|_| {}));
+        sim.schedule_at(SimTime::from_nanos(8), |_| {});
+        sim.spawn("p", |ctx| ctx.delay(SimDuration::from_nanos(10)));
+        sim.run();
+        let counters = sim.telemetry().snapshot().counters;
+        let counts = EventClass::ALL.map(|c| counters[&format!("simnet.events.{}", c.name())]);
+        // Two wakes: the spawn and the end of the delay.
+        assert_eq!(counts, [2, 1, 1, 1, 1]);
+        assert_eq!(counts.iter().sum::<u64>(), sim.events_executed());
+        assert_eq!(counters["simnet.thread_handoffs"], sim.thread_handoffs());
+    }
+
+    #[test]
+    fn ties_break_by_the_instant_an_event_stands_for() {
+        // Two events for t = 100: one scheduled at t = 10 as of then, one
+        // booked earlier (at t = 0) as of t = 20. The booked one runs
+        // second, where an event scheduled at t = 20 would have.
+        struct Log(Arc<Mutex<Vec<&'static str>>>);
+        impl FrameSink for Log {
+            fn deliver(&self, _s: &dyn SimAccess, _frame: Frame) {
+                self.0.lock().push("booked");
+            }
+        }
+        let sim = Sim::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let frame = Frame {
+            src: crate::frame::MacAddr(0),
+            dst: crate::frame::MacAddr(1),
+            ethertype: crate::frame::EtherType::EMP,
+            payload: crate::frame::Payload::new((), 4),
+        };
+        let sink = Arc::new(Log(Arc::clone(&log)));
+        sim.schedule_delivery(
+            SimTime::from_nanos(100),
+            SimTime::from_nanos(20),
+            sink,
+            frame,
+        );
+        let l2 = Arc::clone(&log);
+        sim.schedule_at(SimTime::from_nanos(10), move |sim| {
+            sim.schedule_at(SimTime::from_nanos(100), move |_| {
+                l2.lock().push("ordinary")
+            });
+        });
+        sim.run();
+        assert_eq!(*log.lock(), ["ordinary", "booked"]);
     }
 }

@@ -43,7 +43,7 @@ pub mod sync;
 pub mod time;
 
 pub use emp_trace;
-pub use engine::{EventFn, Sim, SimAccess, SimAccessExt, SimClock};
+pub use engine::{EventClass, EventFn, Sim, SimAccess, SimAccessExt, SimClock, TimerGuard};
 pub use error::{NetError, OpResult, SimError, SimResult};
 pub use fault::{FaultDecision, FaultPlan, FaultState, XorShift64};
 pub use frame::{EtherType, Frame, MacAddr, Payload, MTU};

@@ -4,12 +4,18 @@
 //! configured line rate (back-to-back frames queue behind `busy_until`, i.e.
 //! an infinite output FIFO whose depth is tracked in the stats), then arrive
 //! at the peer [`FrameSink`] after the propagation delay.
+//!
+//! A sender whose frame reaches the MAC at a known later instant books it
+//! onto the wire at once with [`LinkTx::send_at`] instead of scheduling an
+//! event to send it then. That is exact only if every frame on the link is
+//! booked in the order the instants come: the NIC's tx CPU and the switch's
+//! fixed forwarding latency both guarantee it.
 
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
-use crate::engine::{SimAccess, SimAccessExt};
+use crate::engine::SimAccess;
 use crate::fault::{FaultDecision, FaultPlan, FaultState};
 use crate::frame::Frame;
 use crate::stats::{LinkStats, Throughput};
@@ -103,23 +109,31 @@ impl LinkTx {
         self.state.lock().name = Some(name.into());
     }
 
-    /// Queue `frame` for transmission. Serialization begins when the wire
-    /// frees up; delivery fires at `start + serialization + propagation`.
+    /// Queue `frame` for transmission now. Serialization begins when the
+    /// wire frees up; delivery fires at `start + serialization +
+    /// propagation`.
     pub fn send(&self, s: &dyn SimAccess, frame: Frame) {
+        self.send_at(s, s.now(), frame);
+    }
+
+    /// Queue `frame` as handed to the MAC at `at` (now or later): it starts
+    /// at `max(at, busy_until)`, and everything about it — its wire slot,
+    /// its fault draw, its trace events and its delivery event — is fixed
+    /// now, as of `at`. Every frame a link carries must reach it in the
+    /// order of its `at`.
+    pub fn send_at(&self, s: &dyn SimAccess, at: SimTime, frame: Frame) {
         let Some(peer) = self.peer.upgrade() else {
             return; // peer torn down; drop the frame silently
         };
-        let now = s.now();
         let tx_time = SimDuration::for_bits_at_rate(frame.wire_bits(), self.cfg.bandwidth_bps);
-        let (start, deliver_at, fate) = {
+        let (start, deliver_at, fate, register) = {
             let mut st = self.state.lock();
-            let start = now.max(st.busy_until);
-            let backlog = start.since(now);
+            let start = at.max(st.busy_until);
+            let backlog = start.since(at);
             st.max_backlog = st.max_backlog.max(backlog);
             st.busy_until = start + tx_time;
             st.frames_sent += 1;
-            st.throughput
-                .record(s.now(), frame.payload.wire_len() as u64);
+            st.throughput.record(at, frame.payload.wire_len() as u64);
             // Failure injection. Dropped/corrupted frames still occupy the
             // wire (corruption means the FCS fails at the receiver) but
             // are never delivered; delayed frames may be overtaken.
@@ -133,9 +147,14 @@ impl LinkTx {
                 }
                 FaultDecision::Deliver { .. } => {}
             }
-            (start, st.busy_until + self.cfg.propagation, fate)
+            // The backlog series is registered on the first named send.
+            let register = st.name.clone().filter(|_| !st.registered);
+            st.registered |= register.is_some();
+            (start, st.busy_until + self.cfg.propagation, fate, register)
         };
-        self.maybe_register_telemetry(s);
+        if let Some(name) = register {
+            self.register_telemetry(s, &name);
+        }
         let extra_delay = match fate {
             FaultDecision::Deliver { extra_delay } => Some(extra_delay),
             _ => None,
@@ -169,37 +188,25 @@ impl LinkTx {
             }
         }
         if let Some(extra) = extra_delay {
-            s.schedule_at(deliver_at + extra, move |sim| {
-                if emp_trace::ENABLED {
-                    sim.tracer().emit(
-                        sim.now().nanos(),
-                        frame.dst.0,
-                        emp_trace::NO_CONN,
-                        emp_trace::EventKind::WireRx,
-                        frame.payload.wire_len() as u64,
-                        u64::from(frame.src.0),
-                    );
-                }
-                peer.deliver(sim, frame);
-            });
+            let arrive = deliver_at + extra;
+            if emp_trace::ENABLED {
+                s.tracer().emit(
+                    arrive.nanos(),
+                    frame.dst.0,
+                    emp_trace::NO_CONN,
+                    emp_trace::EventKind::WireRx,
+                    frame.payload.wire_len() as u64,
+                    u64::from(frame.src.0),
+                );
+            }
+            s.schedule_delivery(arrive, at, peer, frame);
         }
     }
 
-    /// Register the backlog series on the first named send. Runs with the
-    /// state lock released so the registry's sampler (which locks state
-    /// from its poll closure) can never see an inverted lock order.
-    fn maybe_register_telemetry(&self, s: &dyn SimAccess) {
-        let name = {
-            let mut st = self.state.lock();
-            if st.registered {
-                return;
-            }
-            let Some(name) = st.name.clone() else {
-                return;
-            };
-            st.registered = true;
-            name
-        };
+    /// Register the backlog series. Runs with the state lock released so
+    /// the registry's sampler (which locks state from its poll closure) can
+    /// never see an inverted lock order.
+    fn register_telemetry(&self, s: &dyn SimAccess, name: &str) {
         let state = Arc::downgrade(&self.state);
         s.telemetry()
             .register_sampled(&format!("{name}.backlog_ns"), move |t| {
@@ -264,7 +271,7 @@ impl LinkTx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Sim;
+    use crate::engine::{Sim, SimAccessExt};
     use crate::frame::{EtherType, MacAddr, Payload};
 
     struct Recorder {

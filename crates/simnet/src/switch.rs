@@ -5,13 +5,20 @@
 //! through the switching fabric after a fixed forwarding latency, then
 //! serialize onto the output port's link — which is busy while earlier
 //! frames drain, giving per-output-port queueing.
+//!
+//! The switch decides a frame's output port(s) when it arrives and books
+//! it onto them at once, as of arrival + forwarding latency
+//! ([`LinkTx::send_at`]): one event per hop, not two. The latency is the
+//! same for every frame, so every output link is booked in the order its
+//! frames leave the fabric. Stations register their address at build time,
+//! so the lookup gives the same answer at arrival as it would after the
+//! latency.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
-use crate::engine::{SimAccess, SimAccessExt};
+use crate::engine::SimAccess;
 use crate::frame::{Frame, MacAddr};
 use crate::link::{FrameSink, LinkConfig, LinkTx};
 use crate::stats::LinkStats;
@@ -48,11 +55,31 @@ struct PortState {
     _ingress: Arc<PortIngress>,
 }
 
+/// No port known for an address in [`SwitchState::fdb`].
+const UNKNOWN: usize = usize::MAX;
+
 struct SwitchState {
     ports: Vec<PortState>,
-    fdb: HashMap<MacAddr, usize>,
+    /// Forwarding table indexed by station address: the port, or
+    /// [`UNKNOWN`].
+    fdb: Vec<usize>,
     forwarded: u64,
     flooded: u64,
+}
+
+impl SwitchState {
+    fn learn(&mut self, mac: MacAddr, port: usize) {
+        let i = usize::from(mac.0);
+        if i >= self.fdb.len() {
+            self.fdb.resize(i + 1, UNKNOWN);
+        }
+        self.fdb[i] = port;
+    }
+
+    fn port_of(&self, mac: MacAddr) -> Option<usize> {
+        let port = *self.fdb.get(usize::from(mac.0))?;
+        (port != UNKNOWN && mac != BROADCAST).then_some(port)
+    }
 }
 
 struct SwitchInner {
@@ -73,7 +100,7 @@ impl Switch {
                 cfg,
                 state: Mutex::new(SwitchState {
                     ports: Vec::new(),
-                    fdb: HashMap::new(),
+                    fdb: Vec::new(),
                     forwarded: 0,
                     flooded: 0,
                 }),
@@ -106,7 +133,7 @@ impl Switch {
     /// Statically map `mac` to the given port (stations register at boot;
     /// dynamic learning also runs on every received frame).
     pub fn register_mac(&self, mac: MacAddr, port: usize) {
-        self.inner.state.lock().fdb.insert(mac, port);
+        self.inner.state.lock().learn(mac, port);
     }
 
     /// Frames forwarded to a known unicast destination.
@@ -144,57 +171,38 @@ impl FrameSink for PortIngress {
             return;
         };
         let in_port = self.port;
-        {
-            let mut st = switch.state.lock();
-            st.fdb.insert(frame.src, in_port);
+        let out_at = s.now() + switch.cfg.forwarding_latency;
+        if emp_trace::ENABLED {
+            s.tracer().emit(
+                out_at.nanos(),
+                emp_trace::NO_NODE,
+                emp_trace::NO_CONN,
+                emp_trace::EventKind::SwitchForward,
+                frame.payload.wire_len() as u64,
+                u64::from(frame.dst.0),
+            );
         }
-        let latency = switch.cfg.forwarding_latency;
-        s.schedule_after(latency, move |sim| {
-            let (txs, counted_flood) = {
-                let mut st = switch.state.lock();
-                match (frame.dst != BROADCAST)
-                    .then(|| st.fdb.get(&frame.dst).copied())
-                    .flatten()
-                {
-                    Some(out_port) => {
-                        st.forwarded += 1;
-                        (vec![st.ports[out_port].tx.clone()], false)
-                    }
-                    None => {
-                        st.flooded += 1;
-                        let txs = st
-                            .ports
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, _)| *i != in_port)
-                            .map(|(_, p)| p.tx.clone())
-                            .collect();
-                        (txs, true)
-                    }
+        let mut st = switch.state.lock();
+        st.learn(frame.src, in_port);
+        match st.port_of(frame.dst) {
+            Some(out_port) => {
+                st.forwarded += 1;
+                st.ports[out_port].tx.send_at(s, out_at, frame);
+            }
+            None => {
+                st.flooded += 1;
+                for (_, port) in st.ports.iter().enumerate().filter(|(i, _)| *i != in_port) {
+                    port.tx.send_at(s, out_at, frame.clone());
                 }
-            };
-            let _ = counted_flood;
-            if emp_trace::ENABLED {
-                sim.tracer().emit(
-                    sim.now().nanos(),
-                    emp_trace::NO_NODE,
-                    emp_trace::NO_CONN,
-                    emp_trace::EventKind::SwitchForward,
-                    frame.payload.wire_len() as u64,
-                    u64::from(frame.dst.0),
-                );
             }
-            for tx in txs {
-                tx.send(sim, frame.clone());
-            }
-        });
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Sim;
+    use crate::engine::{Sim, SimAccessExt};
     use crate::frame::{EtherType, Payload};
     use crate::time::SimTime;
 
@@ -290,10 +298,7 @@ mod tests {
     fn switch_learns_source_ports() {
         let (sim, switch, stations, txs) = testbed(2);
         // Forget static registrations, force learning.
-        {
-            let mut st = switch.inner.state.lock();
-            st.fdb.clear();
-        }
+        switch.inner.state.lock().fdb.clear();
         let tx0 = txs[0].clone();
         sim.schedule_at(SimTime::ZERO, move |s| tx0.send(s, frame(0, 1, 4))); // floods, learns 0
         let tx1 = txs[1].clone();
@@ -319,5 +324,128 @@ mod tests {
         assert_eq!(arr.len(), 2);
         // Second frame serializes behind the first on the egress link.
         assert_eq!(arr[1].0 - arr[0].0, 12_304);
+    }
+
+    /// Records `(arrival ns, sender, frame id)` of every frame delivered.
+    #[derive(Default)]
+    struct Sink(Mutex<Vec<(u64, u16, u32)>>);
+
+    impl FrameSink for Sink {
+        fn deliver(&self, s: &dyn SimAccess, frame: Frame) {
+            let id = *frame.payload.downcast::<u32>().expect("frame id");
+            self.0.lock().push((s.now().nanos(), frame.src.0, id));
+        }
+    }
+
+    /// The forward as two events, the way the switch worked before it
+    /// booked its output on arrival: ingress schedules a forward event
+    /// `latency` later, which sends on the output link then.
+    struct TwoEventPort {
+        egress: LinkTx,
+        latency: SimDuration,
+    }
+
+    impl FrameSink for TwoEventPort {
+        fn deliver(&self, s: &dyn SimAccess, frame: Frame) {
+            let egress = self.egress.clone();
+            s.schedule_after(self.latency, move |sim| egress.send(sim, frame));
+        }
+    }
+
+    /// Three stations send to a fourth, each frame handed to its MAC at a
+    /// planned instant: booked onto the uplink ahead of time and forwarded
+    /// by the switch (`booked`), or sent by an event at that instant and
+    /// forwarded by the two-event reference. Several frames from different
+    /// ports reach the switch at the same instant. Returns what the fourth
+    /// station received.
+    fn fan_in(booked: bool) -> Vec<(u64, u16, u32)> {
+        let cfg = SwitchConfig {
+            forwarding_latency: SimDuration::from_micros(2),
+            link: LinkConfig {
+                bandwidth_bps: 1_000_000_000,
+                propagation: SimDuration::from_nanos(100),
+                faults: crate::fault::FaultPlan::none(),
+            },
+        };
+        let sim = Sim::new();
+        let sink = Arc::new(Sink::default());
+        let station: Arc<dyn FrameSink> = sink.clone();
+        let mut uplinks = Vec::new();
+        let switch = Switch::new(cfg);
+        let mut ports: Vec<Arc<dyn FrameSink>> = Vec::new();
+        if booked {
+            for i in 0..3 {
+                let other: Arc<dyn FrameSink> = Arc::new(Sink::default());
+                uplinks.push(switch.attach(&other));
+                switch.register_mac(MacAddr(i), usize::from(i));
+                ports.push(other);
+            }
+            switch.attach(&station);
+            switch.register_mac(MacAddr(3), 3);
+        } else {
+            let egress = LinkTx::new(cfg.link, &station);
+            for _ in 0..3 {
+                let port: Arc<dyn FrameSink> = Arc::new(TwoEventPort {
+                    egress: egress.clone(),
+                    latency: cfg.forwarding_latency,
+                });
+                uplinks.push(LinkTx::new(cfg.link, &port));
+                ports.push(port);
+            }
+        }
+        // (sender, MAC hand-off ns, payload bytes), in booking order,
+        // which each uplink sees in hand-off order. Equal instants and
+        // sizes from different ports tie at the switch; a large frame
+        // makes the ones behind it queue on the output port. The last
+        // two tie at the switch at 101 772 ns, but the frame booked first
+        // was handed to its MAC later: the tie goes to the one handed
+        // over first, as it would in the reference.
+        let plan: [(u16, u64, usize); 11] = [
+            (0, 0, 64),
+            (1, 0, 64),
+            (2, 0, 64),
+            (0, 500, 1500),
+            (1, 500, 64),
+            (2, 1_000, 64),
+            (1, 13_000, 200),
+            (2, 13_000, 200),
+            (0, 13_000, 200),
+            (0, 101_000, 4),
+            (1, 100_272, 137),
+        ];
+        let ids = 0..plan.len() as u32;
+        sim.schedule_at(SimTime::ZERO, move |s| {
+            for ((src, at, len), id) in plan.into_iter().zip(ids) {
+                let f = Frame {
+                    src: MacAddr(src),
+                    dst: MacAddr(3),
+                    ethertype: EtherType::EMP,
+                    payload: Payload::new(id, len),
+                };
+                let (uplink, at) = (uplinks[usize::from(src)].clone(), SimTime::from_nanos(at));
+                if booked {
+                    uplink.send_at(s, at, f);
+                } else {
+                    s.schedule_at(at, move |sim| uplink.send(sim, f));
+                }
+            }
+        });
+        sim.run();
+        drop(ports);
+        let got = sink.0.lock().clone();
+        got
+    }
+
+    #[test]
+    fn booked_forwarding_matches_the_two_event_forward() {
+        let booked = fan_in(true);
+        assert_eq!(booked.len(), 11);
+        assert_eq!(booked, fan_in(false));
+        // The three first frames tie at the switch: they leave in port
+        // order, back to back.
+        let first: Vec<(u64, u16)> = booked[..3].iter().map(|&(t, src, _)| (t, src)).collect();
+        assert_eq!(first, [(3_832, 0), (4_648, 1), (5_464, 2)]);
+        let last: Vec<(u16, u32)> = booked[9..].iter().map(|&(_, src, id)| (src, id)).collect();
+        assert_eq!(last, [(1, 10), (0, 9)], "the earlier hand-off wins the tie");
     }
 }

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use simnet::{Sim, SimAccess, SimAccessExt, SimClock, SimDuration, SimTime};
+use simnet::{EventClass, Sim, SimAccess, SimClock, SimDuration, SimTime};
 
 struct CpuState {
     busy_until: SimTime,
@@ -98,6 +98,28 @@ impl FirmwareCpu {
     where
         F: FnOnce(&Sim) + Send + 'static,
     {
+        let done = self.reserve(s, earliest, cost);
+        s.schedule_class(done, EventClass::Task, Box::new(f));
+        done
+    }
+
+    /// Run a task starting as soon as the CPU is free.
+    pub fn exec<F>(&self, s: &dyn SimAccess, cost: SimDuration, f: F) -> SimTime
+    where
+        F: FnOnce(&Sim) + Send + 'static,
+    {
+        self.exec_at(s, s.now(), cost, f)
+    }
+
+    /// Book a task costing `cost`, starting as soon as the CPU is free,
+    /// with no event at its end; returns its completion instant. The
+    /// caller applies the task's effect now, as of that instant.
+    pub fn book(&self, s: &dyn SimAccess, cost: SimDuration) -> SimTime {
+        self.reserve(s, s.now(), cost)
+    }
+
+    /// Fix a task's start and end in the CPU's FIFO and account for it.
+    fn reserve(&self, s: &dyn SimAccess, earliest: SimTime, cost: SimDuration) -> SimTime {
         let (start, done, register) = {
             let mut st = self.state.lock();
             let now = s.now();
@@ -146,16 +168,7 @@ impl FirmwareCpu {
                 start.nanos(),
             );
         }
-        s.schedule_at(done, f);
         done
-    }
-
-    /// Run a task starting as soon as the CPU is free.
-    pub fn exec<F>(&self, s: &dyn SimAccess, cost: SimDuration, f: F) -> SimTime
-    where
-        F: FnOnce(&Sim) + Send + 'static,
-    {
-        self.exec_at(s, s.now(), cost, f)
     }
 
     /// Instant at which the CPU becomes idle.
@@ -193,7 +206,7 @@ impl FirmwareCpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::SimTime;
+    use simnet::{SimAccessExt, SimTime};
 
     #[test]
     fn tasks_serialize_on_the_cpu() {
@@ -278,5 +291,47 @@ mod tests {
         );
         assert_eq!(cpu.busy_total(), cost, "its full cost after it runs");
         assert_eq!(cpu.busy_until(), SimTime::from_micros(14));
+    }
+
+    #[test]
+    fn a_booked_task_costs_what_an_executed_one_does() {
+        // The same three tasks, once run as events and once only booked,
+        // posted at the same instants: same completion instants, same busy
+        // time as they run and once idle, and no event for the booked ones.
+        fn drive(book: bool) -> (Vec<u64>, Vec<SimDuration>, u64) {
+            let sim = Sim::new();
+            let cpu = FirmwareCpu::new("tx");
+            let dones = Arc::new(Mutex::new(Vec::new()));
+            for (at, cost) in [(0, 3), (1, 4), (20, 2)] {
+                let (cpu, dones) = (cpu.clone(), Arc::clone(&dones));
+                sim.schedule_at(SimTime::from_micros(at), move |s| {
+                    let cost = SimDuration::from_micros(cost);
+                    let done = if book {
+                        cpu.book(s, cost)
+                    } else {
+                        cpu.exec(s, cost, |_| {})
+                    };
+                    dones.lock().push(done.nanos());
+                });
+            }
+            let reads = Arc::new(Mutex::new(Vec::new()));
+            for at in [2, 5, 21, 30] {
+                let (cpu, reads) = (cpu.clone(), Arc::clone(&reads));
+                sim.schedule_at(SimTime::from_micros(at), move |_| {
+                    reads.lock().push(cpu.busy_total());
+                });
+            }
+            sim.run();
+            let dones = dones.lock().clone();
+            let reads = reads.lock().clone();
+            (dones, reads, sim.events_executed())
+        }
+        let (booked, executed) = (drive(true), drive(false));
+        assert_eq!(booked.0, [3_000, 7_000, 22_000]);
+        assert_eq!(booked.0, executed.0, "completion instants");
+        let us = SimDuration::from_micros;
+        assert_eq!(booked.1, [us(2), us(5), us(8), us(9)]);
+        assert_eq!(booked.1, executed.1, "busy time as the tasks run");
+        assert_eq!(executed.2 - booked.2, 3, "one event per executed task");
     }
 }

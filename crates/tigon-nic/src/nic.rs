@@ -9,7 +9,7 @@
 //! itself to `Switch::attach`).
 
 use parking_lot::Mutex;
-use simnet::{Frame, LinkTx, MacAddr, SimAccess, SimDuration, XorShift64};
+use simnet::{Frame, LinkTx, MacAddr, SimAccess, SimDuration, SimTime, XorShift64};
 
 use crate::config::NicConfig;
 use crate::cpu::FirmwareCpu;
@@ -79,13 +79,16 @@ impl Tigon {
         *self.link.lock() = Some(tx);
     }
 
-    /// Hand a frame to the MAC for transmission. Panics if the NIC was
-    /// never cabled up — that is a testbed construction bug.
-    pub fn send_frame(&self, s: &dyn SimAccess, frame: Frame) {
+    /// Hand a frame to the MAC for transmission at `at` (now, or the end
+    /// of the tx CPU task booked for it): see [`LinkTx::send_at`]. Every
+    /// frame must come through the tx CPU's FIFO, so `at` never goes back.
+    /// Panics if the NIC was never cabled up — that is a testbed
+    /// construction bug.
+    pub fn send_frame(&self, s: &dyn SimAccess, at: SimTime, frame: Frame) {
         let link = self.link.lock();
         link.as_ref()
             .expect("NIC not attached to a link; call attach_link at testbed build time")
-            .send(s, frame);
+            .send_at(s, at, frame);
     }
 
     /// Frames handed to the MAC so far.
@@ -170,6 +173,7 @@ mod tests {
         sim.schedule_at(SimTime::ZERO, move |s| {
             nic2.send_frame(
                 s,
+                s.now(),
                 Frame {
                     src: MacAddr(1),
                     dst: MacAddr(2),
@@ -196,6 +200,7 @@ mod tests {
         sim.schedule_at(SimTime::ZERO, move |s| {
             nic.send_frame(
                 s,
+                s.now(),
                 Frame {
                     src: MacAddr(1),
                     dst: MacAddr(2),

@@ -21,6 +21,7 @@
 //! | `nicfw.`    | `tigon-nic`          | `nicfw.n0.tx.backlog_ns`          |
 //! | `nic.`      | NIC uplinks          | `nic.n0.uplink.backlog_ns`        |
 //! | `switch.`   | `simnet` switch      | `switch.port0.backlog_ns`         |
+//! | `simnet.`   | `simnet` engine      | `simnet.events.task`, `simnet.thread_handoffs` |
 //! | `host.`     | harness wall clock   | `host.wall_us_per_sim_s`          |
 //!
 //! Everything except the `host.` namespace is a pure function of simulated
