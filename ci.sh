@@ -31,70 +31,52 @@ if [[ "${1:-}" != "--fast" ]]; then
     cargo build --release
 fi
 
+# The two workspace steps run every suite of every member, each member
+# with its `trace` feature on in the second — among them these, which
+# earlier ran a third and fourth time as stages of their own:
+# * chaos (sockets-emp `lossy`, emp-proto `reliability` and `piggyback`):
+#   the substrate robustness suite (seeded fault injection, vanished-peer
+#   detection), EMP's own loss recovery (selective repeat, RTT-measured
+#   timeout, a slow receiver not mistaken for loss) and EMP's ack
+#   piggy-backing (a lost carrier frame recovered, a one-way stream
+#   untouched). Loss is also what exercises the transmit window's
+#   accounting: a fragment the receiver already holds leaves the
+#   in-flight window, so one hole no longer throttles the frames behind
+#   it (the emp-proto unit tests check the window against its records
+#   after every step of a hole-and-rewind sequence).
+# * descriptor re-arms (sockets-emp `rearm`): under the §6.1 switch a
+#   consumed data descriptor is re-armed by the send that returns its
+#   credit: every consumed descriptor comes back, a stream stays
+#   byte-exact, a close with re-arms pending leaks no buffer, and the
+#   presets still repost at consume time.
+# * receive windows (sockets-emp `window`): under the same switch each
+#   direction's window starts at two descriptors and grows to N once,
+#   when its sender has used both: request/response traffic keeps two for
+#   life, a stream grows at its second message, the growth costs exactly
+#   N - 2 descriptor posts, a preset and a default peer agree either way,
+#   and churn or a close racing the growth strands nothing.
+# * connection rider (sockets-emp `rider`): under the same switch a
+#   stream connect's request waits for the first operation: a first
+#   write of 1..=FIRST_MAX bytes rides inside it, every other first
+#   operation sends it bare, every backlog slot (replacements included)
+#   fits a request with data, a preset listener accepts one, a blocking
+#   connect never carries data, and nothing leaks.
+# * adaptive copy policy (sockets-emp `fastpath`): the default data
+#   path's copy decisions: direct delivery to posted readers, staged
+#   small writes and their deadline, and a long write that returns with
+#   its copied tail in flight while the presets keep one zero-copy
+#   message they wait out. The deadline defers while a full message of
+#   the connection is unacknowledged: a busy 64 B stream must reach
+#   messages of at least 32 KiB with the writer's NIC queue bounded, and
+#   a staged tail the writer never flushes must still arrive within
+#   drain + one deadline + one one-way latency (the deferral re-arms; one
+#   that does not leaves that test deadlocked).
 step "cargo test (tier-1, default features)"
 # Includes the server-model suites (all I/O models, both stacks, byte-exact).
 cargo test --workspace -q
 
 step "cargo test (trace feature)"
 cargo test --workspace -q --features trace
-
-step "cargo test (lossy suite)"
-# Chaos stage: the substrate robustness suite (seeded fault injection,
-# vanished-peer detection), EMP's own loss recovery (selective repeat,
-# RTT-measured timeout, a slow receiver not mistaken for loss) and EMP's
-# ack piggy-backing (a lost carrier frame recovered, a one-way stream
-# untouched) in both build modes. Loss is also what exercises the transmit
-# window's accounting: a fragment the receiver already holds leaves the
-# in-flight window, so one hole no longer throttles the frames behind it
-# (the emp-proto unit tests, in the tier-1 step above, check the window
-# against its records after every step of a hole-and-rewind sequence).
-cargo test -q -p sockets-emp --test lossy
-cargo test -q -p sockets-emp --test lossy --features sockets-emp/trace
-cargo test -q -p emp-proto --test reliability
-cargo test -q -p emp-proto --test reliability --features emp-proto/trace
-cargo test -q -p emp-proto --test piggyback
-cargo test -q -p emp-proto --test piggyback --features emp-proto/trace
-
-step "cargo test (descriptor re-arms)"
-# Under the §6.1 switch a consumed data descriptor is re-armed by the send
-# that returns its credit: every consumed descriptor comes back, a stream
-# stays byte-exact, a close with re-arms pending leaks no buffer, and the
-# presets still repost at consume time — in both build modes.
-cargo test -q -p sockets-emp --test rearm
-cargo test -q -p sockets-emp --test rearm --features sockets-emp/trace
-
-step "cargo test (receive windows)"
-# Under the same switch each direction's window starts at two descriptors
-# and grows to N once, when its sender has used both: request/response
-# traffic keeps two for life, a stream grows at its second message, the
-# growth costs exactly N - 2 descriptor posts, a preset and a default peer
-# agree either way, and churn or a close racing the growth strands
-# nothing — in both build modes.
-cargo test -q -p sockets-emp --test window
-cargo test -q -p sockets-emp --test window --features sockets-emp/trace
-
-step "cargo test (connection rider)"
-# Under the same switch a stream connect's request waits for the first
-# operation: a first write of 1..=FIRST_MAX bytes rides inside it, every
-# other first operation sends it bare, every backlog slot (replacements
-# included) fits a request with data, a preset listener accepts one, a
-# blocking connect never carries data, and nothing leaks — in both build
-# modes.
-cargo test -q -p sockets-emp --test rider
-cargo test -q -p sockets-emp --test rider --features sockets-emp/trace
-
-step "cargo test (adaptive copy policy)"
-# The default data path's copy decisions: direct delivery to posted
-# readers, staged small writes and their deadline, and a long write that
-# returns with its copied tail in flight while the presets keep one
-# zero-copy message they wait out — in both build modes. The deadline
-# defers while a full message of the connection is unacknowledged: a busy
-# 64 B stream must reach messages of at least 32 KiB with the writer's NIC
-# queue bounded, and a staged tail the writer never flushes must still
-# arrive within drain + one deadline + one one-way latency (the deferral
-# re-arms; one that does not leaves that test deadlocked).
-cargo test -q -p sockets-emp --test fastpath
-cargo test -q -p sockets-emp --test fastpath --features sockets-emp/trace
 
 step "traced ping-pong smoke"
 # Must print a latency budget and a non-empty Chrome trace.

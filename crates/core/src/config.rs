@@ -225,12 +225,6 @@ pub struct SubstrateConfig {
     /// were EMP-acked, so dropping them silently would corrupt the
     /// stream). `None` (default) keeps the buffer unbounded.
     pub reorder_cap_bytes: Option<usize>,
-    /// Write-stall detector: a blocking stream write that waits longer
-    /// than this for a flow-control credit fails with
-    /// [`crate::NetError::Timeout`] — the slowloris defence (a reader
-    /// that never reads pins the writer forever otherwise). `None`
-    /// (default) preserves blocking-forever semantics.
-    pub write_stall_after: Option<SimDuration>,
     /// Ack-starvation watchdog: when a blocking read or credit wait hears
     /// *nothing* from the peer — no data, no credit return, no control
     /// message — for this long, the operation fails with
@@ -274,7 +268,6 @@ impl SubstrateConfig {
             connect_retry: None,
             max_connections: None,
             reorder_cap_bytes: None,
-            write_stall_after: None,
             peer_gone_after: None,
             copy_policy: CopyPolicy::PAPER,
         }
@@ -361,15 +354,6 @@ impl SubstrateConfig {
     /// (see [`Self::reorder_cap_bytes`]).
     pub fn with_reorder_cap(mut self, bytes: usize) -> Self {
         self.reorder_cap_bytes = Some(bytes);
-        self
-    }
-
-    /// Arm the write-stall detector: a blocking write that waits longer
-    /// than `patience` for a credit fails with
-    /// [`crate::NetError::Timeout`].
-    pub fn with_write_stall_after(mut self, patience: SimDuration) -> Self {
-        assert!(!patience.is_zero(), "a zero stall patience always fires");
-        self.write_stall_after = Some(patience);
         self
     }
 
@@ -464,7 +448,6 @@ mod tests {
             assert_eq!(cfg.connect_retry, None);
             assert_eq!(cfg.max_connections, None);
             assert_eq!(cfg.reorder_cap_bytes, None);
-            assert_eq!(cfg.write_stall_after, None);
             assert_eq!(cfg.peer_gone_after, None);
             assert_eq!(cfg.copy_policy, CopyPolicy::PAPER);
             assert!(!cfg.piggyback_acks);

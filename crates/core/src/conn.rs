@@ -413,6 +413,16 @@ impl SockInner {
         self.peer_closed && self.peer_final_seq.is_none_or(|f| self.rx_next_seq >= f)
     }
 
+    /// Deliver the next datagram in send order if it has arrived: take it
+    /// from the reorder buffer and count it received.
+    pub(crate) fn take_next_dgram(&mut self) -> Option<Bytes> {
+        let payload = self.rx_ooo.remove(&self.rx_next_seq)?;
+        self.rx_next_seq += 1;
+        self.stats.bytes_received += payload.len() as u64;
+        self.stats.msgs_received += 1;
+        Some(payload)
+    }
+
     /// Take the credit return due: every credit consumed since the last
     /// one, with the descriptors to re-arm.
     pub(crate) fn take_credit_return(&mut self) -> CreditReturn {
@@ -891,7 +901,8 @@ impl SockShared {
         }
         // Staged coalesced writes must precede the Close (which carries
         // the final sequence count); an undeliverable flush is moot.
-        let _ = self.flush_coalesced(ctx)?;
+        self.send_conn_req(ctx)?;
+        let _ = self.flush_coalesced(ctx, true)?;
         let (peer_closed, final_seq) = {
             let i = self.inner.lock();
             (i.peer_closed, i.tx_seq)
@@ -920,7 +931,8 @@ impl SockShared {
         // to the pool with the rest below.
         let stale = self.inner.lock().take_credit_return().rearms;
         // As in shutdown_write: staged writes go out before the Close.
-        let _ = self.flush_coalesced(ctx)?;
+        self.send_conn_req(ctx)?;
+        let _ = self.flush_coalesced(ctx, true)?;
         self.publish_stats(ctx, unaccounted);
         let (peer_closed, already_shut, final_seq) = {
             let i = self.inner.lock();
@@ -1086,24 +1098,8 @@ impl SockShared {
     /// Block until either the given completion or the control channel
     /// fires, then drain control.
     pub(crate) fn wait_data_or_ctrl(&self, ctx: &ProcessCtx, data: &Completion) -> OpResult<()> {
-        self.wait_data_ctrl_or(ctx, data, None)
-    }
-
-    /// [`Self::wait_data_or_ctrl`] with an optional extra completion in
-    /// the watch set — a deadline timer, typically. The caller checks the
-    /// extra completion itself after waking.
-    pub(crate) fn wait_data_ctrl_or(
-        &self,
-        ctx: &ProcessCtx,
-        data: &Completion,
-        extra: Option<&Completion>,
-    ) -> OpResult<()> {
         let ctrl = self.ctrl_completion();
-        let mut watched: Vec<&Completion> = vec![data, &ctrl];
-        if let Some(t) = extra {
-            watched.push(t);
-        }
-        if let Err(e) = self.wait_watched(ctx, &watched)? {
+        if let Err(e) = self.wait_watched(ctx, &[data, &ctrl])? {
             return Ok(Err(e));
         }
         self.poll_ctrl(ctx)

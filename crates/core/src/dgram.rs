@@ -109,7 +109,11 @@ impl SockShared {
     /// (simulated) user buffer. Empty bytes = peer closed. Datagrams are
     /// delivered in send order: a message that overtook an earlier one on
     /// a reordering fabric parks in the reorder buffer until the gap fills.
-    pub(crate) fn dgram_recv(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
+    /// Without `block` the call still posts the user-buffer descriptor
+    /// (so a later poll has something to wake on) and answers rendezvous
+    /// requests, but returns [`NetError::WouldBlock`] where a blocking
+    /// receive would park.
+    pub(crate) fn dgram_recv(&self, ctx: &ProcessCtx, max: usize, block: bool) -> OpResult<Bytes> {
         ctx.delay(self.proc_.cfg.dgram_overhead)?;
         loop {
             // 0. Serve the next-in-order datagram if it already arrived
@@ -119,16 +123,7 @@ impl SockShared {
                 if i.closed {
                     return Ok(Err(NetError::Closed));
                 }
-                let next = i.rx_next_seq;
-                match i.rx_ooo.remove(&next) {
-                    Some(p) => {
-                        i.rx_next_seq += 1;
-                        i.stats.bytes_received += p.len() as u64;
-                        i.stats.msgs_received += 1;
-                        Some(p)
-                    }
-                    None => None,
-                }
+                i.take_next_dgram()
             };
             if let Some(payload) = parked {
                 self.trace(ctx, EventKind::SockReadEnd, payload.len() as u64, 0);
@@ -160,21 +155,14 @@ impl SockShared {
                 let Msg::Data { seq, payload, .. } = parsed else {
                     return Ok(Err(NetError::Protocol("non-data message on data tag")));
                 };
-                let deliver = {
+                let next = {
                     let mut i = self.inner.lock();
-                    if seq == i.rx_next_seq {
-                        i.rx_next_seq += 1;
-                        i.stats.bytes_received += payload.len() as u64;
-                        i.stats.msgs_received += 1;
-                        true
-                    } else {
-                        if seq > i.rx_next_seq {
-                            i.rx_ooo.insert(seq, payload.clone());
-                        }
-                        false
+                    if seq >= i.rx_next_seq {
+                        i.rx_ooo.insert(seq, payload);
                     }
+                    i.take_next_dgram()
                 };
-                if deliver {
+                if let Some(payload) = next {
                     self.trace(ctx, EventKind::SockReadEnd, payload.len() as u64, 0);
                     return Ok(Ok(payload));
                 }
@@ -191,11 +179,26 @@ impl SockShared {
                 ok_or_return!(self.serve_rndv_request(ctx, max)?);
                 continue;
             }
+            if !block {
+                // Drain a close notification a poll may not have consumed
+                // yet: a nonblocking receive never parks below, which is
+                // where a blocking one drains it.
+                ok_or_return!(self.poll_ctrl(ctx)?);
+            }
             // 4. Peer closed and every announced datagram delivered?
             {
                 let i = self.inner.lock();
                 if i.peer_drained() {
                     return Ok(Ok(Bytes::new()));
+                }
+                if !block {
+                    // Look again if more landed while control drained.
+                    if i.ctrl_handle.as_ref().is_some_and(|h| h.is_done())
+                        || i.dgram_data.as_ref().is_some_and(|d| d.handle.is_done())
+                    {
+                        continue;
+                    }
+                    return Ok(Err(NetError::WouldBlock));
                 }
             }
             // 5. Block on data, rendezvous request, or control (with the
@@ -230,101 +233,6 @@ impl SockShared {
             return Ok(Err(NetError::Invalid));
         }
         self.dgram_send(ctx, data)
-    }
-
-    /// Nonblocking datagram receive: serve a parked or landed datagram,
-    /// answer pending rendezvous requests, post the user-buffer descriptor
-    /// so a later poll has something to wake on, and report
-    /// [`NetError::WouldBlock`] when nothing is deliverable yet.
-    pub(crate) fn dgram_try_recv(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
-        ctx.delay(self.proc_.cfg.dgram_overhead)?;
-        loop {
-            let parked = {
-                let mut i = self.inner.lock();
-                if i.closed {
-                    return Ok(Err(NetError::Closed));
-                }
-                let next = i.rx_next_seq;
-                match i.rx_ooo.remove(&next) {
-                    Some(p) => {
-                        i.rx_next_seq += 1;
-                        i.stats.bytes_received += p.len() as u64;
-                        i.stats.msgs_received += 1;
-                        Some(p)
-                    }
-                    None => None,
-                }
-            };
-            if let Some(payload) = parked {
-                self.trace(ctx, EventKind::SockReadEnd, payload.len() as u64, 0);
-                return Ok(Ok(payload));
-            }
-            if self.inner.lock().dgram_data.is_none() {
-                let range = self.inner.lock().user_range;
-                let handle = self.proc_.ep.post_recv(
-                    ctx,
-                    self.rx_data_tag(),
-                    Some(self.peer),
-                    max + DATA_HEADER,
-                    range,
-                )?;
-                self.inner.lock().dgram_data = Some(DataSlot { handle, range });
-            }
-            let data_done = {
-                let i = self.inner.lock();
-                i.dgram_data.as_ref().is_some_and(|d| d.handle.is_done())
-            };
-            if data_done {
-                let slot = self.inner.lock().dgram_data.take().expect("checked");
-                let Some(msg) = self.proc_.ep.wait_recv(ctx, &slot.handle)? else {
-                    return Ok(Err(NetError::Closed));
-                };
-                let parsed = ok_or_return!(Msg::decode(&msg.data));
-                let Msg::Data { seq, payload, .. } = parsed else {
-                    return Ok(Err(NetError::Protocol("non-data message on data tag")));
-                };
-                let deliver = {
-                    let mut i = self.inner.lock();
-                    if seq == i.rx_next_seq {
-                        i.rx_next_seq += 1;
-                        i.stats.bytes_received += payload.len() as u64;
-                        i.stats.msgs_received += 1;
-                        true
-                    } else {
-                        if seq > i.rx_next_seq {
-                            i.rx_ooo.insert(seq, payload.clone());
-                        }
-                        false
-                    }
-                };
-                if deliver {
-                    self.trace(ctx, EventKind::SockReadEnd, payload.len() as u64, 0);
-                    return Ok(Ok(payload));
-                }
-                continue;
-            }
-            let rndv_done = {
-                let i = self.inner.lock();
-                i.rndv_handle.as_ref().is_some_and(|h| h.is_done())
-            };
-            if rndv_done {
-                ok_or_return!(self.serve_rndv_request(ctx, max)?);
-                continue;
-            }
-            // Drain a close notification a poll may not have consumed yet.
-            ok_or_return!(self.poll_ctrl(ctx)?);
-            {
-                let i = self.inner.lock();
-                if i.peer_drained() {
-                    return Ok(Ok(Bytes::new()));
-                }
-                let ctrl_pending = i.ctrl_handle.as_ref().is_some_and(|h| h.is_done());
-                let data_landed = i.dgram_data.as_ref().is_some_and(|d| d.handle.is_done());
-                if !ctrl_pending && !data_landed {
-                    return Ok(Err(NetError::WouldBlock));
-                }
-            }
-        }
     }
 
     /// Answer a rendezvous request while a receive of capacity `max` is

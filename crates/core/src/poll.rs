@@ -109,29 +109,6 @@ impl PollSet {
         });
     }
 
-    /// Change the interest mask of the registration made under `token`
-    /// (the first one, if several share it). Returns false when no such
-    /// registration exists. The entry's watch list is invalidated so the
-    /// next poll waits on the right sources.
-    pub fn set_interest(&mut self, token: usize, interest: Interest) -> bool {
-        for e in &mut self.entries {
-            if e.token == token {
-                e.interest = interest;
-                e.watch = None;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Remove every registration made under `token`; returns how many
-    /// were removed.
-    pub fn deregister(&mut self, token: usize) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.token != token);
-        before - self.entries.len()
-    }
-
     /// Drop all registrations.
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -345,7 +322,7 @@ fn conn_ready(ctx: &ProcessCtx, sock: &SockShared, interest: Interest) -> OpResu
         if interest.intersects(Interest::READABLE) {
             sock.send_conn_req(ctx)?;
         }
-        ok_or_return!(sock.try_flush_coalesced(ctx)?);
+        ok_or_return!(sock.flush_coalesced(ctx, false)?);
     }
     // Drain landed control traffic (close notifications, rendezvous
     // replies) so readiness reflects it; surface hard failures as ERROR.

@@ -506,7 +506,7 @@ impl Connection {
     ///   it fits a frame, rendezvous otherwise.
     pub fn write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
         match self.sock.socket_type {
-            SocketType::Stream => self.sock.stream_write(ctx, data),
+            SocketType::Stream => self.sock.stream_write(ctx, data, true),
             SocketType::Datagram => self.sock.dgram_send(ctx, data),
         }
     }
@@ -519,8 +519,8 @@ impl Connection {
     ///   `max`); empty bytes = peer closed.
     pub fn read(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
         match self.sock.socket_type {
-            SocketType::Stream => self.sock.stream_read(ctx, max),
-            SocketType::Datagram => self.sock.dgram_recv(ctx, max),
+            SocketType::Stream => self.sock.stream_read(ctx, max, true),
+            SocketType::Datagram => self.sock.dgram_recv(ctx, max, true),
         }
     }
 
@@ -557,10 +557,9 @@ impl Connection {
 
     /// [`Self::write`] bounded by `deadline`: accepts as many bytes as
     /// flow control allows the moment credits are available, and fails
-    /// with [`NetError::Timeout`] if none free up in time — the
-    /// per-operation form of the
-    /// [`SubstrateConfig::with_write_stall_after`] detector. Returns the
-    /// byte count accepted (possibly short, like a POSIX `write`).
+    /// with [`NetError::Timeout`] if none free up in time — a slow reader
+    /// stops pinning the writer forever. Returns the byte count accepted
+    /// (possibly short, like a POSIX `write`).
     pub fn write_deadline(
         &self,
         ctx: &ProcessCtx,
@@ -603,7 +602,7 @@ impl Connection {
     ///   blocking.
     pub fn try_write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
         match self.sock.socket_type {
-            SocketType::Stream => self.sock.stream_try_write(ctx, data),
+            SocketType::Stream => self.sock.stream_write(ctx, data, false),
             SocketType::Datagram => self.sock.dgram_try_send(ctx, data),
         }
     }
@@ -614,8 +613,8 @@ impl Connection {
     /// when to retry.
     pub fn try_read(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
         match self.sock.socket_type {
-            SocketType::Stream => self.sock.stream_try_read(ctx, max),
-            SocketType::Datagram => self.sock.dgram_try_recv(ctx, max),
+            SocketType::Stream => self.sock.stream_read(ctx, max, false),
+            SocketType::Datagram => self.sock.dgram_recv(ctx, max, false),
         }
     }
 
@@ -640,7 +639,10 @@ impl Connection {
     /// when nothing is staged or on a datagram socket.
     pub fn flush(&self, ctx: &ProcessCtx) -> OpResult<()> {
         match self.sock.socket_type {
-            SocketType::Stream => self.sock.flush_coalesced(ctx),
+            SocketType::Stream => {
+                self.sock.send_conn_req(ctx)?;
+                Ok(self.sock.flush_coalesced(ctx, true)?.map(drop))
+            }
             SocketType::Datagram => Ok(Ok(())),
         }
     }

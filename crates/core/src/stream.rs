@@ -41,8 +41,8 @@ fn unacked_bytes(sends: &[SendHandle]) -> usize {
 }
 
 impl SockShared {
-    /// Blocking stream write: fragments into temp-buffer-sized substrate
-    /// messages, spending one credit each. A message of at most
+    /// Stream write: fragments into temp-buffer-sized substrate messages,
+    /// spending one credit each. A message of at most
     /// `send_copy_threshold` bytes is copied and left in flight; a larger
     /// one goes zero-copy and the call returns when the NIC has
     /// acknowledged it (the buffer is the application's to reuse again).
@@ -53,27 +53,52 @@ impl SockShared {
     /// the wire, so the next write's head queues behind it at the NIC and
     /// the link does not idle while the final ack comes back. A tail that
     /// fails later fails the next call, as a copied small write does.
-    pub(crate) fn stream_write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
+    ///
+    /// Without `block` the write never parks: it sends as many fragments
+    /// as the credits in hand allow and returns the bytes taken, or
+    /// [`NetError::WouldBlock`] before any. Every fragment is then copied
+    /// (fire and forget): a zero-copy send pins the caller's buffer until
+    /// the NIC acknowledges it, which is a wait. Such a write sends a
+    /// held-back connection request bare instead of riding it.
+    pub(crate) fn stream_write(
+        &self,
+        ctx: &ProcessCtx,
+        data: &[u8],
+        block: bool,
+    ) -> OpResult<usize> {
         self.trace(ctx, EventKind::SockWriteStart, data.len() as u64, 0);
         self.pay_flush_debt(ctx)?;
-        if self.ride_conn_req(ctx, data)? {
+        if !block {
+            self.send_conn_req(ctx)?;
+        } else if self.ride_conn_req(ctx, data)? {
             return Ok(Ok(data.len()));
         }
         if ok_or_return!(self.stages(data.len())) {
-            return self.coalesce_append(ctx, data);
+            return self.coalesce_append(ctx, data, block);
         }
         // A larger write must not overtake bytes already staged.
-        ok_or_return!(self.flush_coalesced(ctx)?);
+        if !ok_or_return!(self.flush_coalesced(ctx, block)?) {
+            return Ok(Err(NetError::WouldBlock));
+        }
         // One harness-side copy models handing the NIC the user buffer:
         // each fragment below is a cheap refcounted slice of it, not a
         // fresh allocation-and-copy per chunk.
         let whole = Bytes::copy_from_slice(data);
-        let head = data.len() - self.copied_tail(data.len());
+        let head = if block {
+            data.len() - self.copied_tail(data.len())
+        } else {
+            data.len()
+        };
         let mut zc_sends = Vec::new();
         let mut off = 0;
-        while off < data.len() || (data.is_empty() && off == 0) {
+        loop {
             ok_or_return!(self.check_writable());
-            ok_or_return!(self.acquire_credit(ctx)?);
+            match self.take_credit(ctx, block)? {
+                Ok(()) => {}
+                // Out of credits without parking: the bytes taken so far.
+                Err(NetError::WouldBlock) if off > 0 || data.is_empty() => return Ok(Ok(off)),
+                Err(e) => return Ok(Err(e)),
+            }
             // Head fragments first; the tail, if any, is one message.
             let end = if off < head { head } else { data.len() };
             let chunk = (end - off).min(self.buf_size);
@@ -81,7 +106,7 @@ impl SockShared {
             let payload = whole.slice(off..off + chunk);
             ctx.delay(self.proc_.cfg.stream_overhead)?;
             self.comm_thread_penalty(ctx)?;
-            if chunk <= self.proc_.cfg.send_copy_threshold {
+            if !block || chunk <= self.proc_.cfg.send_copy_threshold {
                 // Buffered send: copy into a registered staging buffer and
                 // return without waiting (like TCP's write-into-sockbuf).
                 self.charge_copy(ctx, chunk)?;
@@ -95,7 +120,7 @@ impl SockShared {
                 zc_sends.push(h);
             }
             off += chunk;
-            if data.is_empty() {
+            if off >= data.len() {
                 break;
             }
         }
@@ -226,18 +251,31 @@ impl SockShared {
     /// a substrate message shared by many writes), flushing first when it
     /// would overflow one message and immediately after when the buffer
     /// fills or the last credits are in hand; after either capacity flush
-    /// it waits while the NIC is far behind ([`Self::await_queue_room`]).
-    /// Invariant on return: bytes staged ⇒ at least two credits in hand —
-    /// which is why the deadline timer never has to wait for one.
-    fn coalesce_append(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
+    /// a blocking call waits while the NIC is far behind
+    /// ([`Self::await_queue_room`]). Invariant on return: bytes staged ⇒
+    /// at least two credits in hand — which is why the deadline timer
+    /// never has to wait for one. Without `block`, staging requires a
+    /// credit in hand (reaped, not awaited) so staged bytes are always
+    /// flushable without parking — otherwise a coalesced `try_write` could
+    /// silently accept bytes nothing can send.
+    fn coalesce_append(&self, ctx: &ProcessCtx, data: &[u8], block: bool) -> OpResult<usize> {
         let cap = self.stage_capacity();
         let overflow = {
             let i = self.inner.lock();
             i.coalesce_buf.len() + data.len() > cap
         };
         if overflow {
-            ok_or_return!(self.flush_coalesced(ctx)?);
-            self.await_queue_room(ctx)?;
+            if !ok_or_return!(self.flush_coalesced(ctx, block)?) {
+                return Ok(Err(NetError::WouldBlock));
+            }
+            if block {
+                self.await_queue_room(ctx)?;
+            }
+        }
+        if !block {
+            // Look for a credit without spending it.
+            ok_or_return!(self.take_credit(ctx, false)?);
+            self.inner.lock().credits += 1;
         }
         self.stage_bytes(ctx, data)?;
         let (full, pressure) = {
@@ -248,9 +286,9 @@ impl SockShared {
             // Credit pressure: never sit on staged bytes when the peer is
             // about to stop granting credits — a staged-but-unsendable
             // buffer would turn a visible write stall into a silent one.
-            ok_or_return!(self.flush_coalesced(ctx)?);
+            ok_or_return!(self.flush_coalesced(ctx, block)?);
         }
-        if full {
+        if full && block {
             self.await_queue_room(ctx)?;
         }
         Ok(Ok(data.len()))
@@ -381,38 +419,21 @@ impl SockShared {
         ctx.delay(debt)
     }
 
-    /// Flush staged writes as one substrate message, blocking for a credit
-    /// when none is in hand. No-op when nothing is staged.
-    pub(crate) fn flush_coalesced(&self, ctx: &ProcessCtx) -> OpResult<()> {
-        self.pay_flush_debt(ctx)?;
-        self.send_conn_req(ctx)?;
-        if self.inner.lock().coalesce_buf.is_empty() {
-            return Ok(Ok(()));
-        }
-        ok_or_return!(self.acquire_credit(ctx)?);
-        self.flush_staged(ctx)
-    }
-
-    /// Nonblocking flush: sends the staged message only with a credit
-    /// already in hand. Returns whether the staging buffer is now empty.
-    pub(crate) fn try_flush_coalesced(&self, ctx: &ProcessCtx) -> OpResult<bool> {
+    /// Flush staged writes as one substrate message; returns whether the
+    /// staging buffer is now empty. No-op when nothing is staged. With no
+    /// credit in hand a blocking call parks for one; a nonblocking call
+    /// leaves the bytes staged and reports `false`, a closed peer
+    /// included — the read it precedes still serves what is buffered.
+    pub(crate) fn flush_coalesced(&self, ctx: &ProcessCtx, block: bool) -> OpResult<bool> {
         self.pay_flush_debt(ctx)?;
         if self.inner.lock().coalesce_buf.is_empty() {
             return Ok(Ok(true));
         }
-        self.reap_fcacks(ctx)?;
-        let got_credit = {
-            let mut i = self.inner.lock();
-            if i.credits > 0 {
-                i.credits -= 1;
-                true
-            } else {
-                false
-            }
-        };
-        if !got_credit {
+        let credit = self.take_credit(ctx, block)?;
+        if credit.is_err() && !block {
             return Ok(Ok(false));
         }
+        ok_or_return!(credit);
         ok_or_return!(self.flush_staged(ctx)?);
         Ok(Ok(true))
     }
@@ -503,9 +524,13 @@ impl SockShared {
         Ok(Ok(None))
     }
 
-    /// Blocking stream read: up to `max` bytes, at least one (or an empty
-    /// buffer at EOF). Pays the §6.2 temp-buffer-to-user copy.
-    pub(crate) fn stream_read(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
+    /// Stream read: up to `max` bytes, at least one (or an empty buffer
+    /// at EOF). Pays the §6.2 temp-buffer-to-user copy. Without `block`
+    /// it serves whatever is buffered or already landed and returns
+    /// [`NetError::WouldBlock`] where a blocking read would park. A ring
+    /// `Read` comes through here too: its registered buffer is a posted
+    /// reader like any other, and the copy policy treats it so.
+    pub(crate) fn stream_read(&self, ctx: &ProcessCtx, max: usize, block: bool) -> OpResult<Bytes> {
         if max == 0 {
             return Ok(Ok(Bytes::new()));
         }
@@ -513,7 +538,7 @@ impl SockShared {
         // Flush-on-read: staged coalesced writes go out before this side
         // parks waiting for a response (keeps request/response latency
         // flat under coalescing).
-        ok_or_return!(self.try_flush_coalesced(ctx)?);
+        ok_or_return!(self.flush_coalesced(ctx, false)?);
         let direct_max = self.proc_.cfg.copy_policy.direct_to_posted.then_some(max);
         loop {
             // 1. Serve buffered bytes.
@@ -523,26 +548,32 @@ impl SockShared {
             // 2. Pull completed messages into the stream — or, with the
             // reader's buffer posted and the stream empty, straight into
             // the reader's hands.
-            let front_done = {
-                let i = self.inner.lock();
-                i.data_slots.front().is_some_and(|s| s.handle.is_done())
-            };
-            if front_done {
+            if self.data_landed() {
                 if let Some(out) = ok_or_return!(self.pull_stream_msgs(ctx, direct_max)?) {
                     return Ok(Ok(out));
                 }
                 continue;
             }
+            if !block {
+                // Notice a close notification that landed but was never
+                // drained: a nonblocking read never parks in
+                // `wait_data_or_ctrl`, which is where a blocking one
+                // drains it.
+                ok_or_return!(self.poll_ctrl(ctx)?);
+                if self.data_landed() {
+                    continue;
+                }
+            }
             // 3. EOF once the peer closed and every data message it
             // announced has been delivered (a Close can overtake data that
             // is still retransmitting on a lossy fabric).
-            {
-                let i = self.inner.lock();
-                if i.peer_drained() {
-                    return Ok(Ok(Bytes::new()));
-                }
+            if self.inner.lock().peer_drained() {
+                return Ok(Ok(Bytes::new()));
             }
             // 4. Block for data or control.
+            if !block {
+                return Ok(Err(NetError::WouldBlock));
+            }
             let data_completion = {
                 let i = self.inner.lock();
                 i.data_slots
@@ -554,143 +585,10 @@ impl SockShared {
         }
     }
 
-    /// Nonblocking stream read: serve whatever is buffered or already
-    /// landed; [`NetError::WouldBlock`] when a blocking read would park.
-    /// A ring `Read` comes through here too: its registered buffer is a
-    /// posted reader like any other, and the copy policy treats it so.
-    pub(crate) fn stream_try_read(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
-        if max == 0 {
-            return Ok(Ok(Bytes::new()));
-        }
-        self.send_conn_req(ctx)?;
-        // Flush-on-read, as in the blocking path.
-        ok_or_return!(self.try_flush_coalesced(ctx)?);
-        let direct_max = self.proc_.cfg.copy_policy.direct_to_posted.then_some(max);
-        loop {
-            if let Some(out) = ok_or_return!(self.serve_buffered(ctx, max)?) {
-                return Ok(Ok(out));
-            }
-            let front_done = {
-                let i = self.inner.lock();
-                i.data_slots.front().is_some_and(|s| s.handle.is_done())
-            };
-            if front_done {
-                if let Some(out) = ok_or_return!(self.pull_stream_msgs(ctx, direct_max)?) {
-                    return Ok(Ok(out));
-                }
-                continue;
-            }
-            // Notice a close notification that landed but was never
-            // drained (nonblocking readers never park in
-            // `wait_data_or_ctrl`, which is where blocking reads drain it).
-            ok_or_return!(self.poll_ctrl(ctx)?);
-            let (front_done, drained) = {
-                let i = self.inner.lock();
-                (
-                    i.data_slots.front().is_some_and(|s| s.handle.is_done()),
-                    i.peer_drained(),
-                )
-            };
-            if front_done {
-                continue;
-            }
-            if drained {
-                return Ok(Ok(Bytes::new()));
-            }
-            return Ok(Err(NetError::WouldBlock));
-        }
-    }
-
-    /// Nonblocking stream write: send as many credit-sized fragments as
-    /// available credits allow and report the bytes accepted —
-    /// [`NetError::WouldBlock`] when the credits are exhausted before any
-    /// byte is taken. Always uses the buffered-send path (copy into a
-    /// registered staging buffer, fire and forget): the zero-copy path
-    /// must pin the caller's buffer until the NIC acknowledges, which is
-    /// exactly the blocking a nonblocking write must not do.
-    pub(crate) fn stream_try_write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
-        self.trace(ctx, EventKind::SockWriteStart, data.len() as u64, 0);
-        self.pay_flush_debt(ctx)?;
-        self.send_conn_req(ctx)?;
-        if ok_or_return!(self.stages(data.len())) {
-            return self.try_coalesce_append(ctx, data);
-        }
-        // A larger write must not overtake bytes already staged.
-        if !ok_or_return!(self.try_flush_coalesced(ctx)?) {
-            return Ok(Err(NetError::WouldBlock));
-        }
-        let whole = Bytes::copy_from_slice(data);
-        let mut off = 0;
-        loop {
-            ok_or_return!(self.check_writable());
-            // Collect any credit returns that already landed; never park.
-            self.reap_fcacks(ctx)?;
-            let got_credit = {
-                let mut i = self.inner.lock();
-                if i.credits > 0 {
-                    i.credits -= 1;
-                    true
-                } else {
-                    false
-                }
-            };
-            if !got_credit {
-                if self.inner.lock().peer_closed {
-                    return Ok(Err(NetError::PeerClosed));
-                }
-                if off == 0 && !data.is_empty() {
-                    return Ok(Err(NetError::WouldBlock));
-                }
-                return Ok(Ok(off));
-            }
-            let chunk = (data.len() - off).min(self.buf_size);
-            let (ret, seq) = self.begin_msg(ctx, chunk);
-            let payload = whole.slice(off..off + chunk);
-            ctx.delay(self.proc_.cfg.stream_overhead)?;
-            self.comm_thread_penalty(ctx)?;
-            self.charge_copy(ctx, chunk)?;
-            let h = self.send_data_msg(ctx, ret, seq, payload)?;
-            self.inner.lock().inflight_sends.push(h);
-            off += chunk;
-            if off >= data.len() {
-                return Ok(Ok(data.len()));
-            }
-        }
-    }
-
-    /// Nonblocking [`SockShared::coalesce_append`]: never parks. Staging
-    /// requires a credit in hand (reaped, not awaited) so staged bytes
-    /// are always flushable without blocking — otherwise a coalesced
-    /// `try_write` could silently accept bytes nothing can send.
-    fn try_coalesce_append(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
-        let cap = self.stage_capacity();
-        let overflow = {
-            let i = self.inner.lock();
-            i.coalesce_buf.len() + data.len() > cap
-        };
-        if overflow && !ok_or_return!(self.try_flush_coalesced(ctx)?) {
-            return Ok(Err(NetError::WouldBlock));
-        }
-        self.reap_fcacks(ctx)?;
-        {
-            let i = self.inner.lock();
-            if i.credits == 0 {
-                return Ok(Err(if i.peer_closed {
-                    NetError::PeerClosed
-                } else {
-                    NetError::WouldBlock
-                }));
-            }
-        }
-        self.stage_bytes(ctx, data)?;
-        let (full, pressure) = {
-            let i = self.inner.lock();
-            (i.coalesce_buf.len() >= cap, i.credits <= 1)
-        };
-        if full || pressure {
-            ok_or_return!(self.try_flush_coalesced(ctx)?);
-        }
-        Ok(Ok(data.len()))
+    /// Has a message landed in the head data descriptor?
+    fn data_landed(&self) -> bool {
+        let i = self.inner.lock();
+        i.data_slots.front().is_some_and(|s| s.handle.is_done())
     }
 
     /// Would a stream `write` make progress without blocking right now?
@@ -900,51 +798,38 @@ impl SockShared {
         Ok(())
     }
 
-    /// Spend one credit, blocking on flow-control acks while none are
-    /// available.
-    fn acquire_credit(&self, ctx: &ProcessCtx) -> OpResult<()> {
+    /// Spend one credit, collecting the credit returns that already
+    /// landed first. With none in hand: [`NetError::PeerClosed`] once the
+    /// peer closed; else a blocking call parks for the next flow-control
+    /// ack (a credit stall, timed into `sock.credit_wait_ns`) and a
+    /// nonblocking one gets [`NetError::WouldBlock`].
+    fn take_credit(&self, ctx: &ProcessCtx, block: bool) -> OpResult<()> {
         // Sim instant the first stall began, for the credit-wait histogram
         // (only stalled acquisitions record; the fast path stays free).
         let mut stall_start: Option<u64> = None;
-        // Write-stall detector (the slowloris defence): armed on the
-        // first stall, fires as a typed Timeout if no credit arrives
-        // within the configured patience.
-        let mut stall_timer: Option<simnet::Completion> = None;
         loop {
             self.reap_fcacks(ctx)?;
-            let acquired = {
+            {
                 let mut i = self.inner.lock();
                 if i.credits > 0 {
                     i.credits -= 1;
-                    true
-                } else if i.peer_closed {
+                    drop(i);
+                    if let Some(t0) = stall_start {
+                        ctx.telemetry()
+                            .histogram("sock.credit_wait_ns")
+                            .record(ctx.now().nanos().saturating_sub(t0));
+                    }
+                    return Ok(Ok(()));
+                }
+                if i.peer_closed {
                     return Ok(Err(NetError::PeerClosed));
-                } else {
-                    i.stats.credit_stalls += 1;
-                    false
                 }
-            };
-            if acquired {
-                if let Some(t0) = stall_start {
-                    ctx.telemetry()
-                        .histogram("sock.credit_wait_ns")
-                        .record(ctx.now().nanos().saturating_sub(t0));
+                if !block {
+                    return Ok(Err(NetError::WouldBlock));
                 }
-                return Ok(Ok(()));
+                i.stats.credit_stalls += 1;
             }
             stall_start.get_or_insert(ctx.now().nanos());
-            if let Some(patience) = self.proc_.cfg.write_stall_after {
-                if stall_timer.as_ref().is_some_and(|t| t.is_done()) {
-                    ctx.telemetry().counter("sock.write_stall_timeouts").add(1);
-                    return Ok(Err(NetError::Timeout));
-                }
-                if stall_timer.is_none() {
-                    let t = simnet::Completion::new();
-                    let t2 = t.clone();
-                    ctx.timer_after(patience, move |s| t2.complete(s));
-                    stall_timer = Some(t);
-                }
-            }
             self.trace(ctx, EventKind::CreditStall, 0, 0);
             // Out of credits: block for the next flow-control ack.
             if self.proc_.cfg.acks_in_unexpected_queue {
@@ -961,14 +846,13 @@ impl SockShared {
                     crate::proto::HEADER,
                     fcack_range,
                 )?;
-                ok_or_return!(self.wait_data_ctrl_or(ctx, h.completion(), stall_timer.as_ref())?);
+                ok_or_return!(self.wait_data_or_ctrl(ctx, h.completion())?);
                 if h.is_done() {
                     if let Some(msg) = self.proc_.ep.wait_recv(ctx, &h)? {
                         ok_or_return!(self.apply_fcack(ctx, &msg.data));
                     }
                 } else {
-                    // Control (close) or the stall timer woke us; unpost
-                    // the straggler.
+                    // Control (close) woke us; unpost the straggler.
                     self.proc_.ep.unpost_recv(ctx, &h)?;
                 }
             } else {
@@ -979,7 +863,7 @@ impl SockShared {
                         .map(|h| h.completion().clone())
                         .expect("stream socket pre-posts fc-ack descriptors")
                 };
-                ok_or_return!(self.wait_data_ctrl_or(ctx, &front, stall_timer.as_ref())?);
+                ok_or_return!(self.wait_data_or_ctrl(ctx, &front)?);
                 self.reap_fcacks(ctx)?;
             }
         }

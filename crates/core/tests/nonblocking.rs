@@ -2,8 +2,11 @@
 //! [`NetError::WouldBlock`], and [`PollSet`] waits over connections and
 //! listeners that report exactly when a retry will make progress.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use emp_proto::{build_cluster, EmpCluster, EmpConfig};
-use simnet::{Completion, Sim, SimAccess, SimDuration, SwitchConfig};
+use simnet::{Completion, FaultPlan, LinkConfig, Sim, SimAccess, SimDuration, SwitchConfig};
 use sockets_emp::{EmpSockets, Interest, NetError, PollSet, SockAddr, SubstrateConfig};
 
 fn cluster(n: usize) -> EmpCluster {
@@ -52,6 +55,92 @@ fn try_read_would_block_until_poll_reports_readable() {
     });
     sim.run();
     assert!(done.is_done());
+}
+
+/// Deterministic payload byte for (datagram index, offset).
+fn pat(idx: usize, i: usize) -> u8 {
+    ((i * 31 + idx * 7 + 3) % 251) as u8
+}
+
+#[test]
+fn dgram_try_read_would_block_then_delivers_in_send_order_then_eof() {
+    let sim = Sim::new();
+    // Reordering only: later datagrams overtake earlier ones, so the
+    // reader meets the reorder buffer, not just in-order arrivals.
+    let sw = SwitchConfig {
+        link: LinkConfig {
+            faults: FaultPlan::seeded(0xD6).with_reorder(0.3, SimDuration::from_micros(80)),
+            ..LinkConfig::default()
+        },
+        ..SwitchConfig::default()
+    };
+    let cl = build_cluster(2, EmpConfig::default(), sw);
+    let server = substrate(&cl, 1, SubstrateConfig::dg());
+    let client = substrate(&cl, 0, SubstrateConfig::dg());
+    let addr = SockAddr::new(cl.nodes[1].addr(), 80);
+    // Eager sizes, and one past `dgram_eager_max` that rendezvouses.
+    let sizes: Vec<usize> = (0..40).map(|i| 1 + i * 37 % 1400).chain([6000]).collect();
+    let sizes2 = sizes.clone();
+    let wakes = Arc::new(AtomicUsize::new(0));
+    let wakes2 = Arc::clone(&wakes);
+    let done = Completion::new();
+    let done2 = done.clone();
+
+    sim.spawn("receiver", move |ctx| {
+        let l = server.listen(ctx, 80, 8)?.expect("port free");
+        let conn = l.accept(ctx)?.expect("client");
+        // The sender waits a millisecond: nothing to read yet.
+        assert_eq!(conn.try_read(ctx, 8192)?.unwrap_err(), NetError::WouldBlock);
+        let mut set = PollSet::new();
+        set.register_conn(&conn, 3, Interest::READABLE);
+        // Every datagram, then the EOF, each read nonblocking and retried
+        // after a poll reports the connection readable.
+        let mut got = Vec::new();
+        loop {
+            match conn.try_read(ctx, 8192)? {
+                Ok(m) if m.is_empty() => break,
+                Ok(m) => got.push(m),
+                Err(NetError::WouldBlock) => {
+                    let events = set.poll(ctx, None)?.expect("poll");
+                    assert_eq!(events.len(), 1);
+                    assert!(events[0].is_readable());
+                    wakes2.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(e) => panic!("try_read failed after {} datagrams: {e:?}", got.len()),
+            }
+        }
+        assert_eq!(got.len(), sizes.len(), "datagram count");
+        for (i, (m, len)) in got.iter().zip(&sizes).enumerate() {
+            assert_eq!(m.len(), *len, "datagram {i}: boundary lost");
+            assert!(
+                m.iter().enumerate().all(|(j, b)| *b == pat(i, j)),
+                "datagram {i}: bytes wrong or out of order"
+            );
+        }
+        conn.close(ctx)?;
+        done2.complete(ctx);
+        Ok(())
+    });
+    sim.spawn("sender", move |ctx| {
+        let conn = client.connect(ctx, addr)?.expect("connect");
+        ctx.delay(SimDuration::from_millis(1))?;
+        for (i, len) in sizes2.iter().enumerate() {
+            let data: Vec<u8> = (0..*len).map(|j| pat(i, j)).collect();
+            conn.write(ctx, &data)?.expect("send");
+        }
+        conn.close(ctx)?;
+        Ok(())
+    });
+    sim.run();
+    assert!(done.is_done(), "receiver did not reach EOF");
+    assert!(wakes.load(Ordering::Relaxed) > 0, "no read waited on poll");
+    let delayed: u64 = cl
+        .switch
+        .port_stats()
+        .iter()
+        .map(|s| s.frames_delayed)
+        .sum();
+    assert!(delayed > 0, "the fabric reordered nothing");
 }
 
 #[test]

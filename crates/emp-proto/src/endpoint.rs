@@ -283,11 +283,6 @@ impl EmpEndpoint {
             .all(|h| h.state.ok.lock().expect("completed send has a status")))
     }
 
-    /// True once the send completed (either way); never blocks.
-    pub fn send_done(&self, h: &SendHandle) -> bool {
-        h.state.completion.is_done()
-    }
-
     /// Post a receive descriptor matching `tag` (and `src` if given) into a
     /// buffer of `capacity` bytes at `buf`.
     ///

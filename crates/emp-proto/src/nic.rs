@@ -710,22 +710,6 @@ impl EmpNic {
             .collect()
     }
 
-    /// Diagnostic snapshot of the unexpected pool: `(tag, src, len)`.
-    pub fn debug_pool(&self) -> Vec<(Tag, MacAddr, usize)> {
-        self.state
-            .lock()
-            .pool
-            .iter()
-            .map(|m| (m.tag, m.src, m.data.len()))
-            .collect()
-    }
-
-    /// Diagnostic: `(unexpected_in_use, unexpected_capacity)`.
-    pub fn debug_unexpected(&self) -> (usize, usize) {
-        let st = self.state.lock();
-        (st.unexpected_in_use, st.unexpected_capacity)
-    }
-
     /// Diagnostic: live transmit records plus the global in-flight count.
     pub fn debug_tx(&self) -> (Vec<TxRecordView>, u32) {
         let st = self.state.lock();

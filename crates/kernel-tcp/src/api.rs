@@ -202,11 +202,6 @@ pub struct TcpConn {
 }
 
 impl TcpConn {
-    /// Local address.
-    pub fn local_addr(&self) -> SockAddr {
-        self.sock.local
-    }
-
     /// Peer address.
     pub fn peer_addr(&self) -> SockAddr {
         self.sock.remote
@@ -214,7 +209,7 @@ impl TcpConn {
 
     /// Blocking read of up to `max` bytes; an empty buffer is EOF.
     pub fn read(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
-        self.stack.read(ctx, &self.sock, max)
+        self.stack.read(ctx, &self.sock, max, true)
     }
 
     /// Read exactly `n` bytes (looping over `read`); `None` on premature
@@ -236,13 +231,13 @@ impl TcpConn {
 
     /// Blocking write of the whole buffer.
     pub fn write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
-        self.stack.write(ctx, &self.sock, data)
+        self.stack.write(ctx, &self.sock, data, true)
     }
 
     /// Nonblocking read: serve what the receive buffer holds;
     /// [`NetError::WouldBlock`] when a blocking read would park.
     pub fn try_read(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Bytes> {
-        self.stack.try_read(ctx, &self.sock, max)
+        self.stack.read(ctx, &self.sock, max, false)
     }
 
     /// [`Self::read`] bounded by `deadline`: serves data the moment any
@@ -301,7 +296,7 @@ impl TcpConn {
     /// count accepted; [`NetError::WouldBlock`] when it is full before
     /// any byte is taken.
     pub fn try_write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
-        self.stack.try_write(ctx, &self.sock, data)
+        self.stack.write(ctx, &self.sock, data, false)
     }
 
     /// Orderly close (FIN behind buffered data).
@@ -370,7 +365,7 @@ impl TcpListener {
     /// once the listener is closed ([`Self::unlisten`]) and its queue is
     /// empty.
     pub fn accept(&self, ctx: &ProcessCtx) -> OpResult<TcpConn> {
-        Ok(self.stack.accept(ctx, &self.l)?.map(|sock| TcpConn {
+        Ok(self.stack.accept(ctx, &self.l, true)?.map(|sock| TcpConn {
             stack: Arc::clone(&self.stack),
             sock,
         }))
@@ -397,7 +392,7 @@ impl TcpListener {
     /// queued; [`NetError::WouldBlock`] otherwise. Poll with
     /// [`Interest::ACCEPTABLE`] to learn when to retry.
     pub fn try_accept(&self, ctx: &ProcessCtx) -> OpResult<TcpConn> {
-        Ok(self.stack.try_accept(ctx, &self.l)?.map(|sock| TcpConn {
+        Ok(self.stack.accept(ctx, &self.l, false)?.map(|sock| TcpConn {
             stack: Arc::clone(&self.stack),
             sock,
         }))

@@ -690,28 +690,39 @@ impl TcpStack {
                 .is_some_and(|cur| Arc::ptr_eq(cur, l))
     }
 
-    /// Blocking accept of the next established connection;
-    /// [`NetError::Closed`] once the listener is closed and drained.
+    /// Accept the next established connection; [`NetError::Closed`] once
+    /// the listener is closed and drained. With an empty queue a blocking
+    /// call parks for the next connection and a nonblocking one returns
+    /// [`NetError::WouldBlock`].
     pub(crate) fn accept(
         &self,
         ctx: &ProcessCtx,
         l: &Arc<ListenerState>,
+        block: bool,
     ) -> OpResult<Arc<TcpSocket>> {
         ctx.delay(self.host.cost().syscall)?;
-        if self.listener_closed(l) {
-            return Ok(Err(NetError::Closed));
-        }
-        let sock = l.queue.pop(ctx)?;
+        // Popping first and looking for a closed listener only on an empty
+        // queue decides as looking first would: a closed listener is one
+        // whose queue is empty.
+        let sock = match l.queue.try_pop() {
+            Some(sock) => sock,
+            None if self.listener_closed(l) => return Ok(Err(NetError::Closed)),
+            None if !block => return Ok(Err(NetError::WouldBlock)),
+            None => l.queue.pop(ctx)?,
+        };
         ctx.delay(self.host.cost().process_wakeup + self.host.cost().context_switch)?;
         Ok(Ok(sock))
     }
 
-    /// Blocking read of up to `max` bytes. Empty result = orderly EOF.
+    /// Read up to `max` bytes. Empty result = orderly EOF. With nothing
+    /// buffered a blocking call parks (and pays the wakeup once data
+    /// comes) and a nonblocking one returns [`NetError::WouldBlock`].
     pub(crate) fn read(
         &self,
         ctx: &ProcessCtx,
         sock: &Arc<TcpSocket>,
         max: usize,
+        block: bool,
     ) -> OpResult<Bytes> {
         ctx.delay(self.host.cost().syscall)?;
         let mut waited = false;
@@ -748,6 +759,9 @@ impl TcpStack {
                 }
                 return Ok(Ok(data));
             }
+            if !block {
+                return Ok(Err(NetError::WouldBlock));
+            }
             waited = true;
             sock.inner.lock().reader_waiting = true;
             let res = sock.cv.wait(ctx);
@@ -756,18 +770,22 @@ impl TcpStack {
         }
     }
 
-    /// Blocking write of the whole buffer (standard blocking-socket
-    /// semantics: returns once everything is copied into the send buffer).
+    /// Write `data` into the send buffer. A blocking call parks while the
+    /// buffer is full and returns once every byte is copied (standard
+    /// blocking-socket semantics); a nonblocking one copies what fits
+    /// right now and reports the count, [`NetError::WouldBlock`] when the
+    /// buffer is full before any byte is taken.
     pub(crate) fn write(
         &self,
         ctx: &ProcessCtx,
         sock: &Arc<TcpSocket>,
         data: &[u8],
+        block: bool,
     ) -> OpResult<usize> {
         ctx.delay(self.host.cost().syscall)?;
         let mut off = 0;
-        while off < data.len() {
-            let copied = {
+        while off < data.len() || !block {
+            let n = {
                 let mut i = sock.inner.lock();
                 if i.reset {
                     return Ok(Err(NetError::PeerClosed));
@@ -775,114 +793,25 @@ impl TcpStack {
                 if i.fin_queued || matches!(i.state, TcpState::Closed | TcpState::FinWait) {
                     return Ok(Err(NetError::Closed));
                 }
-                let space = i.snd_cap - i.snd_buf.len();
-                if space > 0 {
-                    let n = space.min(data.len() - off);
-                    i.snd_buf.extend(&data[off..off + n]);
-                    off += n;
-                    Some(n)
-                } else {
-                    None
-                }
+                let n = (i.snd_cap - i.snd_buf.len()).min(data.len() - off);
+                i.snd_buf.extend(&data[off..off + n]);
+                n
             };
-            match copied {
-                Some(n) => {
-                    ctx.delay(self.host.cost().memcpy(n))?;
-                    self.try_output(ctx, sock);
+            if n == 0 && !data.is_empty() {
+                if !block {
+                    return Ok(Err(NetError::WouldBlock));
                 }
-                None => sock.cv.wait(ctx)?,
+                sock.cv.wait(ctx)?;
+                continue;
             }
+            ctx.delay(self.host.cost().memcpy(n))?;
+            self.try_output(ctx, sock);
+            if !block {
+                return Ok(Ok(n));
+            }
+            off += n;
         }
         Ok(Ok(data.len()))
-    }
-
-    /// Nonblocking read: serve what the receive buffer holds right now;
-    /// [`NetError::WouldBlock`] when a blocking read would park. Same
-    /// syscall/copy/window-update accounting as [`TcpStack::read`], minus
-    /// the wakeup path.
-    pub(crate) fn try_read(
-        &self,
-        ctx: &ProcessCtx,
-        sock: &Arc<TcpSocket>,
-        max: usize,
-    ) -> OpResult<Bytes> {
-        ctx.delay(self.host.cost().syscall)?;
-        let taken = {
-            let mut i = sock.inner.lock();
-            if i.reset {
-                return Ok(Err(NetError::PeerClosed));
-            }
-            if !i.rcv_buf.is_empty() {
-                let n = max.min(i.rcv_buf.len());
-                let data = copy_range(&i.rcv_buf, 0, n);
-                i.rcv_buf.drain(..n);
-                let adv = i.advertised_window(&self.cfg);
-                let update = adv >= i.last_advertised + 2 * self.cfg.mss;
-                (Bytes::from(data), update)
-            } else if i.fin_received {
-                return Ok(Ok(Bytes::new()));
-            } else if i.state == TcpState::Closed {
-                return Ok(Err(NetError::Closed));
-            } else {
-                return Ok(Err(NetError::WouldBlock));
-            }
-        };
-        let (data, update) = taken;
-        ctx.delay(self.host.cost().memcpy(data.len()))?;
-        if update {
-            self.send_ack(ctx, sock);
-        }
-        Ok(Ok(data))
-    }
-
-    /// Nonblocking write: copy what fits the send buffer right now and
-    /// report the count accepted; [`NetError::WouldBlock`] when the
-    /// buffer is full before any byte is taken.
-    pub(crate) fn try_write(
-        &self,
-        ctx: &ProcessCtx,
-        sock: &Arc<TcpSocket>,
-        data: &[u8],
-    ) -> OpResult<usize> {
-        ctx.delay(self.host.cost().syscall)?;
-        let copied = {
-            let mut i = sock.inner.lock();
-            if i.reset {
-                return Ok(Err(NetError::PeerClosed));
-            }
-            if i.fin_queued || matches!(i.state, TcpState::Closed | TcpState::FinWait) {
-                return Ok(Err(NetError::Closed));
-            }
-            let space = i.snd_cap - i.snd_buf.len();
-            if space == 0 && !data.is_empty() {
-                return Ok(Err(NetError::WouldBlock));
-            }
-            let n = space.min(data.len());
-            i.snd_buf.extend(&data[..n]);
-            n
-        };
-        ctx.delay(self.host.cost().memcpy(copied))?;
-        self.try_output(ctx, sock);
-        Ok(Ok(copied))
-    }
-
-    /// Nonblocking accept: pop an established connection if one is
-    /// queued; [`NetError::WouldBlock`] otherwise ([`NetError::Closed`]
-    /// once the listener is closed and drained).
-    pub(crate) fn try_accept(
-        &self,
-        ctx: &ProcessCtx,
-        l: &Arc<ListenerState>,
-    ) -> OpResult<Arc<TcpSocket>> {
-        ctx.delay(self.host.cost().syscall)?;
-        match l.queue.try_pop() {
-            Some(sock) => {
-                ctx.delay(self.host.cost().process_wakeup + self.host.cost().context_switch)?;
-                Ok(Ok(sock))
-            }
-            None if self.listener_closed(l) => Ok(Err(NetError::Closed)),
-            None => Ok(Err(NetError::WouldBlock)),
-        }
     }
 
     /// Orderly close: queue a FIN behind any buffered data.

@@ -9,8 +9,7 @@
 //!   blocked), so protocol and application code is written in natural
 //!   blocking style;
 //! * **synchronization primitives** ([`Completion`], [`SimCondvar`],
-//!   [`SimQueue`], [`SimSemaphore`]) that preserve the engine's park/wake
-//!   discipline;
+//!   [`SimQueue`]) that preserve the engine's park/wake discipline;
 //! * a **Gigabit Ethernet physical layer**: exact frame wire-size
 //!   accounting ([`Frame`]), full-duplex links ([`LinkTx`]) and a
 //!   store-and-forward switch ([`Switch`]).
@@ -56,5 +55,5 @@ pub use ring::{
 };
 pub use stats::{Histogram, LinkStats, RunningStats, Throughput};
 pub use switch::{Switch, SwitchConfig, BROADCAST};
-pub use sync::{wait_any, Completion, SimCondvar, SimQueue, SimSemaphore};
+pub use sync::{wait_any, Completion, SimCondvar, SimQueue};
 pub use time::{SimDuration, SimTime};

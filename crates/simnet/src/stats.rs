@@ -31,11 +31,6 @@ impl RunningStats {
         self.sum += sample;
     }
 
-    /// Add a duration sample in microseconds.
-    pub fn record_duration_us(&mut self, d: SimDuration) {
-        self.record(d.as_micros_f64());
-    }
-
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -124,11 +119,6 @@ impl LinkStats {
     /// Frames the fault model prevented from being delivered.
     pub fn frames_lost(&self) -> u64 {
         self.frames_dropped + self.frames_corrupted
-    }
-
-    /// Frames that actually reached the peer sink.
-    pub fn frames_delivered(&self) -> u64 {
-        self.frames_sent - self.frames_lost()
     }
 }
 

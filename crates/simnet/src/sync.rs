@@ -7,7 +7,6 @@
 //! * [`SimCondvar`] — multi-shot condition variable; pair it with shared
 //!   state and a re-check loop, exactly like a real condvar.
 //! * [`SimQueue`] — FIFO queue with blocking pop (accept queues, mailboxes).
-//! * [`SimSemaphore`] — counting semaphore (credit pools).
 //!
 //! All of them may be signalled from event context (`&Sim`) or from another
 //! process (`&ProcessCtx`) via the common [`SimAccess`] bound.
@@ -65,13 +64,6 @@ impl Completion {
     /// A fresh, incomplete completion.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A completion born already complete (waiters return immediately).
-    pub fn new_done() -> Self {
-        let c = Completion::new();
-        c.inner.lock().done = true;
-        c
     }
 
     /// True once [`Completion::complete`] has been called.
@@ -346,76 +338,6 @@ impl<T: Send> SimQueue<T> {
     }
 }
 
-/// A counting semaphore; the substrate uses one per connection as the
-/// sender-side credit pool.
-#[derive(Clone)]
-pub struct SimSemaphore {
-    inner: Arc<Mutex<SemState>>,
-}
-
-struct SemState {
-    permits: u64,
-    waiters: VecDeque<ProcId>,
-}
-
-impl SimSemaphore {
-    /// A semaphore holding `permits` initial permits.
-    pub fn new(permits: u64) -> Self {
-        SimSemaphore {
-            inner: Arc::new(Mutex::new(SemState {
-                permits,
-                waiters: VecDeque::new(),
-            })),
-        }
-    }
-
-    /// Current number of available permits.
-    pub fn available(&self) -> u64 {
-        self.inner.lock().permits
-    }
-
-    /// Take `n` permits, blocking until they are available.
-    pub fn acquire(&self, ctx: &ProcessCtx, n: u64) -> SimResult<()> {
-        loop {
-            {
-                let mut st = self.inner.lock();
-                if st.permits >= n {
-                    st.permits -= n;
-                    return Ok(());
-                }
-                st.waiters.push_back(ctx.pid());
-            }
-            ctx.park()?;
-        }
-    }
-
-    /// Try to take `n` permits without blocking.
-    pub fn try_acquire(&self, n: u64) -> bool {
-        let mut st = self.inner.lock();
-        if st.permits >= n {
-            st.permits -= n;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Return `n` permits and wake all waiters to re-contend (wakes may be
-    /// spurious; `acquire` re-checks).
-    pub fn release(&self, s: &dyn SimAccess, n: u64) {
-        let waiters = {
-            let mut st = self.inner.lock();
-            st.permits += n;
-            std::mem::take(&mut st.waiters)
-        };
-        let shared = s.shared();
-        let now = shared.now();
-        for pid in waiters {
-            shared.schedule_wake(pid, now);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,42 +436,6 @@ mod tests {
             Ok(())
         });
         sim.run();
-    }
-
-    #[test]
-    fn semaphore_blocks_until_released() {
-        let sim = Sim::new();
-        let sem = SimSemaphore::new(2);
-        let acquired_at = Arc::new(Mutex::new(Vec::new()));
-        let (s2, a2) = (sem.clone(), Arc::clone(&acquired_at));
-        sim.spawn("taker", move |ctx| {
-            for _ in 0..4 {
-                s2.acquire(ctx, 1)?;
-                a2.lock().push(ctx.now().nanos());
-            }
-            Ok(())
-        });
-        let s3 = sem.clone();
-        sim.spawn("giver", move |ctx| {
-            ctx.delay(SimDuration::from_nanos(500))?;
-            s3.release(ctx, 1);
-            ctx.delay(SimDuration::from_nanos(500))?;
-            s3.release(ctx, 1);
-            Ok(())
-        });
-        sim.run();
-        // Two immediate (permits=2), then one per release.
-        assert_eq!(*acquired_at.lock(), vec![0, 0, 500, 1000]);
-        assert_eq!(sem.available(), 0);
-    }
-
-    #[test]
-    fn semaphore_try_acquire() {
-        let sem = SimSemaphore::new(3);
-        assert!(sem.try_acquire(2));
-        assert!(!sem.try_acquire(2));
-        assert!(sem.try_acquire(1));
-        assert_eq!(sem.available(), 0);
     }
 
     #[test]

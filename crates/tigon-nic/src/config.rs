@@ -58,11 +58,6 @@ impl NicFaultPlan {
         self.dma_delay = delay;
         self
     }
-
-    /// True when no fault class is enabled.
-    pub fn is_healthy(&self) -> bool {
-        self.rx_ring_drop_prob <= 0.0 && self.dma_delay_prob <= 0.0
-    }
 }
 
 impl Default for NicFaultPlan {

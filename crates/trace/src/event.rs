@@ -2,7 +2,6 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::metrics::Metrics;
 use crate::ENABLED;
 
 /// Sentinel connection id for events not tied to a connection.
@@ -109,11 +108,8 @@ pub enum EventKind {
     DescPostBatch,
 }
 
-/// Number of distinct [`EventKind`]s (for per-kind counter arrays).
-pub(crate) const KIND_COUNT: usize = EventKind::DescPostBatch as usize + 1;
-
 impl EventKind {
-    /// Stable `layer/event` name used in metrics and trace exports.
+    /// Stable `layer/event` name used in trace exports.
     pub fn name(self) -> &'static str {
         match self {
             EventKind::DescPost => "nic/desc_post",
@@ -169,45 +165,6 @@ impl EventKind {
     }
 }
 
-pub(crate) const ALL_KINDS: [EventKind; KIND_COUNT] = [
-    EventKind::DescPost,
-    EventKind::DescConsume,
-    EventKind::DescUnpost,
-    EventKind::CreditGrant,
-    EventKind::CreditStall,
-    EventKind::CreditReturn,
-    EventKind::AckSent,
-    EventKind::AckDelayed,
-    EventKind::AckPiggybacked,
-    EventKind::RndvRequest,
-    EventKind::RndvAck,
-    EventKind::RndvData,
-    EventKind::UqHit,
-    EventKind::UqOverflow,
-    EventKind::WireTx,
-    EventKind::WireRx,
-    EventKind::SwitchForward,
-    EventKind::FrameDrop,
-    EventKind::Retransmit,
-    EventKind::FwTask,
-    EventKind::DmaCopy,
-    EventKind::SubstrateCopy,
-    EventKind::SockWriteStart,
-    EventKind::TxDoorbell,
-    EventKind::NicTxWire,
-    EventKind::NicRxStart,
-    EventKind::RecvDeliver,
-    EventKind::SockReadEnd,
-    EventKind::FrameCorrupt,
-    EventKind::FrameReorder,
-    EventKind::LinkDown,
-    EventKind::NicFault,
-    EventKind::DirectDeliver,
-    EventKind::CoalesceAppend,
-    EventKind::CoalesceFlush,
-    EventKind::DescPostBatch,
-];
-
 /// One recorded event. Fixed-size and `Copy`: recording is a ring-buffer
 /// store, never an allocation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -238,15 +195,14 @@ struct Ring {
 
 struct TracerInner {
     ring: Mutex<Ring>,
-    metrics: Metrics,
     capacity: usize,
 }
 
-/// A shared handle to one simulation's event ring and metrics registry.
+/// A shared handle to one simulation's event ring.
 ///
 /// Cloning is an `Arc` bump; all clones observe the same ring. Recording
 /// is a no-op (and emission sites should be gated on [`ENABLED`]) unless
-/// the `trace` feature is on; the metrics registry works either way.
+/// the `trace` feature is on.
 #[derive(Clone)]
 pub struct Tracer {
     inner: Arc<TracerInner>,
@@ -268,7 +224,6 @@ impl Tracer {
                     wrapped: false,
                     total: 0,
                 }),
-                metrics: Metrics::new(),
                 capacity,
             }),
         }
@@ -287,7 +242,6 @@ impl Tracer {
         if !ENABLED {
             return;
         }
-        self.inner.metrics.count_kind(kind, a, b);
         let ev = TraceEvent {
             t_ns,
             node,
@@ -334,19 +288,13 @@ impl Tracer {
         ring.total - ring.buf.len() as u64
     }
 
-    /// Discard all retained events (e.g. after a warmup phase), keeping
-    /// metrics intact.
+    /// Discard all retained events (e.g. after a warmup phase).
     pub fn clear(&self) {
         let mut ring = self.lock();
         ring.buf.clear();
         ring.next = 0;
         ring.wrapped = false;
         ring.total = 0;
-    }
-
-    /// The metrics registry attached to this tracer.
-    pub fn metrics(&self) -> &Metrics {
-        &self.inner.metrics
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Ring> {
@@ -366,6 +314,48 @@ impl Default for Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of distinct [`EventKind`]s.
+    const KIND_COUNT: usize = EventKind::DescPostBatch as usize + 1;
+
+    const ALL_KINDS: [EventKind; KIND_COUNT] = [
+        EventKind::DescPost,
+        EventKind::DescConsume,
+        EventKind::DescUnpost,
+        EventKind::CreditGrant,
+        EventKind::CreditStall,
+        EventKind::CreditReturn,
+        EventKind::AckSent,
+        EventKind::AckDelayed,
+        EventKind::AckPiggybacked,
+        EventKind::RndvRequest,
+        EventKind::RndvAck,
+        EventKind::RndvData,
+        EventKind::UqHit,
+        EventKind::UqOverflow,
+        EventKind::WireTx,
+        EventKind::WireRx,
+        EventKind::SwitchForward,
+        EventKind::FrameDrop,
+        EventKind::Retransmit,
+        EventKind::FwTask,
+        EventKind::DmaCopy,
+        EventKind::SubstrateCopy,
+        EventKind::SockWriteStart,
+        EventKind::TxDoorbell,
+        EventKind::NicTxWire,
+        EventKind::NicRxStart,
+        EventKind::RecvDeliver,
+        EventKind::SockReadEnd,
+        EventKind::FrameCorrupt,
+        EventKind::FrameReorder,
+        EventKind::LinkDown,
+        EventKind::NicFault,
+        EventKind::DirectDeliver,
+        EventKind::CoalesceAppend,
+        EventKind::CoalesceFlush,
+        EventKind::DescPostBatch,
+    ];
 
     fn ev(t: u64, kind: EventKind) -> TraceEvent {
         TraceEvent {

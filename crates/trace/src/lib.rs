@@ -12,8 +12,6 @@
 //!   `SimAccess::tracer()`. Recording is compiled to a no-op unless the
 //!   `trace` cargo feature is on — gate emission sites on [`ENABLED`]
 //!   so argument construction folds away too.
-//! - [`Metrics`]: per-layer counters (every recorded event kind counts
-//!   automatically) and fixed-bucket [`Histogram`]s with a snapshot API.
 //! - [`Breakdown`]: decomposes a closed-loop exchange (e.g. a pingpong
 //!   RTT) into host / NIC-firmware / DMA / wire / substrate-copy stages
 //!   by *tiling* the interval between milestone events, so the stages
@@ -39,7 +37,7 @@ pub mod telemetry;
 pub use breakdown::{Breakdown, Stage, STAGES};
 pub use chrome::chrome_trace_json;
 pub use event::{EventKind, TraceEvent, Tracer, NO_CONN, NO_NODE};
-pub use metrics::{Counter, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
+pub use metrics::Counter;
 
 /// True when the `trace` cargo feature is enabled. A `const`, so
 /// `if emp_trace::ENABLED { ... }` blocks at emission sites are removed

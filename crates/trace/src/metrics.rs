@@ -1,17 +1,7 @@
-//! Counters, fixed-bucket histograms, and the snapshot API.
-//!
-//! Every event recorded through a [`crate::Tracer`] bumps a per-kind
-//! counter automatically, and the duration-carrying kinds (`FwTask`,
-//! `DmaCopy`, `SubstrateCopy`) feed fixed-bucket histograms — so a
-//! traced run yields per-layer metrics with no extra plumbing. Layers
-//! can also register their own named counters and histograms.
+//! The lock-free counter behind every [`crate::telemetry::Registry`]
+//! counter series.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-
-use crate::event::{EventKind, ALL_KINDS, KIND_COUNT};
 
 /// A monotonically increasing counter.
 #[derive(Default)]
@@ -40,308 +30,5 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.v.load(Ordering::Relaxed)
-    }
-}
-
-/// A histogram over fixed, ascending bucket bounds, plus an overflow
-/// bucket; also tracks count/sum/min/max exactly.
-pub struct Histogram {
-    bounds: Box<[u64]>,
-    /// One slot per bound plus the overflow bucket.
-    buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Histogram {
-    /// A histogram counting values `v <= bounds[i]` into bucket `i`
-    /// (first matching bound), larger values into the overflow bucket.
-    /// `bounds` must be non-empty and strictly ascending.
-    pub fn new(bounds: &[u64]) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
-        Histogram {
-            bounds: bounds.into(),
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Record one value.
-    pub fn record(&self, v: u64) {
-        let idx = self.bounds.partition_point(|&b| b < v);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy of the histogram state.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
-        HistogramSnapshot {
-            bounds: self.bounds.to_vec(),
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count,
-            sum: self.sum.load(Ordering::Relaxed),
-            min: if count == 0 {
-                0
-            } else {
-                self.min.load(Ordering::Relaxed)
-            },
-            max: self.max.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Immutable copy of a [`Histogram`]'s state.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Ascending bucket upper bounds.
-    pub bounds: Vec<u64>,
-    /// Counts per bound, plus the trailing overflow bucket.
-    pub buckets: Vec<u64>,
-    /// Number of recorded values.
-    pub count: u64,
-    /// Sum of recorded values.
-    pub sum: u64,
-    /// Smallest recorded value (0 when empty).
-    pub min: u64,
-    /// Largest recorded value.
-    pub max: u64,
-}
-
-impl HistogramSnapshot {
-    /// Mean of recorded values.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Approximate quantile (`q` in `[0, 1]`): the upper bound of the
-    /// bucket containing the q-th value, or `max` for the overflow bucket.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return self.bounds.get(i).copied().unwrap_or(self.max);
-            }
-        }
-        self.max
-    }
-}
-
-struct Registered {
-    counters: BTreeMap<String, Arc<Counter>>,
-    histograms: BTreeMap<String, Arc<Histogram>>,
-}
-
-/// The per-simulation metrics registry.
-pub struct Metrics {
-    /// One counter per [`EventKind`], bumped automatically on emit.
-    kind_counts: [Counter; KIND_COUNT],
-    /// Durations (ns) of firmware tasks / DMA copies / substrate copies.
-    fw_task_ns: Histogram,
-    dma_copy_ns: Histogram,
-    substrate_copy_ns: Histogram,
-    registered: Mutex<Registered>,
-}
-
-/// Bucket bounds (ns) for the built-in duration histograms: sub-µs
-/// resolution at the bottom, decade steps above.
-const DURATION_BOUNDS_NS: [u64; 10] = [
-    100, 250, 500, 1_000, 2_500, 5_000, 10_000, 50_000, 100_000, 1_000_000,
-];
-
-impl Metrics {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Metrics {
-            kind_counts: std::array::from_fn(|_| Counter::new()),
-            fw_task_ns: Histogram::new(&DURATION_BOUNDS_NS),
-            dma_copy_ns: Histogram::new(&DURATION_BOUNDS_NS),
-            substrate_copy_ns: Histogram::new(&DURATION_BOUNDS_NS),
-            registered: Mutex::new(Registered {
-                counters: BTreeMap::new(),
-                histograms: BTreeMap::new(),
-            }),
-        }
-    }
-
-    /// Called by the tracer for every recorded event.
-    #[inline]
-    pub(crate) fn count_kind(&self, kind: EventKind, a: u64, b: u64) {
-        self.kind_counts[kind as usize].inc();
-        match kind {
-            EventKind::FwTask => self.fw_task_ns.record(a),
-            EventKind::DmaCopy => self.dma_copy_ns.record(b),
-            EventKind::SubstrateCopy => self.substrate_copy_ns.record(b),
-            _ => {
-                let _ = (a, b);
-            }
-        }
-    }
-
-    /// Occurrences of `kind` recorded so far.
-    pub fn kind_count(&self, kind: EventKind) -> u64 {
-        self.kind_counts[kind as usize].get()
-    }
-
-    /// Get or create a named counter.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut reg = self
-            .registered
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(reg.counters.entry(name.to_string()).or_default())
-    }
-
-    /// Get or create a named histogram with the given bucket bounds.
-    /// Bounds are fixed at first registration.
-    pub fn histogram(&self, name: &str, bounds: &[u64]) -> Arc<Histogram> {
-        let mut reg = self
-            .registered
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(
-            reg.histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new(bounds))),
-        )
-    }
-
-    /// Point-in-time copy of every counter and histogram.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let reg = self
-            .registered
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut counters: BTreeMap<String, u64> = ALL_KINDS
-            .iter()
-            .map(|&k| (k.name().to_string(), self.kind_count(k)))
-            .filter(|(_, v)| *v > 0)
-            .collect();
-        for (name, c) in &reg.counters {
-            counters.insert(name.clone(), c.get());
-        }
-        let mut histograms = BTreeMap::new();
-        for (name, h) in [
-            ("nic/fw_task_ns", &self.fw_task_ns),
-            ("nic/dma_copy_ns", &self.dma_copy_ns),
-            ("sock/substrate_copy_ns", &self.substrate_copy_ns),
-        ] {
-            let snap = h.snapshot();
-            if snap.count > 0 {
-                histograms.insert(name.to_string(), snap);
-            }
-        }
-        for (name, h) in &reg.histograms {
-            histograms.insert(name.clone(), h.snapshot());
-        }
-        MetricsSnapshot {
-            counters,
-            histograms,
-        }
-    }
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics::new()
-    }
-}
-
-/// Point-in-time copy of a [`Metrics`] registry.
-#[derive(Clone, Debug, Default)]
-pub struct MetricsSnapshot {
-    /// Counter values by `layer/name`.
-    pub counters: BTreeMap<String, u64>,
-    /// Histogram states by `layer/name`.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
-}
-
-impl MetricsSnapshot {
-    /// Render as an aligned plain-text table.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            let width = self.counters.keys().map(|k| k.len()).max().unwrap_or(0);
-            for (name, v) in &self.counters {
-                let _ = writeln!(out, "  {name:width$}  {v}");
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms:\n");
-            for (name, h) in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "  {name}: count={} mean={:.0} min={} p50={} p99={} max={}",
-                    h.count,
-                    h.mean(),
-                    h.min,
-                    h.quantile(0.50),
-                    h.quantile(0.99),
-                    h.max,
-                );
-            }
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn histogram_buckets_quantiles_and_extremes() {
-        let h = Histogram::new(&[10, 100, 1000]);
-        for v in [1, 5, 10, 11, 100, 5000] {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.buckets, vec![3, 2, 0, 1]);
-        assert_eq!(s.count, 6);
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 5000);
-        assert_eq!(s.quantile(0.5), 10);
-        assert_eq!(s.quantile(1.0), 5000);
-        assert!((s.mean() - 5127.0 / 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn registry_counters_are_shared_and_snapshot() {
-        let m = Metrics::new();
-        let c1 = m.counter("sock/test_counter");
-        let c2 = m.counter("sock/test_counter");
-        c1.inc();
-        c2.add(2);
-        assert_eq!(m.counter("sock/test_counter").get(), 3);
-        let h = m.histogram("sock/test_hist", &[10, 20]);
-        h.record(15);
-        let snap = m.snapshot();
-        assert_eq!(snap.counters["sock/test_counter"], 3);
-        assert_eq!(snap.histograms["sock/test_hist"].count, 1);
-        let text = snap.render_text();
-        assert!(text.contains("sock/test_counter") && text.contains("sock/test_hist"));
     }
 }

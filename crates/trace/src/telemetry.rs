@@ -417,12 +417,6 @@ impl Registry {
             });
     }
 
-    /// True if a series under `name` already exists (used by lazy
-    /// registration guards).
-    pub fn has_series(&self, name: &str) -> bool {
-        self.lock().series.contains_key(name)
-    }
-
     /// Override the sampling cadence (tests and short benches). Resets the
     /// next-sample deadline to the new cadence.
     pub fn set_sample_every_ns(&self, every_ns: u64) {
