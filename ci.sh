@@ -26,6 +26,14 @@ step "cargo doc (broken intra-doc links)"
 # Clippy does not check doc links; a renamed type would leave dead ones.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+step "connection core purity"
+# crates/core/src/conn_core.rs decides the stream credit protocol with no
+# I/O: it may name none of the simulator, EMP, host, NIC or lock crates.
+if grep -nwE 'simnet|emp_proto|hostsim|tigon_nic|parking_lot' crates/core/src/conn_core.rs; then
+    echo "FAIL: conn_core.rs names an I/O crate"
+    exit 1
+fi
+
 if [[ "${1:-}" != "--fast" ]]; then
     step "cargo build --release"
     cargo build --release
@@ -34,6 +42,10 @@ fi
 # The two workspace steps run every suite of every member, each member
 # with its `trace` feature on in the second — among them these, which
 # earlier ran a third and fourth time as stages of their own:
+# * connection core (sockets-emp `conn_core` unit tests): a breadth-first
+#   explorer runs two ConnCores over an abstract NIC through every
+#   interleaving, preset pairing and N <= 4, checking the credit invariants
+#   in every state and that every state can still finish.
 # * chaos (sockets-emp `lossy`, emp-proto `reliability` and `piggyback`):
 #   the substrate robustness suite (seeded fault injection, vanished-peer
 #   detection), EMP's own loss recovery (selective repeat, RTT-measured
@@ -102,7 +114,7 @@ step "data-path default-vs-preset perf smoke"
 # skip every temp-buffer copy for posted readers but one: a first ping
 # that fits the connection request (up to proto::FIRST_MAX bytes, which
 # each summary line prints as first_max) rides in it and is buffered at
-# accept, so exactly its bytes are copied at each such size (DESIGN §8) — in the default build and, because trace
+# accept, so exactly its bytes are copied at each such size (DESIGN §12) — in the default build and, because trace
 # hooks ride the same code paths, the traced one.
 perf_smoke() {
     local features=() label="$1"

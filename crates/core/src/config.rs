@@ -16,69 +16,6 @@ pub enum SocketType {
     Datagram,
 }
 
-/// Client-side connection-request retry policy: jittered exponential
-/// backoff with an attempt cap and an overall deadline. Replaces the old
-/// blind fixed-backoff resend loop — under a connect storm, thousands of
-/// synchronized clients retrying in lockstep re-create the very overload
-/// that refused them; jitter decorrelates the herd.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// First backoff interval (doubled each subsequent attempt).
-    pub base: SimDuration,
-    /// Backoff ceiling: intervals never exceed this.
-    pub max_backoff: SimDuration,
-    /// Give up after this many *send attempts* (the initial request
-    /// counts as attempt one), surfacing [`crate::NetError::Timeout`].
-    pub max_attempts: u32,
-    /// Overall wall-clock budget for the whole connect, retries included.
-    pub deadline: SimDuration,
-    /// Randomize each backoff interval into `[0.75, 1.25)` of its nominal
-    /// value (deterministically, from the attempt number and the local
-    /// station address, so simulations stay reproducible).
-    pub jitter: bool,
-}
-
-impl RetryPolicy {
-    /// The policy [`SubstrateConfig::with_connect_timeout`] compiles to:
-    /// backoff starts at `deadline / 8`, caps at the deadline, unlimited
-    /// attempts, no jitter — the historical blocking-connect behaviour.
-    pub fn from_deadline(deadline: SimDuration) -> Self {
-        let base = deadline / 8;
-        RetryPolicy {
-            base: if base.is_zero() { deadline } else { base },
-            max_backoff: deadline,
-            max_attempts: u32::MAX,
-            deadline,
-            jitter: false,
-        }
-    }
-
-    /// Backoff to wait after send attempt `attempt` (1-based), with the
-    /// exponential doubling, the `max_backoff` cap and (if enabled)
-    /// deterministic jitter seeded by `seed`.
-    pub fn backoff(&self, attempt: u32, seed: u64) -> SimDuration {
-        let doublings = attempt.saturating_sub(1).min(32);
-        let nominal = self
-            .base
-            .nanos()
-            .saturating_mul(1u64.checked_shl(doublings).unwrap_or(u64::MAX))
-            .min(self.max_backoff.nanos());
-        if !self.jitter {
-            return SimDuration::from_nanos(nominal.max(1));
-        }
-        // splitmix64 over (seed, attempt): uniform factor in [0.75, 1.25).
-        let mut z = seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(u64::from(attempt));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        let frac = (z >> 11) as f64 / (1u64 << 53) as f64;
-        let factor = 0.75 + 0.5 * frac;
-        SimDuration::from_nanos(((nominal as f64 * factor) as u64).max(1))
-    }
-}
-
 /// How unexpected-message handling is driven (§5.2's three alternatives).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RecvMode {
@@ -204,14 +141,13 @@ pub struct SubstrateConfig {
     pub dgram_overhead: SimDuration,
     /// `None` (the default) keeps `connect()` non-blocking: it returns
     /// immediately and the request travels ahead of (or, under the §6.1
-    /// switch, with) the first data (§7.4). `Some(policy)` makes
+    /// switch, with) the first data (§7.4). `Some(deadline)` makes
     /// `connect()` block until the request is acknowledged, resending it
-    /// with the policy's backoff, and fail with
-    /// [`crate::NetError::Timeout`] once its deadline passes with no
-    /// answer — the behaviour an application wants against a
-    /// possibly-dead station. Set by [`Self::with_connect_retry`] or
-    /// [`Self::with_connect_timeout`].
-    pub connect_retry: Option<RetryPolicy>,
+    /// after `deadline / 8`, doubling, whenever EMP gives up on it, and
+    /// fail with [`crate::NetError::Timeout`] once the deadline passes
+    /// with no answer — the behaviour an application wants against a
+    /// possibly-dead station. Set by [`Self::with_connect_timeout`].
+    pub connect_timeout: Option<SimDuration>,
     /// Per-process connection budget: `connect()`/`accept()` beyond this
     /// many live connections fail with
     /// [`crate::NetError::Exhausted`] instead of consuming
@@ -265,7 +201,7 @@ impl SubstrateConfig {
             send_copy_threshold: 16 * 1024,
             stream_overhead: SimDuration::from_micros_f64(2.8),
             dgram_overhead: SimDuration::from_nanos(300),
-            connect_retry: None,
+            connect_timeout: None,
             max_connections: None,
             reorder_cap_bytes: None,
             peer_gone_after: None,
@@ -305,40 +241,25 @@ impl SubstrateConfig {
         }
     }
 
-    /// With a different credit count (the web server uses 4, §7.4; the
-    /// Figure 12 sweep varies 1..32).
+    /// With a different credit count, in the `1..=65535` the request's 16
+    /// bits carry (the web server uses 4, §7.4; Figure 12 sweeps 1..32).
     pub fn with_credits(mut self, n: u32) -> Self {
         assert!(n >= 1, "at least one credit required");
+        assert!(
+            n <= u32::from(u16::MAX),
+            "the request carries 16-bit credits"
+        );
         self.credits = n;
         self
     }
 
     /// Bound `connect()` by `deadline`: block until the request is
     /// answered, resending with exponential backoff, and surface
-    /// [`crate::NetError::Timeout`] when the deadline passes. Shorthand
-    /// for [`RetryPolicy::from_deadline`]: it replaces an earlier timeout,
-    /// but an explicit retry policy (any other than a timeout compiles to)
-    /// stays in force.
+    /// [`crate::NetError::Timeout`] when the deadline passes. A later
+    /// call replaces an earlier one.
     pub fn with_connect_timeout(mut self, deadline: SimDuration) -> Self {
         assert!(!deadline.is_zero(), "a zero connect deadline always fires");
-        let explicit = self
-            .connect_retry
-            .is_some_and(|p| p != RetryPolicy::from_deadline(p.deadline));
-        if !explicit {
-            self.connect_retry = Some(RetryPolicy::from_deadline(deadline));
-        }
-        self
-    }
-
-    /// Bound `connect()` by a full [`RetryPolicy`] — jittered exponential
-    /// backoff, attempt cap, overall deadline. The connect storms knob.
-    pub fn with_connect_retry(mut self, policy: RetryPolicy) -> Self {
-        assert!(
-            !policy.deadline.is_zero(),
-            "a zero connect deadline always fires"
-        );
-        assert!(policy.max_attempts >= 1, "at least one attempt required");
-        self.connect_retry = Some(policy);
+        self.connect_timeout = Some(deadline);
         self
     }
 
@@ -445,7 +366,7 @@ mod tests {
             SubstrateConfig::ds_da_uq(),
             SubstrateConfig::dg(),
         ] {
-            assert_eq!(cfg.connect_retry, None);
+            assert_eq!(cfg.connect_timeout, None);
             assert_eq!(cfg.max_connections, None);
             assert_eq!(cfg.reorder_cap_bytes, None);
             assert_eq!(cfg.peer_gone_after, None);
@@ -455,61 +376,16 @@ mod tests {
         let armed = SubstrateConfig::ds()
             .with_connect_timeout(SimDuration::from_millis(5))
             .with_peer_watchdog(SimDuration::from_millis(20));
-        assert_eq!(
-            armed.connect_retry,
-            Some(RetryPolicy::from_deadline(SimDuration::from_millis(5)))
-        );
+        assert_eq!(armed.connect_timeout, Some(SimDuration::from_millis(5)));
         assert_eq!(armed.peer_gone_after, Some(SimDuration::from_millis(20)));
     }
 
     #[test]
-    fn connect_timeout_compiles_to_legacy_policy() {
-        // A later timeout replaces an earlier one.
+    fn a_later_connect_timeout_replaces_an_earlier_one() {
         let cfg = SubstrateConfig::ds()
             .with_connect_timeout(SimDuration::from_millis(3))
             .with_connect_timeout(SimDuration::from_millis(8));
-        let p = cfg.connect_retry.unwrap();
-        assert_eq!(p.base, SimDuration::from_millis(1));
-        assert_eq!(p.max_backoff, SimDuration::from_millis(8));
-        assert_eq!(p.deadline, SimDuration::from_millis(8));
-        assert_eq!(p.max_attempts, u32::MAX);
-        assert!(!p.jitter);
-        // An explicit policy wins over the bare timeout, whichever was
-        // set first.
-        let explicit = RetryPolicy {
-            base: SimDuration::from_micros(100),
-            max_backoff: SimDuration::from_millis(1),
-            max_attempts: 4,
-            deadline: SimDuration::from_millis(10),
-            jitter: true,
-        };
-        let cfg = cfg.with_connect_retry(explicit);
-        assert_eq!(cfg.connect_retry, Some(explicit));
-        let cfg = cfg.with_connect_timeout(SimDuration::from_millis(8));
-        assert_eq!(cfg.connect_retry, Some(explicit));
-    }
-
-    #[test]
-    fn retry_backoff_doubles_caps_and_jitters_deterministically() {
-        let p = RetryPolicy {
-            base: SimDuration::from_micros(100),
-            max_backoff: SimDuration::from_micros(350),
-            max_attempts: 8,
-            deadline: SimDuration::from_millis(10),
-            jitter: false,
-        };
-        assert_eq!(p.backoff(1, 0), SimDuration::from_micros(100));
-        assert_eq!(p.backoff(2, 0), SimDuration::from_micros(200));
-        assert_eq!(p.backoff(3, 0), SimDuration::from_micros(350)); // capped
-        assert_eq!(p.backoff(9, 0), SimDuration::from_micros(350));
-        let j = RetryPolicy { jitter: true, ..p };
-        let a = j.backoff(1, 42);
-        // Deterministic: same inputs, same jitter.
-        assert_eq!(a, j.backoff(1, 42));
-        // Within the [0.75, 1.25) window.
-        assert!(a.nanos() >= 75_000 && a.nanos() < 125_000, "{}", a.nanos());
-        // Different seeds decorrelate the herd.
-        assert_ne!(j.backoff(1, 42), j.backoff(1, 43));
+        assert_eq!(cfg.connect_timeout, Some(SimDuration::from_millis(8)));
     }
 
     #[test]

@@ -1,14 +1,11 @@
-//! Connection state and management.
-//!
-//! §5.1's adopted design: connection management by *data message exchange*.
-//! `listen()` pre-posts `backlog` connection descriptors, `connect()` sends
-//! an explicit request carrying the client's address and parameters, and
-//! `accept()` blocks on the head of the backlog queue. Each established
-//! connection owns EMP descriptors (data, flow-control-ack, rendezvous,
-//! control) that the substrate must account for and explicitly release on
-//! `close()` — §5.3's resource management.
+//! Connection management by *data message exchange* (§5.1) and the driver
+//! of each connection's `ConnCore`. `listen()` pre-posts `backlog`
+//! connection descriptors, `connect()` sends a request carrying the
+//! client's address and parameters, `accept()` blocks on the head of the
+//! backlog queue; each connection's EMP descriptors are accounted for and
+//! released on `close()` (§5.3).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
@@ -22,18 +19,20 @@ use simnet::{
 };
 
 use crate::config::{SocketType, SubstrateConfig};
-use crate::proto::{Msg, DATA_HEADER, HEADER};
+use crate::conn_core::{ConnCore, CoreCfg, CreditReturn, Refusal, Request};
+use crate::proto::{Msg, DATA_HEADER, FIRST_MAX, HEADER};
 use crate::tags;
 
-/// Data descriptors each direction of a stream connection starts with
-/// when its connect announced window growth (`piggyback_acks`, DESIGN §8).
-/// A request/response connection never has more than one message
-/// unconsumed, so two serve it for life; a stream uses both on its second
-/// message and grows to N then. Larger starting windows bring back the
-/// per-connection posting and unposting that saturate an accept storm
-/// (`overload_goodput_degrades_gracefully_past_saturation`: 3, 4 and 8
-/// fail it, 2 passes at 0.806).
-pub(crate) const INITIAL_WINDOW: u32 = 2;
+impl From<Refusal> for NetError {
+    fn from(r: Refusal) -> Self {
+        match r {
+            Refusal::Closed => NetError::Closed,
+            Refusal::Exhausted => NetError::Exhausted,
+            Refusal::PeerClosed => NetError::PeerClosed,
+            Refusal::WouldBlock => NetError::WouldBlock,
+        }
+    }
+}
 
 /// Per-process substrate state (behind `EmpSockets`).
 pub(crate) struct ProcShared {
@@ -169,17 +168,17 @@ impl ProcShared {
             (
                 "credits_out",
                 Box::new(|s| {
-                    let i = s.inner.lock();
-                    i64::from(i.peer_window) - i64::from(i.credits)
+                    let c = &s.inner.lock().core;
+                    i64::from(c.peer_window) - i64::from(c.credits)
                 }),
             ),
             (
                 "reorder_msgs",
-                Box::new(|s| s.inner.lock().rx_ooo.len() as i64),
+                Box::new(|s| s.inner.lock().core.rx_ooo.len() as i64),
             ),
             (
                 "staged_bytes",
-                Box::new(|s| s.inner.lock().coalesce_buf.len() as i64),
+                Box::new(|s| s.inner.lock().core.staged.len() as i64),
             ),
         ];
         for (name, per_sock) in series {
@@ -198,7 +197,7 @@ impl ProcShared {
                 let mut total = 0i64;
                 for s in &socks {
                     let i = s.inner.try_lock()?;
-                    if !i.closed {
+                    if !i.core.closed {
                         drop(i);
                         total += per_sock(s);
                     }
@@ -219,149 +218,32 @@ impl ProcShared {
     }
 }
 
-/// Per-connection substrate counters, mirroring what a production sockets
-/// library exposes for diagnosis (`getsockopt`-style).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ConnStats {
-    /// User bytes written on this connection.
-    pub bytes_sent: u64,
-    /// User bytes read on this connection.
-    pub bytes_received: u64,
-    /// Substrate data messages sent.
-    pub msgs_sent: u64,
-    /// Substrate data messages consumed.
-    pub msgs_received: u64,
-    /// Explicit flow-control acknowledgments sent.
-    pub fcacks_sent: u64,
-    /// Credit returns that rode on data messages (§6.1 piggy-back).
-    pub piggybacked_credits: u64,
-    /// Times a write blocked waiting for credits.
-    pub credit_stalls: u64,
-    /// Rendezvous round trips performed (datagram large sends).
-    pub rendezvous: u64,
-    /// §6.2 temp-buffer copies skipped by receiver-posted direct delivery.
-    pub copies_avoided: u64,
-    /// User bytes delivered straight into the reader's buffer.
-    pub bytes_direct: u64,
-    /// Writes absorbed into the coalescing staging buffer.
-    pub writes_coalesced: u64,
-    /// Coalesced flushes (substrate messages carrying staged writes).
-    pub coalesce_flushes: u64,
-    /// Staging deadlines that sent nothing and re-armed because a full
-    /// substrate message of this connection was still unacknowledged.
-    pub stage_deferrals: u64,
-    /// Consumed data descriptors re-armed by the send that returned their
-    /// credits (§6.1 piggy-backing on; the presets repost at consume time).
-    pub rearms_ridden: u64,
-    /// Credits returned with piggy-backing on whose descriptor the same
-    /// send did not re-arm (or, for a window's growth, post). Zero by
-    /// construction.
-    pub credits_without_rearm: u64,
-    /// Times this side's receive window grew from
-    /// two (`conn::INITIAL_WINDOW`) to N: at most once
-    /// per connection, when its sender first used the whole window.
-    pub window_grows: u64,
-    /// New data descriptors the window's growth posted (N − 2 per grow),
-    /// each in the request of the send that returned its credit. Not
-    /// re-arms: none of them was ever consumed.
-    pub window_grants: u64,
-    /// Connections whose first write travelled inside the connection
-    /// request (at most 1, counted on the connecting side).
-    pub conn_riders: u64,
-}
-
-impl std::ops::AddAssign for ConnStats {
-    fn add_assign(&mut self, o: ConnStats) {
-        self.bytes_sent += o.bytes_sent;
-        self.bytes_received += o.bytes_received;
-        self.msgs_sent += o.msgs_sent;
-        self.msgs_received += o.msgs_received;
-        self.fcacks_sent += o.fcacks_sent;
-        self.piggybacked_credits += o.piggybacked_credits;
-        self.credit_stalls += o.credit_stalls;
-        self.rendezvous += o.rendezvous;
-        self.copies_avoided += o.copies_avoided;
-        self.bytes_direct += o.bytes_direct;
-        self.writes_coalesced += o.writes_coalesced;
-        self.coalesce_flushes += o.coalesce_flushes;
-        self.stage_deferrals += o.stage_deferrals;
-        self.rearms_ridden += o.rearms_ridden;
-        self.credits_without_rearm += o.credits_without_rearm;
-        self.window_grows += o.window_grows;
-        self.window_grants += o.window_grants;
-        self.conn_riders += o.conn_riders;
-    }
-}
-
 /// A data descriptor slot: handle + the stable buffer range it reposts to.
 pub(crate) struct DataSlot {
     pub(crate) handle: RecvHandle,
     pub(crate) range: VirtRange,
 }
 
-/// Credits one message returns to the peer and, with piggy-backing on,
-/// the staging ranges of the consumed data descriptors the same send
-/// re-arms. A return that grows the window also carries the ranges of
-/// the new descriptors the same send posts, counted in `credits`.
-#[derive(Default)]
-pub(crate) struct CreditReturn {
-    pub(crate) credits: u16,
-    pub(crate) rearms: Vec<VirtRange>,
-    pub(crate) grants: Vec<VirtRange>,
-}
-
-/// Mutable per-connection state (single-process discipline: one simulated
-/// process drives each side of a connection, so this mutex is never
-/// contended — it exists for `Send`/`Sync` plumbing).
+/// Mutable per-connection state: the flow-control core and the driver's
+/// I/O resources. The mutex is contended — the staging-deadline timer
+/// takes it in event context, and a second process may share the
+/// connection — so it is never held across a host charge or NIC call.
 pub(crate) struct SockInner {
-    // ---- transmit ----
-    /// Credits available to send (§6.1).
-    pub(crate) credits: u32,
-    /// Data descriptors the peer keeps for this side: its receive window,
-    /// agreed by the connection request and raised by the return that
-    /// grows it. `peer_window - credits` credits are out.
-    pub(crate) peer_window: u32,
+    /// Credits, windows, sequence numbers, staged bytes, flags, counters.
+    pub(crate) core: ConnCore<VirtRange>,
     /// Pre-posted flow-control-ack descriptors, completion order (empty in
     /// unexpected-queue mode).
     pub(crate) fcack_handles: VecDeque<RecvHandle>,
     /// One-shot fc-ack descriptor a `poll` with write interest arms in
-    /// unexpected-queue mode, where there is otherwise no completion to
-    /// watch for a credit return. Consumed or unposted before the poll
-    /// returns (see `disarm_poll_fcack`), so it never races the blocking
-    /// write path's own post.
+    /// unexpected-queue mode; consumed or unposted before the poll returns
+    /// (`disarm_poll_fcack`), so it never races a blocking write's post.
     pub(crate) poll_fcack: Option<RecvHandle>,
     /// Fire-and-forget sends not yet known complete.
     pub(crate) inflight_sends: Vec<SendHandle>,
     /// The connection request (client side) — checked for refusal.
     pub(crate) conn_send: Option<SendHandle>,
-    /// The request of a non-blocking connect under the §6.1 switch, held
-    /// back until the connection's first operation sends it — with that
-    /// operation's bytes when it is a write that fits (DESIGN §8).
-    pub(crate) conn_req: Option<Msg>,
-    // ---- receive (stream) ----
-    /// This side's receive window: the data descriptors it keeps, posted
-    /// (`data_slots`) or waiting to be re-armed (`rearms`).
-    /// [`INITIAL_WINDOW`] or N at establish; grows to N at most once.
-    pub(crate) window: u32,
-    /// Pre-posted data descriptors in completion order.
+    /// Posted data descriptors in completion order.
     pub(crate) data_slots: VecDeque<DataSlot>,
-    /// Reassembled byte stream awaiting `read()` (chunks + total length).
-    pub(crate) stream_chunks: VecDeque<bytes::Bytes>,
-    pub(crate) stream_len: usize,
-    /// Messages consumed since the last credit return.
-    pub(crate) consumed: u32,
-    /// With piggy-backing on, the ranges of those messages' descriptors:
-    /// each waits to be re-armed by the send that returns its credit
-    /// (`consumed` long). Empty under the presets.
-    pub(crate) rearms: Vec<VirtRange>,
-    // ---- staged small writes (the send half of `CopyPolicy`) ----
-    /// Staged writes awaiting one flush.
-    pub(crate) coalesce_buf: Vec<u8>,
-    /// Writes currently staged in `coalesce_buf`.
-    pub(crate) coalesce_count: u64,
-    /// Flushes so far. The deadline timer armed by the first staged byte
-    /// carries the value it saw; a flush in between makes it a no-op.
-    pub(crate) stage_episode: u64,
     /// Host time of flushes the deadline timer did on the owner's behalf,
     /// which the owner pays at its next substrate call.
     pub(crate) flush_debt: SimDuration,
@@ -372,73 +254,13 @@ pub(crate) struct SockInner {
     pub(crate) rndv_granted: bool,
     /// Rendezvous refusal (receiver buffer too small), with its limit.
     pub(crate) rndv_refused: Option<usize>,
-    // ---- message ordering (fault robustness) ----
-    /// Sequence number the next outgoing data message will carry.
-    pub(crate) tx_seq: u32,
-    /// Sequence number the next in-order incoming data message must carry.
-    pub(crate) rx_next_seq: u32,
-    /// Payloads that arrived ahead of sequence (fabric reordering let a
-    /// later message bind a descriptor first), parked until the gap fills.
-    pub(crate) rx_ooo: BTreeMap<u32, Bytes>,
-    /// Total data messages the peer sent before closing (from `Close`);
-    /// EOF is surfaced only once `rx_next_seq` reaches it.
-    pub(crate) peer_final_seq: Option<u32>,
-    // ---- statistics ----
-    pub(crate) stats: ConnStats,
-    // ---- control ----
     pub(crate) ctrl_handle: Option<RecvHandle>,
-    pub(crate) peer_closed: bool,
-    /// Set when a resource budget tripped mid-stream (reorder-buffer cap):
-    /// the byte stream can no longer be delivered intact, so every
-    /// subsequent operation fails with
-    /// [`NetError::Exhausted`]. Sticky until `close()`.
-    pub(crate) poisoned: bool,
-    /// Local write side shut down (half-close); reads keep working.
-    pub(crate) write_closed: bool,
-    pub(crate) closed: bool,
     // ---- buffer ranges ----
     pub(crate) send_range: VirtRange,
     pub(crate) fcack_range: VirtRange,
     pub(crate) ctrl_range: VirtRange,
     pub(crate) rndv_range: VirtRange,
     pub(crate) user_range: VirtRange,
-}
-
-impl SockInner {
-    /// True once the peer closed AND every data message it announced has
-    /// been delivered in order — only then may reads surface EOF. A peer
-    /// that vanished without a `Close` (failed sends) has no announced
-    /// count; EOF is immediate then.
-    pub(crate) fn peer_drained(&self) -> bool {
-        self.peer_closed && self.peer_final_seq.is_none_or(|f| self.rx_next_seq >= f)
-    }
-
-    /// Deliver the next datagram in send order if it has arrived: take it
-    /// from the reorder buffer and count it received.
-    pub(crate) fn take_next_dgram(&mut self) -> Option<Bytes> {
-        let payload = self.rx_ooo.remove(&self.rx_next_seq)?;
-        self.rx_next_seq += 1;
-        self.stats.bytes_received += payload.len() as u64;
-        self.stats.msgs_received += 1;
-        Some(payload)
-    }
-
-    /// Take the credit return due: every credit consumed since the last
-    /// one, with the descriptors to re-arm.
-    pub(crate) fn take_credit_return(&mut self) -> CreditReturn {
-        CreditReturn {
-            credits: std::mem::take(&mut self.consumed) as u16,
-            rearms: std::mem::take(&mut self.rearms),
-            grants: Vec::new(),
-        }
-    }
-
-    /// Claim the next outgoing data-message sequence number.
-    pub(crate) fn claim_tx_seq(&mut self) -> u32 {
-        let s = self.tx_seq;
-        self.tx_seq += 1;
-        s
-    }
 }
 
 /// One side of a substrate connection.
@@ -469,7 +291,7 @@ impl SockShared {
     /// Build and wire up one side of a connection. For the client side
     /// this happens at `connect()`; for the server side at `accept()`.
     /// With `grows_window` (announced by the client, adopted by the
-    /// acceptor) both directions' windows start at [`INITIAL_WINDOW`].
+    /// acceptor) both directions' windows start at two descriptors.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn establish(
         proc_: &Arc<ProcShared>,
@@ -483,11 +305,22 @@ impl SockShared {
         buf_size: usize,
         grows_window: bool,
     ) -> SimResult<Arc<SockShared>> {
-        let window = if grows_window {
-            INITIAL_WINDOW.min(credits_max)
-        } else {
-            credits_max
-        };
+        let cfg = &proc_.cfg;
+        let core = ConnCore::new(
+            CoreCfg {
+                n: credits_max,
+                ack_threshold: cfg.ack_threshold(),
+                piggyback: cfg.piggyback_acks,
+                buf_size,
+                send_copy_threshold: cfg.send_copy_threshold,
+                stage_below: cfg.copy_policy.stage_below,
+                stage_capacity: cfg.copy_policy.stage_capacity.min(buf_size),
+                first_max: FIRST_MAX,
+                reorder_cap: cfg.reorder_cap_bytes,
+            },
+            grows_window,
+        );
+        let window = core.window;
         let sock = Arc::new_cyclic(|self_ref| SockShared {
             self_ref: self_ref.clone(),
             proc_: Arc::clone(proc_),
@@ -499,37 +332,18 @@ impl SockShared {
             credits_max,
             buf_size,
             inner: Mutex::new(SockInner {
-                credits: window,
-                peer_window: window,
+                core,
                 fcack_handles: VecDeque::new(),
                 poll_fcack: None,
                 inflight_sends: Vec::new(),
                 conn_send: None,
-                conn_req: None,
-                window,
                 data_slots: VecDeque::new(),
-                stream_chunks: VecDeque::new(),
-                stream_len: 0,
-                consumed: 0,
-                rearms: Vec::new(),
-                coalesce_buf: Vec::new(),
-                coalesce_count: 0,
-                stage_episode: 0,
                 flush_debt: SimDuration::ZERO,
                 rndv_handle: None,
                 dgram_data: None,
                 rndv_granted: false,
                 rndv_refused: None,
-                tx_seq: 0,
-                rx_next_seq: 0,
-                rx_ooo: BTreeMap::new(),
-                peer_final_seq: None,
-                stats: ConnStats::default(),
                 ctrl_handle: None,
-                peer_closed: false,
-                poisoned: false,
-                write_closed: false,
-                closed: false,
                 send_range: proc_.alloc_range(buf_size + DATA_HEADER),
                 fcack_range: proc_.alloc_range(HEADER),
                 ctrl_range: proc_.alloc_range(HEADER),
@@ -540,7 +354,6 @@ impl SockShared {
         proc_.state.lock().active.insert(cid, Arc::downgrade(&sock));
 
         let ep = &proc_.ep;
-        let cfg = &proc_.cfg;
         // Control descriptor: close notifications, rendezvous acks.
         {
             let range = sock.inner.lock().ctrl_range;
@@ -552,23 +365,10 @@ impl SockShared {
                 // The window's data descriptors into temp buffers (§5.2
                 // eager w/ flow control), each with its own stable staging
                 // range — posted as one batch behind a single doorbell.
-                let mut posts = Vec::with_capacity(window as usize);
-                for _ in 0..window {
-                    let range = proc_.alloc_range(buf_size + DATA_HEADER);
-                    posts.push((
-                        sock.rx_data_tag(),
-                        Some(peer),
-                        buf_size + DATA_HEADER,
-                        range,
-                    ));
-                }
-                let handles = ep.post_recv_batch(ctx, &posts)?;
-                for (h, (_, _, _, range)) in handles.into_iter().zip(posts) {
-                    sock.inner
-                        .lock()
-                        .data_slots
-                        .push_back(DataSlot { handle: h, range });
-                }
+                let ranges = (0..window)
+                    .map(|_| proc_.alloc_range(buf_size + DATA_HEADER))
+                    .collect();
+                sock.post_data_slots(ctx, ranges)?;
                 // Flow-control-ack descriptors: pre-posted, or routed via
                 // the unexpected queue (§6.4).
                 let fcack_range = sock.inner.lock().fcack_range;
@@ -657,58 +457,42 @@ impl SockShared {
             .post_send(ctx, self.peer, tag, msg.encode(), range)
     }
 
-    /// Send the connection request `connect()` held back, bare, if it
-    /// still holds one. Every first operation of such a connection but a
-    /// riding write comes through here; afterwards it is a no-op.
-    pub(crate) fn send_conn_req(&self, ctx: &ProcessCtx) -> SimResult<()> {
-        let Some(req) = self.inner.lock().conn_req.take() else {
-            return Ok(());
-        };
-        self.post_conn_req(ctx, req, Bytes::new())
+    /// The connection request of this (client) side, carrying `first`
+    /// as data message 0 (empty: a bare request).
+    pub(crate) fn conn_req(&self, first: Bytes) -> Msg {
+        Msg::ConnReq {
+            cid: self.cid,
+            port: self.port,
+            socket_type: self.socket_type,
+            credits: self.credits_max as u16,
+            buf_size: self.buf_size as u32,
+            grows_window: self.proc_.cfg.piggyback_acks,
+            first,
+        }
     }
 
-    /// Send `req`, already taken from `conn_req`, carrying `first` as data
-    /// message 0 (empty: a bare request).
-    pub(crate) fn post_conn_req(
-        &self,
-        ctx: &ProcessCtx,
-        mut req: Msg,
-        first: Bytes,
-    ) -> SimResult<()> {
-        if let Msg::ConnReq { first: f, .. } = &mut req {
-            *f = first;
+    /// Send a request `connect()` held back, bare: every first operation
+    /// but a riding write comes through here.
+    pub(crate) fn send_conn_req(&self, ctx: &ProcessCtx) -> SimResult<()> {
+        if self.inner.lock().core.claim_request(None) == Request::Bare {
+            self.post_conn_req(ctx, Bytes::new())?;
         }
-        let h = self.send_msg(ctx, tags::conn_tag(self.port), &req)?;
+        Ok(())
+    }
+
+    /// Send the connection request, claimed from the core, with `first`.
+    pub(crate) fn post_conn_req(&self, ctx: &ProcessCtx, first: Bytes) -> SimResult<()> {
+        let h = self.send_msg(ctx, tags::conn_tag(self.port), &self.conn_req(first))?;
         self.inner.lock().conn_send = Some(h);
         Ok(())
     }
 
-    /// Like [`Self::send_msg`], but the message may never park in the
-    /// receiver's unexpected queue: an unmatched delivery is refused with
-    /// an explicit NACK and the handle fails with its `refused()` flag
-    /// set. Used for connection requests under a configured connect
-    /// policy — a full backlog (or absent listener) answers
-    /// deterministically instead of camping in the receiver's pool.
-    pub(crate) fn send_msg_refusable(
-        &self,
-        ctx: &ProcessCtx,
-        tag: emp_proto::Tag,
-        msg: &Msg,
-    ) -> SimResult<SendHandle> {
-        let range = self.inner.lock().send_range;
-        self.proc_
-            .ep
-            .post_send_refusable(ctx, self.peer, tag, msg.encode(), range)
-    }
-
-    /// Send a data message returning `ret` as a header + payload pair: the
-    /// NIC gathers the two segments itself, so the payload is never
-    /// assembled into a fresh host buffer. The wire bytes are identical to
-    /// `send_msg(.., &Msg::Data { .. })`.
+    /// Send a data message returning `ret` as a header + payload pair the
+    /// NIC gathers itself: the payload is never copied into a new buffer.
     pub(crate) fn send_data_msg(
         &self,
         ctx: &ProcessCtx,
-        ret: CreditReturn,
+        ret: CreditReturn<VirtRange>,
         seq: u32,
         payload: Bytes,
     ) -> SimResult<SendHandle> {
@@ -718,7 +502,11 @@ impl SockShared {
     }
 
     /// Send an explicit flow-control ack returning `ret`.
-    pub(crate) fn send_fcack(&self, ctx: &ProcessCtx, ret: CreditReturn) -> SimResult<SendHandle> {
+    pub(crate) fn send_fcack(
+        &self,
+        ctx: &ProcessCtx,
+        ret: CreditReturn<VirtRange>,
+    ) -> SimResult<SendHandle> {
         let data = TxBuf::one(
             Msg::FcAck {
                 credits: ret.credits,
@@ -736,7 +524,7 @@ impl SockShared {
         ctx: &ProcessCtx,
         tag: emp_proto::Tag,
         data: TxBuf,
-        ret: CreditReturn,
+        ret: CreditReturn<VirtRange>,
     ) -> SimResult<SendHandle> {
         let range = self.inner.lock().send_range;
         let rearms = self.rearm_posts(&ret);
@@ -750,47 +538,42 @@ impl SockShared {
 
     /// The data-descriptor posts that re-arm `ret`'s ranges, then those
     /// that grow the window.
-    pub(crate) fn rearm_posts(&self, ret: &CreditReturn) -> Vec<PostSpec> {
+    pub(crate) fn rearm_posts(&self, ret: &CreditReturn<VirtRange>) -> Vec<PostSpec> {
+        self.data_posts(ret.rearms.iter().chain(&ret.grants))
+    }
+
+    fn data_posts<'a>(&self, ranges: impl Iterator<Item = &'a VirtRange>) -> Vec<PostSpec> {
         let cap = self.buf_size + DATA_HEADER;
         let tag = self.rx_data_tag();
-        ret.rearms
-            .iter()
-            .chain(&ret.grants)
-            .map(|r| (tag, Some(self.peer), cap, *r))
-            .collect()
+        ranges.map(|r| (tag, Some(self.peer), cap, *r)).collect()
+    }
+
+    /// Post data descriptors into `ranges` behind one doorbell.
+    pub(crate) fn post_data_slots(
+        &self,
+        ctx: &ProcessCtx,
+        ranges: Vec<VirtRange>,
+    ) -> SimResult<()> {
+        let handles = self
+            .proc_
+            .ep
+            .post_recv_batch(ctx, &self.data_posts(ranges.iter()))?;
+        let mut i = self.inner.lock();
+        for (handle, range) in handles.into_iter().zip(ranges) {
+            i.data_slots.push_back(DataSlot { handle, range });
+        }
+        Ok(())
     }
 
     /// Book the descriptors a send re-armed or posted for `ret`: they
     /// join the data slots in the order the NIC inserts them.
-    pub(crate) fn rearmed(&self, ret: CreditReturn, handles: Vec<RecvHandle>) {
+    pub(crate) fn rearmed(&self, ret: CreditReturn<VirtRange>, handles: Vec<RecvHandle>) {
         let mut i = self.inner.lock();
-        if self.proc_.cfg.piggyback_acks {
-            i.stats.rearms_ridden += ret.rearms.len() as u64;
-            i.stats.credits_without_rearm +=
-                u64::from(ret.credits).saturating_sub(handles.len() as u64);
-        }
-        i.stats.window_grants += ret.grants.len() as u64;
+        i.core.rearmed(&ret, handles.len());
         let ranges = ret.rearms.into_iter().chain(ret.grants);
         for (handle, range) in handles.into_iter().zip(ranges) {
             i.data_slots.push_back(DataSlot { handle, range });
         }
-    }
-
-    /// Grow the window to N on a return that is due because the sender
-    /// used all of it: allocate the N − window new descriptors' staging
-    /// ranges and add their credits. The send of `ret` posts them.
-    pub(crate) fn grow_window(&self, ret: &mut CreditReturn) {
-        let grant = {
-            let mut i = self.inner.lock();
-            let grant = self.credits_max - i.window;
-            i.window = self.credits_max;
-            i.stats.window_grows += 1;
-            grant
-        };
-        ret.credits += grant as u16;
-        ret.grants = (0..grant)
-            .map(|_| self.proc_.alloc_range(self.buf_size + DATA_HEADER))
-            .collect();
     }
 
     /// Drain the control descriptor if it completed: handles `Close` and
@@ -817,9 +600,7 @@ impl SockShared {
             let mut repost = true;
             match parsed {
                 Msg::Close { final_seq } => {
-                    let mut i = self.inner.lock();
-                    i.peer_closed = true;
-                    i.peer_final_seq = Some(final_seq);
+                    self.inner.lock().core.on_close(final_seq);
                     repost = false;
                 }
                 Msg::RndvAck => {
@@ -847,13 +628,9 @@ impl SockShared {
         }
     }
 
-    /// The completion of the control channel. After close (local, or the
-    /// peer's `Close` consumed) the channel is gone and no further control
-    /// event can arrive, so a never-completing completion is returned:
-    /// every waiter re-checks `peer_closed`/`closed`/`peer_drained()`
-    /// before blocking, and an already-done completion here would spin
-    /// such a waiter at one instant of simulated time while lost data is
-    /// still retransmitting toward it.
+    /// The completion of the control channel; after close, one that never
+    /// completes (every waiter re-checks the close flags before blocking,
+    /// and a done one would spin it while lost data still retransmits).
     pub(crate) fn ctrl_completion(&self) -> Completion {
         let i = self.inner.lock();
         match &i.ctrl_handle {
@@ -882,30 +659,35 @@ impl SockShared {
         });
         if failed {
             // The peer stopped posting descriptors: treat as closed.
-            i.peer_closed = true;
+            i.core.peer_closed = true;
             return Err(NetError::PeerClosed);
         }
         Ok(())
     }
 
-    /// Half-close: notify the peer that no more data will flow this way
-    /// (its reads will see EOF after draining), while this side keeps
-    /// reading. The shutdown(SHUT_WR) of the sockets API.
+    /// Half-close (`shutdown(SHUT_WR)`): the peer's reads see EOF after
+    /// draining, while this side keeps reading.
     pub(crate) fn shutdown_write(&self, ctx: &ProcessCtx) -> SimResult<()> {
-        let already = {
-            let mut i = self.inner.lock();
-            std::mem::replace(&mut i.write_closed, true) || i.closed
-        };
-        if already {
+        if self.inner.lock().core.shutdown_write() {
             return Ok(());
         }
-        // Staged coalesced writes must precede the Close (which carries
-        // the final sequence count); an undeliverable flush is moot.
+        self.flush_for_close(ctx)?;
+        self.send_close(ctx)
+    }
+
+    /// A held request and the staged writes go out before the `Close`,
+    /// which carries the final sequence count; an undeliverable flush is
+    /// moot.
+    fn flush_for_close(&self, ctx: &ProcessCtx) -> SimResult<()> {
         self.send_conn_req(ctx)?;
-        let _ = self.flush_coalesced(ctx, true)?;
+        self.flush_coalesced(ctx, true).map(drop)
+    }
+
+    /// Send `Close`, unless the peer closed first.
+    fn send_close(&self, ctx: &ProcessCtx) -> SimResult<()> {
         let (peer_closed, final_seq) = {
-            let i = self.inner.lock();
-            (i.peer_closed, i.tx_seq)
+            let c = &self.inner.lock().core;
+            (c.peer_closed, c.final_seq())
         };
         if !peer_closed {
             let h = self.send_msg(ctx, self.tx_ctrl_tag(), &Msg::Close { final_seq })?;
@@ -918,29 +700,25 @@ impl SockShared {
     /// descriptor (§5.3), release the unexpected-queue quota and recycle
     /// the connection id.
     pub(crate) fn close(&self, ctx: &ProcessCtx) -> SimResult<()> {
-        let already = {
-            let mut i = self.inner.lock();
-            std::mem::replace(&mut i.closed, true)
-        };
-        if already {
+        if self.inner.lock().core.close() {
             return Ok(());
         }
-        let unaccounted = self.window_unaccounted();
+        let unaccounted = {
+            let i = self.inner.lock();
+            match self.socket_type {
+                SocketType::Stream => i.core.window_unaccounted(i.data_slots.len()),
+                SocketType::Datagram => 0,
+            }
+        };
         // Descriptors still waiting for a credit-returning send are never
         // re-armed, and their credits never returned: the buffers go back
         // to the pool with the rest below.
-        let stale = self.inner.lock().take_credit_return().rearms;
-        // As in shutdown_write: staged writes go out before the Close.
-        self.send_conn_req(ctx)?;
-        let _ = self.flush_coalesced(ctx, true)?;
+        let stale = self.inner.lock().core.take_return().rearms;
+        self.flush_for_close(ctx)?;
         self.publish_stats(ctx, unaccounted);
-        let (peer_closed, already_shut, final_seq) = {
-            let i = self.inner.lock();
-            (i.peer_closed, i.write_closed, i.tx_seq)
-        };
-        if !peer_closed && !already_shut {
-            let h = self.send_msg(ctx, self.tx_ctrl_tag(), &Msg::Close { final_seq })?;
-            self.inner.lock().inflight_sends.push(h);
+        // A shutdown_write sent the Close already.
+        if !self.inner.lock().core.write_closed {
+            self.send_close(ctx)?;
         }
         // Unpost everything still on the NIC, recycling the buffers.
         let (handles, ranges) = {
@@ -985,17 +763,6 @@ impl SockShared {
         Ok(())
     }
 
-    /// How far a stream side's data descriptors, posted or waiting for a
-    /// re-arm, are from its window. Zero by construction, except on a
-    /// poisoned connection, which recycles the descriptors it consumed.
-    fn window_unaccounted(&self) -> u64 {
-        let i = self.inner.lock();
-        if self.socket_type != SocketType::Stream || i.poisoned {
-            return 0;
-        }
-        (i.data_slots.len() + i.rearms.len()).abs_diff(i.window as usize) as u64
-    }
-
     /// Add this connection's data-path counters to the telemetry as it
     /// closes, with what it strands (staged bytes, unpaid flush debt: both
     /// must read zero, as must `credits_without_rearm` and the descriptors
@@ -1004,7 +771,11 @@ impl SockShared {
     fn publish_stats(&self, ctx: &ProcessCtx, unaccounted: u64) {
         let (s, stranded, debt) = {
             let i = self.inner.lock();
-            (i.stats, i.coalesce_buf.len() as u64, i.flush_debt.nanos())
+            (
+                i.core.stats,
+                i.core.staged.len() as u64,
+                i.flush_debt.nanos(),
+            )
         };
         for (name, v) in [
             ("sock.coalesce_flushes", s.coalesce_flushes),
@@ -1029,25 +800,10 @@ impl SockShared {
     /// Would `read()` return without blocking?
     pub(crate) fn readable_now(&self) -> bool {
         let i = self.inner.lock();
-        if i.stream_len > 0 || i.peer_drained() || i.closed || i.poisoned {
-            return true;
-        }
-        if let Some(front) = i.data_slots.front() {
-            if front.handle.is_done() {
-                return true;
-            }
-        }
-        if let Some(d) = &i.dgram_data {
-            if d.handle.is_done() {
-                return true;
-            }
-        }
-        if let Some(r) = &i.rndv_handle {
-            if r.is_done() {
-                return true;
-            }
-        }
-        false
+        i.core.readable()
+            || i.data_slots.front().is_some_and(|s| s.handle.is_done())
+            || i.dgram_data.as_ref().is_some_and(|d| d.handle.is_done())
+            || i.rndv_handle.as_ref().is_some_and(RecvHandle::is_done)
     }
 
     /// Completions a `select()` should watch for this connection.

@@ -25,7 +25,7 @@ impl SockShared {
         ok_or_return!(self.reap_sends());
         {
             let i = self.inner.lock();
-            if i.closed || i.write_closed {
+            if i.core.closed || i.core.write_closed {
                 return Ok(Err(NetError::Closed));
             }
             // A received Close may be a half-close; writes flow until
@@ -34,14 +34,14 @@ impl SockShared {
         if data.len() <= self.proc_.cfg.dgram_eager_max {
             let msg = Msg::Data {
                 piggyback: 0,
-                seq: self.inner.lock().claim_tx_seq(),
+                seq: self.inner.lock().core.claim_tx_seq(),
                 payload: Bytes::copy_from_slice(data),
             };
             let h = self.send_msg(ctx, self.tx_data_tag(), &msg)?;
             {
                 let mut i = self.inner.lock();
-                i.stats.bytes_sent += data.len() as u64;
-                i.stats.msgs_sent += 1;
+                i.core.stats.bytes_sent += data.len() as u64;
+                i.core.stats.msgs_sent += 1;
                 i.inflight_sends.push(h);
             }
             return Ok(Ok(data.len()));
@@ -69,10 +69,10 @@ impl SockShared {
                     i.rndv_granted = false;
                     break;
                 }
-                if i.peer_closed {
+                if i.core.peer_closed {
                     return Ok(Err(NetError::PeerClosed));
                 }
-                if i.closed {
+                if i.core.closed {
                     return Ok(Err(NetError::Closed));
                 }
             }
@@ -85,7 +85,7 @@ impl SockShared {
         self.trace(ctx, EventKind::RndvData, data.len() as u64, 0);
         let msg = Msg::Data {
             piggyback: 0,
-            seq: self.inner.lock().claim_tx_seq(),
+            seq: self.inner.lock().core.claim_tx_seq(),
             payload: Bytes::copy_from_slice(data),
         };
         let h = self.send_msg(ctx, self.tx_data_tag(), &msg)?;
@@ -93,14 +93,14 @@ impl SockShared {
         // posted, so this completes without retransmission.
         let acked = self.proc_.ep.wait_send(ctx, &h)?;
         if !acked {
-            self.inner.lock().peer_closed = true;
+            self.inner.lock().core.peer_closed = true;
             return Ok(Err(NetError::PeerClosed));
         }
         {
             let mut i = self.inner.lock();
-            i.stats.bytes_sent += data.len() as u64;
-            i.stats.msgs_sent += 1;
-            i.stats.rendezvous += 1;
+            i.core.stats.bytes_sent += data.len() as u64;
+            i.core.stats.msgs_sent += 1;
+            i.core.stats.rendezvous += 1;
         }
         Ok(Ok(data.len()))
     }
@@ -120,10 +120,10 @@ impl SockShared {
             // (ahead of sequence, parked by a previous iteration).
             let parked = {
                 let mut i = self.inner.lock();
-                if i.closed {
+                if i.core.closed {
                     return Ok(Err(NetError::Closed));
                 }
-                i.take_next_dgram()
+                i.core.next_dgram()
             };
             if let Some(payload) = parked {
                 self.trace(ctx, EventKind::SockReadEnd, payload.len() as u64, 0);
@@ -155,13 +155,7 @@ impl SockShared {
                 let Msg::Data { seq, payload, .. } = parsed else {
                     return Ok(Err(NetError::Protocol("non-data message on data tag")));
                 };
-                let next = {
-                    let mut i = self.inner.lock();
-                    if seq >= i.rx_next_seq {
-                        i.rx_ooo.insert(seq, payload);
-                    }
-                    i.take_next_dgram()
-                };
+                let next = self.inner.lock().core.on_dgram(seq, payload);
                 if let Some(payload) = next {
                     self.trace(ctx, EventKind::SockReadEnd, payload.len() as u64, 0);
                     return Ok(Ok(payload));
@@ -188,7 +182,7 @@ impl SockShared {
             // 4. Peer closed and every announced datagram delivered?
             {
                 let i = self.inner.lock();
-                if i.peer_drained() {
+                if i.core.peer_drained() {
                     return Ok(Ok(Bytes::new()));
                 }
                 if !block {
@@ -221,18 +215,6 @@ impl SockShared {
             ok_or_return!(self.wait_watched(ctx, &watch)?);
             ok_or_return!(self.poll_ctrl(ctx)?);
         }
-    }
-
-    /// Nonblocking datagram send. Eager-sized messages are fire-and-forget
-    /// already, so they go out as the blocking path would; larger messages
-    /// need the §5.2 rendezvous round trip, which cannot complete without
-    /// parking — those return [`NetError::Invalid`] (use the blocking
-    /// `write` for rendezvous-sized datagrams).
-    pub(crate) fn dgram_try_send(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
-        if data.len() > self.proc_.cfg.dgram_eager_max {
-            return Ok(Err(NetError::Invalid));
-        }
-        self.dgram_send(ctx, data)
     }
 
     /// Answer a rendezvous request while a receive of capacity `max` is

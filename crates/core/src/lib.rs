@@ -31,6 +31,7 @@
 
 pub mod config;
 pub mod conn;
+mod conn_core;
 pub mod dgram;
 pub mod fdtable;
 pub mod poll;
@@ -39,11 +40,9 @@ pub mod socket;
 pub mod stream;
 pub mod tags;
 
-pub use config::{CopyPolicy, RecvMode, RetryPolicy, SocketType, SubstrateConfig};
-pub use conn::ConnStats;
+pub use config::{CopyPolicy, RecvMode, SocketType, SubstrateConfig};
+pub use conn_core::ConnStats;
 pub use fdtable::{FdError, FdTable, PollFd};
 pub use poll::PollSet;
 pub use simnet::{Event, Interest, NetError};
-pub use socket::{
-    ConnDebugState, Connection, EmpSockets, Listener, SlotDebug, SockAddr, SubstrateStats,
-};
+pub use socket::{ConnDebugState, Connection, EmpSockets, Listener, SockAddr, SubstrateStats};

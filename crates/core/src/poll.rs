@@ -329,7 +329,7 @@ fn conn_ready(ctx: &ProcessCtx, sock: &SockShared, interest: Interest) -> OpResu
     if sock.poll_ctrl(ctx)?.is_err() || sock.reap_sends().is_err() {
         ready |= Interest::ERROR;
     }
-    if sock.inner.lock().closed {
+    if sock.inner.lock().core.closed {
         ready |= Interest::ERROR;
     }
     if interest.intersects(Interest::READABLE) && sock.readable_now() {
@@ -351,7 +351,7 @@ fn conn_ready(ctx: &ProcessCtx, sock: &SockShared, interest: Interest) -> OpResu
                 {
                     ok_or_return!(sock.disarm_poll_fcack(ctx)?);
                 }
-                if sock.stream_writable_now() {
+                if sock.inner.lock().core.writable() {
                     ready |= Interest::WRITABLE;
                 }
             }

@@ -30,7 +30,7 @@ pub const MAX_EAGER_DGRAM: usize = emp_proto::MAX_CHUNK - DATA_HEADER;
 pub const CONN_REQ: usize = HEADER + 4;
 
 /// Largest first write that travels inside its connection request
-/// (DESIGN §8): one EMP frame's payload less the request itself, so the
+/// (DESIGN §12): one EMP frame's payload less the request itself, so the
 /// request stays single-frame. Derived, not a knob.
 pub const FIRST_MAX: usize = emp_proto::MAX_CHUNK - CONN_REQ;
 
@@ -43,7 +43,7 @@ const KIND_CLOSE: u8 = 6;
 const KIND_RNDV_NAK: u8 = 7;
 
 /// `ConnReq` flags bit: the connecting side's data descriptors start at
-/// `conn::INITIAL_WINDOW` and grow to N once (DESIGN §8). Bit 0
+/// `conn_core::INITIAL_WINDOW` and grow to N once (DESIGN §12). Bit 0
 /// of the same byte is the socket type.
 const CONN_GROWS_WINDOW: u8 = 0x02;
 /// `FcAck` flags bit: this return grew the sender's window to N.
@@ -88,7 +88,7 @@ pub enum Msg {
         /// Sender's temp-buffer size.
         buf_size: u32,
         /// Both directions start with a window of
-        /// `conn::INITIAL_WINDOW` data descriptors and grow it to
+        /// `conn_core::INITIAL_WINDOW` data descriptors and grow it to
         /// N the first time their sender uses it up (the sender's §6.1
         /// switch is on); otherwise both post N at once.
         grows_window: bool,

@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use emp_proto::{EmpEndpoint, RecvHandle};
+use emp_proto::{EmpEndpoint, RecvHandle, SendHandle};
 use parking_lot::Mutex;
 use simnet::{
     until_deadline, wait_any, Interest, MacAddr, NetError, OpResult, ProcessCtx, SimAccess,
@@ -119,12 +119,12 @@ impl EmpSockets {
     /// Active open: allocate a connection id, wire up the local side, and
     /// send the connection-request message (§5.1).
     ///
-    /// With no connect policy configured it returns at once, and the
+    /// With no connect timeout configured it returns at once, and the
     /// application may write right away; a refused connection surfaces
     /// as [`NetError::Refused`] on a later operation. Under the §6.1
     /// switch (`piggyback_acks`, as in `default()`) a stream connect sends
     /// nothing yet: the connection's first operation sends the request
-    /// (DESIGN §8). A first `write` of 1..=[`crate::proto::FIRST_MAX`]
+    /// (DESIGN §12). A first `write` of 1..=[`crate::proto::FIRST_MAX`]
     /// bytes travels inside it as data message 0, copied, spending no
     /// credit — one frame instead of two, as TCP Fast Open (RFC 7413)
     /// carries data in its SYN and Linux's `TCP_FASTOPEN_CONNECT` defers
@@ -136,45 +136,44 @@ impl EmpSockets {
     /// presets send the request at once, and the server queues whatever
     /// rode in it whatever its own configuration.
     ///
-    /// With a policy ([`SubstrateConfig::with_connect_timeout`] or
-    /// [`SubstrateConfig::with_connect_retry`]) the call sends the request
-    /// bare and blocks, and fails with a *typed* outcome:
-    /// [`NetError::Refused`] when the receiver positively refused the
-    /// request (full backlog, no listener), [`NetError::Timeout`] when
-    /// nobody answered within the policy's budget,
-    /// [`NetError::Exhausted`] past the local connection budget.
+    /// With a deadline ([`SubstrateConfig::with_connect_timeout`]) the
+    /// call sends the request bare and blocks, and fails with a *typed*
+    /// outcome: [`NetError::Refused`] when the receiver positively refused
+    /// the request (full backlog, no listener), [`NetError::Timeout`] when
+    /// nobody answered within the deadline, [`NetError::Exhausted`] past
+    /// the local connection budget. A configured credit count outside
+    /// `1..=65535`, which the request cannot carry, is
+    /// [`NetError::Invalid`] before anything is posted.
     pub fn connect(&self, ctx: &ProcessCtx, addr: SockAddr) -> OpResult<Connection> {
         self.connect_inner(ctx, addr, None)
     }
 
     /// [`Self::connect`] bounded by `deadline` for this one call,
-    /// overriding (or standing in for) the configured policy: connects
-    /// under [`crate::RetryPolicy::from_deadline`].
+    /// overriding (or standing in for) the configured connect timeout.
     pub fn connect_deadline(
         &self,
         ctx: &ProcessCtx,
         addr: SockAddr,
         deadline: SimDuration,
     ) -> OpResult<Connection> {
-        self.connect_inner(
-            ctx,
-            addr,
-            Some(crate::config::RetryPolicy::from_deadline(deadline)),
-        )
+        self.connect_inner(ctx, addr, Some(deadline))
     }
 
     fn connect_inner(
         &self,
         ctx: &ProcessCtx,
         addr: SockAddr,
-        policy_override: Option<crate::config::RetryPolicy>,
+        deadline: Option<SimDuration>,
     ) -> OpResult<Connection> {
+        let cfg = &self.proc_.cfg;
+        if !(1..=u32::from(u16::MAX)).contains(&cfg.credits) {
+            return Ok(Err(NetError::Invalid));
+        }
         self.proc_.ensure_init(ctx)?;
         if addr.port > tags::MAX_PORT {
             return Ok(Err(NetError::AddrInUse));
         }
         let cid = ok_or_return!(self.proc_.alloc_cid());
-        let cfg = &self.proc_.cfg;
         // Windows that grow with traffic ride the §6.1 switch: the
         // request announces them and the acceptor adopts them.
         let grows_window = cfg.piggyback_acks;
@@ -190,66 +189,51 @@ impl EmpSockets {
             cfg.temp_buf_size,
             grows_window,
         )?;
-        let req = Msg::ConnReq {
-            cid,
-            port: addr.port,
-            socket_type: cfg.socket_type,
-            credits: cfg.credits as u16,
-            buf_size: cfg.temp_buf_size as u32,
-            grows_window,
-            first: Bytes::new(),
-        };
-        match policy_override.or(cfg.connect_retry) {
+        match deadline.or(cfg.connect_timeout) {
             // A blocking connect sends the request *refusably*: it must
             // never park in the receiver's unexpected queue — a full
             // backlog (or no listener at all) answers with a NACK that
             // surfaces here as a deterministic `Refused`.
-            Some(policy) => {
-                let h = sock.send_msg_refusable(ctx, tags::conn_tag(addr.port), &req)?;
-                sock.inner.lock().conn_send = Some(h);
-                ok_or_return!(self.await_connect(ctx, &sock, &req, addr, policy)?);
-            }
+            Some(deadline) => ok_or_return!(self.await_connect(ctx, &sock, deadline)?),
             // A non-blocking connect keeps the parking behaviour: hiding
             // the request round trip behind pipelined data (§7.4) depends
             // on it. Under the §6.1 switch a stream's first operation
             // sends it, with the first write aboard when that fits; the
             // presets send it now.
-            None => {
-                sock.inner.lock().conn_req = Some(req);
-                if !(grows_window && cfg.socket_type == SocketType::Stream) {
-                    sock.send_conn_req(ctx)?;
-                }
+            None if grows_window && cfg.socket_type == SocketType::Stream => {
+                sock.inner.lock().core.hold_request();
             }
+            None => sock.post_conn_req(ctx, Bytes::new())?,
         }
         Ok(Ok(Connection { sock }))
     }
 
-    /// The blocking half of `connect()` under a [`crate::RetryPolicy`]:
-    /// wait for the connection request to be acknowledged, resending with
-    /// the policy's (jittered) exponential backoff when EMP reports
-    /// definitive failure, and give up with a typed error — refusal and
-    /// silence are distinct outcomes. On failure the half-built
-    /// connection is torn down (descriptors unposted, cid recycled)
-    /// before the error is surfaced, so a refused connect leaks nothing.
+    /// The blocking half of `connect()`: send the request and wait for its
+    /// ack, resending whenever EMP gives up on it after `deadline / 8`,
+    /// doubling, capped at the deadline. Refusal and silence fail apart;
+    /// either way the half-built side is torn down first, leaking nothing.
     fn await_connect(
         &self,
         ctx: &ProcessCtx,
         sock: &Arc<SockShared>,
-        req: &Msg,
-        addr: SockAddr,
-        policy: crate::config::RetryPolicy,
+        deadline: SimDuration,
     ) -> OpResult<()> {
-        let give_up_at = ctx.now() + policy.deadline;
-        // Jitter seed: stable per (station, connection), so concurrent
-        // connects from one storm decorrelate while the simulation stays
-        // reproducible.
-        let seed = (u64::from(self.proc_.ep.addr().0) << 16) | u64::from(sock.cid);
-        let mut attempt: u32 = 1; // the initial request counts
+        let req = sock.conn_req(Bytes::new()).encode();
+        let range = sock.inner.lock().send_range;
+        let tag = tags::conn_tag(sock.port);
+        let send = || -> SimResult<SendHandle> {
+            let h = self
+                .proc_
+                .ep
+                .post_send_refusable(ctx, sock.peer, tag, req.clone(), range)?;
+            sock.inner.lock().conn_send = Some(h.clone());
+            Ok(h)
+        };
+        let mut handle = send()?;
+        let give_up_at = ctx.now() + deadline;
+        let base = deadline / 8;
+        let mut backoff = if base.is_zero() { deadline } else { base }.nanos();
         let failure = loop {
-            let handle = {
-                let i = sock.inner.lock();
-                i.conn_send.clone().expect("request just sent")
-            };
             match handle.status() {
                 Some(true) => break None,
                 Some(false) if handle.refused() => {
@@ -262,18 +246,14 @@ impl EmpSockets {
                 Some(false) => {
                     // EMP gave up without an answer (dead station,
                     // exhausted link retries): back off and resend while
-                    // the policy allows.
-                    if attempt >= policy.max_attempts {
+                    // the deadline allows.
+                    let wait = SimDuration::from_nanos(backoff.max(1));
+                    if ctx.now() + wait >= give_up_at {
                         break Some(NetError::Timeout);
                     }
-                    let backoff = policy.backoff(attempt, seed);
-                    if ctx.now() + backoff >= give_up_at {
-                        break Some(NetError::Timeout);
-                    }
-                    ctx.delay(backoff)?;
-                    attempt += 1;
-                    let h = sock.send_msg_refusable(ctx, tags::conn_tag(addr.port), req)?;
-                    sock.inner.lock().conn_send = Some(h);
+                    ctx.delay(wait)?;
+                    backoff = backoff.saturating_mul(2).min(deadline.nanos());
+                    handle = send()?;
                 }
                 None => {
                     let timer = simnet::Completion::new();
@@ -293,14 +273,14 @@ impl EmpSockets {
             };
             ctx.telemetry().counter(series).add(1);
             // Suppress the goodbye: there is nobody to say it to.
-            sock.inner.lock().peer_closed = true;
+            sock.inner.lock().core.peer_closed = true;
             sock.close(ctx)?;
             return Ok(Err(err));
         }
         Ok(Ok(()))
     }
 
-    /// Substrate-wide counters: every live connection's [`crate::conn::ConnStats`]
+    /// Substrate-wide counters: every live connection's [`crate::ConnStats`]
     /// summed, plus table sizes. Closed connections leave the active table,
     /// so this reflects the substrate's current working set.
     pub fn stats(&self) -> SubstrateStats {
@@ -313,9 +293,9 @@ impl EmpSockets {
                 .collect();
             (socks, st.listeners.len(), st.pooled_ranges())
         };
-        let mut totals = crate::conn::ConnStats::default();
+        let mut totals = crate::ConnStats::default();
         for s in &socks {
-            totals += s.inner.lock().stats;
+            totals += s.inner.lock().core.stats;
         }
         SubstrateStats {
             connections: socks.len(),
@@ -603,7 +583,10 @@ impl Connection {
     pub fn try_write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
         match self.sock.socket_type {
             SocketType::Stream => self.sock.stream_write(ctx, data, false),
-            SocketType::Datagram => self.sock.dgram_try_send(ctx, data),
+            SocketType::Datagram if data.len() > self.sock.proc_.cfg.dgram_eager_max => {
+                Ok(Err(NetError::Invalid))
+            }
+            SocketType::Datagram => self.sock.dgram_send(ctx, data),
         }
     }
 
@@ -628,7 +611,7 @@ impl Connection {
     /// POSIX `POLLOUT` semantics); always true for datagrams.
     pub fn writable(&self) -> bool {
         match self.sock.socket_type {
-            SocketType::Stream => self.sock.stream_writable_now(),
+            SocketType::Stream => self.sock.inner.lock().core.writable(),
             SocketType::Datagram => true,
         }
     }
@@ -661,20 +644,8 @@ impl Connection {
     }
 
     /// Per-connection substrate counters.
-    pub fn stats(&self) -> crate::conn::ConnStats {
-        self.sock.inner.lock().stats
-    }
-
-    /// Diagnostic: the posted data descriptors in queue order.
-    pub fn debug_slots(&self) -> Vec<SlotDebug> {
-        let i = self.sock.inner.lock();
-        i.data_slots
-            .iter()
-            .map(|s| SlotDebug {
-                desc_id: s.handle.id(),
-                done: s.handle.is_done(),
-            })
-            .collect()
+    pub fn stats(&self) -> crate::ConnStats {
+        self.sock.inner.lock().core.stats
     }
 
     /// Diagnostic snapshot of the connection's receive/flow-control state.
@@ -684,26 +655,15 @@ impl Connection {
         ConnDebugState {
             data_slots: i.data_slots.len(),
             done_slots,
-            stream_len: i.stream_len,
-            credits: i.credits,
-            consumed: i.consumed,
-            rearms_pending: i.rearms.len(),
-            window: i.window,
-            peer_closed: i.peer_closed,
-            closed: i.closed,
+            stream_len: i.core.stream_len,
+            credits: i.core.credits,
+            consumed: i.core.consumed,
+            rearms_pending: i.core.rearms.len(),
+            window: i.core.window,
+            peer_closed: i.core.peer_closed,
+            closed: i.core.closed,
         }
     }
-}
-
-/// Diagnostic view of one posted data descriptor (see
-/// [`Connection::debug_slots`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SlotDebug {
-    /// NIC descriptor id (`u64::MAX` marks a handle satisfied from the
-    /// unexpected pool).
-    pub desc_id: u64,
-    /// Whether a message has already landed in this descriptor.
-    pub done: bool,
 }
 
 /// Diagnostic snapshot of a connection's receive and flow-control state
@@ -744,6 +704,6 @@ pub struct SubstrateStats {
     /// Registered buffer ranges in the process pool, free for the next
     /// connection.
     pub pooled_ranges: usize,
-    /// Sum of every live connection's [`crate::conn::ConnStats`].
-    pub totals: crate::conn::ConnStats,
+    /// Sum of every live connection's [`crate::ConnStats`].
+    pub totals: crate::ConnStats,
 }

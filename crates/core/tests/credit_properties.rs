@@ -1,13 +1,12 @@
-//! Property-based tests of the §6.1 credit machinery: for arbitrary
-//! send/recv interleavings (and arbitrary credit budgets) each side keeps
-//! exactly its receive window of data descriptors — posted, or with
-//! piggy-backing on consumed and waiting for the send that returns their
-//! credits to re-arm them. The window is N under the presets (2N across
-//! the connection, §6.1 "posts 2N descriptors") and, under the
-//! piggy-backing default, two until the sender first uses both and N
-//! after. The sender's credit pool never exceeds N, and the delayed-ack
-//! accumulator never reaches the return threshold without being flushed.
-//! The presets and the piggy-backing default are both drawn.
+//! Property-based tests of the §6.1 credit machinery under loss and
+//! reordering, through the real NIC: for arbitrary send/recv sizes and
+//! credit budgets each side keeps exactly its receive window of data
+//! descriptors — posted, or with piggy-backing on consumed and waiting for
+//! the send that returns their credits to re-arm them — the sender's
+//! credit pool never exceeds N, and the delayed-ack accumulator never
+//! reaches the return threshold without being flushed. On a lossless
+//! fabric the same invariants are checked in every reachable state by the
+//! explorer in `conn_core.rs`.
 
 use std::sync::Arc;
 
@@ -26,15 +25,6 @@ fn cluster(faults: FaultPlan) -> EmpCluster {
         ..SwitchConfig::default()
     };
     build_cluster(2, EmpConfig::default(), sw)
-}
-
-fn preset(which: u32) -> SubstrateConfig {
-    match which % 4 {
-        0 => SubstrateConfig::ds(),
-        1 => SubstrateConfig::ds_da(),
-        2 => SubstrateConfig::ds_da_uq(),
-        _ => SubstrateConfig::default(),
-    }
 }
 
 /// Drive `writes` through a stream connection, auditing the §6.1
@@ -140,18 +130,6 @@ proptest! {
         cases: 10, // each case runs a full simulation with OS threads
         ..ProptestConfig::default()
     })]
-
-    #[test]
-    fn credit_invariants_hold_for_arbitrary_interleavings(
-        writes in prop::collection::vec(1usize..9_000, 1..10),
-        reads in prop::collection::vec(1usize..4_096, 1..6),
-        credits in 1u32..6,
-        which in 0u32..4,
-    ) {
-        let cfg = preset(which).with_credits(credits);
-        let violations = audit_run(cfg, FaultPlan::none(), writes, reads);
-        prop_assert!(violations.is_empty(), "{}", violations.join("; "));
-    }
 
     #[test]
     fn credit_invariants_hold_under_loss_and_reordering(

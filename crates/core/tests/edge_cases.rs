@@ -33,6 +33,29 @@ fn ports_beyond_the_tag_space_are_rejected() {
     sim.run();
 }
 
+/// The connection request carries the credit count in 16 bits: a count it
+/// cannot carry is refused before anything is posted, not truncated (65 536
+/// would announce a window of 0 to the peer).
+#[test]
+fn a_credit_count_the_request_cannot_carry_is_rejected() {
+    let sim = Sim::new();
+    let cl = cluster(2);
+    let cfg = SubstrateConfig {
+        credits: 65_536,
+        ..SubstrateConfig::ds_da_uq()
+    };
+    let s = sub(&cl, 0, cfg);
+    let s2 = s.clone();
+    let addr = SockAddr::new(cl.nodes[1].addr(), 80);
+    sim.spawn("p", move |ctx| {
+        assert_eq!(s.connect(ctx, addr)?.err(), Some(NetError::Invalid));
+        Ok(())
+    });
+    sim.run();
+    assert_eq!(s2.stats().connections, 0);
+    assert_eq!(cl.nodes[0].nic.preposted_len(), 0);
+}
+
 #[test]
 fn duplicate_listen_is_rejected() {
     let sim = Sim::new();

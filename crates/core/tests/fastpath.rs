@@ -8,7 +8,7 @@
 //! time of sending them is still charged to the writer.
 //!
 //! Under `default()` a first write that fits travels inside the connection
-//! request (DESIGN §8; `rider.rs` covers that path). The tests here count
+//! request (DESIGN §12; `rider.rs` covers that path). The tests here count
 //! every write as a data message into a data descriptor, so each client
 //! sends its request bare with `flush()` right after `connect()`.
 

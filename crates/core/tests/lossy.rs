@@ -321,7 +321,7 @@ fn long_writes_with_copied_tails_move_a_megabyte_at_twenty_percent_loss() {
 
 /// `conns` fresh `default()` connections in a row over a faulty fabric,
 /// each opened by a first write that rides in its connection request
-/// (DESIGN §8) and followed at once by a second write, then answered: the
+/// (DESIGN §12) and followed at once by a second write, then answered: the
 /// request, the data message behind it and the answer all cross the
 /// lossy, reordering wire, so the second message can overtake the request
 /// and wait in the unexpected queue for the accept. Bytes must be exact
@@ -658,6 +658,48 @@ fn connect_to_a_dead_peer_times_out_within_the_deadline() {
     });
     sim.run();
     assert!(done.is_done());
+}
+
+/// The blocking connect's resend schedule against a dead station, pinned
+/// in sim time: EMP gives up on each request after four silent rounds,
+/// and the substrate resends after `deadline / 8`, doubling, until the
+/// deadline passes.
+#[test]
+fn connect_to_a_dead_peer_resends_on_the_deadline_schedule() {
+    let sim = Sim::new();
+    let emp = EmpConfig {
+        max_retries: 4,
+        ..EmpConfig::default()
+    };
+    let sw = SwitchConfig {
+        link: LinkConfig {
+            faults: FaultPlan::seeded(9).with_drop_prob(1.0),
+            ..LinkConfig::default()
+        },
+        ..SwitchConfig::default()
+    };
+    let cl = build_cluster(2, emp, sw);
+    let deadline = SimDuration::from_millis(50);
+    let client = substrate(&cl, 0, SubstrateConfig::ds().with_connect_timeout(deadline));
+    let addr = SockAddr::new(cl.nodes[1].addr(), 80);
+    let surfaced = std::sync::Arc::new(parking_lot::Mutex::new(None));
+    let s = std::sync::Arc::clone(&surfaced);
+
+    sim.spawn("client", move |ctx| {
+        let r = client.connect(ctx, addr)?;
+        *s.lock() = Some((r.err(), ctx.now().nanos()));
+        Ok(())
+    });
+    sim.run();
+    let (err, at) = surfaced.lock().take().expect("connect returned");
+    assert_eq!(err, Some(NetError::Timeout));
+    let stats = cl.nodes[0].nic.stats();
+    // Each request is one frame; every other frame is a retransmission.
+    let requests = cl.nodes[0].nic.tigon().frames_sent() - stats.frames_retransmitted;
+    assert_eq!(requests, 3, "connection requests sent");
+    // The third request is still retransmitting when the deadline passes,
+    // 50 ms after the connect began sending.
+    assert_eq!(at, 50_286_500, "Timeout instant (ns)");
 }
 
 #[test]

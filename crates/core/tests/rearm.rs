@@ -25,7 +25,7 @@ fn cluster() -> EmpCluster {
 /// waits in the unexpected queue (§7.4's pipelined connect), which is not
 /// what this suite is about. The request goes bare (`flush()`), so the
 /// server accepts now and the first write binds a data descriptor like
-/// every later one instead of riding the request (DESIGN §8).
+/// every later one instead of riding the request (DESIGN §12).
 fn connect_settled(ctx: &ProcessCtx, api: &EmpSockets, addr: SockAddr) -> SimResult<Connection> {
     let settle = SimDuration::from_millis(2);
     ctx.delay(settle)?;

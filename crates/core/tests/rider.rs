@@ -1,4 +1,4 @@
-//! The connection request carries the first write (DESIGN §8). Under the
+//! The connection request carries the first write (DESIGN §12). Under the
 //! §6.1 switch (`SubstrateConfig::piggyback_acks`, on in `default()`) a
 //! non-blocking stream `connect()` sends nothing yet; the connection's
 //! first operation sends the request. A first write of

@@ -1,4 +1,4 @@
-//! Receive windows that scale with traffic (DESIGN §8). Under the §6.1
+//! Receive windows that scale with traffic (DESIGN §12). Under the §6.1
 //! switch (`SubstrateConfig::piggyback_acks`, on in `default()`) each
 //! direction of a stream connection starts with two data descriptors and
 //! grows to N once, when its sender has used both: the receiver finds every
@@ -42,7 +42,7 @@ fn pair(
 /// request or first message waits in the unexpected queue. The request
 /// goes bare (`flush()`), so the server accepts now and the first write
 /// binds a data descriptor like every later one instead of riding the
-/// request (DESIGN §8).
+/// request (DESIGN §12).
 fn connect_settled(ctx: &ProcessCtx, api: &EmpSockets, addr: SockAddr) -> SimResult<Connection> {
     let settle = SimDuration::from_millis(2);
     ctx.delay(settle)?;
@@ -302,7 +302,7 @@ fn growth_costs_exactly_n_minus_two_descriptor_posts() {
 fn write_write_read_on_a_fresh_connection_grows_once() {
     // `coalesced_pingpong_flushes_on_read_and_completes` on a fresh
     // connection. The first request's header rides in the connection
-    // request (DESIGN §8) and binds no descriptor, so its body uses one;
+    // request (DESIGN §12) and binds no descriptor, so its body uses one;
     // the second request's two messages use both descriptors of the
     // echoer's window and grow it. No round after that one may wait out a
     // staging deadline.

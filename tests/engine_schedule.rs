@@ -40,14 +40,14 @@
 //! It was re-recorded again when, under the same switch, a consumed data
 //! descriptor stopped being reposted behind a doorbell of its own at read
 //! time and began to be re-armed by the send that returns its credit
-//! (DESIGN §8): the reader's 40 reads no longer post anything, its two
+//! (DESIGN §12): the reader's 40 reads no longer post anything, its two
 //! FcAcks re-arm 16 descriptors each on its NIC's tx CPU, and the last 8
 //! are freed at close (1 145 → 1 066 events, same end time). Its flush
 //! and message counts did not move.
 //!
 //! It was re-recorded again when, under the same switch, each direction of
 //! a stream connection began with a window of two data descriptors and
-//! grew it to N the first time its sender used both (DESIGN §8): connect
+//! grew it to N the first time its sender used both (DESIGN §12): connect
 //! and accept post two descriptors instead of 32 each and close unposts
 //! that many fewer, the first pair's staged write is flushed at once on
 //! credit pressure, and the read that consumes it sends one FcAck that
@@ -57,7 +57,7 @@
 //!
 //! It was re-recorded again when, under the same switch, a fresh
 //! connection's first small write began to ride inside its connection
-//! request (DESIGN §8): one frame instead of two, and no data descriptor
+//! request (DESIGN §12): one frame instead of two, and no data descriptor
 //! consumed. The first pair's second write then finds nothing in flight
 //! and goes at once, so the writer uses up its two-credit window, and the
 //! reader grows it, one pair later; the reader's delayed FcAck
@@ -238,7 +238,7 @@ fn default_paired_writes() {
     // staged behind it and sent by its staging deadline — a timer event,
     // not a process — and the writer pays for that flush at its next call.
     // The very first write rides in the connection request instead
-    // (DESIGN §8), which is not a send in flight, so the first pair's
+    // (DESIGN §12), which is not a send in flight, so the first pair's
     // second write finds the connection idle and is sent at once too. The
     // reader's delayed FcAck then leaves on the tenth pair's first
     // message, so its NIC holds the ack of that pair's flush for reverse
