@@ -44,8 +44,11 @@ fi
 # earlier ran a third and fourth time as stages of their own:
 # * connection core (sockets-emp `conn_core` unit tests): a breadth-first
 #   explorer runs two ConnCores over an abstract NIC through every
-#   interleaving, preset pairing and N <= 4, checking the credit invariants
-#   in every state and that every state can still finish.
+#   interleaving, preset pairing and N <= 4, acceptors configured with
+#   another N than their client's among them, stepping each write
+#   (nonblocking ones too), flush, shutdown_write and close through the
+#   driver's own sequence (`ConnCore::step`), and checks the credit
+#   invariants in every state and that every state can still finish.
 # * chaos (sockets-emp `lossy`, emp-proto `reliability` and `piggyback`):
 #   the substrate robustness suite (seeded fault injection, vanished-peer
 #   detection), EMP's own loss recovery (selective repeat, RTT-measured

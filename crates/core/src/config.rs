@@ -4,6 +4,8 @@
 
 use simnet::SimDuration;
 
+use crate::conn_core::ack_threshold;
+
 /// Which sockets semantics a connection provides.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SocketType {
@@ -287,36 +289,32 @@ impl SubstrateConfig {
         self
     }
 
-    /// Messages consumed before a flow-control ack is due.
-    pub fn ack_threshold(&self) -> u32 {
-        if self.delayed_acks {
-            (self.credits / 2).max(1)
-        } else {
-            1
-        }
-    }
-
-    /// Flow-control-ack descriptors a sender pre-posts (zero when they
-    /// live in the unexpected queue instead). With per-message acks this
-    /// is N — which is how ack descriptors come to be "half of the total
-    /// descriptors posted" (§6.3); with delayed acks only a couple are
-    /// ever outstanding.
-    pub fn fcack_descriptors(&self) -> usize {
+    /// Flow-control-ack descriptors a connection of window N = `n` (the
+    /// client's credits, which the acceptor adopts) pre-posts, zero when
+    /// they live in the unexpected queue instead. With per-message acks
+    /// this is N — which is how ack descriptors come to be "half of the
+    /// total descriptors posted" (§6.3); with delayed acks only a couple
+    /// are ever outstanding.
+    pub fn fcack_descriptors(&self, n: u32) -> usize {
         if self.acks_in_unexpected_queue {
             0
         } else {
-            (self.credits.div_ceil(self.ack_threshold()) as usize + 1)
-                .min(self.credits as usize + 1)
+            (self.acks_outstanding(n) + 1).min(n as usize + 1)
         }
     }
 
-    /// Unexpected-queue slots this connection needs for its acks.
-    pub fn unexpected_quota(&self) -> usize {
+    /// Unexpected-queue slots a connection of window N = `n` needs for
+    /// its acks.
+    pub fn unexpected_quota(&self, n: u32) -> usize {
         if self.acks_in_unexpected_queue {
-            self.credits.div_ceil(self.ack_threshold()) as usize + 1
+            self.acks_outstanding(n) + 1
         } else {
             0
         }
+    }
+
+    fn acks_outstanding(&self, n: u32) -> usize {
+        n.div_ceil(ack_threshold(self.delayed_acks, n)) as usize
     }
 }
 
@@ -339,23 +337,23 @@ mod tests {
 
     #[test]
     fn ack_threshold_halves_credits_when_delayed() {
-        assert_eq!(SubstrateConfig::ds().ack_threshold(), 1);
-        assert_eq!(SubstrateConfig::ds_da().ack_threshold(), 16);
-        assert_eq!(SubstrateConfig::ds_da().with_credits(1).ack_threshold(), 1);
-        assert_eq!(SubstrateConfig::ds_da().with_credits(3).ack_threshold(), 1);
+        assert_eq!(ack_threshold(false, 32), 1);
+        assert_eq!(ack_threshold(true, 32), 16);
+        assert_eq!(ack_threshold(true, 1), 1);
+        assert_eq!(ack_threshold(true, 3), 1);
     }
 
     #[test]
     fn ack_descriptor_fractions_match_paper_examples() {
         // §6.3: credit size 1 => ack descriptors are ~50% of the total.
         let c1 = SubstrateConfig::ds_da().with_credits(1);
-        assert_eq!(c1.fcack_descriptors(), 2); // vs 1 data descriptor
-                                               // Credit size 32 with delayed acks: ~2 ack descriptors vs 32 data,
-                                               // the ~6% the paper quotes.
+        assert_eq!(c1.fcack_descriptors(1), 2); // vs 1 data descriptor
+                                                // Credit size 32 with delayed acks: ~2 ack descriptors vs 32 data,
+                                                // the ~6% the paper quotes.
         let c32 = SubstrateConfig::ds_da();
-        assert_eq!(c32.fcack_descriptors(), 3);
+        assert_eq!(c32.fcack_descriptors(32), 3);
         // Without delayed acks, one per credit (plus slack).
-        assert_eq!(SubstrateConfig::ds().fcack_descriptors(), 33);
+        assert_eq!(SubstrateConfig::ds().fcack_descriptors(32), 33);
     }
 
     #[test]
@@ -406,8 +404,8 @@ mod tests {
 
     #[test]
     fn unexpected_quota_only_in_uq_mode() {
-        assert_eq!(SubstrateConfig::ds_da().unexpected_quota(), 0);
-        assert_eq!(SubstrateConfig::ds_da_uq().unexpected_quota(), 3);
-        assert_eq!(SubstrateConfig::ds_da_uq().fcack_descriptors(), 0);
+        assert_eq!(SubstrateConfig::ds_da().unexpected_quota(32), 0);
+        assert_eq!(SubstrateConfig::ds_da_uq().unexpected_quota(32), 3);
+        assert_eq!(SubstrateConfig::ds_da_uq().fcack_descriptors(32), 0);
     }
 }

@@ -19,7 +19,7 @@ use simnet::{
 };
 
 use crate::config::{SocketType, SubstrateConfig};
-use crate::conn_core::{ConnCore, CoreCfg, CreditReturn, Refusal, Request};
+use crate::conn_core::{ConnCore, CoreCfg, CreditReturn, Refusal};
 use crate::proto::{Msg, DATA_HEADER, FIRST_MAX, HEADER};
 use crate::tags;
 
@@ -309,7 +309,7 @@ impl SockShared {
         let core = ConnCore::new(
             CoreCfg {
                 n: credits_max,
-                ack_threshold: cfg.ack_threshold(),
+                delayed_acks: cfg.delayed_acks,
                 piggyback: cfg.piggyback_acks,
                 buf_size,
                 send_copy_threshold: cfg.send_copy_threshold,
@@ -372,13 +372,13 @@ impl SockShared {
                 // Flow-control-ack descriptors: pre-posted, or routed via
                 // the unexpected queue (§6.4).
                 let fcack_range = sock.inner.lock().fcack_range;
-                let posts: Vec<_> = (0..cfg.fcack_descriptors())
+                let posts: Vec<_> = (0..cfg.fcack_descriptors(credits_max))
                     .map(|_| (sock.rx_fcack_tag(), Some(peer), HEADER, fcack_range))
                     .collect();
                 for h in ep.post_recv_batch(ctx, &posts)? {
                     sock.inner.lock().fcack_handles.push_back(h);
                 }
-                let quota = cfg.unexpected_quota();
+                let quota = cfg.unexpected_quota(credits_max);
                 if quota > 0 {
                     proc_.adjust_unexpected(ctx, quota as isize)?;
                 }
@@ -469,15 +469,6 @@ impl SockShared {
             grows_window: self.proc_.cfg.piggyback_acks,
             first,
         }
-    }
-
-    /// Send a request `connect()` held back, bare: every first operation
-    /// but a riding write comes through here.
-    pub(crate) fn send_conn_req(&self, ctx: &ProcessCtx) -> SimResult<()> {
-        if self.inner.lock().core.claim_request(None) == Request::Bare {
-            self.post_conn_req(ctx, Bytes::new())?;
-        }
-        Ok(())
     }
 
     /// Send the connection request, claimed from the core, with `first`.
@@ -665,62 +656,11 @@ impl SockShared {
         Ok(())
     }
 
-    /// Half-close (`shutdown(SHUT_WR)`): the peer's reads see EOF after
-    /// draining, while this side keeps reading.
-    pub(crate) fn shutdown_write(&self, ctx: &ProcessCtx) -> SimResult<()> {
-        if self.inner.lock().core.shutdown_write() {
-            return Ok(());
-        }
-        self.flush_for_close(ctx)?;
-        self.send_close(ctx)
-    }
-
-    /// A held request and the staged writes go out before the `Close`,
-    /// which carries the final sequence count; an undeliverable flush is
-    /// moot.
-    fn flush_for_close(&self, ctx: &ProcessCtx) -> SimResult<()> {
-        self.send_conn_req(ctx)?;
-        self.flush_coalesced(ctx, true).map(drop)
-    }
-
-    /// Send `Close`, unless the peer closed first.
-    fn send_close(&self, ctx: &ProcessCtx) -> SimResult<()> {
-        let (peer_closed, final_seq) = {
-            let c = &self.inner.lock().core;
-            (c.peer_closed, c.final_seq())
-        };
-        if !peer_closed {
-            let h = self.send_msg(ctx, self.tx_ctrl_tag(), &Msg::Close { final_seq })?;
-            self.inner.lock().inflight_sends.push(h);
-        }
-        Ok(())
-    }
-
-    /// Tear down this side: notify the peer, explicitly unpost every
-    /// descriptor (§5.3), release the unexpected-queue quota and recycle
-    /// the connection id.
-    pub(crate) fn close(&self, ctx: &ProcessCtx) -> SimResult<()> {
-        if self.inner.lock().core.close() {
-            return Ok(());
-        }
-        let unaccounted = {
-            let i = self.inner.lock();
-            match self.socket_type {
-                SocketType::Stream => i.core.window_unaccounted(i.data_slots.len()),
-                SocketType::Datagram => 0,
-            }
-        };
-        // Descriptors still waiting for a credit-returning send are never
-        // re-armed, and their credits never returned: the buffers go back
-        // to the pool with the rest below.
-        let stale = self.inner.lock().core.take_return().rearms;
-        self.flush_for_close(ctx)?;
-        self.publish_stats(ctx, unaccounted);
-        // A shutdown_write sent the Close already.
-        if !self.inner.lock().core.write_closed {
-            self.send_close(ctx)?;
-        }
-        // Unpost everything still on the NIC, recycling the buffers.
+    /// The end of a close: unpost every descriptor still on the NIC
+    /// (§5.3), recycling the buffers, `stale` among them — consumed
+    /// descriptors whose credit-returning send never came — then release
+    /// the unexpected-queue quota and recycle the connection id.
+    pub(crate) fn teardown(&self, ctx: &ProcessCtx, stale: Vec<VirtRange>) -> SimResult<()> {
         let (handles, ranges) = {
             let mut i = self.inner.lock();
             let mut v: Vec<RecvHandle> = Vec::new();
@@ -754,7 +694,7 @@ impl SockShared {
             self.proc_.free_range(r);
         }
         if self.socket_type == SocketType::Stream {
-            let quota = self.proc_.cfg.unexpected_quota();
+            let quota = self.proc_.cfg.unexpected_quota(self.credits_max);
             if quota > 0 {
                 self.proc_.adjust_unexpected(ctx, -(quota as isize))?;
             }
@@ -768,7 +708,7 @@ impl SockShared {
     /// must read zero, as must `credits_without_rearm` and the descriptors
     /// `unaccounted` for by the window). Only non-zero values register a
     /// counter.
-    fn publish_stats(&self, ctx: &ProcessCtx, unaccounted: u64) {
+    pub(crate) fn publish_stats(&self, ctx: &ProcessCtx, unaccounted: u64) {
         let (s, stranded, debt) = {
             let i = self.inner.lock();
             (

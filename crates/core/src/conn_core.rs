@@ -19,6 +19,16 @@ use bytes::Bytes;
 /// fail it, 2 passes at 0.806).
 pub(crate) const INITIAL_WINDOW: u32 = 2;
 
+/// Messages consumed before an explicit credit return is due toward a
+/// window of `n`: half of it with §6.3's delayed acks, else every one.
+pub(crate) fn ack_threshold(delayed_acks: bool, n: u32) -> u32 {
+    if delayed_acks {
+        (n / 2).max(1)
+    } else {
+        1
+    }
+}
+
 /// Per-connection substrate counters, mirroring what a production sockets
 /// library exposes for diagnosis (`getsockopt`-style).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -116,7 +126,8 @@ pub(crate) enum Refusal {
 pub(crate) struct CoreCfg {
     /// N: the largest receive window either direction reaches.
     pub(crate) n: u32,
-    pub(crate) ack_threshold: u32,
+    /// §6.3: return credits after half the window, not after each message.
+    pub(crate) delayed_acks: bool,
     /// §6.1 piggy-backing, with re-arms riding the credit return.
     pub(crate) piggyback: bool,
     /// Largest substrate message payload (the temp-buffer size).
@@ -128,16 +139,6 @@ pub(crate) struct CoreCfg {
     /// Largest first write that rides the connection request.
     pub(crate) first_max: usize,
     pub(crate) reorder_cap: Option<usize>,
-}
-
-/// Who sends a held connection request (see [`ConnCore::claim_request`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Request {
-    NotHeld,
-    /// The caller sends it bare, then carries on.
-    Bare,
-    /// The caller sends it with the write aboard as data message 0.
-    Rides,
 }
 
 /// What a staging deadline does (see [`ConnCore::deadline`]).
@@ -170,6 +171,157 @@ pub(crate) struct Consumed<R> {
     pub(crate) grant: u32,
     /// With piggy-backing on and no return due: the credits accrued.
     pub(crate) delayed: Option<u32>,
+}
+
+/// A stream operation, as [`ConnCore::step`] walks it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum OpKind {
+    /// A write of `len` bytes. With `block` it returns once its zero-copy
+    /// fragments are acknowledged, copied ones (small writes, a staging
+    /// policy's tail) still in flight: a copied send that fails later
+    /// fails the next call. Without `block` it never parks: every
+    /// fragment is copied, and it takes what its credits allow, or is
+    /// `WouldBlock` before any byte.
+    Write {
+        len: usize,
+        block: bool,
+    },
+    /// Send the staged bytes, a held request first (bare) if `request`:
+    /// `flush()` with `block`, a read's or a poll's prologue without.
+    Flush {
+        request: bool,
+        block: bool,
+    },
+    ShutdownWrite,
+    Close,
+}
+
+/// What performing a [`Step::Credit`] found: `Failed` is any failure but
+/// `WouldBlock`, kept by the performer for [`Step::Fail`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum Credit {
+    Spent,
+    WouldBlock,
+    Failed,
+}
+
+/// One operation in progress: how far [`ConnCore::step`] has taken it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct Op {
+    kind: OpKind,
+    at: Phase,
+    /// Where the flush in progress leads.
+    then: Phase,
+    /// A write's bytes sent so far; whether one of its fragments went
+    /// zero-copy (the write waits for those).
+    off: usize,
+    zero_copy: bool,
+    credit: Option<Credit>,
+}
+
+impl Op {
+    pub(crate) fn new(kind: OpKind) -> Self {
+        Op {
+            kind,
+            at: Phase::Start,
+            then: Phase::Start,
+            off: 0,
+            zero_copy: false,
+            credit: None,
+        }
+    }
+
+    /// Record what the [`Step::Credit`] just performed found.
+    pub(crate) fn found(&mut self, credit: Credit) {
+        self.credit = Some(credit);
+    }
+
+    /// Go on at `at` once the performer has done `step`.
+    fn go<R>(&mut self, at: Phase, step: Step<R>) -> Step<R> {
+        self.at = at;
+        step
+    }
+
+    /// Flush the staged bytes, then go on at `then`.
+    fn flush(&mut self, then: Phase) -> Phase {
+        self.then = then;
+        Phase::FlushDebt
+    }
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Phase {
+    Start,
+    Request,
+    /// A write: stage it or send it?
+    Route,
+    Stages,
+    /// After a capacity flush, room at the NIC; then the probe, or (when
+    /// the staged message filled) the write's end.
+    Room,
+    Full,
+    Probe,
+    Staged,
+    Fragment,
+    Send,
+    ZeroCopy,
+    FlushDebt,
+    FlushStaged,
+    FlushSpend,
+    Publish,
+    Announce,
+    Teardown,
+    Return(usize),
+}
+
+/// What only the performer of a step can see, asked only when a decision
+/// needs it: whether a send of this side is unacknowledged, the bytes
+/// unacknowledged in its sends before the latest, and the data
+/// descriptors it keeps posted.
+pub(crate) trait Nic {
+    fn in_flight(&self) -> bool;
+    fn unacked_ahead(&self) -> usize;
+    fn posted(&self) -> usize;
+}
+
+/// The next thing to perform for an operation (see [`ConnCore::step`]).
+pub(crate) enum Step<R> {
+    /// Pay the host time of deadline flushes done on this side's behalf.
+    PayDebt,
+    /// Send the held connection request, the write aboard if `rides`.
+    Request {
+        rides: bool,
+    },
+    /// Prune completed sends; a failed one ends the operation.
+    Reap,
+    /// Spend a credit, parking for one with `block`; then [`Op::found`].
+    Credit {
+        block: bool,
+    },
+    SendStaged(Flush<R>),
+    /// Send the write's bytes in the range as one data message that
+    /// returns the credits and has the sequence number given: copied
+    /// (`true`) or zero-copy.
+    Fragment(CreditReturn<R>, u32, std::ops::Range<usize>, bool),
+    /// Copy the write into the staging buffer ([`ConnCore::stage`]).
+    Stage,
+    /// Park until the send before the latest is acknowledged.
+    AwaitQueueRoom,
+    /// Park until the write's zero-copy fragments are acknowledged.
+    AwaitZeroCopy,
+    /// A close's counters are final; the window's descriptors not
+    /// accounted for.
+    Publish {
+        unaccounted: u64,
+    },
+    /// Announce the data messages sent with a `Close`.
+    SendClose(u32),
+    /// Unpost and recycle everything, these consumed descriptors too.
+    Teardown(Vec<R>),
+    /// The operation is over: the bytes it took, or why not.
+    Done(Result<usize, Refusal>),
+    /// The operation is over, with the error its credit wait found.
+    Fail,
 }
 
 /// One side of a stream connection's flow-control state (DESIGN §12).
@@ -258,26 +410,6 @@ impl<R: Copy> ConnCore<R> {
         self.req_held = true;
     }
 
-    /// The first operation claims a held request. `write` is the length
-    /// of a blocking write, the only operation a request carries: 1..=
-    /// `first_max` bytes ride as data message 0, spending no credit. The
-    /// claim and seq 0 are one step, so an operation of another process
-    /// during the rider's charges finds the request gone.
-    pub(crate) fn claim_request(&mut self, write: Option<usize>) -> Request {
-        if !std::mem::take(&mut self.req_held) {
-            return Request::NotHeld;
-        }
-        match write {
-            Some(len) if (1..=self.cfg.first_max).contains(&len) => {
-                let (ret, seq) = self.begin_msg(len);
-                debug_assert!(seq == 0 && ret.credits == 0, "nothing precedes a rider");
-                self.stats.conn_riders += 1;
-                Request::Rides
-            }
-            _ => Request::Bare,
-        }
-    }
-
     /// Accept side of a rider: data message 0, no descriptor, no credit.
     pub(crate) fn accept_first(&mut self, first: Bytes) {
         self.rx_next_seq = 1;
@@ -285,11 +417,219 @@ impl<R: Copy> ConnCore<R> {
         self.push_stream(first);
     }
 
-    // ---- write ----
+    // ---- operations ----
+
+    /// The next step of `op`: every decision of a stream write, flush,
+    /// shutdown or close, in the order the driver performs them (DESIGN
+    /// §12). The performer does what the step names and asks again; a
+    /// [`Step::Credit`]'s answer comes back through [`Op::found`]. The
+    /// decisions between two steps are made at once, on the state the
+    /// last step left.
+    pub(crate) fn step(&mut self, op: &mut Op, nic: &dyn Nic) -> Step<R> {
+        let (len, block) = match op.kind {
+            OpKind::Write { len, block } => (len, block),
+            OpKind::Flush { block, .. } => (0, block),
+            OpKind::ShutdownWrite | OpKind::Close => (0, true),
+        };
+        let room = 2 * self.cfg.buf_size;
+        let short = || block && nic.unacked_ahead() >= room;
+        loop {
+            op.at = match op.at {
+                Phase::Start => match op.kind {
+                    OpKind::Write { .. } => return op.go(Phase::Request, Step::PayDebt),
+                    OpKind::Flush { request: false, .. } => op.flush(Phase::Return(0)),
+                    // A shut down or closed side does nothing more; the
+                    // consumed descriptors of a closing one are never
+                    // re-armed: `Step::Teardown` recycles them.
+                    OpKind::ShutdownWrite
+                        if std::mem::replace(&mut self.write_closed, true) || self.closed =>
+                    {
+                        return Step::Done(Ok(0))
+                    }
+                    OpKind::Close if std::mem::replace(&mut self.closed, true) => {
+                        return Step::Done(Ok(0))
+                    }
+                    _ => Phase::Request,
+                },
+                Phase::Request => {
+                    // The first operation claims a held request: 1..=
+                    // `first_max` bytes of a blocking write ride it as
+                    // data message 0, spending no credit; anything else
+                    // sends it bare. Claim and seq 0 are one decision, so
+                    // another process's operation during the rider's
+                    // charges finds the request gone.
+                    let held = std::mem::take(&mut self.req_held);
+                    let rides = held
+                        && matches!(op.kind, OpKind::Write { block: true, .. })
+                        && (1..=self.cfg.first_max).contains(&len);
+                    if rides {
+                        let (ret, seq) = self.begin_msg(len);
+                        debug_assert!(seq == 0 && ret.credits == 0, "nothing precedes a rider");
+                        self.stats.conn_riders += 1;
+                    }
+                    let next = match op.kind {
+                        OpKind::Write { .. } if rides => Phase::Return(len),
+                        OpKind::Write { .. } => Phase::Route,
+                        OpKind::Flush { .. } => op.flush(Phase::Return(0)),
+                        OpKind::ShutdownWrite => op.flush(Phase::Announce),
+                        OpKind::Close => op.flush(Phase::Publish),
+                    };
+                    if !held {
+                        next
+                    } else {
+                        return op.go(next, Step::Request { rides });
+                    }
+                }
+                Phase::Route => {
+                    // Stage no more than the send-copy rule copies anyway,
+                    // nor than one message.
+                    let c = &self.cfg;
+                    let small = c.stage_below.min(c.send_copy_threshold);
+                    if len > 0 && len <= small.min(c.stage_capacity) {
+                        return op.go(Phase::Stages, Step::Reap);
+                    }
+                    // A larger write must not overtake staged bytes.
+                    op.flush(Phase::Fragment)
+                }
+                Phase::Stages => match self.check_writable() {
+                    Err(r) => return Step::Done(Err(r)),
+                    // With nothing staged and nothing in flight the write
+                    // would wait alone: it goes at once (Nagle's rule).
+                    Ok(()) if self.staged.is_empty() && !nic.in_flight() => {
+                        op.flush(Phase::Fragment)
+                    }
+                    Ok(()) if self.staged.len() + len > self.cfg.stage_capacity => {
+                        op.flush(Phase::Room)
+                    }
+                    Ok(()) => Phase::Probe,
+                },
+                // Two full messages unacknowledged ahead of a capacity
+                // flush: the NIC holds enough.
+                Phase::Room if short() => return op.go(Phase::Probe, Step::AwaitQueueRoom),
+                Phase::Room => Phase::Probe,
+                Phase::Full if short() => return op.go(Phase::Return(len), Step::AwaitQueueRoom),
+                Phase::Full => Phase::Return(len),
+                Phase::Probe if block => return op.go(Phase::Staged, Step::Stage),
+                // Without `block`, staging needs a credit in hand (reaped,
+                // not awaited): never take bytes nothing can send.
+                Phase::Probe => match op.credit.take() {
+                    None => return Step::Credit { block },
+                    Some(Credit::Spent) => {
+                        self.refund();
+                        return op.go(Phase::Staged, Step::Stage);
+                    }
+                    Some(Credit::WouldBlock) => return Step::Done(Err(Refusal::WouldBlock)),
+                    Some(Credit::Failed) => return Step::Fail,
+                },
+                // Flush when full, or under credit pressure (the peer is
+                // about to stop granting): bytes staged ⇒ two credits in
+                // hand, so a deadline never waits for one.
+                Phase::Staged if self.staged.len() >= self.cfg.stage_capacity => {
+                    op.flush(Phase::Full)
+                }
+                Phase::Staged if self.credits <= 1 => op.flush(Phase::Return(len)),
+                Phase::Staged => Phase::Return(len),
+                Phase::Fragment => return op.go(Phase::Send, Step::Reap),
+                Phase::Send => {
+                    match op.credit.take() {
+                        None => match self.check_writable() {
+                            Err(r) => return Step::Done(Err(r)),
+                            Ok(()) => return Step::Credit { block },
+                        },
+                        // Out of credits without parking: the bytes taken.
+                        Some(Credit::WouldBlock) if op.off > 0 || len == 0 => {
+                            return Step::Done(Ok(op.off))
+                        }
+                        Some(Credit::WouldBlock) => return Step::Done(Err(Refusal::WouldBlock)),
+                        Some(Credit::Failed) => return Step::Fail,
+                        Some(Credit::Spent) => {}
+                    }
+                    // Head fragments first. Under a staging policy a
+                    // blocking write longer than the threshold ends with
+                    // its last `send_copy_threshold` bytes as one copied
+                    // message it does not wait for.
+                    let c = &self.cfg;
+                    let staging = block && c.stage_below > 0 && len > c.send_copy_threshold;
+                    let head = len - usize::from(staging) * c.send_copy_threshold.min(c.buf_size);
+                    let off = op.off;
+                    let end = if off < head { head } else { len };
+                    let chunk = (end - off).min(c.buf_size);
+                    // Zero-copy pins the caller's buffer until the NIC
+                    // acknowledges it, which is a wait.
+                    let copy = !block || chunk <= c.send_copy_threshold;
+                    let (ret, seq) = self.begin_msg(chunk);
+                    op.off += chunk;
+                    op.zero_copy |= !copy;
+                    op.at = if op.off < len {
+                        Phase::Fragment
+                    } else {
+                        Phase::ZeroCopy
+                    };
+                    return Step::Fragment(ret, seq, off..op.off, copy);
+                }
+                Phase::ZeroCopy if op.zero_copy => {
+                    return op.go(Phase::Return(len), Step::AwaitZeroCopy)
+                }
+                Phase::ZeroCopy => Phase::Return(len),
+                Phase::FlushDebt => return op.go(Phase::FlushStaged, Step::PayDebt),
+                Phase::FlushStaged if self.staged.is_empty() => op.then,
+                Phase::FlushStaged => Phase::FlushSpend,
+                Phase::FlushSpend => {
+                    let Some(found) = op.credit.take() else {
+                        return Step::Credit { block };
+                    };
+                    match found {
+                        Credit::Spent => {
+                            let send = self.take_staged().map_or(Step::PayDebt, Step::SendStaged);
+                            return op.go(op.then, send);
+                        }
+                        // The deadline sent the bytes while this call was
+                        // parked: nothing left to fail; settle its debt.
+                        _ if block && self.staged.is_empty() => {
+                            return op.go(op.then, Step::PayDebt)
+                        }
+                        // Without `block` the bytes stay staged, and a
+                        // write must not overtake or overflow them.
+                        _ if !block && matches!(op.then, Phase::Fragment | Phase::Room) => {
+                            return Step::Done(Err(Refusal::WouldBlock))
+                        }
+                        // A close's flush that cannot be delivered is moot.
+                        _ if block && !matches!(op.then, Phase::Publish | Phase::Announce) => {
+                            return Step::Fail
+                        }
+                        _ => op.then,
+                    }
+                }
+                Phase::Publish => {
+                    // Posted descriptors and waiting re-arms make up the
+                    // window, but on a poisoned side, which recycles what
+                    // it consumed.
+                    let held = nic.posted() + self.rearms.len();
+                    let off = held.abs_diff(self.window as usize) as u64;
+                    let unaccounted = if self.poisoned { 0 } else { off };
+                    return op.go(Phase::Announce, Step::Publish { unaccounted });
+                }
+                // `Close` goes unless the peer closed first, or a shutdown
+                // sent it.
+                Phase::Announce
+                    if self.peer_closed || (op.kind == OpKind::Close && self.write_closed) =>
+                {
+                    Phase::Teardown
+                }
+                Phase::Announce => return op.go(Phase::Teardown, Step::SendClose(self.tx_seq)),
+                Phase::Teardown if op.kind != OpKind::Close => Phase::Return(0),
+                Phase::Teardown => {
+                    let stale = self.take_return().rearms;
+                    return op.go(Phase::Return(0), Step::Teardown(stale));
+                }
+                Phase::Return(n) => return Step::Done(Ok(n)),
+            };
+        }
+    }
 
     /// A write fails on a closed, shut down or poisoned side. A received
     /// `Close` does not fail it: the peer may only have shut down writing.
-    pub(crate) fn check_writable(&self) -> Result<(), Refusal> {
+    fn check_writable(&self) -> Result<(), Refusal> {
         if self.closed || self.write_closed {
             return Err(Refusal::Closed);
         }
@@ -323,15 +663,17 @@ impl<R: Copy> ConnCore<R> {
     }
 
     /// Give back a spent credit whose send did not happen.
-    pub(crate) fn refund(&mut self) {
+    fn refund(&mut self) {
         self.credits += 1;
     }
 
     /// Open one outgoing data message, claiming its sequence number: with
-    /// piggy-backing on it carries the credit return due with its re-arms.
-    /// It adds `user_bytes` to `bytes_sent` (staged bytes count earlier).
-    pub(crate) fn begin_msg(&mut self, user_bytes: usize) -> (CreditReturn<R>, u32) {
-        let ret = if self.cfg.piggyback {
+    /// piggy-backing on it carries the credit return due with its re-arms
+    /// — unless the side is closed, whose consumed descriptors are never
+    /// re-armed (its close takes them). It adds `user_bytes` to
+    /// `bytes_sent` (staged bytes count earlier).
+    fn begin_msg(&mut self, user_bytes: usize) -> (CreditReturn<R>, u32) {
+        let ret = if self.cfg.piggyback && !self.closed {
             self.take_return()
         } else {
             CreditReturn {
@@ -351,45 +693,6 @@ impl<R: Copy> ConnCore<R> {
         self.tx_seq - 1
     }
 
-    /// Data messages sent so far: what a `Close` announces.
-    pub(crate) fn final_seq(&self) -> u32 {
-        self.tx_seq
-    }
-
-    /// Bytes at the end of a `len`-byte blocking write sent as one copied
-    /// message the write does not wait for: under a staging policy the
-    /// last `send_copy_threshold` of a longer write, else none.
-    pub(crate) fn copied_tail(&self, len: usize) -> usize {
-        let c = &self.cfg;
-        if c.stage_below > 0 && len > c.send_copy_threshold {
-            c.send_copy_threshold.min(c.buf_size)
-        } else {
-            0
-        }
-    }
-
-    /// Is a `len`-byte write small enough to stage: no more than the
-    /// send-copy rule copies anyway, nor than one message?
-    pub(crate) fn stage_fits(&self, len: usize) -> bool {
-        let c = &self.cfg;
-        len > 0
-            && len
-                <= c.stage_below
-                    .min(c.send_copy_threshold)
-                    .min(c.stage_capacity)
-    }
-
-    /// Does a write that fits stage? Not when it would wait alone, with
-    /// nothing staged and nothing `in_flight` (Nagle's rule).
-    pub(crate) fn stages(&self, in_flight: bool) -> bool {
-        !self.staged.is_empty() || in_flight
-    }
-
-    /// Would `len` more bytes overflow one staged message?
-    pub(crate) fn stage_overflows(&self, len: usize) -> bool {
-        self.staged.len() + len > self.cfg.stage_capacity
-    }
-
     /// Stage `data`: the bytes now staged and, for the first of an
     /// episode, the episode its deadline must carry.
     pub(crate) fn stage(&mut self, data: &[u8]) -> (usize, Option<u64>) {
@@ -399,13 +702,6 @@ impl<R: Copy> ConnCore<R> {
         self.stats.writes_coalesced += 1;
         self.stats.bytes_sent += data.len() as u64;
         (self.staged.len(), first_of)
-    }
-
-    /// After staging: `(full, flush)` — the bytes must go now, full or
-    /// under credit pressure (the peer is about to stop granting).
-    pub(crate) fn stage_flush_due(&self) -> (bool, bool) {
-        let full = self.staged.len() >= self.cfg.stage_capacity;
-        (full, full || self.credits <= 1)
     }
 
     /// The deadline of `episode` fired with `unacked` bytes of this side's
@@ -452,7 +748,7 @@ impl<R: Copy> ConnCore<R> {
     /// EMP-acked; dropping it would corrupt the stream). With `direct_max`
     /// (a posted reader's empty buffer) the next payload that fits an
     /// empty stream goes straight to it. A return is due after
-    /// `ack_threshold` messages (§6.3) unless a write carried it first
+    /// [`ack_threshold`] messages (§6.3) unless a write carried it first
     /// (§6.1) — or at once when a window below N is used up: its sender
     /// holds no credit, and the return grows the window to N.
     pub(crate) fn on_data(
@@ -507,7 +803,7 @@ impl<R: Copy> ConnCore<R> {
         // An older seq would be a duplicate, which EMP's dedup rules out.
         self.consumed += 1;
         let used_up = self.window < self.cfg.n && self.consumed >= self.window;
-        if used_up || self.consumed >= self.cfg.ack_threshold {
+        if used_up || self.consumed >= ack_threshold(self.cfg.delayed_acks, self.cfg.n) {
             let mut ret = self.take_return();
             if used_up {
                 out.grant = self.cfg.n - self.window;
@@ -524,7 +820,7 @@ impl<R: Copy> ConnCore<R> {
 
     /// Take the credit return due: every credit consumed since the last
     /// one, with the descriptors to re-arm.
-    pub(crate) fn take_return(&mut self) -> CreditReturn<R> {
+    fn take_return(&mut self) -> CreditReturn<R> {
         CreditReturn {
             credits: std::mem::take(&mut self.consumed) as u16,
             rearms: std::mem::take(&mut self.rearms),
@@ -616,41 +912,20 @@ impl<R: Copy> ConnCore<R> {
         self.stream_len += payload.len();
         self.stream.push_back(payload);
     }
-
-    // ---- close ----
-
-    /// Close this side: `true` if it already was. Descriptors waiting for
-    /// a re-arm never get one; the caller recycles `take_return().rearms`.
-    pub(crate) fn close(&mut self) -> bool {
-        std::mem::replace(&mut self.closed, true)
-    }
-
-    /// Shut the write side: `true` if it already was, or the side closed.
-    pub(crate) fn shutdown_write(&mut self) -> bool {
-        std::mem::replace(&mut self.write_closed, true) || self.closed
-    }
-
-    /// How far `posted` descriptors plus `rearms` are from the window:
-    /// zero, except on a poisoned side, which recycles what it consumed.
-    pub(crate) fn window_unaccounted(&self, posted: usize) -> u64 {
-        if self.poisoned {
-            return 0;
-        }
-        (posted + self.rearms.len()).abs_diff(self.window as usize) as u64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     //! A breadth-first explorer: two cores joined by an abstract NIC, each
-    //! driven by a script of blocking writes and reads and a close, with
-    //! every interleaving of their steps, the NIC's deliveries in any
-    //! order, and the staging deadline free to fire at any step. A
-    //! write's decision and its send are separate steps, so another
-    //! operation on the same side (the connection's second process, or
-    //! the deadline) can run between them. Every reachable state is
-    //! checked against §6.1's invariants; afterwards a backward pass over
-    //! the explored graph checks that every state can still finish.
+    //! running a script of writes (blocking or not), reads, a shutdown and
+    //! a close through [`ConnCore::step`] — the driver's own sequence —
+    //! with every interleaving of their steps, the NIC's deliveries in any
+    //! order, and the staging deadline free to fire at any step. Each step
+    //! that sends or stages is a step of its own, so another operation on
+    //! the same side (the connection's second process, or the deadline)
+    //! can run between them. Every reachable state is checked against
+    //! §6.1's invariants; afterwards a backward pass over the explored
+    //! graph checks that every state can still finish.
 
     use std::collections::hash_map::Entry;
     use std::collections::{HashMap, VecDeque};
@@ -674,11 +949,12 @@ mod tests {
     }
     const PRESETS: [Preset; 4] = [Preset::Ds, Preset::DsDa, Preset::DsDaUq, Preset::Default];
 
+    /// A side's configuration with its own credit count `n`; an acceptor
+    /// adopts the client's.
     fn cfg(p: Preset, n: u32) -> CoreCfg {
-        let delayed = p != Preset::Ds;
         CoreCfg {
             n,
-            ack_threshold: if delayed { (n / 2).max(1) } else { 1 },
+            delayed_acks: p != Preset::Ds,
             piggyback: p == Preset::Default,
             buf_size: BUF,
             send_copy_threshold: BUF / 2,
@@ -694,30 +970,15 @@ mod tests {
         Bytes::from((from..from + len).map(|i| i as u8).collect::<Vec<u8>>())
     }
 
+    /// A script's operations.
     #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-    enum Op {
+    enum Act {
         Write(usize),
+        /// A nonblocking write, retried until all its bytes are taken.
+        TryWrite(usize),
         Read(usize),
+        Shutdown,
         Close,
-    }
-
-    /// Where the current operation is: a write's staging and chunk phases,
-    /// a read call's prologue (the request, the flush-on-read).
-    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-    enum At {
-        Start,
-        /// Flush staged bytes before a larger write, then send from `off`.
-        FlushThenChunks,
-        Chunk {
-            off: usize,
-        },
-        /// A staging write whose bytes overflow the staged message.
-        FlushThenStage,
-        Stage,
-        /// Staged bytes that must go now (full, or credit pressure).
-        FlushAfterStage,
-        /// A read call, after its prologue.
-        Pull,
     }
 
     /// A data message in its descriptor: piggy-backed credits, seq, bytes.
@@ -754,8 +1015,11 @@ mod tests {
         /// Posted data descriptors in completion order, landed or not.
         slots: VecDeque<(u8, Option<Landed>)>,
         next_range: u8,
-        op: usize,
-        at: At,
+        /// The script's current action, and the core's operation for it
+        /// (`None` before it starts, and while a read pulls).
+        act: usize,
+        op: Option<Op>,
+        pulling: bool,
         out: VecDeque<Out>,
         /// Armed staging deadlines, by episode.
         timers: Vec<u64>,
@@ -777,7 +1041,7 @@ mod tests {
 
     struct World {
         cfgs: [CoreCfg; 2],
-        scripts: [Vec<Op>; 2],
+        scripts: [Vec<Act>; 2],
         /// The client's connect holds its request for the first operation.
         holds: bool,
     }
@@ -789,8 +1053,9 @@ mod tests {
                 core: None,
                 slots: VecDeque::new(),
                 next_range: 0,
-                op: 0,
-                at: At::Start,
+                act: 0,
+                op: None,
+                pulling: false,
                 out: VecDeque::new(),
                 timers: Vec::new(),
                 written: 0,
@@ -802,54 +1067,85 @@ mod tests {
 
         fn establish(&mut self, core: ConnCore<u8>) {
             for _ in 0..core.window {
-                self.post();
+                self.slots.push_back((self.next_range, None));
+                self.next_range += 1;
             }
             self.core = Some(core);
-        }
-
-        fn post(&mut self) {
-            self.slots.push_back((self.next_range, None));
-            self.next_range += 1;
         }
 
         fn core(&mut self) -> &mut ConnCore<u8> {
             self.core.as_mut().expect("established")
         }
 
-        fn has_credit(&self) -> bool {
-            self.core.as_ref().is_some_and(|c| c.credits > 0)
-        }
-
-        /// Spend a credit and end the staging episode into a send.
-        fn flush(&mut self) {
-            let c = self.core();
-            assert_eq!(c.spend(true), Ok(true));
-            if let Some(f) = c.take_staged() {
-                self.out.push_back(Out::Data(f.ret, f.seq, f.payload));
+        /// Bytes the current read or write action still wants.
+        fn left(&self, script: &[Act]) -> usize {
+            let (mut w, mut r) = (0, 0);
+            for a in &script[..=self.act] {
+                match a {
+                    Act::Write(n) | Act::TryWrite(n) => w += n,
+                    Act::Read(n) => r += n,
+                    _ => {}
+                }
+            }
+            match script[self.act] {
+                Act::Write(_) | Act::TryWrite(_) => w - self.written,
+                Act::Read(_) => r - self.read,
+                _ => 0,
             }
         }
 
-        fn next_op(&mut self) {
-            self.op += 1;
-            self.at = At::Start;
+        /// The operation the current action runs.
+        fn op(&self, script: &[Act]) -> Op {
+            let kind = match script[self.act] {
+                Act::Write(_) | Act::TryWrite(_) => OpKind::Write {
+                    len: self.left(script),
+                    block: matches!(script[self.act], Act::Write(_)),
+                },
+                // A read's prologue.
+                Act::Read(_) => OpKind::Flush {
+                    request: true,
+                    block: false,
+                },
+                Act::Shutdown => OpKind::ShutdownWrite,
+                Act::Close => OpKind::Close,
+            };
+            self.op.unwrap_or(Op::new(kind))
+        }
+    }
+
+    /// What [`ConnCore::step`] asks of a side's NIC: its messages on the
+    /// wire, and its posted descriptors.
+    struct Abstract<'a>(&'a [Wire], usize);
+
+    impl Abstract<'_> {
+        /// Data messages on the wire, unacknowledged: seq, bytes.
+        fn unacked(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
+            self.0.iter().filter_map(|w| match w {
+                Wire::Data { seq, payload, .. } => Some((*seq, payload.len())),
+                _ => None,
+            })
+        }
+    }
+
+    impl Nic for Abstract<'_> {
+        // The connection request is not in flight: the driver keeps it
+        // apart.
+        fn in_flight(&self) -> bool {
+            self.0.iter().any(|w| !matches!(w, Wire::Req(_)))
+        }
+
+        fn unacked_ahead(&self) -> usize {
+            let latest = self.unacked().map(|(seq, _)| seq).max();
+            let ahead = self.unacked().filter(|(seq, _)| Some(*seq) != latest);
+            ahead.map(|(_, len)| len).sum()
+        }
+
+        fn posted(&self) -> usize {
+            self.1
         }
     }
 
     impl State {
-        /// Bytes of `side`'s data messages the peer has not yet taken in,
-        /// and whether any message of `side` is still on the wire.
-        fn in_flight(&self, side: usize) -> (usize, bool) {
-            let wire = &self.wire[1 - side];
-            let unacked = wire
-                .iter()
-                .map(|w| match w {
-                    Wire::Data { payload, .. } => payload.len(),
-                    _ => 0,
-                })
-                .sum();
-            (unacked, !wire.is_empty())
-        }
-
         /// Perform `side`'s next decided send: the NIC re-arms or posts the
         /// return's descriptors, then the message leaves.
         fn send(&mut self, side: usize) {
@@ -934,7 +1230,8 @@ mod tests {
                 }
                 for k in 0..s.timers.len() {
                     let mut n = st.clone();
-                    let (unacked, _) = n.in_flight(side);
+                    let nic = Abstract(&n.wire[1 - side], 0);
+                    let unacked = nic.unacked().map(|(_, len)| len).sum();
                     let s = &mut n.sides[side];
                     let episode = s.timers[k];
                     let c = s.core();
@@ -963,11 +1260,16 @@ mod tests {
                 }
             }
             if self.holds && !st.raced {
-                // The client's second process: its first operation (a
-                // read) sends a request it finds held, bare, at once.
+                // The client's second process: its first operation, a
+                // read, sends a request it finds held, bare, at once.
                 let mut n = st.clone();
                 n.raced = true;
-                if n.sides[0].core().claim_request(None) == Request::Bare {
+                let mut op = Op::new(OpKind::Flush {
+                    request: true,
+                    block: false,
+                });
+                let nic = Abstract(&[], 0);
+                if let Step::Request { .. } = n.sides[0].core().step(&mut op, &nic) {
                     n.wire[1].push(Wire::Req(self.request(Bytes::new())));
                 }
                 next.push(n);
@@ -1019,196 +1321,144 @@ mod tests {
                     };
                     slot.1 = Some((piggyback, seq, payload));
                 }
-                Wire::FcAck { credits, grew } => {
-                    let c = s.core();
-                    if !c.closed {
-                        c.on_fcack(credits, grew);
-                    }
-                }
-                Wire::Close(f) => {
-                    let c = s.core();
-                    if !c.closed {
-                        c.on_close(f);
-                    }
-                }
+                // A closing side still takes credits for its last flush.
+                Wire::FcAck { credits, grew } => s.core().on_fcack(credits, grew),
+                Wire::Close(f) => s.core().on_close(f),
             }
             n.wire[side].remove(k);
             Ok(Some(n))
         }
 
-        /// Advance `side`'s current operation by one decision, if it can
-        /// make one now.
+        /// Advance `side`'s current action: perform the steps its
+        /// operation names up to the next one that sends, stages or ends
+        /// it, if it can move now.
         fn op_step(&self, st: &State, side: usize) -> Result<Option<State>, Violation> {
             let script = &self.scripts[side];
             let s = &st.sides[side];
-            let (Some(core), Some(&op)) = (&s.core, script.get(s.op)) else {
+            let (Some(_), Some(&act)) = (&s.core, script.get(s.act)) else {
                 return Ok(None);
             };
-            let (_, in_flight) = st.in_flight(side);
+            if s.pulling {
+                return self.pull(st, side);
+            }
+            let mut op = s.op(script);
+            let mut n = st.clone();
+            // Nothing performed before a send changes what the NIC shows.
+            let nic = Abstract(&n.wire[1 - side], n.sides[side].slots.len());
+            loop {
+                let s = &mut n.sides[side];
+                let left = s.left(script);
+                match s.core().step(&mut op, &nic) {
+                    // Nothing to pay or reap, no buffers to recycle.
+                    Step::PayDebt | Step::Reap | Step::Teardown(_) => continue,
+                    Step::Publish { unaccounted } if unaccounted != 0 => {
+                        return Err("close found descriptors unaccounted".into())
+                    }
+                    Step::Publish { .. } => continue,
+                    Step::Credit { block } => {
+                        let c = s.core();
+                        if block && c.credits == 0 && !c.peer_closed {
+                            // Parked: the core asks again on the next try.
+                            s.op = Some(op);
+                            return Ok((n != *st).then_some(n));
+                        }
+                        op.found(match c.spend(block) {
+                            Ok(_) => Credit::Spent,
+                            Err(Refusal::WouldBlock) => Credit::WouldBlock,
+                            Err(_) => Credit::Failed,
+                        });
+                        continue;
+                    }
+                    // A wait the core decides afresh on the next try.
+                    Step::AwaitQueueRoom => return Ok(None),
+                    Step::AwaitZeroCopy if nic.unacked().next().is_some() => return Ok(None),
+                    Step::AwaitZeroCopy => continue,
+                    Step::Request { rides } => {
+                        let first = if rides {
+                            s.riders += 1;
+                            pattern(s.written, left)
+                        } else {
+                            Bytes::new()
+                        };
+                        s.out.push_back(Out::Req(self.request(first)));
+                    }
+                    Step::SendStaged(f) => s.out.push_back(Out::Data(f.ret, f.seq, f.payload)),
+                    Step::Fragment(ret, seq, range, _) => {
+                        let payload = pattern(s.written + range.start, range.len());
+                        s.out.push_back(Out::Data(ret, seq, payload));
+                    }
+                    Step::Stage => {
+                        let data = pattern(s.written, left);
+                        let (_, first_of) = s.core().stage(&data);
+                        s.timers.extend(first_of);
+                    }
+                    Step::SendClose(f) => s.out.push_back(Out::Close(f)),
+                    Step::Done(Ok(k)) => {
+                        s.written += k;
+                        match act {
+                            Act::Read(_) => s.pulling = true,
+                            Act::Write(_) | Act::TryWrite(_) if s.left(script) > 0 => {}
+                            _ => s.act += 1,
+                        }
+                        s.op = None;
+                        return Ok(Some(n));
+                    }
+                    // Nothing taken: try again later.
+                    Step::Done(Err(Refusal::WouldBlock)) => {
+                        s.op = None;
+                        return Ok(Some(n));
+                    }
+                    Step::Done(Err(r)) => return Err(format!("{act:?} refused: {r:?}")),
+                    Step::Fail => return Err(format!("{act:?} found the peer gone")),
+                }
+                n.sides[side].op = Some(op);
+                return Ok(Some(n));
+            }
+        }
+
+        /// A read pulls: one buffered chunk, or one landed message.
+        fn pull(&self, st: &State, side: usize) -> Result<Option<State>, Violation> {
+            let script = &self.scripts[side];
             let mut n = st.clone();
             let s = &mut n.sides[side];
-            match (op, s.at) {
-                (Op::Write(len), At::Start) => {
-                    let data = pattern(s.written, len);
-                    match s.core().claim_request(Some(len)) {
-                        Request::Rides => {
-                            s.riders += 1;
-                            s.written += len;
-                            s.out.push_back(Out::Req(self.request(data)));
-                            s.next_op();
-                            return Ok(Some(n));
-                        }
-                        Request::Bare => s.out.push_back(Out::Req(self.request(Bytes::new()))),
-                        Request::NotHeld => {}
-                    }
-                    let c = s.core();
-                    s.at = if c.stage_fits(len) && c.stages(in_flight) {
-                        if c.stage_overflows(len) {
-                            At::FlushThenStage
-                        } else {
-                            At::Stage
-                        }
-                    } else {
-                        At::FlushThenChunks
-                    };
+            let want = s.left(script);
+            let got = if s.core().stream_len > 0 {
+                s.core().read(want).expect("readable").expect("buffered")
+            } else {
+                let Some((range, Some((piggyback, seq, payload)))) = s.slots.front().cloned()
+                else {
+                    return Ok(None);
+                };
+                s.slots.pop_front();
+                let c = s.core();
+                let (window, consumed) = (c.window, c.consumed);
+                let took = c.on_data(range, piggyback, seq, payload, Some(want));
+                if window < c.cfg.n && consumed + 1 >= window && c.window != c.cfg.n {
+                    return Err("a used-up window below N did not grow".into());
                 }
-                (Op::Write(_), At::FlushThenStage) => {
-                    if !s.has_credit() {
-                        return Ok(None);
-                    }
-                    s.flush();
-                    s.at = At::Stage;
+                if let Some(r) = took.repost {
+                    s.slots.push_back((r, None));
                 }
-                (Op::Write(len), At::Stage) => {
-                    let data = pattern(s.written, len);
-                    s.written += len;
-                    let c = s.core();
-                    let (_, first_of) = c.stage(&data);
-                    let (_, flush) = c.stage_flush_due();
-                    s.timers.extend(first_of);
-                    if flush {
-                        s.at = At::FlushAfterStage;
-                    } else {
-                        s.next_op();
+                if let Some(mut ret) = took.ret {
+                    for _ in 0..took.grant {
+                        ret.grants.push(s.next_range);
+                        s.next_range += 1;
                     }
+                    s.out.push_back(Out::FcAck(ret));
                 }
-                (Op::Write(_), At::FlushAfterStage) => {
-                    if !core.staged.is_empty() {
-                        if !s.has_credit() {
-                            return Ok(None);
-                        }
-                        s.flush();
-                    }
-                    s.next_op();
+                match took.direct {
+                    Some(d) => d,
+                    None => return Ok(Some(n)),
                 }
-                (Op::Write(_), At::FlushThenChunks) => {
-                    if !core.staged.is_empty() {
-                        if !s.has_credit() {
-                            return Ok(None);
-                        }
-                        s.flush();
-                    }
-                    s.at = At::Chunk { off: 0 };
-                }
-                (Op::Write(len), At::Chunk { off }) => {
-                    if core.check_writable().is_err() {
-                        return Err("a write found its side unwritable".into());
-                    }
-                    if !s.has_credit() {
-                        return Ok(None);
-                    }
-                    let head = len - core.copied_tail(len);
-                    let end = if off < head { head } else { len };
-                    let chunk = (end - off).min(BUF);
-                    let payload = pattern(s.written + off, chunk);
-                    let c = s.core();
-                    assert_eq!(c.spend(true), Ok(true));
-                    let (ret, seq) = c.begin_msg(chunk);
-                    s.out.push_back(Out::Data(ret, seq, payload));
-                    if off + chunk >= len {
-                        s.written += len;
-                        s.next_op();
-                    } else {
-                        s.at = At::Chunk { off: off + chunk };
-                    }
-                }
-                (Op::Read(_), At::Start) => {
-                    // A read call's prologue: send a held request, flush
-                    // staged bytes if a credit is in hand.
-                    if s.core().claim_request(None) == Request::Bare {
-                        s.out.push_back(Out::Req(self.request(Bytes::new())));
-                    }
-                    if !core.staged.is_empty() && core.credits > 0 {
-                        s.flush();
-                    }
-                    s.at = At::Pull;
-                }
-                (Op::Read(_), At::Pull) => {
-                    let want = s.read_in_op(script);
-                    let got = if core.stream_len > 0 {
-                        s.core().read(want).expect("readable").expect("buffered")
-                    } else {
-                        let Some((range, Some((piggyback, seq, payload)))) =
-                            s.slots.front().cloned()
-                        else {
-                            return Ok(None);
-                        };
-                        s.slots.pop_front();
-                        let c = s.core();
-                        let (window, consumed) = (c.window, c.consumed);
-                        let took = c.on_data(range, piggyback, seq, payload, Some(want));
-                        if window < c.cfg.n && consumed + 1 >= window && c.window != c.cfg.n {
-                            return Err("a used-up window below N did not grow".into());
-                        }
-                        if let Some(r) = took.repost {
-                            s.slots.push_back((r, None));
-                        }
-                        if let Some(mut ret) = took.ret {
-                            for _ in 0..took.grant {
-                                ret.grants.push(s.next_range);
-                                s.next_range += 1;
-                            }
-                            s.out.push_back(Out::FcAck(ret));
-                        }
-                        match took.direct {
-                            Some(d) => d,
-                            None => return Ok(Some(n)),
-                        }
-                    };
-                    if got != pattern(s.read, got.len()) {
-                        return Err(format!("read {got:?} at byte {}", s.read));
-                    }
-                    s.read += got.len();
-                    s.at = At::Start;
-                    if s.read_in_op(script) == 0 {
-                        s.next_op();
-                    }
-                }
-                (Op::Close, _) => {
-                    // Staged bytes go before the Close (a blocking flush).
-                    if s.core().claim_request(None) == Request::Bare {
-                        s.out.push_back(Out::Req(self.request(Bytes::new())));
-                    }
-                    if !core.staged.is_empty() {
-                        if !s.has_credit() {
-                            return Ok(None);
-                        }
-                        s.flush();
-                    }
-                    let posted = s.slots.len();
-                    let c = s.core();
-                    c.close();
-                    if c.window_unaccounted(posted) != 0 {
-                        return Err("close found descriptors unaccounted".into());
-                    }
-                    c.take_return();
-                    if !c.peer_closed {
-                        let f = c.final_seq();
-                        s.out.push_back(Out::Close(f));
-                    }
-                    s.next_op();
-                }
-                (Op::Read(_), _) | (Op::Write(_), At::Pull) => unreachable!(),
+            };
+            if got != pattern(s.read, got.len()) {
+                return Err(format!("read {got:?} at byte {}", s.read));
+            }
+            s.read += got.len();
+            // The next read call starts with its prologue again.
+            s.pulling = false;
+            if s.left(script) == 0 {
+                s.act += 1;
             }
             Ok(Some(n))
         }
@@ -1240,7 +1490,7 @@ mod tests {
                         ));
                     }
                 }
-                if c.consumed >= c.cfg.ack_threshold {
+                if c.consumed >= ack_threshold(c.cfg.delayed_acks, c.cfg.n) {
                     return Err("a credit return reached its threshold unsent".into());
                 }
                 if c.stats.credits_without_rearm != 0 {
@@ -1298,10 +1548,10 @@ mod tests {
                 let (Some(c), Some(pc)) = (&s.core, &peer.core) else {
                     return false;
                 };
-                s.op == self.scripts[i].len()
+                s.act == self.scripts[i].len()
                     && s.out.is_empty()
                     && c.closed
-                    && c.rx_next_seq == pc.final_seq()
+                    && c.rx_next_seq == pc.tx_seq
                     && s.slots.iter().all(|(_, m)| m.is_none())
             };
             st.wire.iter().all(Vec::is_empty)
@@ -1309,20 +1559,6 @@ mod tests {
                 && drained(1)
                 && st.sides[1].reqs == 1
                 && st.sides[1].riders == st.sides[0].riders
-        }
-    }
-
-    impl Side {
-        /// Bytes the current read operation still wants.
-        fn read_in_op(&self, script: &[Op]) -> usize {
-            let before: usize = script[..self.op]
-                .iter()
-                .map(|o| if let Op::Read(n) = o { *n } else { 0 })
-                .sum();
-            match script[self.op] {
-                Op::Read(n) => before + n - self.read,
-                _ => 0,
-            }
         }
     }
 
@@ -1434,8 +1670,8 @@ mod tests {
         })
     }
 
-    fn scripts() -> Vec<(&'static str, [Vec<Op>; 2])> {
-        use Op::*;
+    fn scripts() -> Vec<(&'static str, [Vec<Act>; 2])> {
+        use Act::*;
         vec![
             (
                 "one-way stream",
@@ -1449,16 +1685,16 @@ mod tests {
                 ],
             ),
             (
-                "small writes",
+                "small writes, one nonblocking, then a larger one",
                 [
-                    vec![Write(1), Write(1), Write(2), Close],
-                    vec![Read(4), Close],
+                    vec![TryWrite(1), TryWrite(1), Write(3), Close],
+                    vec![Read(5), Close],
                 ],
             ),
             (
-                "both ways at once",
+                "both ways at once, one half-closing",
                 [
-                    vec![Write(2), Read(2), Close],
+                    vec![Write(2), Shutdown, Read(2), Close],
                     vec![Write(2), Read(2), Close],
                 ],
             ),
@@ -1466,22 +1702,28 @@ mod tests {
     }
 
     /// Every pairing of the four presets (the two delayed-ack ones share
-    /// a core, so one of them stands for both), N = 1..=4, every script.
+    /// a core, so one of them stands for both), N = 1..=4, every script;
+    /// and acceptors configured with more credits than their client's N,
+    /// which they adopt.
     fn worlds() -> Vec<(String, World)> {
         let mut v = Vec::new();
-        for n in 1..=4 {
+        for (n, own) in [(1, 1), (2, 2), (3, 3), (4, 4), (1, 4), (2, 4)] {
             for client in PRESETS {
                 for server in PRESETS {
                     if client == Preset::DsDaUq || server == Preset::DsDaUq {
                         continue;
                     }
                     for (name, scripts) in scripts() {
+                        if own != n && name != "one-way stream" {
+                            continue;
+                        }
                         let world = World {
-                            cfgs: [cfg(client, n), cfg(server, n)],
+                            cfgs: [cfg(client, n), cfg(server, own)],
                             scripts,
                             holds: client == Preset::Default,
                         };
-                        v.push((format!("{name}, N = {n}, {client:?} to {server:?}"), world));
+                        let label = format!("{name}, N = {n} (acceptor's own {own})");
+                        v.push((format!("{label}, {client:?} to {server:?}"), world));
                     }
                 }
             }

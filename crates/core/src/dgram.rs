@@ -29,7 +29,7 @@ impl SockShared {
                 return Ok(Err(NetError::Closed));
             }
             // A received Close may be a half-close; writes flow until
-            // sends actually fail (see `check_writable`'s note).
+            // sends actually fail (`reap_sends`).
         }
         if data.len() <= self.proc_.cfg.dgram_eager_max {
             let msg = Msg::Data {

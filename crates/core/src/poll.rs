@@ -46,6 +46,7 @@ use simnet::{
 
 use crate::config::SocketType;
 use crate::conn::SockShared;
+use crate::conn_core::OpKind;
 use crate::socket::{Connection, Listener};
 use crate::stream::ok_or_return;
 
@@ -319,10 +320,11 @@ fn conn_ready(ctx: &ProcessCtx, sock: &SockShared, interest: Interest) -> OpResu
     // caller waiting to read has nothing for a held-back connection
     // request to carry, so that goes too.
     if sock.socket_type == SocketType::Stream {
-        if interest.intersects(Interest::READABLE) {
-            sock.send_conn_req(ctx)?;
-        }
-        ok_or_return!(sock.flush_coalesced(ctx, false)?);
+        let flush = OpKind::Flush {
+            request: interest.intersects(Interest::READABLE),
+            block: false,
+        };
+        ok_or_return!(sock.run_op(ctx, flush, &[])?);
     }
     // Drain landed control traffic (close notifications, rendezvous
     // replies) so readiness reflects it; surface hard failures as ERROR.

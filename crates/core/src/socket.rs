@@ -18,6 +18,7 @@ use simnet::{
 
 use crate::config::{SocketType, SubstrateConfig};
 use crate::conn::{ProcShared, SockShared};
+use crate::conn_core::OpKind;
 use crate::proto::{Msg, CONN_REQ, FIRST_MAX};
 use crate::stream::ok_or_return;
 use crate::tags;
@@ -274,7 +275,7 @@ impl EmpSockets {
             ctx.telemetry().counter(series).add(1);
             // Suppress the goodbye: there is nobody to say it to.
             sock.inner.lock().core.peer_closed = true;
-            sock.close(ctx)?;
+            sock.run_op(ctx, OpKind::Close, &[]).map(drop)?;
             return Ok(Err(err));
         }
         Ok(Ok(()))
@@ -486,7 +487,11 @@ impl Connection {
     ///   it fits a frame, rendezvous otherwise.
     pub fn write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
         match self.sock.socket_type {
-            SocketType::Stream => self.sock.stream_write(ctx, data, true),
+            SocketType::Stream => {
+                let len = data.len();
+                self.sock
+                    .run_op(ctx, OpKind::Write { len, block: true }, data)
+            }
             SocketType::Datagram => self.sock.dgram_send(ctx, data),
         }
     }
@@ -582,7 +587,11 @@ impl Connection {
     ///   blocking.
     pub fn try_write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize> {
         match self.sock.socket_type {
-            SocketType::Stream => self.sock.stream_write(ctx, data, false),
+            SocketType::Stream => {
+                let len = data.len();
+                self.sock
+                    .run_op(ctx, OpKind::Write { len, block: false }, data)
+            }
             SocketType::Datagram if data.len() > self.sock.proc_.cfg.dgram_eager_max => {
                 Ok(Err(NetError::Invalid))
             }
@@ -623,8 +632,11 @@ impl Connection {
     pub fn flush(&self, ctx: &ProcessCtx) -> OpResult<()> {
         match self.sock.socket_type {
             SocketType::Stream => {
-                self.sock.send_conn_req(ctx)?;
-                Ok(self.sock.flush_coalesced(ctx, true)?.map(drop))
+                let flush = OpKind::Flush {
+                    request: true,
+                    block: true,
+                };
+                Ok(self.sock.run_op(ctx, flush, &[])?.map(drop))
             }
             SocketType::Datagram => Ok(Ok(())),
         }
@@ -634,13 +646,13 @@ impl Connection {
     /// after draining, while this side keeps reading. Useful for
     /// request/response protocols that signal end-of-request by shutdown.
     pub fn shutdown_write(&self, ctx: &ProcessCtx) -> SimResult<()> {
-        self.sock.shutdown_write(ctx)
+        self.sock.run_op(ctx, OpKind::ShutdownWrite, &[]).map(drop)
     }
 
     /// Orderly close: notify the peer and release every descriptor this
     /// connection holds (§5.3).
     pub fn close(&self, ctx: &ProcessCtx) -> SimResult<()> {
-        self.sock.close(ctx)
+        self.sock.run_op(ctx, OpKind::Close, &[]).map(drop)
     }
 
     /// Per-connection substrate counters.

@@ -11,9 +11,9 @@ use hostsim::VirtRange;
 use simnet::emp_trace::{self, EventKind};
 use simnet::{NetError, OpResult, ProcessCtx, SimAccess, SimAccessExt, SimDuration, SimResult};
 
-use crate::config::{CopyPolicy, RecvMode};
+use crate::config::{CopyPolicy, RecvMode, SocketType};
 use crate::conn::SockShared;
-use crate::conn_core::{CreditReturn, Deadline, Request};
+use crate::conn_core::{Credit, CreditReturn, Deadline, Flush, Nic, Op, OpKind, Step};
 use crate::proto::{Msg, DATA_HEADER};
 
 macro_rules! ok_or_return {
@@ -37,132 +37,150 @@ fn unacked_bytes(sends: &[SendHandle]) -> usize {
         .sum()
 }
 
-impl SockShared {
-    /// Stream write: fragments into temp-buffer-sized substrate messages,
-    /// spending one credit each. A message of at most
-    /// `send_copy_threshold` bytes is copied and left in flight; a larger
-    /// one goes zero-copy and the call returns when the NIC has
-    /// acknowledged it. Under a staging copy policy the write's copied
-    /// tail (`ConnCore::copied_tail`) is still on the wire when it returns,
-    /// so the next write's head queues behind it at the NIC; a tail that
-    /// fails later fails the next call, as a copied small write does.
-    ///
-    /// Without `block` the write never parks: it sends as many fragments
-    /// as the credits in hand allow and returns the bytes taken, or
-    /// [`NetError::WouldBlock`] before any. Every fragment is then copied:
-    /// a zero-copy send pins the caller's buffer until the NIC
-    /// acknowledges it, which is a wait. Such a write sends a held-back
-    /// connection request bare instead of riding it.
-    pub(crate) fn stream_write(
-        &self,
-        ctx: &ProcessCtx,
-        data: &[u8],
-        block: bool,
-    ) -> OpResult<usize> {
-        self.trace(ctx, EventKind::SockWriteStart, data.len() as u64, 0);
-        self.pay_flush_debt(ctx)?;
-        if !block {
-            self.send_conn_req(ctx)?;
-        } else if self.ride_conn_req(ctx, data)? {
-            return Ok(Ok(data.len()));
-        }
-        // The send half of the copy policy: stage, or travel on its own.
-        // Completed sends are reaped first, so "in flight" is current.
-        if self.inner.lock().core.stage_fits(data.len()) {
-            ok_or_return!(self.check_writable());
-            let stages = {
-                let i = self.inner.lock();
-                i.core.stages(!i.inflight_sends.is_empty())
-            };
-            if stages {
-                return self.coalesce_append(ctx, data, block);
-            }
-        }
-        // A larger write must not overtake bytes already staged.
-        if !ok_or_return!(self.flush_coalesced(ctx, block)?) {
-            return Ok(Err(NetError::WouldBlock));
-        }
-        // One harness-side copy models handing the NIC the user buffer:
-        // each fragment below is a cheap refcounted slice of it, not a
-        // fresh allocation-and-copy per chunk.
-        let whole = Bytes::copy_from_slice(data);
-        let head = if block {
-            data.len() - self.inner.lock().core.copied_tail(data.len())
-        } else {
-            data.len()
-        };
-        let mut zc_sends = Vec::new();
-        let mut off = 0;
-        loop {
-            ok_or_return!(self.check_writable());
-            match self.take_credit(ctx, block)? {
-                Ok(()) => {}
-                // Out of credits without parking: the bytes taken so far.
-                Err(NetError::WouldBlock) if off > 0 || data.is_empty() => return Ok(Ok(off)),
-                Err(e) => return Ok(Err(e)),
-            }
-            // Head fragments first; the tail, if any, is one message.
-            let end = if off < head { head } else { data.len() };
-            let chunk = (end - off).min(self.buf_size);
-            let (ret, seq) = self.inner.lock().core.begin_msg(chunk);
-            self.trace_piggyback(ctx, &ret);
-            let payload = whole.slice(off..off + chunk);
-            ctx.delay(self.proc_.cfg.stream_overhead)?;
-            self.comm_thread_penalty(ctx)?;
-            if !block || chunk <= self.proc_.cfg.send_copy_threshold {
-                // Buffered send: copy into a registered staging buffer and
-                // return without waiting (like TCP's write-into-sockbuf).
-                self.charge_copy(ctx, chunk)?;
-                let h = self.send_data_msg(ctx, ret, seq, payload)?;
-                self.inner.lock().inflight_sends.push(h);
-            } else {
-                // Zero-copy send: the user buffer is pinned and handed to
-                // the NIC. Fragments pipeline — the doorbells go out
-                // back-to-back and the batch is reaped once below.
-                let h = self.send_data_msg(ctx, ret, seq, payload)?;
-                zc_sends.push(h);
-            }
-            off += chunk;
-            if off >= data.len() {
-                break;
-            }
-        }
-        if !zc_sends.is_empty() {
-            // Block until every zero-copy fragment is acknowledged (the
-            // buffer is the application's to reuse again) — one completion
-            // reap for the whole batch.
-            let acked = self.proc_.ep.wait_sends(ctx, &zc_sends)?;
-            if !acked {
-                self.inner.lock().core.peer_closed = true;
-                return Ok(Err(NetError::PeerClosed));
-            }
-        }
-        Ok(Ok(data.len()))
+/// The driver's side of [`Nic`]: the sends not yet reaped, and the data
+/// descriptors posted.
+struct Sends<'a>(&'a [SendHandle], usize);
+
+impl Nic for Sends<'_> {
+    fn in_flight(&self) -> bool {
+        !self.0.is_empty()
     }
 
-    /// The first write of a connection whose connect held its request
-    /// back (DESIGN §12) rides in it, copied like any small write, when
-    /// `ConnCore::claim_request` says so. Returns whether `data` went; a
-    /// write that does not fit sends the bare request and runs as usual.
-    fn ride_conn_req(&self, ctx: &ProcessCtx, data: &[u8]) -> SimResult<bool> {
-        let claim = self.inner.lock().core.claim_request(Some(data.len()));
-        match claim {
-            Request::NotHeld => return Ok(false),
-            Request::Bare => {
-                self.post_conn_req(ctx, Bytes::new())?;
-                return Ok(false);
-            }
-            Request::Rides => {}
+    fn unacked_ahead(&self) -> usize {
+        self.0
+            .split_last()
+            .map_or(0, |(_, ahead)| unacked_bytes(ahead))
+    }
+
+    fn posted(&self) -> usize {
+        self.1
+    }
+}
+
+impl SockShared {
+    /// Run one stream operation to its end, performing each step
+    /// `ConnCore::step` names: the core decides, the driver charges host
+    /// time, calls the NIC and traces, in the order of the steps. `data`
+    /// is a write's bytes.
+    pub(crate) fn run_op(&self, ctx: &ProcessCtx, kind: OpKind, data: &[u8]) -> OpResult<usize> {
+        if let OpKind::Write { len, .. } = kind {
+            self.trace(ctx, EventKind::SockWriteStart, len as u64, 0);
         }
+        let mut op = Op::new(kind);
+        // What a failed credit wait found, for `Step::Fail`.
+        let mut failed = None;
+        // One harness-side copy models handing the NIC the user buffer:
+        // each fragment is a cheap refcounted slice of it.
+        let mut whole = None;
+        let mut zc_sends = Vec::new();
+        loop {
+            let step = {
+                let i = &mut *self.inner.lock();
+                let nic = Sends(&i.inflight_sends, i.data_slots.len());
+                i.core.step(&mut op, &nic)
+            };
+            match step {
+                Step::PayDebt => {
+                    let debt = std::mem::take(&mut self.inner.lock().flush_debt);
+                    if !debt.is_zero() {
+                        ctx.delay(debt)?;
+                    }
+                }
+                Step::Request { rides: false } => self.post_conn_req(ctx, Bytes::new())?,
+                // A rider is copied like any small write.
+                Step::Request { rides: true } => {
+                    self.charge_send(ctx, Some(data.len()))?;
+                    self.post_conn_req(ctx, Bytes::copy_from_slice(data))?;
+                }
+                Step::Reap => ok_or_return!(self.reap_sends()),
+                Step::Credit { block } => op.found(match self.take_credit(ctx, block)? {
+                    Ok(()) => Credit::Spent,
+                    Err(NetError::WouldBlock) => Credit::WouldBlock,
+                    Err(e) => {
+                        failed = Some(e);
+                        Credit::Failed
+                    }
+                }),
+                // No copy of its own: each append paid one.
+                Step::SendStaged(f) => {
+                    self.trace_flush(ctx, &f);
+                    self.charge_send(ctx, None)?;
+                    let h = self.send_data_msg(ctx, f.ret, f.seq, f.payload)?;
+                    self.inner.lock().inflight_sends.push(h);
+                }
+                Step::Fragment(ret, seq, range, copy) => {
+                    self.trace_piggyback(ctx, &ret);
+                    let whole = whole.get_or_insert_with(|| Bytes::copy_from_slice(data));
+                    let len = range.len();
+                    let payload = whole.slice(range);
+                    // Copied into a registered staging buffer, the send
+                    // goes on like TCP's write-into-sockbuf. Zero-copy, the
+                    // user buffer is pinned and handed to the NIC: the
+                    // doorbells go out back-to-back, reaped once at the end.
+                    self.charge_send(ctx, copy.then_some(len))?;
+                    let h = self.send_data_msg(ctx, ret, seq, payload)?;
+                    if copy {
+                        self.inner.lock().inflight_sends.push(h);
+                    } else {
+                        zc_sends.push(h);
+                    }
+                }
+                // The one copy a staged write pays; the first byte of an
+                // episode arms its deadline.
+                Step::Stage => {
+                    self.charge_copy(ctx, data.len())?;
+                    let (staged, first_of) = self.inner.lock().core.stage(data);
+                    if let Some(episode) = first_of {
+                        self.arm_stage_deadline(ctx, episode);
+                    }
+                    let (len, staged) = (data.len() as u64, staged as u64);
+                    self.trace(ctx, EventKind::CoalesceAppend, len, staged);
+                }
+                // The deadline defers while a full message is in flight,
+                // so without this wait a writer faster than the wire would
+                // queue a full message per credit at the NIC; with it the
+                // NIC holds at most three and never waits for the writer.
+                // A failed send surfaces at the next call (`reap_sends`).
+                Step::AwaitQueueRoom => {
+                    let h = {
+                        let sends = &self.inner.lock().inflight_sends;
+                        sends[sends.len() - 2].clone()
+                    };
+                    self.proc_.ep.wait_send(ctx, &h)?;
+                }
+                // The buffer is the application's again once every
+                // zero-copy fragment is acknowledged.
+                Step::AwaitZeroCopy => {
+                    if !self.proc_.ep.wait_sends(ctx, &zc_sends)? {
+                        self.inner.lock().core.peer_closed = true;
+                        return Ok(Err(NetError::PeerClosed));
+                    }
+                }
+                Step::Publish { unaccounted } => {
+                    let stream = self.socket_type == SocketType::Stream;
+                    self.publish_stats(ctx, if stream { unaccounted } else { 0 });
+                }
+                Step::SendClose(final_seq) => {
+                    let h = self.send_msg(ctx, self.tx_ctrl_tag(), &Msg::Close { final_seq })?;
+                    self.inner.lock().inflight_sends.push(h);
+                }
+                Step::Teardown(stale) => self.teardown(ctx, stale)?,
+                Step::Done(r) => return Ok(r.map_err(NetError::from)),
+                Step::Fail => return Ok(Err(failed.take().expect("a credit wait failed"))),
+            }
+        }
+    }
+
+    /// The host work of one send of the stream: the substrate's overhead,
+    /// the communication-thread handoff, and a copy of `copy` bytes.
+    fn charge_send(&self, ctx: &ProcessCtx, copy: Option<usize>) -> SimResult<()> {
         ctx.delay(self.proc_.cfg.stream_overhead)?;
         self.comm_thread_penalty(ctx)?;
-        self.charge_copy(ctx, data.len())?;
-        self.post_conn_req(ctx, Bytes::copy_from_slice(data))?;
-        Ok(true)
+        copy.map_or(Ok(()), |len| self.charge_copy(ctx, len))
     }
 
-    /// Accept side of [`Self::ride_conn_req`]: copy the request's bytes out
-    /// of the backlog slot, which the next request reuses, into the stream.
+    /// Accept side of a rider: copy the request's bytes out of the backlog
+    /// slot, which the next request reuses, into the stream.
     pub(crate) fn accept_first(&self, ctx: &ProcessCtx, first: Bytes) -> SimResult<()> {
         self.charge_copy(ctx, first.len())?;
         self.inner.lock().core.accept_first(first);
@@ -184,80 +202,15 @@ impl SockShared {
         }
     }
 
-    /// Stage a small write in the connection's send buffer (one copy, but
-    /// a substrate message shared by many writes), flushing as
-    /// `ConnCore::stage_overflows` and `stage_flush_due` say; after a
-    /// capacity flush a blocking call waits while the NIC is far behind
-    /// ([`Self::await_queue_room`]). Invariant on return: bytes staged ⇒
-    /// at least two credits in hand, so the deadline timer never waits
-    /// for one. Without `block`, staging requires a credit in hand
-    /// (reaped, not awaited), so a coalesced `try_write` never accepts
-    /// bytes nothing can send.
-    fn coalesce_append(&self, ctx: &ProcessCtx, data: &[u8], block: bool) -> OpResult<usize> {
-        let overflow = self.inner.lock().core.stage_overflows(data.len());
-        if overflow {
-            if !ok_or_return!(self.flush_coalesced(ctx, block)?) {
-                return Ok(Err(NetError::WouldBlock));
-            }
-            if block {
-                self.await_queue_room(ctx)?;
-            }
-        }
-        if !block {
-            // Look for a credit without spending it.
-            ok_or_return!(self.take_credit(ctx, false)?);
-            self.inner.lock().core.refund();
-        }
-        self.stage_bytes(ctx, data)?;
-        let (full, flush) = self.inner.lock().core.stage_flush_due();
-        if flush {
-            ok_or_return!(self.flush_coalesced(ctx, block)?);
-        }
-        if full && block {
-            self.await_queue_room(ctx)?;
-        }
-        Ok(Ok(data.len()))
-    }
-
-    /// After a capacity flush: when two full substrate messages (two
-    /// `temp_buf_size`s) are still unacknowledged ahead of the one just
-    /// sent, park until the NIC has acknowledged them. The deadline defers
-    /// while a full message is in flight, so without this a writer faster
-    /// than the wire would queue a full message per credit at the NIC;
-    /// with it the NIC holds at most three and never waits for the
-    /// writer. A failed send surfaces at the next call (`reap_sends`).
-    fn await_queue_room(&self, ctx: &ProcessCtx) -> SimResult<()> {
-        let last_ahead = {
-            let i = self.inner.lock();
-            let Some((_, ahead)) = i.inflight_sends.split_last() else {
-                return Ok(());
-            };
-            if unacked_bytes(ahead) < 2 * self.buf_size {
-                return Ok(());
-            }
-            ahead.last().cloned()
-        };
-        if let Some(h) = last_ahead {
-            self.proc_.ep.wait_send(ctx, &h)?;
-        }
-        Ok(())
-    }
-
-    /// Copy `data` into the staging buffer — the one copy a staged write
-    /// pays. The first byte of an episode arms its deadline.
-    fn stage_bytes(&self, ctx: &ProcessCtx, data: &[u8]) -> SimResult<()> {
-        self.charge_copy(ctx, data.len())?;
-        let (staged, first_of) = self.inner.lock().core.stage(data);
-        if let Some(episode) = first_of {
-            self.arm_stage_deadline(ctx, episode);
-        }
+    /// Trace the end of a staging episode.
+    fn trace_flush(&self, sim: &dyn SimAccess, f: &Flush<VirtRange>) {
         self.trace(
-            ctx,
-            EventKind::CoalesceAppend,
-            data.len() as u64,
-            staged as u64,
+            sim,
+            EventKind::CoalesceFlush,
+            f.payload.len() as u64,
+            f.writes,
         );
-        Ok(())
+        self.trace_piggyback(sim, &f.ret);
     }
 
     /// Fire [`Self::stage_deadline`] for `episode` one
@@ -287,9 +240,11 @@ impl SockShared {
             Deadline::Defer => return self.arm_stage_deadline(sim, episode),
             Deadline::Send => {}
         }
-        let Some((ret, seq, payload)) = self.take_staged(sim) else {
+        let Some(f) = self.inner.lock().core.take_staged() else {
             return;
         };
+        self.trace_flush(sim, &f);
+        let (ret, seq, payload) = (f.ret, f.seq, f.payload);
         let range = self.inner.lock().send_range;
         let data = TxBuf::pair(Msg::data_header(ret.credits, seq, payload.len()), payload);
         let rearms = self.rearm_posts(&ret);
@@ -305,60 +260,6 @@ impl SockShared {
         let mut i = self.inner.lock();
         i.inflight_sends.push(h);
         i.flush_debt += self.proc_.cfg.stream_overhead + self.comm_thread_cost() + post;
-    }
-
-    /// Pay for the flushes the deadline timer did since the last call.
-    fn pay_flush_debt(&self, ctx: &ProcessCtx) -> SimResult<()> {
-        let debt = std::mem::take(&mut self.inner.lock().flush_debt);
-        if debt.is_zero() {
-            return Ok(());
-        }
-        ctx.delay(debt)
-    }
-
-    /// Flush staged writes as one substrate message; returns whether none
-    /// are left. With no credit in hand a blocking call parks for one; a
-    /// nonblocking one leaves them and reports `false`, a closed peer
-    /// included (the read it precedes still serves what is buffered).
-    pub(crate) fn flush_coalesced(&self, ctx: &ProcessCtx, block: bool) -> OpResult<bool> {
-        self.pay_flush_debt(ctx)?;
-        if self.inner.lock().core.staged.is_empty() {
-            return Ok(Ok(true));
-        }
-        let credit = self.take_credit(ctx, block)?;
-        if credit.is_err() && !block {
-            return Ok(Ok(false));
-        }
-        ok_or_return!(credit);
-        ok_or_return!(self.flush_staged(ctx)?);
-        Ok(Ok(true))
-    }
-
-    /// `ConnCore::take_staged`, traced.
-    fn take_staged(&self, sim: &dyn SimAccess) -> Option<(CreditReturn<VirtRange>, u32, Bytes)> {
-        let f = self.inner.lock().core.take_staged()?;
-        self.trace(
-            sim,
-            EventKind::CoalesceFlush,
-            f.payload.len() as u64,
-            f.writes,
-        );
-        self.trace_piggyback(sim, &f.ret);
-        Some((f.ret, f.seq, f.payload))
-    }
-
-    /// Send the staged bytes (credit already spent) as one data message,
-    /// with no copy of its own: each append paid one.
-    fn flush_staged(&self, ctx: &ProcessCtx) -> OpResult<()> {
-        let Some((ret, seq, payload)) = self.take_staged(ctx) else {
-            // The timer sent them while this call was parked: settle now.
-            return self.pay_flush_debt(ctx).map(Ok);
-        };
-        ctx.delay(self.proc_.cfg.stream_overhead)?;
-        self.comm_thread_penalty(ctx)?;
-        let h = self.send_data_msg(ctx, ret, seq, payload)?;
-        self.inner.lock().inflight_sends.push(h);
-        Ok(Ok(()))
     }
 
     /// Serve up to `max` buffered stream bytes if any are waiting, paying
@@ -395,11 +296,14 @@ impl SockShared {
         if max == 0 {
             return Ok(Ok(Bytes::new()));
         }
-        self.send_conn_req(ctx)?;
-        // Flush-on-read: staged coalesced writes go out before this side
-        // parks waiting for a response (keeps request/response latency
-        // flat under coalescing).
-        ok_or_return!(self.flush_coalesced(ctx, false)?);
+        // A held request goes bare; flush-on-read: staged coalesced writes
+        // go out before this side parks waiting for a response (keeps
+        // request/response latency flat under coalescing).
+        let prologue = OpKind::Flush {
+            request: true,
+            block: false,
+        };
+        ok_or_return!(self.run_op(ctx, prologue, &[])?);
         let direct_max = self.proc_.cfg.copy_policy.direct_to_posted.then_some(max);
         loop {
             // 1. Serve buffered bytes.
@@ -543,15 +447,6 @@ impl SockShared {
             i.inflight_sends.push(h);
         }
         Ok(Ok(direct))
-    }
-
-    /// A *fully* closed peer unposts its descriptors, which surfaces as
-    /// failed sends through `reap_sends`; a received `Close` alone does
-    /// not fail writes (the peer may only have shut down its write side,
-    /// as TCP allows after a FIN).
-    fn check_writable(&self) -> Result<(), NetError> {
-        self.reap_sends()?;
-        Ok(self.inner.lock().core.check_writable()?)
     }
 
     /// Spend one credit (`ConnCore::spend`), collecting the returns that

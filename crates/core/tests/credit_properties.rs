@@ -37,7 +37,8 @@ fn audit_run(
     reads: Vec<usize>,
 ) -> Vec<String> {
     let n = cfg.credits;
-    let threshold = cfg.ack_threshold();
+    // Both configurations below delay acks (§6.3): half the window.
+    let threshold = (n / 2).max(1);
     // The windows a side may hold: N, and under the default the initial
     // two (N itself when N is smaller).
     let windows = if cfg.piggyback_acks {

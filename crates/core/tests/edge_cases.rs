@@ -382,3 +382,75 @@ fn accept_after_listener_close_errors_cleanly() {
     });
     sim.run();
 }
+
+/// A one-way stream of `writes` 1 KiB writes, then a close, from a
+/// `client` to a `server` configuration, bounded at 2 s of sim time: the
+/// bytes the server read (`None` if the stream did not finish), and the
+/// fc-ack descriptors it kept posted for the connection meanwhile.
+fn one_way(server: SubstrateConfig, client: SubstrateConfig) -> Option<(Vec<u8>, usize)> {
+    let sim = Sim::new();
+    let cl = cluster(2);
+    let nic = Arc::clone(&cl.nodes[1].nic);
+    let server = sub(&cl, 1, server);
+    let client = sub(&cl, 0, client);
+    let addr = SockAddr::new(cl.nodes[1].addr(), 80);
+    let got = Arc::new(Mutex::new((Vec::new(), 0)));
+    let got2 = Arc::clone(&got);
+    let done = Completion::new();
+    let done2 = done.clone();
+    sim.spawn("server", move |ctx| {
+        let l = server.listen(ctx, 80, 4)?.expect("port");
+        let conn = l.accept(ctx)?.expect("conn");
+        let fcack = sockets_emp::tags::fcack_tag(0, true);
+        loop {
+            let d = conn.read(ctx, 4096)?.expect("data");
+            if d.is_empty() {
+                break;
+            }
+            let mut g = got2.lock();
+            g.0.extend_from_slice(&d);
+            g.1 = nic
+                .debug_preposted()
+                .iter()
+                .filter(|p| p.0 == fcack)
+                .count();
+        }
+        conn.close(ctx)?;
+        done2.complete(ctx);
+        Ok(())
+    });
+    sim.spawn("client", move |ctx| {
+        let conn = client.connect(ctx, addr)?.expect("connect");
+        for i in 0..8u8 {
+            conn.write(ctx, &[i; 1024])?.expect("send");
+        }
+        conn.close(ctx)?;
+        Ok(())
+    });
+    let finished = sim.run_until_complete(&done, SimTime::from_secs(2));
+    let g = got.lock();
+    finished.then(|| g.clone())
+}
+
+/// An acceptor adopts the client's N and, with it, §6.3's threshold of
+/// half of N: a `ds_da()` server (32 credits of its own, so 16) returns
+/// a credit every two messages of a 4-credit client, whose one-way stream
+/// would otherwise stall for a return that never comes. It sizes its
+/// fc-ack descriptors (and, in unexpected-queue mode, its quota) by that
+/// N too, as a server configured with the client's credits does.
+#[test]
+fn an_acceptor_paces_credit_returns_by_the_clients_window() {
+    let expect: Vec<u8> = (0..8u8).flat_map(|i| [i; 1024]).collect();
+    for n in [3, 4] {
+        let client = SubstrateConfig::ds_da().with_credits(n);
+        let (bytes, fcacks) = one_way(SubstrateConfig::ds_da(), client.clone())
+            .unwrap_or_else(|| panic!("N = {n}: the stream stalled"));
+        assert!(bytes == expect, "N = {n}: the stream arrived corrupted");
+        let own = one_way(client.clone(), client.clone()).expect("alike").1;
+        assert_eq!(fcacks, own, "N = {n}");
+        assert_eq!(fcacks, client.fcack_descriptors(n), "N = {n}");
+        let uq = SubstrateConfig::ds_da_uq();
+        let (bytes, _) = one_way(uq.clone(), uq.with_credits(n)).expect("uq stream");
+        assert!(bytes == expect, "N = {n}: the UQ stream arrived corrupted");
+    }
+}
