@@ -93,6 +93,12 @@ cargo test --workspace -q
 step "cargo test (trace feature)"
 cargo test --workspace -q --features trace
 
+step "cargo test --release (simnet, emp-async)"
+# A release build keeps live values in callee-saved registers across calls,
+# so a register the process stack switch fails to save shows up here first
+# (simnet's `parked_processes_keep_their_registers_and_rounding_mode`).
+cargo test --release -q -p simnet -p emp-async
+
 step "traced ping-pong smoke"
 # Must print a latency budget and a non-empty Chrome trace.
 out=$(cargo run -q --release -p emp-bench --bin figures --features trace -- --trace)

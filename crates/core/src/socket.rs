@@ -672,6 +672,7 @@ impl Connection {
             consumed: i.core.consumed,
             rearms_pending: i.core.rearms.len(),
             window: i.core.window,
+            sends_in_flight: i.inflight_sends.len(),
             peer_closed: i.core.peer_closed,
             closed: i.core.closed,
         }
@@ -700,6 +701,10 @@ pub struct ConnDebugState {
     /// announced growth (`default()`), N once its sender used both, and N
     /// from the start under the presets.
     pub window: u32,
+    /// Send handles held until they are reaped: data messages, fc-acks
+    /// and the close notification. A write or poll drops the completed
+    /// ones; so does a read whenever it sends an fc-ack.
+    pub sends_in_flight: usize,
     /// Peer sent a close notification.
     pub peer_closed: bool,
     /// This side is closed.

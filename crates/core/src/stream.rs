@@ -444,6 +444,9 @@ impl SockShared {
             let h = self.send_fcack(ctx, ret)?;
             let mut i = self.inner.lock();
             i.core.stats.fcacks_sent += 1;
+            // A reader that never writes never reaps: drop the sends that
+            // completed, keeping a failed one for `reap_sends` to report.
+            i.inflight_sends.retain(|h| h.status() != Some(true));
             i.inflight_sends.push(h);
         }
         Ok(Ok(direct))

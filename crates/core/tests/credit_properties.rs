@@ -128,7 +128,7 @@ fn audit_run(
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 10, // each case runs a full simulation with OS threads
+        cases: 10, // each case runs a full simulation
         ..ProptestConfig::default()
     })]
 

@@ -3,8 +3,9 @@
 
 use emp_proto::{build_cluster, EmpCluster, EmpConfig};
 use parking_lot::Mutex;
-use simnet::{Completion, Sim, SimDuration, SimTime, SwitchConfig};
+use simnet::{Completion, Sim, SimDuration, SimError, SimTime, SwitchConfig};
 use sockets_emp::{EmpSockets, NetError, SockAddr, SubstrateConfig};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 fn cluster(n: usize) -> EmpCluster {
@@ -453,4 +454,85 @@ fn an_acceptor_paces_credit_returns_by_the_clients_window() {
         let (bytes, _) = one_way(uq.clone(), uq.with_credits(n)).expect("uq stream");
         assert!(bytes == expect, "N = {n}: the UQ stream arrived corrupted");
     }
+}
+
+/// A reader that never writes never reaps its sends: each fc-ack it sends
+/// drops the ones that completed, so the handles it holds stay bounded
+/// however many messages it consumes.
+#[test]
+fn a_pure_reader_holds_no_completed_fcack_handles() {
+    const MSGS: u64 = 1_000;
+    let sim = Sim::new();
+    let cl = cluster(2);
+    let server = sub(&cl, 1, SubstrateConfig::ds_da_uq());
+    let client = sub(&cl, 0, SubstrateConfig::ds_da_uq());
+    let addr = SockAddr::new(cl.nodes[1].addr(), 80);
+    let seen = Arc::new(Mutex::new(None));
+    let seen2 = Arc::clone(&seen);
+    sim.spawn("reader", move |ctx| {
+        let l = server.listen(ctx, 80, 4)?.expect("port");
+        let conn = l.accept(ctx)?.expect("conn");
+        while conn.stats().msgs_received < MSGS {
+            assert!(!conn.read(ctx, 64)?.expect("data").is_empty());
+        }
+        *seen2.lock() = Some((conn.stats(), conn.debug_state().sends_in_flight));
+        conn.close(ctx)
+    });
+    sim.spawn("writer", move |ctx| {
+        let conn = client.connect(ctx, addr)?.expect("connect");
+        for _ in 0..MSGS {
+            conn.write(ctx, &[7u8; 64])?.expect("write");
+        }
+        conn.close(ctx)
+    });
+    sim.run_until(SimTime::from_secs(10));
+    let (stats, held) = seen.lock().expect("the reader consumed every message");
+    assert!(
+        stats.msgs_received >= MSGS && stats.fcacks_sent >= 10,
+        "{stats:?}"
+    );
+    assert!(
+        held <= 2,
+        "{held} send handles held after {} fc-acks",
+        stats.fcacks_sent
+    );
+}
+
+/// A process that fails while another is parked inside a socket `read`:
+/// `run` re-raises the failure only after the reader was terminated — its
+/// `read` returned `Terminated` — so no process code runs while the
+/// failure unwinds.
+#[test]
+fn a_failing_process_terminates_a_reader_parked_in_read_before_run_reraises() {
+    let sim = Sim::new();
+    let cl = cluster(2);
+    let server = sub(&cl, 1, SubstrateConfig::ds_da_uq());
+    let client = sub(&cl, 0, SubstrateConfig::ds_da_uq());
+    let addr = SockAddr::new(cl.nodes[1].addr(), 80);
+    let reading = Arc::new(Mutex::new(false));
+    let read_result = Arc::new(Mutex::new(None));
+    let (reading2, read_result2) = (Arc::clone(&reading), Arc::clone(&read_result));
+    sim.spawn("reader", move |ctx| {
+        let l = server.listen(ctx, 80, 4)?.expect("port");
+        let conn = l.accept(ctx)?.expect("conn");
+        *reading2.lock() = true;
+        let res = conn.read(ctx, 64);
+        *read_result2.lock() = Some(res.as_ref().err().cloned());
+        res.map(drop)
+    });
+    sim.spawn("writer", move |ctx| {
+        let _conn = client.connect(ctx, addr)?.expect("connect");
+        ctx.delay(SimDuration::from_millis(1))?;
+        panic!("the writer gave up");
+    });
+    let payload = catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("run re-raises");
+    let msg = payload
+        .downcast_ref::<String>()
+        .expect("a formatted failure");
+    assert!(
+        msg.contains("process 'writer' panicked: the writer gave up"),
+        "{msg}"
+    );
+    assert!(*reading.lock(), "the reader was parked in read");
+    assert_eq!(*read_result.lock(), Some(Some(SimError::Terminated)));
 }

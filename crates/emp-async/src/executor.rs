@@ -13,6 +13,7 @@ use parking_lot::Mutex;
 use simnet::emp_trace::telemetry::Gauge;
 use simnet::emp_trace::Counter;
 use simnet::engine::SimShared;
+use simnet::process::with_task_slot;
 use simnet::{Completion, ProcessCtx, SimAccess, SimResult};
 
 type TaskId = usize;
@@ -61,7 +62,7 @@ impl ExecShared {
     }
 
     /// Mark `task` ready and ring the doorbell. Callable from anywhere —
-    /// waker context, spawn, the executor's own thread.
+    /// waker context, spawn, the executor's own process.
     fn enqueue(&self, task: TaskId) {
         {
             let mut r = self.ready.lock();
@@ -122,7 +123,7 @@ struct Inner {
 }
 
 /// A single-threaded executor owned by one simulated process. Tasks are
-/// `!Send` futures; everything runs on the owning process's thread in
+/// `!Send` futures; everything runs on the owning process's stack in
 /// deterministic wake order.
 pub struct LocalExecutor {
     inner: Rc<Inner>,
@@ -362,29 +363,25 @@ where
     Ok(handle.try_take().expect("run drained every task"))
 }
 
-thread_local! {
-    /// The process context of the executor currently polling a task on
-    /// this thread (each simulated process is its own OS thread, so this
-    /// nests correctly even with several executors in one simulation).
-    static CTX: Cell<*const ProcessCtx> = const { Cell::new(std::ptr::null()) };
-}
-
-/// Installs a `&ProcessCtx` for the duration of one task poll (or drop),
-/// restoring the previous value on exit.
+/// Installs a `&ProcessCtx` for the duration of one task poll (or drop) in
+/// the process's task slot ([`simnet::process::with_task_slot`]), restoring
+/// the previous value on exit. The slot is saved with its process whenever
+/// it parks, so with several executors in one simulation a poll that parks
+/// still finds its own context when it resumes.
 struct CtxScope {
-    prev: *const ProcessCtx,
+    prev: *const (),
 }
 
 impl CtxScope {
     fn enter(ctx: &ProcessCtx) -> CtxScope {
-        let prev = CTX.with(|c| c.replace(ctx as *const ProcessCtx));
+        let prev = with_task_slot(|c| c.replace((ctx as *const ProcessCtx).cast()));
         CtxScope { prev }
     }
 }
 
 impl Drop for CtxScope {
     fn drop(&mut self) {
-        CTX.with(|c| c.set(self.prev));
+        with_task_slot(|c| c.set(self.prev));
     }
 }
 
@@ -396,17 +393,17 @@ pub fn with_ctx<R>(f: impl FnOnce(&ProcessCtx) -> R) -> R {
     try_with_ctx(f).expect("with_ctx outside an executor task")
 }
 
-/// [`with_ctx`], returning `None` when no executor is polling on this
-/// thread (e.g. a future dropped with its executor after `run`).
+/// [`with_ctx`], returning `None` when no executor of this process is
+/// polling (e.g. a future dropped with its executor after `run`).
 pub fn try_with_ctx<R>(f: impl FnOnce(&ProcessCtx) -> R) -> Option<R> {
-    let p = CTX.with(|c| c.get());
+    let p = with_task_slot(|c| c.get()).cast::<ProcessCtx>();
     if p.is_null() {
         return None;
     }
     // SAFETY: `p` was installed by `CtxScope::enter` from a live
     // `&ProcessCtx` borrowed for the whole poll/drop call this closure
-    // runs inside, on this same thread, and is cleared when that scope
-    // unwinds — so the reference is valid for the duration of `f`.
+    // runs inside, in this same process's slot, and is cleared when that
+    // scope unwinds — so the reference is valid for the duration of `f`.
     Some(f(unsafe { &*p }))
 }
 
@@ -428,6 +425,66 @@ mod tests {
         });
         sim.run();
         assert_eq!(*out.lock(), 42);
+    }
+
+    #[test]
+    fn two_processes_whose_polls_park_each_see_their_own_ctx() {
+        let sim = Sim::new();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        for step in [3u64, 5] {
+            let seen = Arc::clone(&seen);
+            sim.spawn(format!("every-{step}ns"), move |ctx| {
+                let me = ctx.pid();
+                block_on(ctx, async move {
+                    for _ in 0..20 {
+                        // Parks inside the poll; the other process polls
+                        // (and parks) before this one resumes.
+                        with_ctx(|c| c.delay(SimDuration::from_nanos(step)))
+                            .expect("the simulation outlives the test");
+                        seen.lock().push((me, with_ctx(|c| c.pid())));
+                    }
+                })
+            });
+        }
+        sim.run();
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 40);
+        for &(me, saw) in seen.iter() {
+            assert_eq!(saw, me, "process {me} saw process {saw}'s context");
+        }
+    }
+
+    #[test]
+    fn a_process_spawned_while_another_parks_in_a_poll_starts_with_no_ctx() {
+        let sim = Sim::new();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = Arc::clone(&seen);
+        sim.spawn("parker", move |ctx| {
+            // The event fires while this poll is parked, on this stack,
+            // and the new process's first wake-up is popped here too.
+            ctx.schedule_after(SimDuration::from_nanos(5), move |sim| {
+                sim.spawn("late", move |ctx| {
+                    let me = ctx.pid();
+                    let before = try_with_ctx(|c| c.pid());
+                    let inside = block_on(ctx, async { with_ctx(|c| c.pid()) })?;
+                    let after = try_with_ctx(|c| c.pid());
+                    seen2.lock().push((me, before, inside, after));
+                    Ok(())
+                });
+            });
+            block_on(ctx, async {
+                with_ctx(|c| c.delay(SimDuration::from_nanos(10)))
+                    .expect("the simulation outlives the test");
+            })
+        });
+        sim.run();
+        let seen = seen.lock();
+        let &[(me, before, inside, after)] = &seen[..] else {
+            panic!("the late process ran {} times", seen.len());
+        };
+        assert_eq!(before, None, "a new process saw another's context");
+        assert_eq!(inside, me);
+        assert_eq!(after, None, "block_on restored another's context");
     }
 
     #[test]

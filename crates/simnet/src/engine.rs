@@ -7,28 +7,30 @@
 //! delivery booked ahead of time (a frame whose firmware task or switch
 //! latency is still running when it is put on the wire) is scheduled as of
 //! the instant it stands for, so it sorts where the event chain it replaces
-//! would have put it (DESIGN §6). Simulated *processes* (threads with
+//! would have put it (DESIGN §6). Simulated *processes* (coroutines with
 //! blocking semantics) are layered on top in [`crate::process`].
 //!
-//! **One turn, many threads.** Exactly one thread — the caller of
-//! [`Sim::run`] or a single process thread — holds *the turn* at any
-//! instant, and whoever holds it runs the event loop (`Sim::drive`): it
-//! pops the next event and executes it, so event closures run on whichever
-//! thread has the turn. A parking process keeps driving; when the event it
-//! pops is its own wake-up it simply returns into process code (no thread
-//! switch), and when it is another process's it hands the turn straight to
-//! that thread. The `run*` caller sleeps until the turn comes back (loop
-//! ended, a process exited, or an event panicked on a process thread).
-//! Because only the turn holder executes, component state guarded by
-//! [`parking_lot::Mutex`] is never contended.
+//! **One thread, many stacks.** Everything runs on the thread that calls
+//! [`Sim::run`]: on its own stack, or on the stack of one process. Exactly
+//! one stack holds *the turn* at any instant, and whoever holds it runs the
+//! event loop (`Sim::drive`): it pops the next event and executes it, so
+//! event closures run on whichever stack has the turn. A parking process
+//! keeps driving; when the event it pops is its own wake-up it simply
+//! returns into process code (no switch), and when it is another process's
+//! it switches straight to that process's stack. The `run*` caller's stack
+//! is suspended until the turn comes back (loop ended, a process exited,
+//! or an event panicked on a process's stack). Because only the turn
+//! holder executes, component state guarded by [`parking_lot::Mutex`] is
+//! never contended.
 //!
 //! Ownership discipline (important, see `DESIGN.md` §6): components must
 //! **not** store `Sim` handles. Every component method takes a
 //! `&dyn SimAccess` argument; events receive `&Sim`. This keeps the `Sim` the
 //! unique strong owner of the engine, so dropping it deterministically
-//! terminates all parked process threads.
+//! terminates all parked processes.
 
 use std::collections::BinaryHeap;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -36,14 +38,15 @@ use std::sync::{Arc, Weak};
 use emp_trace::Counter;
 use parking_lot::Mutex;
 
+use crate::coroutine::{self, Context};
 use crate::error::SimResult;
 use crate::frame::Frame;
 use crate::link::FrameSink;
-use crate::process::{Baton, LoopMsg, ProcId, ProcTable, ProcessCtx, Resume, HANDOFF_WATCHDOG};
+use crate::process::{self, Baton, Handoff, LoopMsg, ProcId, ProcTable, ProcessCtx, Resume};
 use crate::sync::Completion;
 use crate::time::{SimDuration, SimTime};
 
-/// A scheduled event: a one-shot closure run on the thread holding the turn.
+/// A scheduled event: a one-shot closure run on the stack holding the turn.
 pub type EventFn = Box<dyn FnOnce(&Sim) + Send>;
 
 /// What kind of work an executed event is. The engine counts executed
@@ -103,8 +106,8 @@ impl TimerGuard {
     }
 
     /// Whether [`TimerGuard::cancel`] was called. Only the turn holder
-    /// cancels and pops timers, and the turn passes through a mutex, so a
-    /// relaxed flag is enough.
+    /// cancels and pops timers, and every stack that can hold the turn runs
+    /// on one thread, so a relaxed flag is enough.
     pub(crate) fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Relaxed)
     }
@@ -115,7 +118,7 @@ enum Action {
     Call(EventClass, EventFn),
     /// A timer that is skipped once its guard is cancelled.
     Timer(TimerGuard, EventFn),
-    /// Resume a parked process: its thread takes the turn.
+    /// Resume a parked process: its stack takes the turn.
     Wake(ProcId),
     /// Hand a frame to the sink its link delivers to.
     Deliver(Arc<dyn FrameSink>, Frame),
@@ -177,23 +180,23 @@ pub(crate) struct SimCore {
     /// Stop conditions of the current `run*` call.
     deadline: SimTime,
     done: Option<Completion>,
-    /// Set by `Sim::drop`: no thread may run another event.
+    /// Set once processes are being terminated (`Sim::drop`, or a failure
+    /// re-raised by `run*`): no stack may run another event.
     terminated: bool,
-    /// The process whose wake-up was popped last (named by the watchdog).
-    turn: ProcId,
 }
 
-/// Engine state shared between the `run*` caller and process threads.
+/// Engine state shared between the `run*` caller and the processes.
 ///
 /// This type has no public API of its own; use it through [`SimAccess`].
 pub struct SimShared {
     pub(crate) core: Mutex<SimCore>,
     /// The clock, in ns. Only the turn holder advances it (under the
-    /// `core` lock, when it pops an event), and the turn passes through a
-    /// mutex, so a relaxed load outside the lock reads the current time.
+    /// `core` lock, when it pops an event), and every stack runs on one
+    /// thread, so a relaxed load outside the lock reads the current time.
     now: AtomicU64,
     pub(crate) procs: Mutex<ProcTable>,
-    /// Where the `run*` caller sleeps while a process thread has the turn.
+    /// Where the `run*` caller's stack is suspended while a process has the
+    /// turn.
     main: Baton<LoopMsg>,
     /// `simnet.thread_handoffs`: see [`Sim::thread_handoffs`].
     handoffs: Arc<Counter>,
@@ -273,9 +276,6 @@ impl SimShared {
                 action: None,
             });
         }
-        if let Action::Wake(pid) = action {
-            core.turn = pid;
-        }
         self.executed_by_class[action.class() as usize].inc();
         Some(Event {
             time: key.time,
@@ -283,10 +283,39 @@ impl SimShared {
         })
     }
 
-    /// Give the turn back to the `run*` caller.
+    /// Leave `msg` for the `run*` caller, which the turn goes back to.
     pub(crate) fn post(&self, msg: LoopMsg) {
         self.handoffs.inc();
         self.main.pass(msg);
+    }
+
+    /// The `run*` caller's context, for a process's final switch.
+    pub(crate) fn main_ctx(&self) -> *const Context {
+        &self.main.ctx
+    }
+
+    /// Suspend the running stack, whose context is `from`, and give the
+    /// turn to `to`; returns when the turn comes back to `from`.
+    pub(crate) fn hand_over(&self, from: &Context, to: &Handoff) {
+        let to = match to {
+            Handoff::Main => &self.main.ctx,
+            Handoff::Proc(baton) => &baton.ctx,
+        };
+        // SAFETY: every stack but the running one is suspended in `switch`
+        // or not yet started, and all belong to this thread (`Sim` and
+        // `ProcessCtx` are neither `Send` nor `Sync`). The `run*` caller's
+        // stack is suspended whenever a process runs; a process handed the
+        // turn came from the table, which keeps its stack mapped until it
+        // is reaped after its final switch; and the running stack never
+        // hands the turn to itself.
+        unsafe { coroutine::switch(from, to) }
+    }
+
+    /// From the `run*` caller: give the turn to `to` and wait for it to
+    /// come back. Returns the message left for the caller, if any.
+    pub(crate) fn turn_from_main(&self, to: Handoff) -> Option<LoopMsg> {
+        self.hand_over(&self.main.ctx, &to);
+        self.main.take()
     }
 }
 
@@ -298,7 +327,7 @@ impl SimShared {
 /// convenience methods.
 pub trait SimAccess {
     /// The shared engine state. Panics if the simulation no longer exists
-    /// (only possible from a process thread racing teardown, which the
+    /// (only possible from a process racing teardown, which the
     /// termination protocol prevents for well-behaved processes).
     #[doc(hidden)]
     fn shared(&self) -> Arc<SimShared>;
@@ -441,7 +470,14 @@ impl<T: SimAccess + ?Sized> SimAccessExt for T {}
 /// A discrete-event simulation.
 ///
 /// `Sim` is deliberately **not** `Clone`: it is the unique strong owner of
-/// the engine. Dropping it terminates and joins all process threads.
+/// the engine. Dropping it terminates all processes. Nor is it `Send`: its
+/// processes' stacks run on the thread that created it, whose
+/// thread-locals they may have cached.
+///
+/// ```compile_fail
+/// fn on_another_thread<T: Send>(_: T) {}
+/// on_another_thread(simnet::Sim::new());
+/// ```
 ///
 /// # Example
 ///
@@ -459,9 +495,10 @@ impl<T: SimAccess + ?Sized> SimAccessExt for T {}
 /// ```
 pub struct Sim {
     shared: Arc<SimShared>,
-    /// False for the handle a process thread runs events with
-    /// ([`Sim::view`]); dropping that one terminates nothing.
+    /// False for the handle a process runs events with ([`Sim::view`]);
+    /// dropping that one terminates nothing.
     owner: bool,
+    _one_thread: PhantomData<*const ()>,
 }
 
 impl Default for Sim {
@@ -510,7 +547,6 @@ impl Sim {
                 deadline: SimTime::MAX,
                 done: None,
                 terminated: false,
-                turn: 0,
             }),
             procs: Mutex::new(ProcTable::new()),
             main: Baton::new(),
@@ -524,25 +560,28 @@ impl Sim {
         Sim {
             shared,
             owner: true,
+            _one_thread: PhantomData,
         }
     }
 
-    /// The handle a process thread passes to the events it runs while it
-    /// holds the turn.
+    /// The handle a process passes to the events it runs while it holds
+    /// the turn.
     pub(crate) fn view(shared: Arc<SimShared>) -> Sim {
         Sim {
             shared,
             owner: false,
+            _one_thread: PhantomData,
         }
     }
 
     /// Spawn a simulated process that starts at the current simulated time.
     ///
-    /// The closure runs on a dedicated OS thread, and only while that thread
-    /// holds the turn: between two [`ProcessCtx`] blocking calls nothing else
-    /// in the simulation executes, so it may freely manipulate shared
-    /// component state. While the process is blocked its thread either runs
-    /// the event loop itself or sleeps until its wake-up event is popped.
+    /// The closure runs on a stack of its own, on the thread that runs the
+    /// simulation, and only while that stack holds the turn: between two
+    /// [`ProcessCtx`] blocking calls nothing else in the simulation
+    /// executes, so it may freely manipulate shared component state. While
+    /// the process is blocked its stack either runs the event loop itself or
+    /// is suspended until its wake-up event is popped.
     pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> ProcId
     where
         F: FnOnce(&mut ProcessCtx) -> SimResult<()> + Send + 'static,
@@ -584,48 +623,66 @@ impl Sim {
         self.shared.core.lock().queue.len()
     }
 
-    /// How many times the turn has moved from one OS thread to another
-    /// (to a process thread whose wake-up was popped, or back to the
-    /// `run*` caller). A process woken by the thread it parked on costs none.
-    /// Also the registry counter `simnet.thread_handoffs`.
+    /// How many times the turn has moved from one stack to another (to a
+    /// process whose wake-up was popped, or back to the `run*` caller). A
+    /// process woken by its own stack's loop costs none. Also the registry
+    /// counter `simnet.thread_handoffs`.
     pub fn thread_handoffs(&self) -> u64 {
         self.shared.handoffs.get()
     }
 
-    /// Drive the loop from the `run*` caller's thread, sleeping whenever a
-    /// process thread has the turn, until a stop condition is met.
+    /// Drive the loop from the `run*` caller's stack, suspending it
+    /// whenever a process has the turn, until a stop condition is met.
     fn run_loop(&self, deadline: SimTime, done: Option<Completion>) {
         {
             let mut core = self.shared.core.lock();
             core.deadline = deadline;
             core.done = done;
         }
-        while !self.drive(None) {
-            match self.await_turn() {
-                LoopMsg::LoopEnded => break,
-                LoopMsg::Exited(pid, result) => {
-                    self.shared.procs.lock().reap(pid);
-                    if let Err(msg) = result {
-                        panic!("simulated process failed: {msg}");
-                    }
-                }
-                LoopMsg::EventPanic(payload) => resume_unwind(payload),
-            }
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.pass_turns()));
+        if !matches!(outcome, Ok(Ok(()))) {
+            // Process code must not run while this thread unwinds: end the
+            // parked processes first.
+            self.terminate();
+        }
+        match outcome {
+            Ok(Ok(())) => {}
+            Ok(Err(msg)) => panic!("simulated process failed: {msg}"),
+            Err(payload) => resume_unwind(payload),
         }
     }
 
-    /// Pop and run events on the calling thread until the turn leaves it or
+    /// Run the loop on this stack and hand the turn to processes until the
+    /// loop ends; `Err` is a process's failure text.
+    fn pass_turns(&self) -> Result<(), String> {
+        while let Some(next) = self.drive(None) {
+            match self.shared.turn_from_main(next) {
+                Some(LoopMsg::LoopEnded) => break,
+                Some(LoopMsg::Exited(pid, result)) => {
+                    self.shared.procs.lock().reap(pid);
+                    result?;
+                }
+                Some(LoopMsg::EventPanic(payload)) => resume_unwind(payload),
+                None => unreachable!("the turn came back without a message"),
+            }
+        }
+        Ok(())
+    }
+
+    /// Pop and run events on the calling stack until the turn leaves it or
     /// the loop ends. `me` is the calling process, `None` for the `run*`
-    /// caller. Returns `true` if the caller still holds the turn: its own
-    /// wake-up was popped (process), or the loop ended (`run*` caller).
-    pub(crate) fn drive(&self, me: Option<ProcId>) -> bool {
+    /// caller. Returns `None` if the caller keeps the turn: its own wake-up
+    /// was popped (process), or the loop ended (`run*` caller); otherwise
+    /// whom it must hand the turn to.
+    pub(crate) fn drive(&self, me: Option<ProcId>) -> Option<Handoff> {
         let shared = &self.shared;
         loop {
+            // The loop ended: a process gives the turn back to the caller.
             let Some(ev) = shared.next_event() else {
-                if me.is_some() {
+                return me.map(|_| {
                     shared.post(LoopMsg::LoopEnded);
-                }
-                return me.is_none();
+                    Handoff::Main
+                });
             };
             let kept_turn = match ev.action {
                 None => true,
@@ -635,29 +692,29 @@ impl Sim {
                 }
                 // The caller's own wake-up; the sample this event is owed is
                 // taken when the process next parks or exits.
-                Some(Action::Wake(pid)) if me == Some(pid) => return true,
+                Some(Action::Wake(pid)) if me == Some(pid) => return None,
                 Some(Action::Wake(pid)) => {
                     let baton = shared.procs.lock().baton(pid);
                     if let Some(baton) = baton {
                         shared.handoffs.inc();
                         baton.pass(Resume::Run);
-                        return false;
+                        return Some(Handoff::Proc(baton));
                     }
                     // Stale wake-up of a process that already exited.
                     true
                 }
             };
             if !kept_turn {
-                return false;
+                return Some(Handoff::Main);
             }
             shared.telemetry.maybe_sample(ev.time.nanos());
         }
     }
 
-    /// Run one event on the turn holder's thread. On a process thread (`me`
+    /// Run one event on the turn holder's stack. On a process's stack (`me`
     /// is `Some`) a panicking event must not unwind into the parked
     /// process: it belongs to the `run*` caller, and `false` says the turn
-    /// went back to it.
+    /// goes back to it.
     fn run_event(&self, me: Option<ProcId>, f: impl FnOnce(&Sim)) -> bool {
         if me.is_none() {
             f(self);
@@ -672,27 +729,10 @@ impl Sim {
         }
     }
 
-    /// Sleep until a process thread gives the turn back. Every
-    /// [`HANDOFF_WATCHDOG`] check that the loop still makes progress: a
-    /// process blocked outside the engine's primitives would otherwise
-    /// freeze the simulation silently.
-    fn await_turn(&self) -> LoopMsg {
-        let mut seen = self.events_executed();
-        loop {
-            if let Some(msg) = self.shared.main.take_timeout(HANDOFF_WATCHDOG) {
-                return msg;
-            }
-            let executed = self.events_executed();
-            if executed == seen {
-                let turn = self.shared.core.lock().turn;
-                panic!(
-                    "engine stuck: no event ran for {HANDOFF_WATCHDOG:?} while process '{}' \
-                     held the turn; it is blocked outside the simulation's blocking primitives",
-                    self.shared.procs.lock().name(turn)
-                );
-            }
-            seen = executed;
-        }
+    /// Stop the engine for good and terminate every live process.
+    fn terminate(&self) {
+        self.shared.core.lock().terminated = true;
+        process::terminate_all(&self.shared);
     }
 }
 
@@ -709,8 +749,7 @@ impl SimAccess for Sim {
 impl Drop for Sim {
     fn drop(&mut self) {
         if self.owner {
-            self.shared.core.lock().terminated = true;
-            self.shared.procs.lock().terminate_all();
+            self.terminate();
         }
     }
 }

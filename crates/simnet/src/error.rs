@@ -13,9 +13,10 @@ pub type OpResult<T> = SimResult<Result<T, NetError>>;
 /// Errors surfaced to simulated processes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
-    /// The simulation was dropped while this process was blocked. A process
-    /// receiving this should unwind promptly (the `?` operator does the right
-    /// thing); it is the normal way process threads are reclaimed.
+    /// The simulation was dropped, or a `run*` call is re-raising a failure,
+    /// while this process was blocked. A process receiving this should
+    /// unwind promptly (the `?` operator does the right thing); it is the
+    /// normal way processes are reclaimed.
     Terminated,
     /// An application-level failure. Protocol layers convert their own error
     /// types into this variant when a process gives up; the simulation run

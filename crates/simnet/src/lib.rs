@@ -4,10 +4,10 @@
 //!
 //! * a **discrete-event engine** ([`Sim`]) with nanosecond time, strict
 //!   `(time, sequence)` event ordering and bit-for-bit reproducible runs;
-//! * **simulated processes** ([`ProcessCtx`]) — OS threads of which exactly
-//!   one runs at a time (and runs the event loop while its process is
-//!   blocked), so protocol and application code is written in natural
-//!   blocking style;
+//! * **simulated processes** ([`ProcessCtx`]) — stackful coroutines on the
+//!   `run*` caller's thread, of which exactly one runs at a time (and runs
+//!   the event loop while its process is blocked), so protocol and
+//!   application code is written in natural blocking style;
 //! * **synchronization primitives** ([`Completion`], [`SimCondvar`],
 //!   [`SimQueue`]) that preserve the engine's park/wake discipline;
 //! * a **Gigabit Ethernet physical layer**: exact frame wire-size
@@ -24,10 +24,11 @@
 //! `&dyn SimAccess` (events get `&Sim`, processes use their
 //! [`ProcessCtx`]). Cross-component references through links are weak.
 //! Consequently `Sim` is the unique owner of the world: dropping it
-//! terminates and joins every simulated-process thread deterministically.
+//! terminates every simulated process deterministically.
 
 #![warn(missing_docs)]
 
+mod coroutine;
 pub mod engine;
 pub mod error;
 pub mod fault;

@@ -1,30 +1,37 @@
-//! Thread-backed simulated processes with blocking semantics.
+//! Simulated processes with blocking semantics, run as coroutines.
 //!
-//! Each simulated process runs on a dedicated OS thread, but only while
-//! that thread holds *the turn* (see [`crate::engine`]): exactly one thread
+//! Each simulated process runs on a stack of its own
+//! (`coroutine.rs`) on the thread that called `Sim::run*`, and only
+//! while it holds *the turn* (see [`crate::engine`]): exactly one stack
 //! executes at any instant. This gives application code (ftp clients, web
 //! servers, ...) natural blocking `read()`/`write()` style without an async
 //! runtime, while keeping the whole simulation deterministic.
 //!
-//! A process that blocks does not give its thread up: `ProcessCtx::park`
-//! keeps running the event loop on it. If the next wake-up popped is the
+//! A process that blocks keeps the turn: `ProcessCtx::park` runs the event
+//! loop on the process's own stack. If the next wake-up popped is the
 //! parker's own, `park` just returns; only a wake-up for *another* process
-//! costs a thread switch, one `Baton` passed directly to that thread.
-//! Process code never changes threads; event closures (`Send`) may run on
-//! any of them.
+//! costs a switch, straight to that process's stack. Process code never
+//! changes stacks; event closures run on whichever stack holds the turn.
+//! Every stack belongs to the thread that created the [`Sim`], which is why
+//! neither a `Sim` nor a `ProcessCtx` may move to another thread.
 //!
 //! The 1:1 park/wake discipline: a parked process has *exactly one* pending
 //! wake-up — scheduled either by [`ProcessCtx::delay`] or by the sync
 //! primitive it blocked on. Blocking primitives outside this crate must be
 //! built from [`crate::sync`] types (or `delay`), never by scheduling raw
-//! wakes, which is why `SimShared::schedule_wake` is crate-private.
+//! wakes, which is why `SimShared::schedule_wake` is crate-private. A
+//! process that blocks by any other means (a channel, a lock held by a
+//! parked process) blocks the `run*` caller's thread with it.
 
 use std::any::Any;
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, Weak};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::{Arc, Weak};
 
+use parking_lot::Mutex;
+
+use crate::coroutine::{self, Context, Stack};
 use crate::engine::{Sim, SimAccess, SimShared};
 use crate::error::{SimError, SimResult};
 use crate::time::SimDuration;
@@ -32,72 +39,61 @@ use crate::time::SimDuration;
 /// Identifier of a simulated process (index into the process table).
 pub type ProcId = usize;
 
-/// How often the `run*` caller checks that the loop still makes progress
-/// while a process thread holds the turn (see `Sim::await_turn`).
-#[cfg(not(test))]
-pub(crate) const HANDOFF_WATCHDOG: Duration = Duration::from_secs(30);
-#[cfg(test)]
-pub(crate) const HANDOFF_WATCHDOG: Duration = Duration::from_millis(500);
-
-/// One-slot mailbox a thread sleeps on until another hands it the turn.
+/// A stack's mailbox: where it resumes, and the message it finds there.
 pub(crate) struct Baton<T> {
+    pub(crate) ctx: Context,
     slot: Mutex<Option<T>>,
-    ready: Condvar,
 }
 
 impl<T> Baton<T> {
     pub(crate) fn new() -> Self {
         Baton {
+            ctx: Context::new(),
             slot: Mutex::new(None),
-            ready: Condvar::new(),
         }
     }
 
+    /// Leave `msg` for the stack to find when it next resumes.
     pub(crate) fn pass(&self, msg: T) {
-        *self.slot.lock().expect("baton lock never poisons") = Some(msg);
-        self.ready.notify_one();
+        *self.slot.lock() = Some(msg);
     }
 
-    fn take(&self) -> T {
-        let slot = self.slot.lock().expect("baton lock never poisons");
-        let mut slot = self
-            .ready
-            .wait_while(slot, |s| s.is_none())
-            .expect("baton lock never poisons");
-        slot.take().expect("waited until a message was there")
-    }
-
-    /// [`Baton::take`], giving up after `timeout`.
-    pub(crate) fn take_timeout(&self, timeout: Duration) -> Option<T> {
-        let slot = self.slot.lock().expect("baton lock never poisons");
-        let (mut slot, _) = self
-            .ready
-            .wait_timeout_while(slot, timeout, |s| s.is_none())
-            .expect("baton lock never poisons");
-        slot.take()
+    /// The message left for this stack, if any.
+    pub(crate) fn take(&self) -> Option<T> {
+        self.slot.lock().take()
     }
 }
 
-/// What a process thread finds in its baton.
+/// What a process finds in its baton when it resumes.
 pub(crate) enum Resume {
     Run,
     Terminate,
 }
 
-/// Why a process thread gives the turn back to the `run*` caller.
+/// Why a process gives the turn back to the `run*` caller.
 pub(crate) enum LoopMsg {
     /// A stop condition of the current `run*` call was met.
     LoopEnded,
     /// The process function returned or panicked; `Err` is the failure text.
     Exited(ProcId, Result<(), String>),
-    /// An event closure panicked on a process thread; the payload to re-raise.
+    /// An event closure panicked on a process's stack; the payload to
+    /// re-raise.
     EventPanic(Box<dyn Any + Send>),
 }
 
+/// Whom the turn goes to when its holder gives it up; the message it will
+/// find is already in that stack's baton.
+pub(crate) enum Handoff {
+    /// The `run*` caller, with a [`LoopMsg`].
+    Main,
+    /// A process, with a [`Resume`].
+    Proc(Arc<Baton<Resume>>),
+}
+
 struct ProcSlot {
-    name: String,
     baton: Arc<Baton<Resume>>,
-    join: Option<JoinHandle<()>>,
+    /// `None` once the process exited.
+    stack: Option<Stack>,
 }
 
 /// Handle given to a process closure; provides time, scheduling and the
@@ -107,6 +103,12 @@ pub struct ProcessCtx {
     pid: ProcId,
     name: String,
     baton: Arc<Baton<Resume>>,
+    /// Set once the process received [`Resume::Terminate`]: it stays
+    /// terminated, whatever its cleanup code tries to block on.
+    terminated: Cell<bool>,
+    /// The process's stack lives on the thread that created its [`Sim`]:
+    /// a `ProcessCtx` (or a reference to it) must not leave that thread.
+    _one_thread: PhantomData<*const ()>,
 }
 
 impl SimAccess for ProcessCtx {
@@ -157,86 +159,149 @@ impl ProcessCtx {
     }
 
     /// Park this process. A wake-up must already be arranged (crate-internal;
-    /// see module docs for the discipline). The calling thread runs the event
-    /// loop until this process's wake-up is popped — by itself, or by the
-    /// thread it handed the turn to.
+    /// see module docs for the discipline). The process's stack runs the
+    /// event loop until this process's wake-up is popped — by itself, or by
+    /// the stack it handed the turn to.
     pub(crate) fn park(&self) -> SimResult<()> {
+        if self.terminated.get() {
+            return Err(SimError::Terminated);
+        }
         let shared = self.shared.upgrade().ok_or(SimError::Terminated)?;
         // The sample the loop owes the wake event that resumed this process.
         shared.telemetry.maybe_sample(shared.now().nanos());
-        if Sim::view(shared).drive(Some(self.pid)) {
+        let Some(next) = Sim::view(Arc::clone(&shared)).drive(Some(self.pid)) else {
             return Ok(());
-        }
+        };
+        shared.hand_over(&self.baton.ctx, &next);
         self.await_baton()
     }
 
+    /// What the stack that handed this process the turn left it.
     fn await_baton(&self) -> SimResult<()> {
         match self.baton.take() {
-            Resume::Run => Ok(()),
-            Resume::Terminate => {
-                // Stay terminated: cleanup code may try to block again.
-                self.baton.pass(Resume::Terminate);
+            Some(Resume::Run) => Ok(()),
+            Some(Resume::Terminate) => {
+                self.terminated.set(true);
                 Err(SimError::Terminated)
             }
+            None => unreachable!("a process resumed without a message"),
         }
     }
+}
+
+/// Run `f` on the running process's *task slot*: one pointer that belongs
+/// to the process and is kept with it across every park, as a thread-local
+/// would be if each process had a thread of its own. A runtime layered on
+/// processes keeps its per-process state here (`emp-async` keeps the
+/// context of the task it is polling). Null until set; an event sees the
+/// slot of the stack it runs on, and the `run*` caller has one of its own.
+pub fn with_task_slot<R>(f: impl FnOnce(&Cell<*const ()>) -> R) -> R {
+    coroutine::TASK_SLOT.with(f)
+}
+
+/// A process's code, as spawned.
+type Body = Box<dyn FnOnce(&mut ProcessCtx) -> SimResult<()>>;
+
+/// What a new process's stack starts from.
+struct Start {
+    ctx: ProcessCtx,
+    f: Body,
+}
+
+impl Start {
+    /// Wait for the first turn, run the body, and report its end to the
+    /// `run*` caller. Returns the `run*` caller's context to switch to;
+    /// everything this stack owned is dropped by then.
+    fn run(self) -> *const Context {
+        let Start { mut ctx, f } = self;
+        // Terminate here means the simulation ended before this process ran.
+        let result = ctx.await_baton().is_ok().then(|| {
+            match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
+                Ok(Ok(())) | Ok(Err(SimError::Terminated)) => Ok(()),
+                Ok(Err(e)) => Err(format!("process '{}': {e}", ctx.name)),
+                // `&*payload`: deref the Box explicitly, otherwise the
+                // Box itself coerces to `dyn Any` and downcasts fail.
+                Err(payload) => Err(format!(
+                    "process '{}' panicked: {}",
+                    ctx.name,
+                    panic_message(&*payload)
+                )),
+            }
+        });
+        let shared = ctx
+            .shared
+            .upgrade()
+            .expect("the simulation outlives its processes");
+        if let Some(result) = result {
+            shared.telemetry.maybe_sample(shared.now().nanos());
+            shared.post(LoopMsg::Exited(ctx.pid, result));
+        }
+        shared.main_ctx()
+    }
+}
+
+/// The first frame of every process stack.
+extern "C" fn process_main(start: *mut u8) -> ! {
+    // SAFETY: `start` is the `Box<Start>` that `ProcTable::spawn` leaked
+    // for this stack, and this frame, run once, is the only one to take it.
+    let start = unsafe { Box::from_raw(start.cast::<Start>()) };
+    // The slot still holds the value of the stack that switched here,
+    // which that stack restores for itself when it resumes.
+    coroutine::TASK_SLOT.set(std::ptr::null());
+    let main = start.run();
+    // SAFETY: `main` points into the `SimShared` that the `run*` caller's
+    // `Sim` owns; that caller is suspended in `hand_over` (it resumed this
+    // process or is waiting for it to finish), so both are alive. Nothing
+    // on this stack needs dropping: the caller reaps it without resuming it.
+    unsafe { coroutine::switch(&Context::new(), &*main) };
+    unreachable!("a finished process was resumed");
 }
 
 /// Registry of all processes in a simulation.
 pub(crate) struct ProcTable {
     slots: Vec<ProcSlot>,
+    /// Stacks of exited processes, for the next spawns to reuse: mapping a
+    /// fresh one costs three system calls, and a page fault for each page
+    /// the process touches. There are never more than the most processes
+    /// that were alive at once.
+    spare: Vec<Stack>,
 }
 
 impl ProcTable {
     pub(crate) fn new() -> Self {
-        ProcTable { slots: Vec::new() }
+        ProcTable {
+            slots: Vec::new(),
+            spare: Vec::new(),
+        }
     }
 
-    /// Spawn the backing thread and register the slot. The new process does
-    /// not run until its first wake event fires.
+    /// Give the process a stack and register the slot. The new process
+    /// does not run until its first wake event fires.
     pub(crate) fn spawn<F>(shared: &Arc<SimShared>, name: String, f: F) -> ProcId
     where
         F: FnOnce(&mut ProcessCtx) -> SimResult<()> + Send + 'static,
     {
         let baton = Arc::new(Baton::new());
         let mut table = shared.procs.lock();
+        let stack = table.spare.pop().unwrap_or_else(Stack::new);
         let pid = table.slots.len();
-        let mut ctx = ProcessCtx {
-            shared: Arc::downgrade(shared),
-            pid,
-            name: name.clone(),
-            baton: Arc::clone(&baton),
-        };
-        let join = std::thread::Builder::new()
-            .name(format!("sim-proc-{pid}-{name}"))
-            .spawn(move || {
-                // Wait for the first wake; Terminate here means the sim was
-                // dropped before this process ever ran.
-                if ctx.await_baton().is_err() {
-                    return;
-                }
-                let result = match catch_unwind(AssertUnwindSafe(|| (f)(&mut ctx))) {
-                    Ok(Ok(())) | Ok(Err(SimError::Terminated)) => Ok(()),
-                    Ok(Err(e)) => Err(format!("process '{}': {e}", ctx.name)),
-                    // `&*payload`: deref the Box explicitly, otherwise the
-                    // Box itself coerces to `dyn Any` and downcasts fail.
-                    Err(payload) => Err(format!(
-                        "process '{}' panicked: {}",
-                        ctx.name,
-                        panic_message(&*payload)
-                    )),
-                };
-                // During teardown nobody listens; `terminate_all` joins us.
-                if let Some(shared) = ctx.shared.upgrade() {
-                    shared.telemetry.maybe_sample(shared.now().nanos());
-                    shared.post(LoopMsg::Exited(pid, result));
-                }
-            })
-            .expect("failed to spawn simulated-process thread");
+        let start = Box::new(Start {
+            ctx: ProcessCtx {
+                shared: Arc::downgrade(shared),
+                pid,
+                name,
+                baton: Arc::clone(&baton),
+                terminated: Cell::new(false),
+                _one_thread: PhantomData,
+            },
+            f: Box::new(f),
+        });
+        baton
+            .ctx
+            .start_on(&stack, process_main, Box::into_raw(start).cast());
         table.slots.push(ProcSlot {
-            name,
             baton,
-            join: Some(join),
+            stack: Some(stack),
         });
         pid
     }
@@ -244,31 +309,37 @@ impl ProcTable {
     /// The baton of `pid`, or `None` if the process already exited.
     pub(crate) fn baton(&self, pid: ProcId) -> Option<Arc<Baton<Resume>>> {
         let slot = self.slots.get(pid)?;
-        slot.join.is_some().then(|| Arc::clone(&slot.baton))
+        slot.stack.as_ref().map(|_| Arc::clone(&slot.baton))
     }
 
-    pub(crate) fn name(&self, pid: ProcId) -> String {
-        self.slots[pid].name.clone()
-    }
-
-    /// Join the thread of a process that posted [`LoopMsg::Exited`].
+    /// Keep for reuse the stack of a process that made its final switch.
     pub(crate) fn reap(&mut self, pid: ProcId) {
-        if let Some(join) = self.slots[pid].join.take() {
-            let _ = join.join();
-        }
+        self.spare.extend(self.slots[pid].stack.take());
     }
 
-    /// Terminate every live process and join its thread. Called from
-    /// `Sim::drop`; afterwards the table is empty.
-    pub(crate) fn terminate_all(&mut self) {
-        for slot in self.slots.drain(..) {
-            if let Some(join) = slot.join {
-                // The thread sleeps on its baton (or will look at it the
-                // next time it tries to block).
-                slot.baton.pass(Resume::Terminate);
-                let _ = join.join();
-            }
+    /// How many processes were ever spawned.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+}
+
+/// Terminate every live process: each runs on its stack until it returns,
+/// its blocking calls failing with [`SimError::Terminated`]. Called by the
+/// `run*` caller, after setting the engine's terminated flag, with the turn
+/// in hand.
+pub(crate) fn terminate_all(shared: &SimShared) {
+    // By index: cleanup code may spawn; those processes end unstarted.
+    let mut pid = 0;
+    while pid < shared.procs.lock().len() {
+        let baton = shared.procs.lock().baton(pid);
+        if let Some(baton) = baton {
+            baton.pass(Resume::Terminate);
+            // The process's exit message, if it had started: nobody waits
+            // for it now.
+            let _ = shared.turn_from_main(Handoff::Proc(baton));
+            shared.procs.lock().reap(pid);
         }
+        pid += 1;
     }
 }
 
@@ -289,7 +360,7 @@ mod tests {
     use crate::sync::{Completion, SimQueue};
     use crate::time::SimTime;
     use parking_lot::Mutex;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
     #[test]
     fn delay_advances_process_time() {
@@ -416,20 +487,129 @@ mod tests {
     fn event_panic_on_a_process_thread_reaches_run_with_its_payload() {
         #[derive(Debug, PartialEq)]
         struct Boom(u32);
+        const PARKED: u8 = 1;
         let sim = Sim::new();
-        let ran_on_process_thread = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&ran_on_process_thread);
+        let state = Arc::new(AtomicU8::new(0));
+        let seen_by_event = Arc::new(AtomicU8::new(0));
+        let terminated = Arc::new(AtomicBool::new(false));
+        let (state2, seen2, flag) = (
+            Arc::clone(&state),
+            Arc::clone(&seen_by_event),
+            Arc::clone(&terminated),
+        );
         sim.spawn("bystander", move |ctx| {
-            let me = std::thread::current().id();
+            let state3 = Arc::clone(&state2);
+            // Popped by the bystander's own loop while it is parked below.
             ctx.schedule_after(SimDuration::from_nanos(5), move |_| {
-                flag.store(std::thread::current().id() == me, Ordering::SeqCst);
+                seen2.store(state3.load(Ordering::SeqCst), Ordering::SeqCst);
                 std::panic::panic_any(Boom(7));
             });
-            ctx.delay(SimDuration::from_nanos(10))
+            state2.store(PARKED, Ordering::SeqCst);
+            let res = ctx.delay(SimDuration::from_nanos(10));
+            state2.store(PARKED + 1, Ordering::SeqCst);
+            flag.store(res == Err(SimError::Terminated), Ordering::SeqCst);
+            res
         });
         let payload = catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("run must panic");
         assert_eq!(payload.downcast_ref::<Boom>(), Some(&Boom(7)));
-        assert!(ran_on_process_thread.load(Ordering::SeqCst));
+        assert_eq!(seen_by_event.load(Ordering::SeqCst), PARKED);
+        // Terminated before `run` re-raised, not when the sim is dropped.
+        assert!(terminated.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn every_process_and_event_runs_on_the_run_callers_thread() {
+        let sim = Sim::new();
+        let caller = std::thread::current().id();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..64u64 {
+            let seen = Arc::clone(&seen);
+            sim.spawn(format!("p{i}"), move |ctx| {
+                seen.lock().push(std::thread::current().id());
+                let seen2 = Arc::clone(&seen);
+                ctx.schedule_after(SimDuration::from_nanos(i), move |_| {
+                    seen2.lock().push(std::thread::current().id())
+                });
+                ctx.delay(SimDuration::from_nanos(64 - i))?;
+                seen.lock().push(std::thread::current().id());
+                Ok(())
+            });
+        }
+        sim.run();
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 3 * 64);
+        assert!(seen.iter().all(|&id| id == caller));
+    }
+
+    /// MXCSR, through which a process may change the SSE rounding mode.
+    fn mxcsr() -> u32 {
+        let mut v = 0u32;
+        // SAFETY: `stmxcsr` stores the 4-byte register at a valid `&mut u32`.
+        unsafe { std::arch::asm!("stmxcsr [{}]", in(reg) &mut v, options(nostack)) };
+        v
+    }
+
+    fn set_mxcsr(v: u32) {
+        // SAFETY: `ldmxcsr` loads 4 bytes from a valid `&u32`; the value
+        // keeps every exception masked, only the rounding bits change.
+        unsafe { std::arch::asm!("ldmxcsr [{}]", in(reg) &v, options(nostack)) };
+    }
+
+    /// A process's accumulators after `steps` steps, with `park` between
+    /// steps: integers a release build keeps in callee-saved registers
+    /// across the call, and floats it spills.
+    fn accumulate(
+        p: u64,
+        steps: u64,
+        mut park: impl FnMut() -> SimResult<()>,
+    ) -> SimResult<[u64; 4]> {
+        let (mut a, mut b) = (p, p.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let (mut x, mut y) = (p as f64, 1.0f64);
+        for i in 0..steps {
+            a = a.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i);
+            b ^= a.rotate_left(7);
+            x += i as f64 * 0.5;
+            y = y * 1.000_001 + 2.0 / 3.0;
+            park()?;
+        }
+        Ok([a, b, x.to_bits(), y.to_bits()])
+    }
+
+    #[test]
+    fn parked_processes_keep_their_registers_and_rounding_mode() {
+        const STEPS: u64 = 10_000;
+        const ROUND_TOWARD_ZERO: u32 = 0x6000;
+        let sim = Sim::new();
+        let results = Arc::new(Mutex::new(Vec::new()));
+        for p in 0..8u64 {
+            let results = Arc::clone(&results);
+            sim.spawn(format!("acc{p}"), move |ctx| {
+                if p == 0 {
+                    set_mxcsr(mxcsr() | ROUND_TOWARD_ZERO);
+                }
+                let acc = accumulate(p, STEPS, || ctx.delay(SimDuration::from_nanos(1 + p)))?;
+                let tenth = std::hint::black_box(1.0f64) / std::hint::black_box(10.0f64);
+                results.lock().push((p, acc, mxcsr(), tenth.to_bits()));
+                Ok(())
+            });
+        }
+        sim.run();
+        let nearest = 0.1f64.to_bits();
+        let results = results.lock();
+        assert_eq!(results.len(), 8);
+        for &(p, acc, csr, tenth) in results.iter() {
+            if p == 0 {
+                assert_eq!(csr & ROUND_TOWARD_ZERO, ROUND_TOWARD_ZERO);
+                assert_eq!(tenth, nearest - 1, "process 0 rounds toward zero");
+                continue;
+            }
+            let expect = accumulate(p, STEPS, || Ok(())).expect("no parks");
+            assert_eq!(acc, expect, "process {p}'s accumulators");
+            assert_eq!(csr, mxcsr(), "process {p}'s MXCSR");
+            assert_eq!(tenth, nearest, "process {p} rounds to nearest");
+        }
+        // The `run` caller's own mode survived every switch.
+        assert_eq!(mxcsr() & ROUND_TOWARD_ZERO, 0);
     }
 
     #[test]
@@ -528,23 +708,5 @@ mod tests {
         // Every event here is a wake-up; the two exits hand back to `run`.
         assert!(sim.events_executed() >= 200);
         assert!(sim.thread_handoffs() <= sim.events_executed() + 2);
-    }
-
-    #[test]
-    fn watchdog_names_the_process_blocked_outside_the_engine() {
-        let sim = Sim::new();
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        sim.spawn("stuck-on-a-channel", move |_ctx| {
-            let _ = rx.recv(); // not one of the engine's blocking primitives
-            Ok(())
-        });
-        let payload = catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("watchdog fires");
-        let msg = panic_message(&*payload);
-        assert!(msg.contains("process 'stuck-on-a-channel'"), "{msg}");
-        assert!(
-            !msg.contains('\n') && !msg.contains("  "),
-            "one line: {msg:?}"
-        );
-        tx.send(()).expect("process still waits"); // let `drop(sim)` join it
     }
 }

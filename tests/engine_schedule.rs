@@ -116,8 +116,8 @@ fn pingpong_4b_x200() {
     let sim = Sim::new();
     let tb = ds_da_uq_testbed(2);
     pingpong::one_way_latency_us(&sim, &tb, 4, 200);
-    // Two thread switches per round trip (each reply lands while the other
-    // side's thread drives the loop) plus connection set-up and teardown;
+    // Two stack switches per round trip (each reply lands while the other
+    // side's stack drives the loop) plus connection set-up and teardown;
     // the host-overhead delays in between cost none.
     assert!(sim.thread_handoffs() <= 450, "{}", sim.thread_handoffs());
     assert_eq!(

@@ -61,7 +61,7 @@ fn stream_echo(cfg: SubstrateConfig, writes: Vec<usize>) -> Vec<u8> {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 12, // each case runs a full simulation with OS threads
+        cases: 12, // each case runs a full simulation
         .. ProptestConfig::default()
     })]
 

@@ -327,7 +327,7 @@ fn run_schedule(tb: &Testbed, g: Geom, steps: Vec<Step>) {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 12, // each case runs two full simulations with OS threads
+        cases: 12, // each case runs two full simulations
         .. ProptestConfig::default()
     })]
 
