@@ -34,6 +34,23 @@ if grep -nwE 'simnet|emp_proto|hostsim|tigon_nic|parking_lot' crates/core/src/co
     exit 1
 fi
 
+step "one thread in the types"
+# A simulation runs on its `run*` caller's thread, and the simulated crates
+# say so in their types: no non-test line under crates/*/src (each file up
+# to its first `#[cfg(test)]`) names a lock, an atomic or an unsafe
+# Send/Sync impl. Task wakers, which must be `Send + Sync`, hold plain data
+# (emp-async's `TaskWaker`). The one exception, with its reason:
+# * hostsim's `Host::memory` is a `parking_lot::Mutex<MemoryRegistry>`,
+#   because the repo benchmark (benchmark/src/harness.rs) calls `.lock()`
+#   on it; its field, its accessor and the `memory().lock()` calls pass.
+if find crates/*/src -name '*.rs' -print0 \
+    | xargs -0 awk 'FNR==1{skip=0} /^#\[cfg\(test\)\]/{skip=1} !skip{print FILENAME ":" FNR ": " $0}' \
+    | grep -E 'parking_lot|Mutex|\.lock\(\)|Atomic[A-Za-z0-9]*|unsafe impl (Send|Sync)' \
+    | grep -vE '^crates/hostsim/src/host\.rs:[0-9]+: .*(MemoryRegistry|Host::memory)|memory\(\)\.lock\(\)'; then
+    echo "FAIL: a simulated crate names a lock, an atomic or an unsafe Send/Sync impl"
+    exit 1
+fi
+
 if [[ "${1:-}" != "--fast" ]]; then
     step "cargo build --release"
     cargo build --release

@@ -22,7 +22,7 @@ pub use simnet::ring::{
 pub use simnet::{Event, Interest, NetError};
 
 /// One established connection.
-pub trait NetConn: Send + Sync + 'static {
+pub trait NetConn: 'static {
     /// Write the whole buffer (blocking).
     fn write(&self, ctx: &ProcessCtx, data: &[u8]) -> OpResult<usize>;
     /// Read up to `max` bytes; empty = EOF.
@@ -111,7 +111,7 @@ pub trait NetConn: Send + Sync + 'static {
 pub type Conn = Box<dyn NetConn>;
 
 /// A listening socket.
-pub trait NetListener: Send + Sync + 'static {
+pub trait NetListener: 'static {
     /// Block for the next connection.
     fn accept(&self, ctx: &ProcessCtx) -> OpResult<Conn>;
     /// Nonblocking accept: [`NetError::WouldBlock`] on an empty backlog.
@@ -150,7 +150,7 @@ pub struct PollSource<'a> {
 }
 
 /// One node's sockets interface.
-pub trait NetApi: Send + Sync + 'static {
+pub trait NetApi: 'static {
     /// Active open.
     fn connect(&self, ctx: &ProcessCtx, host: MacAddr, port: u16) -> OpResult<Conn>;
     /// Active open bounded by `deadline`, with typed outcomes on both

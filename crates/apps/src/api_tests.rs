@@ -111,15 +111,16 @@ fn ring_close(ctx: &ProcessCtx, ring: &mut Ring<'_>, conn: u32) -> SimResult<()>
 /// deterministic outcomes everywhere.
 fn taxonomy_trace(tb: Testbed) -> Vec<String> {
     use simnet::Completion;
-    use std::sync::Mutex;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     let ms = SimDuration::from_millis;
     let sim = Sim::new();
     let client = Arc::clone(&tb.nodes[0].api);
     let server = Arc::clone(&tb.nodes[1].api);
     let host = tb.nodes[1].api.local_host();
-    let trace: Arc<Mutex<Vec<String>>> = Arc::default();
-    let t2 = Arc::clone(&trace);
+    let trace: Rc<RefCell<Vec<String>>> = Rc::default();
+    let t2 = Rc::clone(&trace);
     let probes_done = Completion::new();
     let (pd2, pd3) = (probes_done.clone(), probes_done.clone());
     let client_done = Completion::new();
@@ -241,7 +242,7 @@ fn taxonomy_trace(tb: Testbed) -> Vec<String> {
             ring_failure(ctx, &mut ring, write)?
         ));
         ring.shutdown(ctx)?;
-        *t2.lock().unwrap() = tr;
+        *t2.borrow_mut() = tr;
         cd3.complete(ctx);
         Ok(())
     });
@@ -252,7 +253,7 @@ fn taxonomy_trace(tb: Testbed) -> Vec<String> {
         sim.run_until_complete(&sdone, SimTime::MAX),
         "server did not finish"
     );
-    Arc::try_unwrap(trace).unwrap().into_inner().unwrap()
+    trace.take()
 }
 
 #[test]

@@ -38,7 +38,6 @@ use std::task::{Context, Poll, Waker};
 
 use bytes::Bytes;
 use emp_async::{try_with_ctx, with_ctx, LocalExecutor};
-use parking_lot::Mutex;
 use simnet::{
     MacAddr, OpResult, ProcessCtx, SimAccess, SimAccessExt, SimDuration, SimResult, SimTime,
 };
@@ -464,9 +463,9 @@ struct RingInner<'a> {
 }
 
 /// Wakers of the futures currently parked on this ring, keyed by op tag.
-/// Ordered so wake fan-out is deterministic, and shared (`Send`) so the
+/// Ordered so wake fan-out is deterministic, and shared so the
 /// deadline timer scheduled into the engine can reach it.
-type RingWaiters = Arc<Mutex<BTreeMap<u64, Waker>>>;
+type RingWaiters = Rc<RefCell<BTreeMap<u64, Waker>>>;
 
 /// A completion [`Ring`] driven by futures: submit an op, `await` its
 /// completion. One future per op; any parked future re-drives the ring
@@ -510,7 +509,7 @@ fn reap_all(inner: &mut RingInner<'_>) {
 /// belonged to the departing future, so the survivors re-poll and one of
 /// them re-arms (their recheck makes the spurious wakes harmless).
 fn wake_siblings(waiters: &RingWaiters, except: u64) {
-    for (ud, w) in waiters.lock().iter() {
+    for (ud, w) in waiters.borrow().iter() {
         if *ud != except {
             w.wake_by_ref();
         }
@@ -533,7 +532,7 @@ impl<'a> AsyncRing<'a> {
                 bufs_in_flight: HashMap::new(),
                 timers: Vec::new(),
             })),
-            waiters: Arc::new(Mutex::new(BTreeMap::new())),
+            waiters: Rc::new(RefCell::new(BTreeMap::new())),
         }
     }
 
@@ -667,7 +666,7 @@ impl<'a> AsyncRing<'a> {
         }
         RingOpFuture {
             ring: Rc::clone(&self.inner),
-            waiters: Arc::clone(&self.waiters),
+            waiters: Rc::clone(&self.waiters),
             user_data: ud,
             done: false,
         }
@@ -705,18 +704,18 @@ impl Future for RingOpFuture<'_> {
             // stack-level waker over every stalled head op, and make
             // sure the earliest per-op deadline has a timer.
             this.waiters
-                .lock()
+                .borrow_mut()
                 .insert(this.user_data, cx.waker().clone());
             if let Some(deadline) = inner.ring.register_waker(ctx, cx.waker())? {
                 let now = ctx.now();
                 inner.timers.retain(|t| *t > now);
                 if !inner.timers.contains(&deadline) {
                     inner.timers.push(deadline);
-                    let waiters = Arc::clone(&this.waiters);
+                    let waiters = Rc::clone(&this.waiters);
                     // The timer wakes whoever is parked *at fire time* —
                     // the arming future may be long gone by then.
                     ctx.timer_at(deadline, move |_| {
-                        for w in waiters.lock().values() {
+                        for w in waiters.borrow().values() {
                             w.wake_by_ref();
                         }
                     });
@@ -741,7 +740,7 @@ impl RingOpFuture<'_> {
     /// waker may be ours (now stale), so they must re-poll and re-arm.
     fn resolve(&mut self) {
         self.done = true;
-        self.waiters.lock().remove(&self.user_data);
+        self.waiters.borrow_mut().remove(&self.user_data);
         wake_siblings(&self.waiters, self.user_data);
     }
 }
@@ -751,7 +750,7 @@ impl Drop for RingOpFuture<'_> {
         if self.done {
             return;
         }
-        self.waiters.lock().remove(&self.user_data);
+        self.waiters.borrow_mut().remove(&self.user_data);
         let mut inner = self.ring.borrow_mut();
         if inner.completed.remove(&self.user_data).is_none() {
             // Not yet reaped into the stash: cancel it in the queue if

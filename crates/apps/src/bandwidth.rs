@@ -1,9 +1,10 @@
 //! The bandwidth microbenchmark (§7.2): one-way bulk transfer; goodput is
 //! measured at the receiver between first and last byte.
 
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use simnet::{Sim, SimAccess, SimDuration};
 
 use crate::testbed::Testbed;
@@ -24,10 +25,10 @@ pub fn throughput_with_stats(
     total_bytes: usize,
 ) -> (f64, sockets_emp::ConnStats) {
     assert!(tb.nodes.len() >= 2, "bandwidth test needs two nodes");
-    let out = Arc::new(Mutex::new(f64::NAN));
-    let out2 = Arc::clone(&out);
-    let stats = Arc::new(Mutex::new(sockets_emp::ConnStats::default()));
-    let (stats_rx, stats_tx) = (Arc::clone(&stats), Arc::clone(&stats));
+    let out = Rc::new(Cell::new(f64::NAN));
+    let out2 = Rc::clone(&out);
+    let stats = Rc::new(RefCell::new(sockets_emp::ConnStats::default()));
+    let (stats_rx, stats_tx) = (Rc::clone(&stats), Rc::clone(&stats));
     let server_api = Arc::clone(&tb.nodes[1].api);
     let client_api = Arc::clone(&tb.nodes[0].api);
     let server_host = server_api.local_host();
@@ -49,9 +50,9 @@ pub fn throughput_with_stats(
             got += d.len();
         }
         let elapsed = ctx.now() - t0.expect("received something");
-        *out2.lock() = got as f64 * 8.0 / elapsed.as_secs_f64() / 1e6;
+        out2.set(got as f64 * 8.0 / elapsed.as_secs_f64() / 1e6);
         if let Some(s) = conn.substrate_stats() {
-            *stats_rx.lock() += s;
+            *stats_rx.borrow_mut() += s;
         }
         let _ = conn.close(ctx);
         l.close(ctx)?;
@@ -71,15 +72,15 @@ pub fn throughput_with_stats(
         conn.flush(ctx)?.expect("flush");
         ctx.delay(SimDuration::from_millis(2))?;
         if let Some(s) = conn.substrate_stats() {
-            *stats_tx.lock() += s;
+            *stats_tx.borrow_mut() += s;
         }
         conn.close(ctx)?;
         Ok(())
     });
     sim.run();
-    let mbps = *out.lock();
+    let mbps = out.get();
     assert!(mbps.is_finite(), "bandwidth test did not complete");
-    let totals = *stats.lock();
+    let totals = *stats.borrow();
     (mbps, totals)
 }
 
@@ -88,7 +89,7 @@ pub fn throughput_with_stats(
 /// both NIC firmware directions at once.
 pub fn bidirectional_mbps(sim: &Sim, tb: &Testbed, msg_size: usize, total_each: usize) -> f64 {
     assert!(tb.nodes.len() >= 2);
-    let out = Arc::new(Mutex::new((f64::NAN, f64::NAN)));
+    let out = Rc::new(RefCell::new((f64::NAN, f64::NAN)));
     const PORT_FWD: u16 = 81;
     const PORT_REV: u16 = 82;
 
@@ -96,7 +97,7 @@ pub fn bidirectional_mbps(sim: &Sim, tb: &Testbed, msg_size: usize, total_each: 
         let sink_api = Arc::clone(&tb.nodes[dst].api);
         let src_api = Arc::clone(&tb.nodes[src].api);
         let dst_host = tb.nodes[dst].api.local_host();
-        let out = Arc::clone(&out);
+        let out = Rc::clone(&out);
         sim.spawn(format!("bidir-sink-{dir}"), move |ctx| {
             let l = sink_api.listen(ctx, port, 4)?.expect("port free");
             let conn = l.accept(ctx)?.expect("connection");
@@ -111,10 +112,10 @@ pub fn bidirectional_mbps(sim: &Sim, tb: &Testbed, msg_size: usize, total_each: 
             }
             let mbps = got as f64 * 8.0 / (ctx.now() - t0).as_secs_f64() / 1e6;
             {
-                // Scope the guard: close() blocks, and holding a lock
-                // across a blocking call stalls every other process that
-                // needs it (the engine watchdog catches exactly this).
-                let mut o = out.lock();
+                // Scope the borrow: close() blocks, and a borrow held
+                // across a blocking call panics any other process that
+                // borrows the cell meanwhile.
+                let mut o = out.borrow_mut();
                 if dir == 0 {
                     o.0 = mbps;
                 } else {
@@ -139,7 +140,7 @@ pub fn bidirectional_mbps(sim: &Sim, tb: &Testbed, msg_size: usize, total_each: 
         });
     }
     sim.run();
-    let (a, b) = *out.lock();
+    let (a, b) = *out.borrow();
     assert!(a.is_finite() && b.is_finite(), "both directions complete");
     a + b
 }

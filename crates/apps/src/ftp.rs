@@ -9,9 +9,10 @@
 //! (see `sockets_emp::FdTable` and the `fd_table_routes_files_and_sockets`
 //! test).
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use simnet::{Sim, SimAccess};
 
 use crate::api::NetError;
@@ -83,8 +84,8 @@ pub fn fetch(
     let fs = tb.nodes[client].host.fs().clone();
     let server_host = tb.nodes[server_idx].api.local_host();
     let name = name.to_string();
-    let out = Arc::new(Mutex::new((0usize, 0.0f64)));
-    let out2 = Arc::clone(&out);
+    let out = Rc::new(RefCell::new((0usize, 0.0f64)));
+    let out2 = Rc::clone(&out);
 
     sim.spawn("ftp-client", move |ctx| {
         let t0 = ctx.now();
@@ -108,11 +109,11 @@ pub fn fetch(
         fs.close(ctx, local)?.expect("close");
         conn.close(ctx)?;
         let elapsed = (ctx.now() - t0).as_micros_f64();
-        *out2.lock() = (got, elapsed);
+        *out2.borrow_mut() = (got, elapsed);
         Ok(())
     });
     sim.run_until(simnet::SimTime::from_secs(600));
-    let (bytes, us) = *out.lock();
+    let (bytes, us) = *out.borrow();
     assert!(bytes > 0, "ftp transfer did not complete");
     let mbps = bytes as f64 * 8.0 / (us / 1e6) / 1e6;
     (bytes, us, mbps)
@@ -133,6 +134,8 @@ pub fn transfer_mbps(tb: &Testbed, size: usize) -> f64 {
 mod tests {
     use super::*;
     use hostsim::RamDisk;
+    use parking_lot::Mutex;
+    use std::sync::Arc;
 
     /// The whole contents of `path` on `fs`, read in a simulation of its own.
     fn contents(fs: &RamDisk, path: &str) -> Vec<u8> {

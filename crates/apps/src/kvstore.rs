@@ -9,11 +9,12 @@
 //! on long-lived connections (its connection-setup advantage amortized
 //! away), so the win here is a clean view of the data-path difference.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::{Sim, SimAccess, SimTime};
@@ -83,7 +84,7 @@ pub fn spawn_server_model(
     sim.spawn("kv-server", move |ctx| {
         let l = api.listen(ctx, KV_PORT, 16)?.expect("port free");
         // The service owns the store: the single-process models need no
-        // lock, and `serve` shares it behind one for per-connection workers.
+        // cell, and `serve` shares it in one for per-connection workers.
         let mut store: HashMap<u32, Bytes> = HashMap::new();
         serve(
             ctx,
@@ -127,10 +128,10 @@ pub fn spawn_server_event_loop_shedding(
     server: usize,
     expected_conns: u32,
     max_conns: usize,
-) -> Arc<Mutex<Option<ServeReport>>> {
+) -> Rc<RefCell<Option<ServeReport>>> {
     let api = Arc::clone(&tb.nodes[server].api);
-    let report = Arc::new(Mutex::new(None));
-    let out = Arc::clone(&report);
+    let report = Rc::new(RefCell::new(None));
+    let out = Rc::clone(&report);
     sim.spawn("kv-shedding-loop", move |ctx| {
         let l = api.listen(ctx, KV_PORT, 16)?.expect("port free");
         let mut store: HashMap<u32, Bytes> = HashMap::new();
@@ -151,7 +152,7 @@ pub fn spawn_server_event_loop_shedding(
             &policy,
             |inbuf, out| serve_frames(&mut store, inbuf, out),
         )?;
-        *report.lock() = Some(r);
+        *report.borrow_mut() = Some(r);
         l.close(ctx)?;
         Ok(())
     });
@@ -236,12 +237,12 @@ pub fn run_workload_with(
     );
     let sim = Sim::new();
     spawn_server_model(&sim, tb, 0, n_clients as u32, model);
-    let acc = Arc::new(Mutex::new((0u64, 0u64, 0.0f64, SimTime::ZERO)));
+    let acc = Rc::new(RefCell::new((0u64, 0u64, 0.0f64, SimTime::ZERO)));
 
     for c in 0..n_clients {
         let api = Arc::clone(&tb.nodes[c + 1].api);
         let host = tb.nodes[0].api.local_host();
-        let acc = Arc::clone(&acc);
+        let acc = Rc::clone(&acc);
         sim.spawn(format!("kv-client-{c}"), move |ctx| {
             let mut rng = StdRng::seed_from_u64(seed ^ (c as u64) << 32);
             let conn = api.connect(ctx, host, KV_PORT)?.expect("connect");
@@ -278,7 +279,7 @@ pub fn run_workload_with(
                 total_us += (ctx.now() - t0).as_micros_f64();
             }
             conn.close(ctx)?;
-            let mut a = acc.lock();
+            let mut a = acc.borrow_mut();
             a.0 += ops;
             a.1 += hits;
             a.2 += total_us;
@@ -287,7 +288,7 @@ pub fn run_workload_with(
         });
     }
     sim.run_until(SimTime::from_secs(600));
-    let (ops, hits, total_us, end) = *acc.lock();
+    let (ops, hits, total_us, end) = *acc.borrow();
     assert_eq!(
         ops,
         n_clients as u64 * u64::from(ops_per_client),
@@ -304,6 +305,8 @@ pub fn run_workload_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
+    use std::sync::Arc;
 
     #[test]
     fn store_roundtrips_values_exactly() {
@@ -396,7 +399,7 @@ mod tests {
                 tb.nodes[0].api.label()
             );
             assert!(served >= 2, "budgeted clients are served");
-            let r = report.lock().expect("server finished");
+            let r = report.borrow_mut().expect("server finished");
             assert_eq!(r.shed, busy, "server and client shed counts agree");
         }
     }

@@ -6,10 +6,11 @@
 //! whichever worker answers first, as the paper does ("To handle this, we
 //! used the select() operation").
 
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use parking_lot::Mutex;
 use simnet::{Sim, SimAccess, SimDuration, SimTime};
 
 use crate::api::Conn;
@@ -93,8 +94,8 @@ pub fn run(sim: &Sim, tb: &Testbed, n: usize) -> (f64, f64) {
     let worker_hosts: Vec<_> = (1..=workers)
         .map(|w| tb.nodes[w].api.local_host())
         .collect();
-    let out = Arc::new(Mutex::new((f64::NAN, 0.0f64)));
-    let out2 = Arc::clone(&out);
+    let out = Rc::new(Cell::new((f64::NAN, 0.0f64)));
+    let out2 = Rc::clone(&out);
     sim.spawn("matmul-master", move |ctx| {
         // Deterministic matrices.
         let a: Vec<f64> = (0..n * n).map(|i| ((i % 13) as f64) - 6.0).collect();
@@ -143,11 +144,11 @@ pub fn run(sim: &Sim, tb: &Testbed, n: usize) -> (f64, f64) {
             .enumerate()
             .map(|(i, v)| v * ((i % 5) as f64))
             .sum();
-        *out2.lock() = (elapsed, checksum);
+        out2.set((elapsed, checksum));
         Ok(())
     });
     sim.run_until(SimTime::from_secs(3600));
-    let (us, checksum) = *out.lock();
+    let (us, checksum) = out.get();
     assert!(us.is_finite(), "matmul did not complete");
     (us, checksum)
 }

@@ -17,10 +17,10 @@
 //! guard). Clients connect under a deadline and read under a deadline,
 //! so no outcome is ever "hung".
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use simnet::{Interest, ProcessCtx, Sim, SimAccess, SimDuration, SimResult, SimTime};
 
 use crate::api::{Api, Conn, NetError, PollSource, PollTarget};
@@ -66,7 +66,7 @@ pub struct StormConfig {
     /// Server-side idle patience before reaping a silent connection.
     pub idle_timeout: SimDuration,
     /// Kernel-only stack-level connection cap on the server node
-    /// ([`kernel_tcp::TcpStack::set_max_conns`]): SYNs past it are
+    /// ([`kernel_tcp::StackCore::set_max_conns`]): SYNs past it are
     /// refused with RST. The substrate's equivalent admission bound is
     /// the listen backlog (connection requests past the posted
     /// descriptors are NACKed), so it needs no extra knob here.
@@ -174,19 +174,19 @@ pub fn run_storm_on(sim: &Sim, tb: &Testbed, cfg: &StormConfig) -> OverloadRepor
         stack.set_max_conns(cfg.kernel_stack_cap);
     }
     let total_clients = cfg.clients + cfg.slowloris;
-    let done = Arc::new(AtomicU32::new(0));
-    let tallies = Arc::new(Mutex::new(Outcomes::default()));
-    let latencies = Arc::new(Mutex::new(Vec::<f64>::new()));
-    let served_bytes = Arc::new(AtomicU32::new(0));
-    let last_finish = Arc::new(Mutex::new(SimTime::ZERO));
-    let server_counts = Arc::new(Mutex::new((0u32, 0u32))); // (shed, reaped)
+    let done = Rc::new(Cell::new(0u32));
+    let tallies = Rc::new(RefCell::new(Outcomes::default()));
+    let latencies = Rc::new(RefCell::new(Vec::<f64>::new()));
+    let served_bytes = Rc::new(Cell::new(0u32));
+    let last_finish = Rc::new(Cell::new(SimTime::ZERO));
+    let server_counts = Rc::new(RefCell::new((0u32, 0u32))); // (shed, reaped)
 
     // --- server ---
     {
         let api = Arc::clone(&tb.nodes[0].api);
         let cfg = cfg.clone();
-        let done = Arc::clone(&done);
-        let server_counts = Arc::clone(&server_counts);
+        let done = Rc::clone(&done);
+        let server_counts = Rc::clone(&server_counts);
         sim.spawn("storm-server", move |ctx| {
             serve_storm(ctx, &api, &cfg, total_clients, &done, &server_counts)
         });
@@ -198,7 +198,7 @@ pub fn run_storm_on(sim: &Sim, tb: &Testbed, cfg: &StormConfig) -> OverloadRepor
         let api = Arc::clone(&tb.nodes[node].api);
         let server = tb.nodes[0].api.local_host();
         let cfg = cfg.clone();
-        let done = Arc::clone(&done);
+        let done = Rc::clone(&done);
         sim.spawn(format!("slowloris-{k}"), move |ctx| {
             ctx.delay(cfg.stagger * u64::from(k))?;
             if let Ok(conn) = api.connect_deadline(ctx, server, STORM_PORT, cfg.connect_deadline)? {
@@ -207,7 +207,7 @@ pub fn run_storm_on(sim: &Sim, tb: &Testbed, cfg: &StormConfig) -> OverloadRepor
                 ctx.delay(cfg.idle_timeout * 4)?;
                 let _ = conn.close(ctx);
             }
-            done.fetch_add(1, Ordering::Relaxed);
+            done.set(done.get() + 1);
             Ok(())
         });
     }
@@ -218,36 +218,37 @@ pub fn run_storm_on(sim: &Sim, tb: &Testbed, cfg: &StormConfig) -> OverloadRepor
         let api = Arc::clone(&tb.nodes[node].api);
         let server = tb.nodes[0].api.local_host();
         let cfg = cfg.clone();
-        let done = Arc::clone(&done);
-        let tallies = Arc::clone(&tallies);
-        let latencies = Arc::clone(&latencies);
-        let served_bytes = Arc::clone(&served_bytes);
-        let last_finish = Arc::clone(&last_finish);
+        let done = Rc::clone(&done);
+        let tallies = Rc::clone(&tallies);
+        let latencies = Rc::clone(&latencies);
+        let served_bytes = Rc::clone(&served_bytes);
+        let last_finish = Rc::clone(&last_finish);
         sim.spawn(format!("storm-client-{k}"), move |ctx| {
             ctx.delay(cfg.stagger * u64::from(cfg.slowloris + k))?;
             let t0 = ctx.now();
             match api.connect_deadline(ctx, server, STORM_PORT, cfg.connect_deadline)? {
-                Err(NetError::Refused) => tallies.lock().refused += 1,
-                Err(NetError::Timeout) => tallies.lock().timed_out += 1,
-                Err(NetError::Exhausted) => tallies.lock().exhausted += 1,
-                Err(_) => tallies.lock().errored += 1,
+                Err(NetError::Refused) => tallies.borrow_mut().refused += 1,
+                Err(NetError::Timeout) => tallies.borrow_mut().timed_out += 1,
+                Err(NetError::Exhausted) => tallies.borrow_mut().exhausted += 1,
+                Err(_) => tallies.borrow_mut().errored += 1,
                 Ok(conn) => {
                     let fate = exchange(ctx, &conn, &cfg)?;
                     let _ = conn.close(ctx);
                     match fate {
                         Fate::Served => {
-                            tallies.lock().served += 1;
-                            latencies.lock().push(ctx.now().since(t0).as_micros_f64());
-                            served_bytes.fetch_add(cfg.response_size as u32, Ordering::Relaxed);
-                            let mut lf = last_finish.lock();
-                            *lf = (*lf).max(ctx.now());
+                            tallies.borrow_mut().served += 1;
+                            latencies
+                                .borrow_mut()
+                                .push(ctx.now().since(t0).as_micros_f64());
+                            served_bytes.set(served_bytes.get() + cfg.response_size as u32);
+                            last_finish.set(last_finish.get().max(ctx.now()));
                         }
-                        Fate::Degraded => tallies.lock().degraded += 1,
-                        Fate::TimedOut => tallies.lock().timed_out += 1,
+                        Fate::Degraded => tallies.borrow_mut().degraded += 1,
+                        Fate::TimedOut => tallies.borrow_mut().timed_out += 1,
                     }
                 }
             }
-            done.fetch_add(1, Ordering::Relaxed);
+            done.set(done.get() + 1);
             Ok(())
         });
     }
@@ -255,7 +256,7 @@ pub fn run_storm_on(sim: &Sim, tb: &Testbed, cfg: &StormConfig) -> OverloadRepor
     let started_at = sim.now();
     sim.run_until(started_at + SimDuration::from_secs(120));
 
-    let outcomes = *tallies.lock();
+    let outcomes = *tallies.borrow();
     assert_eq!(
         outcomes.served
             + outcomes.degraded
@@ -282,20 +283,20 @@ pub fn run_storm_on(sim: &Sim, tb: &Testbed, cfg: &StormConfig) -> OverloadRepor
         }
     }
 
-    let mut lat = latencies.lock().clone();
+    let mut lat = latencies.borrow().clone();
     lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let p99_us = if lat.is_empty() {
         0.0
     } else {
         lat[((lat.len() - 1) * 99) / 100]
     };
-    let (shed, reaped) = *server_counts.lock();
-    let elapsed_us = last_finish.lock().since(started_at).as_micros_f64();
+    let (shed, reaped) = *server_counts.borrow();
+    let elapsed_us = last_finish.get().since(started_at).as_micros_f64();
     OverloadReport {
         outcomes,
         shed,
         reaped,
-        goodput_bytes: u64::from(served_bytes.load(Ordering::Relaxed)),
+        goodput_bytes: u64::from(served_bytes.get()),
         elapsed_us,
         p99_us,
         leaked_conns,
@@ -354,8 +355,8 @@ fn serve_storm(
     api: &Api,
     cfg: &StormConfig,
     total_clients: u32,
-    done: &AtomicU32,
-    counts: &Mutex<(u32, u32)>,
+    done: &Cell<u32>,
+    counts: &RefCell<(u32, u32)>,
 ) -> SimResult<()> {
     const LISTENER: usize = usize::MAX;
     let l = api
@@ -367,7 +368,7 @@ fn serve_storm(
     let mut conns: Vec<Option<SrvConn>> = Vec::new();
     let mut live = 0usize;
     loop {
-        if done.load(Ordering::Relaxed) >= total_clients && live == 0 {
+        if done.get() >= total_clients && live == 0 {
             break;
         }
         let events = {
@@ -403,7 +404,7 @@ fn serve_storm(
                                 let _ = conn.try_write(ctx, BUSY)?;
                                 let _ = conn.flush(ctx)?;
                                 let _ = conn.close(ctx);
-                                counts.lock().0 += 1;
+                                counts.borrow_mut().0 += 1;
                                 shed_ctr.add(1);
                                 continue;
                             }
@@ -466,7 +467,7 @@ fn serve_storm(
                 let st = slot.take().expect("live state");
                 let _ = st.conn.close(ctx);
                 live -= 1;
-                counts.lock().1 += 1;
+                counts.borrow_mut().1 += 1;
                 reaped_ctr.add(1);
             }
         }

@@ -1,9 +1,10 @@
 //! The latency microbenchmark (§7.1-7.2): a ping-pong between two nodes;
 //! one-way latency is half the measured round trip.
 
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use simnet::{Sim, SimAccess, SimDuration};
 
 use crate::testbed::Testbed;
@@ -26,9 +27,9 @@ pub fn pingpong_with_stats(
     msg_size: usize,
     iters: u32,
 ) -> (f64, sockets_emp::ConnStats) {
-    let stats = Arc::new(Mutex::new(sockets_emp::ConnStats::default()));
-    let us = pingpong_run(sim, tb, msg_size, iters, false, Some(Arc::clone(&stats)));
-    let s = *stats.lock();
+    let stats = Rc::new(RefCell::new(sockets_emp::ConnStats::default()));
+    let us = pingpong_run(sim, tb, msg_size, iters, false, Some(Rc::clone(&stats)));
+    let s = *stats.borrow();
     (us, s)
 }
 
@@ -67,12 +68,12 @@ fn pingpong_run(
     msg_size: usize,
     iters: u32,
     traced: bool,
-    stats: Option<Arc<Mutex<sockets_emp::ConnStats>>>,
+    stats: Option<Rc<RefCell<sockets_emp::ConnStats>>>,
 ) -> f64 {
     assert!(tb.nodes.len() >= 2, "ping-pong needs two nodes");
     assert!(msg_size >= 1);
-    let out = Arc::new(Mutex::new(f64::NAN));
-    let out2 = Arc::clone(&out);
+    let out = Rc::new(Cell::new(f64::NAN));
+    let out2 = Rc::clone(&out);
     let (stats_srv, stats_cli) = (stats.clone(), stats);
     let server_api = Arc::clone(&tb.nodes[1].api);
     let client_api = Arc::clone(&tb.nodes[0].api);
@@ -93,7 +94,7 @@ fn pingpong_run(
             }
         }
         if let (Some(acc), Some(s)) = (&stats_srv, conn.substrate_stats()) {
-            *acc.lock() += s;
+            *acc.borrow_mut() += s;
         }
         let _ = conn.close(ctx);
         l.close(ctx)?;
@@ -127,16 +128,16 @@ fn pingpong_run(
             rtt_hist.record((ctx.now() - iter_start).nanos());
         }
         let rtt = (ctx.now() - t0) / u64::from(iters);
-        *out2.lock() = rtt.as_micros_f64() / 2.0;
+        out2.set(rtt.as_micros_f64() / 2.0);
         ctx.delay(SimDuration::from_micros(50))?;
         if let (Some(acc), Some(s)) = (&stats_cli, conn.substrate_stats()) {
-            *acc.lock() += s;
+            *acc.borrow_mut() += s;
         }
         conn.close(ctx)?;
         Ok(())
     });
     sim.run();
-    let us = *out.lock();
+    let us = out.get();
     assert!(us.is_finite(), "ping-pong did not complete");
     us
 }
@@ -152,12 +153,12 @@ fn pingpong_run(
 /// exchange") and returns almost immediately.
 pub fn connect_times_us(sim: &Sim, tb: &Testbed, iters: u32) -> (f64, f64) {
     assert!(tb.nodes.len() >= 2);
-    let out = Arc::new(Mutex::new((f64::NAN, f64::NAN)));
-    let t_connect_call = Arc::new(Mutex::new(Vec::new()));
+    let out = Rc::new(RefCell::new((f64::NAN, f64::NAN)));
+    let t_connect_call = Rc::new(RefCell::new(Vec::new()));
     const PORT: u16 = 79;
 
     let server_api = Arc::clone(&tb.nodes[1].api);
-    let (out2, tcc) = (Arc::clone(&out), Arc::clone(&t_connect_call));
+    let (out2, tcc) = (Rc::clone(&out), Rc::clone(&t_connect_call));
     sim.spawn("conn-server", move |ctx| {
         let l = server_api.listen(ctx, PORT, 8)?.expect("port free");
         let mut established = Vec::with_capacity(iters as usize);
@@ -170,25 +171,25 @@ pub fn connect_times_us(sim: &Sim, tb: &Testbed, iters: u32) -> (f64, f64) {
             let _ = conn.close(ctx);
         }
         // Pair accept times with the recorded connect-call times.
-        let starts = tcc.lock();
+        let starts = tcc.borrow();
         let mean_est: f64 = established
             .iter()
             .zip(starts.iter())
             .map(|(e, s): (&u64, &u64)| (e - s) as f64 / 1000.0)
             .sum::<f64>()
             / iters as f64;
-        out2.lock().1 = mean_est;
+        out2.borrow_mut().1 = mean_est;
         l.close(ctx)?;
         Ok(())
     });
     let client_api = Arc::clone(&tb.nodes[0].api);
     let server_host = tb.nodes[1].api.local_host();
-    let (out3, tcc) = (Arc::clone(&out), Arc::clone(&t_connect_call));
+    let (out3, tcc) = (Rc::clone(&out), Rc::clone(&t_connect_call));
     sim.spawn("conn-client", move |ctx| {
         let mut blocked = 0u64;
         for _ in 0..iters {
             let t0 = ctx.now();
-            tcc.lock().push(t0.nanos());
+            tcc.borrow_mut().push(t0.nanos());
             let conn = client_api
                 .connect(ctx, server_host, PORT)?
                 .expect("connect");
@@ -199,11 +200,11 @@ pub fn connect_times_us(sim: &Sim, tb: &Testbed, iters: u32) -> (f64, f64) {
             let _ = conn.read(ctx, 8)?;
             let _ = conn.close(ctx);
         }
-        out3.lock().0 = blocked as f64 / 1000.0 / f64::from(iters);
+        out3.borrow_mut().0 = blocked as f64 / 1000.0 / f64::from(iters);
         Ok(())
     });
     sim.run();
-    let (blocked, established) = *out.lock();
+    let (blocked, established) = *out.borrow();
     assert!(blocked.is_finite() && established.is_finite());
     (blocked, established)
 }

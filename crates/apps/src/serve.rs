@@ -9,9 +9,9 @@
 //! the async executor ([`crate::asyncio`]) — so the same protocol answers
 //! byte for byte whichever model serves it, over either stack.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use simnet::{ProcessCtx, SimResult};
 
 use crate::api::{NetApi, NetListener};
@@ -65,7 +65,7 @@ pub fn serve(
     model: ServerModel,
     n_conns: u32,
     greeting: &[u8],
-    service: impl FnMut(&mut Vec<u8>, &mut Vec<u8>) + Send + 'static,
+    service: impl FnMut(&mut Vec<u8>, &mut Vec<u8>) + 'static,
 ) -> SimResult<()> {
     match model {
         ServerModel::PerConnection => serve_per_connection(ctx, l, n_conns, greeting, service),
@@ -89,12 +89,12 @@ fn serve_per_connection(
     l: Box<dyn NetListener>,
     n_conns: u32,
     greeting: &[u8],
-    service: impl FnMut(&mut Vec<u8>, &mut Vec<u8>) + Send + 'static,
+    service: impl FnMut(&mut Vec<u8>, &mut Vec<u8>) + 'static,
 ) -> SimResult<()> {
-    let service = Arc::new(Mutex::new(service));
+    let service = Rc::new(RefCell::new(service));
     for _ in 0..n_conns {
         let conn = l.accept(ctx)?.expect("client");
-        let service = Arc::clone(&service);
+        let service = Rc::clone(&service);
         let mut out = greeting.to_vec();
         ctx.spawn("server-worker", move |ctx| {
             let mut inbuf = Vec::new();
@@ -109,7 +109,7 @@ fn serve_per_connection(
                     Ok(chunk) if !chunk.is_empty() => inbuf.extend_from_slice(&chunk),
                     _ => break, // EOF or error
                 }
-                service.lock()(&mut inbuf, &mut out);
+                service.borrow_mut()(&mut inbuf, &mut out);
             }
             let _ = conn.close(ctx);
             Ok(())

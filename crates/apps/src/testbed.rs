@@ -36,6 +36,7 @@ pub struct Testbed {
     pub nodes: Vec<AppNode>,
 }
 
+#[allow(clippy::arc_with_non_send_sync)] // the repo benchmark names `Api`, an `Arc`
 impl Testbed {
     /// A sockets-over-EMP cluster.
     pub fn emp(n: usize, emp_cfg: EmpConfig, sub_cfg: SubstrateConfig, label: &str) -> Testbed {
@@ -48,7 +49,7 @@ impl Testbed {
                 api: Arc::new(EmpNet::new(
                     EmpSockets::new(node.endpoint(), sub_cfg.clone()),
                     label,
-                )) as Api,
+                )),
             })
             .collect();
         Testbed {
@@ -71,7 +72,7 @@ impl Testbed {
             .iter()
             .map(|node| AppNode {
                 host: node.host.clone(),
-                api: Arc::new(KernelNet::new(node.api(), label)) as Api,
+                api: Arc::new(KernelNet::new(node.api(), label)),
             })
             .collect();
         Testbed {

@@ -10,9 +10,10 @@
 //! [`crate::serve()`]; the paper's figures use the process-per-connection
 //! model, the concurrent-connection experiment all four.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use simnet::{ProcessCtx, Sim, SimAccess, SimResult, SimTime};
 
 use crate::api::Conn;
@@ -92,11 +93,11 @@ pub fn average_response_us_per_conn(
     });
 
     // --- clients ---
-    let samples = Arc::new(Mutex::new(Vec::with_capacity(total_requests as usize)));
+    let samples = Rc::new(RefCell::new(Vec::with_capacity(total_requests as usize)));
     for client in 1..=n_clients {
         let api = Arc::clone(&tb.nodes[client as usize].api);
         let server_host = tb.nodes[0].api.local_host();
-        let samples = Arc::clone(&samples);
+        let samples = Rc::clone(&samples);
         sim.spawn(format!("http-client-{client}"), move |ctx| {
             let mut done = 0;
             while done < requests_per_client {
@@ -108,7 +109,7 @@ pub fn average_response_us_per_conn(
                     // connect; later ones (HTTP/1.1) don't.
                     let t0 = if i == 0 { t_conn } else { ctx.now() };
                     request(ctx, &conn, client, done + i, response_size)?;
-                    samples.lock().push((ctx.now() - t0).as_micros_f64());
+                    samples.borrow_mut().push((ctx.now() - t0).as_micros_f64());
                 }
                 done += burst;
                 conn.close(ctx)?;
@@ -117,7 +118,7 @@ pub fn average_response_us_per_conn(
         });
     }
     sim.run_until(SimTime::from_secs(600));
-    let s = samples.lock();
+    let s = samples.borrow();
     assert_eq!(
         s.len(),
         total_requests as usize,
@@ -184,7 +185,7 @@ fn decode_request(req: &[u8]) -> (u32, u32) {
 /// The web server's protocol, stated once for every server model: answer
 /// each complete request in `inbuf` with `size` bytes of
 /// [`body_byte`]s, leaving a partial request in place.
-fn respond(size: usize) -> impl FnMut(&mut Vec<u8>, &mut Vec<u8>) + Send + 'static {
+fn respond(size: usize) -> impl FnMut(&mut Vec<u8>, &mut Vec<u8>) + 'static {
     move |inbuf, out| {
         while inbuf.len() >= REQUEST_SIZE {
             let (conn, req) = decode_request(&inbuf[..REQUEST_SIZE]);
@@ -280,12 +281,12 @@ fn run_concurrent(
     });
 
     // (request samples, per-connection close instants)
-    let acc = Arc::new(Mutex::new((Vec::new(), Vec::new())));
+    let acc = Rc::new(RefCell::new((Vec::new(), Vec::new())));
     for k in 0..n_conns {
         let node = 1 + (k as usize % (tb.nodes.len() - 1));
         let api = Arc::clone(&tb.nodes[node].api);
         let server_host = tb.nodes[0].api.local_host();
-        let acc = Arc::clone(&acc);
+        let acc = Rc::clone(&acc);
         sim.spawn(format!("http-conc-client-{k}"), move |ctx| {
             let conn = api.connect(ctx, server_host, HTTP_PORT)?.expect("connect");
             let hello = conn
@@ -296,15 +297,17 @@ fn run_concurrent(
             for r in 0..reqs_per_conn {
                 let t0 = ctx.now();
                 request(ctx, &conn, k, r, response_size)?;
-                acc.lock().0.push((k, (ctx.now() - t0).as_micros_f64()));
+                acc.borrow_mut()
+                    .0
+                    .push((k, (ctx.now() - t0).as_micros_f64()));
             }
             conn.close(ctx)?;
-            acc.lock().1.push(ctx.now());
+            acc.borrow_mut().1.push(ctx.now());
             Ok(())
         });
     }
     sim.run_until(SimTime::from_secs(600));
-    let (samples, ends) = std::mem::take(&mut *acc.lock());
+    let (samples, ends) = std::mem::take(&mut *acc.borrow_mut());
     assert_eq!(ends.len(), n_conns as usize, "every connection must finish");
     assert_eq!(
         samples.len(),
@@ -384,9 +387,9 @@ pub fn concurrent_throughput_shedding(
     let sim = Sim::new();
     let api = Arc::clone(&tb.nodes[0].api);
     let backlog = n_conns as usize + 8;
-    let report = Arc::new(Mutex::new(ServeReport::default()));
+    let report = Rc::new(RefCell::new(ServeReport::default()));
     {
-        let report = Arc::clone(&report);
+        let report = Rc::clone(&report);
         sim.spawn("http-shedding-loop", move |ctx| {
             let l = api.listen(ctx, HTTP_PORT, backlog)?.expect("port free");
             let policy = OverloadPolicy {
@@ -394,7 +397,7 @@ pub fn concurrent_throughput_shedding(
                 shed_response: vec![SHED_BYTE],
                 ..OverloadPolicy::default()
             };
-            *report.lock() = serve_event_loop_with(
+            *report.borrow_mut() = serve_event_loop_with(
                 ctx,
                 api.as_ref(),
                 l.as_ref(),
@@ -406,12 +409,12 @@ pub fn concurrent_throughput_shedding(
             l.close(ctx)
         });
     }
-    let tally = Arc::new(Mutex::new((0u32, 0u32))); // (served, shed)
+    let tally = Rc::new(RefCell::new((0u32, 0u32))); // (served, shed)
     for k in 0..n_conns {
         let node = 1 + (k as usize % (tb.nodes.len() - 1));
         let api = Arc::clone(&tb.nodes[node].api);
         let server_host = tb.nodes[0].api.local_host();
-        let tally = Arc::clone(&tally);
+        let tally = Rc::clone(&tally);
         sim.spawn(format!("http-shed-client-{k}"), move |ctx| {
             let conn = api.connect(ctx, server_host, HTTP_PORT)?.expect("connect");
             let first = conn.read_exact(ctx, 1)?.expect("greeting");
@@ -420,19 +423,19 @@ pub fn concurrent_throughput_shedding(
                     for r in 0..reqs_per_conn {
                         request(ctx, &conn, k, r, response_size)?;
                     }
-                    tally.lock().0 += 1;
+                    tally.borrow_mut().0 += 1;
                 }
                 // SHED_BYTE or bare EOF: the deterministic degrade.
-                _ => tally.lock().1 += 1,
+                _ => tally.borrow_mut().1 += 1,
             }
             let _ = conn.close(ctx);
             Ok(())
         });
     }
     sim.run_until(SimTime::from_secs(600));
-    let (served, shed) = *tally.lock();
+    let (served, shed) = *tally.borrow();
     assert_eq!(served + shed, n_conns, "every client gets a typed answer");
-    let report = *report.lock();
+    let report = *report.borrow();
     (served, shed, report)
 }
 

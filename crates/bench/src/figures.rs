@@ -7,9 +7,10 @@ use emp_apps::{
 };
 use emp_proto::EmpConfig;
 use kernel_tcp::TcpConfig;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use simnet::{Sim, SimAccess, SimDuration};
 use sockets_emp::{RecvMode, SubstrateConfig};
 
@@ -881,8 +882,8 @@ const WWR_REPLY: usize = 64;
 pub fn write_write_read_us(tb: &Testbed, body: usize, iters: u32) -> f64 {
     const PORT: u16 = 79;
     let sim = Sim::new();
-    let out = Arc::new(Mutex::new(f64::NAN));
-    let out2 = Arc::clone(&out);
+    let out = Rc::new(Cell::new(f64::NAN));
+    let out2 = Rc::clone(&out);
     let server = Arc::clone(&tb.nodes[1].api);
     let client = Arc::clone(&tb.nodes[0].api);
     let host = server.local_host();
@@ -910,11 +911,11 @@ pub fn write_write_read_us(tb: &Testbed, body: usize, iters: u32) -> f64 {
                 .expect("reply")
                 .expect("reply");
         }
-        *out2.lock() = ((ctx.now() - t0) / u64::from(iters)).as_micros_f64();
+        out2.set(((ctx.now() - t0) / u64::from(iters)).as_micros_f64());
         conn.close(ctx)
     });
     sim.run();
-    let us = *out.lock();
+    let us = out.get();
     assert!(us.is_finite(), "write-write-read did not complete");
     us
 }
@@ -927,10 +928,10 @@ pub fn sparse_sender_us(tb: &Testbed, writes: u32) -> f64 {
     const PORT: u16 = 76;
     const MSG: usize = 64;
     let sim = Sim::new();
-    let sent = Arc::new(Mutex::new(Vec::new()));
-    let sent2 = Arc::clone(&sent);
-    let total_ns = Arc::new(Mutex::new(0u64));
-    let total_ns2 = Arc::clone(&total_ns);
+    let sent = Rc::new(RefCell::new(Vec::new()));
+    let sent2 = Rc::clone(&sent);
+    let total_ns = Rc::new(Cell::new(0u64));
+    let total_ns2 = Rc::clone(&total_ns);
     let server = Arc::clone(&tb.nodes[1].api);
     let client = Arc::clone(&tb.nodes[0].api);
     let host = server.local_host();
@@ -939,8 +940,8 @@ pub fn sparse_sender_us(tb: &Testbed, writes: u32) -> f64 {
         let conn = l.accept(ctx)?.expect("connection");
         for i in 0..writes as usize {
             conn.read_exact(ctx, MSG)?.expect("read").expect("message");
-            let written = sent2.lock()[i];
-            *total_ns2.lock() += (ctx.now() - written).nanos();
+            let written = sent2.borrow()[i];
+            total_ns2.set(total_ns2.get() + (ctx.now() - written).nanos());
         }
         conn.close(ctx)?;
         l.close(ctx)
@@ -950,14 +951,14 @@ pub fn sparse_sender_us(tb: &Testbed, writes: u32) -> f64 {
         // Let the connection establish: the first write is not sparse.
         ctx.delay(SimDuration::from_millis(1))?;
         for _ in 0..writes {
-            sent.lock().push(ctx.now());
+            sent.borrow_mut().push(ctx.now());
             conn.write(ctx, &[0x53; MSG])?.expect("write");
             ctx.delay(SimDuration::from_micros(100))?;
         }
         conn.close(ctx)
     });
     sim.run();
-    let ns = *total_ns.lock();
+    let ns = total_ns.get();
     ns as f64 / f64::from(writes) / 1e3
 }
 

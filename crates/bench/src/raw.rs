@@ -1,12 +1,12 @@
 //! Raw-EMP microbenchmarks: the "EMP" series of Figures 11 and 13,
 //! measured directly on the message-passing API with no sockets layer.
 
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use emp_proto::{build_cluster, EmpConfig, Tag};
 use hostsim::VirtRange;
-use parking_lot::Mutex;
 use simnet::{Sim, SimAccess, SimDuration, SwitchConfig};
 
 fn buf(slot: u64, len: usize) -> VirtRange {
@@ -19,8 +19,8 @@ pub fn emp_latency_us(msg_size: usize, iters: u32) -> f64 {
     let cl = build_cluster(2, EmpConfig::default(), SwitchConfig::default());
     let (a, b) = (cl.nodes[0].endpoint(), cl.nodes[1].endpoint());
     let (addr_a, addr_b) = (a.addr(), b.addr());
-    let out = Arc::new(Mutex::new(f64::NAN));
-    let out2 = Arc::clone(&out);
+    let out = Rc::new(Cell::new(f64::NAN));
+    let out2 = Rc::clone(&out);
 
     // The classic EMP latency test is lean: sends are fire-and-forget in
     // the loop (handles are drained afterwards), exactly what the
@@ -53,14 +53,14 @@ pub fn emp_latency_us(msg_size: usize, iters: u32) -> f64 {
             sends.push(a.post_send(ctx, addr_b, Tag(1), payload.clone(), buf(4, msg_size))?);
             a.wait_recv(ctx, &hr)?.expect("pong");
         }
-        *out2.lock() = ((ctx.now() - t0) / u64::from(iters)).as_micros_f64() / 2.0;
+        out2.set(((ctx.now() - t0) / u64::from(iters)).as_micros_f64() / 2.0);
         for h in &sends {
             assert!(a.wait_send(ctx, h)?);
         }
         Ok(())
     });
     sim.run();
-    let us = *out.lock();
+    let us = out.get();
     assert!(us.is_finite(), "raw EMP ping-pong did not complete");
     us
 }
@@ -72,8 +72,8 @@ pub fn emp_bandwidth_mbps(msg_size: usize, total_bytes: usize) -> f64 {
     let cl = build_cluster(2, EmpConfig::default(), SwitchConfig::default());
     let (a, b) = (cl.nodes[0].endpoint(), cl.nodes[1].endpoint());
     let dst = b.addr();
-    let out = Arc::new(Mutex::new(f64::NAN));
-    let out2 = Arc::clone(&out);
+    let out = Rc::new(Cell::new(f64::NAN));
+    let out2 = Rc::clone(&out);
 
     let b2 = b.clone();
     sim.spawn("raw-sink", move |ctx| {
@@ -92,7 +92,7 @@ pub fn emp_bandwidth_mbps(msg_size: usize, total_bytes: usize) -> f64 {
             b2.wait_recv(ctx, h)?.expect("data");
         }
         let elapsed = ctx.now() - t0;
-        *out2.lock() = (msg_size * count) as f64 * 8.0 / elapsed.as_secs_f64() / 1e6;
+        out2.set((msg_size * count) as f64 * 8.0 / elapsed.as_secs_f64() / 1e6);
         Ok(())
     });
     sim.spawn("raw-source", move |ctx| {
@@ -113,7 +113,7 @@ pub fn emp_bandwidth_mbps(msg_size: usize, total_bytes: usize) -> f64 {
         Ok(())
     });
     sim.run();
-    let mbps = *out.lock();
+    let mbps = out.get();
     assert!(mbps.is_finite(), "raw EMP bandwidth did not complete");
     mbps
 }

@@ -5,13 +5,13 @@
 //! backlog queue; each connection's EMP descriptors are accounted for and
 //! released on `close()` (§5.3).
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Weak};
+use std::rc::{Rc, Weak};
 
 use bytes::Bytes;
 use emp_proto::{EmpEndpoint, PostSpec, RecvHandle, SendHandle, TxBuf};
 use hostsim::{VirtRange, PAGE_SIZE};
-use parking_lot::Mutex;
 use simnet::emp_trace::{self, EventKind};
 use simnet::{
     wait_any, Completion, MacAddr, NetError, OpResult, ProcessCtx, SimAccess, SimAccessExt,
@@ -38,7 +38,7 @@ impl From<Refusal> for NetError {
 pub(crate) struct ProcShared {
     pub(crate) ep: EmpEndpoint,
     pub(crate) cfg: SubstrateConfig,
-    pub(crate) state: Mutex<ProcState>,
+    pub(crate) state: RefCell<ProcState>,
     /// For telemetry poll closures that walk the active-socket table.
     self_ref: Weak<ProcShared>,
 }
@@ -75,11 +75,11 @@ impl ProcState {
 }
 
 impl ProcShared {
-    pub(crate) fn new(ep: EmpEndpoint, cfg: SubstrateConfig) -> Arc<Self> {
-        Arc::new_cyclic(|weak| ProcShared {
+    pub(crate) fn new(ep: EmpEndpoint, cfg: SubstrateConfig) -> Rc<Self> {
+        Rc::new_cyclic(|weak| ProcShared {
             ep,
             cfg,
-            state: Mutex::new(ProcState {
+            state: RefCell::new(ProcState {
                 free_cids: VecDeque::new(),
                 next_cid: 0,
                 active: HashMap::new(),
@@ -94,7 +94,7 @@ impl ProcShared {
     }
 
     pub(crate) fn alloc_cid(&self) -> Result<u16, NetError> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         // Admission control: the per-process connection budget counts live
         // sockets (close() removes them from the active table), so a
         // refused connect costs nothing durable.
@@ -115,7 +115,7 @@ impl ProcShared {
     }
 
     pub(crate) fn free_cid(&self, cid: u16) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.active.remove(&cid);
         st.free_cids.push_back(cid);
     }
@@ -123,7 +123,7 @@ impl ProcShared {
     /// Allocate a page-aligned fake buffer range, reusing a pooled one of
     /// the same size when available (pin-cache hit).
     pub(crate) fn alloc_range(&self, len: usize) -> VirtRange {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let key = len.max(1) as u64;
         if let Some(r) = st.range_pool.get_mut(&key).and_then(Vec::pop) {
             return r;
@@ -136,7 +136,7 @@ impl ProcShared {
 
     /// Return a buffer range to the pool for the next connection.
     pub(crate) fn free_range(&self, range: VirtRange) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.range_pool.entry(range.len).or_default().push(range);
     }
 
@@ -144,7 +144,7 @@ impl ProcShared {
     /// unexpected-queue slots.
     pub(crate) fn ensure_init(&self, ctx: &ProcessCtx) -> SimResult<()> {
         let needs = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             !std::mem::replace(&mut st.initialized, true)
         };
         if needs {
@@ -162,41 +162,42 @@ impl ProcShared {
     fn register_telemetry(&self, ctx: &dyn SimAccess) {
         let node = self.ep.addr().0;
         let reg = ctx.telemetry();
-        type SockFn = Box<dyn Fn(&SockShared) -> i64 + Send>;
+        type SockFn = Box<dyn Fn(&SockShared) -> i64>;
         let series: [(&str, SockFn); 4] = [
             ("conns_live", Box::new(|_| 1)),
             (
                 "credits_out",
                 Box::new(|s| {
-                    let c = &s.inner.lock().core;
+                    let c = &s.inner.borrow().core;
                     i64::from(c.peer_window) - i64::from(c.credits)
                 }),
             ),
             (
                 "reorder_msgs",
-                Box::new(|s| s.inner.lock().core.rx_ooo.len() as i64),
+                Box::new(|s| s.inner.borrow().core.rx_ooo.len() as i64),
             ),
             (
                 "staged_bytes",
-                Box::new(|s| s.inner.lock().core.staged.len() as i64),
+                Box::new(|s| s.inner.borrow().core.staged.len() as i64),
             ),
         ];
         for (name, per_sock) in series {
             let weak = self.self_ref.clone();
             reg.register_sampled(&format!("sock.n{node}.{name}"), move |_| {
                 let p = weak.upgrade()?;
-                let socks: Vec<Arc<SockShared>> = p
+                let socks: Vec<Rc<SockShared>> = p
                     .state
-                    .try_lock()?
+                    .try_borrow()
+                    .ok()?
                     .active
                     .values()
                     .filter_map(Weak::upgrade)
                     .collect();
-                // A parked process may hold a socket lock right now; skip
-                // the whole tick rather than publish a partial sum.
+                // A parked process may hold a socket borrowed right now;
+                // skip the whole tick rather than publish a partial sum.
                 let mut total = 0i64;
                 for s in &socks {
-                    let i = s.inner.try_lock()?;
+                    let i = s.inner.try_borrow().ok()?;
                     if !i.core.closed {
                         drop(i);
                         total += per_sock(s);
@@ -210,7 +211,7 @@ impl ProcShared {
     /// Grow/shrink this process's unexpected-queue allocation.
     pub(crate) fn adjust_unexpected(&self, ctx: &ProcessCtx, delta: isize) -> SimResult<()> {
         let slots = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             st.unexpected_slots = st.unexpected_slots.saturating_add_signed(delta);
             st.unexpected_slots
         };
@@ -265,7 +266,7 @@ pub(crate) struct SockInner {
 
 /// One side of a substrate connection.
 pub(crate) struct SockShared {
-    pub(crate) proc_: Arc<ProcShared>,
+    pub(crate) proc_: Rc<ProcShared>,
     /// The connection id (always the client's — it names both directions).
     pub(crate) cid: u16,
     /// The remote station.
@@ -282,7 +283,7 @@ pub(crate) struct SockShared {
     pub(crate) credits_max: u32,
     /// Effective temp-buffer size.
     pub(crate) buf_size: usize,
-    pub(crate) inner: Mutex<SockInner>,
+    pub(crate) inner: RefCell<SockInner>,
     /// For the staging-deadline timer (it must not keep us alive).
     pub(crate) self_ref: Weak<SockShared>,
 }
@@ -294,7 +295,7 @@ impl SockShared {
     /// acceptor) both directions' windows start at two descriptors.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn establish(
-        proc_: &Arc<ProcShared>,
+        proc_: &Rc<ProcShared>,
         ctx: &ProcessCtx,
         cid: u16,
         peer: MacAddr,
@@ -304,7 +305,7 @@ impl SockShared {
         credits_max: u32,
         buf_size: usize,
         grows_window: bool,
-    ) -> SimResult<Arc<SockShared>> {
+    ) -> SimResult<Rc<SockShared>> {
         let cfg = &proc_.cfg;
         let core = ConnCore::new(
             CoreCfg {
@@ -321,9 +322,9 @@ impl SockShared {
             grows_window,
         );
         let window = core.window;
-        let sock = Arc::new_cyclic(|self_ref| SockShared {
+        let sock = Rc::new_cyclic(|self_ref| SockShared {
             self_ref: self_ref.clone(),
-            proc_: Arc::clone(proc_),
+            proc_: Rc::clone(proc_),
             cid,
             peer,
             port,
@@ -331,7 +332,7 @@ impl SockShared {
             socket_type,
             credits_max,
             buf_size,
-            inner: Mutex::new(SockInner {
+            inner: RefCell::new(SockInner {
                 core,
                 fcack_handles: VecDeque::new(),
                 poll_fcack: None,
@@ -351,14 +352,18 @@ impl SockShared {
                 user_range: proc_.alloc_range(buf_size.max(1 << 20) + DATA_HEADER),
             }),
         });
-        proc_.state.lock().active.insert(cid, Arc::downgrade(&sock));
+        proc_
+            .state
+            .borrow_mut()
+            .active
+            .insert(cid, Rc::downgrade(&sock));
 
         let ep = &proc_.ep;
         // Control descriptor: close notifications, rendezvous acks.
         {
-            let range = sock.inner.lock().ctrl_range;
+            let range = sock.inner.borrow().ctrl_range;
             let h = ep.post_recv(ctx, sock.rx_ctrl_tag(), Some(peer), HEADER, range)?;
-            sock.inner.lock().ctrl_handle = Some(h);
+            sock.inner.borrow_mut().ctrl_handle = Some(h);
         }
         match socket_type {
             SocketType::Stream => {
@@ -371,12 +376,12 @@ impl SockShared {
                 sock.post_data_slots(ctx, ranges)?;
                 // Flow-control-ack descriptors: pre-posted, or routed via
                 // the unexpected queue (§6.4).
-                let fcack_range = sock.inner.lock().fcack_range;
+                let fcack_range = sock.inner.borrow().fcack_range;
                 let posts: Vec<_> = (0..cfg.fcack_descriptors(credits_max))
                     .map(|_| (sock.rx_fcack_tag(), Some(peer), HEADER, fcack_range))
                     .collect();
                 for h in ep.post_recv_batch(ctx, &posts)? {
-                    sock.inner.lock().fcack_handles.push_back(h);
+                    sock.inner.borrow_mut().fcack_handles.push_back(h);
                 }
                 let quota = cfg.unexpected_quota(credits_max);
                 if quota > 0 {
@@ -385,9 +390,9 @@ impl SockShared {
             }
             SocketType::Datagram => {
                 // One rendezvous-request descriptor (§5.2's rendezvous).
-                let range = sock.inner.lock().rndv_range;
+                let range = sock.inner.borrow().rndv_range;
                 let h = ep.post_recv(ctx, sock.rx_rndv_tag(), Some(peer), HEADER, range)?;
-                sock.inner.lock().rndv_handle = Some(h);
+                sock.inner.borrow_mut().rndv_handle = Some(h);
             }
         }
         Ok(sock)
@@ -451,7 +456,7 @@ impl SockShared {
         tag: emp_proto::Tag,
         msg: &Msg,
     ) -> SimResult<SendHandle> {
-        let range = self.inner.lock().send_range;
+        let range = self.inner.borrow().send_range;
         self.proc_
             .ep
             .post_send(ctx, self.peer, tag, msg.encode(), range)
@@ -474,7 +479,7 @@ impl SockShared {
     /// Send the connection request, claimed from the core, with `first`.
     pub(crate) fn post_conn_req(&self, ctx: &ProcessCtx, first: Bytes) -> SimResult<()> {
         let h = self.send_msg(ctx, tags::conn_tag(self.port), &self.conn_req(first))?;
-        self.inner.lock().conn_send = Some(h);
+        self.inner.borrow_mut().conn_send = Some(h);
         Ok(())
     }
 
@@ -517,7 +522,7 @@ impl SockShared {
         data: TxBuf,
         ret: CreditReturn<VirtRange>,
     ) -> SimResult<SendHandle> {
-        let range = self.inner.lock().send_range;
+        let range = self.inner.borrow().send_range;
         let rearms = self.rearm_posts(&ret);
         let (h, handles) = self
             .proc_
@@ -549,7 +554,7 @@ impl SockShared {
             .proc_
             .ep
             .post_recv_batch(ctx, &self.data_posts(ranges.iter()))?;
-        let mut i = self.inner.lock();
+        let mut i = self.inner.borrow_mut();
         for (handle, range) in handles.into_iter().zip(ranges) {
             i.data_slots.push_back(DataSlot { handle, range });
         }
@@ -559,7 +564,7 @@ impl SockShared {
     /// Book the descriptors a send re-armed or posted for `ret`: they
     /// join the data slots in the order the NIC inserts them.
     pub(crate) fn rearmed(&self, ret: CreditReturn<VirtRange>, handles: Vec<RecvHandle>) {
-        let mut i = self.inner.lock();
+        let mut i = self.inner.borrow_mut();
         i.core.rearmed(&ret, handles.len());
         let ranges = ret.rearms.into_iter().chain(ret.grants);
         for (handle, range) in handles.into_iter().zip(ranges) {
@@ -573,7 +578,7 @@ impl SockShared {
     pub(crate) fn poll_ctrl(&self, ctx: &ProcessCtx) -> OpResult<()> {
         loop {
             let handle = {
-                let i = self.inner.lock();
+                let i = self.inner.borrow();
                 match &i.ctrl_handle {
                     Some(h) if h.is_done() => h.clone(),
                     _ => return Ok(Ok(())),
@@ -581,7 +586,7 @@ impl SockShared {
             };
             let Some(msg) = self.proc_.ep.wait_recv(ctx, &handle)? else {
                 // Unposted during close.
-                self.inner.lock().ctrl_handle = None;
+                self.inner.borrow_mut().ctrl_handle = None;
                 return Ok(Ok(()));
             };
             let parsed = match Msg::decode(&msg.data) {
@@ -591,19 +596,19 @@ impl SockShared {
             let mut repost = true;
             match parsed {
                 Msg::Close { final_seq } => {
-                    self.inner.lock().core.on_close(final_seq);
+                    self.inner.borrow_mut().core.on_close(final_seq);
                     repost = false;
                 }
                 Msg::RndvAck => {
-                    self.inner.lock().rndv_granted = true;
+                    self.inner.borrow_mut().rndv_granted = true;
                 }
                 Msg::RndvNak { limit } => {
-                    self.inner.lock().rndv_refused = Some(limit as usize);
+                    self.inner.borrow_mut().rndv_refused = Some(limit as usize);
                 }
                 _ => return Ok(Err(NetError::Protocol("unexpected control message"))),
             }
             if repost {
-                let range = self.inner.lock().ctrl_range;
+                let range = self.inner.borrow().ctrl_range;
                 let h = self.proc_.ep.post_recv(
                     ctx,
                     self.rx_ctrl_tag(),
@@ -611,9 +616,9 @@ impl SockShared {
                     HEADER,
                     range,
                 )?;
-                self.inner.lock().ctrl_handle = Some(h);
+                self.inner.borrow_mut().ctrl_handle = Some(h);
             } else {
-                self.inner.lock().ctrl_handle = None;
+                self.inner.borrow_mut().ctrl_handle = None;
                 return Ok(Ok(()));
             }
         }
@@ -623,7 +628,7 @@ impl SockShared {
     /// completes (every waiter re-checks the close flags before blocking,
     /// and a done one would spin it while lost data still retransmits).
     pub(crate) fn ctrl_completion(&self) -> Completion {
-        let i = self.inner.lock();
+        let i = self.inner.borrow();
         match &i.ctrl_handle {
             Some(h) => h.completion().clone(),
             None => Completion::new(),
@@ -632,7 +637,7 @@ impl SockShared {
 
     /// Prune completed fire-and-forget sends; report a failed one.
     pub(crate) fn reap_sends(&self) -> Result<(), NetError> {
-        let mut i = self.inner.lock();
+        let mut i = self.inner.borrow_mut();
         let conn_status = i.conn_send.as_ref().and_then(|h| h.status());
         match conn_status {
             Some(false) => return Err(NetError::Refused),
@@ -662,7 +667,7 @@ impl SockShared {
     /// the unexpected-queue quota and recycle the connection id.
     pub(crate) fn teardown(&self, ctx: &ProcessCtx, stale: Vec<VirtRange>) -> SimResult<()> {
         let (handles, ranges) = {
-            let mut i = self.inner.lock();
+            let mut i = self.inner.borrow_mut();
             let mut v: Vec<RecvHandle> = Vec::new();
             let mut r: Vec<VirtRange> = vec![
                 i.send_range,
@@ -710,7 +715,7 @@ impl SockShared {
     /// counter.
     pub(crate) fn publish_stats(&self, ctx: &ProcessCtx, unaccounted: u64) {
         let (s, stranded, debt) = {
-            let i = self.inner.lock();
+            let i = self.inner.borrow();
             (
                 i.core.stats,
                 i.core.staged.len() as u64,
@@ -739,7 +744,7 @@ impl SockShared {
 
     /// Would `read()` return without blocking?
     pub(crate) fn readable_now(&self) -> bool {
-        let i = self.inner.lock();
+        let i = self.inner.borrow();
         i.core.readable()
             || i.data_slots.front().is_some_and(|s| s.handle.is_done())
             || i.dgram_data.as_ref().is_some_and(|d| d.handle.is_done())
@@ -748,7 +753,7 @@ impl SockShared {
 
     /// Completions a `select()` should watch for this connection.
     pub(crate) fn watch_completions(&self) -> Vec<Completion> {
-        let i = self.inner.lock();
+        let i = self.inner.borrow();
         let mut v = Vec::new();
         if let Some(front) = i.data_slots.front() {
             v.push(front.handle.completion().clone());

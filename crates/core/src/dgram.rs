@@ -24,7 +24,7 @@ impl SockShared {
         ctx.delay(self.proc_.cfg.dgram_overhead)?;
         ok_or_return!(self.reap_sends());
         {
-            let i = self.inner.lock();
+            let i = self.inner.borrow();
             if i.core.closed || i.core.write_closed {
                 return Ok(Err(NetError::Closed));
             }
@@ -34,12 +34,12 @@ impl SockShared {
         if data.len() <= self.proc_.cfg.dgram_eager_max {
             let msg = Msg::Data {
                 piggyback: 0,
-                seq: self.inner.lock().core.claim_tx_seq(),
+                seq: self.inner.borrow_mut().core.claim_tx_seq(),
                 payload: Bytes::copy_from_slice(data),
             };
             let h = self.send_msg(ctx, self.tx_data_tag(), &msg)?;
             {
-                let mut i = self.inner.lock();
+                let mut i = self.inner.borrow_mut();
                 i.core.stats.bytes_sent += data.len() as u64;
                 i.core.stats.msgs_sent += 1;
                 i.inflight_sends.push(h);
@@ -55,10 +55,10 @@ impl SockShared {
                 size: data.len() as u32,
             },
         )?;
-        self.inner.lock().inflight_sends.push(req);
+        self.inner.borrow_mut().inflight_sends.push(req);
         loop {
             {
-                let mut i = self.inner.lock();
+                let mut i = self.inner.borrow_mut();
                 if let Some(limit) = i.rndv_refused.take() {
                     return Ok(Err(NetError::TooBig {
                         size: data.len(),
@@ -85,7 +85,7 @@ impl SockShared {
         self.trace(ctx, EventKind::RndvData, data.len() as u64, 0);
         let msg = Msg::Data {
             piggyback: 0,
-            seq: self.inner.lock().core.claim_tx_seq(),
+            seq: self.inner.borrow_mut().core.claim_tx_seq(),
             payload: Bytes::copy_from_slice(data),
         };
         let h = self.send_msg(ctx, self.tx_data_tag(), &msg)?;
@@ -93,11 +93,11 @@ impl SockShared {
         // posted, so this completes without retransmission.
         let acked = self.proc_.ep.wait_send(ctx, &h)?;
         if !acked {
-            self.inner.lock().core.peer_closed = true;
+            self.inner.borrow_mut().core.peer_closed = true;
             return Ok(Err(NetError::PeerClosed));
         }
         {
-            let mut i = self.inner.lock();
+            let mut i = self.inner.borrow_mut();
             i.core.stats.bytes_sent += data.len() as u64;
             i.core.stats.msgs_sent += 1;
             i.core.stats.rendezvous += 1;
@@ -119,7 +119,7 @@ impl SockShared {
             // 0. Serve the next-in-order datagram if it already arrived
             // (ahead of sequence, parked by a previous iteration).
             let parked = {
-                let mut i = self.inner.lock();
+                let mut i = self.inner.borrow_mut();
                 if i.core.closed {
                     return Ok(Err(NetError::Closed));
                 }
@@ -130,8 +130,8 @@ impl SockShared {
                 return Ok(Ok(payload));
             }
             // 1. Post the user-buffer descriptor if none is outstanding.
-            if self.inner.lock().dgram_data.is_none() {
-                let range = self.inner.lock().user_range;
+            if self.inner.borrow().dgram_data.is_none() {
+                let range = self.inner.borrow().user_range;
                 let handle = self.proc_.ep.post_recv(
                     ctx,
                     self.rx_data_tag(),
@@ -139,15 +139,15 @@ impl SockShared {
                     max + DATA_HEADER,
                     range,
                 )?;
-                self.inner.lock().dgram_data = Some(DataSlot { handle, range });
+                self.inner.borrow_mut().dgram_data = Some(DataSlot { handle, range });
             }
             // 2. Data landed?
             let data_done = {
-                let i = self.inner.lock();
+                let i = self.inner.borrow();
                 i.dgram_data.as_ref().is_some_and(|d| d.handle.is_done())
             };
             if data_done {
-                let slot = self.inner.lock().dgram_data.take().expect("checked");
+                let slot = self.inner.borrow_mut().dgram_data.take().expect("checked");
                 let Some(msg) = self.proc_.ep.wait_recv(ctx, &slot.handle)? else {
                     return Ok(Err(NetError::Closed));
                 };
@@ -155,7 +155,7 @@ impl SockShared {
                 let Msg::Data { seq, payload, .. } = parsed else {
                     return Ok(Err(NetError::Protocol("non-data message on data tag")));
                 };
-                let next = self.inner.lock().core.on_dgram(seq, payload);
+                let next = self.inner.borrow_mut().core.on_dgram(seq, payload);
                 if let Some(payload) = next {
                     self.trace(ctx, EventKind::SockReadEnd, payload.len() as u64, 0);
                     return Ok(Ok(payload));
@@ -166,7 +166,7 @@ impl SockShared {
             }
             // 3. Rendezvous request?
             let rndv_done = {
-                let i = self.inner.lock();
+                let i = self.inner.borrow();
                 i.rndv_handle.as_ref().is_some_and(|h| h.is_done())
             };
             if rndv_done {
@@ -181,7 +181,7 @@ impl SockShared {
             }
             // 4. Peer closed and every announced datagram delivered?
             {
-                let i = self.inner.lock();
+                let i = self.inner.borrow();
                 if i.core.peer_drained() {
                     return Ok(Ok(Bytes::new()));
                 }
@@ -198,7 +198,7 @@ impl SockShared {
             // 5. Block on data, rendezvous request, or control (with the
             // ack-starvation watchdog when configured).
             let (data_c, rndv_c) = {
-                let i = self.inner.lock();
+                let i = self.inner.borrow();
                 (
                     i.dgram_data
                         .as_ref()
@@ -223,7 +223,7 @@ impl SockShared {
     fn serve_rndv_request(&self, ctx: &ProcessCtx, max: usize) -> OpResult<()> {
         let handle = self
             .inner
-            .lock()
+            .borrow_mut()
             .rndv_handle
             .take()
             .expect("caller checked rndv handle");
@@ -239,12 +239,12 @@ impl SockShared {
         // Repost the request descriptor for the next sender (§5.2: "posts
         // two descriptors - one for the expected data message and the
         // other for the next request").
-        let range = self.inner.lock().rndv_range;
+        let range = self.inner.borrow().rndv_range;
         let new_handle =
             self.proc_
                 .ep
                 .post_recv(ctx, self.rx_rndv_tag(), Some(self.peer), HEADER, range)?;
-        self.inner.lock().rndv_handle = Some(new_handle);
+        self.inner.borrow_mut().rndv_handle = Some(new_handle);
         let reply = if size as usize <= max {
             self.trace(ctx, EventKind::RndvAck, u64::from(size), 0);
             Msg::RndvAck
@@ -252,7 +252,7 @@ impl SockShared {
             Msg::RndvNak { limit: max as u32 }
         };
         let h = self.send_msg(ctx, self.tx_ctrl_tag(), &reply)?;
-        self.inner.lock().inflight_sends.push(h);
+        self.inner.borrow_mut().inflight_sends.push(h);
         Ok(Ok(()))
     }
 }

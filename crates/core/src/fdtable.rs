@@ -9,12 +9,12 @@
 //! OS. The ftp application exercises exactly this: every transfer does
 //! both file reads and socket writes through the same fd-based interface.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use hostsim::{FileHandle, RamDisk};
-use parking_lot::Mutex;
 use simnet::{Interest, NetError, ProcessCtx, SimDuration, SimResult};
 
 use crate::poll::PollSet;
@@ -22,8 +22,8 @@ use crate::socket::{Connection, EmpSockets, Listener, SockAddr};
 
 enum FdEntry {
     File(FileHandle),
-    Socket(Arc<Connection>),
-    Listener(Arc<Listener>),
+    Socket(Rc<Connection>),
+    Listener(Rc<Listener>),
 }
 
 /// One descriptor-table slot: what the fd names, plus its `O_NONBLOCK`
@@ -39,7 +39,7 @@ struct FdSlot {
 pub struct FdTable {
     sockets: EmpSockets,
     fs: RamDisk,
-    inner: Arc<Mutex<FdState>>,
+    inner: Rc<RefCell<FdState>>,
 }
 
 struct FdState {
@@ -122,7 +122,7 @@ impl FdTable {
         FdTable {
             sockets,
             fs,
-            inner: Arc::new(Mutex::new(FdState {
+            inner: Rc::new(RefCell::new(FdState {
                 entries: HashMap::new(),
                 // Descriptors 0-2 belong to stdio, as on a real system.
                 next_fd: 3,
@@ -136,7 +136,7 @@ impl FdTable {
     }
 
     fn install(&self, entry: FdEntry) -> i32 {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         let fd = st.next_fd;
         st.next_fd += 1;
         st.entries.insert(
@@ -154,7 +154,7 @@ impl FdTable {
     /// return [`NetError::WouldBlock`] instead of parking; file fds accept
     /// the flag but never block anyway (the RAM disk is synchronous).
     pub fn set_nonblocking(&self, fd: i32, on: bool) -> Result<(), FdError> {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         match st.entries.get_mut(&fd) {
             Some(slot) => {
                 slot.nonblocking = on;
@@ -179,13 +179,13 @@ impl FdTable {
     /// `socket(2)` + `connect(2)` to a substrate address.
     pub fn socket_connect(&self, ctx: &ProcessCtx, addr: SockAddr) -> FdResult<i32> {
         let conn = fd_try!(self.sockets.connect(ctx, addr)?);
-        Ok(Ok(self.install(FdEntry::Socket(Arc::new(conn)))))
+        Ok(Ok(self.install(FdEntry::Socket(Rc::new(conn)))))
     }
 
     /// `socket(2)` + `bind(2)` + `listen(2)`.
     pub fn socket_listen(&self, ctx: &ProcessCtx, port: u16, backlog: usize) -> FdResult<i32> {
         let l = fd_try!(self.sockets.listen(ctx, port, backlog)?);
-        Ok(Ok(self.install(FdEntry::Listener(Arc::new(l)))))
+        Ok(Ok(self.install(FdEntry::Listener(Rc::new(l)))))
     }
 
     /// `accept(2)` on a listener fd; returns the connection's fd. On a
@@ -193,12 +193,12 @@ impl FdTable {
     /// [`NetError::WouldBlock`].
     pub fn accept(&self, ctx: &ProcessCtx, fd: i32) -> FdResult<i32> {
         let (l, nonblocking) = {
-            let st = self.inner.lock();
+            let st = self.inner.borrow();
             match st.entries.get(&fd) {
                 Some(FdSlot {
                     entry: FdEntry::Listener(l),
                     nonblocking,
-                }) => (Arc::clone(l), *nonblocking),
+                }) => (Rc::clone(l), *nonblocking),
                 Some(_) => return Ok(Err(FdError::WrongKind)),
                 None => return Ok(Err(FdError::BadFd)),
             }
@@ -208,16 +208,16 @@ impl FdTable {
         } else {
             fd_try!(l.accept(ctx)?)
         };
-        Ok(Ok(self.install(FdEntry::Socket(Arc::new(conn)))))
+        Ok(Ok(self.install(FdEntry::Socket(Rc::new(conn)))))
     }
 
     /// Look up a socket/file fd for a data operation.
-    fn data_entry(&self, fd: i32) -> Result<(Result<FileHandle, Arc<Connection>>, bool), FdError> {
-        let st = self.inner.lock();
+    fn data_entry(&self, fd: i32) -> Result<(Result<FileHandle, Rc<Connection>>, bool), FdError> {
+        let st = self.inner.borrow();
         match st.entries.get(&fd) {
             Some(slot) => match &slot.entry {
                 FdEntry::File(fh) => Ok((Ok(*fh), slot.nonblocking)),
-                FdEntry::Socket(c) => Ok((Err(Arc::clone(c)), slot.nonblocking)),
+                FdEntry::Socket(c) => Ok((Err(Rc::clone(c)), slot.nonblocking)),
                 FdEntry::Listener(_) => Err(FdError::WrongKind),
             },
             None => Err(FdError::BadFd),
@@ -267,7 +267,7 @@ impl FdTable {
     /// Generic `close(2)`.
     pub fn close(&self, ctx: &ProcessCtx, fd: i32) -> FdResult<()> {
         let slot = {
-            let mut st = self.inner.lock();
+            let mut st = self.inner.borrow_mut();
             match st.entries.remove(&fd) {
                 Some(e) => e,
                 None => return Ok(Err(FdError::BadFd)),
@@ -303,7 +303,7 @@ impl FdTable {
         let mut already_ready = false;
         for (idx, p) in fds.iter_mut().enumerate() {
             p.revents = Interest::EMPTY;
-            let st = self.inner.lock();
+            let st = self.inner.borrow();
             match st.entries.get(&p.fd) {
                 Some(slot) => match &slot.entry {
                     FdEntry::File(_) => {
@@ -311,12 +311,12 @@ impl FdTable {
                         already_ready |= !p.revents.is_empty();
                     }
                     FdEntry::Socket(c) => {
-                        let c = Arc::clone(c);
+                        let c = Rc::clone(c);
                         drop(st);
                         set.register_conn(&c, idx, p.events);
                     }
                     FdEntry::Listener(l) => {
-                        let l = Arc::clone(l);
+                        let l = Rc::clone(l);
                         drop(st);
                         let mut interest = p.events;
                         if interest.intersects(Interest::READABLE) {
@@ -355,6 +355,6 @@ impl FdTable {
     /// Number of live descriptors (diagnostics; the ftp tests assert no
     /// leaks).
     pub fn live_fds(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.inner.borrow().entries.len()
     }
 }

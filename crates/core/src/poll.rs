@@ -34,11 +34,11 @@
 //! stream arms a one-shot fc-ack descriptor and disarms it (consuming or
 //! unposting) before returning — see `SockShared::arm_poll_fcack`.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use emp_proto::RecvHandle;
-use parking_lot::Mutex;
 use simnet::{
     wait_any, Completion, Event, Interest, NetError, OpResult, ProcessCtx, SimAccess, SimAccessExt,
     SimDuration, SimResult,
@@ -51,9 +51,9 @@ use crate::socket::{Connection, Listener};
 use crate::stream::ok_or_return;
 
 enum Target {
-    Conn(Arc<SockShared>),
+    Conn(Rc<SockShared>),
     /// A listener's backlog queue (shared with the `Listener` itself).
-    Listener(Arc<Mutex<VecDeque<RecvHandle>>>),
+    Listener(Rc<RefCell<VecDeque<RecvHandle>>>),
 }
 
 struct Entry {
@@ -94,7 +94,7 @@ impl PollSet {
         self.entries.push(Entry {
             token,
             interest,
-            target: Target::Conn(Arc::clone(&conn.sock)),
+            target: Target::Conn(Rc::clone(&conn.sock)),
             watch: None,
         });
     }
@@ -105,7 +105,7 @@ impl PollSet {
         self.entries.push(Entry {
             token,
             interest,
-            target: Target::Listener(Arc::clone(&l.pending)),
+            target: Target::Listener(Rc::clone(&l.pending)),
             watch: None,
         });
     }
@@ -200,7 +200,7 @@ impl PollSet {
     fn finish(&mut self, ctx: &ProcessCtx) -> OpResult<()> {
         for e in &mut self.entries {
             if let Target::Conn(s) = &e.target {
-                if s.inner.lock().poll_fcack.is_some() {
+                if s.inner.borrow().poll_fcack.is_some() {
                     e.watch = None;
                     ok_or_return!(s.disarm_poll_fcack(ctx)?);
                 }
@@ -234,12 +234,12 @@ impl Connection {
             if !ready.is_empty() {
                 // Mirror PollSet::finish: a ready return never leaves the
                 // one-shot fc-ack descriptor armed behind it.
-                if self.sock.inner.lock().poll_fcack.is_some() {
+                if self.sock.inner.borrow().poll_fcack.is_some() {
                     ok_or_return!(self.sock.disarm_poll_fcack(ctx)?);
                 }
                 return Ok(Ok(ready));
             }
-            let target = Target::Conn(Arc::clone(&self.sock));
+            let target = Target::Conn(Rc::clone(&self.sock));
             let watch = collect_watch(ctx, &target, interest)?;
             if watch.is_empty() {
                 // Nothing can ever produce a wake (PollSet reports the
@@ -265,7 +265,7 @@ impl Connection {
     /// Waker registrations themselves need no teardown — a fired waker
     /// for a dropped future is a no-op wake. Drop guards call this.
     pub fn cancel_ready(&self, ctx: &ProcessCtx) -> OpResult<()> {
-        if self.sock.inner.lock().poll_fcack.is_some() {
+        if self.sock.inner.borrow().poll_fcack.is_some() {
             ok_or_return!(self.sock.disarm_poll_fcack(ctx)?);
         }
         Ok(Ok(()))
@@ -288,7 +288,7 @@ impl Listener {
             if !ready.is_empty() {
                 return Ok(Ok(ready));
             }
-            let target = Target::Listener(Arc::clone(&self.pending));
+            let target = Target::Listener(Rc::clone(&self.pending));
             let watch = collect_watch(ctx, &target, Interest::ACCEPTABLE)?;
             if watch.is_empty() {
                 return Ok(Err(NetError::Invalid));
@@ -331,7 +331,7 @@ fn conn_ready(ctx: &ProcessCtx, sock: &SockShared, interest: Interest) -> OpResu
     if sock.poll_ctrl(ctx)?.is_err() || sock.reap_sends().is_err() {
         ready |= Interest::ERROR;
     }
-    if sock.inner.lock().core.closed {
+    if sock.inner.borrow().core.closed {
         ready |= Interest::ERROR;
     }
     if interest.intersects(Interest::READABLE) && sock.readable_now() {
@@ -346,14 +346,14 @@ fn conn_ready(ctx: &ProcessCtx, sock: &SockShared, interest: Interest) -> OpResu
                 sock.reap_fcacks(ctx)?;
                 if sock
                     .inner
-                    .lock()
+                    .borrow()
                     .poll_fcack
                     .as_ref()
                     .is_some_and(RecvHandle::is_done)
                 {
                     ok_or_return!(sock.disarm_poll_fcack(ctx)?);
                 }
-                if sock.inner.lock().core.writable() {
+                if sock.inner.borrow().core.writable() {
                     ready |= Interest::WRITABLE;
                 }
             }
@@ -366,8 +366,8 @@ fn conn_ready(ctx: &ProcessCtx, sock: &SockShared, interest: Interest) -> OpResu
 
 /// Compute a listener's ready mask: head-of-backlog completion means
 /// acceptable; a drained backlog means the listener was closed.
-fn listener_ready(pending: &Mutex<VecDeque<RecvHandle>>, interest: Interest) -> Interest {
-    let p = pending.lock();
+fn listener_ready(pending: &RefCell<VecDeque<RecvHandle>>, interest: Interest) -> Interest {
+    let p = pending.borrow();
     match p.front() {
         None => Interest::ERROR,
         Some(h) if h.is_done() && interest.intersects(Interest::ACCEPTABLE) => Interest::ACCEPTABLE,
@@ -396,10 +396,10 @@ fn collect_watch(
                     // §6.4: arm the one-shot fc-ack descriptor (no-op with
                     // credits in hand) and watch it.
                     s.arm_poll_fcack(ctx)?;
-                    if let Some(h) = &s.inner.lock().poll_fcack {
+                    if let Some(h) = &s.inner.borrow().poll_fcack {
                         v.push(h.completion().clone());
                     }
-                } else if let Some(h) = s.inner.lock().fcack_handles.front() {
+                } else if let Some(h) = s.inner.borrow().fcack_handles.front() {
                     v.push(h.completion().clone());
                 }
                 if !interest.intersects(Interest::READABLE) {
@@ -411,7 +411,7 @@ fn collect_watch(
         }
         Target::Listener(p) => {
             if interest.intersects(Interest::ACCEPTABLE) {
-                if let Some(h) = p.lock().front() {
+                if let Some(h) = p.borrow().front() {
                     v.push(h.completion().clone());
                 }
             }

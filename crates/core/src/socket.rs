@@ -5,12 +5,12 @@
 //! like their BSD counterparts — while everything underneath runs on EMP
 //! in user space, kernel-free after buffer registration.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use emp_proto::{EmpEndpoint, RecvHandle, SendHandle};
-use parking_lot::Mutex;
 use simnet::{
     until_deadline, wait_any, Interest, MacAddr, NetError, OpResult, ProcessCtx, SimAccess,
     SimAccessExt, SimDuration, SimResult,
@@ -61,7 +61,7 @@ fn post_backlog(
 /// One process's sockets-over-EMP library instance.
 #[derive(Clone)]
 pub struct EmpSockets {
-    proc_: Arc<ProcShared>,
+    proc_: Rc<ProcShared>,
 }
 
 impl EmpSockets {
@@ -100,7 +100,7 @@ impl EmpSockets {
             return Ok(Err(NetError::AddrInUse));
         }
         {
-            let mut st = self.proc_.state.lock();
+            let mut st = self.proc_.state.borrow_mut();
             if st.listeners.contains_key(&port) {
                 return Ok(Err(NetError::AddrInUse));
             }
@@ -110,9 +110,9 @@ impl EmpSockets {
         let pending: VecDeque<RecvHandle> =
             post_backlog(&self.proc_, ctx, port, range, backlog.max(1))?.into();
         Ok(Ok(Listener {
-            proc_: Arc::clone(&self.proc_),
+            proc_: Rc::clone(&self.proc_),
             port,
-            pending: Arc::new(Mutex::new(pending)),
+            pending: Rc::new(RefCell::new(pending)),
             range,
         }))
     }
@@ -202,7 +202,7 @@ impl EmpSockets {
             // sends it, with the first write aboard when that fits; the
             // presets send it now.
             None if grows_window && cfg.socket_type == SocketType::Stream => {
-                sock.inner.lock().core.hold_request();
+                sock.inner.borrow_mut().core.hold_request();
             }
             None => sock.post_conn_req(ctx, Bytes::new())?,
         }
@@ -216,18 +216,18 @@ impl EmpSockets {
     fn await_connect(
         &self,
         ctx: &ProcessCtx,
-        sock: &Arc<SockShared>,
+        sock: &Rc<SockShared>,
         deadline: SimDuration,
     ) -> OpResult<()> {
         let req = sock.conn_req(Bytes::new()).encode();
-        let range = sock.inner.lock().send_range;
+        let range = sock.inner.borrow().send_range;
         let tag = tags::conn_tag(sock.port);
         let send = || -> SimResult<SendHandle> {
             let h = self
                 .proc_
                 .ep
                 .post_send_refusable(ctx, sock.peer, tag, req.clone(), range)?;
-            sock.inner.lock().conn_send = Some(h.clone());
+            sock.inner.borrow_mut().conn_send = Some(h.clone());
             Ok(h)
         };
         let mut handle = send()?;
@@ -274,7 +274,7 @@ impl EmpSockets {
             };
             ctx.telemetry().counter(series).add(1);
             // Suppress the goodbye: there is nobody to say it to.
-            sock.inner.lock().core.peer_closed = true;
+            sock.inner.borrow_mut().core.peer_closed = true;
             sock.run_op(ctx, OpKind::Close, &[]).map(drop)?;
             return Ok(Err(err));
         }
@@ -286,17 +286,17 @@ impl EmpSockets {
     /// so this reflects the substrate's current working set.
     pub fn stats(&self) -> SubstrateStats {
         let (socks, listeners, pooled_ranges) = {
-            let st = self.proc_.state.lock();
-            let socks: Vec<Arc<SockShared>> = st
+            let st = self.proc_.state.borrow();
+            let socks: Vec<Rc<SockShared>> = st
                 .active
                 .values()
-                .filter_map(std::sync::Weak::upgrade)
+                .filter_map(std::rc::Weak::upgrade)
                 .collect();
             (socks, st.listeners.len(), st.pooled_ranges())
         };
         let mut totals = crate::ConnStats::default();
         for s in &socks {
-            totals += s.inner.lock().core.stats;
+            totals += s.inner.borrow().core.stats;
         }
         SubstrateStats {
             connections: socks.len(),
@@ -330,11 +330,11 @@ impl EmpSockets {
 
 /// A listening substrate socket.
 pub struct Listener {
-    proc_: Arc<ProcShared>,
+    proc_: Rc<ProcShared>,
     port: u16,
     /// Pre-posted connection descriptors, completion order (shared with
     /// [`crate::PollSet`] registrations).
-    pub(crate) pending: Arc<Mutex<VecDeque<RecvHandle>>>,
+    pub(crate) pending: Rc<RefCell<VecDeque<RecvHandle>>>,
     range: hostsim::VirtRange,
 }
 
@@ -349,7 +349,7 @@ impl Listener {
     /// the descriptor at the head of the backlog queue").
     pub fn accept(&self, ctx: &ProcessCtx) -> OpResult<Connection> {
         let handle = {
-            let mut p = self.pending.lock();
+            let mut p = self.pending.borrow_mut();
             match p.pop_front() {
                 Some(h) => h,
                 // The listener was closed (backlog drained).
@@ -358,7 +358,7 @@ impl Listener {
         };
         // Keep the backlog depth constant.
         let replacement = post_backlog(&self.proc_, ctx, self.port, self.range, 1)?;
-        self.pending.lock().extend(replacement);
+        self.pending.borrow_mut().extend(replacement);
 
         let Some(msg) = self.proc_.ep.wait_recv(ctx, &handle)? else {
             return Ok(Err(NetError::Closed));
@@ -422,7 +422,7 @@ impl Listener {
     /// to retry.
     pub fn try_accept(&self, ctx: &ProcessCtx) -> OpResult<Connection> {
         let front_done = {
-            let p = self.pending.lock();
+            let p = self.pending.borrow();
             match p.front() {
                 Some(h) => h.is_done(),
                 None => return Ok(Err(NetError::Closed)),
@@ -437,20 +437,20 @@ impl Listener {
 
     /// Stop listening: unpost the backlog descriptors and free the port.
     pub fn close(&self, ctx: &ProcessCtx) -> SimResult<()> {
-        let handles: Vec<RecvHandle> = self.pending.lock().drain(..).collect();
+        let handles: Vec<RecvHandle> = self.pending.borrow_mut().drain(..).collect();
         for h in handles {
             if !h.is_done() {
                 self.proc_.ep.unpost_recv(ctx, &h)?;
             }
         }
-        self.proc_.state.lock().listeners.remove(&self.port);
+        self.proc_.state.borrow_mut().listeners.remove(&self.port);
         Ok(())
     }
 }
 
 /// An established substrate connection (one side).
 pub struct Connection {
-    pub(crate) sock: Arc<SockShared>,
+    pub(crate) sock: Rc<SockShared>,
 }
 
 impl Connection {
@@ -620,7 +620,7 @@ impl Connection {
     /// POSIX `POLLOUT` semantics); always true for datagrams.
     pub fn writable(&self) -> bool {
         match self.sock.socket_type {
-            SocketType::Stream => self.sock.inner.lock().core.writable(),
+            SocketType::Stream => self.sock.inner.borrow().core.writable(),
             SocketType::Datagram => true,
         }
     }
@@ -657,12 +657,12 @@ impl Connection {
 
     /// Per-connection substrate counters.
     pub fn stats(&self) -> crate::ConnStats {
-        self.sock.inner.lock().core.stats
+        self.sock.inner.borrow().core.stats
     }
 
     /// Diagnostic snapshot of the connection's receive/flow-control state.
     pub fn debug_state(&self) -> ConnDebugState {
-        let i = self.sock.inner.lock();
+        let i = self.sock.inner.borrow();
         let done_slots = i.data_slots.iter().filter(|s| s.handle.is_done()).count();
         ConnDebugState {
             data_slots: i.data_slots.len(),

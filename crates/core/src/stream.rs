@@ -75,13 +75,13 @@ impl SockShared {
         let mut zc_sends = Vec::new();
         loop {
             let step = {
-                let i = &mut *self.inner.lock();
+                let i = &mut *self.inner.borrow_mut();
                 let nic = Sends(&i.inflight_sends, i.data_slots.len());
                 i.core.step(&mut op, &nic)
             };
             match step {
                 Step::PayDebt => {
-                    let debt = std::mem::take(&mut self.inner.lock().flush_debt);
+                    let debt = std::mem::take(&mut self.inner.borrow_mut().flush_debt);
                     if !debt.is_zero() {
                         ctx.delay(debt)?;
                     }
@@ -106,7 +106,7 @@ impl SockShared {
                     self.trace_flush(ctx, &f);
                     self.charge_send(ctx, None)?;
                     let h = self.send_data_msg(ctx, f.ret, f.seq, f.payload)?;
-                    self.inner.lock().inflight_sends.push(h);
+                    self.inner.borrow_mut().inflight_sends.push(h);
                 }
                 Step::Fragment(ret, seq, range, copy) => {
                     self.trace_piggyback(ctx, &ret);
@@ -120,7 +120,7 @@ impl SockShared {
                     self.charge_send(ctx, copy.then_some(len))?;
                     let h = self.send_data_msg(ctx, ret, seq, payload)?;
                     if copy {
-                        self.inner.lock().inflight_sends.push(h);
+                        self.inner.borrow_mut().inflight_sends.push(h);
                     } else {
                         zc_sends.push(h);
                     }
@@ -129,7 +129,7 @@ impl SockShared {
                 // episode arms its deadline.
                 Step::Stage => {
                     self.charge_copy(ctx, data.len())?;
-                    let (staged, first_of) = self.inner.lock().core.stage(data);
+                    let (staged, first_of) = self.inner.borrow_mut().core.stage(data);
                     if let Some(episode) = first_of {
                         self.arm_stage_deadline(ctx, episode);
                     }
@@ -143,7 +143,7 @@ impl SockShared {
                 // A failed send surfaces at the next call (`reap_sends`).
                 Step::AwaitQueueRoom => {
                     let h = {
-                        let sends = &self.inner.lock().inflight_sends;
+                        let sends = &self.inner.borrow().inflight_sends;
                         sends[sends.len() - 2].clone()
                     };
                     self.proc_.ep.wait_send(ctx, &h)?;
@@ -152,7 +152,7 @@ impl SockShared {
                 // zero-copy fragment is acknowledged.
                 Step::AwaitZeroCopy => {
                     if !self.proc_.ep.wait_sends(ctx, &zc_sends)? {
-                        self.inner.lock().core.peer_closed = true;
+                        self.inner.borrow_mut().core.peer_closed = true;
                         return Ok(Err(NetError::PeerClosed));
                     }
                 }
@@ -162,7 +162,7 @@ impl SockShared {
                 }
                 Step::SendClose(final_seq) => {
                     let h = self.send_msg(ctx, self.tx_ctrl_tag(), &Msg::Close { final_seq })?;
-                    self.inner.lock().inflight_sends.push(h);
+                    self.inner.borrow_mut().inflight_sends.push(h);
                 }
                 Step::Teardown(stale) => self.teardown(ctx, stale)?,
                 Step::Done(r) => return Ok(r.map_err(NetError::from)),
@@ -183,7 +183,7 @@ impl SockShared {
     /// slot, which the next request reuses, into the stream.
     pub(crate) fn accept_first(&self, ctx: &ProcessCtx, first: Bytes) -> SimResult<()> {
         self.charge_copy(ctx, first.len())?;
-        self.inner.lock().core.accept_first(first);
+        self.inner.borrow_mut().core.accept_first(first);
         Ok(())
     }
 
@@ -231,7 +231,7 @@ impl SockShared {
     /// no helper thread exists (§5.2 rejects one).
     fn stage_deadline(&self, sim: &dyn SimAccess, episode: u64) {
         let decided = {
-            let mut i = self.inner.lock();
+            let mut i = self.inner.borrow_mut();
             let unacked = unacked_bytes(&i.inflight_sends);
             i.core.deadline(episode, unacked)
         };
@@ -240,12 +240,12 @@ impl SockShared {
             Deadline::Defer => return self.arm_stage_deadline(sim, episode),
             Deadline::Send => {}
         }
-        let Some(f) = self.inner.lock().core.take_staged() else {
+        let Some(f) = self.inner.borrow_mut().core.take_staged() else {
             return;
         };
         self.trace_flush(sim, &f);
         let (ret, seq, payload) = (f.ret, f.seq, f.payload);
-        let range = self.inner.lock().send_range;
+        let range = self.inner.borrow().send_range;
         let data = TxBuf::pair(Msg::data_header(ret.credits, seq, payload.len()), payload);
         let rearms = self.rearm_posts(&ret);
         let (h, handles, post) = self.proc_.ep.post_send_rearming_from_event(
@@ -257,7 +257,7 @@ impl SockShared {
             &rearms,
         );
         self.rearmed(ret, handles);
-        let mut i = self.inner.lock();
+        let mut i = self.inner.borrow_mut();
         i.inflight_sends.push(h);
         i.flush_debt += self.proc_.cfg.stream_overhead + self.comm_thread_cost() + post;
     }
@@ -265,8 +265,8 @@ impl SockShared {
     /// Serve up to `max` buffered stream bytes if any are waiting, paying
     /// the §6.2 temp-buffer-to-user copy. `None` means nothing buffered.
     fn serve_buffered(&self, ctx: &ProcessCtx, max: usize) -> OpResult<Option<Bytes>> {
-        let Some(out) = ok_or_return!(self.inner.lock().core.read(max).map_err(NetError::from))
-        else {
+        let read = self.inner.borrow_mut().core.read(max);
+        let Some(out) = ok_or_return!(read.map_err(NetError::from)) else {
             return Ok(Ok(None));
         };
         // The data-streaming copy from the substrate's temporary buffer
@@ -282,7 +282,7 @@ impl SockShared {
             );
             self.trace(ctx, EventKind::SockReadEnd, out.len() as u64, 0);
         }
-        self.inner.lock().core.stats.bytes_received += out.len() as u64;
+        self.inner.borrow_mut().core.stats.bytes_received += out.len() as u64;
         Ok(Ok(Some(out)))
     }
 
@@ -332,7 +332,7 @@ impl SockShared {
             // 3. EOF once the peer closed and every data message it
             // announced has been delivered (a Close can overtake data that
             // is still retransmitting on a lossy fabric).
-            if self.inner.lock().core.peer_drained() {
+            if self.inner.borrow().core.peer_drained() {
                 return Ok(Ok(Bytes::new()));
             }
             // 4. Block for data or control.
@@ -340,7 +340,7 @@ impl SockShared {
                 return Ok(Err(NetError::WouldBlock));
             }
             let data_completion = {
-                let i = self.inner.lock();
+                let i = self.inner.borrow();
                 i.data_slots
                     .front()
                     .map(|s| s.handle.completion().clone())
@@ -352,7 +352,7 @@ impl SockShared {
 
     /// Has a message landed in the head data descriptor?
     fn data_landed(&self) -> bool {
-        let i = self.inner.lock();
+        let i = self.inner.borrow();
         i.data_slots.front().is_some_and(|s| s.handle.is_done())
     }
 
@@ -372,7 +372,7 @@ impl SockShared {
         let mut explicit_acks = Vec::new();
         loop {
             let slot = {
-                let mut i = self.inner.lock();
+                let mut i = self.inner.borrow_mut();
                 match i.data_slots.front() {
                     Some(s) if s.handle.is_done() => i.data_slots.pop_front().unwrap(),
                     _ => break,
@@ -393,7 +393,7 @@ impl SockShared {
             };
             ctx.delay(self.proc_.cfg.stream_overhead)?;
             let took = {
-                let mut i = self.inner.lock();
+                let mut i = self.inner.borrow_mut();
                 let max = direct_max.filter(|_| direct.is_none());
                 i.core.on_data(slot.range, piggyback, seq, payload, max)
             };
@@ -415,7 +415,7 @@ impl SockShared {
                     .collect();
                 explicit_acks.push(ret);
             }
-            if self.inner.lock().core.poisoned {
+            if self.inner.borrow().core.poisoned {
                 // Budget tripped on this message: the popped descriptors
                 // can no longer serve the (now unrecoverable) stream —
                 // recycle their buffers instead of reposting.
@@ -442,7 +442,7 @@ impl SockShared {
                 self.trace(ctx, EventKind::AckSent, u64::from(ret.credits), 0);
             }
             let h = self.send_fcack(ctx, ret)?;
-            let mut i = self.inner.lock();
+            let mut i = self.inner.borrow_mut();
             i.core.stats.fcacks_sent += 1;
             // A reader that never writes never reaps: drop the sends that
             // completed, keeping a failed one for `reap_sends` to report.
@@ -461,7 +461,7 @@ impl SockShared {
         let mut stall_start: Option<u64> = None;
         loop {
             self.reap_fcacks(ctx)?;
-            let spent = self.inner.lock().core.spend(block);
+            let spent = self.inner.borrow_mut().core.spend(block);
             if ok_or_return!(spent.map_err(NetError::from)) {
                 if let Some(t0) = stall_start {
                     ctx.telemetry()
@@ -479,7 +479,7 @@ impl SockShared {
                 // Hoisted out of the call: a guard temporary in the
                 // argument list would stay locked across `post_recv`'s
                 // park, stalling the telemetry sampler's state reads.
-                let fcack_range = self.inner.lock().fcack_range;
+                let fcack_range = self.inner.borrow().fcack_range;
                 let h = self.proc_.ep.post_recv(
                     ctx,
                     self.rx_fcack_tag(),
@@ -498,7 +498,7 @@ impl SockShared {
                 }
             } else {
                 let front = {
-                    let i = self.inner.lock();
+                    let i = self.inner.borrow();
                     i.fcack_handles
                         .front()
                         .map(|h| h.completion().clone())
@@ -525,17 +525,17 @@ impl SockShared {
         }
         loop {
             let handle = {
-                let i = self.inner.lock();
+                let i = self.inner.borrow();
                 match i.fcack_handles.front() {
                     Some(h) if h.is_done() => h.clone(),
                     _ => return Ok(()),
                 }
             };
-            self.inner.lock().fcack_handles.pop_front();
+            self.inner.borrow_mut().fcack_handles.pop_front();
             if let Some(msg) = self.proc_.ep.wait_recv(ctx, &handle)? {
                 let _ = self.apply_fcack(ctx, &msg.data);
                 // Repost to keep the fc-ack descriptor count constant.
-                let range = self.inner.lock().fcack_range;
+                let range = self.inner.borrow().fcack_range;
                 let h = self.proc_.ep.post_recv(
                     ctx,
                     self.rx_fcack_tag(),
@@ -543,7 +543,7 @@ impl SockShared {
                     crate::proto::HEADER,
                     range,
                 )?;
-                self.inner.lock().fcack_handles.push_back(h);
+                self.inner.borrow_mut().fcack_handles.push_back(h);
             }
         }
     }
@@ -557,13 +557,13 @@ impl SockShared {
             return Ok(());
         }
         {
-            let i = self.inner.lock();
+            let i = self.inner.borrow();
             let c = &i.core;
             if i.poll_fcack.is_some() || c.credits > 0 || c.closed || c.peer_closed {
                 return Ok(());
             }
         }
-        let range = self.inner.lock().fcack_range;
+        let range = self.inner.borrow().fcack_range;
         let h = self.proc_.ep.post_recv(
             ctx,
             self.rx_fcack_tag(),
@@ -571,7 +571,7 @@ impl SockShared {
             crate::proto::HEADER,
             range,
         )?;
-        self.inner.lock().poll_fcack = Some(h);
+        self.inner.borrow_mut().poll_fcack = Some(h);
         Ok(())
     }
 
@@ -579,7 +579,7 @@ impl SockShared {
     /// Must run before a poll returns: a descriptor left posted would
     /// steal the next ack from the blocking write path's own post.
     pub(crate) fn disarm_poll_fcack(&self, ctx: &ProcessCtx) -> OpResult<()> {
-        let Some(h) = self.inner.lock().poll_fcack.take() else {
+        let Some(h) = self.inner.borrow_mut().poll_fcack.take() else {
             return Ok(Ok(()));
         };
         if h.is_done() {
@@ -599,7 +599,7 @@ impl SockShared {
                 grew_window,
             } => {
                 self.trace(ctx, EventKind::CreditGrant, u64::from(credits), 0);
-                self.inner.lock().core.on_fcack(credits, grew_window);
+                self.inner.borrow_mut().core.on_fcack(credits, grew_window);
                 Ok(())
             }
             _ => Err(NetError::Protocol("non-ack message on fc-ack tag")),

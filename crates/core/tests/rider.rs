@@ -8,6 +8,8 @@
 //! before. Blocking connects and the presets send the request at once, and
 //! every listener, preset or not, accepts a request with data aboard.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use emp_proto::{build_cluster, EmpCluster, EmpConfig};
@@ -441,7 +443,7 @@ fn a_read_on_another_process_during_the_first_write_keeps_the_rider() {
     let server = EmpSockets::new(cl.nodes[1].endpoint(), SubstrateConfig::default());
     let client = EmpSockets::new(cl.nodes[0].endpoint(), SubstrateConfig::default());
     let addr = SockAddr::new(cl.nodes[1].addr(), 80);
-    let shared: Arc<Mutex<Option<Arc<Connection>>>> = Arc::default();
+    let shared: Rc<RefCell<Option<Rc<Connection>>>> = Rc::default();
     let ready = Completion::new();
     let sides: Arc<Mutex<[Option<Side>; 2]>> = Arc::default();
 
@@ -457,18 +459,18 @@ fn a_read_on_another_process_during_the_first_write_keeps_the_rider() {
         conn.close(ctx)?;
         l.close(ctx)
     });
-    let (slot, go) = (Arc::clone(&shared), ready.clone());
+    let (slot, go) = (Rc::clone(&shared), ready.clone());
     sim.spawn("writer", move |ctx| {
-        let conn = Arc::new(client.connect(ctx, addr)?.expect("connect"));
-        *slot.lock() = Some(Arc::clone(&conn));
+        let conn = Rc::new(client.connect(ctx, addr)?.expect("connect"));
+        *slot.borrow_mut() = Some(Rc::clone(&conn));
         go.complete(ctx);
         assert_eq!(conn.write(ctx, &pattern(0, REQ))?, Ok(REQ));
         Ok(())
     });
-    let (slot, s) = (Arc::clone(&shared), Arc::clone(&sides));
+    let (slot, s) = (Rc::clone(&shared), Arc::clone(&sides));
     sim.spawn("reader", move |ctx| {
         ready.wait(ctx)?;
-        let conn = slot.lock().clone().expect("connection shared");
+        let conn = slot.borrow().clone().expect("connection shared");
         let reply = conn.read_exact(ctx, REPLY)?.expect("read").expect("reply");
         assert_eq!(&reply[..], &pattern(2, REPLY)[..], "reply bytes");
         s.lock()[0] = Some(side(&conn));

@@ -2,14 +2,14 @@
 //! scoped process-context needed by leaf futures.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
+use std::thread::ThreadId;
 
-use parking_lot::Mutex;
 use simnet::emp_trace::telemetry::Gauge;
 use simnet::emp_trace::Counter;
 use simnet::engine::SimShared;
@@ -18,82 +18,29 @@ use simnet::{Completion, ProcessCtx, SimAccess, SimResult};
 
 type TaskId = usize;
 
-/// Engine handle reconstructed from inside a waker, where no `&Sim` or
-/// `&ProcessCtx` exists: wakers fire from simulation code that already
-/// holds the engine, so handing the shared state back is always legal.
-struct EngineRef(Arc<SimShared>);
+/// Engine handle for a waker, which fires from simulation code that already
+/// holds the engine but has no `&Sim` or `&ProcessCtx` to pass on.
+struct EngineRef(Rc<SimShared>);
 
 impl SimAccess for EngineRef {
-    fn shared(&self) -> Arc<SimShared> {
-        Arc::clone(&self.0)
+    fn shared(&self) -> Rc<SimShared> {
+        Rc::clone(&self.0)
     }
 }
 
-/// State a waker must reach: `Send + Sync` (the `Waker` contract), shared
-/// between every task's waker and the executor.
-struct ExecShared {
-    /// Tasks woken but not yet polled — FIFO in wake order, deduplicated.
-    /// Wake order is itself deterministic (wakes happen inside engine
-    /// events), so this queue *is* the schedule.
-    ready: Mutex<ReadyQueue>,
-    /// The completion the executor parks on; replaced before every park.
-    doorbell: Mutex<Completion>,
-    /// Engine handle for completing the doorbell from waker context;
-    /// installed by [`LocalExecutor::run`].
-    sim: Mutex<Option<Arc<SimShared>>>,
-    /// `exec.wakes` — every waker fire, including coalesced ones.
-    wakes: Mutex<Option<Arc<Counter>>>,
+thread_local! {
+    /// This thread's live executors, by key: a waker finds its own here.
+    static EXECUTORS: RefCell<HashMap<u64, Weak<Inner>>> = RefCell::new(HashMap::new());
+    static NEXT_KEY: Cell<u64> = const { Cell::new(0) };
 }
 
-#[derive(Default)]
-struct ReadyQueue {
-    q: VecDeque<TaskId>,
-    queued: HashSet<TaskId>,
-}
-
-impl ExecShared {
-    fn new() -> Arc<Self> {
-        Arc::new(ExecShared {
-            ready: Mutex::new(ReadyQueue::default()),
-            doorbell: Mutex::new(Completion::new()),
-            sim: Mutex::new(None),
-            wakes: Mutex::new(None),
-        })
-    }
-
-    /// Mark `task` ready and ring the doorbell. Callable from anywhere —
-    /// waker context, spawn, the executor's own process.
-    fn enqueue(&self, task: TaskId) {
-        {
-            let mut r = self.ready.lock();
-            if r.queued.insert(task) {
-                r.q.push_back(task);
-            }
-        }
-        if let Some(c) = self.wakes.lock().as_ref() {
-            c.inc();
-        }
-        let bell = self.doorbell.lock().clone();
-        if let Some(sim) = self.sim.lock().clone() {
-            bell.complete(&EngineRef(sim));
-        }
-    }
-
-    fn pop_ready(&self) -> Option<TaskId> {
-        let mut r = self.ready.lock();
-        let id = r.q.pop_front()?;
-        r.queued.remove(&id);
-        Some(id)
-    }
-
-    fn has_ready(&self) -> bool {
-        !self.ready.lock().q.is_empty()
-    }
-}
-
-/// One task's waker target.
+/// One task's waker target: plain data, as `Waker`'s `Send + Sync`
+/// contract demands. A wake from another thread than the executor's, or
+/// after the executor is gone (its simulation dropped, say), is a no-op.
 struct TaskWaker {
-    exec: Arc<ExecShared>,
+    thread: ThreadId,
+    /// The executor's key in its thread's `EXECUTORS`.
+    exec: u64,
     task: TaskId,
 }
 
@@ -103,8 +50,23 @@ impl std::task::Wake for TaskWaker {
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        self.exec.enqueue(self.task);
+        if std::thread::current().id() != self.thread {
+            return;
+        }
+        let exec = EXECUTORS
+            .try_with(|e| e.borrow().get(&self.exec).and_then(Weak::upgrade))
+            .ok()
+            .flatten();
+        if let Some(exec) = exec {
+            exec.enqueue(self.task);
+        }
     }
+}
+
+#[derive(Default)]
+struct ReadyQueue {
+    q: VecDeque<TaskId>,
+    queued: HashSet<TaskId>,
 }
 
 struct Task {
@@ -115,11 +77,61 @@ struct Task {
 }
 
 struct Inner {
-    shared: Arc<ExecShared>,
+    /// This executor's key in `EXECUTORS`.
+    key: u64,
     tasks: RefCell<BTreeMap<TaskId, Task>>,
     next: Cell<TaskId>,
+    /// Tasks woken but not yet polled — FIFO in wake order, deduplicated.
+    /// Wake order is itself deterministic (wakes happen inside engine
+    /// events), so this queue *is* the schedule.
+    ready: RefCell<ReadyQueue>,
+    /// The completion the executor parks on; replaced before every park.
+    doorbell: RefCell<Completion>,
+    /// The engine the doorbell rings in; set by [`LocalExecutor::run`].
+    sim: RefCell<Weak<SimShared>>,
+    /// `exec.wakes` — every waker fire, including coalesced ones.
+    wakes: RefCell<Option<Rc<Counter>>>,
     /// `exec.tasks_live`, once `run` has a registry.
-    tasks_live: RefCell<Option<Arc<Gauge>>>,
+    tasks_live: RefCell<Option<Rc<Gauge>>>,
+}
+
+impl Inner {
+    /// Mark `task` ready and ring the doorbell. Callable from anywhere —
+    /// waker context, spawn, the executor's own process.
+    fn enqueue(&self, task: TaskId) {
+        {
+            let mut r = self.ready.borrow_mut();
+            if r.queued.insert(task) {
+                r.q.push_back(task);
+            }
+        }
+        if let Some(c) = self.wakes.borrow().as_ref() {
+            c.inc();
+        }
+        let bell = self.doorbell.borrow().clone();
+        let sim = self.sim.borrow().upgrade();
+        if let Some(sim) = sim {
+            bell.complete(&EngineRef(sim));
+        }
+    }
+
+    fn pop_ready(&self) -> Option<TaskId> {
+        let mut r = self.ready.borrow_mut();
+        let id = r.q.pop_front()?;
+        r.queued.remove(&id);
+        Some(id)
+    }
+
+    fn has_ready(&self) -> bool {
+        !self.ready.borrow().q.is_empty()
+    }
+}
+
+impl Drop for Inner {
+    fn drop(&mut self) {
+        // Fails only while the thread itself is torn down.
+        let _ = EXECUTORS.try_with(|e| e.borrow_mut().remove(&self.key));
+    }
 }
 
 /// A single-threaded executor owned by one simulated process. Tasks are
@@ -138,14 +150,19 @@ impl Default for LocalExecutor {
 impl LocalExecutor {
     /// A fresh executor with no tasks.
     pub fn new() -> Self {
-        LocalExecutor {
-            inner: Rc::new(Inner {
-                shared: ExecShared::new(),
-                tasks: RefCell::new(BTreeMap::new()),
-                next: Cell::new(0),
-                tasks_live: RefCell::new(None),
-            }),
-        }
+        let key = NEXT_KEY.with(|k| k.replace(k.get() + 1));
+        let inner = Rc::new(Inner {
+            key,
+            tasks: RefCell::new(BTreeMap::new()),
+            next: Cell::new(0),
+            ready: RefCell::new(ReadyQueue::default()),
+            doorbell: RefCell::new(Completion::new()),
+            sim: RefCell::new(Weak::new()),
+            wakes: RefCell::new(None),
+            tasks_live: RefCell::new(None),
+        });
+        EXECUTORS.with(|e| e.borrow_mut().insert(key, Rc::downgrade(&inner)));
+        LocalExecutor { inner }
     }
 
     /// A cloneable handle for spawning from inside tasks.
@@ -171,27 +188,27 @@ impl LocalExecutor {
     /// is the executor's event loop — one call serves the process's whole
     /// async lifetime.
     pub fn run(&self, ctx: &ProcessCtx) -> SimResult<()> {
-        let shared = &self.inner.shared;
-        *shared.sim.lock() = Some(SimAccess::shared(ctx));
+        let inner = &self.inner;
+        *inner.sim.borrow_mut() = Rc::downgrade(&SimAccess::shared(ctx));
         let reg = ctx.telemetry();
-        *shared.wakes.lock() = Some(reg.counter("exec.wakes"));
+        *inner.wakes.borrow_mut() = Some(reg.counter("exec.wakes"));
         let tasks_live = reg.gauge("exec.tasks_live");
-        tasks_live.set(self.inner.tasks.borrow().len() as i64);
-        *self.inner.tasks_live.borrow_mut() = Some(Arc::clone(&tasks_live));
+        tasks_live.set(inner.tasks.borrow().len() as i64);
+        *inner.tasks_live.borrow_mut() = Some(tasks_live);
         // Task polls per executor wake-up: the batch-size distribution —
         // 1 means a wake-per-poll regime, large values mean one event
         // readied many tasks.
         let poll_spins = reg.histogram("exec.poll_spins");
         loop {
             let mut spins: u64 = 0;
-            while let Some(id) = shared.pop_ready() {
+            while let Some(id) = inner.pop_ready() {
                 spins += 1;
                 self.poll_task(ctx, id);
             }
             if spins > 0 {
                 poll_spins.record(spins);
             }
-            if self.inner.tasks.borrow().is_empty() {
+            if inner.tasks.borrow().is_empty() {
                 return Ok(());
             }
             // Install a fresh doorbell *before* the final ready re-check:
@@ -199,8 +216,8 @@ impl LocalExecutor {
             // park below cannot sleep through it (and under strict
             // alternation nothing even runs in between).
             let bell = Completion::new();
-            *shared.doorbell.lock() = bell.clone();
-            if shared.has_ready() {
+            *inner.doorbell.borrow_mut() = bell.clone();
+            if inner.has_ready() {
                 continue;
             }
             bell.wait(ctx)?;
@@ -268,7 +285,8 @@ impl Spawner {
         let id = self.inner.next.get();
         self.inner.next.set(id + 1);
         let waker = Waker::from(Arc::new(TaskWaker {
-            exec: Arc::clone(&self.inner.shared),
+            thread: std::thread::current().id(),
+            exec: self.inner.key,
             task: id,
         }));
         self.inner.tasks.borrow_mut().insert(
@@ -281,7 +299,7 @@ impl Spawner {
         if let Some(g) = self.inner.tasks_live.borrow().as_ref() {
             g.add(1);
         }
-        self.inner.shared.enqueue(id);
+        self.inner.enqueue(id);
         JoinHandle { state }
     }
 }
@@ -411,6 +429,7 @@ pub fn try_with_ctx<R>(f: impl FnOnce(&ProcessCtx) -> R) -> Option<R> {
 mod tests {
     use super::*;
     use crate::{sleep, wait_for, yield_now};
+    use parking_lot::Mutex;
     use simnet::{Sim, SimAccessExt, SimDuration, SimTime};
 
     #[test]
@@ -597,5 +616,58 @@ mod tests {
             Ok(())
         });
         sim.run();
+    }
+
+    /// Spawn a process whose one task registers its waker and stays
+    /// pending until a second poll. Returns the waker's slot and the
+    /// number of polls so far.
+    #[allow(clippy::type_complexity)]
+    fn park_a_task(sim: &Sim) -> (Arc<Mutex<Option<Waker>>>, Arc<Mutex<u32>>) {
+        let (waker, polls) = (Arc::new(Mutex::new(None)), Arc::new(Mutex::new(0u32)));
+        let (w2, p2) = (Arc::clone(&waker), Arc::clone(&polls));
+        sim.spawn("parked", move |ctx| {
+            block_on(ctx, async move {
+                std::future::poll_fn(|cx| {
+                    *w2.lock() = Some(cx.waker().clone());
+                    let mut n = p2.lock();
+                    *n += 1;
+                    if *n == 1 {
+                        Poll::Pending
+                    } else {
+                        Poll::Ready(())
+                    }
+                })
+                .await
+            })
+        });
+        sim.run();
+        assert_eq!(*polls.lock(), 1, "nothing wakes the task");
+        (waker, polls)
+    }
+
+    #[test]
+    fn a_waker_woken_on_another_thread_is_a_no_op() {
+        let sim = Sim::new();
+        let (waker, polls) = park_a_task(&sim);
+        let w = waker.lock().clone().expect("the task registered its waker");
+        std::thread::spawn(move || w.wake())
+            .join()
+            .expect("a wake from another thread does not panic");
+        sim.run();
+        assert_eq!(*polls.lock(), 1, "the foreign wake polled the task");
+        // The same waker, woken on the simulation's thread, does poll it.
+        waker.lock().take().expect("still registered").wake();
+        sim.run();
+        assert_eq!(*polls.lock(), 2);
+    }
+
+    #[test]
+    fn a_waker_woken_after_its_sim_was_dropped_is_a_no_op() {
+        let sim = Sim::new();
+        let (waker, polls) = park_a_task(&sim);
+        let w = waker.lock().take().expect("the task registered its waker");
+        drop(sim);
+        w.wake();
+        assert_eq!(*polls.lock(), 1);
     }
 }

@@ -44,6 +44,9 @@ pub use executor::{
 };
 pub use timer::{sleep, sleep_until, Sleep};
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use simnet::{Completion, ProcessCtx, SimResult};
 
 /// Await a [`simnet::Completion`]: resolves when it completes, immediately
@@ -107,21 +110,19 @@ pub async fn timeout<T>(
 /// other tasks while it parks.
 pub async fn spawn_blocking<T, F>(name: impl Into<String>, f: F) -> SimResult<T>
 where
-    T: Send + 'static,
-    F: FnOnce(&ProcessCtx) -> SimResult<T> + Send + 'static,
+    T: 'static,
+    F: FnOnce(&ProcessCtx) -> SimResult<T> + 'static,
 {
-    let slot: std::sync::Arc<parking_lot::Mutex<Option<SimResult<T>>>> =
-        std::sync::Arc::new(parking_lot::Mutex::new(None));
+    let slot = Rc::new(Cell::new(None));
     let done = Completion::new();
-    let (slot2, done2) = (std::sync::Arc::clone(&slot), done.clone());
+    let (slot2, done2) = (Rc::clone(&slot), done.clone());
     with_ctx(|ctx| {
         ctx.spawn(name, move |helper| {
-            *slot2.lock() = Some(f(helper));
+            slot2.set(Some(f(helper)));
             done2.complete(helper);
             Ok(())
         })
     });
     wait_for(&done).await;
-    let result = slot.lock().take();
-    result.expect("helper stored its result")
+    slot.take().expect("helper stored its result")
 }

@@ -8,14 +8,14 @@
 //! path: note the *absence* of per-operation kernel costs once buffers are
 //! registered.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use hostsim::{Host, VirtRange};
 use simnet::emp_trace::{self, EventKind};
 use simnet::{MacAddr, ProcessCtx, SimAccess, SimDuration, SimResult};
 
-use crate::nic::{DescId, EmpNic, RecvState, SendState, TxBuf};
+use crate::nic::{DescId, NicCore, RecvState, SendState, TxBuf};
 use crate::wire::{RecvMsg, Tag};
 
 /// A receive descriptor to post from the host: `(tag, source filter,
@@ -42,7 +42,7 @@ impl SendHandle {
 
     /// `Some(acked)` once complete; `None` while in flight.
     pub fn status(&self) -> Option<bool> {
-        *self.state.ok.lock()
+        self.state.ok.get()
     }
 
     /// True when the send failed because the peer NIC *refused* it (a
@@ -50,7 +50,7 @@ impl SendHandle {
     /// after silence. Meaningful once [`SendHandle::status`] is
     /// `Some(false)`.
     pub fn refused(&self) -> bool {
-        *self.state.refused.lock()
+        self.state.refused.get()
     }
 
     /// The completion to block on.
@@ -102,12 +102,12 @@ pub enum RecvPoll {
 #[derive(Clone)]
 pub struct EmpEndpoint {
     host: Host,
-    nic: Arc<EmpNic>,
+    nic: Rc<NicCore>,
 }
 
 impl EmpEndpoint {
     /// Bind `host`'s process to its NIC.
-    pub fn new(host: Host, nic: Arc<EmpNic>) -> Self {
+    pub fn new(host: Host, nic: Rc<NicCore>) -> Self {
         EmpEndpoint { host, nic }
     }
 
@@ -122,7 +122,7 @@ impl EmpEndpoint {
     }
 
     /// The NIC behind this endpoint (stats, direct firmware access).
-    pub fn nic(&self) -> &Arc<EmpNic> {
+    pub fn nic(&self) -> &Rc<NicCore> {
         &self.nic
     }
 
@@ -263,7 +263,7 @@ impl EmpEndpoint {
     pub fn wait_send(&self, ctx: &ProcessCtx, h: &SendHandle) -> SimResult<bool> {
         h.state.completion.wait(ctx)?;
         ctx.delay(self.host.cost().poll_completion)?;
-        Ok(h.state.ok.lock().expect("completed send has a status"))
+        Ok(h.state.ok.get().expect("completed send has a status"))
     }
 
     /// Block until *every* send in the batch completed, then reap them
@@ -280,7 +280,7 @@ impl EmpEndpoint {
         ctx.delay(self.host.cost().poll_completion)?;
         Ok(hs
             .iter()
-            .all(|h| h.state.ok.lock().expect("completed send has a status")))
+            .all(|h| h.state.ok.get().expect("completed send has a status")))
     }
 
     /// Post a receive descriptor matching `tag` (and `src` if given) into a
@@ -347,7 +347,7 @@ impl EmpEndpoint {
         let msg = h
             .state
             .slot
-            .lock()
+            .borrow()
             .clone()
             .expect("completed recv has a result");
         if let Some(m) = &msg {
@@ -376,7 +376,7 @@ impl EmpEndpoint {
             match h
                 .state
                 .slot
-                .lock()
+                .borrow()
                 .clone()
                 .expect("completed recv has a result")
             {

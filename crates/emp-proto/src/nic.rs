@@ -16,13 +16,14 @@
 //! available (checked last, extra host copy on claim), else are dropped for
 //! the sender to retransmit.
 
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::ops::Deref;
+use std::rc::{Rc, Weak};
+use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use simnet::emp_trace::{self, EventKind};
 use simnet::{
     Completion, EtherType, Frame, FrameSink, MacAddr, Sim, SimAccess, SimAccessExt, SimDuration,
@@ -163,11 +164,11 @@ enum Fw {
 /// Firmware busy nanoseconds per task kind, charged when the task is
 /// scheduled — where the CPU adds it to its busy total.
 #[derive(Default)]
-struct FwProfile([AtomicU64; 11]);
+struct FwProfile([Cell<u64>; 11]);
 
 impl FwProfile {
     fn get(&self, kind: Fw) -> u64 {
-        self.0[kind as usize].load(Ordering::Relaxed)
+        self.0[kind as usize].get()
     }
 
     fn rx(&self) -> RxFirmwareNs {
@@ -197,18 +198,18 @@ impl FwProfile {
 #[derive(Clone)]
 pub struct SendState {
     pub(crate) completion: Completion,
-    pub(crate) ok: Arc<Mutex<Option<bool>>>,
+    pub(crate) ok: Rc<Cell<Option<bool>>>,
     /// Set (before `ok`) when the failure was an explicit peer refusal
     /// (a `no_uq` message the peer NIC NACKed), as opposed to silence.
-    pub(crate) refused: Arc<Mutex<bool>>,
+    pub(crate) refused: Rc<Cell<bool>>,
 }
 
 impl SendState {
     fn new() -> Self {
         SendState {
             completion: Completion::new(),
-            ok: Arc::new(Mutex::new(None)),
-            refused: Arc::new(Mutex::new(false)),
+            ok: Rc::new(Cell::new(None)),
+            refused: Rc::new(Cell::new(false)),
         }
     }
 }
@@ -218,14 +219,14 @@ impl SendState {
 #[derive(Clone)]
 pub struct RecvState {
     pub(crate) completion: Completion,
-    pub(crate) slot: Arc<Mutex<Option<Option<RecvMsg>>>>,
+    pub(crate) slot: Rc<RefCell<Option<Option<RecvMsg>>>>,
 }
 
 impl RecvState {
     pub(crate) fn new() -> Self {
         RecvState {
             completion: Completion::new(),
-            slot: Arc::new(Mutex::new(None)),
+            slot: Rc::new(RefCell::new(None)),
         }
     }
 }
@@ -585,7 +586,7 @@ struct NicState {
     /// Post-to-final-ack latency histogram (`emp.msg_latency_ns`, shared
     /// across all NICs of the sim). `None` until the first send, when the
     /// telemetry registry becomes reachable.
-    msg_latency: Option<Arc<emp_trace::telemetry::LogLinHistogram>>,
+    msg_latency: Option<Rc<emp_trace::telemetry::LogLinHistogram>>,
 }
 
 impl NicState {
@@ -606,22 +607,54 @@ impl NicState {
 /// Completed-receive memory depth (bounds `recent_done`).
 const RECENT_DONE_CAP: usize = 4096;
 
-/// One EMP NIC: the Tigon hardware plus the protocol state it runs.
-pub struct EmpNic {
-    tigon: Tigon,
-    cfg: EmpConfig,
-    state: Mutex<NicState>,
-    fw: FwProfile,
-    self_ref: Weak<EmpNic>,
-}
+/// One EMP NIC, as its owners hold it: a handle on the [`NicCore`], whose
+/// methods it derefs to. Firmware events and the NIC's link hold the core
+/// itself, by `Rc`, so not even the `Arc` a cluster node keeps it in can
+/// leave the simulation's thread:
+///
+/// ```compile_fail
+/// use emp_proto::{EmpConfig, EmpNic};
+/// let nic = EmpNic::new(simnet::MacAddr(0), EmpConfig::default());
+/// std::thread::spawn(move || nic.mac());
+/// ```
+pub struct EmpNic(Rc<NicCore>);
 
 impl EmpNic {
     /// Build the NIC for station `mac`.
-    pub fn new(mac: MacAddr, cfg: EmpConfig) -> Arc<Self> {
-        Arc::new_cyclic(|weak| EmpNic {
+    #[allow(clippy::arc_with_non_send_sync)] // the repo benchmark names `Arc<EmpNic>`
+    pub fn new(mac: MacAddr, cfg: EmpConfig) -> Arc<EmpNic> {
+        Arc::new(EmpNic(Rc::new_cyclic(|weak| NicCore::new(mac, cfg, weak))))
+    }
+
+    /// The core, which the NIC's link and its endpoints hold.
+    pub(crate) fn core(&self) -> &Rc<NicCore> {
+        &self.0
+    }
+}
+
+impl Deref for EmpNic {
+    type Target = NicCore;
+
+    fn deref(&self) -> &NicCore {
+        &self.0
+    }
+}
+
+/// One EMP NIC: the Tigon hardware plus the protocol state it runs.
+pub struct NicCore {
+    tigon: Tigon,
+    cfg: EmpConfig,
+    state: RefCell<NicState>,
+    fw: FwProfile,
+    self_ref: Weak<NicCore>,
+}
+
+impl NicCore {
+    fn new(mac: MacAddr, cfg: EmpConfig, weak: &Weak<NicCore>) -> NicCore {
+        NicCore {
             tigon: Tigon::new(mac, cfg.nic.clone()),
             cfg,
-            state: Mutex::new(NicState {
+            state: RefCell::new(NicState {
                 next_msg_id: 0,
                 next_desc_id: 0,
                 tx: IdMap::default(),
@@ -643,7 +676,7 @@ impl EmpNic {
             }),
             fw: FwProfile::default(),
             self_ref: weak.clone(),
-        })
+        }
     }
 
     /// Station address.
@@ -664,7 +697,7 @@ impl EmpNic {
     /// Snapshot of the protocol counters (including the hardware-level
     /// injected-fault counts kept by the Tigon).
     pub fn stats(&self) -> EmpStats {
-        let mut stats = self.state.lock().stats.clone();
+        let mut stats = self.state.borrow().stats.clone();
         let (ring_drops, dma_delays) = self.tigon.fault_counts();
         stats.nic_rx_ring_drops = ring_drops;
         stats.nic_dma_delays = dma_delays;
@@ -680,30 +713,31 @@ impl EmpNic {
     /// set; the sockets substrate sets it from
     /// `SubstrateConfig::piggyback_acks` when it binds.
     pub fn set_piggyback_acks(&self, on: bool) {
-        self.state.lock().rides.on = on;
+        self.state.borrow_mut().rides.on = on;
     }
 
     /// Whether NIC-level ack piggy-backing is on.
     pub fn piggyback_acks(&self) -> bool {
-        self.state.lock().rides.on
+        self.state.borrow().rides.on
     }
 
     /// Charge `cost` of firmware time to task kind `kind`; returns `cost`.
     fn charge(&self, kind: Fw, cost: SimDuration) -> SimDuration {
-        self.fw.0[kind as usize].fetch_add(cost.nanos(), Ordering::Relaxed);
+        let ns = &self.fw.0[kind as usize];
+        ns.set(ns.get() + cost.nanos());
         cost
     }
 
     /// Pre-posted descriptors currently on the NIC.
     pub fn preposted_len(&self) -> usize {
-        self.state.lock().preposted.len()
+        self.state.borrow().preposted.len()
     }
 
     /// Diagnostic snapshot of the pre-posted descriptor list:
     /// `(tag, source filter, capacity)` in walk order.
     pub fn debug_preposted(&self) -> Vec<(Tag, Option<MacAddr>, usize)> {
         self.state
-            .lock()
+            .borrow()
             .preposted
             .iter()
             .map(|d| (d.tag, d.src_filter, d.capacity))
@@ -712,7 +746,7 @@ impl EmpNic {
 
     /// Diagnostic: live transmit records plus the global in-flight count.
     pub fn debug_tx(&self) -> (Vec<TxRecordView>, u32) {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         let mut v: Vec<_> = st
             .tx
             .iter()
@@ -725,7 +759,7 @@ impl EmpNic {
     /// Diagnostic: the retransmission timeout toward `peer` and the
     /// smoothed RTT it is built from (`None` until the first sample).
     pub fn rtt(&self, peer: MacAddr) -> (SimDuration, Option<SimDuration>) {
-        let est = self.state.lock().rtt.get(&peer).copied();
+        let est = self.state.borrow().rtt.get(&peer).copied();
         let srtt = est.map(|(srtt, _)| SimDuration::from_nanos(srtt));
         (self.timeout(est, 0), srtt)
     }
@@ -737,17 +771,18 @@ impl EmpNic {
         floor.max(rto) * 2u64.pow(retries.min(5))
     }
 
-    fn arc(&self) -> Arc<EmpNic> {
-        self.self_ref.upgrade().expect("EmpNic is always Arc-owned")
+    fn rc(&self) -> Rc<NicCore> {
+        self.self_ref
+            .upgrade()
+            .expect("a NicCore is always Rc-owned")
     }
 
     /// First-send telemetry hookup: grab the shared per-message latency
     /// histogram and publish this NIC's queue-occupancy gauges as sampled
     /// series. The testbed builds NICs before any `Sim` exists, so this
-    /// runs lazily with the first `SimAccess` we see. No locks are held
-    /// across the registry calls.
+    /// runs lazily with the first `SimAccess` we see.
     fn ensure_telemetry(&self, s: &dyn SimAccess) {
-        if self.state.lock().msg_latency.is_some() {
+        if self.state.borrow().msg_latency.is_some() {
             return;
         }
         let reg = s.telemetry();
@@ -756,8 +791,7 @@ impl EmpNic {
         for (series, read) in [
             (
                 "tx_inflight",
-                Box::new(|st: &NicState| st.tx_inflight as i64)
-                    as Box<dyn Fn(&NicState) -> i64 + Send>,
+                Box::new(|st: &NicState| st.tx_inflight as i64) as Box<dyn Fn(&NicState) -> i64>,
             ),
             (
                 "preposted",
@@ -771,11 +805,11 @@ impl EmpNic {
             let weak = self.self_ref.clone();
             reg.register_sampled(&format!("emp.n{mac}.{series}"), move |_| {
                 let nic = weak.upgrade()?;
-                let st = nic.state.try_lock()?;
+                let st = nic.state.try_borrow().ok()?;
                 Some(read(&st))
             });
         }
-        self.state.lock().msg_latency = Some(hist);
+        self.state.borrow_mut().msg_latency = Some(hist);
     }
 
     /// Record a trace event stamped with this NIC's station id. Compiles
@@ -784,7 +818,7 @@ impl EmpNic {
         self.trace_at(s, s.now(), kind, a, b);
     }
 
-    /// [`EmpNic::trace`] stamped at `at`: the end of a task booked now.
+    /// [`NicCore::trace`] stamped at `at`: the end of a task booked now.
     fn trace_at(&self, s: &dyn SimAccess, at: SimTime, kind: EventKind, a: u64, b: u64) {
         if emp_trace::ENABLED {
             s.tracer()
@@ -816,7 +850,7 @@ impl EmpNic {
         self.ensure_telemetry(s);
         let state = SendState::new();
         let (msg_id, descs) = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             let descs: Vec<RecvDesc> = rearms.into_iter().map(|d| st.new_desc(d)).collect();
             for d in &descs {
                 st.rearming.insert(d.id, false);
@@ -847,7 +881,7 @@ impl EmpNic {
             (msg_id, descs)
         };
         let handles = descs.iter().map(|d| (d.id, d.state.clone())).collect();
-        let me = self.arc();
+        let me = self.rc();
         let earliest = s.now() + self.cfg.nic.pci_post_latency;
         let cost = self.charge(Fw::TxRequest, self.cfg.nic.tx_request_cost)
             + self.charge(Fw::TxRearm, self.cfg.rx_post_cost * descs.len() as u64);
@@ -855,7 +889,7 @@ impl EmpNic {
             if !descs.is_empty() {
                 me.insert_descriptors(sim, descs);
             }
-            me.state.lock().tx_order.push_back(msg_id);
+            me.state.borrow_mut().tx_order.push_back(msg_id);
             me.release_tx(sim, Vec::new());
         });
         (state, handles)
@@ -875,7 +909,7 @@ impl EmpNic {
         let now = sim.now().nanos();
         let mut to_schedule = resends;
         {
-            let mut guard = self.state.lock();
+            let mut guard = self.state.borrow_mut();
             let st = &mut *guard;
             while st.tx_inflight < window {
                 let Some(&msg_id) = st.tx_order.front() else {
@@ -985,7 +1019,7 @@ impl EmpNic {
         delay: SimDuration,
         guard: TimerGuard,
     ) {
-        let me = self.arc();
+        let me = self.rc();
         s.guarded_timer_after(delay, guard.clone(), move |sim| {
             enum Action {
                 Rearm(u32, u64, SimDuration),
@@ -994,7 +1028,7 @@ impl EmpNic {
             }
             let now = sim.now().nanos();
             let action = {
-                let mut locked = me.state.lock();
+                let mut locked = me.state.borrow_mut();
                 let st = &mut *locked;
                 let Some(rec) = st.tx.get_mut(&msg_id) else {
                     return; // abandoned by an earlier round of this timer
@@ -1036,7 +1070,7 @@ impl EmpNic {
                     me.arm_retransmit_timer(sim, msg_id, acked, since, delay, guard)
                 }
                 Action::Fail(state) => {
-                    *state.ok.lock() = Some(false);
+                    state.ok.set(Some(false));
                     state.completion.complete(sim);
                 }
                 Action::Retransmit(backoff, acked, retries) => {
@@ -1058,7 +1092,7 @@ impl EmpNic {
         let now = sim.now().nanos();
         let mut resends = Vec::new();
         let finished = {
-            let mut guard = self.state.lock();
+            let mut guard = self.state.borrow_mut();
             let st = &mut *guard;
             st.stats.acks_piggybacked_received += u64::from(attached);
             let Some(rec) = st.tx.get_mut(&msg_id) else {
@@ -1129,7 +1163,7 @@ impl EmpNic {
     /// `rx_post_cost` per descriptor, inserts them in order, and scans the
     /// unexpected queue once — the PCI post latency and the pool walk are
     /// amortized over the batch. A batch of one costs exactly what
-    /// [`EmpNic::post_descriptor`] costs.
+    /// [`NicCore::post_descriptor`] costs.
     pub fn post_descriptors(
         &self,
         s: &dyn SimAccess,
@@ -1139,11 +1173,11 @@ impl EmpNic {
             return Vec::new();
         }
         let descs: Vec<RecvDesc> = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             specs.into_iter().map(|d| st.new_desc(d)).collect()
         };
         let out = descs.iter().map(|d| (d.id, d.state.clone())).collect();
-        let me = self.arc();
+        let me = self.rc();
         let earliest = s.now() + self.cfg.nic.pci_post_latency;
         let cost = self.charge(Fw::RxPost, self.cfg.rx_post_cost * descs.len() as u64);
         self.tigon.cpu_rx.exec_at(s, earliest, cost, move |sim| {
@@ -1161,15 +1195,15 @@ impl EmpNic {
             self.trace(sim, EventKind::DescPostBatch, descs.len() as u64, 0);
         }
         for d in descs {
-            let unposted = self.state.lock().rearming.remove(&d.id) == Some(true);
+            let unposted = self.state.borrow_mut().rearming.remove(&d.id) == Some(true);
             if unposted {
                 self.trace(sim, EventKind::DescUnpost, d.id, 0);
-                *d.state.slot.lock() = Some(None);
+                *d.state.slot.borrow_mut() = Some(None);
                 d.state.completion.complete(sim);
                 continue;
             }
             self.trace(sim, EventKind::DescPost, d.id, d.capacity as u64);
-            self.state.lock().preposted.push(d);
+            self.state.borrow_mut().preposted.push(d);
         }
         self.drain_pool_matches(sim);
     }
@@ -1178,12 +1212,12 @@ impl EmpNic {
     /// required to be either used for a message or explicitly unposted").
     /// The descriptor's recv state completes with `None`.
     pub fn unpost_descriptor(&self, s: &dyn SimAccess, id: DescId) {
-        let me = self.arc();
+        let me = self.rc();
         let earliest = s.now() + self.cfg.nic.pci_post_latency;
         let cost = self.charge(Fw::RxPost, self.cfg.rx_post_cost);
         self.tigon.cpu_rx.exec_at(s, earliest, cost, move |sim| {
             let state = {
-                let mut st = me.state.lock();
+                let mut st = me.state.borrow_mut();
                 let pos = st.preposted.iter().position(|d| d.id == id);
                 if pos.is_none() {
                     // A re-arm still queued on the tx CPU: it completes as
@@ -1196,7 +1230,7 @@ impl EmpNic {
             };
             if let Some(state) = state {
                 me.trace(sim, EventKind::DescUnpost, id, 0);
-                *state.slot.lock() = Some(None);
+                *state.slot.borrow_mut() = Some(None);
                 state.completion.complete(sim);
             }
         });
@@ -1205,18 +1239,18 @@ impl EmpNic {
     /// Resize the unexpected queue (number of in-flight-or-unclaimed
     /// unexpected messages the NIC will hold).
     pub fn set_unexpected_slots(&self, s: &dyn SimAccess, slots: usize) {
-        let me = self.arc();
+        let me = self.rc();
         let earliest = s.now() + self.cfg.nic.pci_post_latency;
         let cost = self.charge(Fw::RxUqResize, self.cfg.rx_post_cost);
         self.tigon.cpu_rx.exec_at(s, earliest, cost, move |_| {
-            me.state.lock().unexpected_capacity = slots;
+            me.state.borrow_mut().unexpected_capacity = slots;
         });
     }
 
     /// Host-side claim of a pooled unexpected message matching `(tag, src)`.
     /// Returns the message; the caller charges the extra copy cost.
     pub fn claim_unexpected(&self, tag: Tag, src_filter: Option<MacAddr>) -> Option<RecvMsg> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let pos = st
             .pool
             .iter()
@@ -1243,7 +1277,7 @@ impl EmpNic {
             unreachable!("rx_match is only called for data frames");
         };
         let src = frame.src;
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let key = (src, *msg_id);
         let ack_to_src = |(frames, sack)| {
             let ack = Ack {
@@ -1480,7 +1514,7 @@ impl EmpNic {
     /// message was in flight through the DMA engine takes it.
     fn finalize_unexpected(&self, sim: &Sim, msg: RecvMsg) {
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             let key = (msg.src, msg.tag);
             if let Some(n) = st.pending_unexpected.get_mut(&key) {
                 *n -= 1;
@@ -1503,7 +1537,7 @@ impl EmpNic {
     fn drain_pool_matches(&self, sim: &Sim) {
         loop {
             let delivered = {
-                let mut st = self.state.lock();
+                let mut st = self.state.borrow_mut();
                 let mut found = None;
                 'outer: for (mi, m) in st.pool.iter().enumerate() {
                     for (di, d) in st.preposted.iter().enumerate() {
@@ -1528,11 +1562,11 @@ impl EmpNic {
                 }
             };
             let Some((state, msg)) = delivered else { break };
-            let me = self.arc();
+            let me = self.rc();
             let post = self.cfg.nic.completion_post;
             sim.schedule_after(post, move |sim| {
                 me.trace(sim, EventKind::RecvDeliver, msg.data.len() as u64, 0);
-                *state.slot.lock() = Some(Some(msg));
+                *state.slot.borrow_mut() = Some(Some(msg));
                 state.completion.complete(sim);
             });
         }
@@ -1542,7 +1576,7 @@ impl EmpNic {
     /// booked on the tx CPU and leaves as of the task's end, so frames
     /// reach the link in the CPU's order.
     fn send_ack(&self, sim: &Sim, dst: MacAddr, ack: Ack) {
-        self.state.lock().stats.acks_sent += 1;
+        self.state.borrow_mut().stats.acks_sent += 1;
         let frame = Frame {
             src: self.mac(),
             dst,
@@ -1559,14 +1593,14 @@ impl EmpNic {
     /// own.
     fn hold_ack(&self, sim: &Sim, dst: MacAddr, ack: Ack, hold: SimDuration) {
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             st.stats.acks_held += 1;
             st.rides.held.entry(dst).or_default().push_back(ack);
         }
-        let me = self.arc();
+        let me = self.rc();
         sim.timer_after(hold, move |sim| {
             let unboarded = {
-                let mut st = me.state.lock();
+                let mut st = me.state.borrow_mut();
                 st.rides.held.get_mut(&dst).and_then(|held| {
                     let i = held.iter().position(|a| a.msg_id == ack.msg_id)?;
                     held.remove(i)
@@ -1581,7 +1615,7 @@ impl EmpNic {
     /// Put a negative acknowledgment on the wire (same tx-CPU cost as an
     /// ack — it is the same kind of firmware-generated control frame).
     fn send_nack(&self, s: &dyn SimAccess, dst: MacAddr, msg_id: u64, busy: bool) {
-        self.state.lock().stats.nacks_sent += 1;
+        self.state.borrow_mut().stats.nacks_sent += 1;
         let frame = Frame {
             src: self.mac(),
             dst,
@@ -1602,7 +1636,7 @@ impl EmpNic {
     fn process_nack(&self, sim: &Sim, msg_id: u64, busy: bool) {
         if busy {
             {
-                let mut st = self.state.lock();
+                let mut st = self.state.borrow_mut();
                 st.stats.nacks_received += 1;
                 let Some(rec) = st.tx.get_mut(&msg_id) else {
                     return; // already completed or abandoned
@@ -1616,12 +1650,12 @@ impl EmpNic {
                     st.tx_order.push_front(msg_id);
                 }
             }
-            let me = self.arc();
+            let me = self.rc();
             let pause = SimDuration::from_nanos(self.cfg.retransmit_timeout.nanos() / 4);
             sim.timer_after(pause, move |sim| me.release_tx(sim, Vec::new()));
         } else {
             let state = {
-                let mut st = self.state.lock();
+                let mut st = self.state.borrow_mut();
                 st.stats.nacks_received += 1;
                 let Some(rec) = st.tx.remove(&msg_id) else {
                     return; // duplicate refusal
@@ -1633,8 +1667,8 @@ impl EmpNic {
                 st.stats.sends_refused += 1;
                 rec.state
             };
-            *state.refused.lock() = true;
-            *state.ok.lock() = Some(false);
+            state.refused.set(true);
+            state.ok.set(Some(false));
             state.completion.complete(sim);
             self.release_tx(sim, Vec::new());
         }
@@ -1675,12 +1709,12 @@ fn wire_payload(wire: EmpWire) -> simnet::Payload {
 
 fn s_complete_send(sim: &Sim, state: SendState, post: SimDuration) {
     sim.schedule_after(post, move |sim| {
-        *state.ok.lock() = Some(true);
+        state.ok.set(Some(true));
         state.completion.complete(sim);
     });
 }
 
-impl FrameSink for EmpNic {
+impl FrameSink for NicCore {
     fn deliver(&self, s: &dyn SimAccess, frame: Frame) {
         if frame.ethertype != EtherType::EMP || frame.dst != self.mac() {
             return; // flooded foreign traffic; MAC filter drops it
@@ -1690,14 +1724,14 @@ impl FrameSink for EmpNic {
         };
         match *wire {
             EmpWire::Ack(ack) => {
-                let me = self.arc();
+                let me = self.rc();
                 let cost = self.charge(Fw::RxAck, self.cfg.nic.ack_cost);
                 self.tigon.cpu_rx.exec(s, cost, move |sim| {
                     me.process_ack(sim, ack, false);
                 });
             }
             EmpWire::Nack { msg_id, busy } => {
-                let me = self.arc();
+                let me = self.rc();
                 let cost = self.charge(Fw::RxAck, self.cfg.nic.ack_cost);
                 self.tigon.cpu_rx.exec(s, cost, move |sim| {
                     me.process_nack(sim, msg_id, busy);
@@ -1716,7 +1750,7 @@ impl FrameSink for EmpNic {
                     return;
                 }
                 self.trace(s, EventKind::NicRxStart, frame.payload.wire_len() as u64, 0);
-                let me = self.arc();
+                let me = self.rc();
                 // Phase 1: classification + bookkeeping, fixed cost; an
                 // attached ack is consumed within it.
                 let cost = self.charge(Fw::RxFrame, self.cfg.nic.rx_frame_cost);
@@ -1750,7 +1784,7 @@ impl FrameSink for EmpNic {
                     // chain is EMP's large-message bottleneck.
                     let dma_bytes = phase2.dma_bytes;
                     let done = if phase2.has_effect() {
-                        let me2 = Arc::clone(&me);
+                        let me2 = Rc::clone(&me);
                         me.tigon
                             .cpu_rx
                             .exec(sim, cost, move |sim| me2.rx_phase2(sim, phase2))
@@ -1767,7 +1801,7 @@ impl FrameSink for EmpNic {
     }
 }
 
-impl EmpNic {
+impl NicCore {
     /// The end of a receive's second rx CPU task: its ack (sent or held),
     /// its nack and its delivery.
     fn rx_phase2(&self, sim: &Sim, phase2: RxPhase2) {
@@ -1782,7 +1816,7 @@ impl EmpNic {
         match phase2.deliver {
             Some(Deliver::Host { state, msg }) => {
                 self.trace(sim, EventKind::RecvDeliver, msg.data.len() as u64, 0);
-                *state.slot.lock() = Some(Some(msg));
+                *state.slot.borrow_mut() = Some(Some(msg));
                 state.completion.complete(sim);
             }
             Some(Deliver::Pool(msg)) => self.finalize_unexpected(sim, msg),
@@ -1794,6 +1828,7 @@ impl EmpNic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn active(frames: u32, len: u32) -> ActiveRecv {
         ActiveRecv {
@@ -1881,12 +1916,12 @@ mod tests {
     fn acks_carry_the_bitmap_every_frame_while_a_hole_is_open() {
         let sim = Sim::new();
         let nic = EmpNic::new(MacAddr(1), EmpConfig::default());
-        nic.state.lock().unexpected_capacity = 1;
+        nic.state.borrow_mut().unexpected_capacity = 1;
         let rec = record(3);
         let ack_for = |idx: u32| {
             let frame = Frame {
                 src: MacAddr(0),
-                ..EmpNic::data_frame(&nic, 7, &rec, idx, None)
+                ..NicCore::data_frame(&nic, 7, &rec, idx, None)
             };
             let wire = frame.payload.downcast::<EmpWire>().cloned().expect("emp");
             let ack = nic.rx_match(&sim, &frame, &wire).ack;
@@ -1959,7 +1994,7 @@ mod tests {
 
     /// The NIC's in-flight count, checked against the records it counts.
     fn window_matches_records(nic: &EmpNic) -> u32 {
-        let st = nic.state.lock();
+        let st = nic.state.borrow_mut();
         let sum = st.tx.values().map(TxRecord::outstanding).sum();
         assert_eq!(st.tx_inflight, sum, "tx_inflight against its records");
         sum
@@ -1974,7 +2009,7 @@ mod tests {
         let nic = Arc::clone(&cl.nodes[0].nic);
         let window = nic.cfg.tx_window_frames;
         {
-            let mut st = nic.state.lock();
+            let mut st = nic.state.borrow_mut();
             for id in 0..2 {
                 st.tx.insert(id, record(12));
                 st.tx_order.push_back(id);
@@ -1992,7 +2027,7 @@ mod tests {
         // takes their place.
         nic.process_ack(&sim, ack(0, 3, 0b110), false);
         assert_eq!(window_matches_records(&nic), window);
-        assert_eq!(nic.state.lock().tx[&0].outstanding(), 7);
+        assert_eq!(nic.state.borrow_mut().tx[&0].outstanding(), 7);
         // A busy NACK rewinds message 0 to its acknowledged prefix; the
         // paused release then resends its seven unheld fragments.
         nic.process_nack(&sim, 0, true);
@@ -2032,7 +2067,7 @@ mod tests {
         let nic = Arc::clone(&cl.nodes[0].nic);
         let mut rec = released(6);
         rec.on_ack(1, 0b111);
-        let mut st = nic.state.lock();
+        let mut st = nic.state.borrow_mut();
         st.tx.insert(0, rec);
         st.tx_inflight = 2;
         drop(st);
@@ -2085,8 +2120,12 @@ mod tests {
         sim.run();
         assert!(nic.debug_preposted().is_empty());
         assert!(state.completion.is_done());
-        assert!(state.slot.lock().as_ref().is_some_and(Option::is_none));
-        assert!(nic.state.lock().rearming.is_empty());
+        assert!(state
+            .slot
+            .borrow_mut()
+            .as_ref()
+            .is_some_and(Option::is_none));
+        assert!(nic.state.borrow_mut().rearming.is_empty());
     }
 
     #[test]

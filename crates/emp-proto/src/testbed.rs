@@ -3,6 +3,7 @@
 //! Mirrors the paper's experimental setup (§7): hosts with Alteon NICs
 //! hanging off a single Gigabit store-and-forward switch.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use hostsim::Host;
@@ -23,7 +24,7 @@ pub struct EmpNode {
 impl EmpNode {
     /// An endpoint for a process running on this node.
     pub fn endpoint(&self) -> EmpEndpoint {
-        EmpEndpoint::new(self.host.clone(), Arc::clone(&self.nic))
+        EmpEndpoint::new(self.host.clone(), Rc::clone(self.nic.core()))
     }
 
     /// Station address.
@@ -50,7 +51,7 @@ pub fn build_cluster(n: usize, emp_cfg: EmpConfig, switch_cfg: SwitchConfig) -> 
         let mac = MacAddr(i as u16);
         let host = Host::new(mac);
         let nic = EmpNic::new(mac, emp_cfg.clone());
-        let sink: Arc<dyn FrameSink> = Arc::clone(&nic) as Arc<dyn FrameSink>;
+        let sink: Rc<dyn FrameSink> = nic.core().clone();
         nic.tigon().attach_link(switch.attach(&sink));
         switch.register_mac(mac, i);
         nodes.push(EmpNode { host, nic });

@@ -10,11 +10,11 @@
 //! Methods that move data take a [`ProcessCtx`] and consume simulated time
 //! directly, so application code reads like ordinary blocking file I/O.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use simnet::{ProcessCtx, SimAccess, SimDuration, SimResult};
 
 /// Filesystem timing parameters.
@@ -79,7 +79,7 @@ impl std::error::Error for FsError {}
 #[derive(Clone)]
 pub struct RamDisk {
     cfg: FsConfig,
-    state: Arc<Mutex<FsState>>,
+    state: Rc<RefCell<FsState>>,
 }
 
 impl RamDisk {
@@ -87,14 +87,17 @@ impl RamDisk {
     pub fn new(cfg: FsConfig) -> Self {
         RamDisk {
             cfg,
-            state: Arc::new(Mutex::new(FsState::default())),
+            state: Rc::new(RefCell::new(FsState::default())),
         }
     }
 
     /// Instantly create `path` with the given contents (test/benchmark
     /// setup; consumes no simulated time).
     pub fn put(&self, path: impl Into<String>, data: impl Into<Vec<u8>>) {
-        self.state.lock().files.insert(path.into(), data.into());
+        self.state
+            .borrow_mut()
+            .files
+            .insert(path.into(), data.into());
     }
 
     /// Create `path` filled with `len` deterministic bytes (setup helper).
@@ -108,7 +111,7 @@ impl RamDisk {
         ctx.delay(self.cfg.call_overhead)?;
         Ok(self
             .state
-            .lock()
+            .borrow()
             .files
             .get(path)
             .map(|d| d.len())
@@ -117,18 +120,18 @@ impl RamDisk {
 
     /// True if `path` exists (no simulated cost; metadata convenience).
     pub fn exists(&self, path: &str) -> bool {
-        self.state.lock().files.contains_key(path)
+        self.state.borrow().files.contains_key(path)
     }
 
     /// List all paths (no simulated cost; used by the ftp server's LIST).
     pub fn list(&self) -> Vec<String> {
-        self.state.lock().files.keys().cloned().collect()
+        self.state.borrow().files.keys().cloned().collect()
     }
 
     /// Open an existing file for reading/writing at offset 0.
     pub fn open(&self, ctx: &ProcessCtx, path: &str) -> SimResult<Result<FileHandle, FsError>> {
         ctx.delay(self.cfg.call_overhead)?;
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         if !st.files.contains_key(path) {
             return Ok(Err(FsError::NotFound));
         }
@@ -147,7 +150,7 @@ impl RamDisk {
     /// Create (or truncate) a file and open it for writing.
     pub fn create(&self, ctx: &ProcessCtx, path: &str) -> SimResult<FileHandle> {
         ctx.delay(self.cfg.call_overhead)?;
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.files.insert(path.to_string(), Vec::new());
         let fd = st.next_fd;
         st.next_fd += 1;
@@ -170,7 +173,7 @@ impl RamDisk {
         len: usize,
     ) -> SimResult<Result<Bytes, FsError>> {
         let chunk = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             let Some(of) = st.open.get(&fd.0) else {
                 drop(st);
                 ctx.delay(self.cfg.call_overhead)?;
@@ -201,7 +204,7 @@ impl RamDisk {
         data: &[u8],
     ) -> SimResult<Result<usize, FsError>> {
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             let FsState { files, open, .. } = &mut *st;
             let Some(of) = open.get_mut(&fd.0) else {
                 drop(st);
@@ -226,7 +229,7 @@ impl RamDisk {
     /// Close a handle (costs one call overhead).
     pub fn close(&self, ctx: &ProcessCtx, fd: FileHandle) -> SimResult<Result<(), FsError>> {
         ctx.delay(self.cfg.call_overhead)?;
-        match self.state.lock().open.remove(&fd.0) {
+        match self.state.borrow_mut().open.remove(&fd.0) {
             Some(_) => Ok(Ok(())),
             None => Ok(Err(FsError::BadHandle)),
         }
@@ -324,8 +327,8 @@ mod tests {
         let fs = disk();
         fs.put_synthetic("x", 512);
         fs.put_synthetic("y", 512);
-        let sx = fs.state.lock().files.get("x").cloned().unwrap();
-        let sy = fs.state.lock().files.get("y").cloned().unwrap();
+        let sx = fs.state.borrow().files.get("x").cloned().unwrap();
+        let sy = fs.state.borrow().files.get("y").cloned().unwrap();
         assert_eq!(sx, sy);
         assert_eq!(sx[0], 0);
         assert_eq!(sx[250], 250);

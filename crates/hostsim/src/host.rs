@@ -5,9 +5,8 @@
 //! protocol crates (`tigon-nic` for EMP, `kernel-tcp` for the baseline),
 //! which keep their own per-host state keyed by [`Host::id`].
 
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use simnet::MacAddr;
 
 use crate::cost::CostModel;
@@ -17,13 +16,14 @@ use crate::memory::MemoryRegistry;
 /// One machine: identity + cost model + memory + filesystem.
 #[derive(Clone)]
 pub struct Host {
-    inner: Arc<HostInner>,
+    inner: Rc<HostInner>,
 }
 
 struct HostInner {
     id: MacAddr,
     cost: CostModel,
-    memory: Mutex<MemoryRegistry>,
+    /// A `Mutex` only because the repo benchmark locks [`Host::memory`].
+    memory: parking_lot::Mutex<MemoryRegistry>,
     fs: RamDisk,
 }
 
@@ -36,10 +36,10 @@ impl Host {
     /// Build a host with explicit models.
     pub fn with_models(id: MacAddr, cost: CostModel, fs_cfg: FsConfig) -> Self {
         Host {
-            inner: Arc::new(HostInner {
+            inner: Rc::new(HostInner {
                 id,
                 cost,
-                memory: Mutex::new(MemoryRegistry::new()),
+                memory: parking_lot::Mutex::new(MemoryRegistry::new()),
                 fs: RamDisk::new(fs_cfg),
             }),
         }
@@ -56,7 +56,7 @@ impl Host {
     }
 
     /// The pinned-memory registry (lock to use).
-    pub fn memory(&self) -> &Mutex<MemoryRegistry> {
+    pub fn memory(&self) -> &parking_lot::Mutex<MemoryRegistry> {
         &self.inner.memory
     }
 

@@ -5,6 +5,7 @@
 //! maintains its own descriptor table (paper §5.4); the kernel baseline
 //! here only needs functional parity for the benchmarked applications.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -132,7 +133,7 @@ impl TcpApi {
             for src in sources {
                 let ready = match &src.target {
                     TcpPollTarget::Conn(c) => {
-                        let i = c.sock.inner.lock();
+                        let i = c.sock.inner.borrow();
                         let mut r = Interest::EMPTY;
                         if i.reset {
                             r |= Interest::ERROR;
@@ -198,7 +199,7 @@ impl TcpApi {
 /// An established TCP connection.
 pub struct TcpConn {
     stack: Arc<TcpStack>,
-    sock: Arc<TcpSocket>,
+    sock: Rc<TcpSocket>,
 }
 
 impl TcpConn {
@@ -306,13 +307,13 @@ impl TcpConn {
 
     /// Would `read` return without blocking?
     pub fn readable(&self) -> bool {
-        self.sock.inner.lock().readable()
+        self.sock.inner.borrow().readable()
     }
 
     /// Would `write` make progress without blocking? (Send-buffer space,
     /// or an error state the write reports immediately.)
     pub fn writable(&self) -> bool {
-        self.sock.inner.lock().writable()
+        self.sock.inner.borrow().writable()
     }
 
     /// Nonblocking readiness with a task-waker registration — the async
@@ -326,7 +327,7 @@ impl TcpConn {
     /// segment can land in between — the lost-wakeup race cannot occur.
     pub fn poll_ready(&self, interest: Interest, waker: &std::task::Waker) -> Interest {
         let ready = {
-            let i = self.sock.inner.lock();
+            let i = self.sock.inner.borrow();
             let mut r = Interest::EMPTY;
             if i.reset {
                 r |= Interest::ERROR;
@@ -350,14 +351,14 @@ impl Drop for TcpConn {
     /// The last handle is gone: after [`TcpConn::close`], data that still
     /// arrives is answered with a reset.
     fn drop(&mut self) {
-        self.sock.inner.lock().orphaned = true;
+        self.sock.inner.borrow_mut().orphaned = true;
     }
 }
 
 /// A listening socket.
 pub struct TcpListener {
     stack: Arc<TcpStack>,
-    l: Arc<ListenerState>,
+    l: Rc<ListenerState>,
 }
 
 impl TcpListener {
@@ -448,7 +449,7 @@ fn poll_one(
 /// A bound UDP socket.
 pub struct UdpSock {
     stack: Arc<TcpStack>,
-    p: Arc<UdpPort>,
+    p: Rc<UdpPort>,
 }
 
 impl UdpSock {

@@ -26,6 +26,6 @@ pub use api::{TcpApi, TcpConn, TcpListener, TcpPollSource, TcpPollTarget, UdpSoc
 pub use config::TcpConfig;
 pub use nic::AcenicNic;
 pub use simnet::{Event, Interest, NetError};
-pub use stack::TcpStack;
+pub use stack::{StackCore, TcpStack};
 pub use testbed::{build_tcp_cluster, TcpCluster, TcpNode};
 pub use wire::SockAddr;

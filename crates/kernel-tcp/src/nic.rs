@@ -10,14 +10,14 @@
 //! is what lets the kernel path reach 550 Mbps, and simultaneously what
 //! puts a ~60 µs floor under small-message latency.
 
-use std::sync::{Arc, Weak};
+use std::cell::RefCell;
+use std::rc::{Rc, Weak};
 
-use parking_lot::Mutex;
 use simnet::{Frame, FrameSink, LinkTx, MacAddr, SimAccess, SimAccessExt, SimDuration};
 use tigon_nic::FirmwareCpu;
 
 /// Receiver of coalesced frame batches (the kernel's interrupt handler).
-pub trait BatchHandler: Send + Sync {
+pub trait BatchHandler {
     /// Called once per interrupt with every frame delivered by it.
     fn handle_batch(&self, s: &dyn SimAccess, frames: Vec<Frame>);
 }
@@ -36,9 +36,9 @@ pub struct AcenicNic {
     coalesce_timer: SimDuration,
     coalesce_frames: usize,
     tx_cpu: FirmwareCpu,
-    link: Mutex<Option<LinkTx>>,
-    rx: Mutex<RxState>,
-    handler: Mutex<Option<Weak<dyn BatchHandler>>>,
+    link: RefCell<Option<LinkTx>>,
+    rx: RefCell<RxState>,
+    handler: RefCell<Option<Weak<dyn BatchHandler>>>,
     self_ref: Weak<AcenicNic>,
 }
 
@@ -49,22 +49,22 @@ impl AcenicNic {
         tx_cost: SimDuration,
         coalesce_timer: SimDuration,
         coalesce_frames: usize,
-    ) -> Arc<Self> {
+    ) -> Rc<Self> {
         assert!(coalesce_frames >= 1, "coalescing threshold must be >= 1");
-        Arc::new_cyclic(|weak| AcenicNic {
+        Rc::new_cyclic(|weak| AcenicNic {
             mac,
             tx_cost,
             coalesce_timer,
             coalesce_frames,
             tx_cpu: FirmwareCpu::new("acenic-tx"),
-            link: Mutex::new(None),
-            rx: Mutex::new(RxState {
+            link: RefCell::new(None),
+            rx: RefCell::new(RxState {
                 pending: Vec::new(),
                 timer_generation: 0,
                 timer_armed: false,
                 interrupts: 0,
             }),
-            handler: Mutex::new(None),
+            handler: RefCell::new(None),
             self_ref: weak.clone(),
         })
     }
@@ -76,12 +76,12 @@ impl AcenicNic {
 
     /// Cable the NIC to its switch port.
     pub fn attach_link(&self, tx: LinkTx) {
-        *self.link.lock() = Some(tx);
+        *self.link.borrow_mut() = Some(tx);
     }
 
     /// Register the kernel's interrupt handler.
     pub fn set_handler(&self, handler: Weak<dyn BatchHandler>) {
-        *self.handler.lock() = Some(handler);
+        *self.handler.borrow_mut() = Some(handler);
     }
 
     /// Transmit a frame (driver has already built it; this is the NIC-side
@@ -91,7 +91,7 @@ impl AcenicNic {
         // and putting the frame on the link as of its end keeps the link's
         // order (`LinkTx::send_at`).
         let done = self.tx_cpu.book(s, self.tx_cost);
-        let link = self.link.lock();
+        let link = self.link.borrow();
         link.as_ref()
             .expect("NIC not attached to a link")
             .send_at(s, done, frame);
@@ -99,12 +99,12 @@ impl AcenicNic {
 
     /// Interrupts raised so far.
     pub fn interrupts(&self) -> u64 {
-        self.rx.lock().interrupts
+        self.rx.borrow().interrupts
     }
 
     fn fire(&self, s: &dyn SimAccess) {
         let batch = {
-            let mut rx = self.rx.lock();
+            let mut rx = self.rx.borrow_mut();
             rx.timer_generation += 1; // cancel any armed timer
             rx.timer_armed = false;
             if rx.pending.is_empty() {
@@ -113,7 +113,7 @@ impl AcenicNic {
             rx.interrupts += 1;
             std::mem::take(&mut rx.pending)
         };
-        let handler = self.handler.lock().as_ref().and_then(|w| w.upgrade());
+        let handler = self.handler.borrow().as_ref().and_then(|w| w.upgrade());
         if let Some(h) = handler {
             h.handle_batch(s, batch);
         }
@@ -126,7 +126,7 @@ impl FrameSink for AcenicNic {
             return; // foreign flooded traffic
         }
         let fire_now = {
-            let mut rx = self.rx.lock();
+            let mut rx = self.rx.borrow_mut();
             rx.pending.push(frame);
             if rx.pending.len() >= self.coalesce_frames {
                 true
@@ -135,10 +135,10 @@ impl FrameSink for AcenicNic {
                     rx.timer_armed = true;
                     rx.timer_generation += 1;
                     let gen = rx.timer_generation;
-                    let me = self.self_ref.upgrade().expect("AcenicNic is Arc-owned");
+                    let me = self.self_ref.upgrade().expect("AcenicNic is Rc-owned");
                     s.timer_after(self.coalesce_timer, move |sim| {
                         let live = {
-                            let rx = me.rx.lock();
+                            let rx = me.rx.borrow();
                             rx.timer_armed && rx.timer_generation == gen
                         };
                         if live {
@@ -158,7 +158,9 @@ impl FrameSink for AcenicNic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use simnet::{EtherType, Payload, Sim, SimTime};
+    use std::rc::Rc;
 
     struct Recorder {
         batches: Mutex<Vec<(u64, usize)>>,
@@ -179,17 +181,17 @@ mod tests {
         }
     }
 
-    fn nic_with_recorder() -> (Arc<AcenicNic>, Arc<Recorder>) {
+    fn nic_with_recorder() -> (Rc<AcenicNic>, Rc<Recorder>) {
         let nic = AcenicNic::new(
             MacAddr(1),
             SimDuration::from_micros(3),
             SimDuration::from_micros(60),
             4,
         );
-        let rec = Arc::new(Recorder {
+        let rec = Rc::new(Recorder {
             batches: Mutex::new(Vec::new()),
         });
-        let weak: Weak<dyn BatchHandler> = Arc::downgrade(&rec) as Weak<dyn BatchHandler>;
+        let weak: Weak<dyn BatchHandler> = Rc::downgrade(&rec) as Weak<dyn BatchHandler>;
         nic.set_handler(weak);
         (nic, rec)
     }
@@ -198,7 +200,7 @@ mod tests {
     fn lone_frame_waits_for_the_coalescing_timer() {
         let sim = Sim::new();
         let (nic, rec) = nic_with_recorder();
-        let nic2 = Arc::clone(&nic);
+        let nic2 = Rc::clone(&nic);
         sim.schedule_at(SimTime::ZERO, move |s| nic2.deliver(s, frame(1)));
         sim.run();
         assert_eq!(*rec.batches.lock(), vec![(60_000, 1)]);
@@ -209,7 +211,7 @@ mod tests {
     fn threshold_fires_immediately() {
         let sim = Sim::new();
         let (nic, rec) = nic_with_recorder();
-        let nic2 = Arc::clone(&nic);
+        let nic2 = Rc::clone(&nic);
         sim.schedule_at(SimTime::from_nanos(5), move |s| {
             for _ in 0..4 {
                 nic2.deliver(s, frame(1));
@@ -225,7 +227,7 @@ mod tests {
         let (nic, rec) = nic_with_recorder();
         // 5 frames: threshold batch of 4, then the straggler waits for a
         // fresh timer.
-        let nic2 = Arc::clone(&nic);
+        let nic2 = Rc::clone(&nic);
         sim.schedule_at(SimTime::ZERO, move |s| {
             for _ in 0..5 {
                 nic2.deliver(s, frame(1));
@@ -240,7 +242,7 @@ mod tests {
     fn foreign_frames_filtered() {
         let sim = Sim::new();
         let (nic, rec) = nic_with_recorder();
-        let nic2 = Arc::clone(&nic);
+        let nic2 = Rc::clone(&nic);
         sim.schedule_at(SimTime::ZERO, move |s| nic2.deliver(s, frame(77)));
         sim.run();
         assert!(rec.batches.lock().is_empty());

@@ -7,12 +7,14 @@
 //! copies on their own time. The separation is what lets the baseline reach
 //! 550 Mbps while still costing ~120 µs per small message end-to-end.
 
+use std::cell::{OnceCell, RefCell};
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Weak};
+use std::ops::Deref;
+use std::rc::{Rc, Weak};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use hostsim::Host;
-use parking_lot::Mutex;
 use simnet::{
     EtherType, Frame, MacAddr, NetError, OpResult, Payload, ProcessCtx, SimAccess, SimAccessExt,
     SimCondvar, SimQueue, SimResult,
@@ -31,13 +33,13 @@ pub(crate) struct ListenerState {
     pub(crate) port: u16,
     pub(crate) backlog: usize,
     /// Fully established connections awaiting `accept()`.
-    pub(crate) queue: SimQueue<Arc<TcpSocket>>,
+    pub(crate) queue: SimQueue<Rc<TcpSocket>>,
 }
 
 pub(crate) struct StackState {
-    pub(crate) conns: HashMap<ConnKey, Arc<TcpSocket>>,
-    pub(crate) listeners: HashMap<u16, Arc<ListenerState>>,
-    pub(crate) udp_ports: HashMap<u16, Arc<UdpPort>>,
+    pub(crate) conns: HashMap<ConnKey, Rc<TcpSocket>>,
+    pub(crate) listeners: HashMap<u16, Rc<ListenerState>>,
+    pub(crate) udp_ports: HashMap<u16, Rc<UdpPort>>,
     pub(crate) udp_reasm: HashMap<(MacAddr, u64), UdpReasm>,
     pub(crate) next_ephemeral: u16,
     pub(crate) next_udp_id: u64,
@@ -64,26 +66,46 @@ fn copy_range(buf: &VecDeque<u8>, start: usize, len: usize) -> Vec<u8> {
     out
 }
 
-/// One host's kernel network stack.
-pub struct TcpStack {
+/// One host's kernel network stack, as its owners hold it: a handle on the
+/// [`StackCore`], whose methods it derefs to. Kernel events and the NIC
+/// hold the core itself, by `Rc`.
+pub struct TcpStack(Rc<StackCore>);
+
+impl TcpStack {
+    /// Build the stack (and its NIC) for `host`.
+    #[allow(clippy::arc_with_non_send_sync)] // the repo benchmark names `Arc<TcpStack>`
+    pub fn new(host: Host, cfg: TcpConfig) -> Arc<TcpStack> {
+        Arc::new(TcpStack(StackCore::new(host, cfg)))
+    }
+}
+
+impl Deref for TcpStack {
+    type Target = StackCore;
+
+    fn deref(&self) -> &StackCore {
+        &self.0
+    }
+}
+
+/// The kernel network stack itself.
+pub struct StackCore {
     pub(crate) host: Host,
     pub(crate) cfg: TcpConfig,
     /// The kernel execution resource (interrupts, protocol processing).
     pub(crate) kernel: FirmwareCpu,
-    pub(crate) nic: Arc<AcenicNic>,
-    pub(crate) state: Mutex<StackState>,
+    pub(crate) nic: Rc<AcenicNic>,
+    pub(crate) state: RefCell<StackState>,
     /// Notified on any socket becoming readable — the `select()` hook.
     pub(crate) activity: SimCondvar,
     /// Cached `tcp.n<id>.segments_out` counter; telemetry is hooked up on
     /// the first emitted packet (the stack is built before any `Sim`
     /// exists).
-    segments_out: Mutex<Option<Arc<simnet::emp_trace::Counter>>>,
-    self_ref: Weak<TcpStack>,
+    segments_out: OnceCell<Rc<simnet::emp_trace::Counter>>,
+    self_ref: Weak<StackCore>,
 }
 
-impl TcpStack {
-    /// Build the stack (and its NIC) for `host`.
-    pub fn new(host: Host, cfg: TcpConfig) -> Arc<Self> {
+impl StackCore {
+    fn new(host: Host, cfg: TcpConfig) -> Rc<StackCore> {
         let nic = AcenicNic::new(
             host.id(),
             cfg.nic_tx_cost,
@@ -92,12 +114,12 @@ impl TcpStack {
         );
         let sockbuf = cfg.default_sockbuf;
         let node = host.id().0;
-        let stack = Arc::new_cyclic(|weak: &Weak<TcpStack>| TcpStack {
+        let stack = Rc::new_cyclic(|weak: &Weak<StackCore>| StackCore {
             host,
             cfg,
             kernel: FirmwareCpu::new("kernel").with_node(node),
             nic,
-            state: Mutex::new(StackState {
+            state: RefCell::new(StackState {
                 conns: HashMap::new(),
                 listeners: HashMap::new(),
                 udp_ports: HashMap::new(),
@@ -110,10 +132,10 @@ impl TcpStack {
                 udp_dropped: 0,
             }),
             activity: SimCondvar::new(),
-            segments_out: Mutex::new(None),
+            segments_out: OnceCell::new(),
             self_ref: weak.clone(),
         });
-        let weak: Weak<dyn BatchHandler> = Arc::downgrade(&stack) as Weak<dyn BatchHandler>;
+        let weak: Weak<dyn BatchHandler> = Rc::downgrade(&stack) as Weak<dyn BatchHandler>;
         stack.nic.set_handler(weak);
         stack
     }
@@ -124,7 +146,7 @@ impl TcpStack {
     }
 
     /// The stack's NIC (to cable to a switch).
-    pub fn nic(&self) -> &Arc<AcenicNic> {
+    pub fn nic(&self) -> &Rc<AcenicNic> {
         &self.nic
     }
 
@@ -136,7 +158,7 @@ impl TcpStack {
     /// Set the socket buffer size used by sockets created from now on (the
     /// paper's "kernel space allocated by TCP for the NIC" knob, §7.2).
     pub fn set_sockbuf(&self, bytes: usize) {
-        self.state.lock().sockbuf = bytes;
+        self.state.borrow_mut().sockbuf = bytes;
     }
 
     /// Cap live connections on this stack: an active open past the cap
@@ -144,18 +166,18 @@ impl TcpStack {
     /// refused with RST, exactly like a full accept backlog. `None`
     /// removes the cap.
     pub fn set_max_conns(&self, max: Option<usize>) {
-        self.state.lock().max_conns = max;
+        self.state.borrow_mut().max_conns = max;
     }
 
     /// RST segments emitted (refused connections).
     pub fn rsts_sent(&self) -> u64 {
-        self.state.lock().rst_sent
+        self.state.borrow().rst_sent
     }
 
     /// Connections currently in the demux table — the overload harness's
     /// leak check (zero once every socket is closed on both ends).
     pub fn live_conns(&self) -> usize {
-        self.state.lock().conns.len()
+        self.state.borrow().conns.len()
     }
 
     /// Total kernel-CPU time consumed by this stack (interrupts, protocol
@@ -167,11 +189,13 @@ impl TcpStack {
 
     /// UDP datagrams dropped for lack of receive-queue space.
     pub fn udp_datagrams_dropped(&self) -> u64 {
-        self.state.lock().udp_dropped
+        self.state.borrow().udp_dropped
     }
 
-    pub(crate) fn arc(&self) -> Arc<TcpStack> {
-        self.self_ref.upgrade().expect("TcpStack is Arc-owned")
+    pub(crate) fn rc(&self) -> Rc<StackCore> {
+        self.self_ref
+            .upgrade()
+            .expect("a StackCore is always Rc-owned")
     }
 
     // ------------------------------------------------------------------
@@ -192,32 +216,30 @@ impl TcpStack {
 
     /// First-packet telemetry hookup: the per-node outbound-segment
     /// counter plus a sampled series of established connections.
-    fn ensure_telemetry(&self, s: &dyn SimAccess) -> Arc<simnet::emp_trace::Counter> {
-        if let Some(c) = self.segments_out.lock().clone() {
-            return c;
-        }
-        let reg = s.telemetry();
-        let node = self.host.id().0;
-        let c = reg.counter(&format!("tcp.n{node}.segments_out"));
-        let weak = self.self_ref.clone();
-        reg.register_sampled(&format!("tcp.n{node}.conns"), move |_| {
-            let st = weak.upgrade()?;
-            let g = st.state.try_lock()?;
-            Some(g.conns.len() as i64)
-        });
-        *self.segments_out.lock() = Some(Arc::clone(&c));
-        c
+    fn ensure_telemetry(&self, s: &dyn SimAccess) -> &simnet::emp_trace::Counter {
+        self.segments_out.get_or_init(|| {
+            let reg = s.telemetry();
+            let node = self.host.id().0;
+            let c = reg.counter(&format!("tcp.n{node}.segments_out"));
+            let weak = self.self_ref.clone();
+            reg.register_sampled(&format!("tcp.n{node}.conns"), move |_| {
+                let st = weak.upgrade()?;
+                let g = st.state.try_borrow().ok()?;
+                Some(g.conns.len() as i64)
+            });
+            c
+        })
     }
 
     /// Emit `seg` for `sock` on the kernel CPU at `cost`.
     fn emit_segment(
         &self,
         s: &dyn SimAccess,
-        sock: &Arc<TcpSocket>,
+        sock: &Rc<TcpSocket>,
         seg: TcpSegment,
         cost: simnet::SimDuration,
     ) {
-        let me = self.arc();
+        let me = self.rc();
         let pkt = IpPacket {
             src: sock.local.host,
             dst: sock.remote.host,
@@ -231,14 +253,14 @@ impl TcpStack {
             local_port: seg.dst_port,
             remote: SockAddr::new(src, seg.src_port),
         };
-        let sock = self.state.lock().conns.get(&key).cloned();
+        let sock = self.state.borrow().conns.get(&key).cloned();
         if let Some(sock) = sock {
             self.sock_on_segment(sim, &sock, seg);
             return;
         }
         if seg.flags.syn && !seg.flags.ack {
             let (listener, budget_free) = {
-                let st = self.state.lock();
+                let st = self.state.borrow();
                 let free = st.max_conns.is_none_or(|m| st.conns.len() < m);
                 (st.listeners.get(&seg.dst_port).cloned(), free)
             };
@@ -258,19 +280,19 @@ impl TcpStack {
     fn spawn_child(
         &self,
         sim: &dyn SimAccess,
-        l: &Arc<ListenerState>,
+        l: &Rc<ListenerState>,
         key: ConnKey,
         syn: &TcpSegment,
     ) {
-        let sockbuf = self.state.lock().sockbuf;
-        let child = Arc::new(TcpSocket {
+        let sockbuf = self.state.borrow().sockbuf;
+        let child = Rc::new(TcpSocket {
             local: SockAddr::new(self.host.id(), l.port),
             remote: key.remote,
-            inner: Mutex::new(TcpInner::new(&self.cfg, sockbuf, TcpState::SynRcvd)),
+            inner: RefCell::new(TcpInner::new(&self.cfg, sockbuf, TcpState::SynRcvd)),
             cv: SimCondvar::new(),
         });
-        child.inner.lock().peer_window = syn.window;
-        self.state.lock().conns.insert(key, Arc::clone(&child));
+        child.inner.borrow_mut().peer_window = syn.window;
+        self.state.borrow_mut().conns.insert(key, Rc::clone(&child));
         self.send_flags(
             sim,
             &child,
@@ -282,12 +304,12 @@ impl TcpStack {
         );
     }
 
-    fn sock_on_segment(&self, sim: &dyn SimAccess, sock: &Arc<TcpSocket>, seg: TcpSegment) {
+    fn sock_on_segment(&self, sim: &dyn SimAccess, sock: &Rc<TcpSocket>, seg: TcpSegment) {
         let mut need_ack = false;
         let mut deliver_accept = false;
         let mut remove_key = None;
         {
-            let mut i = sock.inner.lock();
+            let mut i = sock.inner.borrow_mut();
             if seg.flags.rst {
                 let connecting = i.state == TcpState::SynSent;
                 i.reset = true;
@@ -296,7 +318,7 @@ impl TcpStack {
                 if !connecting {
                     // `connect` tears a refused socket down itself.
                     self.state
-                        .lock()
+                        .borrow_mut()
                         .conns
                         .remove(&conn_key(sock.local, sock.remote));
                 }
@@ -313,7 +335,7 @@ impl TcpStack {
                 i.state = TcpState::Closed;
                 drop(i);
                 let key = conn_key(sock.local, sock.remote);
-                self.state.lock().conns.remove(&key);
+                self.state.borrow_mut().conns.remove(&key);
                 self.send_rst(sim, key);
                 sock.cv.notify_all(sim);
                 self.activity.notify_all(sim);
@@ -353,11 +375,11 @@ impl TcpStack {
                     i.delack_armed = true;
                     i.delack_gen += 1;
                     let gen = i.delack_gen;
-                    let me = self.arc();
-                    let sock2 = Arc::clone(sock);
+                    let me = self.rc();
+                    let sock2 = Rc::clone(sock);
                     sim.timer_after(self.cfg.delack_timeout, move |sim2| {
                         let fire = {
-                            let i = sock2.inner.lock();
+                            let i = sock2.inner.borrow_mut();
                             i.delack_armed && i.delack_gen == gen && i.unacked_segments > 0
                         };
                         if fire {
@@ -390,22 +412,22 @@ impl TcpStack {
             self.send_ack(sim, sock);
         }
         if deliver_accept {
-            let listener = self.state.lock().listeners.get(&sock.local.port).cloned();
+            let listener = self.state.borrow().listeners.get(&sock.local.port).cloned();
             if let Some(l) = listener {
-                l.queue.push(sim, Arc::clone(sock));
+                l.queue.push(sim, Rc::clone(sock));
             }
         }
         self.try_output(sim, sock);
         if let Some(key) = remove_key {
-            self.state.lock().conns.remove(&key);
+            self.state.borrow_mut().conns.remove(&key);
         }
     }
 
     /// Push out as much data (and a queued FIN) as windows allow.
-    pub(crate) fn try_output(&self, s: &dyn SimAccess, sock: &Arc<TcpSocket>) {
+    pub(crate) fn try_output(&self, s: &dyn SimAccess, sock: &Rc<TcpSocket>) {
         let mut segs: Vec<TcpSegment> = Vec::new();
         {
-            let mut i = sock.inner.lock();
+            let mut i = sock.inner.borrow_mut();
             loop {
                 let fin_pending = i.fin_queued && !i.fin_sent;
                 if i.reset || (!i.can_send_data() && !fin_pending) {
@@ -482,9 +504,9 @@ impl TcpStack {
     }
 
     /// Emit a pure acknowledgment / window update.
-    pub(crate) fn send_ack(&self, s: &dyn SimAccess, sock: &Arc<TcpSocket>) {
+    pub(crate) fn send_ack(&self, s: &dyn SimAccess, sock: &Rc<TcpSocket>) {
         let seg = {
-            let mut i = sock.inner.lock();
+            let mut i = sock.inner.borrow_mut();
             let adv = i.advertised_window(&self.cfg);
             i.last_advertised = adv;
             i.unacked_segments = 0;
@@ -506,9 +528,9 @@ impl TcpStack {
         self.emit_segment(s, sock, seg, self.cfg.ack_tx_cost);
     }
 
-    fn send_flags(&self, s: &dyn SimAccess, sock: &Arc<TcpSocket>, flags: TcpFlags) {
+    fn send_flags(&self, s: &dyn SimAccess, sock: &Rc<TcpSocket>, flags: TcpFlags) {
         let seg = {
-            let i = sock.inner.lock();
+            let i = sock.inner.borrow();
             TcpSegment {
                 src_port: sock.local.port,
                 dst_port: sock.remote.port,
@@ -523,8 +545,8 @@ impl TcpStack {
     }
 
     fn send_rst(&self, s: &dyn SimAccess, key: ConnKey) {
-        self.state.lock().rst_sent += 1;
-        let me = self.arc();
+        self.state.borrow_mut().rst_sent += 1;
+        let me = self.rc();
         let pkt = IpPacket {
             src: self.host.id(),
             dst: key.remote.host,
@@ -550,7 +572,7 @@ impl TcpStack {
     // ------------------------------------------------------------------
 
     fn alloc_ephemeral(&self, remote: SockAddr) -> u16 {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         loop {
             let port = st.next_ephemeral;
             st.next_ephemeral = if st.next_ephemeral >= 60999 {
@@ -569,7 +591,7 @@ impl TcpStack {
     }
 
     /// Active open. Blocks until established or refused.
-    pub(crate) fn connect(&self, ctx: &ProcessCtx, remote: SockAddr) -> OpResult<Arc<TcpSocket>> {
+    pub(crate) fn connect(&self, ctx: &ProcessCtx, remote: SockAddr) -> OpResult<Rc<TcpSocket>> {
         self.connect_inner(ctx, remote, None)
     }
 
@@ -583,27 +605,27 @@ impl TcpStack {
         ctx: &ProcessCtx,
         remote: SockAddr,
         deadline: Option<simnet::SimDuration>,
-    ) -> OpResult<Arc<TcpSocket>> {
+    ) -> OpResult<Rc<TcpSocket>> {
         ctx.delay(self.host.cost().syscall)?;
         {
-            let st = self.state.lock();
+            let st = self.state.borrow();
             if st.max_conns.is_some_and(|m| st.conns.len() >= m) {
                 ctx.telemetry().counter("tcp.connects_exhausted").add(1);
                 return Ok(Err(NetError::Exhausted));
             }
         }
         let port = self.alloc_ephemeral(remote);
-        let sockbuf = self.state.lock().sockbuf;
-        let sock = Arc::new(TcpSocket {
+        let sockbuf = self.state.borrow().sockbuf;
+        let sock = Rc::new(TcpSocket {
             local: SockAddr::new(self.host.id(), port),
             remote,
-            inner: Mutex::new(TcpInner::new(&self.cfg, sockbuf, TcpState::SynSent)),
+            inner: RefCell::new(TcpInner::new(&self.cfg, sockbuf, TcpState::SynSent)),
             cv: SimCondvar::new(),
         });
         self.state
-            .lock()
+            .borrow_mut()
             .conns
-            .insert(conn_key(sock.local, sock.remote), Arc::clone(&sock));
+            .insert(conn_key(sock.local, sock.remote), Rc::clone(&sock));
         self.send_flags(
             ctx,
             &sock,
@@ -620,11 +642,11 @@ impl TcpStack {
         }
         loop {
             {
-                let i = sock.inner.lock();
+                let i = sock.inner.borrow();
                 if i.reset {
                     drop(i);
                     self.state
-                        .lock()
+                        .borrow_mut()
                         .conns
                         .remove(&conn_key(sock.local, sock.remote));
                     ctx.telemetry().counter("tcp.connects_refused").add(1);
@@ -639,10 +661,10 @@ impl TcpStack {
                 // so a late SYN-ACK meets a drop (and the peer's child
                 // socket is cleaned up by its own lifecycle).
                 self.state
-                    .lock()
+                    .borrow_mut()
                     .conns
                     .remove(&conn_key(sock.local, sock.remote));
-                sock.inner.lock().state = TcpState::Closed;
+                sock.inner.borrow_mut().state = TcpState::Closed;
                 ctx.telemetry().counter("tcp.connects_timedout").add(1);
                 return Ok(Err(NetError::Timeout));
             }
@@ -658,36 +680,36 @@ impl TcpStack {
         ctx: &ProcessCtx,
         port: u16,
         backlog: usize,
-    ) -> OpResult<Arc<ListenerState>> {
+    ) -> OpResult<Rc<ListenerState>> {
         ctx.delay(self.host.cost().syscall)?;
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         if st.listeners.contains_key(&port) {
             return Ok(Err(NetError::AddrInUse));
         }
-        let l = Arc::new(ListenerState {
+        let l = Rc::new(ListenerState {
             port,
             backlog,
             queue: SimQueue::new(),
         });
-        st.listeners.insert(port, Arc::clone(&l));
+        st.listeners.insert(port, Rc::clone(&l));
         Ok(Ok(l))
     }
 
     /// Stop listening (frees the port; queued connections stay accepted).
     pub(crate) fn unlisten(&self, port: u16) {
-        self.state.lock().listeners.remove(&port);
+        self.state.borrow_mut().listeners.remove(&port);
     }
 
     /// Whether `l` was unlistened with nothing left in its queue: no
     /// connection can ever arrive for it.
-    fn listener_closed(&self, l: &Arc<ListenerState>) -> bool {
+    fn listener_closed(&self, l: &Rc<ListenerState>) -> bool {
         l.queue.is_empty()
             && !self
                 .state
-                .lock()
+                .borrow()
                 .listeners
                 .get(&l.port)
-                .is_some_and(|cur| Arc::ptr_eq(cur, l))
+                .is_some_and(|cur| Rc::ptr_eq(cur, l))
     }
 
     /// Accept the next established connection; [`NetError::Closed`] once
@@ -697,9 +719,9 @@ impl TcpStack {
     pub(crate) fn accept(
         &self,
         ctx: &ProcessCtx,
-        l: &Arc<ListenerState>,
+        l: &Rc<ListenerState>,
         block: bool,
-    ) -> OpResult<Arc<TcpSocket>> {
+    ) -> OpResult<Rc<TcpSocket>> {
         ctx.delay(self.host.cost().syscall)?;
         // Popping first and looking for a closed listener only on an empty
         // queue decides as looking first would: a closed listener is one
@@ -720,7 +742,7 @@ impl TcpStack {
     pub(crate) fn read(
         &self,
         ctx: &ProcessCtx,
-        sock: &Arc<TcpSocket>,
+        sock: &Rc<TcpSocket>,
         max: usize,
         block: bool,
     ) -> OpResult<Bytes> {
@@ -728,7 +750,7 @@ impl TcpStack {
         let mut waited = false;
         loop {
             let taken = {
-                let mut i = sock.inner.lock();
+                let mut i = sock.inner.borrow_mut();
                 if i.reset {
                     return Ok(Err(NetError::PeerClosed));
                 }
@@ -763,9 +785,9 @@ impl TcpStack {
                 return Ok(Err(NetError::WouldBlock));
             }
             waited = true;
-            sock.inner.lock().reader_waiting = true;
+            sock.inner.borrow_mut().reader_waiting = true;
             let res = sock.cv.wait(ctx);
-            sock.inner.lock().reader_waiting = false;
+            sock.inner.borrow_mut().reader_waiting = false;
             res?;
         }
     }
@@ -778,7 +800,7 @@ impl TcpStack {
     pub(crate) fn write(
         &self,
         ctx: &ProcessCtx,
-        sock: &Arc<TcpSocket>,
+        sock: &Rc<TcpSocket>,
         data: &[u8],
         block: bool,
     ) -> OpResult<usize> {
@@ -786,7 +808,7 @@ impl TcpStack {
         let mut off = 0;
         while off < data.len() || !block {
             let n = {
-                let mut i = sock.inner.lock();
+                let mut i = sock.inner.borrow_mut();
                 if i.reset {
                     return Ok(Err(NetError::PeerClosed));
                 }
@@ -815,10 +837,10 @@ impl TcpStack {
     }
 
     /// Orderly close: queue a FIN behind any buffered data.
-    pub(crate) fn close(&self, ctx: &ProcessCtx, sock: &Arc<TcpSocket>) -> SimResult<()> {
+    pub(crate) fn close(&self, ctx: &ProcessCtx, sock: &Rc<TcpSocket>) -> SimResult<()> {
         ctx.delay(self.host.cost().syscall)?;
         {
-            let mut i = sock.inner.lock();
+            let mut i = sock.inner.borrow_mut();
             if i.fin_queued || i.reset || i.state == TcpState::Closed {
                 return Ok(());
             }
@@ -829,7 +851,7 @@ impl TcpStack {
     }
 }
 
-impl BatchHandler for TcpStack {
+impl BatchHandler for StackCore {
     fn handle_batch(&self, s: &dyn SimAccess, frames: Vec<Frame>) {
         // One interrupt for the whole batch, then per-segment processing,
         // all on the kernel CPU.
@@ -849,7 +871,7 @@ impl BatchHandler for TcpStack {
                 }
                 _ => self.cfg.tcp_rx_cost,
             };
-            let me = self.arc();
+            let me = self.rc();
             self.kernel.exec(s, cost, move |sim| match pkt.proto {
                 IpProto::Tcp(seg) => me.on_segment(sim, pkt.src, seg),
                 IpProto::UdpFrag {

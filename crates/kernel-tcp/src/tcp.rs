@@ -153,7 +153,7 @@ impl TcpInner {
 pub(crate) struct TcpSocket {
     pub(crate) local: SockAddr,
     pub(crate) remote: SockAddr,
-    pub(crate) inner: parking_lot::Mutex<TcpInner>,
+    pub(crate) inner: std::cell::RefCell<TcpInner>,
     /// Single condvar for all of this socket's waiters (connectors,
     /// readers, writers); state changes `notify_all` and waiters re-check.
     pub(crate) cv: SimCondvar,

@@ -1,5 +1,6 @@
 //! Testbed construction: a kernel-TCP cluster on one switch.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use hostsim::Host;
@@ -45,7 +46,7 @@ pub fn build_tcp_cluster(n: usize, cfg: TcpConfig, switch_cfg: SwitchConfig) -> 
         let mac = MacAddr(i as u16);
         let host = Host::new(mac);
         let stack = TcpStack::new(host.clone(), cfg.clone());
-        let sink: Arc<dyn FrameSink> = Arc::clone(stack.nic()) as Arc<dyn FrameSink>;
+        let sink: Rc<dyn FrameSink> = Rc::clone(stack.nic()) as Rc<dyn FrameSink>;
         stack.nic().attach_link(switch.attach(&sink));
         switch.register_mac(mac, i);
         nodes.push(TcpNode { host, stack });

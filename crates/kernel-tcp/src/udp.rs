@@ -1,12 +1,12 @@
 //! UDP: connectionless datagrams over IP, with real fragmentation and
 //! reassembly for datagrams larger than the MTU.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use simnet::{MacAddr, NetError, OpResult, ProcessCtx, SimAccess, SimQueue, SimResult};
 
-use crate::stack::TcpStack;
+use crate::stack::StackCore;
 use crate::wire::{udp_fragments, IpPacket, IpProto, SockAddr, UdpDatagram};
 
 /// Datagrams queued per UDP port before the kernel starts dropping (models
@@ -27,23 +27,23 @@ pub(crate) struct UdpReasm {
 }
 
 /// Bind a UDP port.
-pub(crate) fn bind(stack: &TcpStack, ctx: &ProcessCtx, port: u16) -> OpResult<Arc<UdpPort>> {
+pub(crate) fn bind(stack: &StackCore, ctx: &ProcessCtx, port: u16) -> OpResult<Rc<UdpPort>> {
     ctx.delay(stack.host().cost().syscall)?;
-    let mut st = stack.state.lock();
+    let mut st = stack.state.borrow_mut();
     if st.udp_ports.contains_key(&port) {
         return Ok(Err(NetError::AddrInUse));
     }
-    let p = Arc::new(UdpPort {
+    let p = Rc::new(UdpPort {
         port,
         queue: SimQueue::new(),
     });
-    st.udp_ports.insert(port, Arc::clone(&p));
+    st.udp_ports.insert(port, Rc::clone(&p));
     Ok(Ok(p))
 }
 
 /// Send a datagram; fragments if it exceeds the MTU.
 pub(crate) fn send_to(
-    stack: &TcpStack,
+    stack: &StackCore,
     ctx: &ProcessCtx,
     src_port: u16,
     dst: SockAddr,
@@ -52,7 +52,7 @@ pub(crate) fn send_to(
     let cost = stack.host().cost();
     ctx.delay(cost.syscall + cost.memcpy(data.len()))?;
     let id = {
-        let mut st = stack.state.lock();
+        let mut st = stack.state.borrow_mut();
         st.next_udp_id += 1;
         st.next_udp_id
     };
@@ -64,7 +64,7 @@ pub(crate) fn send_to(
         data: Bytes::copy_from_slice(data),
     };
     for (idx, frag_len) in frags.into_iter().enumerate() {
-        let me = stack.arc();
+        let me = stack.rc();
         let pkt = IpPacket {
             src: stack.host().id(),
             dst: dst.host,
@@ -85,9 +85,9 @@ pub(crate) fn send_to(
 
 /// Blocking receive.
 pub(crate) fn recv_from(
-    stack: &TcpStack,
+    stack: &StackCore,
     ctx: &ProcessCtx,
-    p: &Arc<UdpPort>,
+    p: &Rc<UdpPort>,
 ) -> SimResult<(SockAddr, Bytes)> {
     let cost = stack.host().cost();
     ctx.delay(cost.syscall)?;
@@ -99,7 +99,7 @@ pub(crate) fn recv_from(
 /// Kernel-side fragment arrival (runs on the kernel CPU).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn on_frag(
-    stack: &Arc<TcpStack>,
+    stack: &Rc<StackCore>,
     sim: &dyn SimAccess,
     src: MacAddr,
     id: u64,
@@ -111,7 +111,7 @@ pub(crate) fn on_frag(
     let complete = if count == 1 {
         Some(dgram)
     } else {
-        let mut st = stack.state.lock();
+        let mut st = stack.state.borrow_mut();
         let entry = st.udp_reasm.entry((src, id)).or_insert_with(|| UdpReasm {
             received: 0,
             count,
@@ -126,10 +126,10 @@ pub(crate) fn on_frag(
         }
     };
     let Some(dgram) = complete else { return };
-    let port = stack.state.lock().udp_ports.get(&dgram.dst_port).cloned();
+    let port = stack.state.borrow().udp_ports.get(&dgram.dst_port).cloned();
     let Some(port) = port else { return }; // no socket: silently dropped
     if port.queue.len() >= UDP_QUEUE_LIMIT {
-        stack.state.lock().udp_dropped += 1;
+        stack.state.borrow_mut().udp_dropped += 1;
         return;
     }
     port.queue
@@ -137,6 +137,6 @@ pub(crate) fn on_frag(
 }
 
 /// Unbind (socket close).
-pub(crate) fn unbind(stack: &TcpStack, port: u16) {
-    stack.state.lock().udp_ports.remove(&port);
+pub(crate) fn unbind(stack: &StackCore, port: u16) {
+    stack.state.borrow_mut().udp_ports.remove(&port);
 }

@@ -13,7 +13,6 @@ compile_error!("simnet's process coroutines are written for x86_64 Linux only");
 
 use std::cell::Cell;
 use std::ffi::c_void;
-use std::sync::atomic::{AtomicPtr, Ordering};
 
 /// Usable stack per process: std's default thread stack size. Pages are
 /// committed only as the process touches them.
@@ -49,10 +48,6 @@ extern "C" {
 pub(crate) struct Stack {
     base: *mut u8,
 }
-
-// SAFETY: `base` is the start of a private anonymous mapping that this
-// value alone owns and unmaps; the memory has no affinity to a thread.
-unsafe impl Send for Stack {}
 
 impl Stack {
     pub(crate) fn new() -> Stack {
@@ -103,7 +98,7 @@ impl Drop for Stack {
 /// Where a suspended stack resumes: the stack pointer it saved when it
 /// switched away (or the frame [`Context::start_on`] laid out).
 pub(crate) struct Context {
-    sp: AtomicPtr<u8>,
+    sp: Cell<*mut u8>,
 }
 
 impl Context {
@@ -111,7 +106,7 @@ impl Context {
     /// first time it switches away, until [`Context::start_on`] prepares it.
     pub(crate) fn new() -> Context {
         Context {
-            sp: AtomicPtr::new(std::ptr::null_mut()),
+            sp: Cell::new(std::ptr::null_mut()),
         }
     }
 
@@ -135,7 +130,7 @@ impl Context {
         // SAFETY: the frame fits in the top 64 bytes of the stack's
         // writable mapping, and `top` is page-aligned.
         unsafe { sp.cast::<[usize; 8]>().write(frame) };
-        self.sp.store(sp, Ordering::Relaxed);
+        self.sp.set(sp);
     }
 }
 
@@ -158,7 +153,7 @@ thread_local! {
 pub(crate) unsafe fn switch(from: &Context, to: &Context) {
     let slot = TASK_SLOT.get();
     // SAFETY: the caller's guarantees are `switch_stack`'s.
-    unsafe { switch_stack(from.sp.as_ptr(), to.sp.load(Ordering::Relaxed)) };
+    unsafe { switch_stack(from.sp.as_ptr(), to.sp.get()) };
     TASK_SLOT.set(slot);
 }
 

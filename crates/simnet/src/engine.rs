@@ -19,9 +19,9 @@
 //! returns into process code (no switch), and when it is another process's
 //! it switches straight to that process's stack. The `run*` caller's stack
 //! is suspended until the turn comes back (loop ended, a process exited,
-//! or an event panicked on a process's stack). Because only the turn
-//! holder executes, component state guarded by [`parking_lot::Mutex`] is
-//! never contended.
+//! or an event panicked on a process's stack). So components share state
+//! through `Rc`, `RefCell` and `Cell`, never contended; a re-entrant borrow
+//! is a bug, and panics naming where.
 //!
 //! Ownership discipline (important, see `DESIGN.md` §6): components must
 //! **not** store `Sim` handles. Every component method takes a
@@ -29,14 +29,12 @@
 //! unique strong owner of the engine, so dropping it deterministically
 //! terminates all parked processes.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BinaryHeap;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::rc::{Rc, Weak};
 
 use emp_trace::Counter;
-use parking_lot::Mutex;
 
 use crate::coroutine::{self, Context};
 use crate::error::SimResult;
@@ -47,7 +45,7 @@ use crate::sync::Completion;
 use crate::time::{SimDuration, SimTime};
 
 /// A scheduled event: a one-shot closure run on the stack holding the turn.
-pub type EventFn = Box<dyn FnOnce(&Sim) + Send>;
+pub type EventFn = Box<dyn FnOnce(&Sim)>;
 
 /// What kind of work an executed event is. The engine counts executed
 /// events per class in the telemetry registry, as
@@ -92,7 +90,7 @@ impl EventClass {
 /// instant, so the clock and the telemetry sampler see it, but it is not
 /// run and not counted as executed (`simnet.events.cancelled` counts it).
 #[derive(Clone, Default)]
-pub struct TimerGuard(Arc<AtomicBool>);
+pub struct TimerGuard(Rc<Cell<bool>>);
 
 impl TimerGuard {
     /// A guard whose timers are live.
@@ -102,14 +100,12 @@ impl TimerGuard {
 
     /// Cancel every timer scheduled with this guard that has not fired.
     pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
+        self.0.set(true);
     }
 
-    /// Whether [`TimerGuard::cancel`] was called. Only the turn holder
-    /// cancels and pops timers, and every stack that can hold the turn runs
-    /// on one thread, so a relaxed flag is enough.
+    /// Whether [`TimerGuard::cancel`] was called.
     pub(crate) fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
+        self.0.get()
     }
 }
 
@@ -121,7 +117,7 @@ enum Action {
     /// Resume a parked process: its stack takes the turn.
     Wake(ProcId),
     /// Hand a frame to the sink its link delivers to.
-    Deliver(Arc<dyn FrameSink>, Frame),
+    Deliver(Rc<dyn FrameSink>, Frame),
 }
 
 impl Action {
@@ -189,34 +185,32 @@ pub(crate) struct SimCore {
 ///
 /// This type has no public API of its own; use it through [`SimAccess`].
 pub struct SimShared {
-    pub(crate) core: Mutex<SimCore>,
-    /// The clock, in ns. Only the turn holder advances it (under the
-    /// `core` lock, when it pops an event), and every stack runs on one
-    /// thread, so a relaxed load outside the lock reads the current time.
-    now: AtomicU64,
-    pub(crate) procs: Mutex<ProcTable>,
+    pub(crate) core: RefCell<SimCore>,
+    /// The clock. Only the turn holder advances it, when it pops an event.
+    now: Cell<SimTime>,
+    pub(crate) procs: RefCell<ProcTable>,
     /// Where the `run*` caller's stack is suspended while a process has the
     /// turn.
     main: Baton<LoopMsg>,
     /// `simnet.thread_handoffs`: see [`Sim::thread_handoffs`].
-    handoffs: Arc<Counter>,
+    handoffs: Rc<Counter>,
     /// `simnet.events.<class>`, indexed by [`EventClass`].
-    executed_by_class: [Arc<Counter>; 5],
+    executed_by_class: [Rc<Counter>; 5],
     /// `simnet.events.cancelled`: timers popped after their guard was
     /// cancelled.
-    cancelled: Arc<Counter>,
+    cancelled: Rc<Counter>,
     pub(crate) tracer: emp_trace::Tracer,
-    pub(crate) telemetry: Arc<emp_trace::telemetry::Registry>,
+    pub(crate) telemetry: Rc<emp_trace::telemetry::Registry>,
 }
 
 impl SimShared {
     pub(crate) fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.now.load(Ordering::Relaxed))
+        self.now.get()
     }
 
     /// Queue `action` at `at`, as of `as_of` (both clamped to now).
     fn schedule(&self, at: SimTime, as_of: SimTime, action: Action) {
-        let mut core = self.core.lock();
+        let mut core = self.core.borrow_mut();
         // Never schedule into the past; clamp to "now" (runs after events
         // already queued for the current instant, preserving causality).
         let now = self.now();
@@ -253,7 +247,7 @@ impl SimShared {
     /// current `run*` call must return: `done` fired, the queue drained, the
     /// next event lies past the deadline, or the simulation is being dropped.
     fn next_event(&self) -> Option<Event> {
-        let mut core = self.core.lock();
+        let mut core = self.core.borrow_mut();
         if core.terminated || core.done.as_ref().is_some_and(Completion::is_done) {
             return None;
         }
@@ -264,10 +258,10 @@ impl SimShared {
         core.free.push(key.slot);
         let action = core.actions[key.slot as usize].take();
         let action = action.expect("a queued event's slot holds its action");
-        self.now.store(key.time.nanos(), Ordering::Relaxed);
+        self.now.set(key.time);
         if matches!(&action, Action::Timer(guard, _) if guard.is_cancelled()) {
             self.cancelled.inc();
-            // The closure is dropped with the lock released: what it owns
+            // The closure is dropped with the core released: what it owns
             // may reach back into the engine when it goes.
             drop(core);
             drop(action);
@@ -302,12 +296,12 @@ impl SimShared {
             Handoff::Proc(baton) => &baton.ctx,
         };
         // SAFETY: every stack but the running one is suspended in `switch`
-        // or not yet started, and all belong to this thread (`Sim` and
-        // `ProcessCtx` are neither `Send` nor `Sync`). The `run*` caller's
-        // stack is suspended whenever a process runs; a process handed the
-        // turn came from the table, which keeps its stack mapped until it
-        // is reaped after its final switch; and the running stack never
-        // hands the turn to itself.
+        // or not yet started, and all belong to this thread (`SimShared` is
+        // reached only through `Rc`s, which are neither `Send` nor `Sync`).
+        // The `run*` caller's stack is suspended whenever a process runs; a
+        // process handed the turn came from the table, which keeps its stack
+        // mapped until it is reaped after its final switch; and the running
+        // stack never hands the turn to itself.
         unsafe { coroutine::switch(from, to) }
     }
 
@@ -330,21 +324,11 @@ pub trait SimAccess {
     /// (only possible from a process racing teardown, which the
     /// termination protocol prevents for well-behaved processes).
     #[doc(hidden)]
-    fn shared(&self) -> Arc<SimShared>;
-
-    /// The shared engine state without a reference-count round trip, where
-    /// the handle owns it (a [`Sim`]).
-    #[doc(hidden)]
-    fn shared_ref(&self) -> Option<&SimShared> {
-        None
-    }
+    fn shared(&self) -> Rc<SimShared>;
 
     /// The current simulated time.
     fn now(&self) -> SimTime {
-        match self.shared_ref() {
-            Some(shared) => shared.now(),
-            None => self.shared().now(),
-        }
+        self.shared().now()
     }
 
     /// Schedule a boxed event at an absolute time (clamped to now).
@@ -355,13 +339,15 @@ pub trait SimAccess {
     /// Schedule a boxed event of class `class` at an absolute time
     /// (clamped to now).
     fn schedule_class(&self, at: SimTime, class: EventClass, f: EventFn) {
-        schedule_on(self, at, SimTime::ZERO, Action::Call(class, f));
+        self.shared()
+            .schedule(at, SimTime::ZERO, Action::Call(class, f));
     }
 
     /// Schedule a timer at an absolute time (clamped to now) that does not
     /// run once `guard` is cancelled.
     fn schedule_timer(&self, at: SimTime, guard: TimerGuard, f: EventFn) {
-        schedule_on(self, at, SimTime::ZERO, Action::Timer(guard, f));
+        self.shared()
+            .schedule(at, SimTime::ZERO, Action::Timer(guard, f));
     }
 
     /// Schedule the delivery of `frame` to `sink` at `at`, as of the instant
@@ -372,10 +358,11 @@ pub trait SimAccess {
         &self,
         at: SimTime,
         as_of: SimTime,
-        sink: Arc<dyn FrameSink>,
+        sink: Rc<dyn FrameSink>,
         frame: Frame,
     ) {
-        schedule_on(self, at, as_of, Action::Deliver(sink, frame));
+        self.shared()
+            .schedule(at, as_of, Action::Deliver(sink, frame));
     }
 
     /// This simulation's event tracer (a cheap shared handle). All layers
@@ -390,20 +377,13 @@ pub trait SimAccess {
     /// this is live in every build; layers register counters, gauges,
     /// histograms, and sampled series under stable dotted names. The
     /// engine drives its sampler after every executed event.
-    fn telemetry(&self) -> Arc<emp_trace::telemetry::Registry> {
-        Arc::clone(&self.shared().telemetry)
+    fn telemetry(&self) -> Rc<emp_trace::telemetry::Registry> {
+        Rc::clone(&self.shared().telemetry)
     }
 
     /// A weak handle on this simulation's clock (see [`SimClock`]).
     fn clock(&self) -> SimClock {
-        SimClock(Arc::downgrade(&self.shared()))
-    }
-}
-
-fn schedule_on<S: SimAccess + ?Sized>(s: &S, at: SimTime, as_of: SimTime, action: Action) {
-    match s.shared_ref() {
-        Some(shared) => shared.schedule(at, as_of, action),
-        None => s.shared().schedule(at, as_of, action),
+        SimClock(Rc::downgrade(&self.shared()))
     }
 }
 
@@ -425,7 +405,7 @@ pub trait SimAccessExt: SimAccess {
     /// Schedule `f` to run `after` from now.
     fn schedule_after<F>(&self, after: SimDuration, f: F)
     where
-        F: FnOnce(&Sim) + Send + 'static,
+        F: FnOnce(&Sim) + 'static,
     {
         self.schedule_boxed(self.now() + after, Box::new(f));
     }
@@ -433,7 +413,7 @@ pub trait SimAccessExt: SimAccess {
     /// Schedule `f` at the absolute instant `at` (clamped to now).
     fn schedule_at<F>(&self, at: SimTime, f: F)
     where
-        F: FnOnce(&Sim) + Send + 'static,
+        F: FnOnce(&Sim) + 'static,
     {
         self.schedule_boxed(at, Box::new(f));
     }
@@ -441,7 +421,7 @@ pub trait SimAccessExt: SimAccess {
     /// Schedule `f` as a timer event `after` from now.
     fn timer_after<F>(&self, after: SimDuration, f: F)
     where
-        F: FnOnce(&Sim) + Send + 'static,
+        F: FnOnce(&Sim) + 'static,
     {
         self.schedule_class(self.now() + after, EventClass::Timer, Box::new(f));
     }
@@ -450,7 +430,7 @@ pub trait SimAccessExt: SimAccess {
     /// to now).
     fn timer_at<F>(&self, at: SimTime, f: F)
     where
-        F: FnOnce(&Sim) + Send + 'static,
+        F: FnOnce(&Sim) + 'static,
     {
         self.schedule_class(at, EventClass::Timer, Box::new(f));
     }
@@ -459,7 +439,7 @@ pub trait SimAccessExt: SimAccess {
     /// once `guard` is cancelled.
     fn guarded_timer_after<F>(&self, after: SimDuration, guard: TimerGuard, f: F)
     where
-        F: FnOnce(&Sim) + Send + 'static,
+        F: FnOnce(&Sim) + 'static,
     {
         self.schedule_timer(self.now() + after, guard, Box::new(f));
     }
@@ -494,11 +474,10 @@ impl<T: SimAccess + ?Sized> SimAccessExt for T {}
 /// assert_eq!(sim.now().nanos(), 5_000);
 /// ```
 pub struct Sim {
-    shared: Arc<SimShared>,
+    shared: Rc<SimShared>,
     /// False for the handle a process runs events with ([`Sim::view`]);
     /// dropping that one terminates nothing.
     owner: bool,
-    _one_thread: PhantomData<*const ()>,
 }
 
 impl Default for Sim {
@@ -537,9 +516,9 @@ impl Sim {
     pub fn new() -> Sim {
         keep_heap_top();
         let telemetry = emp_trace::telemetry::Registry::new();
-        let shared = Arc::new(SimShared {
-            now: AtomicU64::new(0),
-            core: Mutex::new(SimCore {
+        let shared = Rc::new(SimShared {
+            now: Cell::new(SimTime::ZERO),
+            core: RefCell::new(SimCore {
                 next_seq: 0,
                 queue: BinaryHeap::new(),
                 actions: Vec::new(),
@@ -548,7 +527,7 @@ impl Sim {
                 done: None,
                 terminated: false,
             }),
-            procs: Mutex::new(ProcTable::new()),
+            procs: RefCell::new(ProcTable::new()),
             main: Baton::new(),
             handoffs: telemetry.counter("simnet.thread_handoffs"),
             executed_by_class: EventClass::ALL
@@ -560,17 +539,15 @@ impl Sim {
         Sim {
             shared,
             owner: true,
-            _one_thread: PhantomData,
         }
     }
 
     /// The handle a process passes to the events it runs while it holds
     /// the turn.
-    pub(crate) fn view(shared: Arc<SimShared>) -> Sim {
+    pub(crate) fn view(shared: Rc<SimShared>) -> Sim {
         Sim {
             shared,
             owner: false,
-            _one_thread: PhantomData,
         }
     }
 
@@ -584,7 +561,7 @@ impl Sim {
     /// is suspended until its wake-up event is popped.
     pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> ProcId
     where
-        F: FnOnce(&mut ProcessCtx) -> SimResult<()> + Send + 'static,
+        F: FnOnce(&mut ProcessCtx) -> SimResult<()> + 'static,
     {
         let pid = ProcTable::spawn(&self.shared, name.into(), f);
         self.shared.schedule_wake(pid, self.shared.now());
@@ -620,7 +597,7 @@ impl Sim {
 
     /// Number of events currently queued.
     pub fn events_pending(&self) -> usize {
-        self.shared.core.lock().queue.len()
+        self.shared.core.borrow().queue.len()
     }
 
     /// How many times the turn has moved from one stack to another (to a
@@ -635,7 +612,7 @@ impl Sim {
     /// whenever a process has the turn, until a stop condition is met.
     fn run_loop(&self, deadline: SimTime, done: Option<Completion>) {
         {
-            let mut core = self.shared.core.lock();
+            let mut core = self.shared.core.borrow_mut();
             core.deadline = deadline;
             core.done = done;
         }
@@ -659,7 +636,7 @@ impl Sim {
             match self.shared.turn_from_main(next) {
                 Some(LoopMsg::LoopEnded) => break,
                 Some(LoopMsg::Exited(pid, result)) => {
-                    self.shared.procs.lock().reap(pid);
+                    self.shared.procs.borrow_mut().reap(pid);
                     result?;
                 }
                 Some(LoopMsg::EventPanic(payload)) => resume_unwind(payload),
@@ -694,7 +671,7 @@ impl Sim {
                 // taken when the process next parks or exits.
                 Some(Action::Wake(pid)) if me == Some(pid) => return None,
                 Some(Action::Wake(pid)) => {
-                    let baton = shared.procs.lock().baton(pid);
+                    let baton = shared.procs.borrow().baton(pid);
                     if let Some(baton) = baton {
                         shared.handoffs.inc();
                         baton.pass(Resume::Run);
@@ -731,18 +708,14 @@ impl Sim {
 
     /// Stop the engine for good and terminate every live process.
     fn terminate(&self) {
-        self.shared.core.lock().terminated = true;
+        self.shared.core.borrow_mut().terminated = true;
         process::terminate_all(&self.shared);
     }
 }
 
 impl SimAccess for Sim {
-    fn shared(&self) -> Arc<SimShared> {
-        Arc::clone(&self.shared)
-    }
-
-    fn shared_ref(&self) -> Option<&SimShared> {
-        Some(&self.shared)
+    fn shared(&self) -> Rc<SimShared> {
+        Rc::clone(&self.shared)
     }
 }
 
@@ -757,7 +730,9 @@ impl Drop for Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn events_run_in_time_order() {
@@ -896,7 +871,7 @@ mod tests {
             ethertype: crate::frame::EtherType::EMP,
             payload: crate::frame::Payload::new((), 4),
         };
-        sim.schedule_delivery(SimTime::from_nanos(5), SimTime::ZERO, Arc::new(Null), frame);
+        sim.schedule_delivery(SimTime::from_nanos(5), SimTime::ZERO, Rc::new(Null), frame);
         sim.timer_at(SimTime::from_nanos(6), |_| {});
         sim.schedule_class(SimTime::from_nanos(7), EventClass::Task, Box::new(|_| {}));
         sim.schedule_at(SimTime::from_nanos(8), |_| {});
@@ -929,7 +904,7 @@ mod tests {
             ethertype: crate::frame::EtherType::EMP,
             payload: crate::frame::Payload::new((), 4),
         };
-        let sink = Arc::new(Log(Arc::clone(&log)));
+        let sink = Rc::new(Log(Arc::clone(&log)));
         sim.schedule_delivery(
             SimTime::from_nanos(100),
             SimTime::from_nanos(20),

@@ -11,9 +11,8 @@
 //! booked in the order the instants come: the NIC's tx CPU and the switch's
 //! fixed forwarding latency both guarantee it.
 
-use std::sync::{Arc, Weak};
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::{Rc, Weak};
 
 use crate::engine::SimAccess;
 use crate::fault::{FaultDecision, FaultPlan, FaultState};
@@ -22,7 +21,7 @@ use crate::stats::{LinkStats, Throughput};
 use crate::time::{SimDuration, SimTime};
 
 /// Anything that can receive Ethernet frames: a NIC's MAC, a switch port.
-pub trait FrameSink: Send + Sync {
+pub trait FrameSink {
     /// Called when the last bit of `frame` has arrived.
     fn deliver(&self, s: &dyn SimAccess, frame: Frame);
 }
@@ -77,16 +76,16 @@ struct TxState {
 pub struct LinkTx {
     cfg: LinkConfig,
     peer: Weak<dyn FrameSink>,
-    state: Arc<Mutex<TxState>>,
+    state: Rc<RefCell<TxState>>,
 }
 
 impl LinkTx {
     /// Create a transmitter delivering to `peer`.
-    pub fn new(cfg: LinkConfig, peer: &Arc<dyn FrameSink>) -> Self {
+    pub fn new(cfg: LinkConfig, peer: &Rc<dyn FrameSink>) -> Self {
         LinkTx {
             cfg,
-            peer: Arc::downgrade(peer),
-            state: Arc::new(Mutex::new(TxState {
+            peer: Rc::downgrade(peer),
+            state: Rc::new(RefCell::new(TxState {
                 busy_until: SimTime::ZERO,
                 throughput: Throughput::new(),
                 faults: FaultState::new(&cfg.faults),
@@ -106,7 +105,7 @@ impl LinkTx {
     /// nanoseconds of queued wire time) is registered with the
     /// simulation's registry.
     pub fn set_name(&self, name: impl Into<String>) {
-        self.state.lock().name = Some(name.into());
+        self.state.borrow_mut().name = Some(name.into());
     }
 
     /// Queue `frame` for transmission now. Serialization begins when the
@@ -126,8 +125,8 @@ impl LinkTx {
             return; // peer torn down; drop the frame silently
         };
         let tx_time = SimDuration::for_bits_at_rate(frame.wire_bits(), self.cfg.bandwidth_bps);
-        let (start, deliver_at, fate, register) = {
-            let mut st = self.state.lock();
+        let (start, deliver_at, fate) = {
+            let mut st = self.state.borrow_mut();
             let start = at.max(st.busy_until);
             let backlog = start.since(at);
             st.max_backlog = st.max_backlog.max(backlog);
@@ -148,13 +147,18 @@ impl LinkTx {
                 FaultDecision::Deliver { .. } => {}
             }
             // The backlog series is registered on the first named send.
-            let register = st.name.clone().filter(|_| !st.registered);
-            st.registered |= register.is_some();
-            (start, st.busy_until + self.cfg.propagation, fate, register)
+            if let Some(name) = st.name.as_ref().filter(|_| !st.registered) {
+                let state = Rc::downgrade(&self.state);
+                s.telemetry()
+                    .register_sampled(&format!("{name}.backlog_ns"), move |t| {
+                        let st = state.upgrade()?;
+                        let g = st.try_borrow().ok()?;
+                        Some(g.busy_until.nanos().saturating_sub(t) as i64)
+                    });
+                st.registered = true;
+            }
+            (start, st.busy_until + self.cfg.propagation, fate)
         };
-        if let Some(name) = register {
-            self.register_telemetry(s, &name);
-        }
         let extra_delay = match fate {
             FaultDecision::Deliver { extra_delay } => Some(extra_delay),
             _ => None,
@@ -203,49 +207,36 @@ impl LinkTx {
         }
     }
 
-    /// Register the backlog series. Runs with the state lock released so
-    /// the registry's sampler (which locks state from its poll closure) can
-    /// never see an inverted lock order.
-    fn register_telemetry(&self, s: &dyn SimAccess, name: &str) {
-        let state = Arc::downgrade(&self.state);
-        s.telemetry()
-            .register_sampled(&format!("{name}.backlog_ns"), move |t| {
-                let st = state.upgrade()?;
-                let g = st.try_lock()?;
-                Some(g.busy_until.nanos().saturating_sub(t) as i64)
-            });
-    }
-
     /// Instant at which the wire becomes idle.
     pub fn busy_until(&self) -> SimTime {
-        self.state.lock().busy_until
+        self.state.borrow().busy_until
     }
 
     /// Total frames handed to this transmitter.
     pub fn frames_sent(&self) -> u64 {
-        self.state.lock().frames_sent
+        self.state.borrow().frames_sent
     }
 
     /// Frames lost outright to the injected fault model (periodic,
     /// probabilistic or burst loss, and scheduled down windows).
     pub fn frames_dropped(&self) -> u64 {
-        self.state.lock().frames_dropped
+        self.state.borrow().frames_dropped
     }
 
     /// Frames corrupted in flight: they occupied the wire but failed the
     /// receiver's FCS check and were never delivered.
     pub fn frames_corrupted(&self) -> u64 {
-        self.state.lock().frames_corrupted
+        self.state.borrow().frames_corrupted
     }
 
     /// Frames held back by injected reorder/jitter delay.
     pub fn frames_delayed(&self) -> u64 {
-        self.state.lock().frames_delayed
+        self.state.borrow().frames_delayed
     }
 
     /// Snapshot of all per-link counters.
     pub fn stats(&self) -> LinkStats {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         LinkStats {
             frames_sent: st.frames_sent,
             frames_dropped: st.frames_dropped,
@@ -259,12 +250,12 @@ impl LinkTx {
 
     /// Longest time a frame waited behind earlier traffic.
     pub fn max_backlog(&self) -> SimDuration {
-        self.state.lock().max_backlog
+        self.state.borrow().max_backlog
     }
 
     /// Payload throughput observed so far (Mbps), if any traffic flowed.
     pub fn payload_mbps(&self) -> Option<f64> {
-        self.state.lock().throughput.mbps()
+        self.state.borrow().throughput.mbps()
     }
 }
 
@@ -273,6 +264,8 @@ mod tests {
     use super::*;
     use crate::engine::{Sim, SimAccessExt};
     use crate::frame::{EtherType, MacAddr, Payload};
+    use parking_lot::Mutex;
+    use std::rc::Rc;
 
     struct Recorder {
         arrivals: Mutex<Vec<(u64, usize)>>,
@@ -298,10 +291,10 @@ mod tests {
     #[test]
     fn single_frame_timing() {
         let sim = Sim::new();
-        let rec = Arc::new(Recorder {
+        let rec = Rc::new(Recorder {
             arrivals: Mutex::new(Vec::new()),
         });
-        let sink: Arc<dyn FrameSink> = rec.clone();
+        let sink: Rc<dyn FrameSink> = rec.clone();
         let tx = LinkTx::new(
             LinkConfig {
                 bandwidth_bps: 1_000_000_000,
@@ -320,10 +313,10 @@ mod tests {
     #[test]
     fn back_to_back_frames_queue_on_the_wire() {
         let sim = Sim::new();
-        let rec = Arc::new(Recorder {
+        let rec = Rc::new(Recorder {
             arrivals: Mutex::new(Vec::new()),
         });
-        let sink: Arc<dyn FrameSink> = rec.clone();
+        let sink: Rc<dyn FrameSink> = rec.clone();
         let tx = LinkTx::new(
             LinkConfig {
                 bandwidth_bps: 1_000_000_000,
@@ -348,10 +341,10 @@ mod tests {
     #[test]
     fn idle_gap_resets_queueing() {
         let sim = Sim::new();
-        let rec = Arc::new(Recorder {
+        let rec = Rc::new(Recorder {
             arrivals: Mutex::new(Vec::new()),
         });
-        let sink: Arc<dyn FrameSink> = rec.clone();
+        let sink: Rc<dyn FrameSink> = rec.clone();
         let tx = LinkTx::new(
             LinkConfig {
                 bandwidth_bps: 1_000_000_000,
@@ -372,10 +365,10 @@ mod tests {
     #[test]
     fn loss_injection_drops_every_nth_frame() {
         let sim = Sim::new();
-        let rec = Arc::new(Recorder {
+        let rec = Rc::new(Recorder {
             arrivals: Mutex::new(Vec::new()),
         });
-        let sink: Arc<dyn FrameSink> = rec.clone();
+        let sink: Rc<dyn FrameSink> = rec.clone();
         let tx = LinkTx::new(
             LinkConfig {
                 bandwidth_bps: 1_000_000_000,
@@ -396,12 +389,12 @@ mod tests {
         assert_eq!(tx.frames_sent(), 9);
     }
 
-    fn blast(plan: FaultPlan, n: usize) -> (Arc<Recorder>, LinkTx) {
+    fn blast(plan: FaultPlan, n: usize) -> (Rc<Recorder>, LinkTx) {
         let sim = Sim::new();
-        let rec = Arc::new(Recorder {
+        let rec = Rc::new(Recorder {
             arrivals: Mutex::new(Vec::new()),
         });
-        let sink: Arc<dyn FrameSink> = rec.clone();
+        let sink: Rc<dyn FrameSink> = rec.clone();
         let tx = LinkTx::new(
             LinkConfig {
                 bandwidth_bps: 1_000_000_000,
@@ -495,10 +488,10 @@ mod tests {
     #[test]
     fn dropped_peer_discards_frames() {
         let sim = Sim::new();
-        let rec = Arc::new(Recorder {
+        let rec = Rc::new(Recorder {
             arrivals: Mutex::new(Vec::new()),
         });
-        let sink: Arc<dyn FrameSink> = rec.clone();
+        let sink: Rc<dyn FrameSink> = rec.clone();
         let tx = LinkTx::new(LinkConfig::default(), &sink);
         drop(sink);
         drop(rec); // peer fully gone

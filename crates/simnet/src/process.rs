@@ -20,16 +20,13 @@
 //! primitive it blocked on. Blocking primitives outside this crate must be
 //! built from [`crate::sync`] types (or `delay`), never by scheduling raw
 //! wakes, which is why `SimShared::schedule_wake` is crate-private. A
-//! process that blocks by any other means (a channel, a lock held by a
-//! parked process) blocks the `run*` caller's thread with it.
+//! process that blocks by any other means (a channel, an OS lock) blocks
+//! the `run*` caller's thread with it.
 
 use std::any::Any;
 use std::cell::Cell;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Weak};
-
-use parking_lot::Mutex;
+use std::rc::{Rc, Weak};
 
 use crate::coroutine::{self, Context, Stack};
 use crate::engine::{Sim, SimAccess, SimShared};
@@ -42,25 +39,25 @@ pub type ProcId = usize;
 /// A stack's mailbox: where it resumes, and the message it finds there.
 pub(crate) struct Baton<T> {
     pub(crate) ctx: Context,
-    slot: Mutex<Option<T>>,
+    slot: Cell<Option<T>>,
 }
 
 impl<T> Baton<T> {
     pub(crate) fn new() -> Self {
         Baton {
             ctx: Context::new(),
-            slot: Mutex::new(None),
+            slot: Cell::new(None),
         }
     }
 
     /// Leave `msg` for the stack to find when it next resumes.
     pub(crate) fn pass(&self, msg: T) {
-        *self.slot.lock() = Some(msg);
+        self.slot.set(Some(msg));
     }
 
     /// The message left for this stack, if any.
     pub(crate) fn take(&self) -> Option<T> {
-        self.slot.lock().take()
+        self.slot.take()
     }
 }
 
@@ -87,11 +84,11 @@ pub(crate) enum Handoff {
     /// The `run*` caller, with a [`LoopMsg`].
     Main,
     /// A process, with a [`Resume`].
-    Proc(Arc<Baton<Resume>>),
+    Proc(Rc<Baton<Resume>>),
 }
 
 struct ProcSlot {
-    baton: Arc<Baton<Resume>>,
+    baton: Rc<Baton<Resume>>,
     /// `None` once the process exited.
     stack: Option<Stack>,
 }
@@ -102,17 +99,14 @@ pub struct ProcessCtx {
     shared: Weak<SimShared>,
     pid: ProcId,
     name: String,
-    baton: Arc<Baton<Resume>>,
+    baton: Rc<Baton<Resume>>,
     /// Set once the process received [`Resume::Terminate`]: it stays
     /// terminated, whatever its cleanup code tries to block on.
     terminated: Cell<bool>,
-    /// The process's stack lives on the thread that created its [`Sim`]:
-    /// a `ProcessCtx` (or a reference to it) must not leave that thread.
-    _one_thread: PhantomData<*const ()>,
 }
 
 impl SimAccess for ProcessCtx {
-    fn shared(&self) -> Arc<SimShared> {
+    fn shared(&self) -> Rc<SimShared> {
         self.shared
             .upgrade()
             .expect("simulation dropped while process was running")
@@ -150,7 +144,7 @@ impl ProcessCtx {
     /// Spawn a sibling process starting at the current simulated time.
     pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> ProcId
     where
-        F: FnOnce(&mut ProcessCtx) -> SimResult<()> + Send + 'static,
+        F: FnOnce(&mut ProcessCtx) -> SimResult<()> + 'static,
     {
         let shared = self.shared();
         let pid = ProcTable::spawn(&shared, name.into(), f);
@@ -169,7 +163,7 @@ impl ProcessCtx {
         let shared = self.shared.upgrade().ok_or(SimError::Terminated)?;
         // The sample the loop owes the wake event that resumed this process.
         shared.telemetry.maybe_sample(shared.now().nanos());
-        let Some(next) = Sim::view(Arc::clone(&shared)).drive(Some(self.pid)) else {
+        let Some(next) = Sim::view(Rc::clone(&shared)).drive(Some(self.pid)) else {
             return Ok(());
         };
         shared.hand_over(&self.baton.ctx, &next);
@@ -277,22 +271,21 @@ impl ProcTable {
 
     /// Give the process a stack and register the slot. The new process
     /// does not run until its first wake event fires.
-    pub(crate) fn spawn<F>(shared: &Arc<SimShared>, name: String, f: F) -> ProcId
+    pub(crate) fn spawn<F>(shared: &Rc<SimShared>, name: String, f: F) -> ProcId
     where
-        F: FnOnce(&mut ProcessCtx) -> SimResult<()> + Send + 'static,
+        F: FnOnce(&mut ProcessCtx) -> SimResult<()> + 'static,
     {
-        let baton = Arc::new(Baton::new());
-        let mut table = shared.procs.lock();
+        let baton = Rc::new(Baton::new());
+        let mut table = shared.procs.borrow_mut();
         let stack = table.spare.pop().unwrap_or_else(Stack::new);
         let pid = table.slots.len();
         let start = Box::new(Start {
             ctx: ProcessCtx {
-                shared: Arc::downgrade(shared),
+                shared: Rc::downgrade(shared),
                 pid,
                 name,
-                baton: Arc::clone(&baton),
+                baton: Rc::clone(&baton),
                 terminated: Cell::new(false),
-                _one_thread: PhantomData,
             },
             f: Box::new(f),
         });
@@ -307,9 +300,9 @@ impl ProcTable {
     }
 
     /// The baton of `pid`, or `None` if the process already exited.
-    pub(crate) fn baton(&self, pid: ProcId) -> Option<Arc<Baton<Resume>>> {
+    pub(crate) fn baton(&self, pid: ProcId) -> Option<Rc<Baton<Resume>>> {
         let slot = self.slots.get(pid)?;
-        slot.stack.as_ref().map(|_| Arc::clone(&slot.baton))
+        slot.stack.as_ref().map(|_| Rc::clone(&slot.baton))
     }
 
     /// Keep for reuse the stack of a process that made its final switch.
@@ -330,14 +323,14 @@ impl ProcTable {
 pub(crate) fn terminate_all(shared: &SimShared) {
     // By index: cleanup code may spawn; those processes end unstarted.
     let mut pid = 0;
-    while pid < shared.procs.lock().len() {
-        let baton = shared.procs.lock().baton(pid);
+    while pid < shared.procs.borrow().len() {
+        let baton = shared.procs.borrow().baton(pid);
         if let Some(baton) = baton {
             baton.pass(Resume::Terminate);
             // The process's exit message, if it had started: nobody waits
             // for it now.
             let _ = shared.turn_from_main(Handoff::Proc(baton));
-            shared.procs.lock().reap(pid);
+            shared.procs.borrow_mut().reap(pid);
         }
         pid += 1;
     }
@@ -361,6 +354,7 @@ mod tests {
     use crate::time::SimTime;
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn delay_advances_process_time() {
@@ -688,8 +682,8 @@ mod tests {
     #[test]
     fn a_ping_pong_costs_at_most_one_handoff_per_wake() {
         let sim = Sim::new();
-        let (ping, pong) = (Arc::new(SimQueue::new()), Arc::new(SimQueue::new()));
-        let (ping2, pong2) = (Arc::clone(&ping), Arc::clone(&pong));
+        let (ping, pong) = (SimQueue::new(), SimQueue::new());
+        let (ping2, pong2) = (ping.clone(), pong.clone());
         sim.spawn("pinger", move |ctx| {
             for i in 0..100u32 {
                 ping.push(ctx, i);

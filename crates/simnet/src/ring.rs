@@ -38,7 +38,7 @@
 //! construction.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use emp_trace::telemetry::Gauge;
 
@@ -385,9 +385,9 @@ struct ListenerEntry<L> {
 /// Gauges exporting ring occupancy through the telemetry registry
 /// (sampled automatically into time series of the same names).
 struct RingGauges {
-    sq: Arc<Gauge>,
-    in_flight: Arc<Gauge>,
-    cq: Arc<Gauge>,
+    sq: Rc<Gauge>,
+    in_flight: Rc<Gauge>,
+    cq: Rc<Gauge>,
 }
 
 /// The targets [`RingCore`] waits on: stalled head ops, per target.

@@ -14,9 +14,8 @@
 //! so the lookup gives the same answer at arrival as it would after the
 //! latency.
 
-use std::sync::{Arc, Weak};
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::{Rc, Weak};
 
 use crate::engine::SimAccess;
 use crate::frame::{Frame, MacAddr};
@@ -52,7 +51,7 @@ struct PortState {
     tx: LinkTx,
     // Keeps the ingress sink alive for the lifetime of the switch; the
     // node-side LinkTx only holds a Weak to it.
-    _ingress: Arc<PortIngress>,
+    _ingress: Rc<PortIngress>,
 }
 
 /// No port known for an address in [`SwitchState::fdb`].
@@ -84,21 +83,21 @@ impl SwitchState {
 
 struct SwitchInner {
     cfg: SwitchConfig,
-    state: Mutex<SwitchState>,
+    state: RefCell<SwitchState>,
 }
 
 /// The switch itself. Attach stations with [`Switch::attach`].
 pub struct Switch {
-    inner: Arc<SwitchInner>,
+    inner: Rc<SwitchInner>,
 }
 
 impl Switch {
     /// An empty switch.
     pub fn new(cfg: SwitchConfig) -> Self {
         Switch {
-            inner: Arc::new(SwitchInner {
+            inner: Rc::new(SwitchInner {
                 cfg,
-                state: Mutex::new(SwitchState {
+                state: RefCell::new(SwitchState {
                     ports: Vec::new(),
                     fdb: Vec::new(),
                     forwarded: 0,
@@ -111,39 +110,39 @@ impl Switch {
     /// Attach a station. `peer` receives frames the switch forwards to this
     /// port; the returned [`LinkTx`] is the station's transmitter *towards*
     /// the switch.
-    pub fn attach(&self, peer: &Arc<dyn FrameSink>) -> LinkTx {
-        let mut st = self.inner.state.lock();
+    pub fn attach(&self, peer: &Rc<dyn FrameSink>) -> LinkTx {
+        let mut st = self.inner.state.borrow_mut();
         let port = st.ports.len();
         let egress = LinkTx::new(self.inner.cfg.link, peer);
         // Egress queueing is where cross-traffic contention shows up, so
         // each switch-to-station link publishes its backlog time series.
         egress.set_name(format!("switch.port{port}"));
-        let ingress = Arc::new(PortIngress {
-            switch: Arc::downgrade(&self.inner),
+        let ingress = Rc::new(PortIngress {
+            switch: Rc::downgrade(&self.inner),
             port,
         });
         st.ports.push(PortState {
             tx: egress,
-            _ingress: Arc::clone(&ingress),
+            _ingress: Rc::clone(&ingress),
         });
-        let sink: Arc<dyn FrameSink> = ingress;
+        let sink: Rc<dyn FrameSink> = ingress;
         LinkTx::new(self.inner.cfg.link, &sink)
     }
 
     /// Statically map `mac` to the given port (stations register at boot;
     /// dynamic learning also runs on every received frame).
     pub fn register_mac(&self, mac: MacAddr, port: usize) {
-        self.inner.state.lock().learn(mac, port);
+        self.inner.state.borrow_mut().learn(mac, port);
     }
 
     /// Frames forwarded to a known unicast destination.
     pub fn frames_forwarded(&self) -> u64 {
-        self.inner.state.lock().forwarded
+        self.inner.state.borrow().forwarded
     }
 
     /// Frames flooded (unknown destination or broadcast).
     pub fn frames_flooded(&self) -> u64 {
-        self.inner.state.lock().flooded
+        self.inner.state.borrow().flooded
     }
 
     /// Per-port egress-link counters, in attach order. Surfaces the
@@ -152,7 +151,7 @@ impl Switch {
     pub fn port_stats(&self) -> Vec<LinkStats> {
         self.inner
             .state
-            .lock()
+            .borrow()
             .ports
             .iter()
             .map(|p| p.tx.stats())
@@ -182,7 +181,7 @@ impl FrameSink for PortIngress {
                 u64::from(frame.dst.0),
             );
         }
-        let mut st = switch.state.lock();
+        let mut st = switch.state.borrow_mut();
         st.learn(frame.src, in_port);
         match st.port_of(frame.dst) {
             Some(out_port) => {
@@ -205,6 +204,8 @@ mod tests {
     use crate::engine::{Sim, SimAccessExt};
     use crate::frame::{EtherType, Payload};
     use crate::time::SimTime;
+    use parking_lot::Mutex;
+    use std::rc::Rc;
 
     struct Station {
         mac: MacAddr,
@@ -221,7 +222,7 @@ mod tests {
         }
     }
 
-    fn testbed(n: usize) -> (Sim, Switch, Vec<Arc<Station>>, Vec<LinkTx>) {
+    fn testbed(n: usize) -> (Sim, Switch, Vec<Rc<Station>>, Vec<LinkTx>) {
         let sim = Sim::new();
         let switch = Switch::new(SwitchConfig {
             forwarding_latency: SimDuration::from_micros(2),
@@ -234,11 +235,11 @@ mod tests {
         let mut stations = Vec::new();
         let mut txs = Vec::new();
         for i in 0..n {
-            let st = Arc::new(Station {
+            let st = Rc::new(Station {
                 mac: MacAddr(i as u16),
                 arrivals: Mutex::new(Vec::new()),
             });
-            let sink: Arc<dyn FrameSink> = st.clone();
+            let sink: Rc<dyn FrameSink> = st.clone();
             let tx = switch.attach(&sink);
             switch.register_mac(st.mac, i);
             stations.push(st);
@@ -298,7 +299,7 @@ mod tests {
     fn switch_learns_source_ports() {
         let (sim, switch, stations, txs) = testbed(2);
         // Forget static registrations, force learning.
-        switch.inner.state.lock().fdb.clear();
+        switch.inner.state.borrow_mut().fdb.clear();
         let tx0 = txs[0].clone();
         sim.schedule_at(SimTime::ZERO, move |s| tx0.send(s, frame(0, 1, 4))); // floods, learns 0
         let tx1 = txs[1].clone();
@@ -368,14 +369,14 @@ mod tests {
             },
         };
         let sim = Sim::new();
-        let sink = Arc::new(Sink::default());
-        let station: Arc<dyn FrameSink> = sink.clone();
+        let sink = Rc::new(Sink::default());
+        let station: Rc<dyn FrameSink> = sink.clone();
         let mut uplinks = Vec::new();
         let switch = Switch::new(cfg);
-        let mut ports: Vec<Arc<dyn FrameSink>> = Vec::new();
+        let mut ports: Vec<Rc<dyn FrameSink>> = Vec::new();
         if booked {
             for i in 0..3 {
-                let other: Arc<dyn FrameSink> = Arc::new(Sink::default());
+                let other: Rc<dyn FrameSink> = Rc::new(Sink::default());
                 uplinks.push(switch.attach(&other));
                 switch.register_mac(MacAddr(i), usize::from(i));
                 ports.push(other);
@@ -385,7 +386,7 @@ mod tests {
         } else {
             let egress = LinkTx::new(cfg.link, &station);
             for _ in 0..3 {
-                let port: Arc<dyn FrameSink> = Arc::new(TwoEventPort {
+                let port: Rc<dyn FrameSink> = Rc::new(TwoEventPort {
                     egress: egress.clone(),
                     latency: cfg.forwarding_latency,
                 });

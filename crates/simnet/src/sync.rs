@@ -11,10 +11,9 @@
 //! All of them may be signalled from event context (`&Sim`) or from another
 //! process (`&ProcessCtx`) via the common [`SimAccess`] bound.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use crate::engine::SimAccess;
 use crate::error::SimResult;
@@ -25,39 +24,46 @@ use crate::process::{ProcId, ProcessCtx};
 /// to fire claims the guard; the rest see it spent and skip the wake.
 struct WaitGuard {
     pid: ProcId,
-    woken: std::sync::atomic::AtomicBool,
+    woken: Cell<bool>,
 }
 
 impl WaitGuard {
-    fn new(pid: ProcId) -> Arc<Self> {
-        Arc::new(WaitGuard {
+    fn new(pid: ProcId) -> Rc<Self> {
+        Rc::new(WaitGuard {
             pid,
-            woken: std::sync::atomic::AtomicBool::new(false),
+            woken: Cell::new(false),
         })
     }
 
     /// Claim the guard; true exactly once.
     fn claim(&self) -> bool {
-        !self.woken.swap(true, std::sync::atomic::Ordering::Relaxed)
+        !self.woken.replace(true)
     }
 
     fn spent(&self) -> bool {
-        self.woken.load(std::sync::atomic::Ordering::Relaxed)
+        self.woken.get()
     }
 }
 
 /// A one-shot event: processes wait, anyone completes it exactly once.
+///
+/// A handle belongs to the thread of its simulation:
+///
+/// ```compile_fail
+/// let done = simnet::Completion::new();
+/// std::thread::spawn(move || done.is_done());
+/// ```
 #[derive(Clone, Default)]
 pub struct Completion {
-    inner: Arc<Mutex<CompletionState>>,
+    inner: Rc<CompletionState>,
 }
 
 #[derive(Default)]
 struct CompletionState {
-    done: bool,
-    waiters: Vec<Arc<WaitGuard>>,
+    done: Cell<bool>,
+    guards: RefCell<Vec<Rc<WaitGuard>>>,
     /// Task wakers (async front end) fired alongside process wakes.
-    wakers: Vec<std::task::Waker>,
+    wakers: RefCell<Vec<std::task::Waker>>,
 }
 
 impl Completion {
@@ -68,45 +74,37 @@ impl Completion {
 
     /// True once [`Completion::complete`] has been called.
     pub fn is_done(&self) -> bool {
-        self.inner.lock().done
+        self.inner.done.get()
     }
 
     /// Mark complete and wake all waiters. Subsequent calls are no-ops.
     pub fn complete(&self, s: &dyn SimAccess) {
-        let (waiters, wakers) = {
-            let mut st = self.inner.lock();
-            if st.done {
-                return;
-            }
-            st.done = true;
-            (
-                std::mem::take(&mut st.waiters),
-                std::mem::take(&mut st.wakers),
-            )
-        };
+        if self.inner.done.replace(true) {
+            return;
+        }
         let shared = s.shared();
         let now = shared.now();
-        for guard in waiters {
+        for guard in self.inner.guards.take() {
             if guard.claim() {
                 shared.schedule_wake(guard.pid, now);
             }
         }
         // Task wakers fire after process wakes, in registration order — a
         // fixed sequence, so the executor's ready queue stays deterministic.
-        for waker in wakers {
+        for waker in self.inner.wakers.take() {
             waker.wake();
         }
     }
 
-    fn register(&self, guard: &Arc<WaitGuard>) -> bool {
-        let mut st = self.inner.lock();
-        if st.done {
+    fn register(&self, guard: &Rc<WaitGuard>) -> bool {
+        if self.is_done() {
             return false;
         }
+        let mut guards = self.inner.guards.borrow_mut();
         // Prune guards spent by other completions so long-lived completions
         // (e.g. a control channel polled by every read) stay small.
-        st.waiters.retain(|w| !w.spent());
-        st.waiters.push(Arc::clone(guard));
+        guards.retain(|w| !w.spent());
+        guards.push(Rc::clone(guard));
         true
     }
 
@@ -119,12 +117,12 @@ impl Completion {
     /// already-stored one is a no-op, so a task polling the same
     /// long-lived completion many times costs one slot, not one per poll.
     pub fn watch_waker(&self, waker: &std::task::Waker) -> bool {
-        let mut st = self.inner.lock();
-        if st.done {
+        if self.is_done() {
             return false;
         }
-        if !st.wakers.iter().any(|w| w.will_wake(waker)) {
-            st.wakers.push(waker.clone());
+        let mut wakers = self.inner.wakers.borrow_mut();
+        if !wakers.iter().any(|w| w.will_wake(waker)) {
+            wakers.push(waker.clone());
         }
         true
     }
@@ -151,52 +149,34 @@ pub fn wait_any(ctx: &ProcessCtx, completions: &[&Completion]) -> SimResult<usiz
         if let Some(idx) = completions.iter().position(|c| c.is_done()) {
             return Ok(idx);
         }
+        // None is done, and nothing runs before the park: every
+        // registration takes.
         let guard = WaitGuard::new(ctx.pid());
-        let mut registered_any = false;
-        let mut fired = false;
         for c in completions {
-            if !c.register(&guard) {
-                // Completed during registration — impossible under strict
-                // alternation, but handle it defensively: claim our own
-                // guard so a racing complete() cannot double-wake.
-                fired = true;
-                break;
-            }
-            registered_any = true;
+            c.register(&guard);
         }
-        if fired {
-            if guard.claim() {
-                // Nobody woke us; loop to pick the completed index.
-                continue;
-            }
-            // A completion claimed the guard: a wake event is scheduled
-            // for us, so we must park to consume it.
-            ctx.park()?;
-            continue;
-        }
-        debug_assert!(registered_any);
         ctx.park()?;
     }
 }
 
 /// A condition variable for simulated processes.
 ///
-/// Usage mirrors a classic condvar: guard shared state with a
-/// [`parking_lot::Mutex`], and in the waiter loop re-check the predicate
-/// after every wake (wakes can be spurious when several processes contend):
+/// Usage mirrors a classic condvar: share state in a `Cell` or `RefCell`,
+/// and in the waiter loop re-check the predicate after every wake (wakes
+/// can be spurious when several processes contend):
 ///
 /// ```
 /// use simnet::{Sim, SimCondvar, SimAccess};
-/// use parking_lot::Mutex;
-/// use std::sync::Arc;
+/// use std::cell::Cell;
+/// use std::rc::Rc;
 ///
 /// let sim = Sim::new();
-/// let ready = Arc::new(Mutex::new(false));
+/// let ready = Rc::new(Cell::new(false));
 /// let cv = SimCondvar::new();
 ///
-/// let (r2, cv2) = (Arc::clone(&ready), cv.clone());
+/// let (r2, cv2) = (Rc::clone(&ready), cv.clone());
 /// sim.spawn("consumer", move |ctx| {
-///     while !*r2.lock() {
+///     while !r2.get() {
 ///         cv2.wait(ctx)?;
 ///     }
 ///     Ok(())
@@ -204,19 +184,19 @@ pub fn wait_any(ctx: &ProcessCtx, completions: &[&Completion]) -> SimResult<usiz
 /// let (r3, cv3) = (ready, cv);
 /// sim.spawn("producer", move |ctx| {
 ///     ctx.delay(simnet::SimDuration::from_micros(1))?;
-///     *r3.lock() = true;
+///     r3.set(true);
 ///     cv3.notify_all(ctx);
 ///     Ok(())
 /// });
 /// sim.run();
 /// ```
 ///
-/// Never hold the state mutex across `wait` — check, drop the guard, wait,
-/// re-check (the strict-alternation engine makes the unlocked window safe:
-/// nothing runs between the predicate check and the park).
+/// Never hold a borrow of the state across `wait` — check, drop the
+/// borrow, wait, re-check (nothing runs between the predicate check and
+/// the park).
 #[derive(Clone, Default)]
 pub struct SimCondvar {
-    waiters: Arc<Mutex<CondvarWaiters>>,
+    waiters: Rc<RefCell<CondvarWaiters>>,
 }
 
 #[derive(Default)]
@@ -234,7 +214,7 @@ impl SimCondvar {
     /// Wake every currently waiting process.
     pub fn notify_all(&self, s: &dyn SimAccess) {
         let (waiters, wakers) = {
-            let mut st = self.waiters.lock();
+            let mut st = self.waiters.borrow_mut();
             (std::mem::take(&mut st.pids), std::mem::take(&mut st.wakers))
         };
         let shared = s.shared();
@@ -252,7 +232,7 @@ impl SimCondvar {
     /// one after must re-register — exactly the condvar re-check loop, in
     /// future form). Wakes may be spurious; always re-check the predicate.
     pub fn watch_waker(&self, waker: &std::task::Waker) {
-        let mut st = self.waiters.lock();
+        let mut st = self.waiters.borrow_mut();
         if !st.wakers.iter().any(|w| w.will_wake(waker)) {
             st.wakers.push(waker.clone());
         }
@@ -261,7 +241,7 @@ impl SimCondvar {
     /// Block until the next `notify_all`. Always re-check the guarded
     /// predicate in a loop around this call.
     pub fn wait(&self, ctx: &ProcessCtx) -> SimResult<()> {
-        self.waiters.lock().pids.push(ctx.pid());
+        self.waiters.borrow_mut().pids.push(ctx.pid());
         ctx.park()
     }
 }
@@ -269,7 +249,7 @@ impl SimCondvar {
 /// An unbounded FIFO queue with blocking pop.
 #[derive(Clone)]
 pub struct SimQueue<T> {
-    inner: Arc<Mutex<QueueState<T>>>,
+    inner: Rc<RefCell<QueueState<T>>>,
 }
 
 struct QueueState<T> {
@@ -280,7 +260,7 @@ struct QueueState<T> {
 impl<T> Default for SimQueue<T> {
     fn default() -> Self {
         SimQueue {
-            inner: Arc::new(Mutex::new(QueueState {
+            inner: Rc::new(RefCell::new(QueueState {
                 items: VecDeque::new(),
                 waiters: VecDeque::new(),
             })),
@@ -288,7 +268,7 @@ impl<T> Default for SimQueue<T> {
     }
 }
 
-impl<T: Send> SimQueue<T> {
+impl<T> SimQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
         Self::default()
@@ -297,7 +277,7 @@ impl<T: Send> SimQueue<T> {
     /// Append an item and wake the longest-waiting popper, if any.
     pub fn push(&self, s: &dyn SimAccess, item: T) {
         let waiter = {
-            let mut st = self.inner.lock();
+            let mut st = self.inner.borrow_mut();
             st.items.push_back(item);
             st.waiters.pop_front()
         };
@@ -312,7 +292,7 @@ impl<T: Send> SimQueue<T> {
     pub fn pop(&self, ctx: &ProcessCtx) -> SimResult<T> {
         loop {
             {
-                let mut st = self.inner.lock();
+                let mut st = self.inner.borrow_mut();
                 if let Some(item) = st.items.pop_front() {
                     return Ok(item);
                 }
@@ -324,12 +304,12 @@ impl<T: Send> SimQueue<T> {
 
     /// Non-blocking pop.
     pub fn try_pop(&self) -> Option<T> {
-        self.inner.lock().items.pop_front()
+        self.inner.borrow_mut().items.pop_front()
     }
 
     /// Current number of queued items.
     pub fn len(&self) -> usize {
-        self.inner.lock().items.len()
+        self.inner.borrow().items.len()
     }
 
     /// True if no items are queued.
@@ -343,6 +323,8 @@ mod tests {
     use super::*;
     use crate::engine::{Sim, SimAccessExt};
     use crate::time::{SimDuration, SimTime};
+    use parking_lot::Mutex;
+    use std::sync::Arc;
 
     #[test]
     fn completion_wakes_waiter_at_completion_time() {

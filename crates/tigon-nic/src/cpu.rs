@@ -9,10 +9,10 @@
 //! start and end fixed — when it is posted, but counts as busy time only
 //! as its run elapses, so busy time never exceeds the clock.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use simnet::{EventClass, Sim, SimAccess, SimClock, SimDuration, SimTime};
 
 struct CpuState {
@@ -53,7 +53,7 @@ impl CpuState {
 pub struct FirmwareCpu {
     name: &'static str,
     node: u16,
-    state: Arc<Mutex<CpuState>>,
+    state: Rc<RefCell<CpuState>>,
 }
 
 impl FirmwareCpu {
@@ -62,7 +62,7 @@ impl FirmwareCpu {
         FirmwareCpu {
             name,
             node: simnet::emp_trace::NO_NODE,
-            state: Arc::new(Mutex::new(CpuState {
+            state: Rc::new(RefCell::new(CpuState {
                 busy_until: SimTime::ZERO,
                 ran: SimDuration::ZERO,
                 booked: VecDeque::new(),
@@ -96,7 +96,7 @@ impl FirmwareCpu {
         f: F,
     ) -> SimTime
     where
-        F: FnOnce(&Sim) + Send + 'static,
+        F: FnOnce(&Sim) + 'static,
     {
         let done = self.reserve(s, earliest, cost);
         s.schedule_class(done, EventClass::Task, Box::new(f));
@@ -106,7 +106,7 @@ impl FirmwareCpu {
     /// Run a task starting as soon as the CPU is free.
     pub fn exec<F>(&self, s: &dyn SimAccess, cost: SimDuration, f: F) -> SimTime
     where
-        F: FnOnce(&Sim) + Send + 'static,
+        F: FnOnce(&Sim) + 'static,
     {
         self.exec_at(s, s.now(), cost, f)
     }
@@ -120,8 +120,8 @@ impl FirmwareCpu {
 
     /// Fix a task's start and end in the CPU's FIFO and account for it.
     fn reserve(&self, s: &dyn SimAccess, earliest: SimTime, cost: SimDuration) -> SimTime {
-        let (start, done, register) = {
-            let mut st = self.state.lock();
+        let (start, done) = {
+            let mut st = self.state.borrow_mut();
             let now = s.now();
             let start = earliest.max(st.busy_until).max(now);
             let done = start + cost;
@@ -135,29 +135,25 @@ impl FirmwareCpu {
             st.busy_until = done;
             st.tasks_run += 1;
             st.last_seen = st.last_seen.max(done);
-            let register = st.clock.is_none();
-            if register {
+            if st.clock.is_none() {
                 st.clock = Some(s.clock());
+                // First task: publish this CPU's task backlog (how far its
+                // completion horizon runs ahead of sim time) as a sampled
+                // series.
+                let name = if self.node == simnet::emp_trace::NO_NODE {
+                    format!("nicfw.{}.backlog_ns", self.name)
+                } else {
+                    format!("nicfw.n{}.{}.backlog_ns", self.node, self.name)
+                };
+                let state = Rc::downgrade(&self.state);
+                s.telemetry().register_sampled(&name, move |t| {
+                    let st = state.upgrade()?;
+                    let g = st.try_borrow().ok()?;
+                    Some(g.busy_until.nanos().saturating_sub(t) as i64)
+                });
             }
-            (start, done, register)
+            (start, done)
         };
-        if register {
-            // First task: publish this CPU's task backlog (how far its
-            // completion horizon runs ahead of sim time) as a sampled
-            // series. Done outside the state lock — the poll closure
-            // re-locks it at sample time.
-            let name = if self.node == simnet::emp_trace::NO_NODE {
-                format!("nicfw.{}.backlog_ns", self.name)
-            } else {
-                format!("nicfw.n{}.{}.backlog_ns", self.node, self.name)
-            };
-            let state = Arc::downgrade(&self.state);
-            s.telemetry().register_sampled(&name, move |t| {
-                let st = state.upgrade()?;
-                let g = st.try_lock()?;
-                Some(g.busy_until.nanos().saturating_sub(t) as i64)
-            });
-        }
         if simnet::emp_trace::ENABLED {
             s.tracer().emit(
                 done.nanos(),
@@ -173,7 +169,7 @@ impl FirmwareCpu {
 
     /// Instant at which the CPU becomes idle.
     pub fn busy_until(&self) -> SimTime {
-        self.state.lock().busy_until
+        self.state.borrow().busy_until
     }
 
     /// Total CPU time consumed by tasks so far: the elapsed part of every
@@ -181,7 +177,7 @@ impl FirmwareCpu {
     /// is idle (or the simulation is gone) this is the whole cost of every
     /// task booked.
     pub fn busy_total(&self) -> SimDuration {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         match st.clock.as_ref().and_then(SimClock::now) {
             Some(now) => st.busy_at(now),
             None => st.booked_total(),
@@ -190,12 +186,12 @@ impl FirmwareCpu {
 
     /// Number of tasks executed (scheduled) so far.
     pub fn tasks_run(&self) -> u64 {
-        self.state.lock().tasks_run
+        self.state.borrow().tasks_run
     }
 
     /// Fraction of time busy between t=0 and the last task completion.
     pub fn utilization(&self) -> f64 {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         if st.last_seen == SimTime::ZERO {
             return 0.0;
         }
@@ -206,7 +202,9 @@ impl FirmwareCpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use simnet::{SimAccessExt, SimTime};
+    use std::sync::Arc;
 
     #[test]
     fn tasks_serialize_on_the_cpu() {

@@ -8,8 +8,8 @@
 //! implements (the protocol object typically owns the `Tigon` and passes
 //! itself to `Switch::attach`).
 
-use parking_lot::Mutex;
 use simnet::{Frame, LinkTx, MacAddr, SimAccess, SimDuration, SimTime, XorShift64};
+use std::cell::RefCell;
 
 use crate::config::NicConfig;
 use crate::cpu::FirmwareCpu;
@@ -30,8 +30,8 @@ pub struct Tigon {
     pub cpu_tx: FirmwareCpu,
     /// Receive-path firmware CPU.
     pub cpu_rx: FirmwareCpu,
-    link: Mutex<Option<LinkTx>>,
-    faults: Mutex<NicFaultState>,
+    link: RefCell<Option<LinkTx>>,
+    faults: RefCell<NicFaultState>,
 }
 
 impl Tigon {
@@ -51,8 +51,8 @@ impl Tigon {
             cfg,
             cpu_tx,
             cpu_rx,
-            link: Mutex::new(None),
-            faults: Mutex::new(NicFaultState {
+            link: RefCell::new(None),
+            faults: RefCell::new(NicFaultState {
                 rng: XorShift64::new(fault_seed),
                 rx_ring_drops: 0,
                 dma_delays: 0,
@@ -76,7 +76,7 @@ impl Tigon {
         // Station-to-switch queueing shows up here; name the link so its
         // backlog series lands in the registry on first use.
         tx.set_name(format!("nic.n{}.uplink", self.mac.0));
-        *self.link.lock() = Some(tx);
+        *self.link.borrow_mut() = Some(tx);
     }
 
     /// Hand a frame to the MAC for transmission at `at` (now, or the end
@@ -85,7 +85,7 @@ impl Tigon {
     /// Panics if the NIC was never cabled up — that is a testbed
     /// construction bug.
     pub fn send_frame(&self, s: &dyn SimAccess, at: SimTime, frame: Frame) {
-        let link = self.link.lock();
+        let link = self.link.borrow();
         link.as_ref()
             .expect("NIC not attached to a link; call attach_link at testbed build time")
             .send_at(s, at, frame);
@@ -93,7 +93,7 @@ impl Tigon {
 
     /// Frames handed to the MAC so far.
     pub fn frames_sent(&self) -> u64 {
-        self.link.lock().as_ref().map_or(0, |l| l.frames_sent())
+        self.link.borrow().as_ref().map_or(0, |l| l.frames_sent())
     }
 
     /// Injected-fault draw for one arriving data frame: true when the
@@ -105,7 +105,7 @@ impl Tigon {
         if plan.rx_ring_drop_prob <= 0.0 {
             return false;
         }
-        let mut st = self.faults.lock();
+        let mut st = self.faults.borrow_mut();
         if st.rng.chance(plan.rx_ring_drop_prob) {
             st.rx_ring_drops += 1;
             true
@@ -121,7 +121,7 @@ impl Tigon {
         if plan.dma_delay_prob <= 0.0 {
             return SimDuration::ZERO;
         }
-        let mut st = self.faults.lock();
+        let mut st = self.faults.borrow_mut();
         if st.rng.chance(plan.dma_delay_prob) {
             st.dma_delays += 1;
             plan.dma_delay
@@ -132,7 +132,7 @@ impl Tigon {
 
     /// Injected-fault counters: `(rx_ring_drops, dma_delays)`.
     pub fn fault_counts(&self) -> (u64, u64) {
-        let st = self.faults.lock();
+        let st = self.faults.borrow();
         (st.rx_ring_drops, st.dma_delays)
     }
 }
@@ -140,8 +140,9 @@ impl Tigon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use simnet::{EtherType, FrameSink, Payload, Sim, SimAccessExt, SimTime, Switch, SwitchConfig};
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     struct Collector {
         got: Mutex<Vec<u64>>,
@@ -158,18 +159,18 @@ mod tests {
         let sim = Sim::new();
         let switch = Switch::new(SwitchConfig::default());
         let nic = Tigon::new(MacAddr(1), NicConfig::default());
-        let collector = Arc::new(Collector {
+        let collector = Rc::new(Collector {
             got: Mutex::new(Vec::new()),
         });
-        let nic_sink: Arc<dyn FrameSink> = Arc::new(NullSink);
+        let nic_sink: Rc<dyn FrameSink> = Rc::new(NullSink);
         nic.attach_link(switch.attach(&nic_sink));
         switch.register_mac(MacAddr(1), 0);
-        let col_sink: Arc<dyn FrameSink> = collector.clone();
+        let col_sink: Rc<dyn FrameSink> = collector.clone();
         switch.attach(&col_sink);
         switch.register_mac(MacAddr(2), 1);
 
-        let nic = Arc::new(nic);
-        let nic2 = Arc::clone(&nic);
+        let nic = Rc::new(nic);
+        let nic2 = Rc::clone(&nic);
         sim.schedule_at(SimTime::ZERO, move |s| {
             nic2.send_frame(
                 s,
@@ -196,7 +197,7 @@ mod tests {
     #[should_panic(expected = "NIC not attached")]
     fn sending_unattached_panics() {
         let sim = Sim::new();
-        let nic = Arc::new(Tigon::new(MacAddr(1), NicConfig::default()));
+        let nic = Rc::new(Tigon::new(MacAddr(1), NicConfig::default()));
         sim.schedule_at(SimTime::ZERO, move |s| {
             nic.send_frame(
                 s,

@@ -1,6 +1,7 @@
 //! Typed trace events and the per-simulation ring buffer that stores them.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::ENABLED;
 
@@ -194,18 +195,18 @@ struct Ring {
 }
 
 struct TracerInner {
-    ring: Mutex<Ring>,
+    ring: RefCell<Ring>,
     capacity: usize,
 }
 
 /// A shared handle to one simulation's event ring.
 ///
-/// Cloning is an `Arc` bump; all clones observe the same ring. Recording
+/// Cloning is an `Rc` bump; all clones observe the same ring. Recording
 /// is a no-op (and emission sites should be gated on [`ENABLED`]) unless
 /// the `trace` feature is on.
 #[derive(Clone)]
 pub struct Tracer {
-    inner: Arc<TracerInner>,
+    inner: Rc<TracerInner>,
 }
 
 impl Tracer {
@@ -217,8 +218,8 @@ impl Tracer {
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "tracer capacity must be positive");
         Tracer {
-            inner: Arc::new(TracerInner {
-                ring: Mutex::new(Ring {
+            inner: Rc::new(TracerInner {
+                ring: RefCell::new(Ring {
                     buf: Vec::new(),
                     next: 0,
                     wrapped: false,
@@ -250,7 +251,7 @@ impl Tracer {
             a,
             b,
         };
-        let mut ring = self.lock();
+        let mut ring = self.inner.ring.borrow_mut();
         ring.total += 1;
         if ring.buf.len() < self.inner.capacity {
             ring.buf.push(ev);
@@ -265,7 +266,7 @@ impl Tracer {
     /// The events currently retained, oldest first (ring order), sorted
     /// by timestamp (future-stamped events land in their proper place).
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let ring = self.lock();
+        let ring = self.inner.ring.borrow();
         let mut out = Vec::with_capacity(ring.buf.len());
         if ring.wrapped {
             out.extend_from_slice(&ring.buf[ring.next..]);
@@ -279,29 +280,22 @@ impl Tracer {
 
     /// Total events ever recorded (including overwritten ones).
     pub fn total_recorded(&self) -> u64 {
-        self.lock().total
+        self.inner.ring.borrow().total
     }
 
     /// Events lost to ring overflow.
     pub fn dropped(&self) -> u64 {
-        let ring = self.lock();
+        let ring = self.inner.ring.borrow();
         ring.total - ring.buf.len() as u64
     }
 
     /// Discard all retained events (e.g. after a warmup phase).
     pub fn clear(&self) {
-        let mut ring = self.lock();
+        let mut ring = self.inner.ring.borrow_mut();
         ring.buf.clear();
         ring.next = 0;
         ring.wrapped = false;
         ring.total = 0;
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Ring> {
-        self.inner
-            .ring
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 

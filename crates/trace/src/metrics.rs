@@ -1,12 +1,12 @@
-//! The lock-free counter behind every [`crate::telemetry::Registry`]
-//! counter series.
+//! The counter behind every [`crate::telemetry::Registry`] counter
+//! series.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// A monotonically increasing counter.
+/// A monotonically increasing counter, kept on its simulation's thread.
 #[derive(Default)]
 pub struct Counter {
-    v: AtomicU64,
+    v: Cell<u64>,
 }
 
 impl Counter {
@@ -24,11 +24,11 @@ impl Counter {
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.v.fetch_add(n, Ordering::Relaxed);
+        self.v.set(self.v.get() + n);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.v.load(Ordering::Relaxed)
+        self.v.get()
     }
 }

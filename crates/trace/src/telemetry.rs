@@ -4,8 +4,9 @@
 //! Unlike the event tracing in this crate (gated behind the `trace`
 //! feature), everything here is compiled unconditionally and designed to
 //! stay cheap enough to leave on: recording into a [`LogLinHistogram`] or
-//! bumping a [`Gauge`] is a handful of relaxed atomic operations, and the
-//! sampler's fast path is a single atomic load per executed sim event.
+//! bumping a [`Gauge`] is a handful of plain loads and stores, and the
+//! sampler's fast path is a single load per executed sim event. Every type
+//! here is `!Sync`, handed out by `Rc`: a registry stays on its thread.
 //!
 //! Layers register into one per-simulation [`Registry`] (owned by
 //! `simnet::SimShared`, reached via `SimAccess::telemetry()`) under stable
@@ -36,13 +37,14 @@
 //! constant however long the run is.
 //!
 //! **Poll closures must not call back into the registry** — they run with
-//! the registry lock held. They should only read component state (safe
-//! under the engine's strict event/process alternation).
+//! the registry borrowed, and a re-entrant borrow panics. They should only
+//! read component state (safe under the engine's strict event/process
+//! alternation).
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::rc::Rc;
 use std::time::Instant;
 
 use crate::metrics::Counter;
@@ -92,7 +94,7 @@ pub fn bucket_upper(i: usize) -> u64 {
 /// connections). Sampled into a time series by the registry.
 #[derive(Default)]
 pub struct Gauge {
-    v: AtomicI64,
+    v: Cell<i64>,
 }
 
 impl Gauge {
@@ -104,24 +106,24 @@ impl Gauge {
     /// Overwrite the value.
     #[inline]
     pub fn set(&self, v: i64) {
-        self.v.store(v, Ordering::Relaxed);
+        self.v.set(v);
     }
 
     /// Add `n` (may be negative).
     #[inline]
     pub fn add(&self, n: i64) {
-        self.v.fetch_add(n, Ordering::Relaxed);
+        self.v.set(self.v.get() + n);
     }
 
     /// Subtract `n`.
     #[inline]
     pub fn sub(&self, n: i64) {
-        self.v.fetch_sub(n, Ordering::Relaxed);
+        self.v.set(self.v.get() - n);
     }
 
     /// Current value.
     pub fn get(&self) -> i64 {
-        self.v.load(Ordering::Relaxed)
+        self.v.get()
     }
 }
 
@@ -129,26 +131,21 @@ impl Gauge {
 /// exact buckets below 16, then 16 sub-buckets per power of two, so any
 /// recorded quantile is exact to within 6.25% of its value. Covers the
 /// full `u64` range with a fixed 976-slot table; recording is a handful of
-/// relaxed loads and stores and never allocates.
+/// plain loads and stores and never allocates.
+///
+/// Its cells make it `!Sync`, so no handle on it, not even an `Arc`, can
+/// leave the thread of the simulation that records into it:
+///
+/// ```compile_fail
+/// let h = std::sync::Arc::new(emp_trace::telemetry::LogLinHistogram::new());
+/// std::thread::spawn(move || h.record(1));
+/// ```
 pub struct LogLinHistogram {
-    buckets: Box<[AtomicU64; NUM_BUCKETS]>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-    /// The thread that records into this histogram ([`writer_token`]),
-    /// 0 before the first record. Debug builds hold every later record to
-    /// it, since two writers would lose counts.
-    #[cfg(debug_assertions)]
-    writer: std::sync::atomic::AtomicUsize,
-}
-
-/// A token that tells the calling thread from every other live thread:
-/// the address of one of its thread-locals.
-#[cfg(debug_assertions)]
-fn writer_token() -> usize {
-    thread_local!(static TOKEN: u8 = const { 0 });
-    TOKEN.with(|t| t as *const u8 as usize)
+    buckets: Box<[Cell<u64>; NUM_BUCKETS]>,
+    count: Cell<u64>,
+    sum: Cell<u64>,
+    min: Cell<u64>,
+    max: Cell<u64>,
 }
 
 impl LogLinHistogram {
@@ -158,67 +155,40 @@ impl LogLinHistogram {
             // Box the array directly; Vec round-trip avoids a large stack
             // temporary in debug builds.
             buckets: (0..NUM_BUCKETS)
-                .map(|_| AtomicU64::new(0))
+                .map(|_| Cell::new(0))
                 .collect::<Vec<_>>()
                 .into_boxed_slice()
                 .try_into()
                 .unwrap_or_else(|_| unreachable!("length is NUM_BUCKETS")),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-            #[cfg(debug_assertions)]
-            writer: std::sync::atomic::AtomicUsize::new(0),
+            count: Cell::new(0),
+            sum: Cell::new(0),
+            min: Cell::new(u64::MAX),
+            max: Cell::new(0),
         }
     }
 
-    /// Record one value. One writing thread: a histogram is recorded into
-    /// by the simulation that registered it, which runs on a single
-    /// thread, so each field takes a relaxed load and store instead of a
-    /// read-modify-write, whose lock prefix cost more than the rest of the
-    /// record. Debug builds panic on a record from a second thread.
-    /// Snapshots may be taken from any thread.
+    /// Record one value.
     #[inline]
     pub fn record(&self, v: u64) {
-        #[cfg(debug_assertions)]
-        {
-            let me = writer_token();
-            let first = self
-                .writer
-                .compare_exchange(0, me, Ordering::Relaxed, Ordering::Relaxed);
-            assert!(
-                first.is_ok() || first == Err(me),
-                "LogLinHistogram recorded into from a second thread"
-            );
-        }
-        let add = |field: &AtomicU64, n: u64| {
-            field.store(
-                field.load(Ordering::Relaxed).wrapping_add(n),
-                Ordering::Relaxed,
-            )
-        };
+        let add = |field: &Cell<u64>, n: u64| field.set(field.get().wrapping_add(n));
         add(&self.buckets[bucket_index(v)], 1);
         add(&self.count, 1);
         add(&self.sum, v);
-        if v < self.min.load(Ordering::Relaxed) {
-            self.min.store(v, Ordering::Relaxed);
-        }
-        if v > self.max.load(Ordering::Relaxed) {
-            self.max.store(v, Ordering::Relaxed);
-        }
+        self.min.set(self.min.get().min(v));
+        self.max.set(self.max.get().max(v));
     }
 
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.count.get()
     }
 
     /// Point-in-time copy (sparse: only non-empty buckets).
     pub fn snapshot(&self) -> HistSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
+        let count = self.count.get();
         let mut buckets = Vec::new();
         for (i, b) in self.buckets.iter().enumerate() {
-            let c = b.load(Ordering::Relaxed);
+            let c = b.get();
             if c > 0 {
                 buckets.push((i as u32, c));
             }
@@ -226,13 +196,9 @@ impl LogLinHistogram {
         HistSnapshot {
             buckets,
             count,
-            sum: self.sum.load(Ordering::Relaxed),
-            min: if count == 0 {
-                0
-            } else {
-                self.min.load(Ordering::Relaxed)
-            },
-            max: self.max.load(Ordering::Relaxed),
+            sum: self.sum.get(),
+            min: if count == 0 { 0 } else { self.min.get() },
+            max: self.max.get(),
         }
     }
 }
@@ -339,14 +305,14 @@ impl HistSnapshot {
 
 /// Where a time-series point comes from at each sample tick.
 enum Source {
-    /// Read an atomic gauge.
-    Gauge(Arc<Gauge>),
+    /// Read a gauge.
+    Gauge(Rc<Gauge>),
     /// Call a closure with the current sim time (ns). Must not call back
-    /// into the registry, and must not block: `None` skips this tick
-    /// (components read their own state with `try_lock`, because a
-    /// process can legitimately be parked mid-call holding its lock when
-    /// the engine-side sampler fires).
-    Poll(Box<dyn Fn(u64) -> Option<i64> + Send>),
+    /// into the registry: `None` skips this tick (components read their
+    /// own state with `try_borrow`, because a process can legitimately be
+    /// parked mid-call holding a borrow of it when the engine-side sampler
+    /// fires).
+    Poll(Box<dyn Fn(u64) -> Option<i64>>),
 }
 
 struct SeriesSlot {
@@ -355,9 +321,9 @@ struct SeriesSlot {
 }
 
 struct Inner {
-    counters: BTreeMap<String, Arc<Counter>>,
-    gauges: BTreeMap<String, Arc<Gauge>>,
-    histograms: BTreeMap<String, Arc<LogLinHistogram>>,
+    counters: BTreeMap<String, Rc<Counter>>,
+    gauges: BTreeMap<String, Rc<Gauge>>,
+    histograms: BTreeMap<String, Rc<LogLinHistogram>>,
     series: BTreeMap<String, SeriesSlot>,
     /// Sampling cadence in sim nanoseconds; doubles on decimation.
     every_ns: u64,
@@ -372,13 +338,13 @@ const SERIES_CAP: u64 = 512;
 
 /// The per-simulation telemetry registry: named counters, gauges,
 /// log-linear histograms, and sampled time series. Get-or-create lookups
-/// return shared handles; hot paths should cache the `Arc` and touch the
-/// registry map only once.
+/// return shared handles and allocate only when they create; hot paths
+/// should still cache the `Rc` and touch the registry map only once.
 pub struct Registry {
-    inner: Mutex<Inner>,
+    inner: RefCell<Inner>,
     /// Next sim instant at which to take a sample — the sampler fast path
-    /// is one relaxed load of this.
-    next_sample_ns: AtomicU64,
+    /// is one load of this.
+    next_sample_ns: Cell<u64>,
 }
 
 impl Registry {
@@ -387,9 +353,9 @@ impl Registry {
     /// per simulated second — the harness-efficiency metric), which is the
     /// only non-deterministic entry and is excluded from
     /// [`RegistrySnapshot::deterministic_text`].
-    pub fn new() -> Arc<Registry> {
-        let reg = Arc::new(Registry {
-            inner: Mutex::new(Inner {
+    pub fn new() -> Rc<Registry> {
+        let reg = Rc::new(Registry {
+            inner: RefCell::new(Inner {
                 counters: BTreeMap::new(),
                 gauges: BTreeMap::new(),
                 histograms: BTreeMap::new(),
@@ -397,7 +363,7 @@ impl Registry {
                 every_ns: DEFAULT_SAMPLE_EVERY_NS,
                 samples: 0,
             }),
-            next_sample_ns: AtomicU64::new(DEFAULT_SAMPLE_EVERY_NS),
+            next_sample_ns: Cell::new(DEFAULT_SAMPLE_EVERY_NS),
         });
         let born = Instant::now();
         reg.register_sampled("host.wall_us_per_sim_s", move |now_ns| {
@@ -410,67 +376,70 @@ impl Registry {
         reg
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Get or create a named counter.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        Arc::clone(self.lock().counters.entry(name.to_string()).or_default())
+    pub fn counter(&self, name: &str) -> Rc<Counter> {
+        get_or_create(&mut self.inner.borrow_mut().counters, name)
     }
 
     /// Get or create a named gauge. Gauges are automatically sampled into
     /// a time series of the same name.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut g = self.lock();
-        let gauge = Arc::clone(g.gauges.entry(name.to_string()).or_default());
+    pub fn gauge(&self, name: &str) -> Rc<Gauge> {
+        let mut g = self.inner.borrow_mut();
+        if let Some(gauge) = g.gauges.get(name) {
+            // Its series was made when the gauge was.
+            return Rc::clone(gauge);
+        }
+        let gauge = get_or_create(&mut g.gauges, name);
         g.series
             .entry(name.to_string())
             .or_insert_with(|| SeriesSlot {
-                source: Source::Gauge(Arc::clone(&gauge)),
+                source: Source::Gauge(Rc::clone(&gauge)),
                 points: Vec::new(),
             });
         gauge
     }
 
     /// Get or create a named log-linear histogram.
-    pub fn histogram(&self, name: &str) -> Arc<LogLinHistogram> {
-        Arc::clone(self.lock().histograms.entry(name.to_string()).or_default())
+    pub fn histogram(&self, name: &str) -> Rc<LogLinHistogram> {
+        get_or_create(&mut self.inner.borrow_mut().histograms, name)
     }
 
     /// Register a poll closure sampled into a time series under `name`.
     /// First registration wins; duplicates are ignored (components
     /// registering lazily on first activity may race benignly). The
     /// closure receives the sample's sim time in nanoseconds and must not
-    /// call back into this registry or block: return `None` (e.g. on a
-    /// failed `try_lock`) to skip the tick — a parked process may hold
-    /// the component's lock when the sampler fires.
+    /// call back into this registry: return `None` (e.g. on a failed
+    /// `try_borrow`) to skip the tick — a parked process may hold a borrow
+    /// of the component's state when the sampler fires.
     pub fn register_sampled<F>(&self, name: &str, f: F)
     where
-        F: Fn(u64) -> Option<i64> + Send + 'static,
+        F: Fn(u64) -> Option<i64> + 'static,
     {
-        self.lock()
-            .series
-            .entry(name.to_string())
-            .or_insert_with(|| SeriesSlot {
-                source: Source::Poll(Box::new(f)),
-                points: Vec::new(),
-            });
+        let mut g = self.inner.borrow_mut();
+        if !g.series.contains_key(name) {
+            g.series.insert(
+                name.to_string(),
+                SeriesSlot {
+                    source: Source::Poll(Box::new(f)),
+                    points: Vec::new(),
+                },
+            );
+        }
     }
 
     /// Override the sampling cadence (tests and short benches). Resets the
     /// next-sample deadline to the new cadence.
     pub fn set_sample_every_ns(&self, every_ns: u64) {
         let every = every_ns.max(1);
-        self.lock().every_ns = every;
-        self.next_sample_ns.store(every, Ordering::Relaxed);
+        self.inner.borrow_mut().every_ns = every;
+        self.next_sample_ns.set(every);
     }
 
     /// Sampler entry point, called by the engine after each executed
-    /// event. Fast path: one relaxed atomic load.
+    /// event. Fast path: one load.
     #[inline]
     pub fn maybe_sample(&self, now_ns: u64) {
-        if now_ns >= self.next_sample_ns.load(Ordering::Relaxed) {
+        if now_ns >= self.next_sample_ns.get() {
             self.sample_now(now_ns);
         }
     }
@@ -478,7 +447,7 @@ impl Registry {
     /// Take one sample tick unconditionally (also used by `empstat` to
     /// capture a final data point before rendering).
     pub fn sample_now(&self, now_ns: u64) {
-        let mut g = self.lock();
+        let mut g = self.inner.borrow_mut();
         for slot in g.series.values_mut() {
             let v = match &slot.source {
                 Source::Gauge(gauge) => Some(gauge.get()),
@@ -504,15 +473,13 @@ impl Registry {
             g.every_ns = g.every_ns.saturating_mul(2);
         }
         let every = g.every_ns;
-        self.next_sample_ns.store(
-            (now_ns / every + 1).saturating_mul(every),
-            Ordering::Relaxed,
-        );
+        self.next_sample_ns
+            .set((now_ns / every + 1).saturating_mul(every));
     }
 
     /// Point-in-time copy of everything in the registry.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let g = self.lock();
+        let g = self.inner.borrow();
         RegistrySnapshot {
             counters: g
                 .counters
@@ -540,6 +507,15 @@ impl Registry {
                 .collect(),
         }
     }
+}
+
+/// The handle registered under `name`, made (and its name allocated) only
+/// if there is none yet.
+fn get_or_create<T: Default>(map: &mut BTreeMap<String, Rc<T>>, name: &str) -> Rc<T> {
+    if let Some(h) = map.get(name) {
+        return Rc::clone(h);
+    }
+    Rc::clone(map.entry(name.to_string()).or_default())
 }
 
 /// One sampled time series.
@@ -832,19 +808,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    fn a_second_recording_thread_is_caught() {
-        let h = Arc::new(LogLinHistogram::new());
-        h.record(1);
-        let h2 = Arc::clone(&h);
-        let other = std::thread::spawn(move || h2.record(2)).join();
-        assert!(other.is_err(), "the second thread's record must panic");
-        // Snapshots from another thread are fine.
-        let snap = std::thread::spawn(move || h.snapshot()).join();
-        assert_eq!(snap.expect("snapshot").count, 1);
-    }
-
-    #[test]
     fn merged_snapshots_match_merged_stream() {
         let (a, b, all) = (
             LogLinHistogram::new(),
@@ -892,7 +855,7 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.series["t.depth"].points, vec![(100, 5), (250, 9)]);
         assert_eq!(snap.series["t.poll"].points, vec![(100, 10), (250, 25)]);
-        // A closure returning None (component lock busy) skips the tick.
+        // A closure returning None (component state borrowed) skips the tick.
         assert_eq!(snap.series["t.skip"].points, vec![]);
     }
 
