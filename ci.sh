@@ -36,14 +36,15 @@ fi
 
 step "one thread in the types"
 # A simulation runs on its `run*` caller's thread, and the simulated crates
-# say so in their types: no non-test line under crates/*/src (each file up
-# to its first `#[cfg(test)]`) names a lock, an atomic or an unsafe
-# Send/Sync impl. Task wakers, which must be `Send + Sync`, hold plain data
+# say so in their types: no non-test line under crates/*/src or
+# vendor/bytes/src (the `Bytes` every payload is; each file up to its
+# first `#[cfg(test)]`) names a lock, an atomic or an unsafe Send/Sync
+# impl. Task wakers, which must be `Send + Sync`, hold plain data
 # (emp-async's `TaskWaker`). The one exception, with its reason:
 # * hostsim's `Host::memory` is a `parking_lot::Mutex<MemoryRegistry>`,
 #   because the repo benchmark (benchmark/src/harness.rs) calls `.lock()`
 #   on it; its field, its accessor and the `memory().lock()` calls pass.
-if find crates/*/src -name '*.rs' -print0 \
+if find crates/*/src vendor/bytes/src -name '*.rs' -print0 \
     | xargs -0 awk 'FNR==1{skip=0} /^#\[cfg\(test\)\]/{skip=1} !skip{print FILENAME ":" FNR ": " $0}' \
     | grep -E 'parking_lot|Mutex|\.lock\(\)|Atomic[A-Za-z0-9]*|unsafe impl (Send|Sync)' \
     | grep -vE '^crates/hostsim/src/host\.rs:[0-9]+: .*(MemoryRegistry|Host::memory)|memory\(\)\.lock\(\)'; then
@@ -115,6 +116,16 @@ step "cargo test --release (simnet, emp-async)"
 # so a register the process stack switch fails to save shows up here first
 # (simnet's `parked_processes_keep_their_registers_and_rounding_mode`).
 cargo test --release -q -p simnet -p emp-async
+
+step "allocation budget (debug and release)"
+# The steady-state data path allocates within a budget per executed event
+# and copies where the modelled system copies (emp-apps `alloc_budget`,
+# which the tier-1 step ran in debug); an optimised build may allocate
+# differently, so it is held to the same budget. The vendored `Bytes`
+# (outside the workspace) carries the unit tests of its copy and
+# allocation contract.
+cargo test --release -q -p emp-apps --test alloc_budget
+cargo test -q --offline --manifest-path vendor/bytes/Cargo.toml
 
 step "traced ping-pong smoke"
 # Must print a latency budget and a non-empty Chrome trace.

@@ -92,7 +92,7 @@ pub trait NetConn: 'static {
 
     /// Read exactly `n` bytes; `None` on premature EOF.
     fn read_exact(&self, ctx: &ProcessCtx, n: usize) -> OpResult<Option<Bytes>> {
-        let mut buf = Vec::with_capacity(n);
+        let mut buf = Vec::new();
         while buf.len() < n {
             let chunk = match self.read(ctx, n - buf.len())? {
                 Ok(c) => c,
@@ -100,6 +100,10 @@ pub trait NetConn: 'static {
             };
             if chunk.is_empty() {
                 return Ok(Ok(None));
+            }
+            // One read that brought all `n` bytes: hand it over as is.
+            if chunk.len() == n {
+                return Ok(Ok(Some(chunk)));
             }
             buf.extend_from_slice(&chunk);
         }

@@ -31,7 +31,7 @@ pub fn emp_latency_us(msg_size: usize, iters: u32) -> f64 {
         for _ in 0..iters + 4 {
             let h = b2.post_recv(ctx, Tag(1), None, msg_size, buf(1, msg_size))?;
             let msg = b2.wait_recv(ctx, &h)?.expect("ping");
-            sends.push(b2.post_send(ctx, addr_a, Tag(2), msg.data, buf(2, msg_size))?);
+            sends.push(b2.post_send(ctx, addr_a, Tag(2), msg.data.to_bytes(), buf(2, msg_size))?);
         }
         for h in &sends {
             assert!(b2.wait_send(ctx, h)?);

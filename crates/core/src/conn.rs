@@ -5,12 +5,12 @@
 //! backlog queue; each connection's EMP descriptors are accounted for and
 //! released on `close()` (§5.3).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::rc::{Rc, Weak};
 
 use bytes::Bytes;
-use emp_proto::{EmpEndpoint, PostSpec, RecvHandle, SendHandle, TxBuf};
+use emp_proto::{EmpEndpoint, MsgBuf, PostSpec, RecvHandle, SendHandle};
 use hostsim::{VirtRange, PAGE_SIZE};
 use simnet::emp_trace::{self, EventKind};
 use simnet::{
@@ -185,22 +185,15 @@ impl ProcShared {
             let weak = self.self_ref.clone();
             reg.register_sampled(&format!("sock.n{node}.{name}"), move |_| {
                 let p = weak.upgrade()?;
-                let socks: Vec<Rc<SockShared>> = p
-                    .state
-                    .try_borrow()
-                    .ok()?
-                    .active
-                    .values()
-                    .filter_map(Weak::upgrade)
-                    .collect();
+                let state = p.state.try_borrow().ok()?;
                 // A parked process may hold a socket borrowed right now;
                 // skip the whole tick rather than publish a partial sum.
                 let mut total = 0i64;
-                for s in &socks {
+                for s in state.active.values().filter_map(Weak::upgrade) {
                     let i = s.inner.try_borrow().ok()?;
                     if !i.core.closed {
                         drop(i);
-                        total += per_sock(s);
+                        total += per_sock(&s);
                     }
                 }
                 Some(total)
@@ -284,6 +277,8 @@ pub(crate) struct SockShared {
     /// Effective temp-buffer size.
     pub(crate) buf_size: usize,
     pub(crate) inner: RefCell<SockInner>,
+    /// A write's zero-copy sends, the list kept between writes.
+    pub(crate) zc_sends: Cell<Vec<SendHandle>>,
     /// For the staging-deadline timer (it must not keep us alive).
     pub(crate) self_ref: Weak<SockShared>,
 }
@@ -324,6 +319,7 @@ impl SockShared {
         let window = core.window;
         let sock = Rc::new_cyclic(|self_ref| SockShared {
             self_ref: self_ref.clone(),
+            zc_sends: Cell::default(),
             proc_: Rc::clone(proc_),
             cid,
             peer,
@@ -493,7 +489,7 @@ impl SockShared {
         payload: Bytes,
     ) -> SimResult<SendHandle> {
         let header = Msg::data_header(ret.credits, seq, payload.len());
-        let data = TxBuf::pair(header, payload);
+        let data = MsgBuf::pair(header, payload);
         self.send_returning(ctx, self.tx_data_tag(), data, ret)
     }
 
@@ -503,7 +499,7 @@ impl SockShared {
         ctx: &ProcessCtx,
         ret: CreditReturn<VirtRange>,
     ) -> SimResult<SendHandle> {
-        let data = TxBuf::one(
+        let data = MsgBuf::one(
             Msg::FcAck {
                 credits: ret.credits,
                 grew_window: !ret.grants.is_empty(),
@@ -519,7 +515,7 @@ impl SockShared {
         &self,
         ctx: &ProcessCtx,
         tag: emp_proto::Tag,
-        data: TxBuf,
+        data: MsgBuf,
         ret: CreditReturn<VirtRange>,
     ) -> SimResult<SendHandle> {
         let range = self.inner.borrow().send_range;
@@ -536,12 +532,16 @@ impl SockShared {
     /// that grow the window.
     pub(crate) fn rearm_posts(&self, ret: &CreditReturn<VirtRange>) -> Vec<PostSpec> {
         self.data_posts(ret.rearms.iter().chain(&ret.grants))
+            .collect()
     }
 
-    fn data_posts<'a>(&self, ranges: impl Iterator<Item = &'a VirtRange>) -> Vec<PostSpec> {
+    fn data_posts<'a>(
+        &self,
+        ranges: impl Iterator<Item = &'a VirtRange> + Clone + 'a,
+    ) -> impl Iterator<Item = PostSpec> + Clone + 'a {
         let cap = self.buf_size + DATA_HEADER;
-        let tag = self.rx_data_tag();
-        ranges.map(|r| (tag, Some(self.peer), cap, *r)).collect()
+        let (tag, peer) = (self.rx_data_tag(), self.peer);
+        ranges.map(move |r| (tag, Some(peer), cap, *r))
     }
 
     /// Post data descriptors into `ranges` behind one doorbell.
@@ -553,7 +553,7 @@ impl SockShared {
         let handles = self
             .proc_
             .ep
-            .post_recv_batch(ctx, &self.data_posts(ranges.iter()))?;
+            .post_recv_batch(ctx, self.data_posts(ranges.iter()))?;
         let mut i = self.inner.borrow_mut();
         for (handle, range) in handles.into_iter().zip(ranges) {
             i.data_slots.push_back(DataSlot { handle, range });

@@ -858,7 +858,18 @@ impl<R: Copy> ConnCore<R> {
         if self.stream_len == 0 {
             return Ok(None);
         }
-        let mut out = Vec::with_capacity(max.min(self.stream_len));
+        // The front chunk alone covers the read: hand over (a slice of) it.
+        let want = max.min(self.stream_len);
+        if let Some(front) = self.stream.front_mut().filter(|f| f.len() >= want) {
+            let out = if front.len() == want {
+                self.stream.pop_front().expect("front exists")
+            } else {
+                front.split_to(want)
+            };
+            self.stream_len -= want;
+            return Ok(Some(out));
+        }
+        let mut out = Vec::with_capacity(want);
         while out.len() < max {
             let Some(mut chunk) = self.stream.pop_front() else {
                 break;
@@ -1292,7 +1303,7 @@ mod tests {
                         grows_window,
                         first,
                         ..
-                    }) = Msg::decode(&raw)
+                    }) = Msg::decode(&raw.into())
                     else {
                         return Err("the request does not decode".into());
                     };

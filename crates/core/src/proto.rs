@@ -7,6 +7,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
+use emp_proto::MsgBuf;
 use simnet::NetError;
 
 use crate::config::SocketType;
@@ -202,58 +203,62 @@ impl Msg {
     /// send path hand header and payload to the NIC as separate segments
     /// instead of assembling (copying) them into one buffer.
     pub fn data_header(piggyback: u16, seq: u32, payload_len: usize) -> Bytes {
-        let mut b = BytesMut::with_capacity(DATA_HEADER);
-        b.put_u8(KIND_DATA);
-        b.put_u8(0);
-        b.put_u16_le(piggyback);
-        b.put_u32_le(payload_len as u32);
-        b.put_u32_le(seq);
-        b.freeze()
+        let mut b = [0u8; DATA_HEADER];
+        b[0] = KIND_DATA;
+        b[2..4].copy_from_slice(&piggyback.to_le_bytes());
+        b[4..8].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        b[8..12].copy_from_slice(&seq.to_le_bytes());
+        // Short enough for `Bytes` to hold inline: no allocation.
+        Bytes::copy_from_slice(&b)
     }
 
-    /// Parse a wire message.
-    pub fn decode(raw: &Bytes) -> Result<Msg, NetError> {
-        if raw.len() < HEADER {
+    /// Parse a wire message, as EMP hands it over: the header is read out
+    /// of it, and a payload is a slice of it (a copy only where it spans
+    /// the two segments of a message sent as a pair).
+    pub fn decode(raw: &MsgBuf) -> Result<Msg, NetError> {
+        // The longest fixed header: a data message's, or a request's.
+        let mut h = [0u8; DATA_HEADER];
+        if raw.copy_prefix(&mut h) < HEADER {
             return Err(NetError::Protocol("message shorter than header"));
         }
-        let kind = raw[0];
-        let arg16 = u16::from_le_bytes([raw[2], raw[3]]);
-        let arg32 = u32::from_le_bytes([raw[4], raw[5], raw[6], raw[7]]);
+        let kind = h[0];
+        let arg16 = u16::from_le_bytes([h[2], h[3]]);
+        let arg32 = u32::from_le_bytes([h[4], h[5], h[6], h[7]]);
         match kind {
             KIND_DATA => {
                 let len = arg32 as usize;
                 if raw.len() < DATA_HEADER + len {
                     return Err(NetError::Protocol("data message truncated"));
                 }
-                let seq = u32::from_le_bytes([raw[8], raw[9], raw[10], raw[11]]);
+                let seq = u32::from_le_bytes([h[8], h[9], h[10], h[11]]);
                 Ok(Msg::Data {
                     piggyback: arg16,
                     seq,
-                    payload: raw.slice(DATA_HEADER..DATA_HEADER + len),
+                    payload: raw.slice(DATA_HEADER, DATA_HEADER + len),
                 })
             }
             KIND_FCACK => Ok(Msg::FcAck {
                 credits: arg16,
-                grew_window: raw[1] & FCACK_GREW_WINDOW != 0,
+                grew_window: h[1] & FCACK_GREW_WINDOW != 0,
             }),
             KIND_CONN_REQ => {
                 if raw.len() < CONN_REQ {
                     return Err(NetError::Protocol("conn request truncated"));
                 }
-                let port = u16::from_le_bytes([raw[8], raw[9]]);
-                let credits = u16::from_le_bytes([raw[10], raw[11]]);
+                let port = u16::from_le_bytes([h[8], h[9]]);
+                let credits = u16::from_le_bytes([h[10], h[11]]);
                 Ok(Msg::ConnReq {
                     cid: arg16,
                     port,
-                    socket_type: if raw[1] & 1 == 0 {
+                    socket_type: if h[1] & 1 == 0 {
                         SocketType::Stream
                     } else {
                         SocketType::Datagram
                     },
                     credits,
                     buf_size: arg32,
-                    grows_window: raw[1] & CONN_GROWS_WINDOW != 0,
-                    first: raw.slice(CONN_REQ..),
+                    grows_window: h[1] & CONN_GROWS_WINDOW != 0,
+                    first: raw.slice(CONN_REQ, raw.len()),
                 })
             }
             KIND_RNDV_REQ => Ok(Msg::RndvReq { size: arg32 }),
@@ -282,7 +287,7 @@ mod tests {
     fn roundtrip(m: Msg) {
         let enc = m.encode();
         assert_eq!(enc.len(), m.wire_len());
-        let dec = Msg::decode(&enc).expect("decodes");
+        let dec = Msg::decode(&enc.into()).expect("decodes");
         assert_eq!(dec, m);
     }
 
@@ -361,15 +366,23 @@ mod tests {
                 seq: 77,
                 payload: payload.clone(),
             };
-            let mut split = Msg::data_header(9, 77, payload.len()).to_vec();
+            let header = Msg::data_header(9, 77, payload.len());
+            let mut split = header.to_vec();
             split.extend_from_slice(&payload);
             assert_eq!(Bytes::from(split), m.encode());
+            // Sent as the pair, it decodes to the very payload buffer.
+            let pair = MsgBuf::pair(header, payload.clone());
+            let Ok(Msg::Data { payload: got, .. }) = Msg::decode(&pair) else {
+                panic!("a data message decodes");
+            };
+            assert_eq!(got, payload);
+            assert!(payload.is_empty() || got.as_ptr() == payload.as_ptr());
         }
     }
 
     #[test]
     fn truncated_messages_rejected() {
-        assert!(Msg::decode(&Bytes::from_static(b"abc")).is_err());
+        assert!(Msg::decode(&Bytes::from_static(b"abc").into()).is_err());
         let mut enc = Msg::Data {
             piggyback: 0,
             seq: 3,
@@ -379,13 +392,13 @@ mod tests {
         .to_vec();
         // Cut into the payload (header + seq survive, bytes do not).
         enc.truncate(DATA_HEADER + 4);
-        assert!(Msg::decode(&Bytes::from(enc)).is_err());
+        assert!(Msg::decode(&Bytes::from(enc).into()).is_err());
     }
 
     #[test]
     fn unknown_kind_rejected() {
         let raw = Bytes::from(vec![99u8, 0, 0, 0, 0, 0, 0, 0]);
-        assert!(Msg::decode(&raw).is_err());
+        assert!(Msg::decode(&raw.into()).is_err());
     }
 
     #[test]

@@ -511,11 +511,15 @@ impl Connection {
 
     /// Read exactly `n` bytes (stream sockets); `None` on premature EOF.
     pub fn read_exact(&self, ctx: &ProcessCtx, n: usize) -> OpResult<Option<Bytes>> {
-        let mut buf = Vec::with_capacity(n);
+        let mut buf = Vec::new();
         while buf.len() < n {
             let chunk = ok_or_return!(self.read(ctx, n - buf.len())?);
             if chunk.is_empty() {
                 return Ok(Ok(None));
+            }
+            // One read that brought all `n` bytes: hand it over as is.
+            if chunk.len() == n {
+                return Ok(Ok(Some(chunk)));
             }
             buf.extend_from_slice(&chunk);
         }

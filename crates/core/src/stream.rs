@@ -6,7 +6,7 @@
 //! unexpected queue.
 
 use bytes::Bytes;
-use emp_proto::{SendHandle, TxBuf};
+use emp_proto::{MsgBuf, SendHandle};
 use hostsim::VirtRange;
 use simnet::emp_trace::{self, EventKind};
 use simnet::{NetError, OpResult, ProcessCtx, SimAccess, SimAccessExt, SimDuration, SimResult};
@@ -63,16 +63,28 @@ impl SockShared {
     /// time, calls the NIC and traces, in the order of the steps. `data`
     /// is a write's bytes.
     pub(crate) fn run_op(&self, ctx: &ProcessCtx, kind: OpKind, data: &[u8]) -> OpResult<usize> {
+        let mut zc_sends = self.zc_sends.take();
+        let r = self.run_steps(ctx, kind, data, &mut zc_sends);
+        zc_sends.clear();
+        self.zc_sends.set(zc_sends);
+        r
+    }
+
+    /// [`Self::run_op`]'s steps; `zc_sends` collects the write's zero-copy
+    /// sends, starting empty.
+    fn run_steps(
+        &self,
+        ctx: &ProcessCtx,
+        kind: OpKind,
+        data: &[u8],
+        zc_sends: &mut Vec<SendHandle>,
+    ) -> OpResult<usize> {
         if let OpKind::Write { len, .. } = kind {
             self.trace(ctx, EventKind::SockWriteStart, len as u64, 0);
         }
         let mut op = Op::new(kind);
         // What a failed credit wait found, for `Step::Fail`.
         let mut failed = None;
-        // One harness-side copy models handing the NIC the user buffer:
-        // each fragment is a cheap refcounted slice of it.
-        let mut whole = None;
-        let mut zc_sends = Vec::new();
         loop {
             let step = {
                 let i = &mut *self.inner.borrow_mut();
@@ -110,9 +122,12 @@ impl SockShared {
                 }
                 Step::Fragment(ret, seq, range, copy) => {
                     self.trace_piggyback(ctx, &ret);
-                    let whole = whole.get_or_insert_with(|| Bytes::copy_from_slice(data));
                     let len = range.len();
-                    let payload = whole.slice(range);
+                    // The harness copy that models handing the NIC the
+                    // user buffer, one fragment at a time: each is one
+                    // message, and a whole long write copied at once
+                    // would be a fresh `mmap` per write.
+                    let payload = Bytes::copy_from_slice(&data[range]);
                     // Copied into a registered staging buffer, the send
                     // goes on like TCP's write-into-sockbuf. Zero-copy, the
                     // user buffer is pinned and handed to the NIC: the
@@ -151,7 +166,7 @@ impl SockShared {
                 // The buffer is the application's again once every
                 // zero-copy fragment is acknowledged.
                 Step::AwaitZeroCopy => {
-                    if !self.proc_.ep.wait_sends(ctx, &zc_sends)? {
+                    if !self.proc_.ep.wait_sends(ctx, zc_sends)? {
                         self.inner.borrow_mut().core.peer_closed = true;
                         return Ok(Err(NetError::PeerClosed));
                     }
@@ -246,7 +261,7 @@ impl SockShared {
         self.trace_flush(sim, &f);
         let (ret, seq, payload) = (f.ret, f.seq, f.payload);
         let range = self.inner.borrow().send_range;
-        let data = TxBuf::pair(Msg::data_header(ret.credits, seq, payload.len()), payload);
+        let data = MsgBuf::pair(Msg::data_header(ret.credits, seq, payload.len()), payload);
         let rearms = self.rearm_posts(&ret);
         let (h, handles, post) = self.proc_.ep.post_send_rearming_from_event(
             sim,
@@ -592,7 +607,7 @@ impl SockShared {
         Ok(Ok(()))
     }
 
-    fn apply_fcack(&self, ctx: &ProcessCtx, raw: &Bytes) -> Result<(), NetError> {
+    fn apply_fcack(&self, ctx: &ProcessCtx, raw: &MsgBuf) -> Result<(), NetError> {
         match Msg::decode(raw)? {
             Msg::FcAck {
                 credits,

@@ -15,8 +15,8 @@ use hostsim::{Host, VirtRange};
 use simnet::emp_trace::{self, EventKind};
 use simnet::{MacAddr, ProcessCtx, SimAccess, SimDuration, SimResult};
 
-use crate::nic::{DescId, NicCore, RecvState, SendState, TxBuf};
-use crate::wire::{RecvMsg, Tag};
+use crate::nic::{DescId, NicCore, RecvState, SendState};
+use crate::wire::{MsgBuf, RecvMsg, Tag};
 
 /// A receive descriptor to post from the host: `(tag, source filter,
 /// capacity, buffer)`.
@@ -42,7 +42,7 @@ impl SendHandle {
 
     /// `Some(acked)` once complete; `None` while in flight.
     pub fn status(&self) -> Option<bool> {
-        self.state.ok.get()
+        self.state.status()
     }
 
     /// True when the send failed because the peer NIC *refused* it (a
@@ -50,7 +50,7 @@ impl SendHandle {
     /// after silence. Meaningful once [`SendHandle::status`] is
     /// `Some(false)`.
     pub fn refused(&self) -> bool {
-        self.state.refused.get()
+        self.state.refused()
     }
 
     /// The completion to block on.
@@ -153,7 +153,7 @@ impl EmpEndpoint {
         data: Bytes,
         buf: VirtRange,
     ) -> SimResult<SendHandle> {
-        self.post_send_buf(ctx, dst, tag, TxBuf::one(data), buf, false)
+        self.post_send_buf(ctx, dst, tag, MsgBuf::one(data), buf, false)
     }
 
     /// [`EmpEndpoint::post_send`], but the message is flagged `no_uq`: it
@@ -170,7 +170,7 @@ impl EmpEndpoint {
         data: Bytes,
         buf: VirtRange,
     ) -> SimResult<SendHandle> {
-        self.post_send_buf(ctx, dst, tag, TxBuf::one(data), buf, true)
+        self.post_send_buf(ctx, dst, tag, MsgBuf::one(data), buf, true)
     }
 
     /// [`EmpEndpoint::post_send`] that also re-arms the receive
@@ -185,7 +185,7 @@ impl EmpEndpoint {
         ctx: &ProcessCtx,
         dst: MacAddr,
         tag: Tag,
-        data: TxBuf,
+        data: MsgBuf,
         buf: VirtRange,
         rearms: &[PostSpec],
     ) -> SimResult<(SendHandle, Vec<RecvHandle>)> {
@@ -202,7 +202,7 @@ impl EmpEndpoint {
         sim: &dyn SimAccess,
         dst: MacAddr,
         tag: Tag,
-        data: TxBuf,
+        data: MsgBuf,
         buf: VirtRange,
         rearms: &[PostSpec],
     ) -> (SendHandle, Vec<RecvHandle>, SimDuration) {
@@ -233,7 +233,7 @@ impl EmpEndpoint {
         sim: &dyn SimAccess,
         dst: MacAddr,
         tag: Tag,
-        data: TxBuf,
+        data: MsgBuf,
         no_uq: bool,
         rearms: &[PostSpec],
     ) -> (SendHandle, Vec<RecvHandle>) {
@@ -250,7 +250,7 @@ impl EmpEndpoint {
         ctx: &ProcessCtx,
         dst: MacAddr,
         tag: Tag,
-        data: TxBuf,
+        data: MsgBuf,
         buf: VirtRange,
         no_uq: bool,
     ) -> SimResult<SendHandle> {
@@ -263,7 +263,7 @@ impl EmpEndpoint {
     pub fn wait_send(&self, ctx: &ProcessCtx, h: &SendHandle) -> SimResult<bool> {
         h.state.completion.wait(ctx)?;
         ctx.delay(self.host.cost().poll_completion)?;
-        Ok(h.state.ok.get().expect("completed send has a status"))
+        Ok(h.state.status().expect("completed send has a status"))
     }
 
     /// Block until *every* send in the batch completed, then reap them
@@ -280,7 +280,7 @@ impl EmpEndpoint {
         ctx.delay(self.host.cost().poll_completion)?;
         Ok(hs
             .iter()
-            .all(|h| h.state.ok.get().expect("completed send has a status")))
+            .all(|h| h.state.status().expect("completed send has a status")))
     }
 
     /// Post a receive descriptor matching `tag` (and `src` if given) into a
@@ -311,24 +311,24 @@ impl EmpEndpoint {
     /// doorbell write and the firmware's unexpected-pool rescan are paid
     /// once for the whole batch. A batch of one costs exactly one
     /// [`EmpEndpoint::post_recv`].
-    pub fn post_recv_batch(
-        &self,
-        ctx: &ProcessCtx,
-        posts: &[PostSpec],
-    ) -> SimResult<Vec<RecvHandle>> {
-        if posts.is_empty() {
+    pub fn post_recv_batch<I>(&self, ctx: &ProcessCtx, posts: I) -> SimResult<Vec<RecvHandle>>
+    where
+        I: IntoIterator,
+        I::Item: std::borrow::Borrow<PostSpec>,
+        I::IntoIter: Clone,
+    {
+        let posts = posts.into_iter();
+        if posts.clone().next().is_none() {
             return Ok(Vec::new());
         }
         let cfg = self.nic.cfg();
         let mut cost = self.host.cost().doorbell_write;
-        for (_, _, _, buf) in posts {
-            cost += cfg.desc_build + self.pin(*buf);
+        let spec = |p: I::Item| *std::borrow::Borrow::<PostSpec>::borrow(&p);
+        for (_, _, _, buf) in posts.clone().map(spec) {
+            cost += cfg.desc_build + self.pin(buf);
         }
         ctx.delay(cost)?;
-        let specs = posts
-            .iter()
-            .map(|&(tag, src, cap, _)| (tag, src, cap))
-            .collect();
+        let specs = posts.map(spec).map(|(tag, src, cap, _)| (tag, src, cap));
         Ok(self
             .nic
             .post_descriptors(ctx, specs)

@@ -25,6 +25,6 @@ pub mod wire;
 
 pub use config::EmpConfig;
 pub use endpoint::{EmpEndpoint, PostSpec, RecvHandle, RecvPoll, SendHandle};
-pub use nic::{DescId, DescSpec, EmpNic, EmpStats, NicCore, TxBuf};
+pub use nic::{DescId, DescSpec, EmpNic, EmpStats, NicCore};
 pub use testbed::{build_cluster, EmpCluster, EmpNode};
-pub use wire::{RecvMsg, Tag, MAX_CHUNK};
+pub use wire::{MsgBuf, RecvMsg, Tag, MAX_CHUNK};

@@ -17,22 +17,21 @@
 //! the sender to retransmit.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::hash::BuildHasherDefault;
 use std::ops::Deref;
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use simnet::emp_trace::{self, EventKind};
 use simnet::{
-    Completion, EtherType, Frame, FrameSink, MacAddr, Sim, SimAccess, SimAccessExt, SimDuration,
-    SimTime, TimerGuard,
+    Completion, EtherType, EventClass, EventTarget, Frame, FrameSink, IdHasher, IdMap, MacAddr,
+    Sim, SimAccess, SimAccessExt, SimDuration, SimTime, Slab, TimerGuard,
 };
-use tigon_nic::Tigon;
+use tigon_nic::{FirmwareCpu, Tigon};
 
 use crate::config::EmpConfig;
-use crate::wire::{ack_fits, chunk_range, frames_for, Ack, EmpWire, RecvMsg, Tag};
+use crate::wire::{ack_fits, chunk_range, frames_for, Ack, EmpWire, MsgBuf, RecvMsg, Tag};
 
 /// Identifier of a posted receive descriptor.
 pub type DescId = u64;
@@ -197,20 +196,41 @@ impl FwProfile {
 /// protocol gives up).
 #[derive(Clone)]
 pub struct SendState {
+    /// Completes with the send's [`SendState::status`] as its outcome.
     pub(crate) completion: Completion,
-    pub(crate) ok: Rc<Cell<Option<bool>>>,
-    /// Set (before `ok`) when the failure was an explicit peer refusal
-    /// (a `no_uq` message the peer NIC NACKed), as opposed to silence.
-    pub(crate) refused: Rc<Cell<bool>>,
 }
+
+/// [`SendState`]'s completion outcomes.
+const SENT: u32 = 1;
+const FAILED: u32 = 2;
+const REFUSED: u32 = 3;
 
 impl SendState {
     fn new() -> Self {
         SendState {
             completion: Completion::new(),
-            ok: Rc::new(Cell::new(None)),
-            refused: Rc::new(Cell::new(false)),
         }
+    }
+
+    /// Record the outcome and wake the host: acknowledged, failed after
+    /// silence, or refused by the peer NIC (a `no_uq` message it NACKed).
+    fn finish(&self, s: &dyn SimAccess, ok: bool, refused: bool) {
+        let outcome = match (ok, refused) {
+            (true, _) => SENT,
+            (false, false) => FAILED,
+            (false, true) => REFUSED,
+        };
+        self.completion.complete_with(s, outcome);
+    }
+
+    /// `Some(acked)` once complete.
+    pub(crate) fn status(&self) -> Option<bool> {
+        self.completion.outcome().map(|o| o == SENT)
+    }
+
+    /// The send failed because the peer NIC refused it.
+    pub(crate) fn refused(&self) -> bool {
+        self.completion.outcome() == Some(REFUSED)
     }
 }
 
@@ -231,63 +251,10 @@ impl RecvState {
     }
 }
 
-/// The bytes of one outgoing message as handed to the NIC: one contiguous
-/// buffer, or a header + payload pair kept as separate segments. The pair
-/// form lets the host skip assembling (copying) the payload into a fresh
-/// buffer — a real NIC gathers the segments by DMA — so only a frame that
-/// straddles the seam pays a frame-sized copy at wire-release time.
-#[derive(Clone)]
-pub struct TxBuf {
-    head: Bytes,
-    tail: Bytes,
-}
-
-impl TxBuf {
-    /// One contiguous buffer.
-    pub fn one(data: Bytes) -> Self {
-        TxBuf {
-            head: data,
-            tail: Bytes::new(),
-        }
-    }
-
-    /// A two-segment message: `head` (a protocol header) followed by
-    /// `tail` (the payload), without concatenating them.
-    pub fn pair(head: Bytes, tail: Bytes) -> Self {
-        TxBuf { head, tail }
-    }
-
-    /// Total message length.
-    pub fn len(&self) -> usize {
-        self.head.len() + self.tail.len()
-    }
-
-    /// True when the message carries no bytes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The bytes `a..b` — a refcounted slice unless the range straddles
-    /// the head/tail seam.
-    pub fn slice(&self, a: usize, b: usize) -> Bytes {
-        let h = self.head.len();
-        if b <= h {
-            self.head.slice(a..b)
-        } else if a >= h {
-            self.tail.slice(a - h..b - h)
-        } else {
-            let mut v = Vec::with_capacity(b - a);
-            v.extend_from_slice(&self.head[a..]);
-            v.extend_from_slice(&self.tail[..b - h]);
-            Bytes::from(v)
-        }
-    }
-}
-
 struct TxRecord {
     dst: MacAddr,
     tag: Tag,
-    data: TxBuf,
+    data: MsgBuf,
     /// This message may not park in the receiver's unexpected queue; an
     /// unmatched delivery comes back as a refusal NACK.
     no_uq: bool,
@@ -424,6 +391,38 @@ enum RecvDest {
     Unexpected,
 }
 
+/// Which fragments of a message arrived, one bit each: the first 64 in
+/// place, so a message of up to 64 frames allocates no bitmap.
+struct Held {
+    low: u64,
+    high: Vec<u64>,
+}
+
+impl Held {
+    fn new(frames: u32) -> Held {
+        Held {
+            low: 0,
+            high: vec![0; (frames as usize).saturating_sub(64).div_ceil(64)],
+        }
+    }
+
+    fn get(&self, i: u32) -> bool {
+        let word = match i {
+            0..64 => self.low,
+            _ => self.high[(i as usize - 64) / 64],
+        };
+        word >> (i % 64) & 1 == 1
+    }
+
+    fn set(&mut self, i: u32) {
+        let word = match i {
+            0..64 => &mut self.low,
+            _ => &mut self.high[(i as usize - 64) / 64],
+        };
+        *word |= 1 << (i % 64);
+    }
+}
+
 struct ActiveRecv {
     tag: Tag,
     num_frames: u32,
@@ -436,32 +435,50 @@ struct ActiveRecv {
     /// No hole has opened and no duplicate arrived, so no ack went back
     /// before the final one.
     clean: bool,
-    have: Vec<bool>,
-    /// The message's bytes: the fragments stored so far, up to the highest.
-    buf: Vec<u8>,
+    have: Held,
+    /// The contiguous prefix's bytes: its fragments' chunks, rejoined.
+    prefix: MsgBuf,
+    /// Fragments held past the first hole, by index.
+    ahead: BTreeMap<u32, MsgBuf>,
     dest: RecvDest,
 }
 
 impl ActiveRecv {
+    fn new(tag: Tag, num_frames: u32, total_len: u32, dest: RecvDest) -> ActiveRecv {
+        ActiveRecv {
+            tag,
+            num_frames,
+            total_len,
+            received_count: 0,
+            contiguous: 0,
+            clean: true,
+            have: Held::new(num_frames),
+            prefix: MsgBuf::default(),
+            ahead: BTreeMap::new(),
+            dest,
+        }
+    }
+
     /// Store one fragment; returns `(was_duplicate, message_complete)`.
-    fn store(&mut self, idx: u32, chunk: &[u8]) -> (bool, bool) {
-        if self.have[idx as usize] {
+    /// An in-order fragment joins the prefix; one past a hole waits in
+    /// `ahead` until the hole fills.
+    fn store(&mut self, idx: u32, chunk: &MsgBuf) -> (bool, bool) {
+        if self.have.get(idx) {
             self.clean = false;
             return (true, false);
         }
-        // The buffer grows as fragments arrive in order; only a hole ahead
-        // of a fragment is zero-filled, to be overwritten when it arrives.
-        let start = idx as usize * crate::wire::MAX_CHUNK;
-        if self.buf.len() <= start {
-            self.buf.resize(start, 0);
-            self.buf.extend_from_slice(chunk);
-        } else {
-            self.buf[start..start + chunk.len()].copy_from_slice(chunk);
-        }
-        self.have[idx as usize] = true;
+        self.have.set(idx);
         self.received_count += 1;
-        while (self.contiguous as usize) < self.have.len() && self.have[self.contiguous as usize] {
+        if idx == self.contiguous {
+            self.prefix.append(chunk);
             self.contiguous += 1;
+            while self.contiguous < self.num_frames && self.have.get(self.contiguous) {
+                let held = self.ahead.remove(&self.contiguous).expect("held fragment");
+                self.prefix.append(&held);
+                self.contiguous += 1;
+            }
+        } else {
+            self.ahead.insert(idx, chunk.clone());
         }
         self.clean &= self.received_count == self.contiguous;
         (false, self.contiguous == self.num_frames)
@@ -470,8 +487,9 @@ impl ActiveRecv {
     /// The selective-ack bitmap: bit `i` is fragment `contiguous + 1 + i`.
     fn sack(&self) -> u64 {
         let from = self.contiguous as usize + 1;
-        let held = self.have.iter().skip(from).take(64);
-        held.rev().fold(0, |bits, &h| bits << 1 | u64::from(h))
+        let held = (from..self.num_frames as usize).take(64);
+        held.rev()
+            .fold(0, |bits, i| bits << 1 | u64::from(self.have.get(i as u32)))
     }
 
     /// The ack due after a store: every `ack_window` fragments, on
@@ -483,42 +501,6 @@ impl ActiveRecv {
         due.then(|| (self.contiguous, self.sack()))
     }
 }
-
-/// The hasher of the NIC's maps, whose keys are small integers (station
-/// addresses, message and descriptor ids): one rotate, xor and multiply
-/// per word, as rustc's FxHash, in place of SipHash's rounds. No key comes
-/// from outside the simulation, so there is nothing to defend against.
-#[derive(Default, Clone, Copy)]
-struct IdHasher(u64);
-
-impl IdHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-
-    fn write_u16(&mut self, n: u16) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A map keyed by small integers, hashed with [`IdHasher`].
-type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// NIC-level ack piggy-backing (DESIGN §8): acks held for a data frame to
 /// ride on, and which conversations alternate.
@@ -646,7 +628,45 @@ pub struct NicCore {
     cfg: EmpConfig,
     state: RefCell<NicState>,
     fw: FwProfile,
+    /// The work of this NIC's pending closure-free events.
+    work: RefCell<Slab<NicWork>>,
+    /// `release_tx`'s frame list, kept between calls.
+    tx_frames: Cell<Vec<Frame>>,
     self_ref: Weak<NicCore>,
+}
+
+/// What one of the NIC's closure-free events does (its slot in
+/// [`NicCore::work`]).
+enum NicWork {
+    /// rx CPU: a standalone ack arrived.
+    Ack(Ack),
+    /// rx CPU: a negative acknowledgment `(msg_id, busy)` arrived.
+    Nack(u64, bool),
+    /// rx CPU, phase 1 of a data frame: classify and match it.
+    RxFrame(Frame),
+    /// rx CPU, phase 2 of a data frame: its ack, nack and delivery.
+    RxPhase2(RxPhase2),
+    /// tx CPU: the send request for message `u64`, with the descriptors
+    /// it re-arms.
+    Send(u64, Vec<RecvDesc>),
+    /// rx CPU: insert posted descriptors.
+    Insert(Vec<RecvDesc>),
+    /// A send's completion reaches the host.
+    SendDone(SendState),
+    /// A pooled message's match reaches its descriptor's host.
+    PoolDeliver(RecvState, RecvMsg),
+    /// The hold of the final ack of message `u64` to a station ends.
+    HoldEnds(MacAddr, u64),
+    /// A message's retransmission timer fires (a guarded timer: a
+    /// cancelled one is discarded instead).
+    Retransmit {
+        msg_id: u64,
+        acked_snapshot: u32,
+        since_ns: u64,
+        guard: TimerGuard,
+    },
+    /// rx CPU: unpost a descriptor.
+    Unpost(DescId),
 }
 
 impl NicCore {
@@ -675,6 +695,8 @@ impl NicCore {
                 msg_latency: None,
             }),
             fw: FwProfile::default(),
+            work: RefCell::default(),
+            tx_frames: Cell::default(),
             self_ref: weak.clone(),
         }
     }
@@ -771,6 +793,26 @@ impl NicCore {
         floor.max(rto) * 2u64.pow(retries.min(5))
     }
 
+    /// Book a task on `cpu`, starting no earlier than `earliest`, whose
+    /// end does `work`; returns the task's end.
+    fn task(
+        &self,
+        cpu: &FirmwareCpu,
+        s: &dyn SimAccess,
+        earliest: SimTime,
+        cost: SimDuration,
+        work: NicWork,
+    ) -> SimTime {
+        let slot = self.work.borrow_mut().insert(work);
+        cpu.exec_fire_at(s, earliest, cost, self.rc(), slot)
+    }
+
+    /// Do `work` `after` from now, in an event of class `class`.
+    fn after(&self, s: &dyn SimAccess, after: SimDuration, class: EventClass, work: NicWork) {
+        let slot = self.work.borrow_mut().insert(work);
+        s.schedule_fire(s.now() + after, class, self.rc(), slot);
+    }
+
     fn rc(&self) -> Rc<NicCore> {
         self.self_ref
             .upgrade()
@@ -843,7 +885,7 @@ impl NicCore {
         s: &dyn SimAccess,
         dst: MacAddr,
         tag: Tag,
-        data: TxBuf,
+        data: MsgBuf,
         no_uq: bool,
         rearms: Vec<DescSpec>,
     ) -> (SendState, Vec<(DescId, RecvState)>) {
@@ -881,18 +923,22 @@ impl NicCore {
             (msg_id, descs)
         };
         let handles = descs.iter().map(|d| (d.id, d.state.clone())).collect();
-        let me = self.rc();
         let earliest = s.now() + self.cfg.nic.pci_post_latency;
         let cost = self.charge(Fw::TxRequest, self.cfg.nic.tx_request_cost)
             + self.charge(Fw::TxRearm, self.cfg.rx_post_cost * descs.len() as u64);
-        self.tigon.cpu_tx.exec_at(s, earliest, cost, move |sim| {
-            if !descs.is_empty() {
-                me.insert_descriptors(sim, descs);
-            }
-            me.state.borrow_mut().tx_order.push_back(msg_id);
-            me.release_tx(sim, Vec::new());
-        });
+        let work = NicWork::Send(msg_id, descs);
+        self.task(&self.tigon.cpu_tx, s, earliest, cost, work);
         (state, handles)
+    }
+
+    /// The tx CPU takes message `msg_id`'s send request: it inserts the
+    /// descriptors the send re-arms, then queues the message for release.
+    fn send_request(&self, sim: &Sim, msg_id: u64, descs: Vec<RecvDesc>) {
+        if !descs.is_empty() {
+            self.insert_descriptors(sim, descs);
+        }
+        self.state.borrow_mut().tx_order.push_back(msg_id);
+        self.release_tx(sim, Vec::new());
     }
 
     /// Release frames to the wire, respecting the per-NIC transmit window:
@@ -907,7 +953,8 @@ impl NicCore {
     fn release_tx(&self, sim: &Sim, resends: Vec<Frame>) {
         let window = self.cfg.tx_window_frames;
         let now = sim.now().nanos();
-        let mut to_schedule = resends;
+        let mut to_schedule = self.tx_frames.take();
+        to_schedule.extend(resends);
         {
             let mut guard = self.state.borrow_mut();
             let st = &mut *guard;
@@ -965,7 +1012,7 @@ impl NicCore {
                 }
             }
         }
-        for frame in to_schedule {
+        for frame in to_schedule.drain(..) {
             let wire_len = frame.payload.wire_len();
             let dma = self.cfg.nic.dma_time(wire_len);
             // Injected NIC fault: the frame's DMA fetch may stall behind
@@ -982,6 +1029,7 @@ impl NicCore {
             }
             self.tigon.send_frame(sim, done, frame);
         }
+        self.tx_frames.set(to_schedule);
     }
 
     /// Data frame `idx` of message `msg_id`, carrying `ack` if one boarded.
@@ -998,7 +1046,7 @@ impl NicCore {
                 num_frames: rec.num_frames,
                 total_len: rec.data.len() as u32,
                 no_uq: rec.no_uq,
-                chunk: rec.data.slice(a, b),
+                chunk: rec.data.part(a, b),
                 ack,
             }),
         }
@@ -1019,67 +1067,82 @@ impl NicCore {
         delay: SimDuration,
         guard: TimerGuard,
     ) {
-        let me = self.rc();
-        s.guarded_timer_after(delay, guard.clone(), move |sim| {
-            enum Action {
-                Rearm(u32, u64, SimDuration),
-                Fail(SendState),
-                Retransmit(SimDuration, u32, u32),
-            }
-            let now = sim.now().nanos();
-            let action = {
-                let mut locked = me.state.borrow_mut();
-                let st = &mut *locked;
-                let Some(rec) = st.tx.get_mut(&msg_id) else {
-                    return; // abandoned by an earlier round of this timer
-                };
-                let due = me.timeout(st.rtt.get(&rec.dst).copied(), rec.retries);
-                if rec.acked > acked_snapshot {
-                    // Progress since the last arming: not a loss, reset
-                    // the backoff and keep watching.
-                    rec.retries = 0;
-                    Action::Rearm(rec.acked, now, me.cfg.retransmit_timeout)
-                } else if now - since_ns < due.nanos() {
-                    // Silent, but not for a whole RTO: maybe only slow.
-                    let rest = SimDuration::from_nanos(since_ns + due.nanos() - now);
-                    Action::Rearm(acked_snapshot, since_ns, rest)
-                } else {
-                    rec.retries += 1;
-                    if rec.retries > me.cfg.max_retries {
-                        let rec = st.tx.remove(&msg_id).expect("present above");
-                        st.stats.sends_failed += 1;
-                        // The abandoned message's outstanding frames leave
-                        // the in-flight window with it.
-                        st.tx_inflight -= rec.outstanding();
-                        // Drop any queued release entry for this message.
-                        st.tx_order.retain(|&id| id != msg_id);
-                        Action::Fail(rec.state)
-                    } else {
-                        st.tx_inflight -= rec.rewind();
-                        let (retries, acked) = (rec.retries, rec.acked);
-                        if !st.tx_order.contains(&msg_id) {
-                            st.tx_order.push_front(msg_id);
-                        }
-                        let backoff = me.timeout(st.rtt.get(&rec.dst).copied(), retries);
-                        Action::Retransmit(backoff, acked, retries)
-                    }
-                }
+        let work = NicWork::Retransmit {
+            msg_id,
+            acked_snapshot,
+            since_ns,
+            guard: guard.clone(),
+        };
+        let slot = self.work.borrow_mut().insert(work);
+        s.schedule_guarded_fire(s.now() + delay, guard, self.rc(), slot);
+    }
+
+    /// The retransmission timer armed by [`NicCore::arm_retransmit_timer`]
+    /// fires: re-arm on progress or a silence shorter than the RTO, give
+    /// up past the retry limit, or rewind and resend.
+    fn retransmit_check(
+        &self,
+        sim: &Sim,
+        msg_id: u64,
+        acked_snapshot: u32,
+        since_ns: u64,
+        guard: TimerGuard,
+    ) {
+        enum Action {
+            Rearm(u32, u64, SimDuration),
+            Fail(SendState),
+            Retransmit(SimDuration, u32, u32),
+        }
+        let now = sim.now().nanos();
+        let action = {
+            let mut locked = self.state.borrow_mut();
+            let st = &mut *locked;
+            let Some(rec) = st.tx.get_mut(&msg_id) else {
+                return; // abandoned by an earlier round of this timer
             };
-            match action {
-                Action::Rearm(acked, since, delay) => {
-                    me.arm_retransmit_timer(sim, msg_id, acked, since, delay, guard)
-                }
-                Action::Fail(state) => {
-                    state.ok.set(Some(false));
-                    state.completion.complete(sim);
-                }
-                Action::Retransmit(backoff, acked, retries) => {
-                    me.trace(sim, EventKind::Retransmit, u64::from(retries), msg_id);
-                    me.arm_retransmit_timer(sim, msg_id, acked, now, backoff, guard);
-                    me.release_tx(sim, Vec::new());
+            let due = self.timeout(st.rtt.get(&rec.dst).copied(), rec.retries);
+            if rec.acked > acked_snapshot {
+                // Progress since the last arming: not a loss, reset the
+                // backoff and keep watching.
+                rec.retries = 0;
+                Action::Rearm(rec.acked, now, self.cfg.retransmit_timeout)
+            } else if now - since_ns < due.nanos() {
+                // Silent, but not for a whole RTO: maybe only slow.
+                let rest = SimDuration::from_nanos(since_ns + due.nanos() - now);
+                Action::Rearm(acked_snapshot, since_ns, rest)
+            } else {
+                rec.retries += 1;
+                if rec.retries > self.cfg.max_retries {
+                    let rec = st.tx.remove(&msg_id).expect("present above");
+                    st.stats.sends_failed += 1;
+                    // The abandoned message's outstanding frames leave the
+                    // in-flight window with it.
+                    st.tx_inflight -= rec.outstanding();
+                    // Drop any queued release entry for this message.
+                    st.tx_order.retain(|&id| id != msg_id);
+                    Action::Fail(rec.state)
+                } else {
+                    st.tx_inflight -= rec.rewind();
+                    let (retries, acked) = (rec.retries, rec.acked);
+                    if !st.tx_order.contains(&msg_id) {
+                        st.tx_order.push_front(msg_id);
+                    }
+                    let backoff = self.timeout(st.rtt.get(&rec.dst).copied(), retries);
+                    Action::Retransmit(backoff, acked, retries)
                 }
             }
-        });
+        };
+        match action {
+            Action::Rearm(acked, since, delay) => {
+                self.arm_retransmit_timer(sim, msg_id, acked, since, delay, guard)
+            }
+            Action::Fail(state) => state.finish(sim, false, false),
+            Action::Retransmit(backoff, acked, retries) => {
+                self.trace(sim, EventKind::Retransmit, u64::from(retries), msg_id);
+                self.arm_retransmit_timer(sim, msg_id, acked, now, backoff, guard);
+                self.release_tx(sim, Vec::new());
+            }
+        }
     }
 
     /// Apply a peer's ack; `attached` when it rode on a data frame.
@@ -1130,7 +1193,7 @@ impl NicCore {
         if let Some(state) = finished {
             // The completion is host-visible only after the status DMA.
             let post = self.cfg.nic.completion_post;
-            s_complete_send(sim, state, post);
+            self.after(sim, post, EventClass::Other, NicWork::SendDone(state));
         }
         self.release_tx(sim, resends);
     }
@@ -1153,7 +1216,7 @@ impl NicCore {
         src_filter: Option<MacAddr>,
         capacity: usize,
     ) -> (DescId, RecvState) {
-        self.post_descriptors(s, vec![(tag, src_filter, capacity)])
+        self.post_descriptors(s, [(tag, src_filter, capacity)])
             .pop()
             .expect("one descriptor posted")
     }
@@ -1167,22 +1230,25 @@ impl NicCore {
     pub fn post_descriptors(
         &self,
         s: &dyn SimAccess,
-        specs: Vec<DescSpec>,
+        specs: impl IntoIterator<Item = DescSpec>,
     ) -> Vec<(DescId, RecvState)> {
-        if specs.is_empty() {
-            return Vec::new();
-        }
         let descs: Vec<RecvDesc> = {
             let mut st = self.state.borrow_mut();
             specs.into_iter().map(|d| st.new_desc(d)).collect()
         };
+        if descs.is_empty() {
+            return Vec::new();
+        }
         let out = descs.iter().map(|d| (d.id, d.state.clone())).collect();
-        let me = self.rc();
         let earliest = s.now() + self.cfg.nic.pci_post_latency;
         let cost = self.charge(Fw::RxPost, self.cfg.rx_post_cost * descs.len() as u64);
-        self.tigon.cpu_rx.exec_at(s, earliest, cost, move |sim| {
-            me.insert_descriptors(sim, descs);
-        });
+        self.task(
+            &self.tigon.cpu_rx,
+            s,
+            earliest,
+            cost,
+            NicWork::Insert(descs),
+        );
         out
     }
 
@@ -1212,28 +1278,31 @@ impl NicCore {
     /// required to be either used for a message or explicitly unposted").
     /// The descriptor's recv state completes with `None`.
     pub fn unpost_descriptor(&self, s: &dyn SimAccess, id: DescId) {
-        let me = self.rc();
         let earliest = s.now() + self.cfg.nic.pci_post_latency;
         let cost = self.charge(Fw::RxPost, self.cfg.rx_post_cost);
-        self.tigon.cpu_rx.exec_at(s, earliest, cost, move |sim| {
-            let state = {
-                let mut st = me.state.borrow_mut();
-                let pos = st.preposted.iter().position(|d| d.id == id);
-                if pos.is_none() {
-                    // A re-arm still queued on the tx CPU: it completes as
-                    // unposted when that CPU reaches it.
-                    if let Some(unposted) = st.rearming.get_mut(&id) {
-                        *unposted = true;
-                    }
+        self.task(&self.tigon.cpu_rx, s, earliest, cost, NicWork::Unpost(id));
+    }
+
+    /// The rx CPU takes an unpost: the descriptor leaves the pre-posted
+    /// list and completes empty.
+    fn unpost(&self, sim: &Sim, id: DescId) {
+        let state = {
+            let mut st = self.state.borrow_mut();
+            let pos = st.preposted.iter().position(|d| d.id == id);
+            if pos.is_none() {
+                // A re-arm still queued on the tx CPU: it completes as
+                // unposted when that CPU reaches it.
+                if let Some(unposted) = st.rearming.get_mut(&id) {
+                    *unposted = true;
                 }
-                pos.map(|p| st.preposted.remove(p).state)
-            };
-            if let Some(state) = state {
-                me.trace(sim, EventKind::DescUnpost, id, 0);
-                *state.slot.borrow_mut() = Some(None);
-                state.completion.complete(sim);
             }
-        });
+            pos.map(|p| st.preposted.remove(p).state)
+        };
+        if let Some(state) = state {
+            self.trace(sim, EventKind::DescUnpost, id, 0);
+            *state.slot.borrow_mut() = Some(None);
+            state.completion.complete(sim);
+        }
     }
 
     /// Resize the unexpected queue (number of in-flight-or-unclaimed
@@ -1408,17 +1477,7 @@ impl NicCore {
             }
         };
 
-        let mut active = ActiveRecv {
-            tag: *tag,
-            num_frames: *num_frames,
-            total_len: *total_len,
-            received_count: 0,
-            contiguous: 0,
-            clean: true,
-            have: vec![false; *num_frames as usize],
-            buf: Vec::with_capacity(*total_len as usize),
-            dest,
-        };
+        let mut active = ActiveRecv::new(*tag, *num_frames, *total_len, dest);
         let (_dup, done) = active.store(*frame_idx, chunk);
         let ack = active.ack_due(self.cfg.ack_window, done).map(ack_to_src);
         if done {
@@ -1467,7 +1526,7 @@ impl NicCore {
         last_chunk: usize,
         ack: Option<(MacAddr, Ack)>,
     ) -> RxPhase2 {
-        debug_assert_eq!(active.buf.len(), active.total_len as usize);
+        debug_assert_eq!(active.prefix.len(), active.total_len as usize);
         st.stats.msgs_received += 1;
         // Remember the completion so late duplicates are re-acked.
         st.recent_done.insert(key, active.num_frames);
@@ -1478,7 +1537,7 @@ impl NicCore {
         }
         let (src, _) = key;
         let walked = 0; // walk already accounted when the message bound
-        let data = Bytes::from(active.buf);
+        let data = active.prefix;
         let deliver = match active.dest {
             RecvDest::Desc(state) => Deliver::Host {
                 state,
@@ -1562,14 +1621,18 @@ impl NicCore {
                 }
             };
             let Some((state, msg)) = delivered else { break };
-            let me = self.rc();
             let post = self.cfg.nic.completion_post;
-            sim.schedule_after(post, move |sim| {
-                me.trace(sim, EventKind::RecvDeliver, msg.data.len() as u64, 0);
-                *state.slot.borrow_mut() = Some(Some(msg));
-                state.completion.complete(sim);
-            });
+            let work = NicWork::PoolDeliver(state, msg);
+            self.after(sim, post, EventClass::Other, work);
         }
+    }
+
+    /// Hand `msg` to the host that posted the descriptor `state` belongs
+    /// to.
+    fn deliver_to_host(&self, sim: &Sim, state: RecvState, msg: RecvMsg) {
+        self.trace(sim, EventKind::RecvDeliver, msg.data.len() as u64, 0);
+        *state.slot.borrow_mut() = Some(Some(msg));
+        state.completion.complete(sim);
     }
 
     /// Put an ack on the wire. Like every frame this NIC sends, it is
@@ -1597,19 +1660,27 @@ impl NicCore {
             st.stats.acks_held += 1;
             st.rides.held.entry(dst).or_default().push_back(ack);
         }
-        let me = self.rc();
-        sim.timer_after(hold, move |sim| {
-            let unboarded = {
-                let mut st = me.state.borrow_mut();
-                st.rides.held.get_mut(&dst).and_then(|held| {
-                    let i = held.iter().position(|a| a.msg_id == ack.msg_id)?;
-                    held.remove(i)
-                })
-            };
-            if let Some(ack) = unboarded {
-                me.send_ack(sim, dst, ack);
-            }
-        });
+        self.after(
+            sim,
+            hold,
+            EventClass::Timer,
+            NicWork::HoldEnds(dst, ack.msg_id),
+        );
+    }
+
+    /// The hold of the ack for `msg_id` to `dst` ends: if no data frame
+    /// took it on board, it goes as a frame of its own.
+    fn hold_ends(&self, sim: &Sim, dst: MacAddr, msg_id: u64) {
+        let unboarded = {
+            let mut st = self.state.borrow_mut();
+            st.rides.held.get_mut(&dst).and_then(|held| {
+                let i = held.iter().position(|a| a.msg_id == msg_id)?;
+                held.remove(i)
+            })
+        };
+        if let Some(ack) = unboarded {
+            self.send_ack(sim, dst, ack);
+        }
     }
 
     /// Put a negative acknowledgment on the wire (same tx-CPU cost as an
@@ -1667,9 +1738,7 @@ impl NicCore {
                 st.stats.sends_refused += 1;
                 rec.state
             };
-            state.refused.set(true);
-            state.ok.set(Some(false));
-            state.completion.complete(sim);
+            state.finish(sim, false, true);
             self.release_tx(sim, Vec::new());
         }
     }
@@ -1707,13 +1776,6 @@ fn wire_payload(wire: EmpWire) -> simnet::Payload {
     simnet::Payload::new(wire, len)
 }
 
-fn s_complete_send(sim: &Sim, state: SendState, post: SimDuration) {
-    sim.schedule_after(post, move |sim| {
-        state.ok.set(Some(true));
-        state.completion.complete(sim);
-    });
-}
-
 impl FrameSink for NicCore {
     fn deliver(&self, s: &dyn SimAccess, frame: Frame) {
         if frame.ethertype != EtherType::EMP || frame.dst != self.mac() {
@@ -1724,18 +1786,13 @@ impl FrameSink for NicCore {
         };
         match *wire {
             EmpWire::Ack(ack) => {
-                let me = self.rc();
                 let cost = self.charge(Fw::RxAck, self.cfg.nic.ack_cost);
-                self.tigon.cpu_rx.exec(s, cost, move |sim| {
-                    me.process_ack(sim, ack, false);
-                });
+                self.task(&self.tigon.cpu_rx, s, s.now(), cost, NicWork::Ack(ack));
             }
             EmpWire::Nack { msg_id, busy } => {
-                let me = self.rc();
                 let cost = self.charge(Fw::RxAck, self.cfg.nic.ack_cost);
-                self.tigon.cpu_rx.exec(s, cost, move |sim| {
-                    me.process_nack(sim, msg_id, busy);
-                });
+                let work = NicWork::Nack(msg_id, busy);
+                self.task(&self.tigon.cpu_rx, s, s.now(), cost, work);
             }
             EmpWire::Data { msg_id, .. } => {
                 // Injected NIC fault: the receive-descriptor ring is
@@ -1750,58 +1807,94 @@ impl FrameSink for NicCore {
                     return;
                 }
                 self.trace(s, EventKind::NicRxStart, frame.payload.wire_len() as u64, 0);
-                let me = self.rc();
                 // Phase 1: classification + bookkeeping, fixed cost; an
                 // attached ack is consumed within it.
                 let cost = self.charge(Fw::RxFrame, self.cfg.nic.rx_frame_cost);
-                self.tigon.cpu_rx.exec(s, cost, move |sim| {
-                    let wire = frame
-                        .payload
-                        .downcast::<EmpWire>()
-                        .expect("checked at arrival");
-                    if let EmpWire::Data { ack: Some(ack), .. } = *wire {
-                        me.process_ack(sim, ack, true);
-                    }
-                    let phase2 = me.rx_match(sim, &frame, wire);
-                    let cfg = &me.cfg.nic;
-                    let mut dma = cfg.dma_time(phase2.dma_bytes);
-                    if phase2.dma_bytes > 0 {
-                        // Injected NIC fault: this DMA completion
-                        // stalls behind (simulated) PCI contention.
-                        let stall = me.tigon.inject_dma_delay();
-                        if !stall.is_zero() {
-                            me.trace(sim, EventKind::NicFault, 1, stall.nanos());
-                            dma += stall;
-                        }
-                    }
-                    let mut cost = me.charge(Fw::RxWalk, cfg.tag_match_time(phase2.walked))
-                        + me.charge(Fw::RxDma, dma);
-                    if matches!(phase2.deliver, Some(Deliver::Host { .. })) {
-                        cost += me.charge(Fw::RxCompletion, cfg.completion_post);
-                    }
-                    // Phase 2: tag-match walk + DMA to host (+ status
-                    // post), still serial on the rx CPU — this serial
-                    // chain is EMP's large-message bottleneck.
-                    let dma_bytes = phase2.dma_bytes;
-                    let done = if phase2.has_effect() {
-                        let me2 = Rc::clone(&me);
-                        me.tigon
-                            .cpu_rx
-                            .exec(sim, cost, move |sim| me2.rx_phase2(sim, phase2))
-                    } else {
-                        me.tigon.cpu_rx.book(sim, cost)
-                    };
-                    if emp_trace::ENABLED && dma_bytes > 0 {
-                        let bytes = dma_bytes as u64;
-                        me.trace_at(sim, done, EventKind::DmaCopy, bytes, dma.nanos());
-                    }
-                });
+                self.task(
+                    &self.tigon.cpu_rx,
+                    s,
+                    s.now(),
+                    cost,
+                    NicWork::RxFrame(frame),
+                );
             }
         }
     }
 }
 
+impl EventTarget for NicCore {
+    fn fire(&self, sim: &Sim, slot: u32) {
+        let work = self.work.borrow_mut().take(slot);
+        match work {
+            NicWork::Ack(ack) => self.process_ack(sim, ack, false),
+            NicWork::Nack(msg_id, busy) => self.process_nack(sim, msg_id, busy),
+            NicWork::RxFrame(frame) => self.rx_phase1(sim, &frame),
+            NicWork::RxPhase2(phase2) => self.rx_phase2(sim, phase2),
+            NicWork::Send(msg_id, descs) => self.send_request(sim, msg_id, descs),
+            NicWork::Insert(descs) => self.insert_descriptors(sim, descs),
+            NicWork::SendDone(state) => state.finish(sim, true, false),
+            NicWork::PoolDeliver(state, msg) => self.deliver_to_host(sim, state, msg),
+            NicWork::HoldEnds(dst, msg_id) => self.hold_ends(sim, dst, msg_id),
+            NicWork::Retransmit {
+                msg_id,
+                acked_snapshot,
+                since_ns,
+                guard,
+            } => self.retransmit_check(sim, msg_id, acked_snapshot, since_ns, guard),
+            NicWork::Unpost(id) => self.unpost(sim, id),
+        }
+    }
+
+    fn discard(&self, slot: u32) {
+        drop(self.work.borrow_mut().take(slot));
+    }
+}
+
 impl NicCore {
+    /// The end of a data frame's first rx CPU task: consume an attached
+    /// ack, match the frame, and book the second task, which carries the
+    /// walk and the DMA (and runs as an event only if it has an effect).
+    fn rx_phase1(&self, sim: &Sim, frame: &Frame) {
+        let wire = frame
+            .payload
+            .downcast::<EmpWire>()
+            .expect("checked at arrival");
+        if let EmpWire::Data { ack: Some(ack), .. } = *wire {
+            self.process_ack(sim, ack, true);
+        }
+        let phase2 = self.rx_match(sim, frame, wire);
+        let cfg = &self.cfg.nic;
+        let mut dma = cfg.dma_time(phase2.dma_bytes);
+        if phase2.dma_bytes > 0 {
+            // Injected NIC fault: this DMA completion stalls behind
+            // (simulated) PCI contention.
+            let stall = self.tigon.inject_dma_delay();
+            if !stall.is_zero() {
+                self.trace(sim, EventKind::NicFault, 1, stall.nanos());
+                dma += stall;
+            }
+        }
+        let mut cost = self.charge(Fw::RxWalk, cfg.tag_match_time(phase2.walked))
+            + self.charge(Fw::RxDma, dma);
+        if matches!(phase2.deliver, Some(Deliver::Host { .. })) {
+            cost += self.charge(Fw::RxCompletion, cfg.completion_post);
+        }
+        // Phase 2: tag-match walk + DMA to host (+ status post), still
+        // serial on the rx CPU — this serial chain is EMP's large-message
+        // bottleneck.
+        let dma_bytes = phase2.dma_bytes;
+        let done = if phase2.has_effect() {
+            let work = NicWork::RxPhase2(phase2);
+            self.task(&self.tigon.cpu_rx, sim, sim.now(), cost, work)
+        } else {
+            self.tigon.cpu_rx.book(sim, cost)
+        };
+        if emp_trace::ENABLED && dma_bytes > 0 {
+            let bytes = dma_bytes as u64;
+            self.trace_at(sim, done, EventKind::DmaCopy, bytes, dma.nanos());
+        }
+    }
+
     /// The end of a receive's second rx CPU task: its ack (sent or held),
     /// its nack and its delivery.
     fn rx_phase2(&self, sim: &Sim, phase2: RxPhase2) {
@@ -1814,11 +1907,7 @@ impl NicCore {
             self.send_nack(sim, dst, msg_id, busy);
         }
         match phase2.deliver {
-            Some(Deliver::Host { state, msg }) => {
-                self.trace(sim, EventKind::RecvDeliver, msg.data.len() as u64, 0);
-                *state.slot.borrow_mut() = Some(Some(msg));
-                state.completion.complete(sim);
-            }
+            Some(Deliver::Host { state, msg }) => self.deliver_to_host(sim, state, msg),
             Some(Deliver::Pool(msg)) => self.finalize_unexpected(sim, msg),
             None => {}
         }
@@ -1828,60 +1917,89 @@ impl NicCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use std::sync::Arc;
 
     fn active(frames: u32, len: u32) -> ActiveRecv {
-        ActiveRecv {
-            tag: Tag(1),
-            num_frames: frames,
-            total_len: len,
-            received_count: 0,
-            contiguous: 0,
-            clean: true,
-            have: vec![false; frames as usize],
-            buf: Vec::with_capacity(len as usize),
-            dest: RecvDest::Unexpected,
-        }
+        ActiveRecv::new(Tag(1), frames, len, RecvDest::Unexpected)
+    }
+
+    fn chunk(fill: u8, len: usize) -> MsgBuf {
+        MsgBuf::one(Bytes::from(vec![fill; len]))
     }
 
     #[test]
-    fn txbuf_slices_match_the_concatenation() {
+    fn msgbuf_slices_and_parts_match_the_concatenation() {
         let head = Bytes::from_static(b"0123456789AB");
-        let tail = Bytes::from(vec![7u8; 4000]);
+        let tail = Bytes::from((0..4000).map(|i| i as u8).collect::<Vec<_>>());
         let mut whole = head.to_vec();
         whole.extend_from_slice(&tail);
-        let buf = TxBuf::pair(head, tail);
+        let buf = MsgBuf::pair(head, tail);
         assert_eq!(buf.len(), whole.len());
         for (a, b) in [(0, 5), (0, 12), (12, 100), (5, 30), (0, 4012), (4000, 4012)] {
             assert_eq!(&buf.slice(a, b)[..], &whole[a..b], "range {a}..{b}");
+            assert_eq!(
+                &buf.part(a, b).to_bytes()[..],
+                &whole[a..b],
+                "part {a}..{b}"
+            );
         }
-        let one = TxBuf::one(Bytes::from(whole.clone()));
+        let one = MsgBuf::one(Bytes::from(whole.clone()));
         assert_eq!(&one.slice(3, 17)[..], &whole[3..17]);
-        assert!(TxBuf::one(Bytes::new()).is_empty());
+        assert!(MsgBuf::one(Bytes::new()).is_empty());
+        let mut prefix = [0u8; 16];
+        assert_eq!(buf.copy_prefix(&mut prefix), 16);
+        assert_eq!(prefix[..], whole[..16]);
+    }
+
+    #[test]
+    fn a_message_reassembles_from_its_parts_without_a_copy() {
+        // Header + payload, as the substrate sends a data message: the
+        // fragments, joined in order, are the sender's two segments again.
+        let head = Bytes::from_static(b"0123456789AB");
+        let tail = Bytes::from(vec![5u8; 3 * crate::wire::MAX_CHUNK]);
+        let sent = MsgBuf::pair(head.clone(), tail.clone());
+        let frames = frames_for(sent.len());
+        let mut a = active(frames, sent.len() as u32);
+        for idx in (0..frames).rev() {
+            let (lo, hi) = chunk_range(sent.len(), idx);
+            let done = idx == 0;
+            assert_eq!(a.store(idx, &sent.part(lo, hi)), (false, done));
+        }
+        assert_eq!(a.prefix.len(), sent.len());
+        let got = a.prefix.slice(head.len(), sent.len());
+        assert_eq!(
+            got.as_ptr(),
+            tail.as_ptr(),
+            "the payload is the sender's buffer"
+        );
+        assert_eq!(got.len(), tail.len());
+        assert_eq!(a.prefix.slice(0, head.len())[..], head[..]);
     }
 
     #[test]
     fn in_order_fragments_complete() {
         let len = (2 * crate::wire::MAX_CHUNK + 100) as u32;
         let mut a = active(3, len);
-        let chunk0 = vec![1u8; crate::wire::MAX_CHUNK];
-        let chunk1 = vec![2u8; crate::wire::MAX_CHUNK];
-        let chunk2 = vec![3u8; 100];
+        let chunk0 = chunk(1, crate::wire::MAX_CHUNK);
+        let chunk1 = chunk(2, crate::wire::MAX_CHUNK);
+        let chunk2 = chunk(3, 100);
         assert_eq!(a.store(0, &chunk0), (false, false));
         assert_eq!(a.contiguous, 1);
         assert_eq!(a.store(1, &chunk1), (false, false));
         assert_eq!(a.store(2, &chunk2), (false, true));
         assert_eq!(a.received_count, 3);
-        assert!(a.buf[..crate::wire::MAX_CHUNK].iter().all(|&b| b == 1));
-        assert!(a.buf[len as usize - 100..].iter().all(|&b| b == 3));
+        let data = a.prefix.to_bytes();
+        assert!(data[..crate::wire::MAX_CHUNK].iter().all(|&b| b == 1));
+        assert!(data[len as usize - 100..].iter().all(|&b| b == 3));
     }
 
     #[test]
     fn out_of_order_fragments_track_the_contiguous_prefix() {
         let len = (2 * crate::wire::MAX_CHUNK + 50) as u32;
         let mut a = active(3, len);
-        let full = vec![9u8; crate::wire::MAX_CHUNK];
-        let tail = vec![7u8; 50];
+        let full = chunk(9, crate::wire::MAX_CHUNK);
+        let tail = chunk(7, 50);
         // Arrive 2, 0, 1 (a retransmission pattern).
         assert_eq!(a.store(2, &tail), (false, false));
         assert_eq!(a.contiguous, 0, "gap at 0 holds the prefix");
@@ -1889,12 +2007,16 @@ mod tests {
         assert_eq!(a.contiguous, 1);
         assert_eq!(a.store(1, &full), (false, true));
         assert_eq!(a.contiguous, 3, "prefix jumps over the stored tail");
+        let data = a.prefix.to_bytes();
+        assert_eq!(data.len(), len as usize);
+        assert!(data[..len as usize - 50].iter().all(|&b| b == 9));
+        assert!(data[len as usize - 50..].iter().all(|&b| b == 7));
     }
 
     #[test]
     fn sack_bitmap_reports_what_is_held_past_the_first_hole() {
         let mut a = active(5, (5 * crate::wire::MAX_CHUNK) as u32);
-        let c = vec![0u8; crate::wire::MAX_CHUNK];
+        let c = chunk(0, crate::wire::MAX_CHUNK);
         // Arrive 2, 0, 4, 1, 3.
         a.store(2, &c);
         assert_eq!((a.contiguous, a.sack()), (0, 0b10), "bit 0 is fragment 1");
@@ -1941,7 +2063,7 @@ mod tests {
         TxRecord {
             dst: MacAddr(1),
             tag: Tag(1),
-            data: TxBuf::one(Bytes::from(data)),
+            data: MsgBuf::one(Bytes::from(data)),
             no_uq: false,
             num_frames: frames,
             posted_ns: 0,
@@ -2091,7 +2213,7 @@ mod tests {
         let sim = Sim::new();
         let cl = crate::build_cluster(2, EmpConfig::default(), simnet::SwitchConfig::default());
         let nic = Arc::clone(&cl.nodes[0].nic);
-        let data = TxBuf::one(Bytes::from_static(b"credit"));
+        let data = MsgBuf::one(Bytes::from_static(b"credit"));
         let rearms = vec![(Tag(7), Some(MacAddr(1)), 64); 2];
         let (_, descs) = nic.start_send(&sim, MacAddr(1), Tag(3), data, false, rearms);
         sim.run();
@@ -2112,7 +2234,7 @@ mod tests {
         let sim = Sim::new();
         let cl = crate::build_cluster(2, EmpConfig::default(), simnet::SwitchConfig::default());
         let nic = Arc::clone(&cl.nodes[0].nic);
-        let data = TxBuf::one(Bytes::from_static(b"credit"));
+        let data = MsgBuf::one(Bytes::from_static(b"credit"));
         let rearms = vec![(Tag(7), Some(MacAddr(1)), 64)];
         let (_, descs) = nic.start_send(&sim, MacAddr(1), Tag(3), data, false, rearms);
         let (id, state) = descs.into_iter().next().expect("one re-arm");
@@ -2145,7 +2267,7 @@ mod tests {
     #[test]
     fn duplicates_are_detected_and_store_nothing() {
         let mut a = active(2, (crate::wire::MAX_CHUNK + 10) as u32);
-        let c = vec![5u8; crate::wire::MAX_CHUNK];
+        let c = chunk(5, crate::wire::MAX_CHUNK);
         assert_eq!(a.store(0, &c), (false, false));
         assert_eq!(a.store(0, &c), (true, false), "duplicate flagged");
         assert_eq!(a.received_count, 1);

@@ -47,6 +47,134 @@ pub fn chunk_range(len: usize, idx: u32) -> (usize, usize) {
     (start.min(len), end)
 }
 
+/// The bytes of one message as the NICs move them: one contiguous buffer,
+/// or a head + tail pair kept as separate segments. The pair lets a host
+/// hand a protocol header and a payload over without assembling (copying)
+/// them into one buffer — a real NIC gathers the segments by DMA — and a
+/// frame's chunk is a [`MsgBuf::part`] of its message, a pair where it
+/// straddles the seam. The receiving NIC joins the chunks back
+/// ([`MsgBuf::append`]): the fragments of one message, in order, are
+/// adjacent slices of the sender's segments, so reassembly hands over the
+/// message as it was sent, with the DMA charged as a cost and performed as
+/// no copy (DESIGN §6, "Copies: real and charged").
+#[derive(Clone, Default)]
+pub struct MsgBuf {
+    head: Bytes,
+    tail: Bytes,
+}
+
+impl MsgBuf {
+    /// One contiguous buffer.
+    pub fn one(data: Bytes) -> Self {
+        MsgBuf {
+            head: data,
+            tail: Bytes::new(),
+        }
+    }
+
+    /// A two-segment message: `head` (a protocol header) followed by
+    /// `tail` (the payload), without concatenating them.
+    pub fn pair(head: Bytes, tail: Bytes) -> Self {
+        MsgBuf { head, tail }
+    }
+
+    /// Total message length.
+    pub fn len(&self) -> usize {
+        self.head.len() + self.tail.len()
+    }
+
+    /// True when the message carries no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The bytes `a..b` — a refcounted slice unless the range straddles
+    /// the head/tail seam, which copies them.
+    pub fn slice(&self, a: usize, b: usize) -> Bytes {
+        let h = self.head.len();
+        if b <= h {
+            self.head.slice(a..b)
+        } else if a >= h {
+            self.tail.slice(a - h..b - h)
+        } else {
+            let mut v = Vec::with_capacity(b - a);
+            v.extend_from_slice(&self.head[a..]);
+            v.extend_from_slice(&self.tail[..b - h]);
+            Bytes::from(v)
+        }
+    }
+
+    /// The bytes `a..b` as a message of their own: refcounted slices of
+    /// the segments, never a copy.
+    pub fn part(&self, a: usize, b: usize) -> MsgBuf {
+        let h = self.head.len();
+        if b <= h {
+            MsgBuf::one(self.head.slice(a..b))
+        } else if a >= h {
+            MsgBuf::one(self.tail.slice(a - h..b - h))
+        } else {
+            MsgBuf::pair(self.head.slice(a..), self.tail.slice(..b - h))
+        }
+    }
+
+    /// The message's non-empty segments, in order.
+    pub fn segments(&self) -> impl Iterator<Item = &Bytes> {
+        [&self.head, &self.tail]
+            .into_iter()
+            .filter(|s| !s.is_empty())
+    }
+
+    /// The whole message as one buffer: the buffer itself when it is one
+    /// segment, a copy joining the two otherwise.
+    pub fn to_bytes(&self) -> Bytes {
+        self.slice(0, self.len())
+    }
+
+    /// Copy the message's first bytes into `out`; returns how many there
+    /// were (fewer than `out.len()` for a shorter message).
+    pub fn copy_prefix(&self, out: &mut [u8]) -> usize {
+        let n = out.len().min(self.len());
+        let from_head = n.min(self.head.len());
+        out[..from_head].copy_from_slice(&self.head[..from_head]);
+        out[from_head..n].copy_from_slice(&self.tail[..n - from_head]);
+        n
+    }
+
+    /// Append `next`'s bytes. A segment that continues this message's last
+    /// one in the same buffer extends it; one that does not becomes the
+    /// tail; only a third segment makes the message one copied buffer.
+    pub fn append(&mut self, next: &MsgBuf) {
+        for seg in [&next.head, &next.tail] {
+            if seg.is_empty() {
+                continue;
+            }
+            if self.tail.is_empty() {
+                if !self.head.try_unsplit(seg) {
+                    self.tail = seg.clone();
+                }
+            } else if !self.tail.try_unsplit(seg) {
+                let mut v = Vec::with_capacity(self.len() + seg.len());
+                v.extend_from_slice(&self.head);
+                v.extend_from_slice(&self.tail);
+                v.extend_from_slice(seg);
+                *self = MsgBuf::one(Bytes::from(v));
+            }
+        }
+    }
+}
+
+impl From<Bytes> for MsgBuf {
+    fn from(data: Bytes) -> Self {
+        MsgBuf::one(data)
+    }
+}
+
+impl std::fmt::Debug for MsgBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "MsgBuf(len={})", self.len())
+    }
+}
+
 /// Cumulative acknowledgment: "I have the first `frames` fragments of your
 /// message `msg_id`, and these after them". Generated and consumed entirely
 /// by the NICs; hosts never see these (paper §5.2).
@@ -84,9 +212,9 @@ pub enum EmpWire {
         /// (or no listener at all) fails deterministically rather than
         /// camping in the receiver's pool.
         no_uq: bool,
-        /// The fragment's bytes (a cheap slice of the message buffer —
+        /// The fragment's bytes (a cheap part of the message buffer —
         /// EMP is zero-copy, and so is the simulation of it).
-        chunk: Bytes,
+        chunk: MsgBuf,
         /// An acknowledgment for a message going the other way, riding
         /// this frame instead of a frame of its own; only where
         /// [`ack_fits`] the chunk.
@@ -126,8 +254,8 @@ pub struct RecvMsg {
     pub src: MacAddr,
     /// Tag it matched.
     pub tag: Tag,
-    /// Message contents.
-    pub data: Bytes,
+    /// Message contents: the sender's segments, rejoined.
+    pub data: MsgBuf,
     /// True if it arrived through the unexpected queue (and therefore cost
     /// an extra host copy when claimed).
     pub from_unexpected: bool,
@@ -171,7 +299,7 @@ mod tests {
             num_frames: 1,
             total_len: 0,
             no_uq: false,
-            chunk: Bytes::new(),
+            chunk: MsgBuf::default(),
             ack: None,
         };
         assert_eq!(w.wire_len(), DATA_HEADER);
@@ -186,7 +314,7 @@ mod tests {
             num_frames: 1,
             total_len: 100,
             no_uq: false,
-            chunk: Bytes::from(vec![0u8; 100]),
+            chunk: MsgBuf::one(Bytes::from(vec![0u8; 100])),
             ack: None,
         };
         assert_eq!(w.wire_len(), 120);
@@ -203,7 +331,7 @@ mod tests {
             num_frames: 1,
             total_len: 100,
             no_uq: false,
-            chunk: Bytes::from(vec![0u8; 100]),
+            chunk: MsgBuf::one(Bytes::from(vec![0u8; 100])),
             ack: Some(ack),
         };
         assert_eq!(
@@ -219,7 +347,7 @@ mod tests {
             num_frames: 1,
             total_len: MAX_CHUNK as u32,
             no_uq: false,
-            chunk: Bytes::from(vec![0u8; MAX_CHUNK]),
+            chunk: MsgBuf::one(Bytes::from(vec![0u8; MAX_CHUNK])),
             ack: None,
         };
         assert_eq!(w.wire_len(), MTU);

@@ -67,7 +67,7 @@ fn unexpected_queue_overflow_drops_until_slots_free() {
         for i in 0..4u64 {
             let h = b2.post_recv(ctx, Tag(5), None, 64, buf(10 + i, 64))?;
             let msg = b2.wait_recv(ctx, &h)?.expect("message");
-            g2.lock().push(msg.data[0]);
+            g2.lock().push(msg.data.to_bytes()[0]);
         }
         Ok(())
     });
@@ -169,7 +169,10 @@ fn interleaved_connections_never_cross_messages() {
                     )?;
                     let msg = ep.wait_recv(ctx, &h)?.expect("message");
                     assert_eq!(msg.data.len(), len, "lane ({sender},{tag}) round {round}");
-                    assert!(msg.data.iter().all(|&b| b == fill), "no cross-talk");
+                    assert!(
+                        msg.data.to_bytes().iter().all(|&b| b == fill),
+                        "no cross-talk"
+                    );
                 }
                 *done.lock() += 1;
                 Ok(())

@@ -58,13 +58,17 @@ fn request_response(sw: SwitchConfig, piggyback: bool, rounds: usize) -> [EmpSta
         let mut next = server.post_recv(ctx, REQ, None, 4096, buf(1, 4096))?;
         for i in 0..rounds {
             let req = server.wait_recv(ctx, &next)?.expect("request");
-            assert_eq!(&req.data[..], &request(i)[..], "request {i} exact");
+            assert_eq!(
+                &req.data.to_bytes()[..],
+                &request(i)[..],
+                "request {i} exact"
+            );
             // The next descriptor goes down before the response, as a
             // server's would: a request never finds the NIC unready.
             if i + 1 < rounds {
                 next = server.post_recv(ctx, REQ, None, 4096, buf(1, 4096))?;
             }
-            let resp = Bytes::from(response(&req.data));
+            let resp = Bytes::from(response(&req.data.to_bytes()));
             sends.push(server.post_send(ctx, client_addr, RESP, resp, buf(2, 4096))?);
         }
         assert!(server.wait_sends(ctx, &sends)?, "every response acked");
@@ -85,7 +89,11 @@ fn request_response(sw: SwitchConfig, piggyback: bool, rounds: usize) -> [EmpSta
                 buf(4, 4096),
             )?;
             let resp = client.wait_recv(ctx, &h)?.expect("response");
-            assert_eq!(&resp.data[..], &response(&req)[..], "response {i} exact");
+            assert_eq!(
+                &resp.data.to_bytes()[..],
+                &response(&req)[..],
+                "response {i} exact"
+            );
             assert!(client.wait_send(ctx, &s)?, "request {i} acked");
         }
         *done.lock() = rounds;

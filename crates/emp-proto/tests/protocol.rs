@@ -33,7 +33,7 @@ fn single_message_delivery_preserves_contents() {
     sim.spawn("receiver", move |ctx| {
         let h = b2.post_recv(ctx, Tag(7), None, 1024, buf(1, 1024))?;
         let msg = b2.wait_recv(ctx, &h)?.expect("message, not cancel");
-        assert_eq!(&msg.data[..], b"hello emp");
+        assert_eq!(&msg.data.to_bytes()[..], b"hello emp");
         assert_eq!(msg.tag, Tag(7));
         assert!(!msg.from_unexpected);
         done2.complete(ctx);
@@ -75,7 +75,7 @@ fn four_byte_latency_calibrates_to_paper() {
         for _ in 0..100 {
             let h = b2.post_recv(ctx, Tag(1), None, 4, buf(10, 4))?;
             let msg = b2.wait_recv(ctx, &h)?.expect("ping");
-            let hs = b2.post_send(ctx, addr_a, Tag(2), msg.data, buf(11, 4))?;
+            let hs = b2.post_send(ctx, addr_a, Tag(2), msg.data.to_bytes(), buf(11, 4))?;
             b2.wait_send(ctx, &hs)?;
         }
         Ok(())
@@ -170,7 +170,7 @@ fn multi_frame_message_reassembles() {
         let h = b2.post_recv(ctx, Tag(3), None, 16 * 1024, buf(1, 16 * 1024))?;
         let msg = b2.wait_recv(ctx, &h)?.expect("data");
         assert_eq!(msg.data.len(), expect.len());
-        assert_eq!(&msg.data[..], &expect[..]);
+        assert_eq!(&msg.data.to_bytes()[..], &expect[..]);
         done2.complete(ctx);
         Ok(())
     });
@@ -209,7 +209,7 @@ fn unmatched_message_is_dropped_then_retransmitted() {
         ctx.delay(SimDuration::from_micros(500))?;
         let h = b2.post_recv(ctx, Tag(9), None, 64, buf(1, 64))?;
         let msg = b2.wait_recv(ctx, &h)?.expect("data");
-        assert_eq!(&msg.data[..], b"late");
+        assert_eq!(&msg.data.to_bytes()[..], b"late");
         done2.complete(ctx);
         Ok(())
     });
@@ -258,7 +258,7 @@ fn unexpected_queue_buffers_and_claims() {
         let h = b_setup.post_recv(ctx, Tag(2), None, 64, buf(1, 64))?;
         let msg = b_setup.wait_recv(ctx, &h)?.expect("claimed from pool");
         assert!(msg.from_unexpected);
-        assert_eq!(&msg.data[..], b"surprise");
+        assert_eq!(&msg.data.to_bytes()[..], b"surprise");
         done2.complete(ctx);
         Ok(())
     });
@@ -312,10 +312,10 @@ fn tag_and_source_filters_select_descriptors() {
         let h_any = c2.post_recv(ctx, Tag(1), None, 64, buf(2, 64))?;
         let from_b = c2.wait_recv(ctx, &h_any)?.expect("b's message");
         assert_eq!(from_b.src, addr_b);
-        assert_eq!(&from_b.data[..], b"from-b");
+        assert_eq!(&from_b.data.to_bytes()[..], b"from-b");
         let from_a = c2.wait_recv(ctx, &h_a)?.expect("a's message");
         assert_eq!(from_a.src, addr_a);
-        assert_eq!(&from_a.data[..], b"from-a");
+        assert_eq!(&from_a.data.to_bytes()[..], b"from-a");
         done2.complete(ctx);
         Ok(())
     });
@@ -351,7 +351,7 @@ fn tag_match_walk_is_counted() {
         }
         let h = b2.post_recv(ctx, Tag(1), None, 64, buf(20, 64))?;
         let msg = b2.wait_recv(ctx, &h)?.expect("data");
-        assert_eq!(&msg.data[..], b"x");
+        assert_eq!(&msg.data.to_bytes()[..], b"x");
         Ok(())
     });
     sim.spawn("sender", move |ctx| {

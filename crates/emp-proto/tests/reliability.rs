@@ -45,7 +45,7 @@ fn small_messages_survive_loss() {
         for i in 0..COUNT {
             let h = b2.post_recv(ctx, Tag(1), None, 64, buf(1, 64))?;
             let msg = b2.wait_recv(ctx, &h)?.expect("delivered despite loss");
-            assert_eq!(&msg.data[..], format!("msg-{i:04}").as_bytes());
+            assert_eq!(&msg.data.to_bytes()[..], format!("msg-{i:04}").as_bytes());
         }
         done2.complete(ctx);
         Ok(())
@@ -89,7 +89,11 @@ fn large_message_reassembles_exactly_under_loss() {
         let h = b2.post_recv(ctx, Tag(9), None, len, buf(1, len))?;
         let msg = b2.wait_recv(ctx, &h)?.expect("delivered");
         assert_eq!(msg.data.len(), expect.len());
-        assert_eq!(&msg.data[..], &expect[..], "no corruption, no reordering");
+        assert_eq!(
+            &msg.data.to_bytes()[..],
+            &expect[..],
+            "no corruption, no reordering"
+        );
         done2.complete(ctx);
         Ok(())
     });
@@ -189,7 +193,11 @@ fn exact_transfer(emp: EmpConfig, sw: SwitchConfig, len: usize) -> emp_proto::Em
     sim.spawn("receiver", move |ctx| {
         let h = b2.post_recv(ctx, Tag(3), None, len, buf(1, len))?;
         let msg = b2.wait_recv(ctx, &h)?.expect("delivered");
-        assert_eq!(&msg.data[..], &expect[..], "byte-exact reassembly");
+        assert_eq!(
+            &msg.data.to_bytes()[..],
+            &expect[..],
+            "byte-exact reassembly"
+        );
         done2.complete(ctx);
         Ok(())
     });
@@ -346,6 +354,7 @@ fn a_slow_receiver_is_not_mistaken_for_loss() {
             seen[usize::from(src)] += 1;
             assert!(
                 msg.data
+                    .to_bytes()
                     .iter()
                     .enumerate()
                     .all(|(i, &b)| b == pattern(src, m, i)),

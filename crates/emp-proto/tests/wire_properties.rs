@@ -42,7 +42,7 @@ proptest! {
                 num_frames: n,
                 total_len: len as u32,
                 no_uq: false,
-                chunk: bytes::Bytes::from(vec![0u8; b - a]),
+                chunk: bytes::Bytes::from(vec![0u8; b - a]).into(),
                 ack,
             };
             prop_assert!(w.wire_len() <= MTU);

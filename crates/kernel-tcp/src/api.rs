@@ -216,7 +216,7 @@ impl TcpConn {
     /// Read exactly `n` bytes (looping over `read`); `None` on premature
     /// EOF.
     pub fn read_exact(&self, ctx: &ProcessCtx, n: usize) -> OpResult<Option<Bytes>> {
-        let mut buf = Vec::with_capacity(n);
+        let mut buf = Vec::new();
         while buf.len() < n {
             let chunk = match self.read(ctx, n - buf.len())? {
                 Ok(c) => c,
@@ -224,6 +224,10 @@ impl TcpConn {
             };
             if chunk.is_empty() {
                 return Ok(Ok(None));
+            }
+            // One read that brought all `n` bytes: hand it over as is.
+            if chunk.len() == n {
+                return Ok(Ok(Some(chunk)));
             }
             buf.extend_from_slice(&chunk);
         }

@@ -14,6 +14,7 @@
 #![warn(missing_docs)]
 
 pub mod api;
+mod chunks;
 pub mod config;
 pub mod nic;
 pub mod stack;

@@ -13,17 +13,25 @@
 use std::cell::RefCell;
 use std::rc::{Rc, Weak};
 
-use simnet::{Frame, FrameSink, LinkTx, MacAddr, SimAccess, SimAccessExt, SimDuration};
+use simnet::{
+    EventClass, EventTarget, Frame, FrameSink, LinkTx, MacAddr, Sim, SimAccess, SimDuration, Slab,
+};
 use tigon_nic::FirmwareCpu;
 
 /// Receiver of coalesced frame batches (the kernel's interrupt handler).
 pub trait BatchHandler {
-    /// Called once per interrupt with every frame delivered by it.
-    fn handle_batch(&self, s: &dyn SimAccess, frames: Vec<Frame>);
+    /// Called once per interrupt with every frame delivered by it; takes
+    /// them all (the NIC reuses the vector).
+    fn handle_batch(&self, s: &dyn SimAccess, frames: &mut Vec<Frame>);
 }
 
 struct RxState {
     pending: Vec<Frame>,
+    /// The previous batch's vector, emptied, for the next one: the batch
+    /// never regrows.
+    spare: Vec<Frame>,
+    /// The generation of each pending coalescing-timer event, by slot.
+    timers: Slab<u64>,
     timer_generation: u64,
     timer_armed: bool,
     interrupts: u64,
@@ -60,6 +68,8 @@ impl AcenicNic {
             link: RefCell::new(None),
             rx: RefCell::new(RxState {
                 pending: Vec::new(),
+                spare: Vec::new(),
+                timers: Slab::default(),
                 timer_generation: 0,
                 timer_armed: false,
                 interrupts: 0,
@@ -102,7 +112,8 @@ impl AcenicNic {
         self.rx.borrow().interrupts
     }
 
-    fn fire(&self, s: &dyn SimAccess) {
+    /// Raise the interrupt: hand the pending frames to the kernel.
+    fn interrupt(&self, s: &dyn SimAccess) {
         let batch = {
             let mut rx = self.rx.borrow_mut();
             rx.timer_generation += 1; // cancel any armed timer
@@ -111,12 +122,16 @@ impl AcenicNic {
                 return;
             }
             rx.interrupts += 1;
-            std::mem::take(&mut rx.pending)
+            let spare = std::mem::take(&mut rx.spare);
+            std::mem::replace(&mut rx.pending, spare)
         };
+        let mut batch = batch;
         let handler = self.handler.borrow().as_ref().and_then(|w| w.upgrade());
         if let Some(h) = handler {
-            h.handle_batch(s, batch);
+            h.handle_batch(s, &mut batch);
         }
+        batch.clear();
+        self.rx.borrow_mut().spare = batch;
     }
 }
 
@@ -135,22 +150,30 @@ impl FrameSink for AcenicNic {
                     rx.timer_armed = true;
                     rx.timer_generation += 1;
                     let gen = rx.timer_generation;
+                    let slot = rx.timers.insert(gen);
                     let me = self.self_ref.upgrade().expect("AcenicNic is Rc-owned");
-                    s.timer_after(self.coalesce_timer, move |sim| {
-                        let live = {
-                            let rx = me.rx.borrow();
-                            rx.timer_armed && rx.timer_generation == gen
-                        };
-                        if live {
-                            me.fire(sim);
-                        }
-                    });
+                    s.schedule_fire(s.now() + self.coalesce_timer, EventClass::Timer, me, slot);
                 }
                 false
             }
         };
         if fire_now {
-            self.fire(s);
+            self.interrupt(s);
+        }
+    }
+}
+
+/// The coalescing timer: raise the interrupt unless the batch went out
+/// (or a newer timer was armed) since it was set.
+impl EventTarget for AcenicNic {
+    fn fire(&self, sim: &Sim, slot: u32) {
+        let live = {
+            let mut rx = self.rx.borrow_mut();
+            let gen = rx.timers.take(slot);
+            rx.timer_armed && rx.timer_generation == gen
+        };
+        if live {
+            self.interrupt(sim);
         }
     }
 }
@@ -159,7 +182,7 @@ impl FrameSink for AcenicNic {
 mod tests {
     use super::*;
     use parking_lot::Mutex;
-    use simnet::{EtherType, Payload, Sim, SimTime};
+    use simnet::{EtherType, Payload, Sim, SimAccessExt, SimTime};
     use std::rc::Rc;
 
     struct Recorder {
@@ -167,7 +190,7 @@ mod tests {
     }
 
     impl BatchHandler for Recorder {
-        fn handle_batch(&self, s: &dyn SimAccess, frames: Vec<Frame>) {
+        fn handle_batch(&self, s: &dyn SimAccess, frames: &mut Vec<Frame>) {
             self.batches.lock().push((s.now().nanos(), frames.len()));
         }
     }

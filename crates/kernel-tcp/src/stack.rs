@@ -8,7 +8,6 @@
 //! 550 Mbps while still costing ~120 µs per small message end-to-end.
 
 use std::cell::{OnceCell, RefCell};
-use std::collections::{HashMap, VecDeque};
 use std::ops::Deref;
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
@@ -16,8 +15,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use hostsim::Host;
 use simnet::{
-    EtherType, Frame, MacAddr, NetError, OpResult, Payload, ProcessCtx, SimAccess, SimAccessExt,
-    SimCondvar, SimQueue, SimResult,
+    EtherType, EventClass, EventTarget, Frame, IdMap, MacAddr, NetError, OpResult, Payload,
+    ProcessCtx, Sim, SimAccess, SimAccessExt, SimCondvar, SimQueue, SimResult, Slab,
 };
 use tigon_nic::FirmwareCpu;
 
@@ -37,10 +36,10 @@ pub(crate) struct ListenerState {
 }
 
 pub(crate) struct StackState {
-    pub(crate) conns: HashMap<ConnKey, Rc<TcpSocket>>,
-    pub(crate) listeners: HashMap<u16, Rc<ListenerState>>,
-    pub(crate) udp_ports: HashMap<u16, Rc<UdpPort>>,
-    pub(crate) udp_reasm: HashMap<(MacAddr, u64), UdpReasm>,
+    pub(crate) conns: IdMap<ConnKey, Rc<TcpSocket>>,
+    pub(crate) listeners: IdMap<u16, Rc<ListenerState>>,
+    pub(crate) udp_ports: IdMap<u16, Rc<UdpPort>>,
+    pub(crate) udp_reasm: IdMap<(MacAddr, u64), UdpReasm>,
     pub(crate) next_ephemeral: u16,
     pub(crate) next_udp_id: u64,
     /// Socket buffer size for new sockets (the Figure 13 knob).
@@ -51,19 +50,6 @@ pub(crate) struct StackState {
     pub(crate) max_conns: Option<usize>,
     pub(crate) rst_sent: u64,
     pub(crate) udp_dropped: u64,
-}
-
-/// `buf[start..start + len]` as a `Vec`, in at most two slice copies (a
-/// `VecDeque` is at most two contiguous runs) instead of a byte iterator.
-fn copy_range(buf: &VecDeque<u8>, start: usize, len: usize) -> Vec<u8> {
-    let (a, b) = buf.as_slices();
-    let head = a.get(start..).unwrap_or(&[]);
-    let from_a = head.len().min(len);
-    let b_start = start.saturating_sub(a.len());
-    let mut out = Vec::with_capacity(len);
-    out.extend_from_slice(&head[..from_a]);
-    out.extend_from_slice(&b[b_start..b_start + len - from_a]);
-    out
 }
 
 /// One host's kernel network stack, as its owners hold it: a handle on the
@@ -87,6 +73,17 @@ impl Deref for TcpStack {
     }
 }
 
+/// What one of the stack's events does (its slot in [`StackCore::work`]).
+enum KernelWork {
+    /// A kernel CPU task ends: put the packet on the wire.
+    Emit(IpPacket),
+    /// A kernel CPU task ends: process the received packet.
+    Receive(IpPacket),
+    /// The delayed-ack timer armed as generation `u64` of the socket's
+    /// timer fires.
+    DelayedAck(Rc<TcpSocket>, u64),
+}
+
 /// The kernel network stack itself.
 pub struct StackCore {
     pub(crate) host: Host,
@@ -95,6 +92,8 @@ pub struct StackCore {
     pub(crate) kernel: FirmwareCpu,
     pub(crate) nic: Rc<AcenicNic>,
     pub(crate) state: RefCell<StackState>,
+    /// The work of this stack's pending events.
+    work: RefCell<Slab<KernelWork>>,
     /// Notified on any socket becoming readable — the `select()` hook.
     pub(crate) activity: SimCondvar,
     /// Cached `tcp.n<id>.segments_out` counter; telemetry is hooked up on
@@ -120,10 +119,10 @@ impl StackCore {
             kernel: FirmwareCpu::new("kernel").with_node(node),
             nic,
             state: RefCell::new(StackState {
-                conns: HashMap::new(),
-                listeners: HashMap::new(),
-                udp_ports: HashMap::new(),
-                udp_reasm: HashMap::new(),
+                conns: IdMap::default(),
+                listeners: IdMap::default(),
+                udp_ports: IdMap::default(),
+                udp_reasm: IdMap::default(),
                 next_ephemeral: 32768,
                 next_udp_id: 0,
                 sockbuf,
@@ -131,6 +130,7 @@ impl StackCore {
                 rst_sent: 0,
                 udp_dropped: 0,
             }),
+            work: RefCell::default(),
             activity: SimCondvar::new(),
             segments_out: OnceCell::new(),
             self_ref: weak.clone(),
@@ -231,6 +231,22 @@ impl StackCore {
         })
     }
 
+    /// Book a kernel CPU task costing `cost` whose end does `work`.
+    fn kernel_task(&self, s: &dyn SimAccess, cost: simnet::SimDuration, work: KernelWork) {
+        let slot = self.work.borrow_mut().insert(work);
+        self.kernel.exec_fire(s, cost, self.rc(), slot);
+    }
+
+    /// Put `pkt` on the wire at the end of a kernel CPU task costing `cost`.
+    pub(crate) fn emit_on_kernel(
+        &self,
+        s: &dyn SimAccess,
+        cost: simnet::SimDuration,
+        pkt: IpPacket,
+    ) {
+        self.kernel_task(s, cost, KernelWork::Emit(pkt));
+    }
+
     /// Emit `seg` for `sock` on the kernel CPU at `cost`.
     fn emit_segment(
         &self,
@@ -239,13 +255,12 @@ impl StackCore {
         seg: TcpSegment,
         cost: simnet::SimDuration,
     ) {
-        let me = self.rc();
         let pkt = IpPacket {
             src: sock.local.host,
             dst: sock.remote.host,
             proto: IpProto::Tcp(seg),
         };
-        self.kernel.exec(s, cost, move |sim| me.emit(sim, pkt));
+        self.emit_on_kernel(s, cost, pkt);
     }
 
     fn on_segment(&self, sim: &dyn SimAccess, src: MacAddr, seg: TcpSegment) {
@@ -346,7 +361,7 @@ impl StackCore {
                 let advance = seg.ack.min(i.snd_nxt).saturating_sub(i.snd_una);
                 if advance > 0 {
                     i.snd_una += advance;
-                    i.snd_buf.drain(..advance as usize);
+                    i.snd_buf.drain(advance as usize);
                     // Slow start: one MSS per new ack; a loss-free LAN
                     // never leaves this phase. Capped to keep it finite.
                     i.cwnd = (i.cwnd + self.cfg.mss).min(1 << 20);
@@ -366,7 +381,7 @@ impl StackCore {
             if !seg.data.is_empty() && matches!(i.state, TcpState::Established | TcpState::FinWait)
             {
                 debug_assert_eq!(seg.seq, i.rcv_nxt, "loss-free fabric delivers in order");
-                i.rcv_buf.extend(&seg.data[..]);
+                i.rcv_buf.push(seg.data.clone());
                 i.rcv_nxt += seg.data.len() as u64;
                 i.unacked_segments += 1;
                 if i.unacked_segments >= self.cfg.ack_every_segments {
@@ -374,18 +389,10 @@ impl StackCore {
                 } else if !i.delack_armed {
                     i.delack_armed = true;
                     i.delack_gen += 1;
-                    let gen = i.delack_gen;
-                    let me = self.rc();
-                    let sock2 = Rc::clone(sock);
-                    sim.timer_after(self.cfg.delack_timeout, move |sim2| {
-                        let fire = {
-                            let i = sock2.inner.borrow_mut();
-                            i.delack_armed && i.delack_gen == gen && i.unacked_segments > 0
-                        };
-                        if fire {
-                            me.send_ack(sim2, &sock2);
-                        }
-                    });
+                    let work = KernelWork::DelayedAck(Rc::clone(sock), i.delack_gen);
+                    let slot = self.work.borrow_mut().insert(work);
+                    let at = sim.now() + self.cfg.delack_timeout;
+                    sim.schedule_fire(at, EventClass::Timer, self.rc(), slot);
                 }
             }
             if seg.flags.fin {
@@ -425,7 +432,6 @@ impl StackCore {
 
     /// Push out as much data (and a queued FIN) as windows allow.
     pub(crate) fn try_output(&self, s: &dyn SimAccess, sock: &Rc<TcpSocket>) {
-        let mut segs: Vec<TcpSegment> = Vec::new();
         {
             let mut i = sock.inner.borrow_mut();
             loop {
@@ -460,7 +466,7 @@ impl StackCore {
                         i.unacked_segments = 0;
                         i.delack_gen += 1;
                         i.delack_armed = false;
-                        segs.push(TcpSegment {
+                        let fin = TcpSegment {
                             src_port: sock.local.port,
                             dst_port: sock.remote.port,
                             seq: i.snd_nxt,
@@ -472,18 +478,18 @@ impl StackCore {
                             },
                             window: adv,
                             data: Bytes::new(),
-                        });
+                        };
+                        self.emit_segment(s, sock, fin, self.cfg.tcp_tx_cost);
                     }
                     break;
                 }
-                let start = i.in_flight();
-                let data = copy_range(&i.snd_buf, start, len);
+                let data = i.snd_buf.range(i.in_flight(), len);
                 let adv = i.advertised_window(&self.cfg);
                 i.last_advertised = adv;
                 i.unacked_segments = 0;
                 i.delack_gen += 1;
                 i.delack_armed = false;
-                segs.push(TcpSegment {
+                let seg = TcpSegment {
                     src_port: sock.local.port,
                     dst_port: sock.remote.port,
                     seq: i.snd_nxt,
@@ -493,13 +499,13 @@ impl StackCore {
                         ..TcpFlags::default()
                     },
                     window: adv,
-                    data: Bytes::from(data),
-                });
+                    data,
+                };
+                // Booking the kernel CPU touches no socket state, so the
+                // segment goes out while the socket is still held.
+                self.emit_segment(s, sock, seg, self.cfg.tcp_tx_cost);
                 i.snd_nxt += len as u64;
             }
-        }
-        for seg in segs {
-            self.emit_segment(s, sock, seg, self.cfg.tcp_tx_cost);
         }
     }
 
@@ -546,7 +552,6 @@ impl StackCore {
 
     fn send_rst(&self, s: &dyn SimAccess, key: ConnKey) {
         self.state.borrow_mut().rst_sent += 1;
-        let me = self.rc();
         let pkt = IpPacket {
             src: self.host.id(),
             dst: key.remote.host,
@@ -563,8 +568,7 @@ impl StackCore {
                 data: Bytes::new(),
             }),
         };
-        self.kernel
-            .exec(s, self.cfg.ack_tx_cost, move |sim| me.emit(sim, pkt));
+        self.emit_on_kernel(s, self.cfg.ack_tx_cost, pkt);
     }
 
     // ------------------------------------------------------------------
@@ -756,13 +760,12 @@ impl StackCore {
                 }
                 if !i.rcv_buf.is_empty() {
                     let n = max.min(i.rcv_buf.len());
-                    let data = copy_range(&i.rcv_buf, 0, n);
-                    i.rcv_buf.drain(..n);
+                    let data = i.rcv_buf.take(n);
                     let adv = i.advertised_window(&self.cfg);
                     // Window update when reading opened the window enough
                     // to matter to a stalled sender.
                     let update = adv >= i.last_advertised + 2 * self.cfg.mss;
-                    Some((Bytes::from(data), update))
+                    Some((data, update))
                 } else if i.fin_received {
                     return Ok(Ok(Bytes::new()));
                 } else if i.state == TcpState::Closed {
@@ -816,7 +819,7 @@ impl StackCore {
                     return Ok(Err(NetError::Closed));
                 }
                 let n = (i.snd_cap - i.snd_buf.len()).min(data.len() - off);
-                i.snd_buf.extend(&data[off..off + n]);
+                i.snd_buf.push(Bytes::copy_from_slice(&data[off..off + n]));
                 n
             };
             if n == 0 && !data.is_empty() {
@@ -852,11 +855,11 @@ impl StackCore {
 }
 
 impl BatchHandler for StackCore {
-    fn handle_batch(&self, s: &dyn SimAccess, frames: Vec<Frame>) {
+    fn handle_batch(&self, s: &dyn SimAccess, frames: &mut Vec<Frame>) {
         // One interrupt for the whole batch, then per-segment processing,
         // all on the kernel CPU.
         self.kernel.book(s, self.cfg.interrupt_cost);
-        for frame in frames {
+        for frame in frames.drain(..) {
             let Some(pkt) = frame.payload.downcast::<IpPacket>().cloned() else {
                 continue;
             };
@@ -871,38 +874,34 @@ impl BatchHandler for StackCore {
                 }
                 _ => self.cfg.tcp_rx_cost,
             };
-            let me = self.rc();
-            self.kernel.exec(s, cost, move |sim| match pkt.proto {
-                IpProto::Tcp(seg) => me.on_segment(sim, pkt.src, seg),
+            self.kernel_task(s, cost, KernelWork::Receive(pkt));
+        }
+    }
+}
+
+impl EventTarget for StackCore {
+    fn fire(&self, sim: &Sim, slot: u32) {
+        let work = self.work.borrow_mut().take(slot);
+        match work {
+            KernelWork::Emit(pkt) => self.emit(sim, pkt),
+            KernelWork::Receive(pkt) => match pkt.proto {
+                IpProto::Tcp(seg) => self.on_segment(sim, pkt.src, seg),
                 IpProto::UdpFrag {
                     id,
                     idx,
                     count,
                     dgram,
                     frag_len,
-                } => crate::udp::on_frag(&me, sim, pkt.src, id, idx, count, dgram, frag_len),
-            });
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn copy_range_matches_the_byte_iterator_across_the_wrap() {
-        // Push and pop until the ring's head sits mid-buffer, so the
-        // contents straddle the wrap point in two runs.
-        let mut buf: VecDeque<u8> = VecDeque::with_capacity(16);
-        buf.extend(0u8..12);
-        buf.drain(..9);
-        buf.extend(12u8..24);
-        assert!(!buf.as_slices().1.is_empty(), "fixture must wrap");
-        for start in 0..=buf.len() {
-            for len in 0..=buf.len() - start {
-                let want: Vec<u8> = buf.iter().skip(start).take(len).copied().collect();
-                assert_eq!(copy_range(&buf, start, len), want, "{start}+{len}");
+                } => crate::udp::on_frag(&self.rc(), sim, pkt.src, id, idx, count, dgram, frag_len),
+            },
+            KernelWork::DelayedAck(sock, gen) => {
+                let due = {
+                    let i = sock.inner.borrow();
+                    i.delack_armed && i.delack_gen == gen && i.unacked_segments > 0
+                };
+                if due {
+                    self.send_ack(sim, &sock);
+                }
             }
         }
     }

@@ -9,9 +9,9 @@
 //! advertised window (half the receive buffer, as Linux does), slow-start
 //! congestion window growth, delayed acks, and RST for refused connections.
 
-use std::collections::VecDeque;
-
 use simnet::SimCondvar;
+
+use crate::chunks::Chunks;
 
 use crate::config::TcpConfig;
 use crate::wire::SockAddr;
@@ -39,8 +39,9 @@ pub enum TcpState {
 pub(crate) struct TcpInner {
     pub(crate) state: TcpState,
     // --- send side ---
-    /// Unacknowledged + unsent bytes (front is `snd_una`).
-    pub(crate) snd_buf: VecDeque<u8>,
+    /// Unacknowledged + unsent bytes (front is `snd_una`), as the chunks
+    /// `write` copied in.
+    pub(crate) snd_buf: Chunks,
     pub(crate) snd_cap: usize,
     /// First unacknowledged byte offset.
     pub(crate) snd_una: u64,
@@ -54,8 +55,9 @@ pub(crate) struct TcpInner {
     pub(crate) fin_queued: bool,
     pub(crate) fin_sent: bool,
     // --- receive side ---
-    /// Received, in-order, not yet read by the application.
-    pub(crate) rcv_buf: VecDeque<u8>,
+    /// Received, in-order, not yet read by the application: the segments'
+    /// own bytes.
+    pub(crate) rcv_buf: Chunks,
     pub(crate) rcv_cap: usize,
     /// Next expected byte offset.
     pub(crate) rcv_nxt: u64,
@@ -83,7 +85,7 @@ impl TcpInner {
     pub(crate) fn new(cfg: &TcpConfig, sockbuf: usize, state: TcpState) -> Self {
         TcpInner {
             state,
-            snd_buf: VecDeque::new(),
+            snd_buf: Chunks::default(),
             snd_cap: sockbuf,
             snd_una: 0,
             snd_nxt: 0,
@@ -91,7 +93,7 @@ impl TcpInner {
             peer_window: cfg.mss,
             fin_queued: false,
             fin_sent: false,
-            rcv_buf: VecDeque::new(),
+            rcv_buf: Chunks::default(),
             rcv_cap: sockbuf,
             rcv_nxt: 0,
             fin_received: false,
@@ -187,7 +189,7 @@ mod tests {
     #[test]
     fn inflight_and_unsent_accounting() {
         let mut i = inner();
-        i.snd_buf.extend(std::iter::repeat_n(0u8, 5000));
+        i.snd_buf.push(vec![0u8; 5000].into());
         assert_eq!(i.in_flight(), 0);
         assert_eq!(i.unsent(), 5000);
         i.snd_nxt = 3000;
@@ -201,9 +203,9 @@ mod tests {
     fn readable_conditions() {
         let mut i = inner();
         assert!(!i.readable());
-        i.rcv_buf.push_back(1);
+        i.rcv_buf.push(bytes::Bytes::from_static(&[1]));
         assert!(i.readable());
-        i.rcv_buf.clear();
+        i.rcv_buf.drain(1);
         i.fin_received = true;
         assert!(i.readable());
     }
@@ -213,7 +215,7 @@ mod tests {
         let cfg = TcpConfig::default();
         let mut i = inner();
         assert_eq!(i.advertised_window(&cfg), 12 * 1024);
-        i.rcv_buf.extend(std::iter::repeat_n(0u8, 3000));
+        i.rcv_buf.push(vec![0u8; 3000].into());
         assert_eq!(i.advertised_window(&cfg), 12 * 1024 - 3000);
         i.reader_waiting = true;
         assert_eq!(i.advertised_window(&cfg), 12 * 1024);

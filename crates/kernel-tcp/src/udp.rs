@@ -64,7 +64,6 @@ pub(crate) fn send_to(
         data: Bytes::copy_from_slice(data),
     };
     for (idx, frag_len) in frags.into_iter().enumerate() {
-        let me = stack.rc();
         let pkt = IpPacket {
             src: stack.host().id(),
             dst: dst.host,
@@ -76,9 +75,7 @@ pub(crate) fn send_to(
                 frag_len,
             },
         };
-        stack
-            .kernel
-            .exec(ctx, stack.cfg().tcp_tx_cost, move |sim| me.emit(sim, pkt));
+        stack.emit_on_kernel(ctx, stack.cfg().tcp_tx_cost, pkt);
     }
     Ok(())
 }

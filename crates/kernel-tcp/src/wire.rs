@@ -67,7 +67,7 @@ pub struct TcpSegment {
     pub flags: TcpFlags,
     /// Advertised receive window in bytes.
     pub window: usize,
-    /// Payload.
+    /// Payload: a slice of the sender's queued writes.
     pub data: Bytes,
 }
 

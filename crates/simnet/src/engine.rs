@@ -86,7 +86,7 @@ impl EventClass {
 }
 
 /// Cancels the timer events scheduled with it
-/// ([`SimAccess::schedule_timer`]). A cancelled timer is still popped at its
+/// ([`SimAccess::schedule_guarded_fire`]). A cancelled timer is still popped at its
 /// instant, so the clock and the telemetry sampler see it, but it is not
 /// run and not counted as executed (`simnet.events.cancelled` counts it).
 #[derive(Clone, Default)]
@@ -109,11 +109,71 @@ impl TimerGuard {
     }
 }
 
+/// A component whose events carry no closure (DESIGN §6): it keeps the
+/// work an event stands for in a [`Slab`] of its own, and the event names
+/// only the component and the work's slot. Scheduling one allocates
+/// nothing once the slab has grown to the component's most pending work,
+/// where a closure event allocates its box every time.
+pub trait EventTarget {
+    /// The event scheduled with `slot` fires: take that slot's work and do
+    /// it.
+    fn fire(&self, sim: &Sim, slot: u32);
+
+    /// A guarded timer scheduled with `slot`
+    /// ([`SimAccess::schedule_guarded_fire`]) is popped after its guard was
+    /// cancelled: free the slot without doing its work. The default does
+    /// nothing, which suits a target that schedules no guarded timer.
+    fn discard(&self, _slot: u32) {}
+}
+
+/// Pending work of an [`EventTarget`], by slot. Freed slots are reused, so
+/// a slab holds as many slots as the most work ever pending at once. Work
+/// whose event never fires (its simulation was dropped first) keeps its
+/// slot; nothing else is ever handed it.
+pub struct Slab<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slab<T> {
+    /// Store `work`; returns its slot.
+    pub fn insert(&mut self, work: T) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(work);
+                slot
+            }
+            None => {
+                self.slots.push(Some(work));
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Take the work in `slot`, freeing it.
+    pub fn take(&mut self, slot: u32) -> T {
+        let work = self.slots[slot as usize].take();
+        self.free.push(slot);
+        work.expect("an event's slot holds its work")
+    }
+}
+
 /// What a queued event does when its time comes.
 enum Action {
     Call(EventClass, EventFn),
-    /// A timer that is skipped once its guard is cancelled.
-    Timer(TimerGuard, EventFn),
+    /// Hand a component the slot of the work this event stands for.
+    Fire(EventClass, Rc<dyn EventTarget>, u32),
+    /// A `Fire` timer that is skipped once its guard is cancelled.
+    FireTimer(TimerGuard, Rc<dyn EventTarget>, u32),
     /// Resume a parked process: its stack takes the turn.
     Wake(ProcId),
     /// Hand a frame to the sink its link delivers to.
@@ -123,8 +183,8 @@ enum Action {
 impl Action {
     fn class(&self) -> EventClass {
         match self {
-            Action::Call(class, _) => *class,
-            Action::Timer(..) => EventClass::Timer,
+            Action::Call(class, _) | Action::Fire(class, ..) => *class,
+            Action::FireTimer(..) => EventClass::Timer,
             Action::Wake(_) => EventClass::Wake,
             Action::Deliver(..) => EventClass::Deliver,
         }
@@ -169,10 +229,8 @@ struct Event {
 pub(crate) struct SimCore {
     next_seq: u64,
     queue: BinaryHeap<Key>,
-    /// The actions of queued events, indexed by [`Key::slot`]; `free`
-    /// lists the empty slots.
-    actions: Vec<Option<Action>>,
-    free: Vec<u32>,
+    /// The actions of queued events, by [`Key::slot`].
+    actions: Slab<Action>,
     /// Stop conditions of the current `run*` call.
     deadline: SimTime,
     done: Option<Completion>,
@@ -218,16 +276,7 @@ impl SimShared {
         let as_of = as_of.max(now).min(time);
         let seq = core.next_seq;
         core.next_seq += 1;
-        let slot = match core.free.pop() {
-            Some(slot) => {
-                core.actions[slot as usize] = Some(action);
-                slot
-            }
-            None => {
-                core.actions.push(Some(action));
-                (core.actions.len() - 1) as u32
-            }
-        };
+        let slot = core.actions.insert(action);
         core.queue.push(Key {
             time,
             as_of,
@@ -243,6 +292,38 @@ impl SimShared {
         self.schedule(at, SimTime::ZERO, Action::Wake(pid));
     }
 
+    /// The running process's own wake-up at `at`, taken in place when it
+    /// would be the next event popped: the run goes on (no `done`, no
+    /// termination), `at` is within the deadline, and no queued event sorts
+    /// at or before `(at, now)` — a wake is scheduled as of now, and its
+    /// sequence number would be the largest yet. The clock advances to
+    /// `at`, the wake is counted and its sequence number consumed, exactly
+    /// as popping it would, with no queue push or pop, after the sample the
+    /// previous event is owed, as a parking process takes it. `false`:
+    /// nothing changed; queue the wake and park.
+    pub(crate) fn wake_in_place(&self, at: SimTime) -> bool {
+        let now = self.now();
+        let at = at.max(now);
+        {
+            let mut core = self.core.borrow_mut();
+            if core.terminated
+                || core.done.as_ref().is_some_and(Completion::is_done)
+                || at > core.deadline
+                || core
+                    .queue
+                    .peek()
+                    .is_some_and(|k| (k.time, k.as_of) <= (at, now))
+            {
+                return false;
+            }
+            core.next_seq += 1;
+        }
+        self.telemetry.maybe_sample(now.nanos());
+        self.now.set(at);
+        self.executed_by_class[EventClass::Wake as usize].inc();
+        true
+    }
+
     /// Pop the next event and advance the clock to it, or `None` once the
     /// current `run*` call must return: `done` fired, the queue drained, the
     /// next event lies past the deadline, or the simulation is being dropped.
@@ -255,20 +336,21 @@ impl SimShared {
             return None;
         }
         let key = core.queue.pop().expect("peeked event exists");
-        core.free.push(key.slot);
-        let action = core.actions[key.slot as usize].take();
-        let action = action.expect("a queued event's slot holds its action");
+        let action = core.actions.take(key.slot);
         self.now.set(key.time);
-        if matches!(&action, Action::Timer(guard, _) if guard.is_cancelled()) {
-            self.cancelled.inc();
-            // The closure is dropped with the core released: what it owns
-            // may reach back into the engine when it goes.
-            drop(core);
-            drop(action);
-            return Some(Event {
-                time: key.time,
-                action: None,
-            });
+        if let Action::FireTimer(guard, target, slot) = &action {
+            if guard.is_cancelled() {
+                self.cancelled.inc();
+                // The work is dropped with the core released: what it owns
+                // may reach back into the engine when it goes.
+                drop(core);
+                target.discard(*slot);
+                drop(action);
+                return Some(Event {
+                    time: key.time,
+                    action: None,
+                });
+            }
         }
         self.executed_by_class[action.class() as usize].inc();
         Some(Event {
@@ -343,11 +425,31 @@ pub trait SimAccess {
             .schedule(at, SimTime::ZERO, Action::Call(class, f));
     }
 
-    /// Schedule a timer at an absolute time (clamped to now) that does not
-    /// run once `guard` is cancelled.
-    fn schedule_timer(&self, at: SimTime, guard: TimerGuard, f: EventFn) {
+    /// Schedule an event of class `class` at an absolute time (clamped to
+    /// now) that fires `target` with `slot` (see [`EventTarget`]).
+    fn schedule_fire(
+        &self,
+        at: SimTime,
+        class: EventClass,
+        target: Rc<dyn EventTarget>,
+        slot: u32,
+    ) {
         self.shared()
-            .schedule(at, SimTime::ZERO, Action::Timer(guard, f));
+            .schedule(at, SimTime::ZERO, Action::Fire(class, target, slot));
+    }
+
+    /// Schedule a timer at an absolute time (clamped to now) that fires
+    /// `target` with `slot` unless `guard` is cancelled first, in which
+    /// case the target gets the slot back through [`EventTarget::discard`].
+    fn schedule_guarded_fire(
+        &self,
+        at: SimTime,
+        guard: TimerGuard,
+        target: Rc<dyn EventTarget>,
+        slot: u32,
+    ) {
+        self.shared()
+            .schedule(at, SimTime::ZERO, Action::FireTimer(guard, target, slot));
     }
 
     /// Schedule the delivery of `frame` to `sink` at `at`, as of the instant
@@ -434,15 +536,6 @@ pub trait SimAccessExt: SimAccess {
     {
         self.schedule_class(at, EventClass::Timer, Box::new(f));
     }
-
-    /// Schedule `f` as a timer event `after` from now that does not run
-    /// once `guard` is cancelled.
-    fn guarded_timer_after<F>(&self, after: SimDuration, guard: TimerGuard, f: F)
-    where
-        F: FnOnce(&Sim) + 'static,
-    {
-        self.schedule_timer(self.now() + after, guard, Box::new(f));
-    }
 }
 
 impl<T: SimAccess + ?Sized> SimAccessExt for T {}
@@ -521,8 +614,7 @@ impl Sim {
             core: RefCell::new(SimCore {
                 next_seq: 0,
                 queue: BinaryHeap::new(),
-                actions: Vec::new(),
-                free: Vec::new(),
+                actions: Slab::default(),
                 deadline: SimTime::MAX,
                 done: None,
                 terminated: false,
@@ -663,9 +755,12 @@ impl Sim {
             };
             let kept_turn = match ev.action {
                 None => true,
-                Some(Action::Call(_, f) | Action::Timer(_, f)) => self.run_event(me, f),
+                Some(Action::Call(_, f)) => self.run_event(me, f),
                 Some(Action::Deliver(sink, frame)) => {
                     self.run_event(me, move |sim| sink.deliver(sim, frame))
+                }
+                Some(Action::Fire(_, target, slot) | Action::FireTimer(_, target, slot)) => {
+                    self.run_event(me, move |sim| target.fire(sim, slot))
                 }
                 // The caller's own wake-up; the sample this event is owed is
                 // taken when the process next parks or exits.
@@ -834,23 +929,31 @@ mod tests {
 
     #[test]
     fn cancelled_timers_are_popped_but_not_run() {
+        /// Counts the timers it runs and the slots handed back.
+        #[derive(Default)]
+        struct Target {
+            fired: Cell<u32>,
+            discarded: Cell<u32>,
+        }
+        impl EventTarget for Target {
+            fn fire(&self, _sim: &Sim, _slot: u32) {
+                self.fired.set(self.fired.get() + 1);
+            }
+            fn discard(&self, _slot: u32) {
+                self.discarded.set(self.discarded.get() + 1);
+            }
+        }
         let sim = Sim::new();
-        let fired = Arc::new(AtomicU64::new(0));
+        let target = Rc::new(Target::default());
         let guard = TimerGuard::new();
-        for at in [100, 200] {
-            let fired = Arc::clone(&fired);
-            sim.schedule_timer(
-                SimTime::from_nanos(at),
-                guard.clone(),
-                Box::new(move |_| {
-                    fired.fetch_add(1, Ordering::Relaxed);
-                }),
-            );
+        for (slot, at) in [100, 200].into_iter().enumerate() {
+            let t = Rc::clone(&target);
+            sim.schedule_guarded_fire(SimTime::from_nanos(at), guard.clone(), t, slot as u32);
         }
         let g2 = guard.clone();
         sim.schedule_at(SimTime::from_nanos(50), move |_| g2.cancel());
         sim.run();
-        assert_eq!(fired.load(Ordering::Relaxed), 0);
+        assert_eq!((target.fired.get(), target.discarded.get()), (0, 2));
         assert_eq!(sim.now().nanos(), 200, "the clock still reaches them");
         assert_eq!(sim.events_executed(), 1);
         let counters = sim.telemetry().snapshot().counters;

@@ -1,14 +1,14 @@
 //! Ethernet frames and wire-size accounting.
 //!
 //! The simulator moves *logical* payloads (protocol structs behind an
-//! `Arc<dyn Any>`) while accounting for exact on-wire sizes: preamble + SFD,
+//! `Rc<dyn Any>`) while accounting for exact on-wire sizes: preamble + SFD,
 //! MAC header, FCS, minimum-frame padding and the inter-frame gap. Getting
 //! these right matters — they are why raw Gigabit Ethernet tops out at
 //! ~975 Mbps of payload for 1500-byte frames and far less for small ones.
 
 use std::any::Any;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Maximum Ethernet payload (bytes) — the MTU. Upper layers fragment.
 pub const MTU: usize = 1500;
@@ -55,24 +55,25 @@ impl EtherType {
 /// A logical payload with a declared on-wire length.
 ///
 /// Protocol crates put their own frame structs in here; the simulator only
-/// needs the wire length for timing. Cloning is cheap (`Arc`), which is what
-/// makes retransmission-from-record free of real copies.
+/// needs the wire length for timing. Cloning is cheap (`Rc`), which is what
+/// makes retransmission-from-record free of real copies. Building one is a
+/// frame's one heap allocation.
 #[derive(Clone)]
 pub struct Payload {
-    data: Arc<dyn Any + Send + Sync>,
+    data: Rc<dyn Any>,
     wire_len: usize,
 }
 
 impl Payload {
     /// Wrap `data`, declaring that it serializes to `wire_len` bytes of
     /// Ethernet payload (protocol headers included, MAC header excluded).
-    pub fn new<T: Any + Send + Sync>(data: T, wire_len: usize) -> Self {
+    pub fn new<T: Any>(data: T, wire_len: usize) -> Self {
         assert!(
             wire_len <= MTU,
             "payload of {wire_len} bytes exceeds the {MTU}-byte MTU; fragment at a higher layer"
         );
         Payload {
-            data: Arc::new(data),
+            data: Rc::new(data),
             wire_len,
         }
     }

@@ -33,6 +33,7 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod frame;
+pub mod idmap;
 pub mod link;
 pub mod process;
 pub mod readiness;
@@ -43,10 +44,13 @@ pub mod sync;
 pub mod time;
 
 pub use emp_trace;
-pub use engine::{EventClass, EventFn, Sim, SimAccess, SimAccessExt, SimClock, TimerGuard};
+pub use engine::{
+    EventClass, EventFn, EventTarget, Sim, SimAccess, SimAccessExt, SimClock, Slab, TimerGuard,
+};
 pub use error::{NetError, OpResult, SimError, SimResult};
 pub use fault::{FaultDecision, FaultPlan, FaultState, XorShift64};
 pub use frame::{EtherType, Frame, MacAddr, Payload, MTU};
+pub use idmap::{IdHasher, IdMap};
 pub use link::{FrameSink, LinkConfig, LinkTx};
 pub use process::{ProcId, ProcessCtx};
 pub use readiness::{until_deadline, Event, Interest};

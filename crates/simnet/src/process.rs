@@ -31,7 +31,7 @@ use std::rc::{Rc, Weak};
 use crate::coroutine::{self, Context, Stack};
 use crate::engine::{Sim, SimAccess, SimShared};
 use crate::error::{SimError, SimResult};
-use crate::time::SimDuration;
+use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a simulated process (index into the process table).
 pub type ProcId = usize;
@@ -91,6 +91,9 @@ struct ProcSlot {
     baton: Rc<Baton<Resume>>,
     /// `None` once the process exited.
     stack: Option<Stack>,
+    /// The number of the process's current `wait_any`, and whether a
+    /// completion claimed it (woke the process) yet: `(number, claimed)`.
+    wait: Cell<(u64, bool)>,
 }
 
 /// Handle given to a process closure; provides time, scheduling and the
@@ -128,8 +131,7 @@ impl ProcessCtx {
     pub fn delay(&self, d: SimDuration) -> SimResult<()> {
         let shared = self.shared();
         let at = shared.now() + d;
-        shared.schedule_wake(self.pid, at);
-        self.park()
+        self.sleep_until(&shared, at)
     }
 
     /// Yield the CPU: re-run this process after all events already queued
@@ -137,7 +139,17 @@ impl ProcessCtx {
     pub fn yield_now(&self) -> SimResult<()> {
         let shared = self.shared();
         let now = shared.now();
-        shared.schedule_wake(self.pid, now);
+        self.sleep_until(&shared, now)
+    }
+
+    /// Park until `at` (not before now). When this wake-up would be the
+    /// next event popped anyway, the engine takes it in place
+    /// (`SimShared::wake_in_place`) and no event is queued.
+    fn sleep_until(&self, shared: &SimShared, at: SimTime) -> SimResult<()> {
+        if !self.terminated.get() && shared.wake_in_place(at) {
+            return Ok(());
+        }
+        shared.schedule_wake(self.pid, at);
         self.park()
     }
 
@@ -295,6 +307,7 @@ impl ProcTable {
         table.slots.push(ProcSlot {
             baton,
             stack: Some(stack),
+            wait: Cell::new((0, false)),
         });
         pid
     }
@@ -303,6 +316,28 @@ impl ProcTable {
     pub(crate) fn baton(&self, pid: ProcId) -> Option<Rc<Baton<Resume>>> {
         let slot = self.slots.get(pid)?;
         slot.stack.as_ref().map(|_| Rc::clone(&slot.baton))
+    }
+
+    /// Start a new `wait_any` of `pid`; returns its number.
+    pub(crate) fn begin_wait(&self, pid: ProcId) -> u64 {
+        let wait = &self.slots[pid].wait;
+        let number = wait.get().0 + 1;
+        wait.set((number, false));
+        number
+    }
+
+    /// Whether `wait` is `pid`'s current wait, unclaimed.
+    pub(crate) fn wait_is(&self, pid: ProcId, wait: u64) -> bool {
+        self.slots[pid].wait.get() == (wait, false)
+    }
+
+    /// Claim `pid`'s wait `wait` for a wake-up: true exactly once.
+    pub(crate) fn claim_wait(&self, pid: ProcId, wait: u64) -> bool {
+        let live = self.wait_is(pid, wait);
+        if live {
+            self.slots[pid].wait.set((wait, true));
+        }
+        live
     }
 
     /// Keep for reuse the stack of a process that made its final switch.

@@ -15,35 +15,9 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use crate::engine::SimAccess;
+use crate::engine::{SimAccess, SimShared};
 use crate::error::SimResult;
 use crate::process::{ProcId, ProcessCtx};
-
-/// Guard ensuring a parked process receives at most one wake-up even when
-/// registered with several completions (`wait_any`). The first completion
-/// to fire claims the guard; the rest see it spent and skip the wake.
-struct WaitGuard {
-    pid: ProcId,
-    woken: Cell<bool>,
-}
-
-impl WaitGuard {
-    fn new(pid: ProcId) -> Rc<Self> {
-        Rc::new(WaitGuard {
-            pid,
-            woken: Cell::new(false),
-        })
-    }
-
-    /// Claim the guard; true exactly once.
-    fn claim(&self) -> bool {
-        !self.woken.replace(true)
-    }
-
-    fn spent(&self) -> bool {
-        self.woken.get()
-    }
-}
 
 /// A one-shot event: processes wait, anyone completes it exactly once.
 ///
@@ -61,9 +35,42 @@ pub struct Completion {
 #[derive(Default)]
 struct CompletionState {
     done: Cell<bool>,
-    guards: RefCell<Vec<Rc<WaitGuard>>>,
+    /// The status the completer reported ([`Completion::complete_with`]).
+    outcome: Cell<u32>,
+    /// The first waiter, in place: most completions have one, and it then
+    /// costs no allocation.
+    first: RefCell<Option<Waiter>>,
+    /// Later waiters, in registration order.
+    rest: RefCell<Vec<Waiter>>,
     /// Task wakers (async front end) fired alongside process wakes.
     wakers: RefCell<Vec<std::task::Waker>>,
+}
+
+/// A process waiting on a completion.
+enum Waiter {
+    /// Waiting on this completion alone ([`Completion::wait`]).
+    Proc(ProcId),
+    /// Waiting on several ([`wait_any`]) as its wait number `u64`: the
+    /// first of them to fire claims the wait, which ensures the parked
+    /// process receives one wake-up; the rest find it spent and skip it.
+    Any(ProcId, u64),
+}
+
+impl Waiter {
+    fn spent(&self, shared: &SimShared) -> bool {
+        match *self {
+            Waiter::Proc(_) => false,
+            Waiter::Any(pid, wait) => !shared.procs.borrow().wait_is(pid, wait),
+        }
+    }
+
+    /// The process to wake, unless another completion already did.
+    fn claim(self, shared: &SimShared) -> Option<ProcId> {
+        match self {
+            Waiter::Proc(pid) => Some(pid),
+            Waiter::Any(pid, wait) => shared.procs.borrow().claim_wait(pid, wait).then_some(pid),
+        }
+    }
 }
 
 impl Completion {
@@ -79,14 +86,28 @@ impl Completion {
 
     /// Mark complete and wake all waiters. Subsequent calls are no-ops.
     pub fn complete(&self, s: &dyn SimAccess) {
+        self.complete_with(s, 0);
+    }
+
+    /// The status the completer reported, once complete: `0` from
+    /// [`Completion::complete`].
+    pub fn outcome(&self) -> Option<u32> {
+        self.is_done().then(|| self.inner.outcome.get())
+    }
+
+    /// [`Completion::complete`], reporting `outcome` to every holder, as
+    /// an I/O completion carries its result. Subsequent calls are no-ops.
+    pub fn complete_with(&self, s: &dyn SimAccess, outcome: u32) {
         if self.inner.done.replace(true) {
             return;
         }
+        self.inner.outcome.set(outcome);
         let shared = s.shared();
         let now = shared.now();
-        for guard in self.inner.guards.take() {
-            if guard.claim() {
-                shared.schedule_wake(guard.pid, now);
+        let first = self.inner.first.take();
+        for waiter in first.into_iter().chain(self.inner.rest.take()) {
+            if let Some(pid) = waiter.claim(&shared) {
+                shared.schedule_wake(pid, now);
             }
         }
         // Task wakers fire after process wakes, in registration order — a
@@ -96,15 +117,24 @@ impl Completion {
         }
     }
 
-    fn register(&self, guard: &Rc<WaitGuard>) -> bool {
+    fn register(&self, shared: &SimShared, waiter: Waiter) -> bool {
         if self.is_done() {
             return false;
         }
-        let mut guards = self.inner.guards.borrow_mut();
-        // Prune guards spent by other completions so long-lived completions
-        // (e.g. a control channel polled by every read) stay small.
-        guards.retain(|w| !w.spent());
-        guards.push(Rc::clone(guard));
+        // Prune waits claimed by other completions so long-lived
+        // completions (e.g. a control channel polled by every read) stay
+        // small.
+        let mut first = self.inner.first.borrow_mut();
+        if first.as_ref().is_some_and(|w| w.spent(shared)) {
+            *first = None;
+        }
+        let mut rest = self.inner.rest.borrow_mut();
+        rest.retain(|w| !w.spent(shared));
+        if first.is_none() && rest.is_empty() {
+            *first = Some(waiter);
+        } else {
+            rest.push(waiter);
+        }
         true
     }
 
@@ -130,8 +160,7 @@ impl Completion {
     /// Block the calling process until complete. Returns immediately if
     /// already complete; consumes no simulated time.
     pub fn wait(&self, ctx: &ProcessCtx) -> SimResult<()> {
-        let guard = WaitGuard::new(ctx.pid());
-        if self.register(&guard) {
+        if self.register(&ctx.shared(), Waiter::Proc(ctx.pid())) {
             ctx.park()?;
             debug_assert!(self.is_done(), "completion waiter woken before completion");
         }
@@ -151,9 +180,10 @@ pub fn wait_any(ctx: &ProcessCtx, completions: &[&Completion]) -> SimResult<usiz
         }
         // None is done, and nothing runs before the park: every
         // registration takes.
-        let guard = WaitGuard::new(ctx.pid());
+        let shared = ctx.shared();
+        let wait = shared.procs.borrow().begin_wait(ctx.pid());
         for c in completions {
-            c.register(&guard);
+            c.register(&shared, Waiter::Any(ctx.pid(), wait));
         }
         ctx.park()?;
     }
@@ -213,14 +243,25 @@ impl SimCondvar {
 
     /// Wake every currently waiting process.
     pub fn notify_all(&self, s: &dyn SimAccess) {
-        let (waiters, wakers) = {
+        let (mut waiters, wakers) = {
             let mut st = self.waiters.borrow_mut();
+            if st.pids.is_empty() && st.wakers.is_empty() {
+                return;
+            }
             (std::mem::take(&mut st.pids), std::mem::take(&mut st.wakers))
         };
         let shared = s.shared();
         let now = shared.now();
-        for pid in waiters {
+        for pid in waiters.drain(..) {
             shared.schedule_wake(pid, now);
+        }
+        // Keep the emptied list for the next waiters: a condvar waited on
+        // in a loop allocates once.
+        {
+            let mut st = self.waiters.borrow_mut();
+            if st.pids.is_empty() {
+                st.pids = waiters;
+            }
         }
         for waker in wakers {
             waker.wake();

@@ -13,7 +13,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use simnet::{EventClass, Sim, SimAccess, SimClock, SimDuration, SimTime};
+use simnet::{EventClass, EventTarget, Sim, SimAccess, SimClock, SimDuration, SimTime};
 
 struct CpuState {
     busy_until: SimTime,
@@ -109,6 +109,33 @@ impl FirmwareCpu {
         F: FnOnce(&Sim) + 'static,
     {
         self.exec_at(s, s.now(), cost, f)
+    }
+
+    /// Run a task starting as soon as the CPU is free whose end fires
+    /// `target` with `slot`, where the target keeps the task's work (see
+    /// [`EventTarget`]). Returns the completion instant.
+    pub fn exec_fire(
+        &self,
+        s: &dyn SimAccess,
+        cost: SimDuration,
+        target: Rc<dyn EventTarget>,
+        slot: u32,
+    ) -> SimTime {
+        self.exec_fire_at(s, s.now(), cost, target, slot)
+    }
+
+    /// [`FirmwareCpu::exec_fire`], starting no earlier than `earliest`.
+    pub fn exec_fire_at(
+        &self,
+        s: &dyn SimAccess,
+        earliest: SimTime,
+        cost: SimDuration,
+        target: Rc<dyn EventTarget>,
+        slot: u32,
+    ) -> SimTime {
+        let done = self.reserve(s, earliest, cost);
+        s.schedule_fire(done, EventClass::Task, target, slot);
+        done
     }
 
     /// Book a task costing `cost`, starting as soon as the CPU is free,

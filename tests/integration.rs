@@ -1,6 +1,8 @@
 //! Workspace-level integration tests: whole scenarios spanning every
 //! crate — engine, NIC, EMP, substrate, kernel baseline and applications.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -94,8 +96,8 @@ fn ftp_delivers_identical_bytes_over_both_stacks() {
         let (bytes, _, _) = ftp::fetch(&sim, tb, 0, 1, "data.bin");
         assert_eq!(bytes, 777_777);
         // Read what the client stored.
-        let got = Arc::new(Mutex::new(bytes::Bytes::new()));
-        let g2 = Arc::clone(&got);
+        let got = Rc::new(RefCell::new(bytes::Bytes::new()));
+        let g2 = Rc::clone(&got);
         let fs = tb.nodes[0].host.fs().clone();
         sim.spawn("verify", move |ctx| {
             let fd = fs.open(ctx, "dl-data.bin")?.expect("stored");
@@ -107,11 +109,11 @@ fn ftp_delivers_identical_bytes_over_both_stacks() {
                 }
                 all.extend_from_slice(&c);
             }
-            *g2.lock() = bytes::Bytes::from(all);
+            *g2.borrow_mut() = bytes::Bytes::from(all);
             Ok(())
         });
         sim.run();
-        let b = got.lock().clone();
+        let b = got.borrow().clone();
         b
     }
     let emp = fetch_bytes(&Testbed::emp_default(2));

@@ -214,7 +214,7 @@ proptest! {
             payload: bytes::Bytes::from(payload),
         };
         let enc = m.encode();
-        let dec = Msg::decode(&enc).expect("roundtrip");
+        let dec = Msg::decode(&enc.into()).expect("roundtrip");
         prop_assert_eq!(dec, m);
     }
 }
